@@ -19,8 +19,9 @@ from . import documents as docs
 from . import elliptic as ell
 from . import linearize, rational, theta
 from .acceptance import ExperimentConfig, run_acceptance
-from .errors import (ConsistencyError, MatchingError, NonGenericError,
-                     NumericDomainError, SchemaError)
+from .errors import (ConsistencyError, ConvergenceError, MatchingError,
+                     NonGenericError, NumericDomainError, SchemaError)
+from .tolerances import DEFAULT
 
 EXIT_OK = 0
 EXIT_ACCEPT_FAIL = 1
@@ -51,15 +52,16 @@ def _write_json(path: Path, payload: dict):
 def cmd_spectral(args) -> int:
     phi = docs.load_lax(args.input)
     spec = _load_bracket_arg(args.bracket)
-    curve = rational.spectral_curve(phi)
+    tol = DEFAULT.scaled(args.tol_scale)
+    curve = rational.spectral_curve(phi, tol)
     try:
-        g = rational.genus(phi)
+        g = rational.genus(phi, tol)
     except NonGenericError as err:
         print(f"non-generic instance: {err}", file=sys.stderr)
         return EXIT_NON_GENERIC
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        hams, cass = rational.casimir_detect(phi, spec, seed=args.seed)
+        hams, cass = rational.casimir_detect(phi, spec, tol, seed=args.seed)
     out = _out_dir(args)
     _write_json(out / "curve.json", docs.dump_curve(curve, g, hams, cass))
     print(f"genus {g}; {len(hams)} Hamiltonians, {len(cass)} Casimirs; "
@@ -70,10 +72,11 @@ def cmd_spectral(args) -> int:
 def cmd_sov(args) -> int:
     phi = docs.load_lax(args.input)
     spec = _load_bracket_arg(args.bracket)
+    tol = DEFAULT.scaled(args.tol_scale)
     out = _out_dir(args)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        probe = rational.divisor_coords(phi, seed=args.seed)
+        probe = rational.divisor_coords(phi, tol=tol, seed=args.seed)
     if probe.count == 0:
         docs.write_csv(out / "divisor.csv",
                        ["mu", "z_re", "z_im", "xi_re", "xi_im"], [])
@@ -83,7 +86,7 @@ def cmd_sov(args) -> int:
                      "max_xixi_residual": 0.0})
         print("empty divisor; nothing to verify")
         return EXIT_OK
-    report = rational.verify_canonical(phi, spec, seed=args.seed)
+    report = rational.verify_canonical(phi, spec, tol=tol, seed=args.seed)
     pts = report.points
     rows = [(mu, pts.z[mu].real, pts.z[mu].imag, pts.xi[mu].real, pts.xi[mu].imag)
             for mu in range(pts.count)]
@@ -112,14 +115,15 @@ def cmd_flow(args) -> int:
         pos = (int(k_str), int(l_str))
     except ValueError:
         raise SchemaError('flag --hamiltonian must be "k,l"') from None
+    tol = DEFAULT.scaled(args.tol_scale)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        hams, cass = rational.casimir_detect(phi, spec, seed=args.seed)
+        hams, cass = rational.casimir_detect(phi, spec, tol, seed=args.seed)
     times = np.linspace(0.0, args.t_max, args.samples)
-    traj = rational.flow(phi, pos, spec, times)
-    base = rational.spectral_curve(traj[0]).grid
+    traj = rational.flow(phi, pos, spec, times, tol)
+    base = rational.spectral_curve(traj[0], tol).grid
     scale = max(1.0, float(np.abs(base).max()))
-    drift = [float(np.abs(rational.spectral_curve(p).grid - base).max()) / scale
+    drift = [float(np.abs(rational.spectral_curve(p, tol).grid - base).max()) / scale
              for p in traj]
     out = _out_dir(args)
     if pos in cass:
@@ -128,7 +132,7 @@ def cmd_flow(args) -> int:
         payload = {"hamiltonian": list(pos), "casimir": True,
                    "max_drift": max(drift)}
     else:
-        res = linearize.linearize(traj, times, spec, hams)
+        res = linearize.linearize(traj, times, spec, hams, tol=tol)
         header = ["t", "spectral_drift"]
         for (k, l) in hams:
             header += [f"q_{k}_{l}_re", f"q_{k}_{l}_im", f"fit_residual_{k}_{l}"]
@@ -205,8 +209,9 @@ def cmd_theta(args) -> int:
 
 def cmd_elliptic(args) -> int:
     params, divisor, coeffs, z0 = docs.load_elliptic(args.input)
-    lax = ell.assemble_lax(coeffs, divisor, params, z0=z0)
-    rep = ell.elliptic_divisor_coords(lax, full_report=True)
+    tol = DEFAULT.scaled(args.tol_scale)
+    lax = ell.assemble_lax(coeffs, divisor, params, z0=z0, tol=tol)
+    rep = ell.elliptic_divisor_coords(lax, tol=tol, full_report=True)
     out = _out_dir(args)
     rows = [(i, p.z.real, p.z.imag, p.xi.real, p.xi.imag, p.sheet)
             for i, p in enumerate(rep.points)]
@@ -310,7 +315,7 @@ def main(argv=None) -> int:
     except NonGenericError as err:
         print(f"non-generic instance: {err}", file=sys.stderr)
         return EXIT_NON_GENERIC
-    except (NumericDomainError, ConsistencyError, MatchingError) as err:
+    except (NumericDomainError, ConsistencyError, MatchingError, ConvergenceError) as err:
         print(f"numeric guard: {err}", file=sys.stderr)
         return EXIT_NUMERIC_GUARD
 

@@ -17,9 +17,9 @@ from .errors import ConvergenceError, NonGenericError
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "poly_trim", "poly_eval", "poly_scale", "poly_mul", "poly_add", "poly_sub",
-    "poly_der", "poly_roots", "char_bipoly", "adjugate", "matpoly_char_adj",
-    "bipoly_trim", "bipoly_eval", "bipoly_dxi", "bipoly_dz", "resultant",
+    "poly_trim", "poly_eval", "poly_der", "poly_roots", "char_bipoly", "adjugate",
+    "matpoly_char_adj", "bipoly_trim", "bipoly_eval", "bipoly_dxi", "bipoly_dz",
+    "resultant",
 ]
 
 
@@ -50,32 +50,6 @@ def poly_eval(c, x):
     if c.size == 0:
         return np.zeros(np.shape(x), dtype=complex) if np.ndim(x) else 0.0 + 0.0j
     return npoly.polyval(x, c)
-
-
-def poly_scale(c, s):
-    return np.asarray(c, dtype=complex) * s
-
-
-def poly_mul(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.size == 0 or b.size == 0:
-        return np.zeros(0, dtype=complex)
-    return npoly.polymul(a, b)
-
-
-def poly_add(a, b):
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.size == 0:
-        return b.copy()
-    if b.size == 0:
-        return a.copy()
-    return npoly.polyadd(a, b)
-
-
-def poly_sub(a, b):
-    return poly_add(a, poly_scale(b, -1.0) if np.asarray(b).size else b)
 
 
 def poly_der(c):
@@ -221,78 +195,59 @@ def poly_roots(p, tol: Tolerances = DEFAULT, seed: int = 0):
 # characteristic polynomial and adjugate (Faddeev--LeVerrier, division-free)
 # ---------------------------------------------------------------------------
 
+def _faddeev_leverrier(M):
+    """Batched Faddeev--LeVerrier recursion on a stack ``M`` of shape (..., r, r).
+
+    Returns ``(b, N)`` with ``det(xi I - M) = sum_k b[..., k] xi**(r-k)``
+    (``b[..., 0] == 1`` exactly) and
+    ``adj(xi I - M) = sum_k N[..., k, :, :] xi**(r-1-k)`` for k = 0 .. r-1.
+    """
+    r = M.shape[-1]
+    eye = np.eye(r)
+    b = np.zeros(M.shape[:-2] + (r + 1,), dtype=complex)
+    N = np.zeros(M.shape[:-2] + (r, r, r), dtype=complex)
+    b[..., 0] = 1.0
+    N[..., 0, :, :] = eye
+    for k in range(1, r + 1):
+        Mk = M @ N[..., k - 1, :, :]
+        b[..., k] = -np.einsum("...ii->...", Mk) / k
+        if k < r:
+            N[..., k, :, :] = Mk + b[..., k, None, None] * eye
+    return b, N
+
+
+def _square(M):
+    M = np.asarray(M, dtype=complex)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("matrix must be square")
+    return M
+
+
 def char_bipoly(M):
     """Coefficients of det(M - xi*I) in ascending powers of xi.
 
     Division-free Faddeev--LeVerrier scheme; the leading coefficient is
     exactly (-1)**r.
     """
-    M = np.asarray(M, dtype=complex)
-    r = M.shape[0]
-    if M.shape != (r, r):
-        raise ValueError("matrix must be square")
-    b = np.zeros(r + 1, dtype=complex)
-    b[r] = 1.0
-    N = np.eye(r, dtype=complex)
-    for k in range(1, r + 1):
-        Mk = M @ N
-        bk = -np.trace(Mk) / k
-        b[r - k] = bk
-        N = Mk + bk * np.eye(r)
-    return (-1.0) ** r * b
+    M = _square(M)
+    b, _ = _faddeev_leverrier(M)
+    return (-1.0) ** M.shape[0] * b[::-1]
 
 
 def adjugate(M):
     """Adjugate (matrix of cofactors transposed): adj(M) @ M = det(M) * I."""
-    M = np.asarray(M, dtype=complex)
+    M = _square(M)
     r = M.shape[0]
-    if M.shape != (r, r):
-        raise ValueError("matrix must be square")
-    if r == 1:
-        return np.eye(1, dtype=complex)
-    N = np.eye(r, dtype=complex)
-    for k in range(1, r):
-        Mk = M @ N
-        bk = -np.trace(Mk) / k
-        N = Mk + bk * np.eye(r)
-    return (-1.0) ** (r - 1) * N
+    _, N = _faddeev_leverrier(M)
+    return (-1.0) ** (r - 1) * N[r - 1]
 
 
-# --- the same recursions over the ring C[z] -------------------------------
-
-def _pm_zero(r):
-    return [[np.zeros(0, dtype=complex) for _ in range(r)] for _ in range(r)]
-
-
-def _pm_eye(r, value=1.0):
-    out = _pm_zero(r)
-    for i in range(r):
-        out[i][i] = np.array([value], dtype=complex)
-    return out
-
-
-def _pm_mul(A, B):
-    r = len(A)
-    out = _pm_zero(r)
-    for i in range(r):
-        for j in range(r):
-            acc = np.zeros(0, dtype=complex)
-            for k in range(r):
-                acc = poly_add(acc, poly_mul(A[i][k], B[k][j]))
-            out[i][j] = acc
-    return out
-
-
-def _pm_add_diag(A, c):
-    r = len(A)
-    out = [[A[i][j].copy() for j in range(r)] for i in range(r)]
-    for i in range(r):
-        out[i][i] = poly_add(out[i][i], c)
-    return out
-
-
-def matpoly_char_adj(coeff_mats, tol: Tolerances = DEFAULT):
+def matpoly_char_adj(coeff_mats):
     """Characteristic data of a matrix polynomial phi(z).
+
+    Runs the Faddeev--LeVerrier recursion once on phi evaluated at the
+    ``K = r*n + 1`` roots of unity and recovers every coefficient in ``z``
+    with one FFT, exact to rounding.
 
     Parameters
     ----------
@@ -301,39 +256,29 @@ def matpoly_char_adj(coeff_mats, tol: Tolerances = DEFAULT):
 
     Returns
     -------
-    C : list of 1-D arrays
-        ``C[k]`` is the z-polynomial coefficient of xi**k in det(phi(z) - xi I).
-    A : list of polynomial matrices
-        ``adj(phi(z) - xi I) = sum_k A[k](z) xi**k`` with A[k] an (r, r) nested
-        list of z-polynomials.
+    C : array (r+1, r*n+1)
+        ``C[k, l]`` multiplies ``xi**k z**l`` in det(phi(z) - xi I); entries
+        with ``l > (r-k)*n`` are exactly 0.
+    A : array (r, r, r, r*n+1)
+        ``adj(phi(z) - xi I) = sum_{k,l} A[k, :, :, l] xi**k z**l``; entries
+        with ``l > (r-1-k)*n`` are exactly 0.
     """
     cm = np.asarray(coeff_mats, dtype=complex)
-    _, r, _ = cm.shape
-    phi = [[poly_trim(cm[:, i, j], tol) for j in range(r)] for i in range(r)]
-
-    # Faddeev--LeVerrier for det(xi I - phi(z)) = xi^r + b_1 xi^{r-1} + ... + b_r
-    b = [None] * (r + 1)
-    N = _pm_eye(r)
-    for k in range(1, r + 1):
-        Mk = _pm_mul(phi, N)
-        tr = np.zeros(0, dtype=complex)
-        for i in range(r):
-            tr = poly_add(tr, Mk[i][i])
-        b[k] = poly_scale(tr, -1.0 / k)
-        N = _pm_add_diag(Mk, b[k])
-
-    sign = (-1.0) ** r
-    C = [None] * (r + 1)
-    C[r] = np.array([sign], dtype=complex)
-    for k in range(1, r + 1):
-        C[r - k] = poly_scale(b[k], sign)
-
-    # adj(phi - xi I) = sum A_k xi^k:  A_{r-1} = (-1)^{r+1} I,
-    # A_{k-1} = A_k . phi - C_k I  (k = r-1 .. 1)
-    A = [None] * r
-    A[r - 1] = _pm_eye(r, (-1.0) ** (r + 1))
-    for k in range(r - 1, 0, -1):
-        A[k - 1] = _pm_add_diag(_pm_mul(A[k], phi), poly_scale(C[k], -1.0))
+    n1, r, _ = cm.shape
+    K = r * (n1 - 1) + 1
+    zs = np.exp(2j * np.pi * np.arange(K) / K)
+    phis = np.tensordot(np.vander(zs, n1, increasing=True), cm, 1)   # (K, r, r)
+    b, N = _faddeev_leverrier(phis)
+    coeffs = np.fft.fft(np.concatenate([b, N.reshape(K, -1)], axis=1), axis=0) / K
+    # det(phi - xi I) = (-1)^r det(xi I - phi) and
+    # adj(phi - xi I) = (-1)^(r-1) adj(xi I - phi)
+    C = (-1.0) ** r * coeffs[:, r::-1].T
+    A = (-1.0) ** (r - 1) * np.moveaxis(coeffs[:, r + 1:].reshape(K, r, r, r)[:, ::-1],
+                                        0, -1)
+    # deg_z C_k <= (r-k) n and deg_z A_k <= (r-1-k) n: zero the rounding noise above
+    above = np.arange(K) > (r - np.arange(r + 1))[:, None] * (n1 - 1)
+    C[above] = 0.0
+    A[np.broadcast_to(above[1:, None, None, :], A.shape)] = 0.0
     return C, A
 
 

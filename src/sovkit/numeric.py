@@ -143,10 +143,13 @@ def ode_solve(field: Callable, x0, t_grid: Sequence[float],
     for idx in range(1, t_grid.size):
         target = t_grid[idx]
         while t < target:
+            # t + (target - t) can round to one ulp short of target; a step
+            # clipped to the target therefore lands on it exactly
+            clipped = h >= target - t
             h = min(h, target - t)
             if fixed_step is not None:
                 y, _ = _dp_step(field, t, y, h)
-                t += h
+                t = target if clipped else t + h
                 h = fixed_step
                 continue
             if h < 1e-14 * max(span, 1.0):
@@ -155,7 +158,7 @@ def ode_solve(field: Callable, x0, t_grid: Sequence[float],
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             enorm = np.sqrt(np.mean(np.abs(err / scale) ** 2)) if y.size else 0.0
             if enorm <= 1.0:
-                t += h
+                t = target if clipped else t + h
                 y = y_new
                 factor = 5.0 if enorm == 0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
                 h *= factor

@@ -172,17 +172,14 @@ class StructureTensor:
 
 def spectral_curve(phi: MatPoly, tol: Tolerances = DEFAULT,
                    probe_seed: int = 0) -> SpectralCurve:
-    """Exact coefficient grid of det(phi(z) - xi I).
+    """Coefficient grid of det(phi(z) - xi I).
 
-    Built by division-free polynomial arithmetic (no sampling); the grid is
-    validated against direct determinant evaluation at 20 random probes.
+    Built by evaluation at roots of unity plus FFT, exact to rounding; the
+    grid is cross-checked against direct determinant evaluation at 20 random
+    probes.
     """
     r, n = phi.r, phi.n
-    C, _ = kernel.matpoly_char_adj(phi.coeff_mats, tol)
-    grid = np.zeros((r + 1, r * n + 1), dtype=complex)
-    for k in range(r + 1):
-        ck = C[k]
-        grid[k, : ck.size] = ck
+    grid, _ = kernel.matpoly_char_adj(phi.coeff_mats)
     rng = np.random.default_rng(probe_seed)
     zs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     xis = rng.standard_normal(20) + 1j * rng.standard_normal(20)
@@ -385,8 +382,22 @@ def jacobi_max_residual(tensor: StructureTensor, x, triples) -> float:
 # spectral gradients, Casimir detection, involution
 # ---------------------------------------------------------------------------
 
-def spectral_gradient_matrix(phi: MatPoly, tol: Tolerances = DEFAULT):
-    """Gradients of every spectral coefficient, via the exact adjugate.
+@lru_cache(maxsize=None)
+def _gradient_gather(r: int, n: int):
+    """Index arrays into the adjugate array A for spectral_gradient_matrix.
+
+    d C_{k,l} / d phi_p[i, j] = A[k, j, i, l - p].  A negative ``l - p``
+    wraps to one of the top n z-slots of A, which are exactly zero because
+    deg_z A_k <= (r-1) n.
+    """
+    k, l = np.array(spectral_positions(r, n)).T.reshape(2, -1, 1, 1, 1)
+    p = np.arange(n + 1)[:, None, None]
+    i, j = np.indices((r, r))
+    return k, j, i, l - p
+
+
+def spectral_gradient_matrix(phi: MatPoly):
+    """Gradients of every spectral coefficient, via the adjugate.
 
     Returns ``(positions, G)`` where ``G[idx]`` is the gradient of the
     coefficient at ``positions[idx]`` with respect to the flattened phase
@@ -394,26 +405,15 @@ def spectral_gradient_matrix(phi: MatPoly, tol: Tolerances = DEFAULT):
     """
     r, n = phi.r, phi.n
     positions = spectral_positions(r, n)
-    _, A = kernel.matpoly_char_adj(phi.coeff_mats, tol)
-    N = (n + 1) * r * r
-    G = np.zeros((len(positions), N), dtype=complex)
-    for idx, (k, l) in enumerate(positions):
-        for p in range(n + 1):
-            lz = l - p
-            if lz < 0:
-                continue
-            for i in range(r):
-                for j in range(r):
-                    poly = A[k][j][i]
-                    if lz < poly.size:
-                        G[idx, p * r * r + i * r + j] = poly[lz]
+    _, A = kernel.matpoly_char_adj(phi.coeff_mats)
+    G = A[_gradient_gather(r, n)].reshape(len(positions), -1)
     return positions, G
 
 
 def involution_max_residual(phi: MatPoly, spec: BracketSpec,
                             tol: Tolerances = DEFAULT) -> float:
     """max |{H_i, H_j}| over all spectral-coefficient pairs, relative."""
-    _, G = spectral_gradient_matrix(phi, tol)
+    _, G = spectral_gradient_matrix(phi)
     tensor = structure_tensor(phi.r, phi.n, spec, tol)
     pi = tensor.poisson_matrix(phi.flatten())
     B = G @ pi @ G.T
@@ -437,7 +437,7 @@ def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT,
     is_casimir = np.ones(len(positions), dtype=bool)
     for _ in range(n_probe):
         probe = MatPoly(_random_disk_cm(r, n, rng))
-        _, G = spectral_gradient_matrix(probe, tol)
+        _, G = spectral_gradient_matrix(probe)
         pi = tensor.poisson_matrix(probe.flatten())
         fields = G @ pi.T  # row idx: components {x_a, H_idx} = -(Pi grad H)_a up to sign
         pnorm = max(np.linalg.norm(pi), 1e-30)
@@ -464,18 +464,8 @@ def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT,
 
 def _adjugate_section_grids(phi: MatPoly, s: np.ndarray, tol: Tolerances):
     """Bivariate grids of v(z, xi) = adj(phi(z) - xi I) . s, one per component."""
-    r, n = phi.r, phi.n
-    _, A = kernel.matpoly_char_adj(phi.coeff_mats, tol)
-    grids = []
-    for comp in range(r):
-        grid = np.zeros((r, r * n + 1), dtype=complex)
-        for k in range(r):
-            acc = np.zeros(0, dtype=complex)
-            for j in range(r):
-                acc = kernel.poly_add(acc, kernel.poly_scale(A[k][comp][j], s[j]))
-            grid[k, : acc.size] = acc
-        grids.append(kernel.bipoly_trim(grid, tol))
-    return grids
+    _, A = kernel.matpoly_char_adj(phi.coeff_mats)
+    return [kernel.bipoly_trim(grid, tol) for grid in np.einsum("kcjl,j->ckl", A, s)]
 
 
 def _newton_pair(Pg, Vg, z, xi, tol: Tolerances):
@@ -556,7 +546,7 @@ def _divisor_for_section(phi, Pg, s, tol: Tolerances):
         return None
     try:
         zroots, _ = kernel.poly_roots(res, tol)
-    except Exception:
+    except (ConvergenceError, ValueError):
         return None
 
     found_z, found_xi = [], []
@@ -717,7 +707,7 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
 
     def field(t, x):
         p = MatPoly.from_flat(x, r, n)
-        _, G = spectral_gradient_matrix(p, tol)
+        _, G = spectral_gradient_matrix(p)
         pi = tensor.poisson_matrix(x)
         return pi @ G[h_idx]
 

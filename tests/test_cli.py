@@ -116,6 +116,24 @@ class TestFlow:
                      "--out", str(tmp_path)]) == 2
 
 
+class TestTolScale:
+    def test_flow_report_follows_tol_scale(self, generic_instance, tmp_path):
+        # a tighter ODE tolerance shows up as a smaller isospectral drift
+        drift = {}
+        for scale in ("1", "1e-3"):
+            out = tmp_path / scale
+            assert main(["flow", "--input", generic_instance, "--hamiltonian", "0,0",
+                         "--samples", "5", "--tol-scale", scale, "--out", str(out)]) == 0
+            drift[scale] = json.loads((out / "flow_report.json").read_text())["max_drift"]
+        assert drift["1e-3"] < 1e-2 * drift["1"]
+
+    def test_unreachable_tol_scale_exits_4(self, generic_instance, tmp_path):
+        # root residuals cannot reach 1e-24: a typed numeric-guard exit, no crash
+        assert main(["spectral", "--input", generic_instance, "--out", str(tmp_path)]) == 0
+        assert main(["spectral", "--input", generic_instance, "--tol-scale", "1e-12",
+                     "--out", str(tmp_path)]) == 4
+
+
 class TestThetaCmd:
     def test_battery(self, tmp_path):
         code = main(["theta", "--rank", "2", "--tau-im", "1.0",

@@ -1,5 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sovkit import kernel
 from sovkit.errors import NonGenericError
@@ -126,6 +130,81 @@ class TestMatpolyCharAdj:
                     for j in range(r):
                         adj_ours[i, j] += kernel.poly_eval(A[k][i][j], z) * xi ** k
             assert np.allclose(adj_ours, adj_direct, atol=1e-8)
+
+
+def mp_det(rows):
+    """Laplace expansion along the first row; the empty matrix has det 1."""
+    if not rows:
+        return mpmath.mpc(1)
+    return mpmath.fsum((-1) ** j * rows[0][j]
+                       * mp_det([row[:j] + row[j + 1:] for row in rows[1:]])
+                       for j in range(len(rows)))
+
+
+def mp_det_adj(M):
+    """Determinant and cofactor adjugate of a complex matrix at 30 digits."""
+    r = M.shape[0]
+    with mpmath.workdps(30):
+        rows = [[mpmath.mpc(complex(v)) for v in row] for row in M]
+        det = complex(mp_det(rows))
+        adj = np.empty((r, r), dtype=complex)
+        for i in range(r):
+            for j in range(r):
+                minor = [row[:i] + row[i + 1:] for a, row in enumerate(rows) if a != j]
+                adj[i, j] = (-1) ** (i + j) * complex(mp_det(minor))
+    return det, adj
+
+
+def hadamard_scale(M):
+    """Bounds |det M| and every cofactor of M: prod_i max(1, |row_i|)."""
+    return float(np.prod(np.maximum(1.0, np.linalg.norm(M, axis=1))))
+
+
+unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+probe = st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False)
+oracle_settings = settings(max_examples=60, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def matrix_polynomials(draw):
+    r = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 3))
+    return draw(arrays(complex, (n + 1, r, r), elements=unit_disk))
+
+
+class TestKernelAgainstMpmath:
+    @oracle_settings
+    @given(cm=matrix_polynomials(), z=probe, xi=probe)
+    def test_matpoly_char_adj(self, cm, z, xi):
+        n1, r, _ = cm.shape
+        n = n1 - 1
+        C, A = kernel.matpoly_char_adj(cm)
+        assert C.shape == (r + 1, r * n + 1)
+        assert A.shape == (r, r, r, r * n + 1)
+        for k in range(r + 1):
+            assert np.all(C[k, (r - k) * n + 1:] == 0)
+        for k in range(r):
+            assert np.all(A[k, :, :, (r - 1 - k) * n + 1:] == 0)
+        M = np.tensordot(z ** np.arange(n1), cm, 1) - xi * np.eye(r)
+        det, adj = mp_det_adj(M)
+        scale = hadamard_scale(M)
+        assert abs(kernel.bipoly_eval(C, z, xi) - det) <= 1e-11 * scale
+        ours = np.einsum("kijl,k,l->ij", A, xi ** np.arange(r), z ** np.arange(r * n + 1))
+        assert np.abs(ours - adj).max() <= 1e-11 * scale
+
+    @oracle_settings
+    @given(M=st.integers(1, 4).flatmap(lambda r: arrays(complex, (r, r), elements=unit_disk)),
+           xi=probe)
+    def test_char_bipoly_and_adjugate(self, M, xi):
+        r = M.shape[0]
+        c = kernel.char_bipoly(M)
+        assert c[r] == (-1.0) ** r
+        shifted = M - xi * np.eye(r)
+        det, _ = mp_det_adj(shifted)
+        assert abs(kernel.poly_eval(c, xi) - det) <= 1e-11 * hadamard_scale(shifted)
+        _, adj = mp_det_adj(M)
+        assert np.abs(kernel.adjugate(M) - adj).max() <= 1e-11 * hadamard_scale(M)
 
 
 class TestResultant:

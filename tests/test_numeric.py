@@ -90,6 +90,15 @@ class TestOdeSolve:
         assert abs(fine[-1, 0] - exact) < abs(coarse[-1, 0] - exact)
         assert abs(fine[-1, 0] - exact) < 1e-9
 
+    def test_step_clipped_to_output_time_lands_on_it(self):
+        # a smooth flow whose clipped step used to end one ulp short of an
+        # output time, leaving a sub-ulp remainder that tripped the guard
+        w = 4.236517050892637
+        ts = np.linspace(0.0, 0.05409381656964706, 9)
+        out = ode_solve(lambda t, y: np.array([1j * w * y[0], -y[1] * y[0]]),
+                        np.array([1.0, 0.5]), ts)
+        assert np.allclose(out[:, 0], np.exp(1j * w * ts), atol=1e-9)
+
     def test_stiff_guard(self):
         def field(t, y):
             return np.array([y[0] ** 2])  # blows up at t = 1
