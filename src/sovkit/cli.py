@@ -53,7 +53,7 @@ def cmd_spectral(args) -> int:
     phi = docs.load_lax(args.input)
     spec = _load_bracket_arg(args.bracket)
     tol = DEFAULT.scaled(args.tol_scale)
-    curve = rational.spectral_curve(phi, tol)
+    curve = rational.spectral_curve(phi)
     try:
         g = rational.genus(phi, tol)
     except NonGenericError as err:
@@ -121,9 +121,9 @@ def cmd_flow(args) -> int:
         hams, cass = rational.casimir_detect(phi, spec, tol, seed=args.seed)
     times = np.linspace(0.0, args.t_max, args.samples)
     traj = rational.flow(phi, pos, spec, times, tol)
-    base = rational.spectral_curve(traj[0], tol).grid
+    base = rational.spectral_curve(traj[0]).grid
     scale = max(1.0, float(np.abs(base).max()))
-    drift = [float(np.abs(rational.spectral_curve(p, tol).grid - base).max()) / scale
+    drift = [float(np.abs(rational.spectral_curve(p).grid - base).max()) / scale
              for p in traj]
     out = _out_dir(args)
     if pos in cass:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernel
-from .errors import ConsistencyError, NumericDomainError
+from .errors import ConsistencyError, ConvergenceError, NumericDomainError
 from .theta import (SectionTracker, ThetaParams, i_matrices, riemann_theta,
                     theta_deriv)
 from .tolerances import DEFAULT, Tolerances
@@ -492,8 +492,6 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
             if res is None:
                 continue
             z, xi, vres_full, vres_comp, svec = res
-            if vres_comp > tol.divisor * 10:
-                continue
             ztall = _reduce_tall(z, params, origin)
             if not safe(ztall):
                 continue
@@ -611,8 +609,13 @@ def _newton_curve_section(lax, tracker, component, z, xi, tol, max_iter=40):
     pscale = max(np.abs(kernel.char_bipoly(lax(z))).max() *
                  max(1.0, abs(xi)) ** r, 1e-30)
     pres = abs(np.linalg.det(M)) / pscale
-    if pres > tol.divisor * 10:
-        return None
+    # Newton has converged to rounding here, so a residual above the gate
+    # means the gate is out of reach, not that this seed was unlucky
+    if max(pres, vres_comp) > tol.divisor * 10:
+        raise ConvergenceError(
+            f"divisor Newton converged to residual {max(pres, vres_comp):.1e}, "
+            f"above the gate {tol.divisor * 10:.1e}; tol.divisor is too tight",
+            best=(z, xi))
     return z, xi, vres_full, vres_comp, svec
 
 

@@ -208,11 +208,12 @@ def _faddeev_leverrier(M):
     N = np.zeros(M.shape[:-2] + (r, r, r), dtype=complex)
     b[..., 0] = 1.0
     N[..., 0, :, :] = eye
-    for k in range(1, r + 1):
+    for k in range(1, r):
         Mk = M @ N[..., k - 1, :, :]
         b[..., k] = -np.einsum("...ii->...", Mk) / k
-        if k < r:
-            N[..., k, :, :] = Mk + b[..., k, None, None] * eye
+        N[..., k, :, :] = Mk + b[..., k, None, None] * eye
+    # the last step needs only the trace of M @ N[r-1], not the product
+    b[..., r] = -np.einsum("...ij,...ji->...", M, N[..., r - 1, :, :]) / r
     return b, N
 
 

@@ -348,7 +348,7 @@ def linearize(trajectory: Sequence[MatPoly], times, spec: BracketSpec,
     times = np.asarray(times, dtype=float)
     if len(trajectory) != times.size:
         raise ValueError("trajectory and times must have equal length")
-    curve = spectral_curve(trajectory[0], tol)
+    curve = spectral_curve(trajectory[0])
     disc = kernel.resultant(curve.grid, curve.dxi(), "xi", tol)
     bps, _ = kernel.poly_roots(disc, tol)
     z0 = pick_base_point(bps) if base_z0 is None else complex(base_z0)

@@ -170,8 +170,7 @@ class StructureTensor:
 # spectral curve and genus
 # ---------------------------------------------------------------------------
 
-def spectral_curve(phi: MatPoly, tol: Tolerances = DEFAULT,
-                   probe_seed: int = 0) -> SpectralCurve:
+def spectral_curve(phi: MatPoly, probe_seed: int = 0) -> SpectralCurve:
     """Coefficient grid of det(phi(z) - xi I).
 
     Built by evaluation at roots of unity plus FFT, exact to rounding; the
@@ -193,7 +192,7 @@ def spectral_curve(phi: MatPoly, tol: Tolerances = DEFAULT,
 
 def branch_points(phi: MatPoly, tol: Tolerances = DEFAULT):
     """Roots (with multiplicity tags) of Disc_xi det(phi(z) - xi I)."""
-    curve = spectral_curve(phi, tol)
+    curve = spectral_curve(phi)
     disc = kernel.resultant(curve.grid, curve.dxi(), "xi", tol)
     return kernel.poly_roots(disc, tol)
 
@@ -506,7 +505,7 @@ def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
     """
     r, n = phi.r, phi.n
     rng = np.random.default_rng(seed)
-    curve = spectral_curve(phi, tol)
+    curve = spectral_curve(phi)
     Pg = curve.grid
 
     s_try = np.zeros(r, dtype=complex)

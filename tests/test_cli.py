@@ -148,24 +148,29 @@ class TestThetaCmd:
                      "--out", str(tmp_path)]) == 4
 
 
+def _write_elliptic_doc(tmp_path):
+    rng = np.random.default_rng(3)
+    tau = 0.15 + 1.05j
+    nu = (rng.uniform(0.15, 0.85) + rng.uniform(0.15, 0.85) * tau) / 2
+    doc = {
+        "tau": [tau.real, tau.imag],
+        "r": 2,
+        "divisor": [{"nu": [nu.real, nu.imag], "mult": 1}],
+        "coeffs": [
+            {"a": a, "b": b,
+             "values": [[float(rng.standard_normal()), float(rng.standard_normal())]]}
+            for a in range(2) for b in range(2)
+        ],
+        "z0": [0.0, 0.0],
+    }
+    path = tmp_path / "elliptic.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestElliptic:
     def test_pipeline(self, tmp_path):
-        rng = np.random.default_rng(3)
-        tau = 0.15 + 1.05j
-        nu = (rng.uniform(0.15, 0.85) + rng.uniform(0.15, 0.85) * tau) / 2
-        doc = {
-            "tau": [tau.real, tau.imag],
-            "r": 2,
-            "divisor": [{"nu": [nu.real, nu.imag], "mult": 1}],
-            "coeffs": [
-                {"a": a, "b": b,
-                 "values": [[float(rng.standard_normal()), float(rng.standard_normal())]]}
-                for a in range(2) for b in range(2)
-            ],
-            "z0": [0.0, 0.0],
-        }
-        path = tmp_path / "elliptic.json"
-        path.write_text(json.dumps(doc))
+        path = _write_elliptic_doc(tmp_path)
         code = main(["elliptic", "--input", str(path), "--out", str(tmp_path)])
         assert code == 0
         rep = json.loads((tmp_path / "elliptic_report.json").read_text())
@@ -173,6 +178,13 @@ class TestElliptic:
         header, rows = docs.read_csv(tmp_path / "elliptic_divisor.csv")
         assert header == ["mu", "z_re", "z_im", "xi_re", "xi_im", "sheet"]
         assert len(rows) == rep["validated_count"]
+
+    def test_unreachable_tol_scale_exits_4(self, tmp_path):
+        # divisor residuals cannot reach 1e-20: the first converged Newton
+        # point ends the extraction with a typed numeric-guard exit
+        path = _write_elliptic_doc(tmp_path)
+        assert main(["elliptic", "--input", str(path), "--tol-scale", "1e-12",
+                     "--out", str(tmp_path)]) == 4
 
 
 class TestAccept:
