@@ -78,6 +78,11 @@ def cmd_sov(args) -> int:
         warnings.simplefilter("ignore")
         probe = rational.divisor_coords(phi, tol=tol, seed=args.seed)
     if probe.count == 0:
+        # an empty divisor is the answer only when g + r - 1 points are expected
+        expected = rational.genus(phi, tol) + phi.r - 1
+        if expected > 0:
+            raise ConsistencyError(
+                f"divisor extraction validated no point; {expected} expected")
         docs.write_csv(out / "divisor.csv",
                        ["mu", "z_re", "z_im", "xi_re", "xi_im"], [])
         _write_json(out / "sov_report.json",

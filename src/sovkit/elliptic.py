@@ -30,9 +30,14 @@ __all__ = [
 ]
 
 
-def reduce_to_domain(z, params: ThetaParams, origin=0.0):
-    """Representative of z in origin + [0,1) omega1 + [0,1) omega2."""
-    w1, w2 = params.omega1, params.omega2
+def reduce_to_domain(z, params: ThetaParams, origin=0.0, period2=None):
+    """Representative of z in origin + [0,1) omega1 + [0,1) period2.
+
+    ``period2`` defaults to omega2; divisor extraction passes tau for the
+    r-fold tall domain.
+    """
+    w1 = params.omega1
+    w2 = params.omega2 if period2 is None else period2
     w = complex(z) - complex(origin)
     b = w.imag / w2.imag
     a = (w.real - b * w2.real) / w1
@@ -67,20 +72,54 @@ class EllipticDivisor:
         )
 
 
-def _chi(u, params: ThetaParams):
-    """Theta block with a simple zero at the u-lattice (1, tau)."""
-    return riemann_theta(np.asarray(u, dtype=complex) + (1.0 + params.tau) / 2.0, params)
+class _FlatBasis:
+    """Basis elements flattened into arrays, evaluated with one theta call.
 
+    Element ``e`` is ``exp(2 pi i gamma[e] u) * prod_f chi(u - w_f)**powers[e, f]``
+    in ``u = r lambda``, over the distinct zeros and poles ``w_f`` of all
+    elements (power +1 per zero, -1 per pole, 0 elsewhere).  The theta
+    arguments ``u + shifts[f]``, ``shifts = (1+tau)/2 - w``, go through one
+    ``riemann_theta`` call of shape ``(..., F)``.
+    """
 
-def _chi_deriv(u, params: ThetaParams):
-    return theta_deriv(np.asarray(u, dtype=complex) + (1.0 + params.tau) / 2.0, params)
+    def __init__(self, params: ThetaParams, elements):
+        self.params = params
+        self.gamma = np.array([w.gamma for w in elements], dtype=complex)
+        half = (1.0 + params.tau) / 2.0
+        self.shifts = np.unique(np.array(
+            [half - w for el in elements for w in el.zeros + el.poles], dtype=complex))
+        # complex, so that the power and the matmul below need no cast
+        self.powers = np.array(
+            [[sum(half - w == s for w in el.zeros) - sum(half - w == s for w in el.poles)
+              for s in self.shifts] for el in elements],
+            dtype=complex).reshape(len(elements), self.shifts.size)
+
+    def _theta(self, lam):
+        u = self.params.r * np.asarray(lam, dtype=complex)
+        return u, riemann_theta(u[..., None] + self.shifts, self.params)
+
+    def _quotients(self, u, th):
+        return (np.exp(2j * np.pi * self.gamma * u[..., None])
+                * (th[..., None, :] ** self.powers).prod(axis=-1))
+
+    def values(self, lam):
+        """Every element at ``lam`` of shape (...): shape (..., E)."""
+        return self._quotients(*self._theta(lam))
+
+    def derivs(self, lam):
+        """d/dlambda of every element at ``lam`` of shape (...): (..., E)."""
+        u, th = self._theta(lam)
+        logd = theta_deriv(u[..., None] + self.shifts, self.params) / th
+        return (self.params.r * self._quotients(u, th)
+                * (2j * np.pi * self.gamma + logd @ self.powers.T))
 
 
 class BasisFunction:
     """One exponential-times-theta-quotient basis element.
 
     Represents e^{2 pi i gamma u} * prod_s chi(u - zeros_s) / prod_s chi(u - poles_s)
-    in the scaled coordinate u = r lambda.
+    in the scaled coordinate u = r lambda, where chi(x) = theta(x + (1+tau)/2)
+    has a simple zero at the u-lattice (1, tau).  Takes ``lam`` of any shape.
     """
 
     def __init__(self, params: ThetaParams, character, gamma, zeros, poles):
@@ -89,28 +128,13 @@ class BasisFunction:
         self.gamma = complex(gamma)
         self.zeros = tuple(complex(w) for w in zeros)
         self.poles = tuple(complex(w) for w in poles)
+        self._flat = _FlatBasis(params, [self])
 
     def __call__(self, lam):
-        p = self.params
-        u = p.r * np.asarray(lam, dtype=complex)
-        out = np.exp(2j * np.pi * self.gamma * u)
-        for w in self.zeros:
-            out = out * _chi(u - w, p)
-        for w in self.poles:
-            out = out / _chi(u - w, p)
-        return out
+        return self._flat.values(lam)[..., 0]
 
     def deriv(self, lam):
-        p = self.params
-        r = p.r
-        u = r * np.asarray(lam, dtype=complex)
-        val = self(lam)
-        logd = 2j * np.pi * self.gamma * np.ones(np.shape(u) or (), dtype=complex)
-        for w in self.zeros:
-            logd = logd + _chi_deriv(u - w, p) / _chi(u - w, p)
-        for w in self.poles:
-            logd = logd - _chi_deriv(u - w, p) / _chi(u - w, p)
-        return r * val * logd
+        return self._flat.derivs(lam)[..., 0]
 
 
 def build_basis(divisor: EllipticDivisor, params: ThetaParams,
@@ -166,32 +190,37 @@ def build_basis(divisor: EllipticDivisor, params: ThetaParams,
     return basis
 
 
-def _validate_basis(basis, div, params, tol):
-    r = params.r
-    q = params.q_root
-    rng = np.random.default_rng(7)
+def _cell_probes(params, points, count, seed, min_dist):
+    """``count`` seeded random points of the cell farther than ``min_dist``
+    from every one of ``points``."""
+    rng = np.random.default_rng(seed)
     probes = []
-    while len(probes) < 10:
-        lam = (rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * params.tau) / r
-        if min(abs(complex(lam) - p) for p in div.points) > 5 * tol.puncture_radius:
+    while len(probes) < count:
+        lam = (rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * params.tau) / params.r
+        if min(abs(complex(lam) - p) for p in points) > min_dist:
             probes.append(lam)
+    return np.array(probes)
+
+
+def _validate_basis(basis, div, params, tol):
+    q = params.q_root
+    probes = _cell_probes(params, div.points, 10, 7, 5 * tol.puncture_radius)
+    # rows: the probes, then their omega1 and omega2 translates
+    shifted = probes + np.array([0.0, params.omega1, params.omega2])[:, None]
+    n = div.degree
+    bound = tol.basis_multiplier
     for (a, b), elements in basis.items():
-        for w in elements:
-            for lam in probes:
-                v0 = complex(w(lam))
-                if v0 == 0:
-                    continue
-                r1 = complex(w(lam + params.omega1)) / v0
-                r2 = complex(w(lam + params.omega2)) / v0
-                if abs(r1 - q ** (-b)) > 1e-10 * max(1.0, abs(r1)) or \
-                        abs(r2 - q ** a) > 1e-10 * max(1.0, abs(r2)):
-                    raise ConsistencyError(
-                        f"multiplier system violated for character {(a, b)}; "
-                        f"degenerate divisor configuration")
-        n = div.degree
-        mat = np.array([[complex(w(lam)) for w in elements] for lam in probes])
-        s = np.linalg.svd(mat, compute_uv=False)
-        if s.size < n or s[n - 1] < 1e-8 * s[0]:
+        v0, v1, v2 = _FlatBasis(params, elements).values(shifted)
+        nz = v0 != 0
+        r1 = v1[nz] / v0[nz]
+        r2 = v2[nz] / v0[nz]
+        if np.any(np.abs(r1 - q ** (-b)) > bound * np.maximum(1.0, np.abs(r1))) or \
+                np.any(np.abs(r2 - q ** a) > bound * np.maximum(1.0, np.abs(r2))):
+            raise ConsistencyError(
+                f"multiplier system violated for character {(a, b)}; "
+                f"degenerate divisor configuration")
+        s = np.linalg.svd(v0, compute_uv=False)
+        if s.size < n or s[n - 1] < tol.basis_rank * s[0]:
             raise ConsistencyError(
                 f"character {(a, b)} span has deficient rank; "
                 f"degenerate divisor configuration")
@@ -199,7 +228,12 @@ def _validate_basis(basis, div, params, tol):
 
 @dataclass
 class EllipticLax:
-    """Assembled quasi-periodic Lax matrix with a translation modulus."""
+    """Assembled quasi-periodic Lax matrix with a translation modulus.
+
+    ``lax(lam)`` and ``lax.deriv(lam)`` take a scalar or an array ``lam`` of
+    shape (...) and return shape (..., r, r), or (r, r) for a scalar; every
+    theta factor of every basis element is evaluated in one call.
+    """
 
     params: ThetaParams
     divisor: EllipticDivisor
@@ -207,25 +241,25 @@ class EllipticLax:
     z0: complex
     basis: dict = field(repr=False)
 
-    def __call__(self, lam):
+    def __post_init__(self):
         r = self.params.r
         I1, I2 = i_matrices(r)
-        out = np.zeros((r, r), dtype=complex)
-        for (a, b), cvec in self.coeffs.items():
-            T = np.linalg.matrix_power(I1, a) @ np.linalg.matrix_power(I2, b)
-            sector = sum(c * complex(w(lam)) for c, w in zip(cvec, self.basis[(a, b)]))
-            out = out + sector * T
-        return out
+        keys = list(self.coeffs)
+        self._flat = _FlatBasis(self.params,
+                                [w for key in keys for w in self.basis[key]])
+        T = {(a, b): np.linalg.matrix_power(I1, a) @ np.linalg.matrix_power(I2, b)
+             for a, b in keys}
+        # each element's coefficient times T_ab of its character: (E, r*r)
+        self._mats = np.array([c * T[key] for key in keys for c in self.coeffs[key]],
+                              dtype=complex).reshape(-1, r * r)
+
+    def __call__(self, lam):
+        r = self.params.r
+        return (self._flat.values(lam) @ self._mats).reshape(np.shape(lam) + (r, r))
 
     def deriv(self, lam):
         r = self.params.r
-        I1, I2 = i_matrices(r)
-        out = np.zeros((r, r), dtype=complex)
-        for (a, b), cvec in self.coeffs.items():
-            T = np.linalg.matrix_power(I1, a) @ np.linalg.matrix_power(I2, b)
-            sector = sum(c * complex(w.deriv(lam)) for c, w in zip(cvec, self.basis[(a, b)]))
-            out = out + sector * T
-        return out
+        return (self._flat.derivs(lam) @ self._mats).reshape(np.shape(lam) + (r, r))
 
 
 def assemble_lax(coeffs, divisor: EllipticDivisor, params: ThetaParams,
@@ -234,7 +268,8 @@ def assemble_lax(coeffs, divisor: EllipticDivisor, params: ThetaParams,
     """Assemble phi(lambda) = sum c_{ab,m} w_{ab,m}(lambda) I1^a I2^b.
 
     The conjugation quasi-periodicity phi(lam + omega_i) = I_i phi I_i^{-1}
-    is re-verified at random probe points (1e-8) after assembly.
+    is re-verified at random probe points (``tol.lax_periodicity``) after
+    assembly.
     """
     if basis is None:
         basis = build_basis(divisor, params, tol)
@@ -250,32 +285,38 @@ def assemble_lax(coeffs, divisor: EllipticDivisor, params: ThetaParams,
                       coeffs=table, z0=complex(z0), basis=basis)
 
     I1, I2 = i_matrices(params.r)
-    rng = np.random.default_rng(11)
-    checked = 0
+    probes = _cell_probes(params, lax.divisor.points, 6, 11, 10 * tol.puncture_radius)
     scale = max(1.0, *(np.abs(v).max() for v in table.values())) if table else 1.0
-    while checked < 6:
-        lam = (rng.uniform(0.05, 0.95) + rng.uniform(0.05, 0.95) * params.tau) / params.r
-        if min(abs(complex(lam) - p) for p in lax.divisor.points) < 10 * tol.puncture_radius:
-            continue
-        base = lax(lam)
-        mag = max(1.0, np.abs(base).max()) * scale
-        r1 = np.abs(lax(lam + params.omega1) - I1 @ base @ np.linalg.inv(I1)).max()
-        r2 = np.abs(lax(lam + params.omega2) - I2 @ base @ np.linalg.inv(I2)).max()
-        if max(r1, r2) > 1e-8 * mag:
-            raise ConsistencyError("assembled Lax matrix violates quasi-periodicity")
-        checked += 1
+    base = lax(probes)
+    mag = np.maximum(1.0, np.abs(base).max(axis=(1, 2))) * scale
+    r1 = np.abs(lax(probes + params.omega1) - I1 @ base @ np.linalg.inv(I1)).max(axis=(1, 2))
+    r2 = np.abs(lax(probes + params.omega2) - I2 @ base @ np.linalg.inv(I2)).max(axis=(1, 2))
+    if np.any(np.maximum(r1, r2) > tol.lax_periodicity * mag):
+        raise ConsistencyError("assembled Lax matrix violates quasi-periodicity")
     return lax
 
 
 def spectral_invariants(lax: EllipticLax):
     """The functions t_k(lambda), k = 1..r: coefficients of xi^{r-k} in
-    det(phi(lambda) - xi I); each is genuinely elliptic."""
+    det(phi(lambda) - xi I); each is genuinely elliptic.
+
+    Each ``t_k`` takes a scalar or an array ``lam`` of shape (...) and
+    returns a complex or an array of shape (...).  The ``r`` functions share
+    one evaluation of ``phi`` and its characteristic polynomial at the last
+    scalar point they were called at.
+    """
     r = lax.params.r
+    last = [None, None]  # scalar lam, char_bipoly(lax(lam))
 
     def maker(k):
         def t_k(lam):
-            c = kernel.char_bipoly(lax(lam))
-            return complex(c[r - k])
+            if np.ndim(lam):
+                b, _ = kernel._faddeev_leverrier(lax(lam))
+                return (-1.0) ** r * b[..., k]
+            key = complex(lam)
+            if last[0] != key:
+                last[:] = key, kernel.char_bipoly(lax(lam))
+            return complex(last[1][r - k])
         return t_k
 
     return [maker(k) for k in range(1, r + 1)]
@@ -349,19 +390,19 @@ def _circle(center, radius, n=4):
 
 
 def count_zeros_in_domain(func, params: ThetaParams, singulars, origin,
-                          radius_cap=None):
+                          period2=None):
     """Zeros of a single-valued function inside the fundamental domain.
 
     Winding around the domain boundary minus windings around small circles
-    at the known singular points (poles of the function).
+    at the known singular points (poles of the function).  ``period2``
+    (default omega2) is the domain's second side, as in ``reduce_to_domain``.
     """
-    w1, w2 = params.omega1, params.omega2
+    w1 = params.omega1
+    w2 = params.omega2 if period2 is None else period2
     corners = [origin, origin + w1, origin + w1 + w2, origin + w2, origin]
     total = _sample_winding(func, corners)
     for p in singulars:
-        rad = 0.04 * min(abs(w1), abs(w2))
-        if radius_cap is not None:
-            rad = min(rad, radius_cap)
+        rad = 0.04 * min(abs(params.omega1), abs(params.omega2))
         others = [q for q in singulars if q != p]
         if others:
             rad = min(rad, 0.3 * min(abs(p - q) for q in others))
@@ -402,18 +443,9 @@ def _tall_singulars(lax, origin):
     out = []
     for p in list(lax.divisor.points) + [params.puncture]:
         for m in range(r):
-            out.append(_reduce_tall(p + m * params.omega2, params, origin))
+            out.append(reduce_to_domain(p + m * params.omega2, params, origin,
+                                        params.tau))
     return out
-
-
-def _reduce_tall(z, params, origin):
-    """Representative in origin + [0,1) omega1 + [0,1) tau."""
-    w1 = params.omega1
-    w2 = params.tau
-    w = complex(z) - complex(origin)
-    b = w.imag / w2.imag
-    a = (w.real - b * w2.real) / w1
-    return complex(origin) + (a - math.floor(a)) * w1 + (b - math.floor(b)) * w2
 
 
 def _divisor_attempt(lax, component, grid, tol, origin, full_report):
@@ -460,14 +492,7 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
             out *= v[component]
         return out
 
-    corners = [origin, origin + w1, origin + w1 + wtau, origin + wtau, origin]
-    winding = _sample_winding(nfunc, corners)
-    for p in singulars:
-        rad = 0.04 * min(abs(w1), abs(params.omega2))
-        others = [q for q in singulars if q != p]
-        if others:
-            rad = min(rad, 0.3 * min(abs(p - q) for q in others))
-        winding -= _sample_winding(nfunc, _circle(p, rad, n=4))
+    winding = count_zeros_in_domain(nfunc, params, singulars, origin, wtau)
 
     records = []
     for z in usable:
@@ -492,7 +517,7 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
             if res is None:
                 continue
             z, xi, vres_full, vres_comp, svec = res
-            ztall = _reduce_tall(z, params, origin)
+            ztall = reduce_to_domain(z, params, origin, wtau)
             if not safe(ztall):
                 continue
             merge_scale = max(1.0, abs(xi))
@@ -557,8 +582,8 @@ def _newton_curve_section(lax, tracker, component, z, xi, tol, max_iter=40):
     h_fd = 1e-7
     z_start = z
 
-    def h_of(zv, xiv, svec):
-        adj = kernel.adjugate(lax(zv) - xiv * eye)
+    def h_of(phi, xiv, svec):
+        adj = kernel.adjugate(phi - xiv * eye)
         return (adj @ svec)[component]
 
     for _ in range(max_iter):
@@ -566,9 +591,10 @@ def _newton_curve_section(lax, tracker, component, z, xi, tol, max_iter=40):
             svec = tracker.value_at(z)
         except NumericDomainError:
             return None
-        M = lax(z) - xi * eye
+        phi = lax(z)
+        M = phi - xi * eye
         adj = kernel.adjugate(M)
-        pval = complex(np.linalg.det(lax(z) - xi * eye))
+        pval = complex(np.linalg.det(M))
         hval = (adj @ svec)[component]
         dP_dxi = -np.trace(adj)
         dP_dz = np.trace(adj @ lax.deriv(z))
@@ -577,8 +603,8 @@ def _newton_curve_section(lax, tracker, component, z, xi, tol, max_iter=40):
             s_m = tracker.value_at(z - h_fd)
         except NumericDomainError:
             return None
-        dh_dz = (h_of(z + h_fd, xi, s_p) - h_of(z - h_fd, xi, s_m)) / (2 * h_fd)
-        dh_dxi = (h_of(z, xi + h_fd, svec) - h_of(z, xi - h_fd, svec)) / (2 * h_fd)
+        dh_dz = (h_of(lax(z + h_fd), xi, s_p) - h_of(lax(z - h_fd), xi, s_m)) / (2 * h_fd)
+        dh_dxi = (h_of(phi, xi + h_fd, svec) - h_of(phi, xi - h_fd, svec)) / (2 * h_fd)
         J = np.array([[dP_dz, dP_dxi], [dh_dz, dh_dxi]])
         try:
             step = np.linalg.solve(J, np.array([pval, hval]))
@@ -600,13 +626,14 @@ def _newton_curve_section(lax, tracker, component, z, xi, tol, max_iter=40):
         svec = tracker.value_at(z)
     except NumericDomainError:
         return None
-    M = lax(z) - xi * eye
+    phi = lax(z)
+    M = phi - xi * eye
     adj = kernel.adjugate(M)
     v = adj @ svec
     scale = max(np.abs(adj).max() * np.abs(svec).max(), 1e-30)
     vres_full = float(np.abs(v).max() / scale)
     vres_comp = float(abs(v[component]) / scale)
-    pscale = max(np.abs(kernel.char_bipoly(lax(z))).max() *
+    pscale = max(np.abs(kernel.char_bipoly(phi)).max() *
                  max(1.0, abs(xi)) ** r, 1e-30)
     pres = abs(np.linalg.det(M)) / pscale
     # Newton has converged to rounding here, so a residual above the gate

@@ -20,6 +20,9 @@ class Tolerances:
     branch_avoid: float = 1e-2     # path avoidance radius around branch points
     puncture_radius: float = 1e-3  # evaluation exclusion radius around theta punctures
     cluster_merge: float = 1e-7    # duplicate-point merge radius
+    lax_periodicity: float = 1e-8  # assembled elliptic Lax quasi-periodicity, relative
+    basis_multiplier: float = 1e-10  # elliptic basis character multipliers, relative
+    basis_rank: float = 1e-8       # elliptic basis span: smallest/largest singular value
 
     def scaled(self, factor: float) -> "Tolerances":
         """Uniformly rescale the residual-type tolerances by ``factor``."""

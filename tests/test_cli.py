@@ -77,6 +77,28 @@ class TestSov:
         _, rows = docs.read_csv(tmp_path / "divisor.csv")
         assert rows == []
 
+    def test_tight_tol_scale_does_not_pass_as_empty(self, generic_instance, tmp_path,
+                                                    capsys):
+        # g + r - 1 = 2 points are expected; at this scale the root finder cannot
+        # reach its residual target, so none validates: a typed failure, not an
+        # empty success
+        code = main(["sov", "--input", generic_instance, "--tol-scale", "1e-6",
+                     "--out", str(tmp_path)])
+        assert code == 4
+        assert not (tmp_path / "sov_report.json").exists()
+        assert "empty divisor" not in capsys.readouterr().out
+
+    def test_unvalidated_divisor_exits_4(self, generic_instance, tmp_path,
+                                         monkeypatch, capsys):
+        empty = R.DivisorCoords(z=np.zeros(0, dtype=complex),
+                                xi=np.zeros(0, dtype=complex),
+                                s=np.array([1.0, 0.0], dtype=complex))
+        monkeypatch.setattr(R, "divisor_coords", lambda *args, **kwargs: empty)
+        code = main(["sov", "--input", generic_instance, "--out", str(tmp_path)])
+        assert code == 4
+        assert "validated no point; 2 expected" in capsys.readouterr().err
+        assert not (tmp_path / "divisor.csv").exists()
+
     def test_quadratic_targets_are_xi(self, generic_instance, tmp_path):
         bracket = tmp_path / "bracket.json"
         bracket.write_text(json.dumps({"a": [[0.0, 0.0]], "b": [1.0, 0.0]}))

@@ -187,6 +187,69 @@ class TestInvariants:
         assert abs(val / (2j * np.pi)) < 1e-6
 
 
+def _lax_and_probes(r, n, seed=8):
+    """A random Lax matrix and a (3, 4) array of points away from its poles."""
+    params = ThetaParams(tau=TAU, r=r)
+    rng = np.random.default_rng(seed)
+    pts = tuple((rng.uniform(0.15, 0.85) + rng.uniform(0.15, 0.85) * TAU) / r
+                for _ in range(n))
+    div = E.EllipticDivisor(points=pts, mults=(1,) * n)
+    coeffs = {(a, b): rng.standard_normal(n) + 1j * rng.standard_normal(n)
+              for a in range(r) for b in range(r)}
+    lax = E.assemble_lax(coeffs, div, params)
+    lams = []
+    while len(lams) < 12:
+        lam = (rng.uniform(0.0, 1.0) + rng.uniform(0.0, 1.0) * TAU) / r
+        if min(abs(lam - p) for p in lax.divisor.points) > 5e-2:
+            lams.append(lam)
+    return lax, np.array(lams).reshape(3, 4)
+
+
+def _rel_err(batched, stacked):
+    """Largest per-point error relative to the point's largest entry (the
+    derivative of a constant is exactly 0 on both sides)."""
+    axes = tuple(range(2, batched.ndim))
+    scale = np.maximum(np.abs(stacked).max(axis=axes), np.finfo(float).tiny)
+    return float((np.abs(batched - stacked).max(axis=axes) / scale).max())
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_array_matches_scalar_calls(self, r, n):
+        lax, lams = _lax_and_probes(r, n)
+        for fn in (lax, lax.deriv):
+            batched = fn(lams)
+            assert batched.shape == (3, 4, r, r)
+            stacked = np.array([[fn(lam) for lam in row] for row in lams])
+            assert stacked.shape == (3, 4, r, r)
+            assert _rel_err(batched, stacked) <= 1e-13
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_deriv_matches_central_difference(self, r, n):
+        lax, lams = _lax_and_probes(r, n)
+        h = 1e-6
+        fd = (lax(lams + h) - lax(lams - h)) / (2 * h)
+        scale = np.maximum(1.0, np.abs(fd).max(axis=(2, 3)))
+        assert (np.abs(lax.deriv(lams) - fd).max(axis=(2, 3)) / scale).max() < 1e-6
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_invariants_on_arrays_match_scalar_calls(self, r, n):
+        lax, lams = _lax_and_probes(r, n)
+        ts = E.spectral_invariants(lax)
+        # interleaved scalar calls exercise the shared per-point evaluation
+        stacked = np.array([[[t(lam) for t in ts] for lam in row] for row in lams])
+        batched = np.stack([t(lams) for t in ts], axis=-1)
+        assert batched.shape == (3, 4, r)
+        assert _rel_err(batched, stacked) <= 1e-13
+        # and each agrees with the characteristic polynomial of lax(lam)
+        for k, t in enumerate(ts, start=1):
+            lam = lams[1, 2]
+            assert abs(t(lam) - kernel.char_bipoly(lax(lam))[r - k]) == 0.0
+
+
 class TestDivisorExtraction:
     def test_count_matches_argument_principle_and_genus(self, report_r2_n1):
         rep = report_r2_n1

@@ -1,6 +1,9 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sovkit import theta as T
 from sovkit.errors import NumericDomainError
@@ -21,6 +24,21 @@ class TestRiemannTheta:
             ours = T.riemann_theta(z, params)
             ref = complex(mp.jtheta(3, mp.pi * mp.mpc(z), q))
             assert abs(ours - ref) < 1e-12 * max(1.0, abs(ref))
+
+    @settings(max_examples=40, deadline=None)
+    @given(tau=st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.6, 1.5)),
+           z=arrays(complex, st.tuples(st.integers(1, 3), st.integers(1, 4)),
+                    elements=st.complex_numbers(max_magnitude=2.5, allow_nan=False,
+                                                allow_infinity=False)))
+    def test_batched_against_mpmath(self, tau, z):
+        params = T.ThetaParams(tau=tau, r=2)
+        ours = T.riemann_theta(z, params)
+        assert ours.shape == z.shape
+        with mp.workdps(30):
+            q = mp.exp(1j * mp.pi * mp.mpc(tau))
+            for idx in np.ndindex(z.shape):
+                ref = complex(mp.jtheta(3, mp.pi * mp.mpc(z[idx]), q))
+                assert abs(ours[idx] - ref) < 1e-12 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_zero_at_half_periods(self, tau):
