@@ -10,6 +10,8 @@ Conventions used across the package:
 Everything here is a pure function of its inputs.
 """
 
+import math
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
@@ -129,7 +131,7 @@ def _validate_cluster(monic, center, m, tol: Tolerances):
     p = monic
     for j in range(m):
         resid = abs(poly_eval(p, c)) / _eval_scale(p, c)
-        limit = 10.0 * tol.root_residual if j == 0 else 1e-7
+        limit = 10.0 * tol.root_residual if j == 0 else tol.cluster_derivative
         if resid > limit:
             return None
         p = poly_der(p)
@@ -161,28 +163,36 @@ def poly_roots(p, tol: Tolerances = DEFAULT, seed: int = 0):
     # agglomerative clustering with adaptive acceptance radius: a candidate
     # m-cluster of double-precision iterates spreads like root_residual**(1/m),
     # and a pair inside a higher cluster spreads at the higher rate, hence the
-    # m+1 exponent; false merges are rejected by the derivative validation
+    # m+1 exponent; false merges are rejected by the derivative validation.
+    # Aberth stops once |p| <= root_residual * S (S the evaluation scale), and
+    # near an m-fold root x, p ~ t (z - x)**m with t = p^(m)(x) / m!, so the
+    # iterates may also spread up to (root_residual * S / |t|)**(1/m), which
+    # is large when other roots crowd x; the radius covers ten such spreads
     clusters = [[zi] for zi in z]
     centers = [zi for zi in z]
     merged = True
     while merged and len(clusters) > 1:
         merged = False
-        nc = len(clusters)
-        for i in range(nc):
-            for j in range(i + 1, nc):
-                m = len(clusters[i]) + len(clusters[j])
-                m_eff = min(m + 1, deg)
-                radius = scale * (10.0 * tol.root_residual ** (1.0 / m_eff) + tol.root_cluster)
-                if abs(centers[i] - centers[j]) <= radius:
-                    cand = clusters[i] + clusters[j]
-                    ok = _validate_cluster(monic, np.mean(cand), m, tol)
-                    if ok is not None:
-                        clusters[i] = cand
-                        centers[i] = ok
-                        del clusters[j], centers[j]
-                        merged = True
-                        break
-            if merged:
+        i, j = np.triu_indices(len(clusters), 1)
+        cen = np.array(centers)
+        m = np.array([len(cl) for cl in clusters])
+        m = m[i] + m[j]
+        mid = 0.5 * (cen[i] + cen[j])
+        taylor = np.empty(m.shape)
+        for mv in set(m.tolist()):
+            t = poly_eval(npoly.polyder(monic, mv), mid[m == mv]) / math.factorial(mv)
+            taylor[m == mv] = np.maximum(np.abs(t), 1e-300)
+        spread = (tol.root_residual * _eval_scale(monic, mid) / taylor) ** (1.0 / m)
+        radius = np.maximum(scale * (10.0 * tol.root_residual ** (1.0 / np.minimum(m + 1, deg))
+                                     + tol.root_cluster), 10.0 * spread)
+        for k in np.flatnonzero(np.abs(cen[i] - cen[j]) <= radius):
+            cand = clusters[i[k]] + clusters[j[k]]
+            ok = _validate_cluster(monic, np.mean(cand), m[k], tol)
+            if ok is not None:
+                clusters[i[k]] = cand
+                centers[i[k]] = ok
+                del clusters[j[k]], centers[j[k]]
+                merged = True
                 break
 
     roots = np.array(centers)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernel
-from .errors import ConsistencyError, ConvergenceError, MatchingError, NonGenericError
+from .errors import ConsistencyError, ConvergenceError, NonGenericError
 from .numeric import fd_gradient, ode_solve
 from .tolerances import DEFAULT, Tolerances
 
@@ -426,8 +426,8 @@ def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT,
     """Split the spectral coefficients into Hamiltonians and Casimirs.
 
     A coefficient is a Casimir when its Hamiltonian vector field vanishes
-    (below 1e-8 relative) at ``n_probe`` random phase points. Warns when the
-    Hamiltonian count differs from the genus.
+    (below ``tol.casimir`` relative) at ``n_probe`` random phase points.
+    Warns when the Hamiltonian count differs from the genus.
     """
     r, n = phi.r, phi.n
     tensor = structure_tensor(r, n, spec, tol)
@@ -442,7 +442,7 @@ def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT,
         pnorm = max(np.linalg.norm(pi), 1e-30)
         gnorm = np.maximum(np.linalg.norm(G, axis=1), 1e-30)
         rel = np.linalg.norm(fields, axis=1) / (pnorm * gnorm)
-        is_casimir &= rel < 1e-8
+        is_casimir &= rel < tol.casimir
     hams = tuple(p for p, c in zip(positions, is_casimir) if not c)
     cass = tuple(p for p, c in zip(positions, is_casimir) if c)
     try:
@@ -462,36 +462,38 @@ def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT,
 # ---------------------------------------------------------------------------
 
 def _adjugate_section_grids(phi: MatPoly, s: np.ndarray, tol: Tolerances):
-    """Bivariate grids of v(z, xi) = adj(phi(z) - xi I) . s, one per component."""
+    """Bivariate grids of v(z, xi) = adj(phi(z) - xi I) . s, one per component,
+    and the index of the component extraction eliminates (largest coefficient)."""
     _, A = kernel.matpoly_char_adj(phi.coeff_mats)
-    return [kernel.bipoly_trim(grid, tol) for grid in np.einsum("kcjl,j->ckl", A, s)]
+    vgrids = [kernel.bipoly_trim(grid, tol) for grid in np.einsum("kcjl,j->ckl", A, s)]
+    return vgrids, max(range(phi.r), key=lambda c: np.abs(vgrids[c]).max())
+
+
+def _pair_partials(Pg, Vg):
+    """Grids of the partials [[P_z, P_xi], [V_z, V_xi]] of the pair (P, V)."""
+    return [[kernel.bipoly_dz(g), kernel.bipoly_dxi(g)] for g in (Pg, Vg)]
 
 
 def _newton_pair(Pg, Vg, z, xi, tol: Tolerances):
     """Newton iteration on the system (P(z,xi), V(z,xi)) with analytic partials."""
-    Pz, Pxi = kernel.bipoly_dz(Pg), kernel.bipoly_dxi(Pg)
-    Vz, Vxi = kernel.bipoly_dz(Vg), kernel.bipoly_dxi(Vg)
+    partials = _pair_partials(Pg, Vg)
     for _ in range(50):
-        f1 = kernel.bipoly_eval(Pg, z, xi)
-        f2 = kernel.bipoly_eval(Vg, z, xi)
-        J = np.array([
-            [kernel.bipoly_eval(Pz, z, xi), kernel.bipoly_eval(Pxi, z, xi)],
-            [kernel.bipoly_eval(Vz, z, xi), kernel.bipoly_eval(Vxi, z, xi)],
-        ])
-        rhs = np.array([f1, f2])
+        rhs = np.array([kernel.bipoly_eval(Pg, z, xi), kernel.bipoly_eval(Vg, z, xi)])
+        J = np.array([[kernel.bipoly_eval(d, z, xi) for d in row] for row in partials])
         try:
             step = np.linalg.solve(J, rhs)
         except np.linalg.LinAlgError:
             return None
         z, xi = z - step[0], xi - step[1]
-        if np.abs(step).max() <= 1e-14 * max(1.0, abs(z), abs(xi)):
+        if np.abs(step).max() <= tol.newton_step * max(1.0, abs(z), abs(xi)):
             return z, xi
     return z, xi
 
 
 def _bipoly_scale(grid, z, xi):
-    return max(float(kernel.bipoly_eval(np.abs(grid), abs(z), abs(xi)).real),
-               float(np.abs(grid).max()))
+    """Backward-error scale sum |c_kl| |xi|^k |z|^l, floored at max |c_kl|."""
+    return np.maximum(kernel.bipoly_eval(np.abs(grid), np.abs(z), np.abs(xi)).real,
+                      np.abs(grid).max())
 
 
 def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
@@ -531,9 +533,7 @@ def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
 
 
 def _divisor_for_section(phi, Pg, s, tol: Tolerances):
-    r = phi.r
-    vgrids = _adjugate_section_grids(phi, s, tol)
-    pick = max(range(r), key=lambda c: np.abs(vgrids[c]).max())
+    vgrids, pick = _adjugate_section_grids(phi, s, tol)
     Vg = vgrids[pick]
     if Vg.shape[0] < 2:
         return None  # xi-independent component; section too special
@@ -550,7 +550,7 @@ def _divisor_for_section(phi, Pg, s, tol: Tolerances):
 
     found_z, found_xi = [], []
     for z0 in zroots:
-        xi_cands, _ = kernel.poly_roots(curve_poly(Pg, z0), tol)
+        xi_cands, _ = kernel.poly_roots(kernel.poly_eval(Pg.T, z0), tol)  # P(z0, .)
         for xi0 in xi_cands:
             refined = _newton_pair(Pg, Vg, z0, xi0, tol)
             if refined is None:
@@ -595,11 +595,6 @@ def _divisor_for_section(phi, Pg, s, tol: Tolerances):
     return zs, xis, degenerate
 
 
-def curve_poly(Pg, z):
-    """xi-polynomial of the curve at fixed z (ascending coefficients)."""
-    return kernel.poly_eval(np.asarray(Pg, dtype=complex).T, z)
-
-
 # ---------------------------------------------------------------------------
 # canonical-bracket verification
 # ---------------------------------------------------------------------------
@@ -617,58 +612,57 @@ class CanonicalReport:
         return max(self.max_zxi_residual, self.max_zz_residual, self.max_xixi_residual)
 
 
-def _match_points(base: DivisorCoords, other: DivisorCoords, limit: float):
-    """Index of the ``other`` point nearest to each base point."""
-    if other.count != base.count:
-        raise MatchingError("matching failed, reduce h_rel")
-    d = np.abs(base.z[:, None] - other.z[None, :]) + np.abs(base.xi[:, None] - other.xi[None, :])
-    idx = np.argmin(d, axis=1)
-    if len(set(idx.tolist())) != base.count or np.any(d[np.arange(base.count), idx] > limit):
-        raise MatchingError("matching failed, reduce h_rel")
-    return idx
+def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT, seed: int = 0):
+    """d(z_mu)/dx and d(xi_mu)/dx by the implicit-function theorem, exact to rounding.
 
-
-def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
-                     h_rel: float = 1e-5, seed: int = 0):
-    """d(z_mu)/dx and d(xi_mu)/dx by central differences with point matching."""
+    Each point solves ``F = (P, v_c) = 0`` with ``P = det M``,
+    ``M = phi(z) - xi I`` and ``v_c = (adj(M) s)_c`` the component extraction
+    eliminates, so ``d(z, xi)/dx = -J^{-1} dF/dx`` with
+    ``J = [[P_z, P_xi], [v_z, v_xi]]``.  For ``x = phi_p[i, j]``,
+    ``dP/dx = z^p adj(M)[j, i]`` and
+    ``dv_c/dx = z^p ((adj(M + t E_ij) - adj(M)) s)_c / t`` for any ``t``,
+    because each cofactor is linear in every row.  Returns
+    ``(points, dz, dxi)``, ``dz`` and ``dxi`` of shape ``(count, N)``; raises
+    ``NonGenericError`` where ``J`` is singular to within ``tol.divisor``.
+    """
     base = divisor_coords(phi, s=s, tol=tol, seed=seed)
     if base.count == 0:
         raise NonGenericError("no divisor points to differentiate")
-    if base.count > 1:
-        gaps = (np.abs(base.z[:, None] - base.z[None, :])
-                + np.abs(base.xi[:, None] - base.xi[None, :]))
-        limit = 0.5 * gaps[np.triu_indices(base.count, 1)].min()
-    else:
-        limit = np.inf
-    x = phi.flatten()
-    N = x.size
-    dz = np.zeros((base.count, N), dtype=complex)
-    dxi = np.zeros((base.count, N), dtype=complex)
-    for a in range(N):
-        h = h_rel * max(1.0, abs(x[a]))
-        plus = divisor_coords(MatPoly.from_flat(_bump(x, a, h), phi.r, phi.n),
-                              s=base.s, tol=tol, seed=seed)
-        minus = divisor_coords(MatPoly.from_flat(_bump(x, a, -h), phi.r, phi.n),
-                               s=base.s, tol=tol, seed=seed)
-        ip = _match_points(base, plus, limit)
-        im = _match_points(base, minus, limit)
-        dz[:, a] = (plus.z[ip] - minus.z[im]) / (2 * h)
-        dxi[:, a] = (plus.xi[ip] - minus.xi[im]) / (2 * h)
-    return base, dz, dxi
+    r, n = phi.r, phi.n
+    z, xi = base.z, base.xi
+    Pg = spectral_curve(phi).grid
+    vgrids, pick = _adjugate_section_grids(phi, base.s, tol)
+    partials = _pair_partials(Pg, vgrids[pick])
+    J = np.moveaxis([[kernel.bipoly_eval(d, z, xi) for d in row] for row in partials],
+                    -1, 0)                                              # (count, 2, 2)
+    row_scale = np.moveaxis([[_bipoly_scale(d, z, xi) for d in row] for row in partials],
+                            -1, 0).max(axis=-1)                         # (count, 2)
+    if np.any(np.abs(np.linalg.det(J)) <= tol.divisor * row_scale.prod(axis=-1)):
+        raise NonGenericError("divisor point where d(P, v)/d(z, xi) is singular")
 
-
-def _bump(x, idx, h):
-    out = x.copy()
-    out[idx] += h
-    return out
+    # adj(M + t E_ij) for every (i, j), then adj(M), in one batched recursion;
+    # t of the size of M keeps the difference at full relative precision
+    M = np.array([phi(zm) for zm in z]) - xi[:, None, None] * np.eye(r)
+    t = np.maximum(1.0, np.abs(M).max(axis=(1, 2)))[:, None, None, None]
+    E = np.eye(r * r).reshape(r * r, r, r)
+    stack = np.concatenate([M[:, None] + t * E, M[:, None]], axis=1)
+    _, Nfl = kernel._faddeev_leverrier(stack)
+    adj = (-1.0) ** (r - 1) * Nfl[:, :, r - 1]                          # (count, r*r+1, r, r)
+    dP = adj[:, -1].transpose(0, 2, 1).reshape(-1, r * r)
+    dv = ((adj[:, :-1] - adj[:, -1:]) / t) @ base.s
+    dF_dM = np.stack([dP, dv[:, :, pick]], axis=1)                      # (count, 2, r*r)
+    dF = (z[:, None, None, None] ** np.arange(n + 1)[:, None]
+          * dF_dM[:, :, None, :]).reshape(base.count, 2, -1)
+    dzxi = -np.linalg.solve(J, dF)
+    return base, dzxi[:, 0], dzxi[:, 1]
 
 
 def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
-                     tol: Tolerances = DEFAULT, h_rel: float = 1e-5,
-                     seed: int = 0) -> CanonicalReport:
+                     tol: Tolerances = DEFAULT, seed: int = 0) -> CanonicalReport:
     """Check {z_mu, xi_nu} = (a(z_mu) + b xi_mu) delta and the vanishing of
-    {z, z} and {xi, xi}, via the finite-difference chain rule."""
-    base, dz, dxi = divisor_jacobian(phi, s=s, tol=tol, h_rel=h_rel, seed=seed)
+    {z, z} and {xi, xi} by the chain rule through ``divisor_jacobian``'s
+    implicit-function derivatives."""
+    base, dz, dxi = divisor_jacobian(phi, s=s, tol=tol, seed=seed)
     tensor = structure_tensor(phi.r, phi.n, spec, tol)
     pi = tensor.poisson_matrix(phi.flatten())
     b_zxi = dz @ pi @ dxi.T

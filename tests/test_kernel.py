@@ -207,6 +207,86 @@ class TestKernelAgainstMpmath:
         assert np.abs(kernel.adjugate(M) - adj).max() <= 1e-11 * hadamard_scale(M)
 
 
+@st.composite
+def planted_roots(draw):
+    """Up to three roots at least 0.3 apart (distinct cells of a 0.5-spaced
+    lattice, each moved by at most 0.1), with multiplicities 1..3."""
+    cells = draw(st.lists(st.integers(0, 24), min_size=1, max_size=3, unique=True))
+    offsets = draw(st.lists(st.complex_numbers(max_magnitude=0.1),
+                            min_size=len(cells), max_size=len(cells)))
+    roots = [complex(0.5 * (c % 5 - 2), 0.5 * (c // 5 - 2)) + w
+             for c, w in zip(cells, offsets)]
+    mults = draw(st.lists(st.integers(1, 3), min_size=len(cells), max_size=len(cells)))
+    return roots, mults
+
+
+def mp_sylvester_det(pc, qc):
+    """Resultant of two univariate polynomials (ascending mpc coefficients)
+    as the determinant of their Sylvester matrix."""
+    dp, dq = len(pc) - 1, len(qc) - 1
+    rows = ([[mpmath.mpc(0)] * k + pc[::-1] + [mpmath.mpc(0)] * (dq - 1 - k)
+             for k in range(dq)]
+            + [[mpmath.mpc(0)] * k + qc[::-1] + [mpmath.mpc(0)] * (dp - 1 - k)
+               for k in range(dp)])
+    return mp_det(rows)
+
+
+@st.composite
+def eliminable_grids(draw):
+    """A grid ``c[k, l]`` of degree 1..3 in the variable of axis 0 (the one
+    eliminated) and 0..2 in the other, with ``|c[-1, 0]| >= 0.5`` so that the
+    degree in the eliminated variable is exact."""
+    c = draw(st.tuples(st.integers(1, 3), st.integers(0, 2)).flatmap(
+        lambda d: arrays(complex, (d[0] + 1, d[1] + 1), elements=unit_disk)))
+    lead = draw(st.complex_numbers(min_magnitude=0.5, max_magnitude=1.0))
+    c[-1, 0] = lead
+    return c
+
+
+class TestPolyRootsAndResultantAgainstMpmath:
+    @oracle_settings
+    @given(planted=planted_roots())
+    def test_poly_roots_planted_multiplicities(self, planted):
+        roots, mults = planted
+        c = np.polynomial.polynomial.polyfromroots(np.repeat(roots, mults))
+        ours, our_mults = kernel.poly_roots(c)
+        assert sorted(our_mults.tolist()) == sorted(mults)
+        # oracle: the roots of the rounded coefficients to double accuracy,
+        # iterated with 250 extra bits so that Durand-Kerner also settles on
+        # an exact multiple root; a planted m-fold root is m of them (split by
+        # the coefficient rounding or not), and their centroid is well
+        # conditioned
+        with mpmath.workdps(15):
+            exact = mpmath.polyroots([mpmath.mpc(complex(v)) for v in c[::-1]],
+                                     maxsteps=400, extraprec=250)
+            exact = np.array([complex(v) for v in exact])
+        for root, m in zip(roots, mults):
+            cluster = exact[np.argsort(np.abs(exact - root))[:m]]
+            k = np.argmin(np.abs(ours - root))
+            assert our_mults[k] == m
+            assert abs(ours[k] - cluster.mean()) <= 1e-9
+
+    @oracle_settings
+    @given(p=eliminable_grids(), q=eliminable_grids(),
+           eliminate=st.sampled_from(["xi", "z"]), w=unit_disk)
+    def test_resultant_against_sylvester_determinant(self, p, q, eliminate, w):
+        # grid axis 0 is the eliminated variable; resultant wants xi on axis 0
+        if eliminate == "xi":
+            res = kernel.resultant(p, q, "xi")
+        else:
+            res = kernel.resultant(p.T, q.T, "z")
+        # coefficients in the eliminated variable at the surviving value w
+        with mpmath.workdps(30):
+            pc = [mpmath.polyval([mpmath.mpc(complex(v)) for v in row[::-1]], w) for row in p]
+            qc = [mpmath.polyval([mpmath.mpc(complex(v)) for v in row[::-1]], w) for row in q]
+            det = complex(mp_sylvester_det(pc, qc))
+        # Hadamard bound of the Sylvester matrix over the whole unit disk
+        prow = np.linalg.norm(np.abs(p).sum(axis=1))
+        qrow = np.linalg.norm(np.abs(q).sum(axis=1))
+        scale = max(1.0, prow) ** (q.shape[0] - 1) * max(1.0, qrow) ** (p.shape[0] - 1)
+        assert abs(kernel.poly_eval(res, w) - det) <= 1e-11 * scale
+
+
 class TestResultant:
     def test_linear_case(self):
         # res_xi(xi - a(z), xi - b(z)) = +-(a(z) - b(z))

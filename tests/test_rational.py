@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from sovkit import kernel
 from sovkit import rational as R
@@ -324,8 +326,8 @@ class TestDivisor:
 
 class TestVerifyCanonical:
     @pytest.mark.parametrize("label,a,b,tol", [
-        ("linear", (1.0,), 0.0, 1e-4),
-        ("quadratic", (0.0,), 1.0, 1e-4),
+        ("linear", (1.0,), 0.0, 1e-9),
+        ("quadratic", (0.0,), 1.0, 1e-9),
     ])
     def test_canonical_brackets(self, label, a, b, tol):
         rng = np.random.default_rng(7)
@@ -340,3 +342,85 @@ class TestVerifyCanonical:
         phi = R.random_instance(2, 2, rng)
         rep = R.verify_canonical(phi, R.BracketSpec(a=(0.0,), b=1.0))
         assert np.allclose(rep.target_diag, rep.points.xi)
+
+
+def fd_divisor_jacobian(phi, base, cols, h_rel=1e-5):
+    """Oracle: central differences of re-extracted divisors along the
+    coordinates ``cols``, each perturbed point matched to its nearest base
+    point.  Returns None where matching is undefined (a count change or an
+    ambiguous nearest point)."""
+    gaps = np.abs(base.z[:, None] - base.z[None]) + np.abs(base.xi[:, None] - base.xi[None])
+    limit = 0.5 * gaps[np.triu_indices(base.count, 1)].min() if base.count > 1 else np.inf
+    x = phi.flatten()
+    dz = np.zeros((base.count, len(cols)), dtype=complex)
+    dxi = np.zeros_like(dz)
+    for col, c in enumerate(cols):
+        h = h_rel * max(1.0, abs(x[c]))
+        ends = []
+        for sign in (1.0, -1.0):
+            xp = x.copy()
+            xp[c] += sign * h
+            d = R.divisor_coords(R.MatPoly.from_flat(xp, phi.r, phi.n), s=base.s)
+            if d.count != base.count:
+                return None
+            dist = (np.abs(base.z[:, None] - d.z[None])
+                    + np.abs(base.xi[:, None] - d.xi[None]))
+            idx = np.argmin(dist, axis=1)
+            if len(set(idx.tolist())) != base.count or dist[np.arange(base.count), idx].max() > limit:
+                return None
+            ends.append((d.z[idx], d.xi[idx]))
+        (zp, xip), (zm, xim) = ends
+        dz[:, col] = (zp - zm) / (2 * h)
+        dxi[:, col] = (xip - xim) / (2 * h)
+    return dz, dxi
+
+
+jacobian_settings = settings(max_examples=3, deadline=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestDivisorJacobian:
+    @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+    @jacobian_settings
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_finite_differences(self, r, n, seed):
+        rng = np.random.default_rng(seed)
+        phi = R.random_instance(r, n, rng)
+        base, dz, dxi = R.divisor_jacobian(phi)
+        cols = rng.permutation(dz.shape[1])[:12]  # 2 re-extractions per column
+        oracle = fd_divisor_jacobian(phi, base, cols)
+        assume(oracle is not None)  # the oracle, not the Jacobian, needs matching
+        fz, fxi = oracle
+        assert np.abs(dz[:, cols] - fz).max() <= 1e-6 * max(1.0, np.abs(fz).max())
+        assert np.abs(dxi[:, cols] - fxi).max() <= 1e-6 * max(1.0, np.abs(fxi).max())
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rn=st.sampled_from([(2, 2), (2, 3), (3, 1)]), seed=st.integers(0, 2 ** 32 - 1))
+    def test_canonical_under_random_brackets(self, rn, seed):
+        r, n = rn
+        rng = np.random.default_rng(seed)
+        phi = R.random_instance(r, n, rng)
+        deg = int(rng.integers(1, n + 3))
+        spec = R.BracketSpec(a=tuple(rng.standard_normal(deg) + 1j * rng.standard_normal(deg)),
+                             b=complex(rng.standard_normal(), rng.standard_normal()))
+        rep = R.verify_canonical(phi, spec)
+        # residuals are absolute; a divisor point far out (|z| ~ 1e2 in about
+        # one draw in 300) carries a target a(z) + b xi of order 1e4, and its
+        # residuals scale with it
+        assert rep.max_residual < 1e-9 * max(1.0, np.abs(rep.target_diag).max())
+
+    def test_singular_point_raises(self, monkeypatch):
+        # phi = diag(p, q): the curve (p - xi)(q - xi) has a node where p = q,
+        # and there both partials of P vanish, so J is singular
+        p = np.array([0.5, 1.0, 0.3])
+        q = np.array([-0.2, 0.4, 1.0])
+        cm = np.zeros((3, 2, 2), dtype=complex)
+        cm[:, 0, 0] = p
+        cm[:, 1, 1] = q
+        phi = R.MatPoly(cm)
+        z0 = np.polynomial.polynomial.polyroots(p - q)[0]
+        node = R.DivisorCoords(z=np.array([z0]), xi=np.array([kernel.poly_eval(p, z0)]),
+                               s=np.array([1.0, 0.0], dtype=complex))
+        monkeypatch.setattr(R, "divisor_coords", lambda *args, **kwargs: node)
+        with pytest.raises(NonGenericError, match="singular"):
+            R.divisor_jacobian(phi)
