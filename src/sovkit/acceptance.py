@@ -10,7 +10,7 @@ import platform
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -20,9 +20,10 @@ from . import kernel, linearize, rational, theta
 from .errors import MatchingError, NonGenericError
 from .tolerances import DEFAULT
 
-__all__ = ["CheckResult", "ExperimentConfig", "Report", "SUITES", "run_acceptance"]
+__all__ = ["CheckResult", "ExperimentConfig", "Report", "SUITES", "run_acceptance",
+           "theta_cell"]
 
-RN_COMBOS = ((2, 2), (2, 3), (3, 1))
+RN_COMBOS = ((2, 2), (2, 3), (3, 1), (4, 1))
 
 
 @dataclass
@@ -260,88 +261,101 @@ def suite_genus_counts(config: ExperimentConfig):
     return out
 
 
+def theta_cell(params, seed: int, tol_scale: float = 1.0):
+    """The theta battery at one ``(r, tau)``: the theta zero, the translation
+    and quasi-periodicity relations of ``theta_kj``/``xi_kj``, the period
+    relations of ``f_vector`` and the roots-of-unity action on the section.
+
+    Returns checks named ``theta_zero``, ``theta_relations``, ``theta_period``
+    and ``theta_roots``; points are drawn from ``default_rng(seed + 71)``.
+    """
+    r, tau = params.r, params.tau
+    tol_zero = 1e-12 * tol_scale
+    tol_rel = 1e-12 * tol_scale
+    tol_period = 1e-10 * tol_scale
+    tol_roots = 1e-8 * tol_scale
+    rng = np.random.default_rng(seed + 71)
+    out = []
+
+    zero = abs(theta.riemann_theta((1.0 + tau) / 2.0, params))
+    out.append(CheckResult.from_residual("theta_zero", zero, tol_zero))
+
+    worst = 0.0
+    for _ in range(5):
+        z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))
+        for k in range(r):
+            for j in range(r):
+                for fam, shift in (
+                        (theta.theta_kj, (k + j * tau) / r),
+                        (theta.xi_kj, (2 * k - 1 + (2 * j - 1) * tau) / (2 * r))):
+                    v0 = fam(z, k, j, params)
+                    sc = max(1.0, abs(v0))
+                    worst = max(worst, abs(fam(z + 2.0, k, j, params) - v0) / sc)
+                    fac = np.exp(-1j * np.pi * tau - 2j * np.pi * (z + shift))
+                    v1 = fam(z + tau, k, j, params)
+                    worst = max(worst, abs(v1 - fac * v0) / max(1.0, abs(v1)))
+                    if k < r - 1:
+                        worst = max(worst, abs(
+                            fam(z + 1.0 / r, k, j, params)
+                            - fam(z, k + 1, j, params)) / sc)
+                    if j < r - 1:
+                        worst = max(worst, abs(
+                            fam(z + tau / r, k, j, params)
+                            - fam(z, k, j + 1, params)) / sc)
+        for k in range(r):
+            v0 = theta.theta_kj(z, k, 0, params)
+            fac = np.exp(-1j * np.pi * tau - 2j * np.pi * (z + k / r))
+            v1 = theta.theta_kj(z + tau / r, k, r - 1, params)
+            worst = max(worst, abs(v1 - fac * v0) / max(1.0, abs(v1)))
+            w0 = theta.xi_kj(z, k, 0, params)
+            facx = np.exp(-1j * np.pi * tau
+                          - 2j * np.pi * (z + (2 * k - 1 - tau) / (2 * r)))
+            w1 = theta.xi_kj(z + tau / r, k, r - 1, params)
+            worst = max(worst, abs(w1 - facx * w0) / max(1.0, abs(w1)))
+    out.append(CheckResult.from_residual("theta_relations", worst, tol_rel))
+
+    _, I2 = theta.i_matrices(r)
+    worst_p = 0.0
+    used = 0
+    attempts = 0
+    while used < 6 and attempts < 40:
+        attempts += 1
+        z = (rng.uniform(0.02, 0.44) + rng.uniform(0.08, 0.44) * tau) / r
+        pts = (z, z + 1.0 / r, z + tau / r)
+        if any(theta.puncture_distance(w, params) < 3e-2 for w in pts):
+            continue
+        F0 = theta.f_vector(z, params)
+        F1 = theta.f_vector(z + 1.0 / r, params)
+        F2 = theta.f_vector(z + tau / r, params)
+        scale = np.abs(F0).max()
+        worst_p = max(worst_p, float(np.abs(F1 - F0).max() / scale))
+        worst_p = max(worst_p, float(np.abs(F2 - I2 @ F0).max() / scale))
+        used += 1
+    out.append(CheckResult.from_residual("theta_period", worst_p, tol_period,
+                                         points=used))
+
+    q = params.q_root
+    trk = theta.SectionTracker(params)
+    z0 = trk.anchor
+    s0 = trk.value_at(z0)
+    s1 = trk.value_at(z0 + 1.0 / r)
+    hor = float(np.abs(s1 / s0 - q ** np.arange(r)).max())
+    trk2 = theta.SectionTracker(params)
+    s0b = trk2.value_at(z0)
+    s2 = trk2.value_at(z0 + tau / r)
+    ver = float(np.abs(s2 - I2 @ s0b).max() / np.abs(s0b).max())
+    out.append(CheckResult.from_residual("theta_roots", max(hor, ver), tol_roots))
+    return out
+
+
 def suite_theta(config: ExperimentConfig):
     out = []
-    tol_zero = 1e-12 * config.tol_scale
-    tol_rel = 1e-12 * config.tol_scale
-    tol_period = 1e-10 * config.tol_scale
-    tol_roots = 1e-8 * config.tol_scale
     for r in (2, 3, 4, 5):
         for tau in (1j, 0.2 + 1.1j):
-            params = theta.ThetaParams(tau=tau, r=r)
             label = f"r{r}_tau{'i' if tau == 1j else 'c'}"
-            rng = np.random.default_rng(config.seed + 71)
-
-            zero = abs(theta.riemann_theta((1.0 + tau) / 2.0, params))
-            out.append(CheckResult.from_residual(f"theta_zero_{label}", zero, tol_zero))
-
-            worst = 0.0
-            for _ in range(5):
-                z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))
-                for k in range(r):
-                    for j in range(r):
-                        for fam, shift in (
-                                (theta.theta_kj, (k + j * tau) / r),
-                                (theta.xi_kj, (2 * k - 1 + (2 * j - 1) * tau) / (2 * r))):
-                            v0 = fam(z, k, j, params)
-                            sc = max(1.0, abs(v0))
-                            worst = max(worst, abs(fam(z + 2.0, k, j, params) - v0) / sc)
-                            fac = np.exp(-1j * np.pi * tau - 2j * np.pi * (z + shift))
-                            v1 = fam(z + tau, k, j, params)
-                            worst = max(worst, abs(v1 - fac * v0) / max(1.0, abs(v1)))
-                            if k < r - 1:
-                                worst = max(worst, abs(
-                                    fam(z + 1.0 / r, k, j, params)
-                                    - fam(z, k + 1, j, params)) / sc)
-                            if j < r - 1:
-                                worst = max(worst, abs(
-                                    fam(z + tau / r, k, j, params)
-                                    - fam(z, k, j + 1, params)) / sc)
-                for k in range(r):
-                    v0 = theta.theta_kj(z, k, 0, params)
-                    fac = np.exp(-1j * np.pi * tau - 2j * np.pi * (z + k / r))
-                    v1 = theta.theta_kj(z + tau / r, k, r - 1, params)
-                    worst = max(worst, abs(v1 - fac * v0) / max(1.0, abs(v1)))
-                    w0 = theta.xi_kj(z, k, 0, params)
-                    facx = np.exp(-1j * np.pi * tau
-                                  - 2j * np.pi * (z + (2 * k - 1 - tau) / (2 * r)))
-                    w1 = theta.xi_kj(z + tau / r, k, r - 1, params)
-                    worst = max(worst, abs(w1 - facx * w0) / max(1.0, abs(w1)))
-            out.append(CheckResult.from_residual(
-                f"theta_relations_{label}", worst, tol_rel))
-
-            I1, I2 = theta.i_matrices(r)
-            worst_p = 0.0
-            used = 0
-            attempts = 0
-            while used < 6 and attempts < 40:
-                attempts += 1
-                z = (rng.uniform(0.02, 0.44) + rng.uniform(0.08, 0.44) * tau) / r
-                pts = (z, z + 1.0 / r, z + tau / r)
-                if any(theta.puncture_distance(w, params) < 3e-2 for w in pts):
-                    continue
-                F0 = theta.f_vector(z, params)
-                F1 = theta.f_vector(z + 1.0 / r, params)
-                F2 = theta.f_vector(z + tau / r, params)
-                scale = np.abs(F0).max()
-                worst_p = max(worst_p, float(np.abs(F1 - F0).max() / scale))
-                worst_p = max(worst_p, float(np.abs(F2 - I2 @ F0).max() / scale))
-                used += 1
-            out.append(CheckResult.from_residual(
-                f"theta_period_{label}", worst_p, tol_period, points=used))
-
-            q = params.q_root
-            trk = theta.SectionTracker(params)
-            z0 = trk.anchor
-            s0 = trk.value_at(z0)
-            s1 = trk.value_at(z0 + 1.0 / r)
-            hor = float(np.abs(s1 / s0 - q ** np.arange(r)).max())
-            trk2 = theta.SectionTracker(params)
-            s0b = trk2.value_at(z0)
-            s2 = trk2.value_at(z0 + tau / r)
-            ver = float(np.abs(s2 - I2 @ s0b).max() / np.abs(s0b).max())
-            out.append(CheckResult.from_residual(
-                f"theta_roots_{label}", max(hor, ver), tol_roots))
+            cell = theta_cell(theta.ThetaParams(tau=tau, r=r), config.seed,
+                              config.tol_scale)
+            out.extend(replace(check, name=f"{check.name}_{label}") for check in cell)
     return out
 
 

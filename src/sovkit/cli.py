@@ -18,7 +18,7 @@ import numpy as np
 from . import documents as docs
 from . import elliptic as ell
 from . import linearize, rational, theta
-from .acceptance import ExperimentConfig, run_acceptance
+from .acceptance import ExperimentConfig, run_acceptance, theta_cell
 from .errors import (ConsistencyError, ConvergenceError, MatchingError,
                      NonGenericError, NumericDomainError, SchemaError)
 from .tolerances import DEFAULT
@@ -163,49 +163,17 @@ def cmd_flow(args) -> int:
     return EXIT_OK
 
 
-def cmd_theta(args) -> int:
-    tau = complex(args.tau_re, args.tau_im)
-    params = theta.ThetaParams(tau=tau, r=args.rank)
-    rows = []
-    # run only the requested (r, tau) cell of the theta battery
-    rng = np.random.default_rng(args.seed)
-    zero = abs(theta.riemann_theta((1.0 + tau) / 2.0, params))
-    rows.append(("theta_zero", zero, 1e-12 * args.tol_scale))
-    worst = 0.0
-    for _ in range(5):
-        z = complex(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))
-        for k in range(params.r):
-            for j in range(params.r):
-                for fam in (theta.theta_kj, theta.xi_kj):
-                    v0 = fam(z, k, j, params)
-                    sc = max(1.0, abs(v0))
-                    worst = max(worst, abs(fam(z + 1.0, k, j, params) - v0) / sc)
-    rows.append(("translation_relations", worst, 1e-12 * args.tol_scale))
-    I1, I2 = theta.i_matrices(params.r)
-    worst_p = 0.0
-    used = 0
-    while used < 4:
-        z = (rng.uniform(0.02, 0.44) + rng.uniform(0.08, 0.44) * tau) / params.r
-        if any(theta.puncture_distance(w, params) < 3e-2
-               for w in (z, z + 1.0 / params.r, z + tau / params.r)):
-            continue
-        F0 = theta.f_vector(z, params)
-        scale = np.abs(F0).max()
-        worst_p = max(worst_p,
-                      float(np.abs(theta.f_vector(z + 1.0 / params.r, params) - F0).max() / scale),
-                      float(np.abs(theta.f_vector(z + tau / params.r, params) - I2 @ F0).max() / scale))
-        used += 1
-    rows.append(("period_relations", worst_p, 1e-10 * args.tol_scale))
-    trk = theta.SectionTracker(params)
-    s0 = trk.value_at(trk.anchor)
-    s1 = trk.value_at(trk.anchor + 1.0 / params.r)
-    hor = float(np.abs(s1 / s0 - params.q_root ** np.arange(params.r)).max())
-    rows.append(("roots_relations", hor, 1e-8 * args.tol_scale))
+THETA_ROWS = {"theta_zero": "theta_zero", "theta_relations": "translation_relations",
+              "theta_period": "period_relations", "theta_roots": "roots_relations"}
 
+
+def cmd_theta(args) -> int:
+    params = theta.ThetaParams(tau=complex(args.tau_re, args.tau_im), r=args.rank)
+    # the (r, tau) cell of the acceptance theta battery, under the CLI's row names
+    rows = [(THETA_ROWS[c.name], c.residual, c.tolerance)
+            for c in theta_cell(params, args.seed, args.tol_scale)]
     out = _out_dir(args)
-    docs.write_csv(out / "theta_report.csv",
-                   ["relation", "residual", "tolerance"],
-                   [(name, res, tolv) for name, res, tolv in rows])
+    docs.write_csv(out / "theta_report.csv", ["relation", "residual", "tolerance"], rows)
     ok = all(res < tolv for _, res, tolv in rows)
     for name, res, tolv in rows:
         print(f"{'PASS' if res < tolv else 'FAIL'} {name}: {res:.3e} < {tolv:.1e}")

@@ -133,37 +133,42 @@ class DivisorCoords:
         return self.z.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class StructureTensor:
-    """Explicit structure constants of one bracket of the family.
+    """One bracket of the family, evaluated matrix-free at phase points.
 
-    ``{x_a, x_b}(phi) = sum_c lin[a,b,c] x_c + sum_{c,d} quad[a,b,c,d] x_c x_d``.
+    ``{x_a, x_b}(phi)`` is a part linear in ``phi`` (weighted by ``a``) plus a
+    part quadratic in ``phi`` (proportional to ``b``); ``poisson_matrix``
+    evaluates it from the commutator expansion at the point, so no structure
+    constants are stored. ``a`` is ``spec.a`` trimmed and checked against the
+    degree bound.
     """
 
     r: int
     n: int
     spec: BracketSpec
-    lin: np.ndarray    # (N, N, N)
-    quad: np.ndarray   # (N, N, N, N), symmetric in the last two slots
+    a: np.ndarray
 
     @property
     def dim(self) -> int:
         return (self.n + 1) * self.r * self.r
 
     def poisson_matrix(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        pi = self.lin @ x
-        if self.quad.any():
-            pi = pi + np.einsum("abcd,c,d->ab", self.quad, x, x)
-        return pi
+        cm = np.asarray(x, dtype=complex).reshape(self.n + 1, self.r, self.r)
+        return _bracket_values(cm, self.a, self.spec.b)
 
     def poisson_gradient(self, x) -> np.ndarray:
-        """d Pi_{ab} / d x_c, shape (N, N, N)."""
+        """d Pi_{ab} / d x_c, shape (N, N, N).
+
+        A central difference with unit step is exact because ``Pi`` is
+        quadratic in ``x``; all ``2N`` points go through one batched call.
+        """
         x = np.asarray(x, dtype=complex)
-        out = self.lin.copy()
-        if self.quad.any():
-            out = out + 2.0 * np.einsum("abcd,d->abc", self.quad, x)
-        return out
+        E = np.eye(self.dim)
+        stack = np.concatenate([x + E, x - E]).reshape(2, self.dim, self.n + 1,
+                                                        self.r, self.r)
+        pis = _bracket_values(stack, self.a, self.spec.b)
+        return np.moveaxis(0.5 * (pis[0] - pis[1]), 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,120 +235,66 @@ def genus(phi: MatPoly, tol: Tolerances = DEFAULT) -> int:
 # the bracket family
 # ---------------------------------------------------------------------------
 
-def _permutation_matrix(r: int) -> np.ndarray:
-    P = np.zeros((r * r, r * r))
-    for i in range(r):
-        for j in range(r):
-            P[i * r + j, j * r + i] = 1.0
-    return P
-
-
-def _bracket_values(cm: np.ndarray, a_coeffs: np.ndarray, b: complex,
-                    tol: Tolerances) -> np.ndarray:
-    """Tensor {x_a, x_b} evaluated at the phase point ``cm``.
+def _bracket_values(cm: np.ndarray, a_coeffs: np.ndarray, b: complex) -> np.ndarray:
+    """Poisson matrices ``{x_a, x_b}`` at a stack of phase points ``(..., n+1, r, r)``.
 
     Expands the commutator with the permutation kernel, divides exactly by
     (lambda - mu) via synthetic division, and reads off the monomial grid.
     The parameter orientation is fixed so that divisor coordinates come out
-    canonical: {z_mu, xi_nu} = (a(z_mu) + b xi_mu) delta_mu_nu.
+    canonical: {z_mu, xi_nu} = (a(z_mu) + b xi_mu) delta_mu_nu. Antisymmetry
+    is checked, then enforced exactly. Returns shape ``(..., N, N)``.
     """
-    n1, r, _ = cm.shape
+    *batch, n1, r, _ = cm.shape
     n = n1 - 1
     N = n1 * r * r
     if r == 1:
-        return np.zeros((N, N), dtype=complex)
+        return np.zeros((*batch, N, N), dtype=complex)
     L = n + 3
-    r2 = r * r
-    eye = np.eye(r)
     aeff = np.zeros(L, dtype=complex)
     aeff[: a_coeffs.size] = -a_coeffs
-    phi = np.zeros((L, r, r), dtype=complex)
-    phi[:n1] = cm
+    phi = np.zeros((*batch, L, r, r), dtype=complex)
+    phi[..., :n1, :, :] = cm
+    shifted_phi = aeff[:, None, None] * np.eye(r) - 0.5 * b * phi
 
-    M = np.zeros((L, L, r2, r2), dtype=complex)
-    for pl in range(L):
-        for pm in range(L):
-            left = np.kron(phi[pl], aeff[pm] * eye - 0.5 * b * phi[pm])
-            right = np.kron(aeff[pl] * eye - 0.5 * b * phi[pl], phi[pm])
-            M[pl, pm] = left + right
-    P = _permutation_matrix(r)
-    W = P @ M - M @ P  # batched over the first two axes
+    # kron(X_p, Y_q)[i*r+u, j*r+v] = X_p[i, j] Y_q[u, v], axes (..., p, q, i, u, j, v);
+    # the permutation kernel P swaps (i, u) on the left and (j, v) on the right
+    M = (np.einsum("...pij,...quv->...pqiujv", phi, shifted_phi)
+         + np.einsum("...pij,...quv->...pqiujv", shifted_phi, phi))
+    W = (M.swapaxes(-4, -3) - M.swapaxes(-2, -1)).reshape(*batch, L, L, r ** 4)
 
-    # synthetic division of W(lambda, mu) by (lambda - mu) along the lambda axis
-    pad = np.zeros((L, 2 * L, r2, r2), dtype=complex)
-    pad[:, :L] = W
-    V = np.zeros((L - 1, 2 * L, r2, r2), dtype=complex)
-    V[L - 2] = pad[L - 1]
-    for p in range(L - 2, 0, -1):
-        shifted = np.zeros_like(V[p])
-        shifted[1:] = V[p][:-1]
-        V[p - 1] = pad[p] + shifted
-    shifted = np.zeros_like(V[0])
-    shifted[1:] = V[0][:-1]
-    rem = pad[0] + shifted
-    wscale = max(1.0, np.abs(W).max())
-    if np.abs(rem).max() > 1e-9 * wscale:
+    # synthetic division of W(lambda, mu) by (lambda - mu) along the lambda axis:
+    # V[p] = W_p + mu V[p+1] from the top, so V[1:] is the quotient (V[p] the
+    # coefficient of lambda^(p-1)) and V[0] the remainder
+    V = np.zeros((*batch, L, 2 * L, r ** 4), dtype=complex)
+    V[..., :L, :] = W
+    for p in range(L - 2, -1, -1):
+        V[..., p, 1:, :] += V[..., p + 1, :-1, :]
+    rem, quo = V[..., 0, :, :], V[..., 1:, :, :]
+    bound = 1e-9 * max(1.0, np.abs(W).max())
+    if (np.abs(rem).max() > bound or np.abs(quo[..., n1:, :]).max() > bound
+            or np.abs(quo[..., n1:, :, :]).max() > bound):
         raise ConsistencyError("expansion inconsistency")
-    if np.abs(V[:, n1:]).max() > 1e-9 * wscale or (
-            L - 1 > n1 and np.abs(V[n1:]).max() > 1e-9 * wscale):
+    Vt = quo[..., :n1, :n1, :].reshape(*batch, n1, n1, r, r, r, r)
+    pi = np.einsum("...pqiujv->...pijquv", Vt).reshape(*batch, N, N)
+
+    skew = np.abs(pi + pi.swapaxes(-1, -2)).max()
+    if skew > 1e-9 * max(1.0, np.abs(pi).max()):
         raise ConsistencyError("expansion inconsistency")
-    Vt = V[:n1, :n1].reshape(n1, n1, r, r, r, r)
-    return Vt.transpose(0, 2, 4, 1, 3, 5).reshape(N, N)
-
-
-def _unit_cm(n1: int, r: int, flat_index: int) -> np.ndarray:
-    cm = np.zeros(n1 * r * r, dtype=complex)
-    cm[flat_index] = 1.0
-    return cm.reshape(n1, r, r)
+    return 0.5 * (pi - pi.swapaxes(-1, -2))
 
 
 @lru_cache(maxsize=64)
 def structure_tensor(r: int, n: int, spec: BracketSpec,
                      tol: Tolerances = DEFAULT) -> StructureTensor:
-    """Explicit linear and quadratic structure constants of one bracket.
+    """One bracket of the family, ready to evaluate matrix-free.
 
-    The linear part is read off by evaluating the expansion on coordinate
-    basis points; the quadratic part by polarizing the b-proportional
-    quadratic form. Antisymmetry is checked, then enforced exactly.
+    Trims ``spec.a`` at ``tol`` and checks ``deg(a) <= n + 1`` once; the
+    returned record stores no structure constants.
     """
     a = kernel.poly_trim(spec.a_array, tol)
     if a.size > n + 2:
         raise ValueError("deg(a) must be at most n + 1")
-    n1 = n + 1
-    N = n1 * r * r
-    lin = np.zeros((N, N, N), dtype=complex)
-    quad = np.zeros((N, N, N, N), dtype=complex)
-    if r == 1:
-        return StructureTensor(r=r, n=n, spec=spec, lin=lin, quad=quad)
-
-    if a.size:
-        for g in range(N):
-            lin[:, :, g] = _bracket_values(_unit_cm(n1, r, g), a, 0.0, tol)
-    if spec.b != 0:
-        zero_a = np.zeros(0, dtype=complex)
-        singles = [
-            _bracket_values(_unit_cm(n1, r, g), zero_a, spec.b, tol) for g in range(N)
-        ]
-        for g in range(N):
-            quad[:, :, g, g] = singles[g]
-            for d in range(g + 1, N):
-                pair_cm = _unit_cm(n1, r, g) + _unit_cm(n1, r, d)
-                mixed = 0.5 * (
-                    _bracket_values(pair_cm, zero_a, spec.b, tol)
-                    - singles[g] - singles[d]
-                )
-                quad[:, :, g, d] = mixed
-                quad[:, :, d, g] = mixed
-
-    skew_lin = np.abs(lin + lin.transpose(1, 0, 2)).max()
-    skew_quad = np.abs(quad + quad.transpose(1, 0, 2, 3)).max()
-    scale = max(1.0, np.abs(lin).max(), np.abs(quad).max())
-    if max(skew_lin, skew_quad) > 1e-9 * scale:
-        raise ConsistencyError("expansion inconsistency")
-    lin = 0.5 * (lin - lin.transpose(1, 0, 2))
-    quad = 0.5 * (quad - quad.transpose(1, 0, 2, 3))
-    quad = 0.5 * (quad + quad.transpose(0, 1, 3, 2))
-    return StructureTensor(r=r, n=n, spec=spec, lin=lin, quad=quad)
+    return StructureTensor(r=r, n=n, spec=spec, a=a)
 
 
 def bracket(F: Callable, G: Callable, phi: MatPoly, spec: BracketSpec,

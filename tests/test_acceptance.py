@@ -42,7 +42,7 @@ class TestAcceptanceCriteria:
         counts = {c.name: c.details["divisor_count"] for c in results}
         # recorded empirical counts: g + r - 1 at each working (r, n)
         assert counts == {"genus_count_r2_n2": 2, "genus_count_r2_n3": 3,
-                          "genus_count_r3_n1": 3}
+                          "genus_count_r3_n1": 3, "genus_count_r4_n1": 6}
 
     def test_criterion_7_theta_relations(self):
         _run_and_report(7, "theta")

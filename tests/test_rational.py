@@ -87,7 +87,8 @@ class TestStructureTensor:
     def test_r1_all_zero(self):
         spec = R.BracketSpec(a=(1.0, 0.5), b=2.0)
         t = R.structure_tensor(1, 2, spec)
-        assert not t.lin.any() and not t.quad.any()
+        x = unit_disk_matpoly(np.random.default_rng(0), 1, 2).flatten()
+        assert not t.poisson_matrix(x).any() and not t.poisson_gradient(x).any()
 
     def test_linear_bracket_closed_form(self):
         # frozen oracle: for a = 1, b = 0 the coordinate brackets are
@@ -128,10 +129,15 @@ class TestStructureTensor:
     def test_antisymmetry_exhaustive_r2_n1(self):
         spec = R.BracketSpec(a=(0.3 - 0.1j, 0.2), b=0.7 + 0.4j)
         tensor = R.structure_tensor(2, 1, spec)
-        assert np.abs(tensor.lin + tensor.lin.transpose(1, 0, 2)).max() == 0.0
-        assert np.abs(tensor.quad + tensor.quad.transpose(1, 0, 2, 3)).max() == 0.0
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            x = unit_disk_matpoly(rng, 2, 1).flatten()
+            pi = tensor.poisson_matrix(x)
+            dpi = tensor.poisson_gradient(x)
+            assert np.abs(pi + pi.T).max() == 0.0
+            assert np.abs(dpi + dpi.transpose(1, 0, 2)).max() == 0.0
 
-    @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 1)])
+    @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
     def test_direct_kron_oracle(self, r, n):
         # independent oracle: evaluate the defining commutator with plain
         # numpy kron at numeric (lambda, mu) and compare with the assembled
@@ -174,8 +180,13 @@ class TestStructureTensor:
         t1 = R.structure_tensor(2, 2, spec1)
         t2 = R.structure_tensor(2, 2, spec2)
         ts = R.structure_tensor(2, 2, spec_sum)
-        assert np.abs(ts.lin - (t1.lin + t2.lin)).max() < 1e-12
-        assert np.abs(ts.quad - (t1.quad + t2.quad)).max() < 1e-12
+        rng = np.random.default_rng(14)
+        for _ in range(4):
+            x = unit_disk_matpoly(rng, 2, 2).flatten()
+            assert np.abs(ts.poisson_matrix(x)
+                          - (t1.poisson_matrix(x) + t2.poisson_matrix(x))).max() < 1e-12
+            assert np.abs(ts.poisson_gradient(x)
+                          - (t1.poisson_gradient(x) + t2.poisson_gradient(x))).max() < 1e-12
 
 
 class TestBracketOp:
