@@ -1,15 +1,16 @@
 """Acceptance suites: the structural claims run as executable checks.
 
 Each suite returns CheckResult records; the runner assembles them into a
-deterministic machine-readable report. Checks are independent and may run
-concurrently up to a configured worker count.
+deterministic machine-readable report. Suites are independent and may run
+in parallel, one worker process each, up to a configured worker count.
 """
 
 import json
+import multiprocessing
 import platform
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -506,7 +507,9 @@ def run_acceptance(config: ExperimentConfig) -> Report:
         raise ValueError(f"unknown suites: {unknown}")
     records = []
     if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        # spawned, not forked: a forked child inherits the parent's threads' locks
+        with ProcessPoolExecutor(max_workers=config.workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             futures = [pool.submit(SUITES[s], config) for s in names]
             for fut in futures:
                 records.extend(fut.result())

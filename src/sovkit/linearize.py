@@ -8,8 +8,11 @@ linearizing coordinate attached to the spectral coefficient H_i is
     dp/dH_i = -(xi^k z^l) / ((a(z) + b xi) dP/dxi)   at H_i ~ position (k, l),
 
 integrated along the sheet of the curve that ends at (z_mu, xi_mu).  Straight
-z-paths are re-routed around branch points and the sheet is tracked by
-continuity.
+z-paths are re-routed around branch points.  One stepper, ``_panels``, walks
+a path, tracks every sheet by continuity and yields Gauss-Legendre panels
+with each sheet's value at the nodes; ``sheet_integrals`` is the quadrature
+sum over those panels, and the b != 0 generating value continues its
+logarithm across the same panels' ordered nodes.
 """
 
 from dataclasses import dataclass
@@ -43,23 +46,29 @@ def _segment_clearance(a, b, point):
 def build_path(z0, z1, branch_pts, tol: Tolerances = DEFAULT):
     """Piecewise-linear path z0 -> z1 avoiding branch points.
 
-    Straight segments passing within ``branch_avoid`` of a branch point get a
-    perpendicular detour waypoint; after three re-routing rounds the path is
-    declared unroutable.
+    A straight segment passing within a branch point's avoidance radius gets
+    a perpendicular detour waypoint at twice that radius.  The radius is
+    ``branch_avoid`` times the path scale, capped at a quarter of the distance
+    to the nearest other branch point and half the distance to the segment's
+    endpoints, so a detour never lands inside a neighbour's radius.  After
+    three re-routing rounds the path is declared unroutable.
     """
     branch_pts = np.asarray(branch_pts, dtype=complex)
     scale = max(1.0, abs(z0), abs(z1),
                 np.abs(branch_pts).max() if branch_pts.size else 1.0)
-    r_avoid = tol.branch_avoid * scale
+    sep = np.abs(branch_pts[:, None] - branch_pts) + np.diag(np.full(branch_pts.size, np.inf))
+    radii = np.minimum(tol.branch_avoid * scale, 0.25 * sep.min(axis=1, initial=np.inf))
     waypoints = [complex(z0), complex(z1)]
     for _ in range(3):
         clean = True
         out = [waypoints[0]]
         for a, b in zip(waypoints, waypoints[1:]):
             insert = None
-            for bp in branch_pts:
-                if min(abs(bp - a), abs(bp - b)) < 1e-12:
+            for bp, radius in zip(branch_pts, radii):
+                ends = min(abs(bp - a), abs(bp - b))
+                if ends < 1e-12:
                     continue
+                r_avoid = min(radius, 0.5 * ends)
                 dist, foot, t = _segment_clearance(a, b, bp)
                 if dist < r_avoid and 0.0 < t < 1.0:
                     if dist > 1e-12 * scale:
@@ -92,15 +101,22 @@ def pick_base_point(branch_pts, endpoint_hint=0.0):
 
 
 # ---------------------------------------------------------------------------
-# sheet-tracked quadrature
+# sheet-tracked panels
 # ---------------------------------------------------------------------------
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
+_FRAC = (_NODES + 1.0) / 2.0
 
 
 def _curve_roots(Pg_T, z):
-    c = kernel.poly_eval(Pg_T, z)  # ascending xi-coefficients at this z
-    return np.roots(c[::-1])
+    """The xi-roots over every ``z``, shape ``z.shape + (r,)``: one stacked
+    ``eigvals`` of the companion matrices ``np.roots`` builds, bit for bit."""
+    c = np.moveaxis(kernel.poly_eval(Pg_T, z), 0, -1)[..., ::-1]  # descending in xi
+    deg = c.shape[-1] - 1
+    companion = np.zeros(c.shape[:-1] + (deg, deg), dtype=complex)
+    companion[..., 1:, :-1] = np.eye(deg - 1)
+    companion[..., 0, :] = -c[..., 1:] / c[..., :1]
+    return np.linalg.eigvals(companion)
 
 
 def _match_order(ref, roots):
@@ -120,21 +136,16 @@ def _min_gap(vals):
     return float(d.min())
 
 
-def sheet_integrals(curve: SpectralCurve, integrand, waypoints,
-                    tol: Tolerances = DEFAULT):
-    """Integrate a per-sheet integrand along a path, tracking all sheets.
+def _panels(Pg_T, waypoints, xi):
+    """Sheet-tracked Gauss-Legendre panels along a path whose sheets start at ``xi``.
 
-    ``integrand(z, xi)`` maps scalars to a vector of integrand components.
-    Returns ``(I, sheets_end)`` where ``I[comp, sheet]`` accumulates the
-    integral along each tracked sheet and ``sheets_end`` gives the tracked
-    xi-values at the path end.
+    Per segment the step starts at an eighth of it, halves while a sheet moves
+    by more than a quarter of the sheet gap, and grows by 1.9 while below a
+    quarter of it.  A panel is ``(zs, half, xi_nodes, z_next, xi_next)``: the
+    12 nodes, the quadrature Jacobian, the sheet values ``(12, sheets)`` at the
+    nodes (the root nearest each sheet's linear interpolant) and at the end.
+    Sending ``False`` rejects a panel: the step halves and a shorter one follows.
     """
-    Pg_T = curve.grid.T.copy()
-    xi_cur = np.sort_complex(_curve_roots(Pg_T, waypoints[0]))
-    n_sheet = xi_cur.size
-    probe = np.asarray(integrand(waypoints[0], xi_cur[0]), dtype=complex)
-    total = np.zeros((probe.size, n_sheet), dtype=complex)
-
     for a, b in zip(waypoints, waypoints[1:]):
         z_cur = a
         seg = b - a
@@ -147,57 +158,99 @@ def sheet_integrals(curve: SpectralCurve, integrand, waypoints,
             step_dir = (b - z_cur) / abs(b - z_cur)
             h = min(abs(step), abs(b - z_cur))
             z_next = z_cur + h * step_dir
-            xi_next = _match_order(xi_cur, _curve_roots(Pg_T, z_next))
-            move = np.abs(xi_next - xi_cur).max()
-            gap = min(_min_gap(xi_cur), _min_gap(xi_next))
+            xi_next = _match_order(xi, _curve_roots(Pg_T, z_next))
+            move = np.abs(xi_next - xi).max()
+            gap = min(_min_gap(xi), _min_gap(xi_next))
             if move > 0.25 * gap and h > 1e-10:
                 step = step / 2.0
                 continue
-            # panel quadrature with per-node sheet selection by interpolation
-            mid = 0.5 * (z_cur + z_next)
             half = 0.5 * (z_next - z_cur)
-            zs = mid + half * _NODES
-            frac = (_NODES + 1.0) / 2.0
-            node_roots = [_curve_roots(Pg_T, znode) for znode in zs]
-            for sheet in range(n_sheet):
-                pred = xi_cur[sheet] + (xi_next[sheet] - xi_cur[sheet]) * frac
-                vals = []
-                for roots, xpred, znode in zip(node_roots, pred, zs):
-                    xi_node = roots[int(np.argmin(np.abs(roots - xpred)))]
-                    vals.append(np.asarray(integrand(znode, xi_node), dtype=complex))
-                total[:, sheet] += half * np.tensordot(_WEIGHTS, np.array(vals), axes=1)
-            xi_cur = xi_next
+            zs = 0.5 * (z_cur + z_next) + half * _NODES
+            roots = _curve_roots(Pg_T, zs)
+            pred = xi + (xi_next - xi) * _FRAC[:, None]
+            pick = np.argmin(np.abs(roots[:, None, :] - pred[:, :, None]), axis=-1)
+            xi_nodes = np.take_along_axis(roots, pick, axis=1)
+            if (yield zs, half, xi_nodes, z_next, xi_next) is False:
+                step = step / 2.0
+                continue
+            xi = xi_next
             z_cur = z_next
             if abs(step) < abs(seg) / 4:
                 step = step * 1.9
-    return total, xi_cur
 
 
-def _integral_to_point(curve, integrand, z0, z_end, xi_end, branch_pts, tol):
-    waypoints = build_path(z0, z_end, branch_pts, tol)
-    total, xi_fin = sheet_integrals(curve, integrand, waypoints, tol)
-    gap = _min_gap(xi_fin)
-    sheet = int(np.argmin(np.abs(xi_fin - xi_end)))
-    if abs(xi_fin[sheet] - xi_end) > min(0.45 * gap, 1e-3 * max(1.0, abs(xi_end))):
+def sheet_integrals(curve: SpectralCurve, integrand, waypoints,
+                    tol: Tolerances = DEFAULT):
+    """Integrate a per-sheet integrand along a path, tracking all sheets.
+
+    ``integrand(z, xi)`` broadcasts: for ``z`` and ``xi`` of broadcast shape
+    ``S`` it returns the integrand components on a leading axis, shape
+    ``(components,) + S``.  Returns ``(I, sheets_end)`` where ``I[comp, sheet]``
+    accumulates the integral along each tracked sheet and ``sheets_end`` gives
+    the tracked xi-values at the path end.
+    """
+    Pg_T = curve.grid.T.copy()
+    xi = np.sort_complex(_curve_roots(Pg_T, waypoints[0]))
+    total = np.zeros(np.shape(integrand(waypoints[0], xi)), dtype=complex)
+    for zs, half, xi_nodes, _, xi in _panels(Pg_T, waypoints, xi):
+        vals = integrand(zs[:, None], xi_nodes)
+        total += half * np.tensordot(_WEIGHTS, vals, axes=([0], [1]))
+    return total, xi
+
+
+def _landing_sheet(xi_fin, xi_end, sheet=None):
+    """The tracked sheet (by default the nearest) checked to end at xi_end."""
+    if sheet is None:
+        sheet = int(np.argmin(np.abs(xi_fin - xi_end)))
+    if abs(xi_fin[sheet] - xi_end) > min(0.45 * _min_gap(xi_fin),
+                                         1e-3 * max(1.0, abs(xi_end))):
         raise ConsistencyError("sheet tracking did not land on the divisor point")
-    return total[:, sheet]
+    return sheet
 
 
-def _integral_between(curve, integrand, z_from, xi_from, z_to, xi_to,
-                      branch_pts, tol):
-    """Integral along the curve from (z_from, xi_from) to (z_to, xi_to)."""
-    if abs(z_to - z_from) < 1e-14 * max(1.0, abs(z_from)):
+def _integral_to_point(curve, integrand, z0, z_end, xi_end, branch_pts, tol,
+                       xi0=None):
+    """Integral along the curve from z0 to (z_end, xi_end), on the sheet that
+    lands there or, given ``xi0``, on the one that starts at (z0, xi0)."""
+    if xi0 is not None and abs(z_end - z0) < 1e-14 * max(1.0, abs(z0)):
         return 0.0
-    waypoints = build_path(z_from, z_to, branch_pts, tol)
-    start = np.sort_complex(_curve_roots(curve.grid.T.copy(), waypoints[0]))
-    sheet = int(np.argmin(np.abs(start - xi_from)))
-    if abs(start[sheet] - xi_from) > 1e-3 * max(1.0, abs(xi_from)):
-        raise ConsistencyError("sheet tracking did not start on the divisor point")
+    waypoints = build_path(z0, z_end, branch_pts, tol)
+    sheet = None
+    if xi0 is not None:
+        start = np.sort_complex(_curve_roots(curve.grid.T, waypoints[0]))
+        sheet = int(np.argmin(np.abs(start - xi0)))
+        if abs(start[sheet] - xi0) > 1e-3 * max(1.0, abs(xi0)):
+            raise ConsistencyError("sheet tracking did not start on the divisor point")
     total, xi_fin = sheet_integrals(curve, integrand, waypoints, tol)
-    if abs(xi_fin[sheet] - xi_to) > min(0.45 * _min_gap(xi_fin),
-                                        1e-3 * max(1.0, abs(xi_to))):
-        raise ConsistencyError("sheet tracking did not land on the divisor point")
-    return total[:, sheet]
+    return total[:, _landing_sheet(xi_fin, xi_end, sheet)]
+
+
+def _log_integrals(curve, a_arr, b, waypoints):
+    """int log(a(z) + b xi) dz along every tracked sheet, the log principal at
+    the start and continued across each panel's ordered start, nodes and end.
+    A panel with a consecutive ratio |ratio - 1| > 0.5 is rejected, so no
+    principal log is ever taken of a ratio far from 1."""
+    Pg_T = curve.grid.T.copy()
+    xi = np.sort_complex(_curve_roots(Pg_T, waypoints[0]))
+    v = kernel.poly_eval(a_arr, waypoints[0]) + b * xi
+    log_v = np.log(v)
+    total = np.zeros_like(log_v)
+
+    def chain(panel):
+        zs, _, xi_nodes, z_next, xi_next = panel
+        return np.vstack([v, kernel.poly_eval(a_arr, zs)[:, None] + b * xi_nodes,
+                          kernel.poly_eval(a_arr, z_next) + b * xi_next])
+
+    panels = _panels(Pg_T, waypoints, xi)
+    for panel in panels:
+        vals = chain(panel)
+        while np.abs(vals[1:] / vals[:-1] - 1.0).max() > 0.5:
+            panel = panels.send(False)
+            vals = chain(panel)
+        steps = np.cumsum(np.log(vals[1:] / vals[:-1]), axis=0)
+        total += panel[1] * np.tensordot(_WEIGHTS, log_v + steps[:-1], axes=1)
+        log_v, v, xi = log_v + steps[-1], vals[-1], panel[4]
+    return total, xi
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +265,10 @@ def _conjugate_integrand(curve: SpectralCurve, spec: BracketSpec, positions):
     ls = np.array([l for _, l in positions])
 
     def integrand(z, xi):
+        z, xi = np.asarray(z), np.asarray(xi)
+        lead = (-1,) + (1,) * max(z.ndim, xi.ndim)
         denom = (kernel.poly_eval(a_arr, z) + b * xi) * kernel.bipoly_eval(dPxi, z, xi)
-        return -(xi ** ks) * (z ** ls) / denom
+        return -(xi ** ks.reshape(lead)) * (z ** ls.reshape(lead)) / denom
 
     return integrand
 
@@ -237,87 +292,20 @@ def generating_value(curve: SpectralCurve, spec: BracketSpec, points: DivisorCoo
     """
     a_arr = spec.a_array
     b = spec.b
-    if b == 0:
 
-        def integrand(z, xi):
-            return np.array([xi / kernel.poly_eval(a_arr, z)])
-
-        total = 0.0 + 0.0j
-        for z_end, xi_end in zip(points.z, points.xi):
-            total += _integral_to_point(curve, integrand, z0, z_end, xi_end,
-                                        branch_pts, tol)[0]
-        return total
-
-    # b != 0: integrate log(a + b xi)/b with a branch-continuous logarithm,
-    # accumulated incrementally along the tracked sheet
     def integrand(z, xi):
-        return np.array([kernel.poly_eval(a_arr, z) + b * xi])
+        return (xi / kernel.poly_eval(a_arr, z))[None]
 
     total = 0.0 + 0.0j
     for z_end, xi_end in zip(points.z, points.xi):
-        waypoints = build_path(z0, z_end, branch_pts, tol)
-        val = _log_tracked_integral(curve, a_arr, b, waypoints, xi_end, tol)
-        total += val
+        if b == 0:
+            total += _integral_to_point(curve, integrand, z0, z_end, xi_end,
+                                        branch_pts, tol)[0]
+        else:
+            logs, xi_fin = _log_integrals(curve, a_arr, b,
+                                          build_path(z0, z_end, branch_pts, tol))
+            total += logs[_landing_sheet(xi_fin, xi_end)] / b
     return total
-
-
-def _log_tracked_integral(curve, a_arr, b, waypoints, xi_end, tol):
-    """int log(a(z) + b xi(z))/b dz with the log continued along the path."""
-    Pg_T = curve.grid.T.copy()
-    xi_start = np.sort_complex(_curve_roots(Pg_T, waypoints[0]))
-    n_sheet = xi_start.size
-    base_log = np.log(kernel.poly_eval(a_arr, waypoints[0]) + b * xi_start)
-
-    log_offset = base_log.copy()   # continued log at the running point
-    xi_cur = xi_start.copy()
-    total = np.zeros(n_sheet, dtype=complex)
-    for a, bb in zip(waypoints, waypoints[1:]):
-        z_cur = a
-        step = (bb - a) / 16.0
-        while abs(z_cur - bb) > 1e-15 * max(1.0, abs(bb)):
-            h = min(abs(step), abs(bb - z_cur))
-            z_next = z_cur + h * (bb - z_cur) / abs(bb - z_cur)
-            xi_next = _match_order(xi_cur, _curve_roots(Pg_T, z_next))
-            move = np.abs(xi_next - xi_cur).max()
-            gap = min(_min_gap(xi_cur), _min_gap(xi_next))
-            if move > 0.25 * gap and h > 1e-10:
-                step = step / 2.0
-                continue
-            v_cur = kernel.poly_eval(a_arr, z_cur) + b * xi_cur
-            v_next = kernel.poly_eval(a_arr, z_next) + b * xi_next
-            ratio = v_next / v_cur
-            if np.abs(ratio - 1.0).max() > 0.5:
-                step = step / 2.0
-                continue
-            log_next = log_offset + np.log(ratio)
-            # composite Simpson on the continued log; panels are kept short
-            # by the ratio guard so this converges fast
-            nsub = 12
-            zs = z_cur + (z_next - z_cur) * (np.arange(nsub + 1) / nsub)
-            logs = np.empty((nsub + 1, n_sheet), dtype=complex)
-            logs[0] = log_offset
-            xi_sub = xi_cur.copy()
-            v_sub = v_cur.copy()
-            lg = log_offset.copy()
-            for m in range(1, nsub + 1):
-                xi_new = _match_order(xi_sub, _curve_roots(Pg_T, zs[m]))
-                v_new = kernel.poly_eval(a_arr, zs[m]) + b * xi_new
-                lg = lg + np.log(v_new / v_sub)
-                logs[m] = lg
-                xi_sub, v_sub = xi_new, v_new
-            hsub = (z_next - z_cur) / nsub
-            weights = np.ones(nsub + 1)
-            weights[1:-1:2] = 4.0
-            weights[2:-1:2] = 2.0
-            total += (hsub / 3.0) * np.tensordot(weights, logs, axes=1)
-            log_offset = log_next
-            xi_cur = xi_next
-            z_cur = z_next
-    gap = _min_gap(xi_cur)
-    sheet = int(np.argmin(np.abs(xi_cur - xi_end)))
-    if abs(xi_cur[sheet] - xi_end) > min(0.45 * gap, 1e-3 * max(1.0, abs(xi_end))):
-        raise ConsistencyError("sheet tracking did not land on the divisor point")
-    return total[sheet] / b
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +368,8 @@ def linearize(trajectory: Sequence[MatPoly], times, spec: BracketSpec,
                     raise MatchingError(
                         "divisor hop exceeds branch clearance; sample the "
                         "trajectory more densely")
-            inc += _integral_between(
-                curve, integrand, prev_d.z[mu], prev_d.xi[mu],
-                cur_d.z[mu], cur_d.xi[mu], bps, tol)
+            inc += _integral_to_point(curve, integrand, prev_d.z[mu], cur_d.z[mu],
+                                      cur_d.xi[mu], bps, tol, xi0=prev_d.xi[mu])
         q_table[:, col] = q_table[:, col - 1] + inc
 
     slopes = np.zeros(len(positions), dtype=complex)

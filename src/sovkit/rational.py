@@ -554,9 +554,9 @@ def _divisor_for_section(phi, Pg, s, tol: Tolerances):
 class CanonicalReport:
     points: DivisorCoords
     target_diag: np.ndarray          # a(z_mu) + b xi_mu
-    max_zxi_residual: float          # max |{z_mu, xi_nu} - target delta|
-    max_zz_residual: float
-    max_xixi_residual: float
+    max_zxi_residual: float          # max |{z_mu, xi_nu} - target delta|, relative
+    max_zz_residual: float           # max |{z_mu, z_nu}|, relative
+    max_xixi_residual: float         # max |{xi_mu, xi_nu}|, relative
 
     @property
     def max_residual(self) -> float:
@@ -612,7 +612,8 @@ def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
                      tol: Tolerances = DEFAULT, seed: int = 0) -> CanonicalReport:
     """Check {z_mu, xi_nu} = (a(z_mu) + b xi_mu) delta and the vanishing of
     {z, z} and {xi, xi} by the chain rule through ``divisor_jacobian``'s
-    implicit-function derivatives."""
+    implicit-function derivatives.  Each residual entry is divided by
+    max(1, |row_mu| |Pi| |row_nu|) of its two chain-rule rows."""
     base, dz, dxi = divisor_jacobian(phi, s=s, tol=tol, seed=seed)
     tensor = structure_tensor(phi.r, phi.n, spec, tol)
     pi = tensor.poisson_matrix(phi.flatten())
@@ -621,12 +622,18 @@ def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
     b_xx = dxi @ pi @ dxi.T
     target = spec.a_eval(base.z) + spec.b * base.xi
     resid = b_zxi - np.diag(np.atleast_1d(target))
+    zn, xn = np.linalg.norm(dz, axis=1), np.linalg.norm(dxi, axis=1)
+
+    def relative(block, rows, cols):
+        scale = np.outer(rows * np.linalg.norm(pi), cols)
+        return float((np.abs(block) / np.maximum(scale, 1.0)).max())
+
     return CanonicalReport(
         points=base,
         target_diag=np.atleast_1d(target),
-        max_zxi_residual=float(np.abs(resid).max()),
-        max_zz_residual=float(np.abs(b_zz).max()),
-        max_xixi_residual=float(np.abs(b_xx).max()),
+        max_zxi_residual=relative(resid, zn, xn),
+        max_zz_residual=relative(b_zz, zn, zn),
+        max_xixi_residual=relative(b_xx, xn, xn),
     )
 
 

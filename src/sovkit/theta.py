@@ -132,6 +132,36 @@ def puncture_distance(z, params: ThetaParams):
     return np.abs(a * w1 + b * w2)
 
 
+def _continued_log(func, z_from, z_to, params: ThetaParams, tol: Tolerances):
+    """log func(z_to) - log func(z_from), continued along the straight segment.
+
+    The segment is cut into at least 4 steps of at most 0.05; a step whose
+    ratio func(z + h)/func(z) has |ratio - 1| > 0.5 is halved, so no principal
+    log is taken of a ratio far from 1.  A step below 1e-8 that still fails,
+    or a point inside the puncture radius, raises ``NumericDomainError``.
+    """
+    f_prev = complex(func(z_from))
+    total = 0.0 + 0.0j
+    z = z_from
+    remaining = z_to - z
+    step = remaining / max(4, int(abs(remaining) / 0.05) + 1)
+    while abs(z - z_to) > 0:
+        h = step if abs(step) < abs(z_to - z) else z_to - z
+        z_new = z + h
+        if puncture_distance(z_new, params) < tol.puncture_radius:
+            raise NumericDomainError(f"branch obstruction near z={z_new:.6f}")
+        f_new = complex(func(z_new))
+        ratio = f_new / f_prev
+        if abs(ratio - 1.0) > 0.5:
+            if abs(step) < 1e-8:
+                raise NumericDomainError(f"branch obstruction near z={z_new:.6f}")
+            step = step / 2.0
+            continue
+        total += np.log(ratio)
+        z, f_prev = z_new, f_new
+    return total
+
+
 # --- even-rank quasi-periodic family ---------------------------------------
 #
 # For even r the puncture-stack zero placement is obstructed (the Abel class
@@ -144,27 +174,6 @@ def puncture_distance(z, params: ThetaParams):
 # V_j the zero position mandated by the multiplier equations.  Connection
 # constants and the component labelling are calibrated once per (r, tau) from
 # the measured shift ratios and tracked root factors.
-
-def _root_shift_factor(func, z_from, z_to, r):
-    """Continued r-th-root factor func^(1/r)(z_to) / func^(1/r)(z_from)."""
-    f_prev = complex(func(z_from))
-    total = 0.0 + 0.0j
-    z = z_from
-    step = (z_to - z_from) / 16.0
-    while abs(z - z_to) > 0:
-        h = step if abs(step) < abs(z_to - z) else z_to - z
-        z_new = z + h
-        f_new = complex(func(z_new))
-        ratio = f_new / f_prev
-        if abs(ratio - 1.0) > 0.5:
-            if abs(step) < 1e-9:
-                raise NumericDomainError(f"branch obstruction near z={z_new:.6f}")
-            step = step / 2.0
-            continue
-        total += np.log(ratio)
-        z, f_prev = z_new, f_new
-    return np.exp(total / r)
-
 
 @lru_cache(maxsize=32)
 def _even_family(params: ThetaParams):
@@ -202,7 +211,8 @@ def _even_family(params: ThetaParams):
     q = params.q_root
     powers = []
     for j in range(r):
-        fac = _root_shift_factor(lambda w, jj=j: raw(w, jj), za, za + 1.0 / r, r)
+        fac = np.exp(_continued_log(lambda w, jj=j: raw(w, jj), za, za + 1.0 / r,
+                                    params, DEFAULT) / r)
         k = int(np.round(np.angle(fac) / (2 * np.pi / r))) % r
         if abs(fac - q ** k) > 1e-8:
             raise ConsistencyError("even-rank root factor is not a root of unity")
@@ -290,8 +300,10 @@ class SectionTracker:
     (-pi/r, pi/r]) at a real reference point; the remaining components are
     anchored by continuing across the tau/r shift, which realizes the index
     relations the section must satisfy.  ``value_at`` continues the whole
-    vector along a straight segment (or an explicit path) from the last
-    queried point.
+    vector along a straight segment (or through ``via`` waypoints) from the
+    last queried point: each component is multiplied by exp(L/r), with L the
+    continued log of f_j (``_continued_log``, the module's one stepper, which
+    also calibrates the even-rank root factors).
     """
 
     def __init__(self, params: ThetaParams, anchor: Optional[complex] = None,
@@ -321,46 +333,24 @@ class SectionTracker:
 
     def _continue_component(self, j, z_from, val_from, z_to):
         params, tol = self.params, self.tol
-        r = params.r
-        f_prev = complex(f_component(z_from, j, params, tol=tol))
-        val = val_from
-        z = z_from
-        remaining = z_to - z
-        step = remaining / max(4, int(abs(remaining) / 0.05) + 1)
-        while abs(z - z_to) > 0:
-            h = step if abs(step) < abs(z_to - z) else z_to - z
-            z_new = z + h
-            if puncture_distance(z_new, params) < tol.puncture_radius:
-                raise NumericDomainError(f"branch obstruction near z={z_new:.6f}")
-            f_new = complex(f_component(z_new, j, params, tol=tol, guard=False))
-            ratio = f_new / f_prev
-            if abs(ratio - 1.0) > 0.5:
-                if abs(step) < 1e-8:
-                    raise NumericDomainError(f"branch obstruction near z={z_new:.6f}")
-                step = step / 2.0
-                continue
-            val = val * np.exp(np.log(ratio) / r)
-            z, f_prev = z_new, f_new
-        return val
+        log_ratio = _continued_log(
+            lambda w: f_component(w, j, params, tol=tol, guard=False),
+            z_from, z_to, params, tol)
+        return val_from * np.exp(log_ratio / params.r)
 
-    def continue_to(self, z_target, via=()):
+    def value_at(self, z_target, via=()):
         """Continue every component through ``via`` waypoints to ``z_target``."""
         if not np.isfinite(complex(z_target)):
             raise NumericDomainError("continuation target is not finite")
-        stops = tuple(via) + (complex(z_target),)
-        for stop in stops:
+        for stop in tuple(via) + (complex(z_target),):
             if stop == self._z:
                 continue
-            new_vals = np.array([
+            self._values = np.array([
                 self._continue_component(j, self._z, self._values[j], stop)
                 for j in range(self.params.r)
             ])
             self._z = complex(stop)
-            self._values = new_vals
         return self._values.copy()
-
-    def value_at(self, z_target, via=()):
-        return self.continue_to(z_target, via)
 
 
 def basic_section(z, params: ThetaParams, path: Optional[PathSpec] = None,

@@ -70,6 +70,34 @@ class TestPaths:
         dist = min(abs(w - bp[0]) for w in pts)
         assert dist > 1e-2
 
+    def test_routes_between_close_branch_points(self):
+        # a (3, 1) instance with the base point far out (|z0| ~ 27, so the
+        # uncapped avoidance radius is 0.27) and a divisor point 0.30 and 0.41
+        # from two branch points 0.56 apart: each detour used to land beside
+        # the other branch point, and routing gave up after three rounds
+        z0 = -26.96175823859072 - 2.8694826471154937j
+        z1 = -0.11954655036929754 + 0.1733822648114256j
+        bps = np.array([-0.3518716078411026 + 0.3652850651649875j,
+                        -0.2925587616564978 - 0.19471486157065818j,
+                        -0.10858692309773163 - 1.0383047058421757j,
+                        0.724958014910418 - 1.043338708929405j,
+                        13.937097158105225 - 3.9636558940395052j,
+                        16.82260118526929 + 2.043527008422964j])
+        pts = linearize.build_path(z0, z1, bps)
+        assert pts[0] == z0 and pts[-1] == z1
+        clearance = min(linearize._segment_clearance(a, b, bp)[0]
+                        for a, b in zip(pts, pts[1:]) for bp in bps)
+        assert clearance > 0.1
+
+    def test_detour_clears_neighbouring_branch_point(self):
+        # the detour around the first branch point would land 0.05 from the
+        # second if its radius were not capped by their 0.55 separation
+        bps = np.array([-0.5 + 0.1j, -0.5 - 0.45j])
+        pts = linearize.build_path(-30.0, 1.0, bps)
+        clearance = min(linearize._segment_clearance(a, b, bp)[0]
+                        for a, b in zip(pts, pts[1:]) for bp in bps)
+        assert clearance > 0.2
+
     def test_base_point_clear_of_branch_points(self):
         bps = np.array([1.0, -1.0, 1j, -1j])
         z0 = linearize.pick_base_point(bps)
@@ -166,3 +194,68 @@ class TestLinearize:
             res = linearize.linearize(traj, times, spec, hams)
             resids.append(res.fit_residuals.max())
         assert resids[1] <= resids[0] * 1.5 + 1e-12
+
+
+@pytest.fixture(scope="module")
+def curve_r3_n1():
+    phi = R.random_instance(3, 1, np.random.default_rng(3))
+    curve = R.spectral_curve(phi)
+    disc = kernel.resultant(curve.grid, curve.dxi(), "xi")
+    bps, _ = kernel.poly_roots(disc)
+    integrand = linearize._conjugate_integrand(
+        curve, R.BracketSpec(a=(1.0,), b=0.0), R.spectral_positions(3, 1))
+    return curve, bps, integrand
+
+
+def _loop(centre, radius, vertices=16):
+    pts = [centre + radius * np.exp(2j * np.pi * k / vertices) for k in range(vertices)]
+    return pts + [pts[0]]
+
+
+def _start_sheets(curve, z):
+    return np.sort_complex(np.roots(kernel.poly_eval(curve.grid.T, z)[::-1]))
+
+
+class TestSheetTracking:
+    def test_stacked_roots_equal_np_roots(self, curve_r3_n1):
+        curve = curve_r3_n1[0]
+        zs = np.random.default_rng(4).standard_normal((12, 2)) @ np.array([1.0, 1j])
+        stacked = linearize._curve_roots(curve.grid.T, zs)
+        for z, roots in zip(zs, stacked):
+            assert np.array_equal(roots, np.roots(kernel.poly_eval(curve.grid.T, z)[::-1]))
+
+    def test_loop_around_branch_point_swaps_two_sheets(self, curve_r3_n1):
+        curve, bps, integrand = curve_r3_n1
+        sep = np.abs(bps[:, None] - bps[None, :])
+        np.fill_diagonal(sep, np.inf)
+        for i, bp in enumerate(bps):
+            loop = _loop(bp, 0.25 * sep[i].min())
+            start = _start_sheets(curve, loop[0])
+            _, end = linearize.sheet_integrals(curve, integrand, loop)
+            dist = np.abs(end[:, None] - start[None, :])
+            perm = np.argmin(dist, axis=1)
+            assert dist[np.arange(3), perm].max() < 1e-10
+            assert sorted(perm.tolist()) == [0, 1, 2]
+            assert int(np.sum(perm != np.arange(3))) == 2
+
+    def test_loop_around_no_branch_point_is_cauchy(self, curve_r3_n1):
+        curve, bps, integrand = curve_r3_n1
+        centre = 3.0 + 3.0j
+        loop = _loop(centre, 0.5 * np.abs(centre - bps).min())
+        start = _start_sheets(curve, loop[0])
+        total, end = linearize.sheet_integrals(curve, integrand, loop)
+        assert np.abs(end - start).max() < 1e-10
+        assert np.abs(integrand(centre, start)).max() > 1.0
+        assert np.abs(total).max() < 1e-10
+
+    def test_log_continued_around_a_zero(self):
+        # one sheet xi = z^2 of P = z^2 - xi: the path passes 0.005 from the
+        # double zero of xi, where whole panels would turn arg(xi) by more
+        # than pi, then winds once around it
+        curve = R.SpectralCurve(grid=np.array([[0, 0, 1], [-1, 0, 0]], dtype=complex),
+                                r=1, n=2)
+        path = [1.0 + 0j, -1.0 + 0.01j, -1.0 - 0.5j, 1.0 - 0.5j]
+        total, _ = linearize._log_integrals(curve, np.array([0.0 + 0j]), 1.0, path)
+        ze = path[-1]
+        exact = 2 * (ze * (np.log(ze) + 2j * np.pi - 1) + 1)  # int 2 log z dz, continued
+        assert abs(total[0] - exact) < 1e-9
