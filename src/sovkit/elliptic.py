@@ -19,8 +19,8 @@ import numpy as np
 
 from . import kernel
 from .errors import ConsistencyError, ConvergenceError, NumericDomainError
-from .theta import (SectionTracker, ThetaParams, i_matrices, riemann_theta,
-                    theta_deriv)
+from .theta import (SectionTracker, ThetaParams, f_vector, i_matrices,
+                    riemann_theta, theta_deriv)
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -343,11 +343,6 @@ class DivisorCountReport:
     genus_prediction: int
 
 
-def _char_xi_roots(M):
-    c = kernel.char_bipoly(M)
-    return np.roots(c[::-1])
-
-
 def _winding_along(samples):
     """Total winding of a sampled closed loop; refuses coarse sampling."""
     vals = np.asarray(samples, dtype=complex)
@@ -485,7 +480,7 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
     def nfunc(z):
         svec = count_tracker.value_at(z)
         M = lax(z)
-        xis = _char_xi_roots(M)
+        xis = np.linalg.eigvals(M)
         out = 1.0 + 0.0j
         for xi in xis:
             v = kernel.adjugate(M - xi * np.eye(r)) @ svec
@@ -498,7 +493,7 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
     for z in usable:
         svec = tracker.value_at(z)
         M = lax(z)
-        xis = _char_xi_roots(M)
+        xis = np.linalg.eigvals(M)
         for xi in xis:
             adj = kernel.adjugate(M - xi * np.eye(r))
             v = adj @ svec
@@ -547,7 +542,7 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
 
     # genus prediction: the discriminant is elliptic on the small torus
     def disc(z):
-        xis = _char_xi_roots(lax(z))
+        xis = np.linalg.eigvals(lax(z))
         out = 1.0 + 0.0j
         for i in range(r):
             for j in range(i + 1, r):
@@ -563,7 +558,7 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
     points = []
     for zred, xi in sorted(classes, key=lambda t: (t[0].real, t[0].imag)):
         zshift = reduce_to_domain(zred - lax.z0, params)
-        xis = np.sort_complex(_char_xi_roots(lax(zred)))
+        xis = np.sort_complex(np.linalg.eigvals(lax(zred)))
         sheet = int(np.argmin(np.abs(xis - xi)))
         points.append(FundamentalDomainPoint(z=zshift, xi=xi, sheet=sheet))
 
@@ -598,11 +593,13 @@ def _newton_curve_section(lax, tracker, component, z, xi, tol, max_iter=40):
         hval = (adj @ svec)[component]
         dP_dxi = -np.trace(adj)
         dP_dz = np.trace(adj @ lax.deriv(z))
+        # the principal root of f(z +- h)/f(z), a ratio this close to 1, is
+        # the one-step continuation of the section from z
         try:
-            s_p = tracker.value_at(z + h_fd)
-            s_m = tracker.value_at(z - h_fd)
+            fz = f_vector(z + np.array([0.0, h_fd, -h_fd]), params, tol=tol)
         except NumericDomainError:
             return None
+        s_p, s_m = (svec[:, None] * (fz[:, 1:] / fz[:, :1]) ** (1.0 / r)).T
         dh_dz = (h_of(lax(z + h_fd), xi, s_p) - h_of(lax(z - h_fd), xi, s_m)) / (2 * h_fd)
         dh_dxi = (h_of(phi, xi + h_fd, svec) - h_of(phi, xi - h_fd, svec)) / (2 * h_fd)
         J = np.array([[dP_dz, dP_dxi], [dh_dz, dh_dxi]])

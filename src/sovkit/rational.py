@@ -99,20 +99,12 @@ class SpectralCurve:
     grid: np.ndarray           # (r+1, r*n+1), grid[k, l] multiplies xi^k z^l
     r: int
     n: int
-    hamiltonian_index: Optional[tuple] = None
-    casimir_index: Optional[tuple] = None
 
     def __call__(self, z, xi):
         return kernel.bipoly_eval(self.grid, z, xi)
 
-    def coefficient(self, k: int, l: int) -> complex:
-        return self.grid[k, l]
-
     def dxi(self):
         return kernel.bipoly_dxi(self.grid)
-
-    def dz(self):
-        return kernel.bipoly_dz(self.grid)
 
     def xi_poly(self, z):
         """Coefficients in xi of P(z, .) at fixed z, ascending."""

@@ -3,11 +3,17 @@
 Provides the standard theta series, the shifted families used for odd and
 even rank, the quasi-periodic products f_j, the automorphy matrices, and the
 branch-tracked basic section s with s_i**r = f_i.
+
+Everything is array-valued: ``f_component`` evaluates any set of components
+at any array of points with one ``riemann_theta`` call, and
+``_continued_log`` is the one continuation stepper.  It evaluates a whole
+row of steps per call, bisects only the steps that fail, and serves both the
+section tracker and the even-rank calibration.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -135,31 +141,35 @@ def puncture_distance(z, params: ThetaParams):
 def _continued_log(func, z_from, z_to, params: ThetaParams, tol: Tolerances):
     """log func(z_to) - log func(z_from), continued along the straight segment.
 
-    The segment is cut into at least 4 steps of at most 0.05; a step whose
-    ratio func(z + h)/func(z) has |ratio - 1| > 0.5 is halved, so no principal
-    log is taken of a ratio far from 1.  A step below 1e-8 that still fails,
-    or a point inside the puncture radius, raises ``NumericDomainError``.
+    ``func`` maps an ``(m,)`` array of points to ``(..., m)`` values; the
+    result has shape ``(...)``, one continued log per leading entry.  The
+    segment is cut into at least 4 steps of at most 0.05, all evaluated in one
+    call.  A step whose ratio func(z + h)/func(z) has |ratio - 1| > 0.5 in any
+    entry is bisected (only those steps, only their midpoints evaluated), so
+    no principal log is taken of a ratio far from 1.  A failing step below
+    1e-8, or a point inside the puncture radius, raises ``NumericDomainError``.
     """
-    f_prev = complex(func(z_from))
-    total = 0.0 + 0.0j
-    z = z_from
-    remaining = z_to - z
-    step = remaining / max(4, int(abs(remaining) / 0.05) + 1)
-    while abs(z - z_to) > 0:
-        h = step if abs(step) < abs(z_to - z) else z_to - z
-        z_new = z + h
-        if puncture_distance(z_new, params) < tol.puncture_radius:
-            raise NumericDomainError(f"branch obstruction near z={z_new:.6f}")
-        f_new = complex(func(z_new))
-        ratio = f_new / f_prev
-        if abs(ratio - 1.0) > 0.5:
-            if abs(step) < 1e-8:
-                raise NumericDomainError(f"branch obstruction near z={z_new:.6f}")
-            step = step / 2.0
-            continue
-        total += np.log(ratio)
-        z, f_prev = z_new, f_new
-    return total
+    def evaluate(pts):
+        near = puncture_distance(pts, params) < tol.puncture_radius
+        if np.any(near):
+            raise NumericDomainError(f"branch obstruction near z={pts[near][0]:.6f}")
+        return func(pts)
+
+    pts = np.linspace(z_from, z_to, max(4, int(abs(z_to - z_from) / 0.05) + 1) + 1)
+    vals = evaluate(pts)
+    while True:
+        ratio = vals[..., 1:] / vals[..., :-1]
+        far = np.abs(ratio - 1.0) > 0.5
+        bad = np.flatnonzero(far.reshape(-1, far.shape[-1]).any(axis=0))
+        if bad.size == 0:
+            return np.log(ratio).sum(axis=-1)
+        mids = 0.5 * (pts[bad] + pts[bad + 1])
+        width = np.abs(pts[bad + 1] - pts[bad])
+        if width.min() < 1e-8:
+            raise NumericDomainError(
+                f"branch obstruction near z={mids[width.argmin()]:.6f}")
+        pts = np.insert(pts, bad + 1, mids)
+        vals = np.insert(vals, bad + 1, evaluate(mids), axis=-1)
 
 
 # --- even-rank quasi-periodic family ---------------------------------------
@@ -180,93 +190,85 @@ def _even_family(params: ThetaParams):
     r, tau = params.r, params.tau
     taub = r * tau
     base = ThetaParams(tau=taub, r=r)
-    stacks = tuple((1.0 + tau) / 2.0 + m * tau for m in range(r))
-    ssum = sum(stacks)
-    vs = tuple(ssum / r - j * tau for j in range(r))
+    stacks = (1.0 + tau) / 2.0 + np.arange(r) * tau
+    vs = stacks.sum() / r - np.arange(r) * tau
     half = (1.0 + taub) / 2.0
+    # numerator shifts, then the puncture-stack shifts of the denominator
+    shifts = np.concatenate([half - vs, half - stacks])
 
-    def raw(z, j):
+    def raw(z):
+        """All r components H_j at z, on a leading axis."""
         u = r * np.asarray(z, dtype=complex)
-        num = riemann_theta(u - vs[j] + half, base) ** r
-        den = riemann_theta(u - stacks[0] + half, base)
-        for m in range(1, r):
-            den = den * riemann_theta(u - stacks[m] + half, base)
-        return np.exp(2j * np.pi * j * u) * num / den
+        th = riemann_theta(np.add.outer(shifts, u), base)
+        phase = np.exp(2j * np.pi * np.multiply.outer(np.arange(r), u))
+        return phase * th[:r] ** r / np.prod(th[r:], axis=0)
 
     zr1 = (0.1529 + 0.2731 * tau) / r
     zr2 = (0.3107 + 0.1381 * tau) / r
-    kappa = [1.0 + 0.0j]
-    for j in range(r - 1):
-        r1 = complex(raw(zr1 + tau / r, j)) / complex(raw(zr1, j + 1))
-        r2 = complex(raw(zr2 + tau / r, j)) / complex(raw(zr2, j + 1))
-        if abs(r1 - r2) > 1e-8 * abs(r1):
-            raise ConsistencyError("even-rank family ratios are not constant")
-        kappa.append(kappa[-1] * r1)
-    wrap = complex(raw(zr1 + tau / r, r - 1)) / complex(raw(zr1, 0))
-    if abs(kappa[-1] * wrap - 1.0) > 1e-8:
+    a1, a2, b1, b2 = raw(np.array([zr1 + tau / r, zr2 + tau / r, zr1, zr2])).T
+    r1, r2 = a1[:-1] / b1[1:], a2[:-1] / b2[1:]
+    if np.any(np.abs(r1 - r2) > 1e-8 * np.abs(r1)):
+        raise ConsistencyError("even-rank family ratios are not constant")
+    kappa = np.concatenate([[1.0 + 0.0j], np.cumprod(r1)])
+    if abs(kappa[-1] * a1[-1] / b1[0] - 1.0) > 1e-8:
         raise ConsistencyError("even-rank family does not close")
 
     # horizontal tracked-root factors fix the component labelling
     za = (0.0917 + 0.3379 * tau) / r
-    q = params.q_root
-    powers = []
-    for j in range(r):
-        fac = np.exp(_continued_log(lambda w, jj=j: raw(w, jj), za, za + 1.0 / r,
-                                    params, DEFAULT) / r)
-        k = int(np.round(np.angle(fac) / (2 * np.pi / r))) % r
-        if abs(fac - q ** k) > 1e-8:
-            raise ConsistencyError("even-rank root factor is not a root of unity")
-        powers.append(k)
-    offset = (powers[0] - 0) % r
-    for j in range(r):
-        if (powers[j] - j - offset) % r != 0:
-            raise ConsistencyError("even-rank root factors are not consecutive")
-    shift = (-offset) % r
-    return raw, tuple(kappa), shift
+    fac = np.exp(_continued_log(raw, za, za + 1.0 / r, params, DEFAULT) / r)
+    powers = np.round(np.angle(fac) / (2 * np.pi / r)).astype(int) % r
+    if np.any(np.abs(fac - params.q_root ** powers) > 1e-8):
+        raise ConsistencyError("even-rank root factor is not a root of unity")
+    offset = powers[0]
+    if np.any((powers - np.arange(r) - offset) % r != 0):
+        raise ConsistencyError("even-rank root factors are not consecutive")
+    order = (np.arange(r) - offset) % r
+    return raw, kappa[order], order
 
 
-def f_component(z, j: int, params: ThetaParams, parity: Optional[str] = None,
+def f_component(z, j, params: ThetaParams, parity: Optional[str] = None,
                 tol: Tolerances = DEFAULT, guard: bool = True):
-    """The quasi-periodic product f_j(z).
+    """The quasi-periodic products f_j(z).
 
-    ``parity`` may be given explicitly ("odd"/"even") but must match the rank.
-    Evaluation inside the puncture exclusion radius raises
-    ``NumericDomainError("pole")`` unless ``guard`` is disabled.
+    ``j`` is an int or an integer array; for an array the components go on a
+    leading axis (shape ``j.shape + z.shape``).  Every requested component at
+    every point comes from one ``riemann_theta`` call.  ``parity`` may be
+    given explicitly ("odd"/"even") but must match the rank.  Evaluation
+    inside the puncture exclusion radius raises ``NumericDomainError("pole")``
+    unless ``guard`` is disabled.
     """
     r = params.r
     actual = "odd" if r % 2 == 1 else "even"
     if parity is not None and parity != actual:
         raise ValueError(f"parity {parity!r} does not match rank {r}")
-    if not 0 <= j < r:
+    j = np.asarray(j)
+    if np.any((j < 0) | (j >= r)):
         raise IndexError("index out of range")
     z = np.asarray(z, dtype=complex)
     if guard and np.any(puncture_distance(z, params) < tol.puncture_radius):
         raise NumericDomainError("pole")
-    tau = params.tau
-
+    zf = z.reshape(-1)
     if actual == "odd":
-        rho = rho_shift(j, r)
-        pref = np.exp(2j * np.pi * tau * (-j * r * (r - 1) / 2.0
-                                          + (r - 1) * j * (j + 1) / 2.0))
-        num = np.ones(z.shape, dtype=complex) if z.shape else 1.0 + 0.0j
-        den = np.ones(z.shape, dtype=complex) if z.shape else 1.0 + 0.0j
-        for k in range(r):
-            num = num * theta_kj(z, k, j, params) ** (r - 2) \
-                * theta_kj(z + rho * tau, k, j, params)
-            for ell in range(r):
-                if ell != j:
-                    den = den * theta_kj(z, k, ell, params)
-        out = pref * num / den
+        # theta_kl(z) and theta_kl(z + rho_l tau) for every (k, l) at once
+        tau, ks = params.tau, np.arange(r)
+        grid = (ks[:, None] + ks * tau) / r
+        th = riemann_theta(np.add.outer(
+            np.stack([grid, grid + rho_shift(ks, r) * tau]), zf), params)
+        num = np.prod(th[0] ** (r - 2) * th[1], axis=0)
+        cols = np.prod(th[0], axis=0)
+        den = np.prod(np.where(np.eye(r, dtype=bool)[:, :, None], 1.0, cols), axis=1)
+        pref = np.exp(2j * np.pi * tau * (-ks * r * (r - 1) / 2.0
+                                          + (r - 1) * ks * (ks + 1) / 2.0))
+        vals = pref[:, None] * num / den
     else:
-        raw, kappa, shift = _even_family(params)
-        jj = (j + shift) % r
-        out = kappa[jj] * raw(z, jj)
-    return out if np.asarray(out).shape else complex(out)
+        raw, kappa, order = _even_family(params)
+        vals = kappa[:, None] * raw(zf)[order]
+    out = vals.reshape((r,) + z.shape)[j]
+    return out if out.shape else complex(out)
 
 
 def f_vector(z, params: ThetaParams, tol: Tolerances = DEFAULT, guard: bool = True):
-    return np.array([f_component(z, j, params, tol=tol, guard=guard)
-                     for j in range(params.r)])
+    return f_component(z, np.arange(params.r), params, tol=tol, guard=guard)
 
 
 def i_matrices(r: int):
@@ -298,12 +300,12 @@ class SectionTracker:
 
     The anchor branch fixes s_0 as the principal r-th root (argument in
     (-pi/r, pi/r]) at a real reference point; the remaining components are
-    anchored by continuing across the tau/r shift, which realizes the index
-    relations the section must satisfy.  ``value_at`` continues the whole
-    vector along a straight segment (or through ``via`` waypoints) from the
-    last queried point: each component is multiplied by exp(L/r), with L the
-    continued log of f_j (``_continued_log``, the module's one stepper, which
-    also calibrates the even-rank root factors).
+    anchored by continuing the whole vector once across the tau/r shift and
+    chaining, which realizes the index relations the section must satisfy.
+    ``value_at`` continues the whole vector along a straight segment (or
+    through ``via`` waypoints) from the last queried point: one
+    ``_continued_log`` of all r components per segment, then values are
+    multiplied by exp(L/r).
     """
 
     def __init__(self, params: ThetaParams, anchor: Optional[complex] = None,
@@ -315,28 +317,17 @@ class SectionTracker:
         # real axis (even ranks have a zero row on the axis itself)
         default = (0.1377 + 0.3711 * params.tau) / r
         self.anchor = complex(default if anchor is None else anchor)
-        f0 = complex(f_component(self.anchor, 0, params, tol=tol))
+        self._f = partial(f_vector, params=params, tol=tol, guard=False)
+        f0 = f_vector(self.anchor, params, tol=tol)
+        across = np.exp(_continued_log(self._f, self.anchor, self.anchor + params.omega2,
+                                       params, tol) / r)
         s = np.zeros(r, dtype=complex)
-        s[0] = abs(f0) ** (1.0 / r) * np.exp(1j * np.angle(f0) / r)
+        s[0] = abs(f0[0]) ** (1.0 / r) * np.exp(1j * np.angle(f0[0]) / r)
         for i in range(1, r):
-            carried = self._continue_component(
-                i - 1, self.anchor, s[i - 1], self.anchor + params.omega2)
-            fi = complex(f_component(self.anchor, i, params, tol=tol))
-            corr = fi / carried ** r
-            s[i] = carried * np.exp(np.log(corr) / r)
+            carried = s[i - 1] * across[i - 1]
+            s[i] = carried * np.exp(np.log(f0[i] / carried ** r) / r)
         self._z = self.anchor
         self._values = s
-
-    @property
-    def state(self):
-        return self._z, self._values.copy()
-
-    def _continue_component(self, j, z_from, val_from, z_to):
-        params, tol = self.params, self.tol
-        log_ratio = _continued_log(
-            lambda w: f_component(w, j, params, tol=tol, guard=False),
-            z_from, z_to, params, tol)
-        return val_from * np.exp(log_ratio / params.r)
 
     def value_at(self, z_target, via=()):
         """Continue every component through ``via`` waypoints to ``z_target``."""
@@ -345,10 +336,8 @@ class SectionTracker:
         for stop in tuple(via) + (complex(z_target),):
             if stop == self._z:
                 continue
-            self._values = np.array([
-                self._continue_component(j, self._z, self._values[j], stop)
-                for j in range(self.params.r)
-            ])
+            log_ratio = _continued_log(self._f, self._z, stop, self.params, self.tol)
+            self._values *= np.exp(log_ratio / self.params.r)
             self._z = complex(stop)
         return self._values.copy()
 

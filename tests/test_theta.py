@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 from sovkit import theta as T
 from sovkit.errors import NumericDomainError
 from sovkit.numeric import PathSpec
+from sovkit.tolerances import DEFAULT
 
 TAUS = (1j, 0.2 + 1.1j)
 
@@ -157,6 +158,46 @@ class TestProducts:
             used += 1
         assert worst < 1e-10
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_array_components_match_scalar_and_definition(self, r):
+        tau = 0.2 + 1.1j
+        params = T.ThetaParams(tau=tau, r=r)
+        rng = np.random.default_rng(7)
+        z = (rng.uniform(0.05, 0.4, (3, 4)) + rng.uniform(0.05, 0.4, (3, 4)) * tau) / r
+        js = np.arange(r)[::-1]
+        batch = T.f_component(z, js, params)
+        assert batch.shape == (r, 3, 4)
+        assert np.array_equal(T.f_vector(z, params), batch[::-1])
+        pair = T.f_component(z, np.array([[0, r - 1]]), params)
+        assert pair.shape == (1, 2, 3, 4)
+        worst = 0.0
+        for idx in np.ndindex(z.shape):
+            for a, j in enumerate(js):
+                ref = T.f_component(z[idx], int(j), params)
+                worst = max(worst, abs(batch[(a,) + idx] - ref) / abs(ref))
+            worst = max(worst, abs(pair[(0, 1) + idx] - batch[(0,) + idx])
+                        / abs(batch[(0,) + idx]))
+            if r % 2 == 1:
+                # the definitional product over the odd-rank family
+                for j in range(r):
+                    rho = T.rho_shift(j, r)
+                    val = np.exp(2j * np.pi * tau * (-j * r * (r - 1) / 2.0
+                                                     + (r - 1) * j * (j + 1) / 2.0))
+                    for k in range(r):
+                        val *= T.theta_kj(z[idx], k, j, params) ** (r - 2) \
+                            * T.theta_kj(z[idx] + rho * tau, k, j, params)
+                        for ell in range(r):
+                            if ell != j:
+                                val /= T.theta_kj(z[idx], k, ell, params)
+                    got = batch[(r - 1 - j,) + idx]
+                    worst = max(worst, abs(got - val) / abs(val))
+        assert worst < 1e-12
+
+    def test_component_index_range(self):
+        params = T.ThetaParams(tau=1j, r=3)
+        with pytest.raises(IndexError, match="index out of range"):
+            T.f_component(0.1 + 0.1j, np.array([0, 3]), params)
+
     def test_parity_argument_checked(self):
         params = T.ThetaParams(tau=1j, r=3)
         assert complex(T.f_component(0.1377 + 0.2j, 0, params, parity="odd"))
@@ -194,6 +235,51 @@ class TestProducts:
                 assert abs(zero_vals[0] - zero_vals[1]) < 1e-2 * zero_vals[1]
             else:
                 assert mags.min() > 1e-10
+
+
+class TestContinuedLog:
+    PARAMS = T.ThetaParams(tau=1j, r=3)
+
+    def test_loop_winds_only_around_the_enclosed_zero(self):
+        a, b = 0.02 + 0.03j, 0.3 + 0.01j
+
+        def func(w):
+            return np.array([w - a, (w - b) ** 2])
+
+        corners = [a + 0.05 * c for c in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j)]
+        total = sum(T._continued_log(func, u, v, self.PARAMS, DEFAULT)
+                    for u, v in zip(corners, corners[1:]))
+        assert total.shape == (2,)
+        assert np.abs(total - [2j * np.pi, 0.0]).max() < 1e-12
+
+    def test_near_miss_is_bisected_and_matches_closed_form(self):
+        z_from, z_to = 0.02 + 0.05j, 0.22 + 0.05j
+        a = 0.5 * (z_from + z_to) + 1e-4j
+        seen = []
+
+        def func(w):
+            seen.append(w.size)
+            return (w - a)[None]
+
+        got = T._continued_log(func, z_from, z_to, self.PARAMS, DEFAULT)
+        ref = np.log((z_to - a) / (z_from - a))
+        assert abs(ref.imag) > 3.0  # the argument turns by nearly pi
+        assert abs(got[0] - ref) < 1e-12
+        # the grid of 5 steps is evaluated once, then only the midpoints of
+        # the few steps next to the zero
+        assert seen[0] == 6 and len(seen) > 1 and max(seen[1:]) < 6
+
+    def test_segment_through_a_zero_raises(self):
+        a = 0.0731 + 0.05j
+        with pytest.raises(NumericDomainError, match="branch obstruction"):
+            T._continued_log(lambda w: (w - a)[None], 0.02 + 0.05j, 0.22 + 0.05j,
+                             self.PARAMS, DEFAULT)
+
+    def test_segment_into_a_puncture_raises(self):
+        p = self.PARAMS.puncture
+        with pytest.raises(NumericDomainError, match="branch obstruction"):
+            T._continued_log(lambda w: np.ones((1, w.size)), p - 0.1, p,
+                             self.PARAMS, DEFAULT)
 
 
 class TestBasicSection:
@@ -256,6 +342,16 @@ class TestBasicSection:
             trk.value_at(w)
         s1 = trk.value_at(z0)
         assert np.abs(s1 - s0).max() < 1e-10 * np.abs(s0).max()
+
+    def test_collinear_waypoints_match_one_segment(self):
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=3)
+        trk = T.SectionTracker(params)
+        target = trk.anchor + 0.21 + 0.08j
+        direct = trk.value_at(target)
+        trk2 = T.SectionTracker(params)
+        via = trk2.value_at(target, via=[trk2.anchor + f * (target - trk2.anchor)
+                                         for f in (0.3, 0.55)])
+        assert np.abs(via - direct).max() < 1e-13 * np.abs(direct).max()
 
     def test_basic_section_path_validation(self):
         params = T.ThetaParams(tau=1j, r=2)
