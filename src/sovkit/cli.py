@@ -232,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("--input", required=True, help="instance document (JSON)")
-        p.add_argument("--seed", type=int, default=2024)
         p.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
         p.add_argument("--out", default=None, help=f"output dir (or ${OUT_ENV})")
 
@@ -271,6 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated suite names (default: all)")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_accept)
+    # elliptic extraction draws no random numbers, so it takes no seed
+    for name in ("spectral", "sov", "flow", "theta", "accept"):
+        sub.choices[name].add_argument("--seed", type=int, default=2024)
     return parser
 
 

@@ -11,7 +11,6 @@ T_ab = I1^a I2^b and the w's carry the character multipliers
 with poles bounded by the lifted divisor.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -31,19 +30,18 @@ __all__ = [
 
 
 def reduce_to_domain(z, params: ThetaParams, origin=0.0, period2=None):
-    """Representative of z in origin + [0,1) omega1 + [0,1) period2.
+    """Representative of z (a point or an array) in origin + [0,1) omega1 +
+    [0,1) period2.
 
     ``period2`` defaults to omega2; divisor extraction passes tau for the
     r-fold tall domain.
     """
     w1 = params.omega1
     w2 = params.omega2 if period2 is None else period2
-    w = complex(z) - complex(origin)
+    w = np.asarray(z, dtype=complex) - complex(origin)
     b = w.imag / w2.imag
     a = (w.real - b * w2.real) / w1
-    afrac = a - math.floor(a)
-    bfrac = b - math.floor(b)
-    return complex(origin) + afrac * w1 + bfrac * w2
+    return complex(origin) + (a - np.floor(a)) * w1 + (b - np.floor(b)) * w2
 
 
 @dataclass(frozen=True)
@@ -311,8 +309,7 @@ def spectral_invariants(lax: EllipticLax):
     def maker(k):
         def t_k(lam):
             if np.ndim(lam):
-                b, _ = kernel._faddeev_leverrier(lax(lam))
-                return (-1.0) ** r * b[..., k]
+                return kernel.char_bipoly(lax(lam))[..., r - k]
             key = complex(lam)
             if last[0] != key:
                 last[:] = key, kernel.char_bipoly(lax(lam))
@@ -343,66 +340,59 @@ class DivisorCountReport:
     genus_prediction: int
 
 
-def _winding_along(samples):
-    """Total winding of a sampled closed loop; refuses coarse sampling."""
-    vals = np.asarray(samples, dtype=complex)
-    if np.any(np.abs(vals) == 0.0) or not np.all(np.isfinite(vals)):
-        raise ConsistencyError("winding sample hit a zero or pole")
-    dphi = np.angle(vals[1:] / vals[:-1])
-    if np.abs(dphi).max() > 2.4:
-        raise ConsistencyError("winding sampling too coarse")
-    total = dphi.sum() / (2 * np.pi)
-    rounded = int(np.round(total))
-    if abs(total - rounded) > 1e-3:
-        raise ConsistencyError("winding did not close to an integer")
-    return rounded
+def _winding(func, loop, n0=64, max_refine=7):
+    """Winding number of ``func`` around the closed polyline ``loop``.
 
+    Each edge gets ``n0`` samples; while some sample step turns the argument
+    by more than 2.4 or the total is not within 1e-3 of an integer, every
+    step is halved, up to ``max_refine`` sample sets.  ``func`` is called
+    once per set with a 1-D array of points in order along the loop (the
+    first set, then the new midpoints).
+    """
+    def sample(z):
+        vals = np.asarray(func(z), dtype=complex)
+        if np.any(vals == 0.0) or not np.all(np.isfinite(vals)):
+            raise ConsistencyError("winding sample hit a zero or pole")
+        return vals
 
-def _sample_winding(func, waypoints, n0=64, max_refine=7):
-    pts = []
-    for a, b in zip(waypoints, waypoints[1:]):
-        frac = np.arange(n0) / n0
-        pts.extend(a + (b - a) * frac)
-    pts.append(waypoints[-1])
-    for attempt in range(max_refine):
-        try:
-            return _winding_along([func(z) for z in pts])
-        except ConsistencyError as err:
-            if "integer" in str(err) or "coarse" in str(err):
-                new_pts = []
-                for a, b in zip(pts, pts[1:]):
-                    new_pts.extend([a, 0.5 * (a + b)])
-                new_pts.append(pts[-1])
-                pts = new_pts
-            else:
-                raise
+    loop = np.asarray(loop, dtype=complex)
+    frac = np.arange(n0) / n0
+    pts = np.append((loop[:-1, None] + (loop[1:] - loop[:-1])[:, None] * frac).ravel(),
+                    loop[-1])
+    vals = sample(pts)
+    for level in range(max_refine):
+        if level:
+            mids = 0.5 * (pts[:-1] + pts[1:])
+            at = np.arange(1, pts.size)
+            pts, vals = np.insert(pts, at, mids), np.insert(vals, at, sample(mids))
+        dphi = np.angle(vals[1:] / vals[:-1])
+        total = dphi.sum() / (2 * np.pi)
+        if np.abs(dphi).max() <= 2.4 and abs(total - np.round(total)) <= 1e-3:
+            return int(np.round(total))
     raise ConsistencyError("winding sampling failed to converge")
-
-
-def _circle(center, radius, n=4):
-    ang = np.exp(2j * np.pi * np.arange(n + 1) / n)
-    return [center + radius * a for a in ang]
 
 
 def count_zeros_in_domain(func, params: ThetaParams, singulars, origin,
                           period2=None):
     """Zeros of a single-valued function inside the fundamental domain.
 
-    Winding around the domain boundary minus windings around small circles
+    Winding around the domain boundary minus windings around small squares
     at the known singular points (poles of the function).  ``period2``
     (default omega2) is the domain's second side, as in ``reduce_to_domain``.
+    ``func`` takes a 1-D array of points, ordered along the loop being
+    sampled, and returns their values; it is called once per loop and
+    refinement level, so it may continue state (a section) along the points.
     """
     w1 = params.omega1
     w2 = params.omega2 if period2 is None else period2
-    corners = [origin, origin + w1, origin + w1 + w2, origin + w2, origin]
-    total = _sample_winding(func, corners)
-    for p in singulars:
-        rad = 0.04 * min(abs(params.omega1), abs(params.omega2))
-        others = [q for q in singulars if q != p]
-        if others:
-            rad = min(rad, 0.3 * min(abs(p - q) for q in others))
-        total -= _sample_winding(func, _circle(p, rad, n=4))
-    return total
+    total = _winding(func, origin + np.array([0.0, w1, w1 + w2, w2, 0.0]))
+    sing = np.asarray(singulars, dtype=complex)
+    gaps = np.abs(np.subtract.outer(sing, sing))
+    gaps[gaps == 0.0] = np.inf  # a point is not its own neighbour
+    rads = np.minimum(0.04 * min(abs(params.omega1), abs(params.omega2)),
+                      0.3 * gaps.min(axis=1, initial=np.inf))
+    square = np.exp(2j * np.pi * np.arange(5) / 4)
+    return total - sum(_winding(func, p + rad * square) for p, rad in zip(sing, rads))
 
 
 def elliptic_divisor_coords(lax: EllipticLax, component: int = 0,
@@ -434,13 +424,19 @@ def elliptic_divisor_coords(lax: EllipticLax, component: int = 0,
 def _tall_singulars(lax, origin):
     """Divisor poles and punctures, all representatives in the tall domain."""
     params = lax.params
-    r = params.r
-    out = []
-    for p in list(lax.divisor.points) + [params.puncture]:
-        for m in range(r):
-            out.append(reduce_to_domain(p + m * params.omega2, params, origin,
-                                        params.tau))
-    return out
+    pts = np.array(lax.divisor.points + (params.puncture,))
+    return reduce_to_domain(np.add.outer(pts, np.arange(params.r) * params.omega2).ravel(),
+                            params, origin, params.tau)
+
+
+def _sheet_vectors(lax, tracker, zs):
+    """Section (r, m), sheets (m, r), adjugates (m, r, r, r) and
+    adj(phi - xi I) s (m, r, r) along the path ``zs``, per (point, sheet)."""
+    svec = tracker.value_at(zs)
+    M = lax(zs)
+    xis = np.linalg.eigvals(M)
+    adj = kernel.adjugate(M[:, None] - xis[..., None, None] * np.eye(lax.params.r))
+    return svec, xis, adj, np.einsum("psij,jp->psi", adj, svec)
 
 
 def _divisor_attempt(lax, component, grid, tol, origin, full_report):
@@ -450,65 +446,49 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
     singulars = _tall_singulars(lax, origin)
 
     def safe(z):
-        return (min(abs(z - p) for p in singulars) > 2 * tol.puncture_radius)
+        return np.abs(np.subtract.outer(z, singulars)).min(axis=-1) > 2 * tol.puncture_radius
 
     # serpentine grid over the tall domain, plus rings around the singular
     # points (zeros frequently pinch into the pole clusters), with section
     # continuation along the node ordering
     na, nb = grid
     nb_tall = nb * r
-    tracker = SectionTracker(params, tol=tol)
-    nodes = []
-    for ib in range(nb_tall):
-        row = [origin + ((ia + 0.5) / na) * w1 + ((ib + 0.5) / nb_tall) * wtau
-               for ia in range(na)]
-        if ib % 2 == 1:
-            row.reverse()
-        nodes.extend(row)
-    for p in singulars:
-        for mult in (2.5, 4.0, 7.0, 12.0, 20.0):
-            rad = mult * tol.puncture_radius
-            for k in range(10):
-                nodes.append(p + rad * np.exp(2j * np.pi * (k + 0.3) / 10))
-    usable = [z for z in nodes if safe(z)]
+    ia, ib = np.arange(na), np.arange(nb_tall)[:, None]
+    ia = np.where(ib % 2 == 1, na - 1 - ia, ia)
+    rows = origin + ((ia + 0.5) / na) * w1 + ((ib + 0.5) / nb_tall) * wtau
+    rad = np.array([2.5, 4.0, 7.0, 12.0, 20.0])[:, None] * tol.puncture_radius
+    rings = singulars[:, None, None] + rad * np.exp(2j * np.pi * (np.arange(10) + 0.3) / 10)
+    nodes = np.concatenate([rows.ravel(), rings.ravel()])
+    usable = nodes[safe(nodes)]
 
     # argument principle for the sheet product of the component over the
     # tall domain, where it is single-valued and doubly periodic; this fixes
     # the target zero count before the Newton sweep
     count_tracker = SectionTracker(params, tol=tol)
 
-    def nfunc(z):
-        svec = count_tracker.value_at(z)
-        M = lax(z)
-        xis = np.linalg.eigvals(M)
-        out = 1.0 + 0.0j
-        for xi in xis:
-            v = kernel.adjugate(M - xi * np.eye(r)) @ svec
-            out *= v[component]
-        return out
+    def nfunc(zs):
+        return _sheet_vectors(lax, count_tracker, zs)[3][..., component].prod(axis=-1)
 
     winding = count_zeros_in_domain(nfunc, params, singulars, origin, wtau)
 
-    records = []
-    for z in usable:
-        svec = tracker.value_at(z)
-        M = lax(z)
-        xis = np.linalg.eigvals(M)
-        for xi in xis:
-            adj = kernel.adjugate(M - xi * np.eye(r))
-            v = adj @ svec
-            scale = max(np.abs(adj).max() * np.abs(svec).max(), 1e-30)
-            records.append((abs(v[component]) / scale, z, xi))
-    records.sort(key=lambda t: t[0])
+    # Newton seeds: every (node, sheet) pair, by the relative size of the
+    # component, then in chunks ordered by position
+    tracker = SectionTracker(params, tol=tol)
+    svec, xis, adj, v = _sheet_vectors(lax, tracker, usable)
+    scale = np.maximum(np.abs(adj).max(axis=(-2, -1)) * np.abs(svec).max(axis=0)[:, None],
+                       1e-30)
+    order = np.argsort((np.abs(v[..., component]) / scale).ravel(), kind="stable")
+    seed_z = np.repeat(usable, r)[order]
+    seed_xi = xis.ravel()[order]
 
     found_tall = []   # (z_tall, xi) with the full vector vanishing
     extras_tall = []  # component-only zeros
     chunk = 60
-    for start in range(0, len(records), chunk):
-        batch = sorted(records[start:start + chunk],
-                       key=lambda t: (t[1].imag, t[1].real))
-        for _, z0s, xi0s in batch:
-            res = _newton_curve_section(lax, tracker, component, z0s, xi0s, tol)
+    for start in range(0, order.size, chunk):
+        zc, xic = seed_z[start:start + chunk], seed_xi[start:start + chunk]
+        for k in np.lexsort((zc.real, zc.imag)):
+            res = _newton_curve_section(lax, tracker, component, complex(zc[k]),
+                                        complex(xic[k]), tol)
             if res is None:
                 continue
             z, xi, vres_full, vres_comp, svec = res
@@ -524,9 +504,7 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
         if len(found_tall) + len(extras_tall) == winding and len(found_tall) % r == 0:
             break
 
-    if winding != len(found_tall) + len(extras_tall):
-        raise ConsistencyError("missed zeros, refine grid")
-    if len(found_tall) % r != 0:
+    if winding != len(found_tall) + len(extras_tall) or len(found_tall) % r != 0:
         raise ConsistencyError("missed zeros, refine grid")
 
     # collapse the r vertical translates of each divisor class
@@ -541,15 +519,13 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
         raise ConsistencyError("missed zeros, refine grid")
 
     # genus prediction: the discriminant is elliptic on the small torus
-    def disc(z):
-        xis = np.linalg.eigvals(lax(z))
-        out = 1.0 + 0.0j
-        for i in range(r):
-            for j in range(i + 1, r):
-                out *= (xis[i] - xis[j]) ** 2
-        return out
+    pairs = np.triu_indices(r, 1)
 
-    div_small = [reduce_to_domain(p, params, origin) for p in lax.divisor.points]
+    def disc(zs):
+        xis = np.linalg.eigvals(lax(zs))
+        return ((xis[:, pairs[0]] - xis[:, pairs[1]]) ** 2).prod(axis=-1)
+
+    div_small = reduce_to_domain(np.array(lax.divisor.points), params, origin)
     branch_count = count_zeros_in_domain(disc, params, div_small, origin)
     if branch_count % 2 != 0:
         raise NumericDomainError("non-generic elliptic curve: odd branch count")

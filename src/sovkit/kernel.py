@@ -229,7 +229,7 @@ def _faddeev_leverrier(M):
 
 def _square(M):
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("matrix must be square")
     return M
 
@@ -238,19 +238,22 @@ def char_bipoly(M):
     """Coefficients of det(M - xi*I) in ascending powers of xi.
 
     Division-free Faddeev--LeVerrier scheme; the leading coefficient is
-    exactly (-1)**r.
+    exactly (-1)**r.  A stack ``M`` of shape (..., r, r) gives (..., r+1).
     """
     M = _square(M)
     b, _ = _faddeev_leverrier(M)
-    return (-1.0) ** M.shape[0] * b[::-1]
+    return (-1.0) ** M.shape[-1] * b[..., ::-1]
 
 
 def adjugate(M):
-    """Adjugate (matrix of cofactors transposed): adj(M) @ M = det(M) * I."""
+    """Adjugate (matrix of cofactors transposed): adj(M) @ M = det(M) * I.
+
+    A stack ``M`` of shape (..., r, r) gives the adjugate of every matrix.
+    """
     M = _square(M)
-    r = M.shape[0]
+    r = M.shape[-1]
     _, N = _faddeev_leverrier(M)
-    return (-1.0) ** (r - 1) * N[r - 1]
+    return (-1.0) ** (r - 1) * N[..., r - 1, :, :]
 
 
 def matpoly_char_adj(coeff_mats):

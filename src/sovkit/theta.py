@@ -6,9 +6,9 @@ branch-tracked basic section s with s_i**r = f_i.
 
 Everything is array-valued: ``f_component`` evaluates any set of components
 at any array of points with one ``riemann_theta`` call, and
-``_continued_log`` is the one continuation stepper.  It evaluates a whole
-row of steps per call, bisects only the steps that fail, and serves both the
-section tracker and the even-rank calibration.
+``_continued_log`` is the one continuation stepper.  It evaluates the steps
+of a whole polyline per call, bisects only the steps that fail, and serves
+both the section tracker and the even-rank calibration.
 """
 
 import math
@@ -70,9 +70,9 @@ class ThetaParams:
 def _reduce(z, tau):
     """Split z = z2 + k + m*tau with z2 in the centered fundamental strip."""
     z = np.asarray(z, dtype=complex)
-    m = np.round(z.imag / tau.imag)
+    m = np.rint(z.imag / tau.imag)
     z1 = z - m * tau
-    k = np.round(z1.real)
+    k = np.rint(z1.real)
     z2 = z1 - k
     return z2, z1, m
 
@@ -133,21 +133,23 @@ def puncture_distance(z, params: ThetaParams):
     w1, w2 = params.omega1, params.omega2
     bcoef = w.imag / w2.imag
     acoef = (w.real - bcoef * w2.real) / w1
-    a = acoef - np.round(acoef)
-    b = bcoef - np.round(bcoef)
+    a = acoef - np.rint(acoef)
+    b = bcoef - np.rint(bcoef)
     return np.abs(a * w1 + b * w2)
 
 
-def _continued_log(func, z_from, z_to, params: ThetaParams, tol: Tolerances):
-    """log func(z_to) - log func(z_from), continued along the straight segment.
+def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
+    """log func(node) - log func(nodes[0]) at every node of the polyline
+    ``nodes``, continued along it.
 
     ``func`` maps an ``(m,)`` array of points to ``(..., m)`` values; the
-    result has shape ``(...)``, one continued log per leading entry.  The
-    segment is cut into at least 4 steps of at most 0.05, all evaluated in one
-    call.  A step whose ratio func(z + h)/func(z) has |ratio - 1| > 0.5 in any
-    entry is bisected (only those steps, only their midpoints evaluated), so
-    no principal log is taken of a ratio far from 1.  A failing step below
-    1e-8, or a point inside the puncture radius, raises ``NumericDomainError``.
+    result has shape ``(..., len(nodes))``, the continued log at every node.
+    Each segment is cut into at least 4 steps of at most 0.05, and the whole
+    path is evaluated in one call.  A step whose ratio func(z + h)/func(z)
+    has |ratio - 1| > 0.5 in any entry is bisected (only those steps, only
+    their midpoints evaluated), so no principal log is taken of a ratio far
+    from 1.  A failing step below 1e-8, or a point inside the puncture radius,
+    raises ``NumericDomainError``.
     """
     def evaluate(pts):
         near = puncture_distance(pts, params) < tol.puncture_radius
@@ -155,14 +157,24 @@ def _continued_log(func, z_from, z_to, params: ThetaParams, tol: Tolerances):
             raise NumericDomainError(f"branch obstruction near z={pts[near][0]:.6f}")
         return func(pts)
 
-    pts = np.linspace(z_from, z_to, max(4, int(abs(z_to - z_from) / 0.05) + 1) + 1)
+    nodes = np.asarray(nodes, dtype=complex)
+    delta = nodes[1:] - nodes[:-1]
+    steps = np.maximum(4, (np.abs(delta) / 0.05).astype(int) + 1)
+    at = np.zeros(nodes.size, dtype=int)  # grid index of every node
+    at[1:] = steps.cumsum()
+    seg = np.repeat(np.arange(steps.size), steps)
+    pts = np.empty(at[-1] + 1, dtype=complex)
+    pts[1:] = nodes[seg] + (np.arange(at[-1]) - at[seg] + 1) / steps[seg] * delta[seg]
+    pts[at] = nodes
     vals = evaluate(pts)
     while True:
         ratio = vals[..., 1:] / vals[..., :-1]
         far = np.abs(ratio - 1.0) > 0.5
         bad = np.flatnonzero(far.reshape(-1, far.shape[-1]).any(axis=0))
         if bad.size == 0:
-            return np.log(ratio).sum(axis=-1)
+            logs = np.zeros(vals.shape, dtype=complex)
+            logs[..., 1:] = np.log(ratio).cumsum(axis=-1)
+            return logs[..., at]
         mids = 0.5 * (pts[bad] + pts[bad + 1])
         width = np.abs(pts[bad + 1] - pts[bad])
         if width.min() < 1e-8:
@@ -170,6 +182,7 @@ def _continued_log(func, z_from, z_to, params: ThetaParams, tol: Tolerances):
                 f"branch obstruction near z={mids[width.argmin()]:.6f}")
         pts = np.insert(pts, bad + 1, mids)
         vals = np.insert(vals, bad + 1, evaluate(mids), axis=-1)
+        at += np.searchsorted(bad, at)
 
 
 # --- even-rank quasi-periodic family ---------------------------------------
@@ -215,7 +228,7 @@ def _even_family(params: ThetaParams):
 
     # horizontal tracked-root factors fix the component labelling
     za = (0.0917 + 0.3379 * tau) / r
-    fac = np.exp(_continued_log(raw, za, za + 1.0 / r, params, DEFAULT) / r)
+    fac = np.exp(_continued_log(raw, [za, za + 1.0 / r], params, DEFAULT)[:, -1] / r)
     powers = np.round(np.angle(fac) / (2 * np.pi / r)).astype(int) % r
     if np.any(np.abs(fac - params.q_root ** powers) > 1e-8):
         raise ConsistencyError("even-rank root factor is not a root of unity")
@@ -302,10 +315,9 @@ class SectionTracker:
     (-pi/r, pi/r]) at a real reference point; the remaining components are
     anchored by continuing the whole vector once across the tau/r shift and
     chaining, which realizes the index relations the section must satisfy.
-    ``value_at`` continues the whole vector along a straight segment (or
-    through ``via`` waypoints) from the last queried point: one
-    ``_continued_log`` of all r components per segment, then values are
-    multiplied by exp(L/r).
+    ``value_at`` continues the whole vector from the last queried point
+    through a point or a path of points: one ``_continued_log`` of all r
+    components along the polyline, then values are multiplied by exp(L/r).
     """
 
     def __init__(self, params: ThetaParams, anchor: Optional[complex] = None,
@@ -319,8 +331,8 @@ class SectionTracker:
         self.anchor = complex(default if anchor is None else anchor)
         self._f = partial(f_vector, params=params, tol=tol, guard=False)
         f0 = f_vector(self.anchor, params, tol=tol)
-        across = np.exp(_continued_log(self._f, self.anchor, self.anchor + params.omega2,
-                                       params, tol) / r)
+        across = np.exp(_continued_log(self._f, [self.anchor, self.anchor + params.omega2],
+                                       params, tol)[:, -1] / r)
         s = np.zeros(r, dtype=complex)
         s[0] = abs(f0[0]) ** (1.0 / r) * np.exp(1j * np.angle(f0[0]) / r)
         for i in range(1, r):
@@ -329,17 +341,25 @@ class SectionTracker:
         self._z = self.anchor
         self._values = s
 
-    def value_at(self, z_target, via=()):
-        """Continue every component through ``via`` waypoints to ``z_target``."""
-        if not np.isfinite(complex(z_target)):
+    def value_at(self, z):
+        """Section values at ``z``, continued from the last queried point.
+
+        A scalar ``z`` gives shape (r,).  A 1-D array is read as a path: the
+        section is continued through its points in order and the values at
+        every point are returned, shape (r, len(z)).  A query that stays at
+        the current point costs no evaluation.
+        """
+        path = np.asarray(z, dtype=complex)
+        if not np.isfinite(path).all():
             raise NumericDomainError("continuation target is not finite")
-        for stop in tuple(via) + (complex(z_target),):
-            if stop == self._z:
-                continue
-            log_ratio = _continued_log(self._f, self._z, stop, self.params, self.tol)
-            self._values *= np.exp(log_ratio / self.params.r)
-            self._z = complex(stop)
-        return self._values.copy()
+        if (path == self._z).all():
+            out = np.repeat(self._values[:, None], path.size, axis=1)
+        else:
+            nodes = np.append(self._z, path)
+            logs = _continued_log(self._f, nodes, self.params, self.tol)[:, 1:]
+            out = self._values[:, None] * np.exp(logs / self.params.r)
+            self._z, self._values = complex(nodes[-1]), out[:, -1].copy()
+        return out.reshape((-1,) + path.shape)
 
 
 def basic_section(z, params: ThetaParams, path: Optional[PathSpec] = None,
@@ -353,14 +373,11 @@ def basic_section(z, params: ThetaParams, path: Optional[PathSpec] = None,
     if path is not None:
         if abs(path.waypoints[0] - tracker.anchor) > 1e-12:
             raise ValueError("path must start at the section anchor")
-        via = path.waypoints[1:-1]
-        target = path.waypoints[-1]
-        if abs(target - complex(z)) > 1e-12:
+        if abs(path.waypoints[-1] - complex(z)) > 1e-12:
             raise ValueError("path must end at the requested point")
+        stops = path.waypoints[1:]
     else:
-        via = ()
-        target = complex(z)
-    values = tracker.value_at(target, via)
-    used = (tracker.anchor,) + tuple(via) + (complex(target),)
+        stops = (complex(z),)
+    values = tracker.value_at(np.array(stops))[:, -1]
     return SectionSample(z=complex(z), values=values, anchor=tracker.anchor,
-                         path=used)
+                         path=(tracker.anchor,) + stops)

@@ -201,6 +201,12 @@ class TestElliptic:
         assert header == ["mu", "z_re", "z_im", "xi_re", "xi_im", "sheet"]
         assert len(rows) == rep["validated_count"]
 
+    def test_seed_flag_rejected(self, tmp_path):
+        # extraction draws no random numbers, so a seed would do nothing
+        path = _write_elliptic_doc(tmp_path)
+        assert main(["elliptic", "--input", str(path), "--seed", "3",
+                     "--out", str(tmp_path)]) == 2
+
     def test_unreachable_tol_scale_exits_4(self, tmp_path):
         # divisor residuals cannot reach 1e-20: the first converged Newton
         # point ends the extraction with a typed numeric-guard exit

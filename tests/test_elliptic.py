@@ -3,6 +3,7 @@ import pytest
 
 from sovkit import elliptic as E
 from sovkit import kernel
+from sovkit.errors import ConsistencyError
 from sovkit.numeric import PathSpec, integrate_path
 from sovkit.theta import SectionTracker, ThetaParams, i_matrices
 
@@ -278,6 +279,84 @@ class TestDivisorExtraction:
         zb = sorted((E.reduce_to_domain(p.z, params) for p in report_r2_n1.points),
                     key=lambda w: (round(w.real, 8), round(w.imag, 8)))
         assert max(abs(a - b) for a, b in zip(za, zb)) < 1e-10
+
+
+SQUARE = 0.3 + 0.2j + 0.1 * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
+CIRCLE = 0.3 + 0.2j + 0.01 * np.exp(2j * np.pi * np.arange(5) / 4)
+UNIT = 0.5 * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])  # samples 1/64 apart
+
+
+class Counted:
+    """Wraps a loop function and records the size of every call."""
+
+    def __init__(self, func):
+        self.func = func
+        self.sizes = []
+
+    def __call__(self, z):
+        assert np.ndim(z) == 1
+        self.sizes.append(np.size(z))
+        return self.func(z)
+
+
+class TestWinding:
+    @pytest.mark.parametrize("k", [1, -1, 2, -2])
+    @pytest.mark.parametrize("loop", [SQUARE, CIRCLE], ids=["square", "circle"])
+    def test_power_inside_and_outside(self, loop, k):
+        center = loop[:-1].mean()
+        for a, expected in ((center + 0.002 - 0.001j, k), (center + 0.5, 0)):
+            func = Counted(lambda z: (z - a) ** k)
+            assert E._winding(func, loop) == expected
+            assert func.sizes == [4 * 64 + 1]
+
+    def test_loop_through_a_zero_raises(self):
+        with pytest.raises(ConsistencyError, match="zero or pole"):
+            E._winding(lambda z: z - SQUARE[1], SQUARE)
+
+    def test_zero_near_the_loop_is_refined(self):
+        # the zeros sit 1e-3 off the top edge, between two samples
+        x = -0.3137 / 64
+        for a, expected in ((x + 0.501j, 0), (x + 0.499j, 1)):
+            func = Counted(lambda z: z - a)
+            assert E._winding(func, UNIT) == expected
+            # one call per level: the first samples, then only the new midpoints
+            assert len(func.sizes) > 1
+            assert func.sizes == [257] + [256 * 2 ** i for i in range(len(func.sizes) - 1)]
+
+    def test_unresolvable_zero_fails_to_converge(self):
+        a = -0.3137 / 64 + (0.5 + 1e-7) * 1j
+        func = Counted(lambda z: z - a)
+        with pytest.raises(ConsistencyError, match="failed to converge"):
+            E._winding(func, UNIT)
+        assert len(func.sizes) == 7
+
+    def test_count_calls_func_once_per_loop(self):
+        params = ThetaParams(tau=TAU, r=2)
+        origin = 0.013 * params.omega1 + 0.017 * params.omega2
+        a = origin + 0.4 * params.omega1 + 0.6 * params.omega2
+        poles = [origin + 0.7 * params.omega1 + 0.2 * params.omega2,
+                 origin + 0.2 * params.omega1 + 0.3 * params.omega2]
+        func = Counted(lambda z: (z - a) ** 2 / ((z - poles[0]) * (z - poles[1])))
+        assert E.count_zeros_in_domain(func, params, poles, origin) == 2
+        assert func.sizes == [4 * 64 + 1] * 3
+
+    def test_extraction_samples_whole_loops(self, setup_r2_n1, monkeypatch):
+        # every counting function of the extraction is sampled on arrays:
+        # one call per loop and refinement level, never one per point
+        _, _, _, lax = setup_r2_n1
+        calls = []
+        winding = E._winding
+
+        def counted(func, loop):
+            calls.append(Counted(func))
+            return winding(calls[-1], loop)
+
+        monkeypatch.setattr(E, "_winding", counted)
+        E.elliptic_divisor_coords(lax)
+        assert calls
+        for c in calls:
+            assert c.sizes[0] == 4 * 64 + 1
+            assert c.sizes[1:] == [256 * 2 ** i for i in range(len(c.sizes) - 1)]
 
 
 class TestSlrReduce:

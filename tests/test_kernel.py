@@ -109,6 +109,20 @@ class TestCharAdj:
         assert s[0] > 1e-6
         assert np.all(s[1:] < 1e-8 * s[0])
 
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(9)
+        M = rng.standard_normal((3, 2, 4, 4)) + 1j * rng.standard_normal((3, 2, 4, 4))
+        adj, char = kernel.adjugate(M), kernel.char_bipoly(M)
+        assert adj.shape == M.shape and char.shape == (3, 2, 5)
+        for idx in np.ndindex(3, 2):
+            ref = kernel.adjugate(M[idx])
+            assert np.abs(adj[idx] - ref).max() < 1e-13 * np.abs(ref).max()
+            ref = kernel.char_bipoly(M[idx])
+            assert np.abs(char[idx] - ref).max() < 1e-13 * np.abs(ref).max()
+        for bad in (np.ones(3), np.ones((2, 3, 4))):
+            with pytest.raises(ValueError, match="square"):
+                kernel.adjugate(bad)
+
 
 class TestMatpolyCharAdj:
     def test_matches_pointwise_eval(self):

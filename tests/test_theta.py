@@ -1,7 +1,7 @@
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -31,15 +31,23 @@ class TestRiemannTheta:
            z=arrays(complex, st.tuples(st.integers(1, 3), st.integers(1, 4)),
                     elements=st.complex_numbers(max_magnitude=2.5, allow_nan=False,
                                                 allow_infinity=False)))
+    @example(tau=0.6j, z=np.array([[1.5 + 1.5j]]))  # a zero of theta
     def test_batched_against_mpmath(self, tau, z):
         params = T.ThetaParams(tau=tau, r=2)
         ours = T.riemann_theta(z, params)
         assert ours.shape == z.shape
         with mp.workdps(30):
-            q = mp.exp(1j * mp.pi * mp.mpc(tau))
+            tau_mp = mp.mpc(tau)
+            q = mp.exp(1j * mp.pi * tau_mp)
             for idx in np.ndindex(z.shape):
-                ref = complex(mp.jtheta(3, mp.pi * mp.mpc(z[idx]), q))
-                assert abs(ours[idx] - ref) < 1e-12 * max(1.0, abs(ref))
+                z_mp = mp.mpc(z[idx])
+                ref = complex(mp.jtheta(3, mp.pi * z_mp, q))
+                # the sum of the moduli of the series terms: rounding error
+                # scales with it, and it exceeds |ref| only where terms cancel
+                terms = float(mp.fsum(
+                    abs(mp.exp(1j * mp.pi * n ** 2 * tau_mp + 2j * mp.pi * n * z_mp))
+                    for n in range(-40, 41)))
+                assert abs(ours[idx] - ref) < 1e-12 * max(1.0, abs(ref), terms)
 
     @pytest.mark.parametrize("tau", TAUS)
     def test_zero_at_half_periods(self, tau):
@@ -247,8 +255,7 @@ class TestContinuedLog:
             return np.array([w - a, (w - b) ** 2])
 
         corners = [a + 0.05 * c for c in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j)]
-        total = sum(T._continued_log(func, u, v, self.PARAMS, DEFAULT)
-                    for u, v in zip(corners, corners[1:]))
+        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[:, -1]
         assert total.shape == (2,)
         assert np.abs(total - [2j * np.pi, 0.0]).max() < 1e-12
 
@@ -261,7 +268,7 @@ class TestContinuedLog:
             seen.append(w.size)
             return (w - a)[None]
 
-        got = T._continued_log(func, z_from, z_to, self.PARAMS, DEFAULT)
+        got = T._continued_log(func, [z_from, z_to], self.PARAMS, DEFAULT)[:, -1]
         ref = np.log((z_to - a) / (z_from - a))
         assert abs(ref.imag) > 3.0  # the argument turns by nearly pi
         assert abs(got[0] - ref) < 1e-12
@@ -272,14 +279,27 @@ class TestContinuedLog:
     def test_segment_through_a_zero_raises(self):
         a = 0.0731 + 0.05j
         with pytest.raises(NumericDomainError, match="branch obstruction"):
-            T._continued_log(lambda w: (w - a)[None], 0.02 + 0.05j, 0.22 + 0.05j,
+            T._continued_log(lambda w: (w - a)[None], [0.02 + 0.05j, 0.22 + 0.05j],
                              self.PARAMS, DEFAULT)
 
     def test_segment_into_a_puncture_raises(self):
         p = self.PARAMS.puncture
         with pytest.raises(NumericDomainError, match="branch obstruction"):
-            T._continued_log(lambda w: np.ones((1, w.size)), p - 0.1, p,
+            T._continued_log(lambda w: np.ones((1, w.size)), [p - 0.1, p],
                              self.PARAMS, DEFAULT)
+
+    def test_node_logs_match_closed_form(self):
+        a, b = 0.4 + 0.3j, -0.2 - 0.25j
+        nodes = np.array([0.02 + 0.05j, 0.17 + 0.02j, 0.11 + 0.19j])
+
+        def func(w):
+            return np.array([w - a, (w - b) ** 2])
+
+        got = T._continued_log(func, nodes, self.PARAMS, DEFAULT)
+        ref = np.array([np.log((nodes - a) / (nodes[0] - a)),
+                        2 * np.log((nodes - b) / (nodes[0] - b))])
+        assert got.shape == (2, 3)
+        assert np.abs(got - ref).max() < 1e-12
 
 
 class TestBasicSection:
@@ -349,9 +369,37 @@ class TestBasicSection:
         target = trk.anchor + 0.21 + 0.08j
         direct = trk.value_at(target)
         trk2 = T.SectionTracker(params)
-        via = trk2.value_at(target, via=[trk2.anchor + f * (target - trk2.anchor)
-                                         for f in (0.3, 0.55)])
+        via = trk2.value_at(trk2.anchor + np.array([0.3, 0.55, 1.0])
+                            * (target - trk2.anchor))[:, -1]
         assert np.abs(via - direct).max() < 1e-13 * np.abs(direct).max()
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_path_matches_successive_points(self, r):
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
+        trk = T.SectionTracker(params)
+        # a repeated point, a loop around a puncture and back
+        p = params.puncture
+        rad = 0.45 / r
+        path = np.array([trk.anchor, trk.anchor + 0.05, p + rad, p + rad * 1j,
+                         p - rad, p - rad * 1j, p + rad, p + rad, trk.anchor])
+        got = trk.value_at(path)
+        assert got.shape == (r, path.size)
+        trk2 = T.SectionTracker(params)
+        ref = np.array([trk2.value_at(w) for w in path]).T
+        assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
+        # the tracker continues from the end of the path
+        assert np.abs(trk.value_at(trk.anchor + 0.05) - trk2.value_at(trk.anchor + 0.05)
+                      ).max() < 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.inf)])
+    def test_non_finite_path_point_raises(self, bad):
+        params = T.ThetaParams(tau=1j, r=3)
+        trk = T.SectionTracker(params)
+        path = np.array([trk.anchor + 0.05, bad, trk.anchor + 0.1])
+        with pytest.raises(NumericDomainError, match="not finite"):
+            trk.value_at(path)
+        with pytest.raises(NumericDomainError, match="not finite"):
+            trk.value_at(bad)
 
     def test_basic_section_path_validation(self):
         params = T.ThetaParams(tau=1j, r=2)
