@@ -408,7 +408,8 @@ def suite_elliptic(config: ExperimentConfig):
                      "winding": rep.winding_count,
                      "component_only": rep.component_only_count,
                      "branch_points": rep.branch_count,
-                     "genus_prediction": rep.genus_prediction}))
+                     "genus_prediction": rep.genus_prediction,
+                     "attempts": rep.attempts}))
 
         red = ell.slr_reduce(rep.points)
         slr_resid = max(abs(sum(p.z for p in red)),

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import kernel
 from .errors import ConsistencyError, ConvergenceError, NumericDomainError
-from .theta import (SectionTracker, ThetaParams, f_vector, i_matrices,
-                    riemann_theta, theta_deriv)
+from .theta import SectionTracker, ThetaParams, ThetaQuotients, f_quotients, i_matrices
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -70,46 +69,15 @@ class EllipticDivisor:
         )
 
 
-class _FlatBasis:
-    """Basis elements flattened into arrays, evaluated with one theta call.
-
-    Element ``e`` is ``exp(2 pi i gamma[e] u) * prod_f chi(u - w_f)**powers[e, f]``
-    in ``u = r lambda``, over the distinct zeros and poles ``w_f`` of all
-    elements (power +1 per zero, -1 per pole, 0 elsewhere).  The theta
-    arguments ``u + shifts[f]``, ``shifts = (1+tau)/2 - w``, go through one
-    ``riemann_theta`` call of shape ``(..., F)``.
-    """
-
-    def __init__(self, params: ThetaParams, elements):
-        self.params = params
-        self.gamma = np.array([w.gamma for w in elements], dtype=complex)
-        half = (1.0 + params.tau) / 2.0
-        self.shifts = np.unique(np.array(
-            [half - w for el in elements for w in el.zeros + el.poles], dtype=complex))
-        # complex, so that the power and the matmul below need no cast
-        self.powers = np.array(
-            [[sum(half - w == s for w in el.zeros) - sum(half - w == s for w in el.poles)
-              for s in self.shifts] for el in elements],
-            dtype=complex).reshape(len(elements), self.shifts.size)
-
-    def _theta(self, lam):
-        u = self.params.r * np.asarray(lam, dtype=complex)
-        return u, riemann_theta(u[..., None] + self.shifts, self.params)
-
-    def _quotients(self, u, th):
-        return (np.exp(2j * np.pi * self.gamma * u[..., None])
-                * (th[..., None, :] ** self.powers).prod(axis=-1))
-
-    def values(self, lam):
-        """Every element at ``lam`` of shape (...): shape (..., E)."""
-        return self._quotients(*self._theta(lam))
-
-    def derivs(self, lam):
-        """d/dlambda of every element at ``lam`` of shape (...): (..., E)."""
-        u, th = self._theta(lam)
-        logd = theta_deriv(u[..., None] + self.shifts, self.params) / th
-        return (self.params.r * self._quotients(u, th)
-                * (2j * np.pi * self.gamma + logd @ self.powers.T))
+def _quotients(params: ThetaParams, elements) -> ThetaQuotients:
+    """Basis elements as one evaluator in ``u = r lambda``: a zero (power +1)
+    or pole (power -1) ``w`` is the factor ``chi(u - w) = theta(u + (1+tau)/2 - w)``."""
+    half = (1.0 + params.tau) / 2.0
+    shifts = [half - w for el in elements for w in el.zeros + el.poles]
+    owner = [e for e, el in enumerate(elements) for _ in el.zeros + el.poles]
+    signs = [s for el in elements for s in (1.0,) * len(el.zeros) + (-1.0,) * len(el.poles)]
+    powers = (np.arange(len(elements))[:, None] == owner) * np.array(signs)
+    return ThetaQuotients(params, shifts, powers, [el.gamma for el in elements], 1.0, params.r)
 
 
 class BasisFunction:
@@ -126,13 +94,12 @@ class BasisFunction:
         self.gamma = complex(gamma)
         self.zeros = tuple(complex(w) for w in zeros)
         self.poles = tuple(complex(w) for w in poles)
-        self._flat = _FlatBasis(params, [self])
 
     def __call__(self, lam):
-        return self._flat.values(lam)[..., 0]
+        return _quotients(self.params, [self])(lam)[..., 0]
 
     def deriv(self, lam):
-        return self._flat.derivs(lam)[..., 0]
+        return np.multiply(*_quotients(self.params, [self]).logderivs(lam))[..., 0]
 
 
 def build_basis(divisor: EllipticDivisor, params: ThetaParams,
@@ -208,7 +175,7 @@ def _validate_basis(basis, div, params, tol):
     n = div.degree
     bound = tol.basis_multiplier
     for (a, b), elements in basis.items():
-        v0, v1, v2 = _FlatBasis(params, elements).values(shifted)
+        v0, v1, v2 = _quotients(params, elements)(shifted)
         nz = v0 != 0
         r1 = v1[nz] / v0[nz]
         r2 = v2[nz] / v0[nz]
@@ -243,8 +210,8 @@ class EllipticLax:
         r = self.params.r
         I1, I2 = i_matrices(r)
         keys = list(self.coeffs)
-        self._flat = _FlatBasis(self.params,
-                                [w for key in keys for w in self.basis[key]])
+        self._quotients = _quotients(self.params,
+                                     [w for key in keys for w in self.basis[key]])
         T = {(a, b): np.linalg.matrix_power(I1, a) @ np.linalg.matrix_power(I2, b)
              for a, b in keys}
         # each element's coefficient times T_ab of its character: (E, r*r)
@@ -253,11 +220,12 @@ class EllipticLax:
 
     def __call__(self, lam):
         r = self.params.r
-        return (self._flat.values(lam) @ self._mats).reshape(np.shape(lam) + (r, r))
+        return (self._quotients(lam) @ self._mats).reshape(np.shape(lam) + (r, r))
 
     def deriv(self, lam):
         r = self.params.r
-        return (self._flat.derivs(lam) @ self._mats).reshape(np.shape(lam) + (r, r))
+        return (np.multiply(*self._quotients.logderivs(lam))
+                @ self._mats).reshape(np.shape(lam) + (r, r))
 
 
 def assemble_lax(coeffs, divisor: EllipticDivisor, params: ThetaParams,
@@ -338,6 +306,7 @@ class DivisorCountReport:
     winding_count: int
     branch_count: int
     genus_prediction: int
+    attempts: int  # grids tried, 1 when the first one settles
 
 
 def _winding(func, loop, n0=64, max_refine=7):
@@ -411,13 +380,12 @@ def elliptic_divisor_coords(lax: EllipticLax, component: int = 0,
     for attempt, jitter in enumerate(
             (0.013 + 0.017j, 0.047 + 0.031j, 0.081 + 0.059j)):
         origin = jitter.real * lax.params.omega1 + jitter.imag * lax.params.omega2
-        na, nb = grid
-        scaled = (na + 6 * attempt, nb + 4 * attempt)
+        scaled = (grid[0] + 6 * attempt, grid[1] + 4 * attempt)
         try:
-            return _divisor_attempt(lax, component, scaled, tol, origin,
-                                    full_report)
+            report = _divisor_attempt(lax, component, scaled, tol, origin, attempt + 1)
         except ConsistencyError:
             continue
+        return report if full_report else report.points
     raise ConsistencyError("missed zeros, refine grid")
 
 
@@ -439,7 +407,7 @@ def _sheet_vectors(lax, tracker, zs):
     return svec, xis, adj, np.einsum("psij,jp->psi", adj, svec)
 
 
-def _divisor_attempt(lax, component, grid, tol, origin, full_report):
+def _divisor_attempt(lax, component, grid, tol, origin, attempts):
     params = lax.params
     r = params.r
     w1, wtau = params.omega1, params.tau
@@ -491,7 +459,7 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
                                         complex(xic[k]), tol)
             if res is None:
                 continue
-            z, xi, vres_full, vres_comp, svec = res
+            z, xi, vres_full = res
             ztall = reduce_to_domain(z, params, origin, wtau)
             if not safe(ztall):
                 continue
@@ -538,85 +506,70 @@ def _divisor_attempt(lax, component, grid, tol, origin, full_report):
         sheet = int(np.argmin(np.abs(xis - xi)))
         points.append(FundamentalDomainPoint(z=zshift, xi=xi, sheet=sheet))
 
-    if full_report:
-        return DivisorCountReport(
-            points=points, validated_count=len(classes),
-            component_only_count=len(extras_tall), winding_count=winding,
-            branch_count=branch_count, genus_prediction=genus_pred)
-    return points
+    return DivisorCountReport(
+        points=points, validated_count=len(classes),
+        component_only_count=len(extras_tall), winding_count=winding,
+        branch_count=branch_count, genus_prediction=genus_pred, attempts=attempts)
+
+
+def _curve_section_system(lax, tracker, component, z, xi):
+    """``(P, h)`` at (z, xi), with ``P = det M``, ``h = (adj(M) s)_c``,
+    ``M = phi(z) - xi I`` and ``s`` the section; its exact Jacobian in
+    (z, xi); ``adj(M)`` and ``s``.  The characteristic data of the pencil
+    ``M + w t phi'`` give ``P``, ``adj(M)`` and their xi- and w-derivatives
+    (``d/dz = d/dw / t``); ``t`` brings ``t phi'`` to the size of ``M`` so the
+    interpolation inside keeps the residual's precision.
+    """
+    s = tracker.value_at(z)
+    ds = s * f_quotients(lax.params).logderivs(z)[1] / lax.params.r
+    dphi = lax.deriv(z)
+    M = lax(z) - xi * np.eye(lax.params.r)
+    t = max(1.0, np.abs(M).max()) / max(1.0, np.abs(dphi).max())
+    C, A = kernel.matpoly_char_adj(np.stack([M, t * dphi]))
+    adj = A[0, ..., 0]
+    h_z = (A[0, ..., 1] @ s / t + adj @ ds)[component]
+    # adj(M) has degree r - 1 in xi: the sum is empty, and 0, at r = 1
+    h_xi = (A[1:2, ..., 0].sum(axis=0) @ s)[component]
+    J = np.array([[C[0, 1] / t, C[1, 0]], [h_z, h_xi]])
+    return np.array([C[0, 0], (adj @ s)[component]]), J, adj, s
 
 
 def _newton_curve_section(lax, tracker, component, z, xi, tol, max_iter=40):
+    """Newton on ``_curve_section_system`` from the seed (z, xi): returns
+    ``(z, xi, vres_full)``, ``vres_full`` the relative size of the whole
+    vector ``adj(M) s``, or None for a seed that leaves the domain, diverges
+    or stalls."""
     params = lax.params
-    r = params.r
-    eye = np.eye(r)
-    h_fd = 1e-7
-    z_start = z
-
-    def h_of(phi, xiv, svec):
-        adj = kernel.adjugate(phi - xiv * eye)
-        return (adj @ svec)[component]
-
-    for _ in range(max_iter):
+    span = abs(params.omega1) + abs(params.tau)
+    z_start, step = z, None
+    for _ in range(max_iter + 1):
         try:
-            svec = tracker.value_at(z)
-        except NumericDomainError:
+            F, J, adj, svec = _curve_section_system(lax, tracker, component, z, xi)
+            if step is not None and np.abs(step).max() < 1e-13 * max(1.0, abs(z), abs(xi)):
+                break
+            step = np.linalg.solve(J, F)
+        except (NumericDomainError, np.linalg.LinAlgError):
             return None
-        phi = lax(z)
-        M = phi - xi * eye
-        adj = kernel.adjugate(M)
-        pval = complex(np.linalg.det(M))
-        hval = (adj @ svec)[component]
-        dP_dxi = -np.trace(adj)
-        dP_dz = np.trace(adj @ lax.deriv(z))
-        # the principal root of f(z +- h)/f(z), a ratio this close to 1, is
-        # the one-step continuation of the section from z
-        try:
-            fz = f_vector(z + np.array([0.0, h_fd, -h_fd]), params, tol=tol)
-        except NumericDomainError:
-            return None
-        s_p, s_m = (svec[:, None] * (fz[:, 1:] / fz[:, :1]) ** (1.0 / r)).T
-        dh_dz = (h_of(lax(z + h_fd), xi, s_p) - h_of(lax(z - h_fd), xi, s_m)) / (2 * h_fd)
-        dh_dxi = (h_of(phi, xi + h_fd, svec) - h_of(phi, xi - h_fd, svec)) / (2 * h_fd)
-        J = np.array([[dP_dz, dP_dxi], [dh_dz, dh_dxi]])
-        try:
-            step = np.linalg.solve(J, np.array([pval, hval]))
-        except np.linalg.LinAlgError:
-            return None
-        span = abs(params.omega1) + abs(params.tau)
         if not np.all(np.isfinite(step)) or abs(step[0]) > span:
             return None
-        z = z - step[0]
-        xi = xi - step[1]
+        z, xi = z - step[0], xi - step[1]
         if abs(z - z_start) > 2.0 * span:
             return None
-        if np.abs(step).max() < 1e-13 * max(1.0, abs(z), abs(xi)):
-            break
     else:
         return None
 
-    try:
-        svec = tracker.value_at(z)
-    except NumericDomainError:
-        return None
-    phi = lax(z)
-    M = phi - xi * eye
-    adj = kernel.adjugate(M)
-    v = adj @ svec
     scale = max(np.abs(adj).max() * np.abs(svec).max(), 1e-30)
-    vres_full = float(np.abs(v).max() / scale)
-    vres_comp = float(abs(v[component]) / scale)
-    pscale = max(np.abs(kernel.char_bipoly(phi)).max() *
-                 max(1.0, abs(xi)) ** r, 1e-30)
-    pres = abs(np.linalg.det(M)) / pscale
+    pscale = max(np.abs(kernel.char_bipoly(lax(z))).max() *
+                 max(1.0, abs(xi)) ** params.r, 1e-30)
+    resid = max(abs(F[0]) / pscale, abs(F[1]) / scale)
     # Newton has converged to rounding here, so a residual above the gate
     # means the gate is out of reach, not that this seed was unlucky
-    if max(pres, vres_comp) > tol.divisor * 10:
+    if resid > tol.divisor * 10:
         raise ConvergenceError(
-            f"divisor Newton converged to residual {max(pres, vres_comp):.1e}, "
+            f"divisor Newton converged to residual {resid:.1e}, "
             f"above the gate {tol.divisor * 10:.1e}; tol.divisor is too tight",
             best=(z, xi))
-    return z, xi, vres_full, vres_comp, svec
+    return z, xi, float(np.abs(adj @ svec).max() / scale)
 
 
 def slr_reduce(points: Sequence[FundamentalDomainPoint]):

@@ -4,16 +4,17 @@ Provides the standard theta series, the shifted families used for odd and
 even rank, the quasi-periodic products f_j, the automorphy matrices, and the
 branch-tracked basic section s with s_i**r = f_i.
 
-Everything is array-valued: ``f_component`` evaluates any set of components
-at any array of points with one ``riemann_theta`` call, and
-``_continued_log`` is the one continuation stepper.  It evaluates the steps
-of a whole polyline per call, bisects only the steps that fail, and serves
-both the section tracker and the even-rank calibration.
+Everything is array-valued.  ``ThetaQuotients`` evaluates theta quotients
+(the f_j of both parities, the elliptic Lax basis) and their exact
+log-derivatives from one series pass.  ``_continued_log`` is the one
+continuation stepper: it evaluates a whole polyline per call, bisects only
+the failing steps, and serves the section tracker and the even-rank
+calibration.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -23,8 +24,8 @@ from .numeric import PathSpec
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "ThetaParams", "SectionSample", "SectionTracker", "riemann_theta",
-    "theta_deriv", "theta_kj", "xi_kj", "rho_shift", "f_component", "f_vector",
+    "ThetaParams", "ThetaQuotients", "SectionSample", "SectionTracker", "riemann_theta",
+    "theta_deriv", "theta_kj", "xi_kj", "rho_shift", "f_component", "f_vector", "f_quotients",
     "puncture_distance", "i_matrices", "basic_section",
 ]
 
@@ -77,30 +78,62 @@ def _reduce(z, tau):
     return z2, z1, m
 
 
-def riemann_theta(z, params: ThetaParams):
-    """theta(z) = sum_n exp(pi i n^2 tau + 2 pi i n z), lattice-reduced."""
+def _series(z, params: ThetaParams, deriv: bool):
+    """theta(z), or (theta(z), theta'(z)) from one pass of the series."""
     tau = params.tau
     z2, z1, m = _reduce(z, tau)
     n = np.arange(-params.trunc, params.trunc + 1)
-    expo = (1j * np.pi * tau) * n ** 2 + (2j * np.pi) * np.multiply.outer(z2, n)
-    series = np.exp(expo).sum(axis=-1)
+    terms = np.exp((1j * np.pi * tau) * n ** 2 + (2j * np.pi) * np.multiply.outer(z2, n))
     factor = np.exp(-1j * np.pi * m ** 2 * tau - 2j * np.pi * m * z1)
-    out = factor * series
+    value = factor * terms.sum(axis=-1)
+    if deriv:
+        return value, factor * (terms @ (2j * np.pi * n)) - 2j * np.pi * m * value
+    return value
+
+
+def riemann_theta(z, params: ThetaParams):
+    """theta(z) = sum_n exp(pi i n^2 tau + 2 pi i n z), lattice-reduced."""
+    out = _series(z, params, False)
     return out if out.shape else complex(out)
 
 
 def theta_deriv(z, params: ThetaParams):
     """d theta / dz with the same lattice reduction."""
-    tau = params.tau
-    z2, z1, m = _reduce(z, tau)
-    n = np.arange(-params.trunc, params.trunc + 1)
-    expo = (1j * np.pi * tau) * n ** 2 + (2j * np.pi) * np.multiply.outer(z2, n)
-    terms = np.exp(expo)
-    series = terms.sum(axis=-1)
-    dseries = (terms * (2j * np.pi * n)).sum(axis=-1)
-    factor = np.exp(-1j * np.pi * m ** 2 * tau - 2j * np.pi * m * z1)
-    out = factor * (dseries - 2j * np.pi * m * series)
+    out = _series(z, params, True)[1]
     return out if out.shape else complex(out)
+
+
+class ThetaQuotients:
+    """Theta quotients ``c_e exp(2 pi i gamma_e u) prod_f theta(u + s_f)**p_ef``
+    in ``u = scale * z`` (theta of ``params``), every factor of every element
+    from one series pass; elements go on the last axis of every result.
+    ``shifts`` (F,) may repeat: equal shifts merge, adding their ``powers``
+    (E, F) columns, so each distinct theta factor is evaluated once.
+    """
+
+    def __init__(self, params: ThetaParams, shifts, powers, gamma, coef, scale):
+        self.params, self.coef, self.scale = params, coef, scale
+        self.shifts, inverse = np.unique(np.asarray(shifts, dtype=complex), return_inverse=True)
+        # complex, so that the power and the matmul below need no cast
+        self.powers = np.asarray(powers, dtype=complex) @ (
+            inverse[:, None] == np.arange(self.shifts.size))
+        self.phase = 2j * np.pi * np.asarray(gamma, dtype=complex)
+
+    def _quotients(self, u, th):
+        return (self.coef * np.exp(self.phase * u[..., None])
+                * (th[..., None, :] ** self.powers).prod(axis=-1))
+
+    def __call__(self, z):
+        """Every element at ``z`` of shape (...): shape (..., E)."""
+        u = self.scale * np.asarray(z, dtype=complex)
+        return self._quotients(u, riemann_theta(u[..., None] + self.shifts, self.params))
+
+    def logderivs(self, z):
+        """Values and log-derivatives ``d/dz log q_e`` at ``z``, both (..., E)."""
+        u = self.scale * np.asarray(z, dtype=complex)
+        th, dth = _series(u[..., None] + self.shifts, self.params, True)
+        return (self._quotients(u, th),
+                self.scale * (self.phase + (dth / th) @ self.powers.T))
 
 
 def theta_kj(z, k: int, j: int, params: ThetaParams):
@@ -142,20 +175,25 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
     """log func(node) - log func(nodes[0]) at every node of the polyline
     ``nodes``, continued along it.
 
-    ``func`` maps an ``(m,)`` array of points to ``(..., m)`` values; the
-    result has shape ``(..., len(nodes))``, the continued log at every node.
-    Each segment is cut into at least 4 steps of at most 0.05, and the whole
-    path is evaluated in one call.  A step whose ratio func(z + h)/func(z)
-    has |ratio - 1| > 0.5 in any entry is bisected (only those steps, only
-    their midpoints evaluated), so no principal log is taken of a ratio far
-    from 1.  A failing step below 1e-8, or a point inside the puncture radius,
-    raises ``NumericDomainError``.
+    ``func`` maps an ``(m,)`` array of points to ``(f, f'/f)``, two arrays of
+    shape ``(..., m)``; the result has shape ``(..., len(nodes))``, the
+    continued log at every node.  Each segment is cut into at least 4 steps
+    of at most 0.05, and the whole path is evaluated in one call.  A step is
+    bisected (only those steps, only their midpoints evaluated) when its
+    ratio f(z + h)/f(z) has |ratio - 1| > 0.5 in any entry, so no principal
+    log is taken of a ratio far from 1, or when |h| |f'/f| > 1 at one of its
+    ends in any entry, so no step straddles a zero: across a zero of even
+    order the ratio comes back close to 1 after the argument has turned by a
+    multiple of 2 pi.  A failing step below 1e-8, or a point inside the
+    puncture radius, raises ``NumericDomainError``.
     """
     def evaluate(pts):
         near = puncture_distance(pts, params) < tol.puncture_radius
         if np.any(near):
             raise NumericDomainError(f"branch obstruction near z={pts[near][0]:.6f}")
-        return func(pts)
+        vals, logd = func(pts)
+        # the steepest entry at every point
+        return vals, np.abs(logd).reshape(-1, pts.size).max(axis=0)
 
     nodes = np.asarray(nodes, dtype=complex)
     delta = nodes[1:] - nodes[:-1]
@@ -166,27 +204,44 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
     pts = np.empty(at[-1] + 1, dtype=complex)
     pts[1:] = nodes[seg] + (np.arange(at[-1]) - at[seg] + 1) / steps[seg] * delta[seg]
     pts[at] = nodes
-    vals = evaluate(pts)
+    vals, slope = evaluate(pts)
     while True:
         ratio = vals[..., 1:] / vals[..., :-1]
-        far = np.abs(ratio - 1.0) > 0.5
-        bad = np.flatnonzero(far.reshape(-1, far.shape[-1]).any(axis=0))
+        width = np.abs(np.diff(pts))
+        far = (np.abs(ratio - 1.0) > 0.5).reshape(-1, width.size).any(axis=0)
+        bad = np.flatnonzero(far | (width * np.maximum(slope[:-1], slope[1:]) > 1.0))
         if bad.size == 0:
             logs = np.zeros(vals.shape, dtype=complex)
             logs[..., 1:] = np.log(ratio).cumsum(axis=-1)
             return logs[..., at]
         mids = 0.5 * (pts[bad] + pts[bad + 1])
-        width = np.abs(pts[bad + 1] - pts[bad])
-        if width.min() < 1e-8:
+        if width[bad].min() < 1e-8:
             raise NumericDomainError(
-                f"branch obstruction near z={mids[width.argmin()]:.6f}")
+                f"branch obstruction near z={mids[width[bad].argmin()]:.6f}")
+        new_vals, new_slope = evaluate(mids)
         pts = np.insert(pts, bad + 1, mids)
-        vals = np.insert(vals, bad + 1, evaluate(mids), axis=-1)
+        vals = np.insert(vals, bad + 1, new_vals, axis=-1)
+        slope = np.insert(slope, bad + 1, new_slope)
         at += np.searchsorted(bad, at)
 
 
-# --- even-rank quasi-periodic family ---------------------------------------
+# --- the quasi-periodic families f_j: ThetaQuotients over the components ----
 #
+# For odd r, with theta_kl = theta(z + (k + l tau)/r),
+#
+#     f_j = c_j prod_k theta_kj^(r-2) theta_kj(. + rho_j tau) / prod_{l != j} theta_kl
+
+@lru_cache(maxsize=32)
+def _odd_family(params: ThetaParams):
+    r, tau, ks = params.r, params.tau, np.arange(params.r)
+    grid = (ks[:, None] + ks * tau) / r  # (k, l)
+    own = np.broadcast_to(np.eye(r)[:, None, :], (r, r, r))  # (j, k, l): l == j
+    powers = np.stack([(r - 1) * own - 1, own], axis=1).reshape(r, -1)
+    coef = np.exp(2j * np.pi * tau * ((r - 1) * ks * (ks + 1 - r) / 2.0))
+    return ThetaQuotients(params, np.stack([grid, grid + rho_shift(ks, r) * tau]).ravel(),
+                          powers, np.zeros(r), coef, 1.0)
+
+
 # For even r the puncture-stack zero placement is obstructed (the Abel class
 # of stack-supported zeros is off by a half period), so the family is built
 # in u = r z coordinates on the (1, r tau) torus as
@@ -201,24 +256,18 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
 @lru_cache(maxsize=32)
 def _even_family(params: ThetaParams):
     r, tau = params.r, params.tau
-    taub = r * tau
-    base = ThetaParams(tau=taub, r=r)
+    base = ThetaParams(tau=r * tau, r=r)
     stacks = (1.0 + tau) / 2.0 + np.arange(r) * tau
     vs = stacks.sum() / r - np.arange(r) * tau
-    half = (1.0 + taub) / 2.0
+    half = (1.0 + r * tau) / 2.0
     # numerator shifts, then the puncture-stack shifts of the denominator
     shifts = np.concatenate([half - vs, half - stacks])
-
-    def raw(z):
-        """All r components H_j at z, on a leading axis."""
-        u = r * np.asarray(z, dtype=complex)
-        th = riemann_theta(np.add.outer(shifts, u), base)
-        phase = np.exp(2j * np.pi * np.multiply.outer(np.arange(r), u))
-        return phase * th[:r] ** r / np.prod(th[r:], axis=0)
+    exps = np.hstack([r * np.eye(r), -np.ones((r, r))])
+    raw = ThetaQuotients(base, shifts, exps, np.arange(r), 1.0, r)  # all H_j
 
     zr1 = (0.1529 + 0.2731 * tau) / r
     zr2 = (0.3107 + 0.1381 * tau) / r
-    a1, a2, b1, b2 = raw(np.array([zr1 + tau / r, zr2 + tau / r, zr1, zr2])).T
+    a1, a2, b1, b2 = raw(np.array([zr1 + tau / r, zr2 + tau / r, zr1, zr2]))
     r1, r2 = a1[:-1] / b1[1:], a2[:-1] / b2[1:]
     if np.any(np.abs(r1 - r2) > 1e-8 * np.abs(r1)):
         raise ConsistencyError("even-rank family ratios are not constant")
@@ -228,7 +277,8 @@ def _even_family(params: ThetaParams):
 
     # horizontal tracked-root factors fix the component labelling
     za = (0.0917 + 0.3379 * tau) / r
-    fac = np.exp(_continued_log(raw, [za, za + 1.0 / r], params, DEFAULT)[:, -1] / r)
+    fac = np.exp(_continued_log(lambda pts: tuple(a.T for a in raw.logderivs(pts)),
+                                [za, za + 1.0 / r], params, DEFAULT)[:, -1] / r)
     powers = np.round(np.angle(fac) / (2 * np.pi / r)).astype(int) % r
     if np.any(np.abs(fac - params.q_root ** powers) > 1e-8):
         raise ConsistencyError("even-rank root factor is not a root of unity")
@@ -236,7 +286,13 @@ def _even_family(params: ThetaParams):
     if np.any((powers - np.arange(r) - offset) % r != 0):
         raise ConsistencyError("even-rank root factors are not consecutive")
     order = (np.arange(r) - offset) % r
-    return raw, kappa[order], order
+    return ThetaQuotients(base, shifts, exps[order], order, kappa[order], r)
+
+
+def f_quotients(params: ThetaParams) -> ThetaQuotients:
+    """The components f_j as one evaluator (elements j = 0..r-1), from which
+    ``f_component`` takes its values and the section its log-derivatives."""
+    return _odd_family(params) if params.r % 2 else _even_family(params)
 
 
 def f_component(z, j, params: ThetaParams, parity: Optional[str] = None,
@@ -260,23 +316,7 @@ def f_component(z, j, params: ThetaParams, parity: Optional[str] = None,
     z = np.asarray(z, dtype=complex)
     if guard and np.any(puncture_distance(z, params) < tol.puncture_radius):
         raise NumericDomainError("pole")
-    zf = z.reshape(-1)
-    if actual == "odd":
-        # theta_kl(z) and theta_kl(z + rho_l tau) for every (k, l) at once
-        tau, ks = params.tau, np.arange(r)
-        grid = (ks[:, None] + ks * tau) / r
-        th = riemann_theta(np.add.outer(
-            np.stack([grid, grid + rho_shift(ks, r) * tau]), zf), params)
-        num = np.prod(th[0] ** (r - 2) * th[1], axis=0)
-        cols = np.prod(th[0], axis=0)
-        den = np.prod(np.where(np.eye(r, dtype=bool)[:, :, None], 1.0, cols), axis=1)
-        pref = np.exp(2j * np.pi * tau * (-ks * r * (r - 1) / 2.0
-                                          + (r - 1) * ks * (ks + 1) / 2.0))
-        vals = pref[:, None] * num / den
-    else:
-        raw, kappa, order = _even_family(params)
-        vals = kappa[:, None] * raw(zf)[order]
-    out = vals.reshape((r,) + z.shape)[j]
+    out = np.moveaxis(f_quotients(params)(z), -1, 0)[j]
     return out if out.shape else complex(out)
 
 
@@ -329,7 +369,7 @@ class SectionTracker:
         # real axis (even ranks have a zero row on the axis itself)
         default = (0.1377 + 0.3711 * params.tau) / r
         self.anchor = complex(default if anchor is None else anchor)
-        self._f = partial(f_vector, params=params, tol=tol, guard=False)
+        self._f = lambda pts: tuple(a.T for a in f_quotients(params).logderivs(pts))
         f0 = f_vector(self.anchor, params, tol=tol)
         across = np.exp(_continued_log(self._f, [self.anchor, self.anchor + params.omega2],
                                        params, tol)[:, -1] / r)

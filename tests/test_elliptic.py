@@ -269,6 +269,22 @@ class TestDivisorExtraction:
                         * np.abs(tracker.value_at(z)).max(), 1.0)
             assert np.abs(v).max() / scale < 1e-8
 
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_newton_jacobian_matches_central_difference(self, r):
+        lax, lams = _lax_and_probes(r, 2)
+        tracker = SectionTracker(lax.params)
+        h = 1e-6
+
+        def system(z, xi):
+            return E._curve_section_system(lax, tracker, r - 1, z, xi)[0]
+
+        for z, xi in zip(lams.ravel()[:4], (0.3 - 0.2j, -1.1 + 0.4j, 0.7j, 2.0)):
+            _, J, _, _ = E._curve_section_system(lax, tracker, r - 1, z, xi)
+            fd = np.array([(system(z + h, xi) - system(z - h, xi)) / (2 * h),
+                           (system(z, xi + h) - system(z, xi - h)) / (2 * h)]).T
+            rows = np.abs(J).max(axis=1, keepdims=True)
+            assert (np.abs(J - fd) / rows).max() < 1e-6
+
     def test_translation_modulus_shifts_coordinates(self, setup_r2_n1, report_r2_n1):
         params, div, coeffs, _ = setup_r2_n1
         z0 = 0.21 + 0.05j

@@ -83,12 +83,30 @@ class TestRiemannTheta:
             v1, v2 = T.riemann_theta(z, p1), T.riemann_theta(z, p2)
             assert abs(v1 - v2) < 1e-15 * max(1.0, abs(v2))
 
-    def test_derivative_matches_fd(self):
-        params = T.ThetaParams(tau=0.2 + 1.1j, r=2)
-        z = 0.17 - 0.23j
-        h = 1e-6
-        fd = (T.riemann_theta(z + h, params) - T.riemann_theta(z - h, params)) / (2 * h)
-        assert abs(T.theta_deriv(z, params) - fd) < 1e-7
+    @settings(max_examples=30, deadline=None)
+    @given(tau=st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.6, 1.5)),
+           z=arrays(complex, st.tuples(st.integers(1, 3), st.integers(1, 4)),
+                    elements=st.complex_numbers(max_magnitude=2.5, allow_nan=False,
+                                                allow_infinity=False)))
+    @example(tau=0.2 + 1.1j, z=np.array([[0.17 - 0.23j]]))
+    def test_derivative_against_mpmath(self, tau, z):
+        # theta'(z | tau) = pi * jtheta(3, pi z, exp(pi i tau), 1)
+        params = T.ThetaParams(tau=tau, r=2)
+        ours = T.theta_deriv(z, params)
+        assert ours.shape == z.shape
+        with mp.workdps(30):
+            tau_mp = mp.mpc(tau)
+            q = mp.exp(1j * mp.pi * tau_mp)
+            for idx in np.ndindex(z.shape):
+                z_mp = mp.mpc(z[idx])
+                ref = complex(mp.pi * mp.jtheta(3, mp.pi * z_mp, q, 1))
+                # the sum of the moduli of the derivative series' terms, the
+                # scale of its rounding error
+                terms = float(mp.fsum(
+                    2 * mp.pi * abs(n) * abs(mp.exp(1j * mp.pi * n ** 2 * tau_mp
+                                                    + 2j * mp.pi * n * z_mp))
+                    for n in range(-40, 41)))
+                assert abs(ours[idx] - ref) < 1e-12 * max(1.0, abs(ref), terms)
 
     def test_tau_guard(self):
         with pytest.raises(NumericDomainError, match="tau too degenerate"):
@@ -201,6 +219,55 @@ class TestProducts:
                     worst = max(worst, abs(got - val) / abs(val))
         assert worst < 1e-12
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_log_derivatives_against_mpmath(self, r):
+        # f_j'/f_j of the evaluator against mpmath's derivative of the
+        # definitional product: the odd-rank theta_kj product, or for even r
+        # H_j(u) = exp(2 pi i j u) Z(u - V_j)^r / prod_m Z(u - u_m) in u = r z,
+        # whose calibrated constants drop out of f'/f
+        tau = 0.2 + 1.1j
+        params = T.ThetaParams(tau=tau, r=r)
+        zs = (np.array([0.23, 0.67]) + np.array([0.61, 0.18]) * tau) / r
+        vals, logd = T.f_quotients(params).logderivs(zs)
+        assert np.array_equal(vals, T.f_vector(zs, params).T)
+        with mp.workdps(30):
+            tau_mp = mp.mpc(tau)
+
+            def theta(x, t=tau_mp):
+                return mp.jtheta(3, mp.pi * x, mp.exp(1j * mp.pi * t))
+
+            if r % 2:
+                def f(j, z):
+                    val = mp.mpf(1)
+                    for k in range(r):
+                        val *= theta(z + (k + j * tau_mp) / r) ** (r - 2) * theta(
+                            z + (k + j * tau_mp) / r + T.rho_shift(j, r) * tau_mp)
+                        for ell in range(r):
+                            if ell != j:
+                                val /= theta(z + (k + ell * tau_mp) / r)
+                    return val
+            else:
+                stacks = [(1 + tau_mp) / 2 + m * tau_mp for m in range(r)]
+                half = (1 + r * tau_mp) / 2
+
+                def f(j, z):
+                    u = r * z
+                    val = mp.exp(2j * mp.pi * j * u) * theta(
+                        u - sum(stacks) / r + j * tau_mp + half, r * tau_mp) ** r
+                    for um in stacks:
+                        val /= theta(u - um + half, r * tau_mp)
+                    return val
+
+            ref = np.array([[complex(mp.diff(lambda x: f(j, x), mp.mpc(z)) / f(j, mp.mpc(z)))
+                             for j in range(r)] for z in zs])
+        if r % 2 == 0:
+            # the components are the H_j in the calibrated labelling
+            match = np.abs(logd[:, :, None] - ref[:, None, :]).argmin(axis=-1)
+            assert (np.sort(match, axis=-1) == np.arange(r)).all()
+            assert (match == match[0]).all()
+            ref = ref[:, match[0]]
+        assert np.abs(logd - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
+
     def test_component_index_range(self):
         params = T.ThetaParams(tau=1j, r=3)
         with pytest.raises(IndexError, match="index out of range"):
@@ -252,7 +319,7 @@ class TestContinuedLog:
         a, b = 0.02 + 0.03j, 0.3 + 0.01j
 
         def func(w):
-            return np.array([w - a, (w - b) ** 2])
+            return np.array([w - a, (w - b) ** 2]), np.array([1 / (w - a), 2 / (w - b)])
 
         corners = [a + 0.05 * c for c in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j)]
         total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[:, -1]
@@ -266,7 +333,7 @@ class TestContinuedLog:
 
         def func(w):
             seen.append(w.size)
-            return (w - a)[None]
+            return (w - a)[None], (1 / (w - a))[None]
 
         got = T._continued_log(func, [z_from, z_to], self.PARAMS, DEFAULT)[:, -1]
         ref = np.log((z_to - a) / (z_from - a))
@@ -276,24 +343,38 @@ class TestContinuedLog:
         # the few steps next to the zero
         assert seen[0] == 6 and len(seen) > 1 and max(seen[1:]) < 6
 
+    def test_double_zero_beside_a_step_is_not_straddled(self):
+        # the first step passes 1e-4 from a double zero: its ratio comes back
+        # within 0.02 of 1 with the argument turned by about 2 pi, which only
+        # the log-derivative bound sees; the loop winds twice around the zero
+        z0 = 0.2 + 0.2j
+        a = z0 + 0.02 + 1e-4j
+
+        def func(w):
+            return ((w - a) ** 2)[None], (2 / (w - a))[None]
+
+        corners = z0 + np.array([0.0, 0.16, 0.16 + 0.16j, 0.16j, 0.0])
+        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[0, -1]
+        assert abs(total - 4j * np.pi) < 1e-12
+
     def test_segment_through_a_zero_raises(self):
         a = 0.0731 + 0.05j
         with pytest.raises(NumericDomainError, match="branch obstruction"):
-            T._continued_log(lambda w: (w - a)[None], [0.02 + 0.05j, 0.22 + 0.05j],
-                             self.PARAMS, DEFAULT)
+            T._continued_log(lambda w: ((w - a)[None], (1 / (w - a))[None]),
+                             [0.02 + 0.05j, 0.22 + 0.05j], self.PARAMS, DEFAULT)
 
     def test_segment_into_a_puncture_raises(self):
         p = self.PARAMS.puncture
         with pytest.raises(NumericDomainError, match="branch obstruction"):
-            T._continued_log(lambda w: np.ones((1, w.size)), [p - 0.1, p],
-                             self.PARAMS, DEFAULT)
+            T._continued_log(lambda w: (np.ones((1, w.size)), np.zeros((1, w.size))),
+                             [p - 0.1, p], self.PARAMS, DEFAULT)
 
     def test_node_logs_match_closed_form(self):
         a, b = 0.4 + 0.3j, -0.2 - 0.25j
         nodes = np.array([0.02 + 0.05j, 0.17 + 0.02j, 0.11 + 0.19j])
 
         def func(w):
-            return np.array([w - a, (w - b) ** 2])
+            return np.array([w - a, (w - b) ** 2]), np.array([1 / (w - a), 2 / (w - b)])
 
         got = T._continued_log(func, nodes, self.PARAMS, DEFAULT)
         ref = np.array([np.log((nodes - a) / (nodes[0] - a)),
