@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import elliptic as ell
-from . import kernel, linearize, rational, theta
+from . import linearize, rational, theta
 from .errors import MatchingError, NonGenericError
 from .tolerances import DEFAULT
 
@@ -151,8 +151,7 @@ def _linearization_instance(rng, r=2, n=3, max_tries=40):
     for _ in range(max_tries):
         phi = rational.random_instance(r, n, rng)
         curve = rational.spectral_curve(phi)
-        disc = kernel.resultant(curve.grid, curve.dxi(), "xi")
-        bps, _ = kernel.poly_roots(disc)
+        bps, _ = rational.branch_points(curve)
         d = rational.divisor_coords(phi)
         if d.count == 0:
             continue

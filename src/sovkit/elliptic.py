@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernel
 from .errors import ConsistencyError, ConvergenceError, NumericDomainError
-from .theta import SectionTracker, ThetaParams, ThetaQuotients, f_quotients, i_matrices
+from .theta import SectionTracker, ThetaParams, ThetaQuotients, i_matrices
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -521,7 +521,7 @@ def _curve_section_system(lax, tracker, component, z, xi):
     interpolation inside keeps the residual's precision.
     """
     s = tracker.value_at(z)
-    ds = s * f_quotients(lax.params).logderivs(z)[1] / lax.params.r
+    ds = s * tracker.logderiv / lax.params.r
     dphi = lax.deriv(z)
     M = lax(z) - xi * np.eye(lax.params.r)
     t = max(1.0, np.abs(M).max()) / max(1.0, np.abs(dphi).max())

@@ -23,7 +23,7 @@ import numpy as np
 from . import kernel
 from .errors import ConsistencyError, MatchingError, NumericDomainError
 from .rational import (BracketSpec, DivisorCoords, MatPoly, SpectralCurve,
-                       divisor_coords, spectral_curve)
+                       branch_points, divisor_coords, spectral_curve)
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = ["LinearizeResult", "build_path", "sheet_integrals", "abel_sums",
@@ -337,8 +337,7 @@ def linearize(trajectory: Sequence[MatPoly], times, spec: BracketSpec,
     if len(trajectory) != times.size:
         raise ValueError("trajectory and times must have equal length")
     curve = spectral_curve(trajectory[0])
-    disc = kernel.resultant(curve.grid, curve.dxi(), "xi", tol)
-    bps, _ = kernel.poly_roots(disc, tol)
+    bps, _ = branch_points(curve, tol)
     z0 = pick_base_point(bps) if base_z0 is None else complex(base_z0)
 
     divisors = []

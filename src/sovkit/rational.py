@@ -55,7 +55,9 @@ class MatPoly:
         return self.coeff_mats.shape[0] - 1
 
     def __call__(self, z):
-        out = np.zeros((self.r, self.r), dtype=complex)
+        """phi at ``z`` of shape (...): shape (..., r, r)."""
+        z = np.asarray(z, dtype=complex)[..., None, None]
+        out = np.zeros(z.shape[:-2] + (self.r, self.r), dtype=complex)
         for k in range(self.n, -1, -1):
             out = out * z + self.coeff_mats[k]
         return out
@@ -105,10 +107,6 @@ class SpectralCurve:
 
     def dxi(self):
         return kernel.bipoly_dxi(self.grid)
-
-    def xi_poly(self, z):
-        """Coefficients in xi of P(z, .) at fixed z, ascending."""
-        return kernel.poly_eval(self.grid.T, z)
 
 
 @dataclass
@@ -187,9 +185,8 @@ def spectral_curve(phi: MatPoly, probe_seed: int = 0) -> SpectralCurve:
     return SpectralCurve(grid=grid, r=r, n=n)
 
 
-def branch_points(phi: MatPoly, tol: Tolerances = DEFAULT):
-    """Roots (with multiplicity tags) of Disc_xi det(phi(z) - xi I)."""
-    curve = spectral_curve(phi)
+def branch_points(curve: SpectralCurve, tol: Tolerances = DEFAULT):
+    """Roots (with multiplicity tags) of the discriminant Disc_xi of the curve."""
     disc = kernel.resultant(curve.grid, curve.dxi(), "xi", tol)
     return kernel.poly_roots(disc, tol)
 
@@ -209,7 +206,7 @@ def genus(phi: MatPoly, tol: Tolerances = DEFAULT) -> int:
         gaps = np.abs(eigs[:, None] - eigs[None, :])[np.triu_indices(eigs.size, 1)]
         if eigs.size < r or gaps.min() < tol.disc_gap * max(1.0, np.abs(eigs).max()):
             raise NonGenericError("non-generic curve: leading matrix eigenvalues collide")
-    roots, mults = branch_points(phi, tol)
+    roots, mults = branch_points(spectral_curve(phi), tol)
     scale = max(1.0, np.abs(roots).max()) if roots.size else 1.0
     if np.any(mults > 1):
         raise NonGenericError("non-generic curve: non-simple branch point")
@@ -406,31 +403,11 @@ def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT,
 
 def _adjugate_section_grids(phi: MatPoly, s: np.ndarray, tol: Tolerances):
     """Bivariate grids of v(z, xi) = adj(phi(z) - xi I) . s, one per component,
-    and the index of the component extraction eliminates (largest coefficient)."""
+    and the index of the component ``divisor_jacobian`` differentiates
+    (largest coefficient)."""
     _, A = kernel.matpoly_char_adj(phi.coeff_mats)
     vgrids = [kernel.bipoly_trim(grid, tol) for grid in np.einsum("kcjl,j->ckl", A, s)]
     return vgrids, max(range(phi.r), key=lambda c: np.abs(vgrids[c]).max())
-
-
-def _pair_partials(Pg, Vg):
-    """Grids of the partials [[P_z, P_xi], [V_z, V_xi]] of the pair (P, V)."""
-    return [[kernel.bipoly_dz(g), kernel.bipoly_dxi(g)] for g in (Pg, Vg)]
-
-
-def _newton_pair(Pg, Vg, z, xi, tol: Tolerances):
-    """Newton iteration on the system (P(z,xi), V(z,xi)) with analytic partials."""
-    partials = _pair_partials(Pg, Vg)
-    for _ in range(50):
-        rhs = np.array([kernel.bipoly_eval(Pg, z, xi), kernel.bipoly_eval(Vg, z, xi)])
-        J = np.array([[kernel.bipoly_eval(d, z, xi) for d in row] for row in partials])
-        try:
-            step = np.linalg.solve(J, rhs)
-        except np.linalg.LinAlgError:
-            return None
-        z, xi = z - step[0], xi - step[1]
-        if np.abs(step).max() <= tol.newton_step * max(1.0, abs(z), abs(xi)):
-            return z, xi
-    return z, xi
 
 
 def _bipoly_scale(grid, z, xi):
@@ -439,14 +416,29 @@ def _bipoly_scale(grid, z, xi):
                       np.abs(grid).max())
 
 
+def _krylov(M, s):
+    """Krylov matrices [s, M s, ..., M^(r-1) s] of a stack ``M`` (..., r, r)."""
+    cols = [np.broadcast_to(s, M.shape[:-1])]
+    for _ in range(M.shape[-1] - 1):
+        cols.append(np.einsum("...ij,...j->...i", M, cols[-1]))
+    return np.stack(cols, axis=-1)
+
+
 def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
                    seed: int = 0) -> DivisorCoords:
     """Separating divisor points: common zeros of the curve and adj(.)s.
 
-    Solves {P = 0, v_1 = 0} by resultant elimination in xi, refines by Newton
-    on the pair, and keeps only points where every component of
-    adj(phi(z) - xi I) s vanishes. ``s`` defaults to (1, 0, ..., 0) and is
-    re-drawn on the unit sphere when validation rejects everything.
+    ``adj(phi(z) - xi I) s`` vanishes on the curve exactly where the left
+    eigenvector of ``phi(z)`` for ``xi`` is orthogonal to ``s``, that is over
+    the roots of ``B(z) = det[s, phi s, ..., phi^(r-1) s]`` (Sklyanin's B),
+    a polynomial of degree ``n r (r-1) / 2 = g + r - 1``.  At a root of
+    multiplicity ``m`` the ``xi`` are the eigenvalues of ``phi(z)`` on the
+    ``m``-dimensional left null space of the Krylov matrix; simple roots get
+    3 Newton steps on ``B``, every ``xi`` 2 on ``P(z, .)``.  Only points where
+    the curve and every component of ``adj(phi(z) - xi I) s`` vanish to
+    ``tol.divisor`` are kept, and ``degenerate`` is set where ``B`` has a
+    multiple root or two points crowd.  ``s`` defaults to (1, 0, ..., 0) and
+    is re-drawn on the unit sphere when validation rejects everything.
     """
     r, n = phi.r, phi.n
     rng = np.random.default_rng(seed)
@@ -476,66 +468,51 @@ def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
 
 
 def _divisor_for_section(phi, Pg, s, tol: Tolerances):
-    vgrids, pick = _adjugate_section_grids(phi, s, tol)
-    Vg = vgrids[pick]
-    if Vg.shape[0] < 2:
-        return None  # xi-independent component; section too special
+    r, n = phi.r, phi.n
+    # B at the K = deg B + 1 roots of unity, then its coefficients by one FFT
+    K = n * r * (r - 1) // 2 + 1
+    zk = np.exp(2j * np.pi * np.arange(K) / K)
+    B = kernel.poly_trim(np.fft.fft(np.linalg.det(_krylov(phi(zk), s))) / K, tol)
+    if B.size <= 1:
+        return None  # B constant: s is too special
     try:
-        res = kernel.resultant(Pg, Vg, "xi", tol)
-    except NonGenericError:
+        zroots, mults = kernel.poly_roots(B, tol)
+    except ConvergenceError:
         return None
-    if res.size <= 1:
-        return None
-    try:
-        zroots, _ = kernel.poly_roots(res, tol)
-    except (ConvergenceError, ValueError):
-        return None
+    simple = mults == 1
+    dB = kernel.poly_der(B)
+    for _ in range(3):
+        zroots[simple] -= (kernel.poly_eval(B, zroots[simple])
+                           / kernel.poly_eval(dB, zroots[simple]))
 
-    found_z, found_xi = [], []
-    for z0 in zroots:
-        xi_cands, _ = kernel.poly_roots(kernel.poly_eval(Pg.T, z0), tol)  # P(z0, .)
-        for xi0 in xi_cands:
-            refined = _newton_pair(Pg, Vg, z0, xi0, tol)
-            if refined is None:
-                warnings.warn("dropping a non-converged divisor candidate",
-                              RuntimeWarning, stacklevel=3)
-                continue
-            z, xi = refined
-            pres = abs(kernel.bipoly_eval(Pg, z, xi)) / _bipoly_scale(Pg, z, xi)
-            if pres > tol.divisor:
-                continue
-            vres = max(
-                abs(kernel.bipoly_eval(g, z, xi)) / max(_bipoly_scale(g, z, xi), 1e-30)
-                for g in vgrids
-            )
-            if vres > tol.divisor:
-                continue
-            found_z.append(z)
-            found_xi.append(xi)
+    # the Krylov space of s has codimension m at an m-fold root (at most r - 1)
+    phis = phi(zroots)
+    U = np.linalg.svd(_krylov(phis, s))[0]
+    ms = np.minimum(mults, r - 1)
+    zs = np.repeat(zroots, ms)
+    xis = np.concatenate([np.linalg.eigvals(u[:, r - m:].conj().T @ p @ u[:, r - m:])
+                          for u, p, m in zip(U, phis, ms)])
+    dPg = kernel.bipoly_dxi(Pg)
+    for _ in range(2):
+        d = kernel.bipoly_eval(dPg, zs, xis)
+        xis = xis - np.divide(kernel.bipoly_eval(Pg, zs, xis), d,
+                              out=np.zeros_like(d), where=d != 0)
 
-    if not found_z:
+    vgrids, _ = _adjugate_section_grids(phi, s, tol)
+    pres = np.abs(kernel.bipoly_eval(Pg, zs, xis)) / _bipoly_scale(Pg, zs, xis)
+    vres = np.max([np.abs(kernel.bipoly_eval(g, zs, xis))
+                   / np.maximum(_bipoly_scale(g, zs, xis), 1e-30) for g in vgrids], axis=0)
+    keep = (pres <= tol.divisor) & (vres <= tol.divisor)
+    if not keep.any():
         return None
-    zs = np.array(found_z)
-    xis = np.array(found_xi)
-    # merge duplicates at the clustering radius
+    if not keep.all():
+        warnings.warn(f"dropping {np.count_nonzero(~keep)} divisor points that fail "
+                      "validation", RuntimeWarning, stacklevel=3)
+    zs, xis = zs[keep], xis[keep]
     scale = max(1.0, np.abs(zs).max(), np.abs(xis).max())
-    keep_z, keep_xi = [], []
-    for z, xi in zip(zs, xis):
-        dup = any(
-            abs(z - kz) < tol.cluster_merge * scale and abs(xi - kxi) < tol.cluster_merge * scale
-            for kz, kxi in zip(keep_z, keep_xi)
-        )
-        if not dup:
-            keep_z.append(z)
-            keep_xi.append(xi)
-    zs = np.array(keep_z)
-    xis = np.array(keep_xi)
-    degenerate = False
-    if zs.size > 1:
-        d = np.abs(zs[:, None] - zs[None, :]) + np.abs(xis[:, None] - xis[None, :])
-        d = d[np.triu_indices(zs.size, 1)]
-        degenerate = bool(d.min() < 100 * tol.cluster_merge * scale)
-    return zs, xis, degenerate
+    d = np.abs(zs[:, None] - zs) + np.abs(xis[:, None] - xis)
+    gap = d[np.triu_indices(zs.size, 1)].min(initial=np.inf)
+    return zs, xis, bool(gap < 100 * tol.cluster_merge * scale or np.any(mults > 1))
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +536,8 @@ def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT, seed: int 
     """d(z_mu)/dx and d(xi_mu)/dx by the implicit-function theorem, exact to rounding.
 
     Each point solves ``F = (P, v_c) = 0`` with ``P = det M``,
-    ``M = phi(z) - xi I`` and ``v_c = (adj(M) s)_c`` the component extraction
-    eliminates, so ``d(z, xi)/dx = -J^{-1} dF/dx`` with
+    ``M = phi(z) - xi I`` and ``v_c = (adj(M) s)_c`` the component with the
+    largest coefficient, so ``d(z, xi)/dx = -J^{-1} dF/dx`` with
     ``J = [[P_z, P_xi], [v_z, v_xi]]``.  For ``x = phi_p[i, j]``,
     ``dP/dx = z^p adj(M)[j, i]`` and
     ``dv_c/dx = z^p ((adj(M + t E_ij) - adj(M)) s)_c / t`` for any ``t``,
@@ -575,7 +552,7 @@ def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT, seed: int 
     z, xi = base.z, base.xi
     Pg = spectral_curve(phi).grid
     vgrids, pick = _adjugate_section_grids(phi, base.s, tol)
-    partials = _pair_partials(Pg, vgrids[pick])
+    partials = [[kernel.bipoly_dz(g), kernel.bipoly_dxi(g)] for g in (Pg, vgrids[pick])]
     J = np.moveaxis([[kernel.bipoly_eval(d, z, xi) for d in row] for row in partials],
                     -1, 0)                                              # (count, 2, 2)
     row_scale = np.moveaxis([[_bipoly_scale(d, z, xi) for d in row] for row in partials],
@@ -585,7 +562,7 @@ def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT, seed: int 
 
     # adj(M + t E_ij) for every (i, j), then adj(M), in one batched recursion;
     # t of the size of M keeps the difference at full relative precision
-    M = np.array([phi(zm) for zm in z]) - xi[:, None, None] * np.eye(r)
+    M = phi(z) - xi[:, None, None] * np.eye(r)
     t = np.maximum(1.0, np.abs(M).max(axis=(1, 2)))[:, None, None, None]
     E = np.eye(r * r).reshape(r * r, r, r)
     stack = np.concatenate([M[:, None] + t * E, M[:, None]], axis=1)

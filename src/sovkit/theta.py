@@ -173,19 +173,20 @@ def puncture_distance(z, params: ThetaParams):
 
 def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
     """log func(node) - log func(nodes[0]) at every node of the polyline
-    ``nodes``, continued along it.
+    ``nodes``, continued along it, and f'/f at the last node.
 
     ``func`` maps an ``(m,)`` array of points to ``(f, f'/f)``, two arrays of
-    shape ``(..., m)``; the result has shape ``(..., len(nodes))``, the
-    continued log at every node.  Each segment is cut into at least 4 steps
-    of at most 0.05, and the whole path is evaluated in one call.  A step is
-    bisected (only those steps, only their midpoints evaluated) when its
-    ratio f(z + h)/f(z) has |ratio - 1| > 0.5 in any entry, so no principal
-    log is taken of a ratio far from 1, or when |h| |f'/f| > 1 at one of its
-    ends in any entry, so no step straddles a zero: across a zero of even
-    order the ratio comes back close to 1 after the argument has turned by a
-    multiple of 2 pi.  A failing step below 1e-8, or a point inside the
-    puncture radius, raises ``NumericDomainError``.
+    shape ``(..., m)``; the logs have shape ``(..., len(nodes))``, the
+    continued log at every node, and f'/f shape ``(...)``.  Each segment is
+    cut into at least 4 steps of at most 0.05, and the whole path is
+    evaluated in one call.  A step is bisected (only those steps, only their
+    midpoints evaluated) when its ratio f(z + h)/f(z) has |ratio - 1| > 0.5
+    in any entry, so no principal log is taken of a ratio far from 1, or when
+    |h| |f'/f| > 1 at one of its ends in any entry, so no step straddles a
+    zero: across a zero of even order the ratio comes back close to 1 after
+    the argument has turned by a multiple of 2 pi.  A failing step below
+    1e-8, or a point inside the puncture radius, raises
+    ``NumericDomainError``.
     """
     def evaluate(pts):
         near = puncture_distance(pts, params) < tol.puncture_radius
@@ -193,7 +194,7 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
             raise NumericDomainError(f"branch obstruction near z={pts[near][0]:.6f}")
         vals, logd = func(pts)
         # the steepest entry at every point
-        return vals, np.abs(logd).reshape(-1, pts.size).max(axis=0)
+        return vals, logd, np.abs(logd).reshape(-1, pts.size).max(axis=0)
 
     nodes = np.asarray(nodes, dtype=complex)
     delta = nodes[1:] - nodes[:-1]
@@ -204,7 +205,8 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
     pts = np.empty(at[-1] + 1, dtype=complex)
     pts[1:] = nodes[seg] + (np.arange(at[-1]) - at[seg] + 1) / steps[seg] * delta[seg]
     pts[at] = nodes
-    vals, slope = evaluate(pts)
+    vals, logd, slope = evaluate(pts)
+    last = logd[..., -1]
     while True:
         ratio = vals[..., 1:] / vals[..., :-1]
         width = np.abs(np.diff(pts))
@@ -213,12 +215,12 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
         if bad.size == 0:
             logs = np.zeros(vals.shape, dtype=complex)
             logs[..., 1:] = np.log(ratio).cumsum(axis=-1)
-            return logs[..., at]
+            return logs[..., at], last
         mids = 0.5 * (pts[bad] + pts[bad + 1])
         if width[bad].min() < 1e-8:
             raise NumericDomainError(
                 f"branch obstruction near z={mids[width[bad].argmin()]:.6f}")
-        new_vals, new_slope = evaluate(mids)
+        new_vals, _, new_slope = evaluate(mids)
         pts = np.insert(pts, bad + 1, mids)
         vals = np.insert(vals, bad + 1, new_vals, axis=-1)
         slope = np.insert(slope, bad + 1, new_slope)
@@ -278,7 +280,7 @@ def _even_family(params: ThetaParams):
     # horizontal tracked-root factors fix the component labelling
     za = (0.0917 + 0.3379 * tau) / r
     fac = np.exp(_continued_log(lambda pts: tuple(a.T for a in raw.logderivs(pts)),
-                                [za, za + 1.0 / r], params, DEFAULT)[:, -1] / r)
+                                [za, za + 1.0 / r], params, DEFAULT)[0][:, -1] / r)
     powers = np.round(np.angle(fac) / (2 * np.pi / r)).astype(int) % r
     if np.any(np.abs(fac - params.q_root ** powers) > 1e-8):
         raise ConsistencyError("even-rank root factor is not a root of unity")
@@ -358,6 +360,7 @@ class SectionTracker:
     ``value_at`` continues the whole vector from the last queried point
     through a point or a path of points: one ``_continued_log`` of all r
     components along the polyline, then values are multiplied by exp(L/r).
+    ``logderiv`` is f'/f at the current point, so ``ds/dz = s logderiv / r``.
     """
 
     def __init__(self, params: ThetaParams, anchor: Optional[complex] = None,
@@ -371,8 +374,9 @@ class SectionTracker:
         self.anchor = complex(default if anchor is None else anchor)
         self._f = lambda pts: tuple(a.T for a in f_quotients(params).logderivs(pts))
         f0 = f_vector(self.anchor, params, tol=tol)
+        self.logderiv = f_quotients(params).logderivs(self.anchor)[1]
         across = np.exp(_continued_log(self._f, [self.anchor, self.anchor + params.omega2],
-                                       params, tol)[:, -1] / r)
+                                       params, tol)[0][:, -1] / r)
         s = np.zeros(r, dtype=complex)
         s[0] = abs(f0[0]) ** (1.0 / r) * np.exp(1j * np.angle(f0[0]) / r)
         for i in range(1, r):
@@ -396,8 +400,8 @@ class SectionTracker:
             out = np.repeat(self._values[:, None], path.size, axis=1)
         else:
             nodes = np.append(self._z, path)
-            logs = _continued_log(self._f, nodes, self.params, self.tol)[:, 1:]
-            out = self._values[:, None] * np.exp(logs / self.params.r)
+            logs, self.logderiv = _continued_log(self._f, nodes, self.params, self.tol)
+            out = self._values[:, None] * np.exp(logs[:, 1:] / self.params.r)
             self._z, self._values = complex(nodes[-1]), out[:, -1].copy()
         return out.reshape((-1,) + path.shape)
 

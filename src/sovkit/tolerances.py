@@ -25,7 +25,6 @@ class Tolerances:
     basis_rank: float = 1e-8       # elliptic basis span: smallest/largest singular value
     casimir: float = 1e-8          # Hamiltonian-field norm of a Casimir, relative
     cluster_derivative: float = 1e-7  # derivative residual of a validated multiple root
-    newton_step: float = 1e-14     # divisor Newton stop: step relative to the point scale
 
     def scaled(self, factor: float) -> "Tolerances":
         """Uniformly rescale the residual-type tolerances by ``factor``."""

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sovkit import kernel
 from sovkit import rational as R
 from sovkit.errors import NonGenericError
+from test_kernel import hadamard_scale, mp_det_adj
 
 
 def unit_disk_matpoly(rng, r, n):
@@ -325,6 +326,37 @@ class TestDivisor:
             counts.add(R.divisor_coords(phi).count)
         assert len(counts) == 1
         assert counts.pop() == 3  # empirical count g + r - 1, recorded
+
+    def test_two_points_over_one_z_are_both_kept(self):
+        # phi(0) is diagonal and s = e1, so B(z) = det[s, phi s, phi^2 s] has
+        # a double root at z = 0 and two of the g + r - 1 = 3 points lie there
+        rng = np.random.default_rng(3)
+        cm = np.zeros((2, 3, 3), dtype=complex)
+        cm[0] = np.diag([0.3 + 0.1j, -0.5 + 0.2j, 0.7 - 0.4j])
+        cm[1] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        phi = R.MatPoly(cm)
+        s = np.array([1.0, 0.0, 0.0])
+        assert R.genus(phi) == 1
+        d = R.divisor_coords(phi, s=s)
+        assert d.count == 3 and d.degenerate
+        at_zero = np.abs(d.z) < 1e-12
+        assert np.allclose(np.sort_complex(d.xi[at_zero]), [-0.5 + 0.2j, 0.7 - 0.4j], atol=1e-12)
+        # the pair (P, v_c) is singular at (0, -0.5 + 0.2j): no silent success
+        with pytest.raises(NonGenericError, match="singular"):
+            R.verify_canonical(phi, R.BracketSpec(a=(1.0,), b=0.0), s=s)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(r=st.integers(2, 4), n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_points_against_mpmath(self, r, n, seed):
+        phi = R.random_instance(r, n, np.random.default_rng(seed))
+        d = R.divisor_coords(phi)
+        assert d.count == n * r * (r - 1) // 2
+        for z, xi in zip(d.z, d.xi):
+            M = phi(z) - xi * np.eye(r)
+            det, adj = mp_det_adj(M)
+            scale = hadamard_scale(M)
+            assert abs(det) <= 1e-10 * scale
+            assert np.abs(adj @ d.s).max() <= 1e-10 * scale * np.linalg.norm(d.s)
 
     def test_points_sorted_deterministically(self):
         rng = np.random.default_rng(14)

@@ -322,7 +322,7 @@ class TestContinuedLog:
             return np.array([w - a, (w - b) ** 2]), np.array([1 / (w - a), 2 / (w - b)])
 
         corners = [a + 0.05 * c for c in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j)]
-        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[:, -1]
+        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[0][:, -1]
         assert total.shape == (2,)
         assert np.abs(total - [2j * np.pi, 0.0]).max() < 1e-12
 
@@ -335,7 +335,7 @@ class TestContinuedLog:
             seen.append(w.size)
             return (w - a)[None], (1 / (w - a))[None]
 
-        got = T._continued_log(func, [z_from, z_to], self.PARAMS, DEFAULT)[:, -1]
+        got = T._continued_log(func, [z_from, z_to], self.PARAMS, DEFAULT)[0][:, -1]
         ref = np.log((z_to - a) / (z_from - a))
         assert abs(ref.imag) > 3.0  # the argument turns by nearly pi
         assert abs(got[0] - ref) < 1e-12
@@ -354,7 +354,7 @@ class TestContinuedLog:
             return ((w - a) ** 2)[None], (2 / (w - a))[None]
 
         corners = z0 + np.array([0.0, 0.16, 0.16 + 0.16j, 0.16j, 0.0])
-        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[0, -1]
+        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[0][0, -1]
         assert abs(total - 4j * np.pi) < 1e-12
 
     def test_segment_through_a_zero_raises(self):
@@ -376,11 +376,12 @@ class TestContinuedLog:
         def func(w):
             return np.array([w - a, (w - b) ** 2]), np.array([1 / (w - a), 2 / (w - b)])
 
-        got = T._continued_log(func, nodes, self.PARAMS, DEFAULT)
+        got, last = T._continued_log(func, nodes, self.PARAMS, DEFAULT)
         ref = np.array([np.log((nodes - a) / (nodes[0] - a)),
                         2 * np.log((nodes - b) / (nodes[0] - b))])
         assert got.shape == (2, 3)
         assert np.abs(got - ref).max() < 1e-12
+        assert np.array_equal(last, func(nodes[-1:])[1][:, 0])
 
 
 class TestBasicSection:
@@ -471,6 +472,15 @@ class TestBasicSection:
         # the tracker continues from the end of the path
         assert np.abs(trk.value_at(trk.anchor + 0.05) - trk2.value_at(trk.anchor + 0.05)
                       ).max() < 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_logderiv_follows_the_current_point(self, r):
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
+        trk = T.SectionTracker(params)
+        for z in (trk.anchor, trk.anchor + 0.13 - 0.04j, trk.anchor + np.array([0.05, 0.21j])):
+            trk.value_at(z)
+            ref = T.f_quotients(params).logderivs(np.atleast_1d(z)[-1])[1]
+            assert np.abs(trk.logderiv - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.inf)])
     def test_non_finite_path_point_raises(self, bad):
