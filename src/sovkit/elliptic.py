@@ -17,8 +17,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernel
-from .errors import ConsistencyError, ConvergenceError, NumericDomainError
-from .theta import SectionTracker, ThetaParams, ThetaQuotients, i_matrices
+from .errors import ConsistencyError, NonGenericError, NumericDomainError
+from .linearize import build_path
+from .numeric import PathSpec, integrate_path
+from .theta import SectionTracker, ThetaParams, ThetaQuotients, f_quotients, i_matrices
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -28,15 +30,10 @@ __all__ = [
 ]
 
 
-def reduce_to_domain(z, params: ThetaParams, origin=0.0, period2=None):
+def reduce_to_domain(z, params: ThetaParams, origin=0.0):
     """Representative of z (a point or an array) in origin + [0,1) omega1 +
-    [0,1) period2.
-
-    ``period2`` defaults to omega2; divisor extraction passes tau for the
-    r-fold tall domain.
-    """
-    w1 = params.omega1
-    w2 = params.omega2 if period2 is None else period2
+    [0,1) omega2."""
+    w1, w2 = params.omega1, params.omega2
     w = np.asarray(z, dtype=complex) - complex(origin)
     b = w.imag / w2.imag
     a = (w.real - b * w2.real) / w1
@@ -302,11 +299,9 @@ class FundamentalDomainPoint:
 class DivisorCountReport:
     points: list
     validated_count: int
-    component_only_count: int
-    winding_count: int
+    winding_count: int  # zeros of the Krylov determinant B in the cell
     branch_count: int
     genus_prediction: int
-    attempts: int  # grids tried, 1 when the first one settles
 
 
 def _winding(func, loop, n0=64, max_refine=7):
@@ -341,19 +336,15 @@ def _winding(func, loop, n0=64, max_refine=7):
     raise ConsistencyError("winding sampling failed to converge")
 
 
-def count_zeros_in_domain(func, params: ThetaParams, singulars, origin,
-                          period2=None):
+def count_zeros_in_domain(func, params: ThetaParams, singulars, origin):
     """Zeros of a single-valued function inside the fundamental domain.
 
     Winding around the domain boundary minus windings around small squares
-    at the known singular points (poles of the function).  ``period2``
-    (default omega2) is the domain's second side, as in ``reduce_to_domain``.
-    ``func`` takes a 1-D array of points, ordered along the loop being
-    sampled, and returns their values; it is called once per loop and
-    refinement level, so it may continue state (a section) along the points.
+    at the known singular points (poles of the function).  ``func`` takes a
+    1-D array of points, ordered along the loop being sampled, and returns
+    their values; it is called once per loop and refinement level.
     """
-    w1 = params.omega1
-    w2 = params.omega2 if period2 is None else period2
+    w1, w2 = params.omega1, params.omega2
     total = _winding(func, origin + np.array([0.0, w1, w1 + w2, w2, 0.0]))
     sing = np.asarray(singulars, dtype=complex)
     gaps = np.abs(np.subtract.outer(sing, sing))
@@ -364,127 +355,127 @@ def count_zeros_in_domain(func, params: ThetaParams, singulars, origin,
     return total - sum(_winding(func, p + rad * square) for p, rad in zip(sing, rads))
 
 
-def elliptic_divisor_coords(lax: EllipticLax, component: int = 0,
-                            grid=(20, 14), tol: Tolerances = DEFAULT,
+def _krylov_det(lax, zs, s):
+    """``B = det K`` and ``B' = tr(adj(K) K')`` at ``zs`` (m,), for the section
+    ``s`` (m, r) there and ``K = [s, phi s, ..., phi^(r-1) s]``, both divided
+    by the column norms of ``K``: ``B'/B`` is unchanged, and the adjugate keeps
+    its accuracy near a pole of ``phi``."""
+    r = lax.params.r
+    phi, dphi = lax(zs), lax.deriv(zs)
+    K = kernel.krylov(phi, s)
+    dK = np.empty(K.shape, dtype=complex)
+    dK[..., 0] = s * f_quotients(lax.params).logderivs(zs)[1] / r
+    for k in range(1, r):
+        dK[..., k] = (dphi @ K[..., k - 1, None] + phi @ dK[..., k - 1, None])[..., 0]
+    norms = np.linalg.norm(K, axis=-2, keepdims=True)
+    K, dK = K / norms, dK / norms
+    adj = kernel.adjugate(K)
+    return np.einsum("...ij,...ji->...", adj, K) / r, np.einsum("...ij,...ji->...", adj, dK)
+
+
+class _SectionWalk:
+    """The basic section, continued around the punctures (the branch points
+    of its components) from point to point and along loops."""
+
+    def __init__(self, lax: EllipticLax, tol: Tolerances):
+        k = np.arange(-1, 2)
+        self.lax, self.tol = lax, tol
+        self.tracker = SectionTracker(lax.params, tol=tol)
+        self.here = self.tracker.anchor
+        self.punctures = lax.params.puncture + np.add.outer(
+            k * lax.params.omega1, k * lax.params.omega2).ravel()
+
+    def section(self, z):
+        """Section values (r,) at ``z``: radially out from a puncture nearer
+        than 0.05, by ``build_path`` around the punctures, radially in."""
+        def clear(w):
+            p = self.punctures[np.argmin(np.abs(self.punctures - w))]
+            return p + 0.05 * (w - p) / abs(w - p) if abs(w - p) < 0.05 else w
+
+        a, b = clear(self.here), clear(z)
+        path = build_path(a, b, self.punctures, self.tol) if a != b else [a]
+        self.here = complex(z)
+        return self.tracker.value_at(np.array(path + [z]))[:, -1]
+
+    def moments(self, loop, centre, rho, count):
+        """``(1/2 pi i) int ((z - centre)/rho)^k B'/B dz``, k < ``count``,
+        around the closed polygon ``loop``, and its error estimate.  At every
+        quadrature level the section goes once round ``loop``, corners and
+        nodes in order, so it never cuts across."""
+        def integrand(zs):
+            # the corner ending each node's edge: the distances to its ends add up
+            d = np.abs(zs[:, None] - loop)
+            at = 1 + np.argmin(d[:, :-1] + d[:, 1:] - abs(np.diff(loop)), axis=1)
+            s = self.tracker.value_at(np.insert(loop, at, zs))[:, at + np.arange(zs.size)]
+            B, dB = _krylov_det(self.lax, zs, s.T)
+            return ((zs - centre) / rho)[:, None] ** np.arange(count) * (dB / B)[:, None]
+
+        self.section(loop[0])
+        value, error = integrate_path(integrand, PathSpec(tuple(loop)), self.tol)
+        return value / (2j * np.pi), error / (2 * np.pi)
+
+
+def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
                             full_report: bool = False):
-    """Separating points in the fundamental domain.
+    """Separating points in the fundamental domain, over the zeros of
+    Sklyanin's ``B = det[s, phi s, ..., phi^(r-1) s]``, ``s`` the section.
 
-    Finds zeros of the selected component of adj(phi(z) - xi I) s(z) per
-    sheet via grid-seeded Newton iterations, validates full-vector vanishing,
-    and cross-checks the zero count by the argument principle.  Because the
-    omega2 shift permutes section components, the single-valued counting
-    function lives on the r-fold vertical cover [0, omega1) x [0, tau); the
-    divisor classes each appear r times there.  Output coordinates are
-    shifted by the translation modulus: (z_mu - z0, xi_mu).
+    ``B'/B`` is elliptic (around a puncture every component of ``s`` gains
+    one r-th root of unity).  Its moments around the cell, less clockwise
+    8-gons of radius ``2.5 tol.puncture_radius`` at the divisor poles and the
+    puncture, give the zeros as the eigenvalues of a Hankel pencil (Delves
+    and Lyness, Math. Comp. 21 (1967)), polished by 3 Newton steps on ``B``.
+    Each ``xi`` comes from the left null space of the Krylov matrix, and
+    ``det(phi - xi I)`` and ``adj(phi - xi I) s`` must vanish to
+    ``tol.divisor``.  Output coordinates are (z_mu - z0, xi_mu).
     """
-    for attempt, jitter in enumerate(
-            (0.013 + 0.017j, 0.047 + 0.031j, 0.081 + 0.059j)):
-        origin = jitter.real * lax.params.omega1 + jitter.imag * lax.params.omega2
-        scaled = (grid[0] + 6 * attempt, grid[1] + 4 * attempt)
-        try:
-            report = _divisor_attempt(lax, component, scaled, tol, origin, attempt + 1)
-        except ConsistencyError:
-            continue
-        return report if full_report else report.points
-    raise ConsistencyError("missed zeros, refine grid")
-
-
-def _tall_singulars(lax, origin):
-    """Divisor poles and punctures, all representatives in the tall domain."""
-    params = lax.params
-    pts = np.array(lax.divisor.points + (params.puncture,))
-    return reduce_to_domain(np.add.outer(pts, np.arange(params.r) * params.omega2).ravel(),
-                            params, origin, params.tau)
-
-
-def _sheet_vectors(lax, tracker, zs):
-    """Section (r, m), sheets (m, r), adjugates (m, r, r, r) and
-    adj(phi - xi I) s (m, r, r) along the path ``zs``, per (point, sheet)."""
-    svec = tracker.value_at(zs)
-    M = lax(zs)
-    xis = np.linalg.eigvals(M)
-    adj = kernel.adjugate(M[:, None] - xis[..., None, None] * np.eye(lax.params.r))
-    return svec, xis, adj, np.einsum("psij,jp->psi", adj, svec)
-
-
-def _divisor_attempt(lax, component, grid, tol, origin, attempts):
     params = lax.params
     r = params.r
-    w1, wtau = params.omega1, params.tau
-    singulars = _tall_singulars(lax, origin)
+    w1, w2 = params.omega1, params.omega2
+    origin = 0.013 * w1 + 0.017 * w2
+    centre = origin + 0.5 * (w1 + w2)
+    rho = 0.5 * max(abs(w1 + w2), abs(w1 - w2))
+    # B has as many zeros as poles: of order <= m r(r-1)/2 at a divisor point
+    # of multiplicity m, and <= 1 at the puncture
+    most = lax.divisor.degree * r * (r - 1) // 2 + 1
 
-    def safe(z):
-        return np.abs(np.subtract.outer(z, singulars)).min(axis=-1) > 2 * tol.puncture_radius
+    walk = _SectionWalk(lax, tol)
+    ring = 2.5 * tol.puncture_radius * np.exp(-2j * np.pi * np.arange(9) / 8)
+    singulars = reduce_to_domain(np.array(lax.divisor.points + (params.puncture,)),
+                                 params, origin)
+    moments = error = 0.0
+    for loop in [origin + np.array([0.0, w1, w1 + w2, w2, 0.0])] + [p + ring for p in singulars]:
+        value, err = walk.moments(loop, centre, rho, 2 * most)
+        moments, error = moments + value, error + err
+    count = int(np.rint(moments[0].real))
+    if abs(moments[0] - count) > 1e-8 or not 0 <= count <= most:
+        raise ConsistencyError(f"B has {moments[0]:.6g} zeros in the cell, "
+                               f"not an integer in [0, {most}]")
+    hankel = np.add.outer(np.arange(count), np.arange(count))
+    if count and np.linalg.svd(moments[hankel], compute_uv=False)[-1] <= count * error.max():
+        raise NonGenericError("the Hankel matrix of B's moments is singular to their error: "
+                              "a multiple zero, or more zeros than it can separate")
+    zs = centre + rho * np.linalg.eigvals(np.linalg.solve(moments[hankel], moments[hankel + 1]))
+    for _ in range(3):
+        B, dB = _krylov_det(lax, zs, np.array([walk.section(z) for z in zs]).reshape(-1, r))
+        zs = zs - np.divide(B, dB, out=np.zeros_like(B), where=dB != 0)
+    svecs = np.array([walk.section(z) for z in zs]).reshape(-1, r)
+    # a zero found twice in place of another would not give back the moments
+    sums = (((zs - centre) / rho)[:, None] ** np.arange(2 * count)).sum(axis=0)
+    if np.any(np.abs(sums - moments[:2 * count]) > error[:2 * count]):
+        raise ConsistencyError("the polished zeros of B do not reproduce its moments")
 
-    # serpentine grid over the tall domain, plus rings around the singular
-    # points (zeros frequently pinch into the pole clusters), with section
-    # continuation along the node ordering
-    na, nb = grid
-    nb_tall = nb * r
-    ia, ib = np.arange(na), np.arange(nb_tall)[:, None]
-    ia = np.where(ib % 2 == 1, na - 1 - ia, ia)
-    rows = origin + ((ia + 0.5) / na) * w1 + ((ib + 0.5) / nb_tall) * wtau
-    rad = np.array([2.5, 4.0, 7.0, 12.0, 20.0])[:, None] * tol.puncture_radius
-    rings = singulars[:, None, None] + rad * np.exp(2j * np.pi * (np.arange(10) + 0.3) / 10)
-    nodes = np.concatenate([rows.ravel(), rings.ravel()])
-    usable = nodes[safe(nodes)]
-
-    # argument principle for the sheet product of the component over the
-    # tall domain, where it is single-valued and doubly periodic; this fixes
-    # the target zero count before the Newton sweep
-    count_tracker = SectionTracker(params, tol=tol)
-
-    def nfunc(zs):
-        return _sheet_vectors(lax, count_tracker, zs)[3][..., component].prod(axis=-1)
-
-    winding = count_zeros_in_domain(nfunc, params, singulars, origin, wtau)
-
-    # Newton seeds: every (node, sheet) pair, by the relative size of the
-    # component, then in chunks ordered by position
-    tracker = SectionTracker(params, tol=tol)
-    svec, xis, adj, v = _sheet_vectors(lax, tracker, usable)
-    scale = np.maximum(np.abs(adj).max(axis=(-2, -1)) * np.abs(svec).max(axis=0)[:, None],
-                       1e-30)
-    order = np.argsort((np.abs(v[..., component]) / scale).ravel(), kind="stable")
-    seed_z = np.repeat(usable, r)[order]
-    seed_xi = xis.ravel()[order]
-
-    found_tall = []   # (z_tall, xi) with the full vector vanishing
-    extras_tall = []  # component-only zeros
-    chunk = 60
-    for start in range(0, order.size, chunk):
-        zc, xic = seed_z[start:start + chunk], seed_xi[start:start + chunk]
-        for k in np.lexsort((zc.real, zc.imag)):
-            res = _newton_curve_section(lax, tracker, component, complex(zc[k]),
-                                        complex(xic[k]), tol)
-            if res is None:
-                continue
-            z, xi, vres_full = res
-            ztall = reduce_to_domain(z, params, origin, wtau)
-            if not safe(ztall):
-                continue
-            merge_scale = max(1.0, abs(xi))
-            if any(abs(ztall - a) < 1e2 * tol.cluster_merge and
-                   abs(xi - b) < 1e2 * tol.cluster_merge * merge_scale
-                   for a, b in (found_tall + extras_tall)):
-                continue
-            (found_tall if vres_full <= 1e-8 else extras_tall).append((ztall, xi))
-        if len(found_tall) + len(extras_tall) == winding and len(found_tall) % r == 0:
-            break
-
-    if winding != len(found_tall) + len(extras_tall) or len(found_tall) % r != 0:
-        raise ConsistencyError("missed zeros, refine grid")
-
-    # collapse the r vertical translates of each divisor class
-    classes = []
-    for ztall, xi in found_tall:
-        zsmall = reduce_to_domain(ztall, params, origin)
-        if not any(abs(zsmall - a) < 1e3 * tol.cluster_merge and
-                   abs(xi - b) < 1e3 * tol.cluster_merge * max(1.0, abs(b))
-                   for a, b in classes):
-            classes.append((zsmall, xi))
-    if len(classes) * r != len(found_tall):
-        raise ConsistencyError("missed zeros, refine grid")
+    phis = lax(zs)
+    xis = kernel.krylov_eigvals(phis, svecs, np.ones(count, dtype=int))
+    M = phis - xis[:, None, None] * np.eye(r)
+    adj = kernel.adjugate(M)
+    pres = np.abs(np.linalg.det(M)) / (np.abs(kernel.char_bipoly(phis)).max(axis=-1)
+                                       * np.maximum(1.0, np.abs(xis)) ** r)
+    vres = (np.abs(np.einsum("mij,mj->mi", adj, svecs)).max(axis=-1)
+            / (np.abs(adj).max(axis=(-2, -1)) * np.abs(svecs).max(axis=-1)))
+    validated = int(np.count_nonzero((pres <= tol.divisor) & (vres <= tol.divisor)))
+    if validated != count:
+        raise ConsistencyError(f"{validated} of the {count} zeros of B are divisor points")
 
     # genus prediction: the discriminant is elliptic on the small torus
     pairs = np.triu_indices(r, 1)
@@ -493,83 +484,21 @@ def _divisor_attempt(lax, component, grid, tol, origin, attempts):
         xis = np.linalg.eigvals(lax(zs))
         return ((xis[:, pairs[0]] - xis[:, pairs[1]]) ** 2).prod(axis=-1)
 
-    div_small = reduce_to_domain(np.array(lax.divisor.points), params, origin)
-    branch_count = count_zeros_in_domain(disc, params, div_small, origin)
+    branch_count = count_zeros_in_domain(disc, params, singulars[:-1], origin)
     if branch_count % 2 != 0:
         raise NumericDomainError("non-generic elliptic curve: odd branch count")
     genus_pred = 1 + branch_count // 2
 
-    points = []
-    for zred, xi in sorted(classes, key=lambda t: (t[0].real, t[0].imag)):
-        zshift = reduce_to_domain(zred - lax.z0, params)
-        xis = np.sort_complex(np.linalg.eigvals(lax(zred)))
-        sheet = int(np.argmin(np.abs(xis - xi)))
-        points.append(FundamentalDomainPoint(z=zshift, xi=xi, sheet=sheet))
+    zred = reduce_to_domain(zs, params, origin)
+    sheets = np.abs(np.sort_complex(np.linalg.eigvals(phis)) - xis[:, None]).argmin(axis=1)
+    points = [FundamentalDomainPoint(z=reduce_to_domain(zred[i] - lax.z0, params), xi=xis[i],
+                                     sheet=int(sheets[i]))
+              for i in np.lexsort((zred.imag, zred.real))]
 
-    return DivisorCountReport(
-        points=points, validated_count=len(classes),
-        component_only_count=len(extras_tall), winding_count=winding,
-        branch_count=branch_count, genus_prediction=genus_pred, attempts=attempts)
-
-
-def _curve_section_system(lax, tracker, component, z, xi):
-    """``(P, h)`` at (z, xi), with ``P = det M``, ``h = (adj(M) s)_c``,
-    ``M = phi(z) - xi I`` and ``s`` the section; its exact Jacobian in
-    (z, xi); ``adj(M)`` and ``s``.  The characteristic data of the pencil
-    ``M + w t phi'`` give ``P``, ``adj(M)`` and their xi- and w-derivatives
-    (``d/dz = d/dw / t``); ``t`` brings ``t phi'`` to the size of ``M`` so the
-    interpolation inside keeps the residual's precision.
-    """
-    s = tracker.value_at(z)
-    ds = s * tracker.logderiv / lax.params.r
-    dphi = lax.deriv(z)
-    M = lax(z) - xi * np.eye(lax.params.r)
-    t = max(1.0, np.abs(M).max()) / max(1.0, np.abs(dphi).max())
-    C, A = kernel.matpoly_char_adj(np.stack([M, t * dphi]))
-    adj = A[0, ..., 0]
-    h_z = (A[0, ..., 1] @ s / t + adj @ ds)[component]
-    # adj(M) has degree r - 1 in xi: the sum is empty, and 0, at r = 1
-    h_xi = (A[1:2, ..., 0].sum(axis=0) @ s)[component]
-    J = np.array([[C[0, 1] / t, C[1, 0]], [h_z, h_xi]])
-    return np.array([C[0, 0], (adj @ s)[component]]), J, adj, s
-
-
-def _newton_curve_section(lax, tracker, component, z, xi, tol, max_iter=40):
-    """Newton on ``_curve_section_system`` from the seed (z, xi): returns
-    ``(z, xi, vres_full)``, ``vres_full`` the relative size of the whole
-    vector ``adj(M) s``, or None for a seed that leaves the domain, diverges
-    or stalls."""
-    params = lax.params
-    span = abs(params.omega1) + abs(params.tau)
-    z_start, step = z, None
-    for _ in range(max_iter + 1):
-        try:
-            F, J, adj, svec = _curve_section_system(lax, tracker, component, z, xi)
-            if step is not None and np.abs(step).max() < 1e-13 * max(1.0, abs(z), abs(xi)):
-                break
-            step = np.linalg.solve(J, F)
-        except (NumericDomainError, np.linalg.LinAlgError):
-            return None
-        if not np.all(np.isfinite(step)) or abs(step[0]) > span:
-            return None
-        z, xi = z - step[0], xi - step[1]
-        if abs(z - z_start) > 2.0 * span:
-            return None
-    else:
-        return None
-
-    scale = max(np.abs(adj).max() * np.abs(svec).max(), 1e-30)
-    pscale = max(np.abs(kernel.char_bipoly(lax(z))).max() *
-                 max(1.0, abs(xi)) ** params.r, 1e-30)
-    resid = max(abs(F[0]) / pscale, abs(F[1]) / scale)
-    # Newton has converged to rounding here, so a residual above the gate
-    # means the gate is out of reach, not that this seed was unlucky
-    if resid > tol.divisor * 10:
-        raise ConvergenceError(
-            f"divisor Newton converged to residual {resid:.1e}, "
-            f"above the gate {tol.divisor * 10:.1e}; tol.divisor is too tight",
-            best=(z, xi))
-    return z, xi, float(np.abs(adj @ svec).max() / scale)
+    report = DivisorCountReport(
+        points=points, validated_count=validated, winding_count=count,
+        branch_count=branch_count, genus_prediction=genus_pred)
+    return report if full_report else report.points
 
 
 def slr_reduce(points: Sequence[FundamentalDomainPoint]):

@@ -20,8 +20,8 @@ from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "poly_trim", "poly_eval", "poly_der", "poly_roots", "char_bipoly", "adjugate",
-    "matpoly_char_adj", "bipoly_trim", "bipoly_eval", "bipoly_dxi", "bipoly_dz",
-    "resultant",
+    "matpoly_char_adj", "krylov", "krylov_eigvals", "bipoly_trim", "bipoly_eval",
+    "bipoly_dxi", "bipoly_dz", "resultant",
 ]
 
 
@@ -294,6 +294,26 @@ def matpoly_char_adj(coeff_mats):
     C[above] = 0.0
     A[np.broadcast_to(above[1:, None, None, :], A.shape)] = 0.0
     return C, A
+
+
+def krylov(M, s):
+    """Krylov matrices [s, M s, ..., M^(r-1) s] of a stack ``M`` (..., r, r);
+    ``s`` has shape (r,) or one vector per matrix, (..., r)."""
+    cols = [np.broadcast_to(s, M.shape[:-1])]
+    for _ in range(M.shape[-1] - 1):
+        cols.append(np.einsum("...ij,...j->...i", M, cols[-1]))
+    return np.stack(cols, axis=-1)
+
+
+def krylov_eigvals(M, s, ms):
+    """The ``xi`` with ``adj(M - xi I) s = 0``: for each ``M`` (m, r, r), the
+    eigenvalues of ``M`` on the ``ms[i]``-dimensional left null space of its
+    Krylov matrix (``M``-invariant by Cayley--Hamilton), concatenated."""
+    r = M.shape[-1]
+    U = np.linalg.svd(krylov(M, s))[0]
+    return np.concatenate([np.zeros(0, dtype=complex)]
+                          + [np.linalg.eigvals(u[:, r - m:].conj().T @ p @ u[:, r - m:])
+                             for u, p, m in zip(U, M, ms)])
 
 
 # ---------------------------------------------------------------------------

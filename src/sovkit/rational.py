@@ -10,13 +10,12 @@ size r and degree <= n; the flattened coordinate vector orders entries as
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 
 from . import kernel
 from .errors import ConsistencyError, ConvergenceError, NonGenericError
-from .numeric import fd_gradient, ode_solve
+from .numeric import ode_solve
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -286,17 +285,14 @@ def structure_tensor(r: int, n: int, spec: BracketSpec,
     return StructureTensor(r=r, n=n, spec=spec, a=a)
 
 
-def bracket(F: Callable, G: Callable, phi: MatPoly, spec: BracketSpec,
-            grad_f=None, grad_g=None, tol: Tolerances = DEFAULT) -> complex:
-    """Poisson bracket {F, G}(phi) = grad(F) . Pi(phi) . grad(G).
-
-    Observables map the flattened coefficient vector to a scalar; analytic
-    gradients may be supplied, otherwise central differences are used.
-    """
+def bracket(grad_f, grad_g, phi: MatPoly, spec: BracketSpec,
+            tol: Tolerances = DEFAULT) -> complex:
+    """Poisson bracket {F, G}(phi) = grad(F) . Pi(phi) . grad(G) of two
+    observables, given their gradients in the flattened coefficient vector."""
     x = phi.flatten()
     tensor = structure_tensor(phi.r, phi.n, spec, tol)
-    gf = np.asarray(grad_f, dtype=complex) if grad_f is not None else fd_gradient(F, x, tol=tol)
-    gg = np.asarray(grad_g, dtype=complex) if grad_g is not None else fd_gradient(G, x, tol=tol)
+    gf = np.asarray(grad_f, dtype=complex)
+    gg = np.asarray(grad_g, dtype=complex)
     return complex(gf @ tensor.poisson_matrix(x) @ gg)
 
 
@@ -416,14 +412,6 @@ def _bipoly_scale(grid, z, xi):
                       np.abs(grid).max())
 
 
-def _krylov(M, s):
-    """Krylov matrices [s, M s, ..., M^(r-1) s] of a stack ``M`` (..., r, r)."""
-    cols = [np.broadcast_to(s, M.shape[:-1])]
-    for _ in range(M.shape[-1] - 1):
-        cols.append(np.einsum("...ij,...j->...i", M, cols[-1]))
-    return np.stack(cols, axis=-1)
-
-
 def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
                    seed: int = 0) -> DivisorCoords:
     """Separating divisor points: common zeros of the curve and adj(.)s.
@@ -472,7 +460,7 @@ def _divisor_for_section(phi, Pg, s, tol: Tolerances):
     # B at the K = deg B + 1 roots of unity, then its coefficients by one FFT
     K = n * r * (r - 1) // 2 + 1
     zk = np.exp(2j * np.pi * np.arange(K) / K)
-    B = kernel.poly_trim(np.fft.fft(np.linalg.det(_krylov(phi(zk), s))) / K, tol)
+    B = kernel.poly_trim(np.fft.fft(np.linalg.det(kernel.krylov(phi(zk), s))) / K, tol)
     if B.size <= 1:
         return None  # B constant: s is too special
     try:
@@ -486,12 +474,9 @@ def _divisor_for_section(phi, Pg, s, tol: Tolerances):
                            / kernel.poly_eval(dB, zroots[simple]))
 
     # the Krylov space of s has codimension m at an m-fold root (at most r - 1)
-    phis = phi(zroots)
-    U = np.linalg.svd(_krylov(phis, s))[0]
     ms = np.minimum(mults, r - 1)
     zs = np.repeat(zroots, ms)
-    xis = np.concatenate([np.linalg.eigvals(u[:, r - m:].conj().T @ p @ u[:, r - m:])
-                          for u, p, m in zip(U, phis, ms)])
+    xis = kernel.krylov_eigvals(phi(zroots), s, ms)
     dPg = kernel.bipoly_dxi(Pg)
     for _ in range(2):
         d = kernel.bipoly_eval(dPg, zs, xis)

@@ -20,13 +20,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyError, NumericDomainError
-from .numeric import PathSpec
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "ThetaParams", "ThetaQuotients", "SectionSample", "SectionTracker", "riemann_theta",
-    "theta_deriv", "theta_kj", "xi_kj", "rho_shift", "f_component", "f_vector", "f_quotients",
-    "puncture_distance", "i_matrices", "basic_section",
+    "ThetaParams", "ThetaQuotients", "SectionTracker", "riemann_theta", "theta_deriv",
+    "theta_kj", "xi_kj", "rho_shift", "f_component", "f_vector", "f_quotients",
+    "puncture_distance", "i_matrices",
 ]
 
 
@@ -340,16 +339,6 @@ def i_matrices(r: int):
 # branch-tracked r-th roots
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SectionSample:
-    """Section values at one point together with the continuation used."""
-
-    z: complex
-    values: np.ndarray
-    anchor: complex
-    path: tuple
-
-
 class SectionTracker:
     """Continuation state for the basic section s_i = f_i^(1/r).
 
@@ -405,23 +394,3 @@ class SectionTracker:
             self._z, self._values = complex(nodes[-1]), out[:, -1].copy()
         return out.reshape((-1,) + path.shape)
 
-
-def basic_section(z, params: ThetaParams, path: Optional[PathSpec] = None,
-                  tol: Tolerances = DEFAULT) -> SectionSample:
-    """Branch-tracked section values at ``z``.
-
-    The continuation runs along ``path`` (which must start at the tracker's
-    anchor) or the straight anchor-to-z segment.
-    """
-    tracker = SectionTracker(params, tol=tol)
-    if path is not None:
-        if abs(path.waypoints[0] - tracker.anchor) > 1e-12:
-            raise ValueError("path must start at the section anchor")
-        if abs(path.waypoints[-1] - complex(z)) > 1e-12:
-            raise ValueError("path must end at the requested point")
-        stops = path.waypoints[1:]
-    else:
-        stops = (complex(z),)
-    values = tracker.value_at(np.array(stops))[:, -1]
-    return SectionSample(z=complex(z), values=values, anchor=tracker.anchor,
-                         path=(tracker.anchor,) + stops)

@@ -12,9 +12,8 @@ class Tolerances:
     root_residual: float = 1e-12   # |p(root)| <= root_residual * evaluation scale
     root_cluster: float = 1e-7     # root clustering radius, relative to root scale
     zero_trim: float = 1e-13       # trailing-coefficient trim, relative to max |coeff|
-    quad: float = 1e-11            # quadrature absolute error target
+    quad: float = 1e-10            # quadrature error, relative to the integral of |f|
     ode: float = 1e-10             # ODE per-step relative tolerance
-    fd_step: float = 1e-6          # relative finite-difference step
     divisor: float = 1e-9          # divisor-point residual bound, relative to scale
     disc_gap: float = 1e-3         # minimum branch-point separation of a generic curve
     branch_avoid: float = 1e-2     # path avoidance radius around branch points

@@ -3,6 +3,7 @@ one pass/fail line."""
 
 import json
 
+from sovkit import elliptic as ell
 from sovkit.acceptance import SUITES, ExperimentConfig
 from sovkit.cli import main
 
@@ -53,22 +54,37 @@ class TestAcceptanceCriteria:
                   if c.name.startswith("elliptic_count")}
         # recorded empirical counts at seed 2024
         assert counts == {
-            "elliptic_count_n1": {"validated": 2, "winding": 6, "component_only": 2,
-                                  "branch_points": 2, "genus_prediction": 2,
-                                  "attempts": 1},
-            "elliptic_count_n2": {"validated": 3, "winding": 10, "component_only": 4,
-                                  "branch_points": 4, "genus_prediction": 3,
-                                  "attempts": 1}}
+            "elliptic_count_n1": {"validated": 2, "winding": 2, "branch_points": 2,
+                                  "genus_prediction": 2},
+            "elliptic_count_n2": {"validated": 3, "winding": 3, "branch_points": 4,
+                                  "genus_prediction": 3}}
 
-    def test_elliptic_seed_5_settles_at_the_first_grid(self):
-        # the Newton sweep of the n=2 draw at seed 5 continues the section
-        # past double zeros of f_j; a step that straddled one would flip a
-        # section component, find full-vector zeros off the divisor, fail the
-        # count and retry on a finer grid
+    def test_elliptic_seed_5_points(self, monkeypatch):
+        # the n=2 draw at seed 5 continues the section past double zeros of
+        # f_j; a step that straddled one would flip a section component and
+        # move the points.  The reference points come from an independent
+        # method: a grid-seeded 2-D Newton sweep on (det(phi - xi I), the
+        # first component of adj(phi - xi I) s)
+        reports = []
+        extract = ell.elliptic_divisor_coords
+
+        def recorded(*args, **kwargs):
+            reports.append(extract(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(ell, "elliptic_divisor_coords", recorded)
         results = SUITES["elliptic"](ExperimentConfig(seed=5))
         assert all(c.passed for c in results)
-        counts = {c.name: c.details for c in results if c.name.startswith("elliptic_count")}
-        assert counts["elliptic_count_n2"]["attempts"] == 1
+        z = [0.1219466121518765 + 0.3597253717872776j,
+             0.22194831334374485 + 0.22160576928067932j,
+             0.4866676548002034 + 0.2207600735368323j]
+        xi = [-37.59725480066539 + 35.78535779436194j,
+              -2.0262251350378184 - 2.524059191702619j,
+              -1.6171548739425516 - 3.7299175673395677j]
+        points = reports[-1].points
+        assert [p.sheet for p in points] == [0, 0, 1]
+        assert max(abs(p.z - w) for p, w in zip(points, z)) < 1e-12
+        assert max(abs(p.xi - w) / max(1.0, abs(w)) for p, w in zip(points, xi)) < 1e-12
 
     def test_criterion_9_determinism_and_robustness(self, tmp_path):
         # same seed twice: byte-identical report body (minus timestamp)

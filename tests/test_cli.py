@@ -208,8 +208,8 @@ class TestElliptic:
                      "--out", str(tmp_path)]) == 2
 
     def test_unreachable_tol_scale_exits_4(self, tmp_path):
-        # divisor residuals cannot reach 1e-20: the first converged Newton
-        # point ends the extraction with a typed numeric-guard exit
+        # neither the moment quadrature (1e-22) nor the divisor residuals
+        # (1e-21) can reach their tolerance: a typed numeric-guard exit
         path = _write_elliptic_doc(tmp_path)
         assert main(["elliptic", "--input", str(path), "--tol-scale", "1e-12",
                      "--out", str(tmp_path)]) == 4

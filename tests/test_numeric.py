@@ -3,7 +3,7 @@ import pytest
 
 from sovkit import kernel
 from sovkit.errors import NumericDomainError
-from sovkit.numeric import PathSpec, fd_gradient, integrate_path, ode_solve
+from sovkit.numeric import PathSpec, integrate_path, ode_solve
 
 
 class TestIntegratePath:
@@ -39,6 +39,32 @@ class TestIntegratePath:
         assert abs(whole - (first + second)) < 1e-12
         back, _ = integrate_path(f, PathSpec((a, m, b)).reversed())
         assert abs(whole + back) < 1e-12
+
+    def test_vector_integrand_and_one_call_per_level(self):
+        # the powers z^k, k < 4, on one call per level whose nodes run along
+        # the path; the peak at 0.3 + 0.01i makes some panels refine
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return z[:, None] ** np.arange(4) / (z - (0.3 + 0.01j))[:, None]
+
+        path = PathSpec((-1.0, 1.0, 1.0 + 1j))
+        value, err = integrate_path(f, path)
+        assert value.shape == err.shape == (4,)
+        # only the panels that fail their check are halved: the levels stay
+        # small while the refinement closes in on the peak
+        assert len(calls) > 4 and max(z.size for z in calls) <= 4 * calls[0].size
+        for z in calls:
+            t = np.where(z.imag == 0.0, z.real, 1.0 + z.imag)  # the path parameter
+            assert np.all(np.diff(t) > 0)
+        # z^k / (z - c) = sum_{j<k} c^(k-1-j) z^j + c^k / (z - c)
+        c = 0.3 + 0.01j
+        # the path passes below c, clear of the cut of log(z - c)
+        log = np.log(1.0 + 1j - c) - np.log(-1.0 - c)
+        anti = lambda z, k: sum(c ** (k - 1 - j) * z ** (j + 1) / (j + 1) for j in range(k))
+        exact = [anti(1.0 + 1j, k) - anti(-1.0, k) + c ** k * log for k in range(4)]
+        assert np.abs(value - exact).max() < 1e-11
 
     def test_singular_path_raises(self):
         # pole strictly inside the segment, away from any symmetric cancellation
@@ -106,23 +132,3 @@ class TestOdeSolve:
         with pytest.raises(NumericDomainError, match="stiff or singular"):
             ode_solve(field, np.array([1.0]), [0.0, 2.0])
 
-
-class TestFdGradient:
-    def test_quadratic(self):
-        x = np.array([0.4, -1.2, 2.5], dtype=complex)
-        grad = fd_gradient(lambda v: np.sum(v ** 2), x)
-        assert np.max(np.abs(grad - 2 * x)) < 1e-9
-
-    def test_constant(self):
-        grad = fd_gradient(lambda v: 3.7 + 0j, np.array([1.0, 2.0], dtype=complex))
-        assert np.max(np.abs(grad)) < 1e-12
-
-    def test_random_polynomial_observable(self):
-        rng = np.random.default_rng(13)
-        A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        f = lambda v: v @ A @ v + b @ v
-        grad = fd_gradient(f, x)
-        exact = (A + A.T) @ x + b
-        assert np.max(np.abs(grad - exact)) < 1e-6 * max(1.0, np.max(np.abs(exact)))

@@ -196,8 +196,9 @@ class TestBracketOp:
         phi = unit_disk_matpoly(rng, 2, 1)
         spec = R.BracketSpec(a=(1.0, 0.2j), b=0.5)
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        F = lambda x: x @ A @ x
-        val = R.bracket(F, F, phi, spec)
+        x = phi.flatten()
+        grad = (A + A.T) @ x  # of F(x) = x A x
+        val = R.bracket(grad, grad, phi, spec)
         assert abs(val) < 1e-8
 
     def test_coordinate_functions_match_tensor(self):
@@ -207,9 +208,9 @@ class TestBracketOp:
         tensor = R.structure_tensor(2, 1, spec)
         pi = tensor.poisson_matrix(phi.flatten())
         al, be = 1, 6
-        F = lambda x: x[al]
-        G = lambda x: x[be]
-        val = R.bracket(F, G, phi, spec)
+        # the coordinate functions x[al] and x[be] have unit-vector gradients
+        E = np.eye(tensor.dim)
+        val = R.bracket(E[al], E[be], phi, spec)
         assert abs(val - pi[al, be]) < 1e-8
 
     def test_jacobi_identity(self):

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from sovkit import theta as T
 from sovkit.errors import NumericDomainError
-from sovkit.numeric import PathSpec
 from sovkit.tolerances import DEFAULT
 
 TAUS = (1j, 0.2 + 1.1j)
@@ -491,15 +490,6 @@ class TestBasicSection:
             trk.value_at(path)
         with pytest.raises(NumericDomainError, match="not finite"):
             trk.value_at(bad)
-
-    def test_basic_section_path_validation(self):
-        params = T.ThetaParams(tau=1j, r=2)
-        trk = T.SectionTracker(params)
-        target = trk.anchor + 0.1
-        sample = T.basic_section(target, params)
-        assert sample.values.shape == (2,)
-        with pytest.raises(ValueError, match="start at the section anchor"):
-            T.basic_section(target, params, path=PathSpec((0.9 + 0.9j, target)))
 
 
 class TestIMatrices:
