@@ -397,12 +397,11 @@ def suite_elliptic(config: ExperimentConfig):
             f"elliptic_quasiperiodicity_n{n}", worst_qp, tol_qp))
 
         rep = ell.elliptic_divisor_coords(lax, full_report=True)
-        count_ok = rep.validated_count == rep.winding_count == rep.genus_prediction
+        count_ok = rep.validated_count == rep.genus_prediction
         out.append(CheckResult(
             name=f"elliptic_count_n{n}",
             residual=0.0 if count_ok else 1.0, tolerance=0.5, passed=count_ok,
             details={"validated": rep.validated_count,
-                     "winding": rep.winding_count,
                      "branch_points": rep.branch_count,
                      "genus_prediction": rep.genus_prediction}))
 

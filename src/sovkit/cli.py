@@ -192,7 +192,6 @@ def cmd_elliptic(args) -> int:
                    ["mu", "z_re", "z_im", "xi_re", "xi_im", "sheet"], rows)
     payload = {
         "validated_count": rep.validated_count,
-        "winding_count": rep.winding_count,
         "branch_points": rep.branch_count,
         "genus_prediction": rep.genus_prediction,
     }

@@ -30,14 +30,20 @@ __all__ = [
 ]
 
 
+def _lattice(z, params: ThetaParams, origin=0.0):
+    """Real coordinates (a, b) of z (a point or an array) = origin + a omega1
+    + b omega2."""
+    w = np.asarray(z, dtype=complex) - complex(origin)
+    b = w.imag / params.omega2.imag
+    return (w.real - b * params.omega2.real) / params.omega1, b
+
+
 def reduce_to_domain(z, params: ThetaParams, origin=0.0):
     """Representative of z (a point or an array) in origin + [0,1) omega1 +
     [0,1) omega2."""
-    w1, w2 = params.omega1, params.omega2
-    w = np.asarray(z, dtype=complex) - complex(origin)
-    b = w.imag / w2.imag
-    a = (w.real - b * w2.real) / w1
-    return complex(origin) + (a - np.floor(a)) * w1 + (b - np.floor(b)) * w2
+    a, b = _lattice(z, params, origin)
+    return (complex(origin) + (a - np.floor(a)) * params.omega1
+            + (b - np.floor(b)) * params.omega2)
 
 
 @dataclass(frozen=True)
@@ -298,8 +304,7 @@ class FundamentalDomainPoint:
 @dataclass
 class DivisorCountReport:
     points: list
-    validated_count: int
-    winding_count: int  # zeros of the Krylov determinant B in the cell
+    validated_count: int  # the zero count of the Krylov determinant B: all validate
     branch_count: int
     genus_prediction: int
 
@@ -415,55 +420,99 @@ class _SectionWalk:
         return value / (2j * np.pi), error / (2 * np.pi)
 
 
+def _zeros_of_b(walk, origin, box, singulars, most, depth=0):
+    """The zeros of ``B`` in the parallelogram ``box = ((a0, a1), (b0, b1))``,
+    that is ``origin + [a0, a1) omega1 + [b0, b1) omega2``, polished.
+
+    The moments of ``B'/B`` around the box, less clockwise 8-gons of radius
+    ``2.5 tol.puncture_radius`` at the ``singulars`` inside it, give the zero
+    count (within 1e-8 of an integer) and the zeros as the eigenvalues of a
+    Hankel pencil (Delves and Lyness, Math. Comp. 21 (1967)), given 3 Newton
+    steps on ``B``.  Where that fails (the Hankel matrix is singular to the
+    moments' error, an eigenvalue lies far from the box, or the polished
+    zeros do not give back the moments) the box is cut in two across its
+    longer side, clear of the singulars, and each half is searched: a dozen
+    zeros on one contour, or a close pair among distant ones, are beyond one
+    pencil.  After 16 cuts a singular Hankel matrix is a multiple zero.
+    """
+    lax, tol = walk.lax, walk.tol
+    params = lax.params
+    w1, w2 = params.omega1, params.omega2
+    (a0, a1), (b0, b1) = box
+    corners = origin + np.array([a0, a1, a1, a0, a0]) * w1 + np.array([b0, b0, b1, b1, b0]) * w2
+    centre = corners[:4].mean()
+    rho = 0.5 * max(abs(corners[2] - corners[0]), abs(corners[3] - corners[1]))
+    sa, sb = _lattice(singulars, params, origin)
+    inside = (a0 <= sa) & (sa < a1) & (b0 <= sb) & (sb < b1)
+    ring = 2.5 * tol.puncture_radius * np.exp(-2j * np.pi * np.arange(9) / 8)
+    moments = error = 0.0
+    for loop in [corners] + [p + ring for p in singulars[inside]]:
+        value, err = walk.moments(loop, centre, rho, 2 * most)
+        moments, error = moments + value, error + err
+    count = int(np.rint(moments[0].real))
+    if abs(moments[0] - count) > 1e-8 or not 0 <= count <= most:
+        raise ConsistencyError(f"B has {moments[0]:.6g} zeros in a box of the cell, "
+                               f"not an integer in [0, {most}]")
+    if count == 0:
+        return np.empty(0, dtype=complex)
+    hankel = np.add.outer(np.arange(count), np.arange(count))
+    singular = np.linalg.svd(moments[hankel], compute_uv=False)[-1] <= count * error.max()
+    if not singular:
+        zs = centre + rho * np.linalg.eigvals(np.linalg.solve(moments[hankel],
+                                                              moments[hankel + 1]))
+        if np.all(np.abs(zs - centre) < 1.2 * rho):
+            for _ in range(3):
+                B, dB = _krylov_det(lax, zs, np.array([walk.section(z) for z in zs]))
+                zs = zs - np.divide(B, dB, out=np.zeros_like(B), where=dB != 0)
+            # a zero found twice in place of another would not give back the moments
+            sums = (((zs - centre) / rho)[:, None] ** np.arange(2 * count)).sum(axis=0)
+            if np.all(np.abs(sums - moments[:2 * count]) <= error[:2 * count]):
+                return zs
+    if depth == 16:
+        if singular:
+            raise NonGenericError(f"B has a multiple zero near z = {centre:.6g}")
+        raise NumericDomainError(f"the {count} zeros of B near z = {centre:.6g} "
+                                 f"do not separate")
+    # the cut nearest the middle that keeps a tenth of the side from the
+    # singulars inside, else the one farthest from them
+    side = 0 if (a1 - a0) * abs(w1) >= (b1 - b0) * abs(w2) else 1
+    lo, hi = box[side]
+    cuts = lo + (hi - lo) * np.array([0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7])
+    gaps = np.abs(np.subtract.outer(cuts, (sa, sb)[side][inside])).min(axis=1, initial=1.0)
+    cut = cuts[np.argmax(np.minimum(gaps, 0.1 * (hi - lo)))]
+    halves = [list(box), list(box)]
+    halves[0][side], halves[1][side] = (lo, cut), (cut, hi)
+    zs = np.concatenate([_zeros_of_b(walk, origin, tuple(half), singulars, most, depth + 1)
+                         for half in halves])
+    if zs.size != count:
+        raise ConsistencyError(f"the halves of a box with {count} zeros of B hold {zs.size}")
+    return zs
+
+
 def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
                             full_report: bool = False):
     """Separating points in the fundamental domain, over the zeros of
     Sklyanin's ``B = det[s, phi s, ..., phi^(r-1) s]``, ``s`` the section.
 
     ``B'/B`` is elliptic (around a puncture every component of ``s`` gains
-    one r-th root of unity).  Its moments around the cell, less clockwise
-    8-gons of radius ``2.5 tol.puncture_radius`` at the divisor poles and the
-    puncture, give the zeros as the eigenvalues of a Hankel pencil (Delves
-    and Lyness, Math. Comp. 21 (1967)), polished by 3 Newton steps on ``B``.
-    Each ``xi`` comes from the left null space of the Krylov matrix, and
-    ``det(phi - xi I)`` and ``adj(phi - xi I) s`` must vanish to
-    ``tol.divisor``.  Output coordinates are (z_mu - z0, xi_mu).
+    one r-th root of unity), and ``_zeros_of_b`` finds its zeros on the cell
+    from contour moments.  Each ``xi`` comes from the left null space of the
+    Krylov matrix, and ``det(phi - xi I)`` and ``adj(phi - xi I) s`` must
+    vanish to ``tol.divisor``.  Output coordinates are (z_mu - z0, xi_mu).
     """
     params = lax.params
     r = params.r
-    w1, w2 = params.omega1, params.omega2
-    origin = 0.013 * w1 + 0.017 * w2
-    centre = origin + 0.5 * (w1 + w2)
-    rho = 0.5 * max(abs(w1 + w2), abs(w1 - w2))
+    origin = 0.013 * params.omega1 + 0.017 * params.omega2
     # B has as many zeros as poles: of order <= m r(r-1)/2 at a divisor point
     # of multiplicity m, and <= 1 at the puncture
     most = lax.divisor.degree * r * (r - 1) // 2 + 1
 
     walk = _SectionWalk(lax, tol)
-    ring = 2.5 * tol.puncture_radius * np.exp(-2j * np.pi * np.arange(9) / 8)
     singulars = reduce_to_domain(np.array(lax.divisor.points + (params.puncture,)),
                                  params, origin)
-    moments = error = 0.0
-    for loop in [origin + np.array([0.0, w1, w1 + w2, w2, 0.0])] + [p + ring for p in singulars]:
-        value, err = walk.moments(loop, centre, rho, 2 * most)
-        moments, error = moments + value, error + err
-    count = int(np.rint(moments[0].real))
-    if abs(moments[0] - count) > 1e-8 or not 0 <= count <= most:
-        raise ConsistencyError(f"B has {moments[0]:.6g} zeros in the cell, "
-                               f"not an integer in [0, {most}]")
-    hankel = np.add.outer(np.arange(count), np.arange(count))
-    if count and np.linalg.svd(moments[hankel], compute_uv=False)[-1] <= count * error.max():
-        raise NonGenericError("the Hankel matrix of B's moments is singular to their error: "
-                              "a multiple zero, or more zeros than it can separate")
-    zs = centre + rho * np.linalg.eigvals(np.linalg.solve(moments[hankel], moments[hankel + 1]))
-    for _ in range(3):
-        B, dB = _krylov_det(lax, zs, np.array([walk.section(z) for z in zs]).reshape(-1, r))
-        zs = zs - np.divide(B, dB, out=np.zeros_like(B), where=dB != 0)
+    zs = _zeros_of_b(walk, origin, ((0.0, 1.0), (0.0, 1.0)), singulars, most)
+    count = zs.size
     svecs = np.array([walk.section(z) for z in zs]).reshape(-1, r)
-    # a zero found twice in place of another would not give back the moments
-    sums = (((zs - centre) / rho)[:, None] ** np.arange(2 * count)).sum(axis=0)
-    if np.any(np.abs(sums - moments[:2 * count]) > error[:2 * count]):
-        raise ConsistencyError("the polished zeros of B do not reproduce its moments")
 
     phis = lax(zs)
     xis = kernel.krylov_eigvals(phis, svecs, np.ones(count, dtype=int))
@@ -496,7 +545,7 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
               for i in np.lexsort((zred.imag, zred.real))]
 
     report = DivisorCountReport(
-        points=points, validated_count=validated, winding_count=count,
+        points=points, validated_count=validated,
         branch_count=branch_count, genus_prediction=genus_pred)
     return report if full_report else report.points
 

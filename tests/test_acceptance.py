@@ -54,9 +54,9 @@ class TestAcceptanceCriteria:
                   if c.name.startswith("elliptic_count")}
         # recorded empirical counts at seed 2024
         assert counts == {
-            "elliptic_count_n1": {"validated": 2, "winding": 2, "branch_points": 2,
+            "elliptic_count_n1": {"validated": 2, "branch_points": 2,
                                   "genus_prediction": 2},
-            "elliptic_count_n2": {"validated": 3, "winding": 3, "branch_points": 4,
+            "elliptic_count_n2": {"validated": 3, "branch_points": 4,
                                   "genus_prediction": 3}}
 
     def test_elliptic_seed_5_points(self, monkeypatch):

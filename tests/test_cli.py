@@ -207,9 +207,15 @@ class TestElliptic:
         assert main(["elliptic", "--input", str(path), "--seed", "3",
                      "--out", str(tmp_path)]) == 2
 
+    def test_tighter_tol_scale_is_reachable(self, tmp_path):
+        # the divisor residuals (about 1e-15) meet 1e-11; the moment
+        # quadrature keeps its own tolerance
+        path = _write_elliptic_doc(tmp_path)
+        assert main(["elliptic", "--input", str(path), "--tol-scale", "1e-2",
+                     "--out", str(tmp_path)]) == 0
+
     def test_unreachable_tol_scale_exits_4(self, tmp_path):
-        # neither the moment quadrature (1e-22) nor the divisor residuals
-        # (1e-21) can reach their tolerance: a typed numeric-guard exit
+        # the divisor residuals cannot reach 1e-21: a typed numeric-guard exit
         path = _write_elliptic_doc(tmp_path)
         assert main(["elliptic", "--input", str(path), "--tol-scale", "1e-12",
                      "--out", str(tmp_path)]) == 4
