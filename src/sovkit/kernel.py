@@ -21,7 +21,7 @@ from .tolerances import DEFAULT, Tolerances
 __all__ = [
     "poly_trim", "poly_eval", "poly_der", "poly_roots", "char_bipoly", "adjugate",
     "matpoly_char_adj", "krylov", "krylov_eigvals", "bipoly_trim", "bipoly_eval",
-    "bipoly_dxi", "bipoly_dz", "resultant",
+    "bipoly_dxi", "bipoly_dz", "resultant", "min_gap",
 ]
 
 
@@ -59,6 +59,13 @@ def poly_der(c):
     if c.size <= 1:
         return np.zeros(0, dtype=complex)
     return npoly.polyder(c)
+
+
+def min_gap(*vals):
+    """Smallest ``sum_v |v[i] - v[j]|`` over pairs ``i != j`` of points given
+    by equal-length 1-D coordinate arrays ``vals``; ``inf`` below two points."""
+    d = sum(np.abs(v[:, None] - v) for v in vals)
+    return float(np.where(np.eye(len(d), dtype=bool), np.inf, d).min(initial=np.inf))
 
 
 def _eval_scale(c, x):

@@ -129,13 +129,6 @@ def _match_order(ref, roots):
     return out
 
 
-def _min_gap(vals):
-    if vals.size < 2:
-        return np.inf
-    d = np.abs(vals[:, None] - vals[None, :])[np.triu_indices(vals.size, 1)]
-    return float(d.min())
-
-
 def _panels(Pg_T, waypoints, xi):
     """Sheet-tracked Gauss-Legendre panels along a path whose sheets start at ``xi``.
 
@@ -146,6 +139,7 @@ def _panels(Pg_T, waypoints, xi):
     nodes (the root nearest each sheet's linear interpolant) and at the end.
     Sending ``False`` rejects a panel: the step halves and a shorter one follows.
     """
+    gap = kernel.min_gap(xi)
     for a, b in zip(waypoints, waypoints[1:]):
         z_cur = a
         seg = b - a
@@ -158,22 +152,22 @@ def _panels(Pg_T, waypoints, xi):
             step_dir = (b - z_cur) / abs(b - z_cur)
             h = min(abs(step), abs(b - z_cur))
             z_next = z_cur + h * step_dir
-            xi_next = _match_order(xi, _curve_roots(Pg_T, z_next))
-            move = np.abs(xi_next - xi).max()
-            gap = min(_min_gap(xi), _min_gap(xi_next))
-            if move > 0.25 * gap and h > 1e-10:
-                step = step / 2.0
-                continue
             half = 0.5 * (z_next - z_cur)
             zs = 0.5 * (z_cur + z_next) + half * _NODES
-            roots = _curve_roots(Pg_T, zs)
+            roots = _curve_roots(Pg_T, np.append(zs, z_next))
+            xi_next = _match_order(xi, roots[-1])
+            move = np.abs(xi_next - xi).max()
+            gap_next = kernel.min_gap(xi_next)
+            if move > 0.25 * min(gap, gap_next) and h > 1e-10:
+                step = step / 2.0
+                continue
             pred = xi + (xi_next - xi) * _FRAC[:, None]
-            pick = np.argmin(np.abs(roots[:, None, :] - pred[:, :, None]), axis=-1)
-            xi_nodes = np.take_along_axis(roots, pick, axis=1)
+            pick = np.argmin(np.abs(roots[:-1, None, :] - pred[:, :, None]), axis=-1)
+            xi_nodes = np.take_along_axis(roots[:-1], pick, axis=1)
             if (yield zs, half, xi_nodes, z_next, xi_next) is False:
                 step = step / 2.0
                 continue
-            xi = xi_next
+            xi, gap = xi_next, gap_next
             z_cur = z_next
             if abs(step) < abs(seg) / 4:
                 step = step * 1.9
@@ -202,7 +196,7 @@ def _landing_sheet(xi_fin, xi_end, sheet=None):
     """The tracked sheet (by default the nearest) checked to end at xi_end."""
     if sheet is None:
         sheet = int(np.argmin(np.abs(xi_fin - xi_end)))
-    if abs(xi_fin[sheet] - xi_end) > min(0.45 * _min_gap(xi_fin),
+    if abs(xi_fin[sheet] - xi_end) > min(0.45 * kernel.min_gap(xi_fin),
                                          1e-3 * max(1.0, abs(xi_end))):
         raise ConsistencyError("sheet tracking did not land on the divisor point")
     return sheet

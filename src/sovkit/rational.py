@@ -176,11 +176,10 @@ def spectral_curve(phi: MatPoly, probe_seed: int = 0) -> SpectralCurve:
     rng = np.random.default_rng(probe_seed)
     zs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     xis = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    for z, xi in zip(zs, xis):
-        direct = np.linalg.det(phi(z) - xi * np.eye(r))
-        ours = kernel.bipoly_eval(grid, z, xi)
-        if abs(ours - direct) > 1e-10 * max(1.0, abs(direct)):
-            raise ConsistencyError("spectral curve grid disagrees with determinant probe")
+    direct = np.linalg.det(phi(zs) - xis[:, None, None] * np.eye(r))
+    ours = kernel.bipoly_eval(grid, zs, xis)
+    if np.any(np.abs(ours - direct) > 1e-10 * np.maximum(1.0, np.abs(direct))):
+        raise ConsistencyError("spectral curve grid disagrees with determinant probe")
     return SpectralCurve(grid=grid, r=r, n=n)
 
 
@@ -201,18 +200,15 @@ def genus(phi: MatPoly, tol: Tolerances = DEFAULT) -> int:
         return 0
     lead = phi.coeff_mats[-1]
     eigs, _ = kernel.poly_roots(kernel.char_bipoly(lead), tol)
-    if eigs.size > 1:
-        gaps = np.abs(eigs[:, None] - eigs[None, :])[np.triu_indices(eigs.size, 1)]
-        if eigs.size < r or gaps.min() < tol.disc_gap * max(1.0, np.abs(eigs).max()):
-            raise NonGenericError("non-generic curve: leading matrix eigenvalues collide")
+    if eigs.size > 1 and (eigs.size < r or kernel.min_gap(eigs)
+                          < tol.disc_gap * max(1.0, np.abs(eigs).max())):
+        raise NonGenericError("non-generic curve: leading matrix eigenvalues collide")
     roots, mults = branch_points(spectral_curve(phi), tol)
     scale = max(1.0, np.abs(roots).max()) if roots.size else 1.0
     if np.any(mults > 1):
         raise NonGenericError("non-generic curve: non-simple branch point")
-    if roots.size > 1:
-        gaps = np.abs(roots[:, None] - roots[None, :])[np.triu_indices(roots.size, 1)]
-        if gaps.min() < tol.disc_gap * scale:
-            raise NonGenericError("non-generic curve: clustered branch points")
+    if kernel.min_gap(roots) < tol.disc_gap * scale:
+        raise NonGenericError("non-generic curve: clustered branch points")
     B = roots.size
     if B % 2 != 0:
         raise NonGenericError("non-generic curve: odd branch count")
@@ -495,8 +491,7 @@ def _divisor_for_section(phi, Pg, s, tol: Tolerances):
                       "validation", RuntimeWarning, stacklevel=3)
     zs, xis = zs[keep], xis[keep]
     scale = max(1.0, np.abs(zs).max(), np.abs(xis).max())
-    d = np.abs(zs[:, None] - zs) + np.abs(xis[:, None] - xis)
-    gap = d[np.triu_indices(zs.size, 1)].min(initial=np.inf)
+    gap = kernel.min_gap(zs, xis)
     return zs, xis, bool(gap < 100 * tol.cluster_merge * scale or np.any(mults > 1))
 
 

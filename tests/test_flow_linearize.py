@@ -259,3 +259,23 @@ class TestSheetTracking:
         ze = path[-1]
         exact = 2 * (ze * (np.log(ze) + 2j * np.pi - 1) + 1)  # int 2 log z dz, continued
         assert abs(total[0] - exact) < 1e-9
+
+    def test_sheet_integrals_reference(self):
+        # one stacked root call per step attempt and the carried sheet gap
+        # leave the panels as they were: the integrals, over a path of 29
+        # panels and 27 rejected attempts, equal the values the stepper gave
+        # with two root calls per attempt, bit for bit
+        phi = R.random_instance(2, 3, np.random.default_rng(7))
+        curve = R.spectral_curve(phi)
+        bps, _ = R.branch_points(curve)
+        d = R.divisor_coords(phi)
+        integrand = linearize._conjugate_integrand(
+            curve, R.BracketSpec(a=(1.0,), b=0.0), [(1, 0), (1, 1), (0, 2)])
+        path = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
+        total, end = linearize.sheet_integrals(curve, integrand, path)
+        assert np.array_equal(total.ravel(), [
+            3.9840044270770285 + 1.0299161544859055j, 2.246395550224871 + 1.8185556215621947j,
+            3.7341255774091864 + 7.748899142880272j, 3.937610471263028 + 5.218288821684655j,
+            1.4297183672249008 - 0.05793742531465229j, -1.4297183672249008 + 0.05793742531465222j])
+        assert np.array_equal(end, [2.53207131929456 + 1.0575013365593149j,
+                                    0.8774556052321557 - 2.3422934648823768j])

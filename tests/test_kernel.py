@@ -379,3 +379,21 @@ class TestBiPoly:
         dz_fd = (kernel.bipoly_eval(c, z + h, xi) - kernel.bipoly_eval(c, z - h, xi)) / (2 * h)
         assert abs(kernel.bipoly_eval(kernel.bipoly_dxi(c), z, xi) - dxi_fd) < 1e-7
         assert abs(kernel.bipoly_eval(kernel.bipoly_dz(c), z, xi) - dz_fd) < 1e-7
+
+
+class TestMinGap:
+    def test_equals_upper_triangle_minimum(self):
+        # the diagonal mask gives the minimum over i < j bit for bit, for one
+        # coordinate and for the sum of two (the divisor crowding gap)
+        rng = np.random.default_rng(2)
+        for size in range(2, 9):
+            z, xi = rng.standard_normal((2, size)) + 1j * rng.standard_normal((2, size))
+            pairs = np.triu_indices(size, 1)
+            d = np.abs(z[:, None] - z)
+            assert kernel.min_gap(z) == d[pairs].min()
+            d = d + np.abs(xi[:, None] - xi)
+            assert kernel.min_gap(z, xi) == d[pairs].min()
+
+    def test_below_two_points_is_inf(self):
+        assert kernel.min_gap(np.zeros(0, dtype=complex)) == np.inf
+        assert kernel.min_gap(np.array([1.0 + 1j]), np.array([2.0])) == np.inf

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sovkit import kernel
+from sovkit import kernel, numeric
 from sovkit.errors import NumericDomainError
 from sovkit.numeric import PathSpec, integrate_path, ode_solve
+from sovkit.tolerances import DEFAULT
 
 
 class TestIntegratePath:
@@ -92,17 +93,64 @@ class TestOdeSolve:
         energy = np.abs(out[:, 0]) ** 2 + np.abs(out[:, 1]) ** 2
         assert np.max(np.abs(energy - energy[0])) < 1e-8
 
-    def test_fixed_step_order(self):
-        # fifth-order method: halving the step shrinks the error ~32x
+    def test_dp_step_is_fifth_order(self):
+        # one step of y' = cos(t) y: the local error is O(h^6), so halving h
+        # shrinks it by more than 2^5; the last stage is the field at the result
         def field(t, y):
-            return np.array([np.cos(t) * y[0]])
+            return np.cos(t) * y
 
-        exact = np.exp(np.sin(1.0))
+        t0 = 0.3
+        y0 = np.array([np.exp(np.sin(t0))], dtype=complex)
         errs = []
-        for h in (0.1, 0.05):
-            out = ode_solve(field, np.array([1.0]), [0.0, 1.0], fixed_step=h)
-            errs.append(abs(out[-1, 0] - exact))
-        assert errs[0] / errs[1] > 16.0
+        for h in (0.2, 0.1):
+            y1, _, k7 = numeric._dp_step(field, t0, y0, h, field(t0, y0))
+            errs.append(abs(y1[0] - np.exp(np.sin(t0 + h))))
+            assert np.array_equal(k7, field(t0 + h, y1))
+        assert errs[0] / errs[1] > 2.0 ** 5
+
+    @staticmethod
+    def _counted(monkeypatch, field, t_grid):
+        """The result, the field evaluations and the start times of the
+        attempted steps of one ``ode_solve``."""
+        evals, starts = [], []
+        step = numeric._dp_step
+        monkeypatch.setattr(numeric, "_dp_step", lambda *a: starts.append(a[1]) or step(*a))
+        out = ode_solve(lambda t, y: evals.append(t) or field(t, y), np.array([1.0]), t_grid)
+        return out, len(evals), starts
+
+    def test_field_evaluations(self, monkeypatch):
+        # the last stage is the next first one and a rejected step keeps its
+        # first stage: 6 evaluations a step, plus f(x0) and the starting-step
+        # probe.  Over [0, 1] the step count is set by the step controller, so
+        # the saving is the reused stage plus the ramp-up and the clipped
+        # steps: 182 evaluations against 210 when every step evaluated 7
+        # stages from a start at 1e-3 of the span
+        _, evals, starts = self._counted(monkeypatch, lambda t, y: -y, np.linspace(0.0, 1.0, 5))
+        assert evals <= 6 * len(starts) + 2
+        assert evals <= 0.87 * 210
+        # a short flow, as a probe flow is, was all ramp-up: 42 evaluations
+        _, evals, starts = self._counted(monkeypatch, lambda t, y: -y, [0.0, 2e-3])
+        assert evals <= 6 * len(starts) + 2
+        assert evals <= 0.7 * 42
+        # rejected steps (a step that starts where the last one did) cost 6 too
+        _, evals, starts = self._counted(monkeypatch, lambda t, y: y * np.sin(30 * t),
+                                         np.linspace(0.0, 1.0, 5))
+        assert len(set(starts)) < len(starts)
+        assert evals <= 6 * len(starts) + 2
+
+    def test_output_grid_independence(self):
+        # resuming the step after an output time keeps the dense grid on the
+        # coarse grid's accuracy
+        coarse = ode_solve(lambda t, y: -y, np.array([1.0]), [0.0, 1.0])
+        dense = ode_solve(lambda t, y: -y, np.array([1.0]), np.linspace(0.0, 1.0, 9))
+        assert abs(coarse[-1, 0] - dense[-1, 0]) <= 10 * DEFAULT.ode
+
+    def test_zero_field_evaluations(self, monkeypatch):
+        # a Casimir's flow: the field is zero and the step grows from 1e-3 of
+        # the span, never below it; 42 evaluations when the stages were not reused
+        out, evals, _ = self._counted(monkeypatch, lambda t, y: 0.0 * y, [0.0, 1.0])
+        assert np.array_equal(out[-1], [1.0])
+        assert evals <= 42
 
     def test_tightening_tolerance_reduces_error(self):
         from sovkit.tolerances import Tolerances

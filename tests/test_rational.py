@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sovkit import kernel
 from sovkit import rational as R
-from sovkit.errors import NonGenericError
+from sovkit.errors import ConsistencyError, NonGenericError
 from test_kernel import hadamard_scale, mp_det_adj
 
 
@@ -48,6 +48,21 @@ class TestSpectralCurve:
             xi = rng.standard_normal() + 1j * rng.standard_normal()
             direct = np.linalg.det(phi(z) - xi * np.eye(2))
             assert abs(curve(z, xi) - direct) < 1e-10 * max(1.0, abs(direct))
+
+    def test_probes_catch_a_perturbed_grid(self, monkeypatch):
+        # the 20 stacked determinant probes see one coefficient off by 1e-6
+        phi = unit_disk_matpoly(np.random.default_rng(1), 2, 3)
+        char_adj = kernel.matpoly_char_adj
+
+        def perturbed(cm):
+            C, A = char_adj(cm)
+            C = C.copy()
+            C[1, 2] += 1e-6
+            return C, A
+
+        monkeypatch.setattr(kernel, "matpoly_char_adj", perturbed)
+        with pytest.raises(ConsistencyError, match="determinant probe"):
+            R.spectral_curve(phi)
 
 
 class TestGenus:
