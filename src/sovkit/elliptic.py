@@ -198,9 +198,10 @@ def _validate_basis(basis, div, params, tol):
 class EllipticLax:
     """Assembled quasi-periodic Lax matrix with a translation modulus.
 
-    ``lax(lam)`` and ``lax.deriv(lam)`` take a scalar or an array ``lam`` of
-    shape (...) and return shape (..., r, r), or (r, r) for a scalar; every
-    theta factor of every basis element is evaluated in one call.
+    ``lax(lam)`` takes a scalar or an array ``lam`` of shape (...) and
+    returns shape (..., r, r), or (r, r) for a scalar, and ``lax.deriv(lam)``
+    returns ``phi`` and ``phi'`` of that shape; every theta factor of every
+    basis element is evaluated in one call.
     """
 
     params: ThetaParams
@@ -226,9 +227,10 @@ class EllipticLax:
         return (self._quotients(lam) @ self._mats).reshape(np.shape(lam) + (r, r))
 
     def deriv(self, lam):
-        r = self.params.r
-        return (np.multiply(*self._quotients.logderivs(lam))
-                @ self._mats).reshape(np.shape(lam) + (r, r))
+        """``(phi, phi')`` at ``lam`` from one pass of the theta series."""
+        values, logd = self._quotients.logderivs(lam)
+        shape = np.shape(lam) + (self.params.r,) * 2
+        return (values @ self._mats).reshape(shape), ((values * logd) @ self._mats).reshape(shape)
 
 
 def assemble_lax(coeffs, divisor: EllipticDivisor, params: ThetaParams,
@@ -309,64 +311,13 @@ class DivisorCountReport:
     genus_prediction: int
 
 
-def _winding(func, loop, n0=64, max_refine=7):
-    """Winding number of ``func`` around the closed polyline ``loop``.
-
-    Each edge gets ``n0`` samples; while some sample step turns the argument
-    by more than 2.4 or the total is not within 1e-3 of an integer, every
-    step is halved, up to ``max_refine`` sample sets.  ``func`` is called
-    once per set with a 1-D array of points in order along the loop (the
-    first set, then the new midpoints).
-    """
-    def sample(z):
-        vals = np.asarray(func(z), dtype=complex)
-        if np.any(vals == 0.0) or not np.all(np.isfinite(vals)):
-            raise ConsistencyError("winding sample hit a zero or pole")
-        return vals
-
-    loop = np.asarray(loop, dtype=complex)
-    frac = np.arange(n0) / n0
-    pts = np.append((loop[:-1, None] + (loop[1:] - loop[:-1])[:, None] * frac).ravel(),
-                    loop[-1])
-    vals = sample(pts)
-    for level in range(max_refine):
-        if level:
-            mids = 0.5 * (pts[:-1] + pts[1:])
-            at = np.arange(1, pts.size)
-            pts, vals = np.insert(pts, at, mids), np.insert(vals, at, sample(mids))
-        dphi = np.angle(vals[1:] / vals[:-1])
-        total = dphi.sum() / (2 * np.pi)
-        if np.abs(dphi).max() <= 2.4 and abs(total - np.round(total)) <= 1e-3:
-            return int(np.round(total))
-    raise ConsistencyError("winding sampling failed to converge")
-
-
-def count_zeros_in_domain(func, params: ThetaParams, singulars, origin):
-    """Zeros of a single-valued function inside the fundamental domain.
-
-    Winding around the domain boundary minus windings around small squares
-    at the known singular points (poles of the function).  ``func`` takes a
-    1-D array of points, ordered along the loop being sampled, and returns
-    their values; it is called once per loop and refinement level.
-    """
-    w1, w2 = params.omega1, params.omega2
-    total = _winding(func, origin + np.array([0.0, w1, w1 + w2, w2, 0.0]))
-    sing = np.asarray(singulars, dtype=complex)
-    gaps = np.abs(np.subtract.outer(sing, sing))
-    gaps[gaps == 0.0] = np.inf  # a point is not its own neighbour
-    rads = np.minimum(0.04 * min(abs(params.omega1), abs(params.omega2)),
-                      0.3 * gaps.min(axis=1, initial=np.inf))
-    square = np.exp(2j * np.pi * np.arange(5) / 4)
-    return total - sum(_winding(func, p + rad * square) for p, rad in zip(sing, rads))
-
-
 def _krylov_det(lax, zs, s):
     """``B = det K`` and ``B' = tr(adj(K) K')`` at ``zs`` (m,), for the section
     ``s`` (m, r) there and ``K = [s, phi s, ..., phi^(r-1) s]``, both divided
     by the column norms of ``K``: ``B'/B`` is unchanged, and the adjugate keeps
     its accuracy near a pole of ``phi``."""
     r = lax.params.r
-    phi, dphi = lax(zs), lax.deriv(zs)
+    phi, dphi = lax.deriv(zs)
     K = kernel.krylov(phi, s)
     dK = np.empty(K.shape, dtype=complex)
     dK[..., 0] = s * f_quotients(lax.params).logderivs(zs)[1] / r
@@ -376,6 +327,28 @@ def _krylov_det(lax, zs, s):
     K, dK = K / norms, dK / norms
     adj = kernel.adjugate(K)
     return np.einsum("...ij,...ji->...", adj, K) / r, np.einsum("...ij,...ji->...", adj, dK)
+
+
+def _disc_logderiv(lax, zs):
+    """``D'/D`` at ``zs`` for the discriminant ``D = prod_{i<j} (xi_i - xi_j)^2``
+    of ``det(phi - xi I)``: ``2 sum_{i<j} (xi_i' - xi_j') / (xi_i - xi_j)``, with
+    ``xi' = diag(V^-1 phi' V)`` from the eigenvectors ``V`` of ``phi``."""
+    phi, dphi = lax.deriv(zs)
+    xi, V = np.linalg.eig(phi)
+    dxi = np.einsum("...ij,...ji->...i", np.linalg.solve(V, dphi), V)
+    i, j = np.triu_indices(lax.params.r, 1)
+    return 2 * ((dxi[..., i] - dxi[..., j]) / (xi[..., i] - xi[..., j])).sum(axis=-1)
+
+
+def _loop_moments(logderiv, loop, centre, rho, count, tol):
+    """``(1/2 pi i) int ((z - centre)/rho)^k f'/f dz``, k < ``count``, around the
+    closed polygon ``loop``, and its error estimate; ``logderiv`` maps the
+    quadrature nodes, in path order, to ``f'/f`` there."""
+    def integrand(zs):
+        return ((zs - centre) / rho)[:, None] ** np.arange(count) * logderiv(zs)[:, None]
+
+    value, error = integrate_path(integrand, PathSpec(tuple(loop)), tol)
+    return value / (2j * np.pi), error / (2 * np.pi)
 
 
 class _SectionWalk:
@@ -403,90 +376,117 @@ class _SectionWalk:
         return self.tracker.value_at(np.array(path + [z]))[:, -1]
 
     def moments(self, loop, centre, rho, count):
-        """``(1/2 pi i) int ((z - centre)/rho)^k B'/B dz``, k < ``count``,
-        around the closed polygon ``loop``, and its error estimate.  At every
-        quadrature level the section goes once round ``loop``, corners and
-        nodes in order, so it never cuts across."""
-        def integrand(zs):
+        """The moments of ``B'/B`` around ``loop`` (``_loop_moments``).  At
+        every quadrature level the section goes once round ``loop``, corners
+        and nodes in order, so it never cuts across."""
+        def logderiv(zs):
             # the corner ending each node's edge: the distances to its ends add up
             d = np.abs(zs[:, None] - loop)
             at = 1 + np.argmin(d[:, :-1] + d[:, 1:] - abs(np.diff(loop)), axis=1)
             s = self.tracker.value_at(np.insert(loop, at, zs))[:, at + np.arange(zs.size)]
             B, dB = _krylov_det(self.lax, zs, s.T)
-            return ((zs - centre) / rho)[:, None] ** np.arange(count) * (dB / B)[:, None]
+            return dB / B
 
         self.section(loop[0])
-        value, error = integrate_path(integrand, PathSpec(tuple(loop)), self.tol)
-        return value / (2j * np.pi), error / (2 * np.pi)
+        return _loop_moments(logderiv, loop, centre, rho, count, self.tol)
+
+    def polish(self, zs):
+        """Three Newton steps on ``B``."""
+        for _ in range(3):
+            B, dB = _krylov_det(self.lax, zs, np.array([self.section(z) for z in zs]))
+            zs = zs - np.divide(B, dB, out=np.zeros_like(B), where=dB != 0)
+        return zs
 
 
-def _zeros_of_b(walk, origin, box, singulars, most, depth=0):
-    """The zeros of ``B`` in the parallelogram ``box = ((a0, a1), (b0, b1))``,
+def _cell_zeros(moments, polish, params, origin, poles, orders,
+                box=((0.0, 1.0), (0.0, 1.0)), depth=0):
+    """The zeros of ``f`` in the parallelogram ``box = ((a0, a1), (b0, b1))``,
     that is ``origin + [a0, a1) omega1 + [b0, b1) omega2``, polished.
 
-    The moments of ``B'/B`` around the box, less clockwise 8-gons of radius
-    ``2.5 tol.puncture_radius`` at the ``singulars`` inside it, give the zero
-    count (within 1e-8 of an integer) and the zeros as the eigenvalues of a
-    Hankel pencil (Delves and Lyness, Math. Comp. 21 (1967)), given 3 Newton
-    steps on ``B``.  Where that fails (the Hankel matrix is singular to the
-    moments' error, an eigenvalue lies far from the box, or the polished
-    zeros do not give back the moments) the box is cut in two across its
-    longer side, clear of the singulars, and each half is searched: a dozen
-    zeros on one contour, or a close pair among distant ones, are beyond one
-    pencil.  After 16 cuts a singular Hankel matrix is a multiple zero.
+    ``f'/f`` is elliptic on the cell, and ``f`` has poles of the integer
+    ``orders`` at ``poles`` (an order 0 marks a point to keep the cuts clear
+    of), so it has ``sum(orders)`` zeros in the cell; the whole cell must
+    count that many.  ``moments(loop, c, rho,
+    count)`` gives ``(1/2 pi i) int ((z - c)/rho)^k f'/f dz``, k < ``count``,
+    around the closed polygon ``loop`` and its error estimate; ``polish(zs)``
+    gives Newton steps on ``f``.  The moments around the box, plus ``order
+    ((p - c)/rho)^k`` for every pole ``p`` inside it (the residue theorem),
+    give the zero count (within 1e-8 of an integer) and the zeros as the
+    eigenvalues of a Hankel pencil (Delves and Lyness, Math. Comp. 21 (1967);
+    Kravanja and Van Barel, LNM 1727 (2000)), then polished.  Where that
+    fails (the Hankel matrix is singular to the moments' error, an eigenvalue
+    lies far from the box, or the polished zeros do not give back the
+    moments) the box is cut in two across its longer side, clear of the
+    poles, and each half is searched: a dozen zeros on one contour, or a
+    close pair among distant ones, are beyond one pencil.  After 16 cuts a
+    singular Hankel matrix is a multiple zero.
     """
-    lax, tol = walk.lax, walk.tol
-    params = lax.params
     w1, w2 = params.omega1, params.omega2
     (a0, a1), (b0, b1) = box
     corners = origin + np.array([a0, a1, a1, a0, a0]) * w1 + np.array([b0, b0, b1, b1, b0]) * w2
     centre = corners[:4].mean()
     rho = 0.5 * max(abs(corners[2] - corners[0]), abs(corners[3] - corners[1]))
-    sa, sb = _lattice(singulars, params, origin)
-    inside = (a0 <= sa) & (sa < a1) & (b0 <= sb) & (sb < b1)
-    ring = 2.5 * tol.puncture_radius * np.exp(-2j * np.pi * np.arange(9) / 8)
-    moments = error = 0.0
-    for loop in [corners] + [p + ring for p in singulars[inside]]:
-        value, err = walk.moments(loop, centre, rho, 2 * most)
-        moments, error = moments + value, error + err
-    count = int(np.rint(moments[0].real))
-    if abs(moments[0] - count) > 1e-8 or not 0 <= count <= most:
-        raise ConsistencyError(f"B has {moments[0]:.6g} zeros in a box of the cell, "
-                               f"not an integer in [0, {most}]")
+    most = int(orders.sum())
+    pa, pb = _lattice(poles, params, origin)
+    inside = (a0 <= pa) & (pa < a1) & (b0 <= pb) & (pb < b1)
+    value, error = moments(corners, centre, rho, 2 * most)
+    value = value + orders[inside] @ (
+        ((poles[inside] - centre) / rho)[:, None] ** np.arange(2 * most))
+    count = int(np.rint(value[0].real))
+    if abs(value[0] - count) > 1e-8 or not 0 <= count <= most or (depth == 0 and count < most):
+        raise ConsistencyError(f"a box of the cell holds {value[0]:.6g} zeros, "
+                               f"of {most} in the cell")
     if count == 0:
         return np.empty(0, dtype=complex)
     hankel = np.add.outer(np.arange(count), np.arange(count))
-    singular = np.linalg.svd(moments[hankel], compute_uv=False)[-1] <= count * error.max()
+    singular = np.linalg.svd(value[hankel], compute_uv=False)[-1] <= count * error.max()
     if not singular:
-        zs = centre + rho * np.linalg.eigvals(np.linalg.solve(moments[hankel],
-                                                              moments[hankel + 1]))
+        zs = centre + rho * np.linalg.eigvals(np.linalg.solve(value[hankel],
+                                                              value[hankel + 1]))
         if np.all(np.abs(zs - centre) < 1.2 * rho):
-            for _ in range(3):
-                B, dB = _krylov_det(lax, zs, np.array([walk.section(z) for z in zs]))
-                zs = zs - np.divide(B, dB, out=np.zeros_like(B), where=dB != 0)
+            zs = polish(zs)
             # a zero found twice in place of another would not give back the moments
             sums = (((zs - centre) / rho)[:, None] ** np.arange(2 * count)).sum(axis=0)
-            if np.all(np.abs(sums - moments[:2 * count]) <= error[:2 * count]):
+            if np.all(np.abs(sums - value[:2 * count]) <= error[:2 * count]):
                 return zs
     if depth == 16:
         if singular:
-            raise NonGenericError(f"B has a multiple zero near z = {centre:.6g}")
-        raise NumericDomainError(f"the {count} zeros of B near z = {centre:.6g} "
-                                 f"do not separate")
+            raise NonGenericError(f"a multiple zero near z = {centre:.6g}")
+        raise NumericDomainError(f"the {count} zeros near z = {centre:.6g} do not separate")
     # the cut nearest the middle that keeps a tenth of the side from the
-    # singulars inside, else the one farthest from them
+    # poles inside, else the one farthest from them
     side = 0 if (a1 - a0) * abs(w1) >= (b1 - b0) * abs(w2) else 1
     lo, hi = box[side]
     cuts = lo + (hi - lo) * np.array([0.5, 0.45, 0.55, 0.4, 0.6, 0.35, 0.65, 0.3, 0.7])
-    gaps = np.abs(np.subtract.outer(cuts, (sa, sb)[side][inside])).min(axis=1, initial=1.0)
+    gaps = np.abs(np.subtract.outer(cuts, (pa, pb)[side][inside])).min(axis=1, initial=1.0)
     cut = cuts[np.argmax(np.minimum(gaps, 0.1 * (hi - lo)))]
     halves = [list(box), list(box)]
     halves[0][side], halves[1][side] = (lo, cut), (cut, hi)
-    zs = np.concatenate([_zeros_of_b(walk, origin, tuple(half), singulars, most, depth + 1)
-                         for half in halves])
+    zs = np.concatenate([_cell_zeros(moments, polish, params, origin, poles, orders,
+                                     tuple(half), depth + 1) for half in halves])
     if zs.size != count:
-        raise ConsistencyError(f"the halves of a box with {count} zeros of B hold {zs.size}")
+        raise ConsistencyError(f"the halves of a box with {count} zeros hold {zs.size}")
     return zs
+
+
+def _branch_points(lax, origin, tol):
+    """The zeros of the discriminant ``D = prod_{i<j} (xi_i - xi_j)^2`` of
+    ``det(phi - xi I)`` on the cell at ``origin``, by ``_cell_zeros``: ``D`` is
+    elliptic, with a pole of order ``m r(r-1)`` at a divisor point of
+    multiplicity ``m`` and no other pole."""
+    params, r = lax.params, lax.params.r
+
+    def moments(loop, centre, rho, count):
+        return _loop_moments(lambda zs: _disc_logderiv(lax, zs), loop, centre, rho, count, tol)
+
+    def polish(zs):
+        for _ in range(3):
+            zs = zs - 1.0 / _disc_logderiv(lax, zs)
+        return zs
+
+    poles = reduce_to_domain(np.array(lax.divisor.points), params, origin)
+    return _cell_zeros(moments, polish, params, origin, poles,
+                       r * (r - 1) * np.array(lax.divisor.mults))
 
 
 def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
@@ -495,22 +495,28 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     Sklyanin's ``B = det[s, phi s, ..., phi^(r-1) s]``, ``s`` the section.
 
     ``B'/B`` is elliptic (around a puncture every component of ``s`` gains
-    one r-th root of unity), and ``_zeros_of_b`` finds its zeros on the cell
-    from contour moments.  Each ``xi`` comes from the left null space of the
-    Krylov matrix, and ``det(phi - xi I)`` and ``adj(phi - xi I) s`` must
-    vanish to ``tol.divisor``.  Output coordinates are (z_mu - z0, xi_mu).
+    one r-th root of unity), and ``_cell_zeros`` finds its zeros on the cell
+    from contour moments, with the pole order of ``B`` at each divisor point
+    and at the puncture measured around a clockwise 8-gon of radius
+    ``2.5 tol.puncture_radius``.  Each ``xi`` comes from the left null space
+    of the Krylov matrix, and ``det(phi - xi I)`` and ``adj(phi - xi I) s``
+    must vanish to ``tol.divisor``.  The genus prediction is Riemann--Hurwitz
+    over the torus, ``1 + (branch points)/2``, the branch points located by
+    ``_branch_points``.  Output coordinates are (z_mu - z0, xi_mu).
     """
     params = lax.params
     r = params.r
     origin = 0.013 * params.omega1 + 0.017 * params.omega2
-    # B has as many zeros as poles: of order <= m r(r-1)/2 at a divisor point
-    # of multiplicity m, and <= 1 at the puncture
-    most = lax.divisor.degree * r * (r - 1) // 2 + 1
 
     walk = _SectionWalk(lax, tol)
     singulars = reduce_to_domain(np.array(lax.divisor.points + (params.puncture,)),
                                  params, origin)
-    zs = _zeros_of_b(walk, origin, ((0.0, 1.0), (0.0, 1.0)), singulars, most)
+    ring = 2.5 * tol.puncture_radius * np.exp(-2j * np.pi * np.arange(9) / 8)
+    measured = np.array([walk.moments(p + ring, p, 1.0, 1)[0][0] for p in singulars])
+    orders = np.rint(measured.real).astype(int)
+    if np.abs(measured - orders).max() > 1e-8:
+        raise ConsistencyError(f"B has poles of orders {measured}, not integers")
+    zs = _cell_zeros(walk.moments, walk.polish, params, origin, singulars, orders)
     count = zs.size
     svecs = np.array([walk.section(z) for z in zs]).reshape(-1, r)
 
@@ -526,16 +532,7 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     if validated != count:
         raise ConsistencyError(f"{validated} of the {count} zeros of B are divisor points")
 
-    # genus prediction: the discriminant is elliptic on the small torus
-    pairs = np.triu_indices(r, 1)
-
-    def disc(zs):
-        xis = np.linalg.eigvals(lax(zs))
-        return ((xis[:, pairs[0]] - xis[:, pairs[1]]) ** 2).prod(axis=-1)
-
-    branch_count = count_zeros_in_domain(disc, params, singulars[:-1], origin)
-    if branch_count % 2 != 0:
-        raise NumericDomainError("non-generic elliptic curve: odd branch count")
+    branch_count = _branch_points(lax, origin, tol).size
     genus_pred = 1 + branch_count // 2
 
     zred = reduce_to_domain(zs, params, origin)

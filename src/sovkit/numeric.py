@@ -31,10 +31,6 @@ class PathSpec:
                 raise ValueError("consecutive waypoints must be distinct")
         object.__setattr__(self, "waypoints", pts)
 
-    @property
-    def length(self):
-        return sum(abs(b - a) for a, b in zip(self.waypoints, self.waypoints[1:]))
-
     def reversed(self):
         return PathSpec(self.waypoints[::-1])
 
@@ -54,7 +50,8 @@ def integrate_path(f: Callable, path: PathSpec, tol: Tolerances = DEFAULT) -> Qu
     integrand, and is called once per level on all new nodes in path order.
     Each segment starts as one 12-point panel; a level halves every panel
     whose rule misses the sum over its halves by more than ``tol.quad`` times
-    its share, by length, of the integral of ``|f|``.  Raises
+    the panel's own integral of ``|f|``, so the error stays below ``tol.quad``
+    times the integral of ``|f|`` over the path.  Raises
     ``NumericDomainError("singular path")`` after 48 levels or at a level of
     over 512 panels (a singularity near the path, or noise above ``tol.quad``).
     """
@@ -70,7 +67,7 @@ def integrate_path(f: Callable, path: PathSpec, tol: Tolerances = DEFAULT) -> Qu
 
     a, b = np.array(path.waypoints[:-1]), np.array(path.waypoints[1:])
     whole, _ = rule(a, b)
-    total = err = done = 0.0
+    total = err = 0.0
     for _ in range(48):
         if a.size > 512:
             break
@@ -79,12 +76,9 @@ def integrate_path(f: Callable, path: PathSpec, tol: Tolerances = DEFAULT) -> Qu
         halves, mags = rule(a, b)
         fine = halves[0::2] + halves[1::2]
         diff = np.abs(fine - whole)
-        # done + mags: the integral of |f| at the finest panels so far
-        bound = (tol.quad * np.ravel(done + mags.sum(axis=0))
-                 * (np.abs(b[1::2] - a[0::2]) / path.length)[:, None])
-        ok = (diff.reshape(len(diff), -1) <= bound).all(axis=1)
+        bound = tol.quad * (mags[0::2] + mags[1::2])
+        ok = (diff <= bound).reshape(len(diff), -1).all(axis=1)
         total, err = total + fine[ok].sum(axis=0), err + diff[ok].sum(axis=0)
-        done = done + (mags[0::2] + mags[1::2])[ok].sum(axis=0)
         keep = np.repeat(~ok, 2)
         a, b, whole = a[keep], b[keep], halves[keep]
         if a.size == 0:

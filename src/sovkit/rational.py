@@ -200,8 +200,7 @@ def genus(phi: MatPoly, tol: Tolerances = DEFAULT) -> int:
         return 0
     lead = phi.coeff_mats[-1]
     eigs, _ = kernel.poly_roots(kernel.char_bipoly(lead), tol)
-    if eigs.size > 1 and (eigs.size < r or kernel.min_gap(eigs)
-                          < tol.disc_gap * max(1.0, np.abs(eigs).max())):
+    if eigs.size < r or kernel.min_gap(eigs) < tol.disc_gap * max(1.0, np.abs(eigs).max()):
         raise NonGenericError("non-generic curve: leading matrix eigenvalues collide")
     roots, mults = branch_points(spectral_curve(phi), tol)
     scale = max(1.0, np.abs(roots).max()) if roots.size else 1.0

@@ -296,33 +296,26 @@ def f_quotients(params: ThetaParams) -> ThetaQuotients:
     return _odd_family(params) if params.r % 2 else _even_family(params)
 
 
-def f_component(z, j, params: ThetaParams, parity: Optional[str] = None,
-                tol: Tolerances = DEFAULT, guard: bool = True):
+def f_component(z, j, params: ThetaParams, tol: Tolerances = DEFAULT):
     """The quasi-periodic products f_j(z).
 
     ``j`` is an int or an integer array; for an array the components go on a
     leading axis (shape ``j.shape + z.shape``).  Every requested component at
-    every point comes from one ``riemann_theta`` call.  ``parity`` may be
-    given explicitly ("odd"/"even") but must match the rank.  Evaluation
-    inside the puncture exclusion radius raises ``NumericDomainError("pole")``
-    unless ``guard`` is disabled.
+    every point comes from one ``riemann_theta`` call.  Evaluation inside the
+    puncture exclusion radius raises ``NumericDomainError("pole")``.
     """
-    r = params.r
-    actual = "odd" if r % 2 == 1 else "even"
-    if parity is not None and parity != actual:
-        raise ValueError(f"parity {parity!r} does not match rank {r}")
     j = np.asarray(j)
-    if np.any((j < 0) | (j >= r)):
+    if np.any((j < 0) | (j >= params.r)):
         raise IndexError("index out of range")
     z = np.asarray(z, dtype=complex)
-    if guard and np.any(puncture_distance(z, params) < tol.puncture_radius):
+    if np.any(puncture_distance(z, params) < tol.puncture_radius):
         raise NumericDomainError("pole")
     out = np.moveaxis(f_quotients(params)(z), -1, 0)[j]
     return out if out.shape else complex(out)
 
 
-def f_vector(z, params: ThetaParams, tol: Tolerances = DEFAULT, guard: bool = True):
-    return f_component(z, np.arange(params.r), params, tol=tol, guard=guard)
+def f_vector(z, params: ThetaParams, tol: Tolerances = DEFAULT):
+    return f_component(z, np.arange(params.r), params, tol=tol)
 
 
 def i_matrices(r: int):

@@ -6,6 +6,7 @@ import pytest
 from sovkit import documents as docs
 from sovkit import rational as R
 from sovkit.cli import main
+from test_elliptic import _sequential_draws
 
 
 def write_instance(tmp_path, phi, name="lax.json"):
@@ -200,6 +201,21 @@ class TestElliptic:
         header, rows = docs.read_csv(tmp_path / "elliptic_divisor.csv")
         assert header == ["mu", "z_re", "z_im", "xi_re", "xi_im", "sheet"]
         assert len(rows) == rep["validated_count"]
+
+    def test_branch_point_near_a_pole(self, tmp_path):
+        # the r = 2, n = 2 draw with a branch point 5e-3 from a divisor point
+        lax = _sequential_draws(2, 35)[1]
+        pair = lambda w: [w.real, w.imag]
+        doc = {"tau": pair(lax.params.tau), "r": 2,
+               "divisor": [{"nu": pair(p), "mult": 1} for p in lax.divisor.points],
+               "coeffs": [{"a": a, "b": b, "values": [pair(c) for c in cs]}
+                          for (a, b), cs in lax.coeffs.items()],
+               "z0": [0.0, 0.0]}
+        path = tmp_path / "elliptic.json"
+        path.write_text(json.dumps(doc))
+        assert main(["elliptic", "--input", str(path), "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "elliptic_report.json").read_text())
+        assert (rep["validated_count"], rep["branch_points"], rep["genus_prediction"]) == (3, 4, 3)
 
     def test_seed_flag_rejected(self, tmp_path):
         # extraction draws no random numbers, so a seed would do nothing

@@ -3,7 +3,7 @@ import pytest
 
 from sovkit import elliptic as E
 from sovkit import kernel
-from sovkit.errors import ConsistencyError
+from sovkit.errors import NumericDomainError
 from sovkit.numeric import PathSpec, integrate_path
 from sovkit.theta import ThetaParams, i_matrices
 from sovkit.tolerances import DEFAULT
@@ -220,8 +220,10 @@ class TestArrayEvaluation:
     @pytest.mark.parametrize("n", [1, 2])
     def test_array_matches_scalar_calls(self, r, n):
         lax, lams = _lax_and_probes(r, n)
-        for fn in (lax, lax.deriv):
-            batched = fn(lams)
+        phi, dphi = lax.deriv(lams)
+        # deriv's values come from the same series pass as lax's
+        assert (phi == lax(lams)).all()
+        for fn, batched in ((lax, phi), (lambda lam: lax.deriv(lam)[1], dphi)):
             assert batched.shape == (3, 4, r, r)
             stacked = np.array([[fn(lam) for lam in row] for row in lams])
             assert stacked.shape == (3, 4, r, r)
@@ -234,7 +236,7 @@ class TestArrayEvaluation:
         h = 1e-6
         fd = (lax(lams + h) - lax(lams - h)) / (2 * h)
         scale = np.maximum(1.0, np.abs(fd).max(axis=(2, 3)))
-        assert (np.abs(lax.deriv(lams) - fd).max(axis=(2, 3)) / scale).max() < 1e-6
+        assert (np.abs(lax.deriv(lams)[1] - fd).max(axis=(2, 3)) / scale).max() < 1e-6
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2])
@@ -296,7 +298,7 @@ class TestDivisorExtraction:
         _, _, _, lax = setup_r2_n1
         assert _residuals(lax, report_r2_n1.points).max() < 1e-8
 
-    @pytest.mark.parametrize("seed", [0, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
     def test_rank_3_extraction(self, seed):
         for lax, genus in zip(_sequential_draws(3, seed), (4, 7)):
             rep = E.elliptic_divisor_coords(lax, full_report=True)
@@ -322,13 +324,15 @@ class TestDivisorExtraction:
                   for a in range(r) for b in range(r)}
         lax = E.assemble_lax(coeffs, div, params)
         boxes = []
-        search = E._zeros_of_b
+        search = E._cell_zeros
 
-        def counted(walk, origin, box, *args):
-            boxes.append(box)
-            return search(walk, origin, box, *args)
+        def counted(moments, *args):
+            # the boxes searched for the zeros of B, not of the discriminant
+            if isinstance(getattr(moments, "__self__", None), E._SectionWalk):
+                boxes.append(args)
+            return search(moments, *args)
 
-        monkeypatch.setattr(E, "_zeros_of_b", counted)
+        monkeypatch.setattr(E, "_cell_zeros", counted)
         rep = E.elliptic_divisor_coords(lax, full_report=True)
         assert len(boxes) > 1
         assert rep.validated_count == rep.genus_prediction == 13
@@ -380,7 +384,7 @@ class TestDivisorExtraction:
 
 SQUARE = 0.3 + 0.2j + 0.1 * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
 CIRCLE = 0.3 + 0.2j + 0.01 * np.exp(2j * np.pi * np.arange(5) / 4)
-UNIT = 0.5 * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])  # samples 1/64 apart
+UNIT = 0.5 * np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
 
 
 class Counted:
@@ -397,63 +401,104 @@ class Counted:
 
 
 class TestWinding:
+    """The winding number of ``f`` round a loop is the 0th moment of ``f'/f``."""
+
     @pytest.mark.parametrize("k", [1, -1, 2, -2])
     @pytest.mark.parametrize("loop", [SQUARE, CIRCLE], ids=["square", "circle"])
     def test_power_inside_and_outside(self, loop, k):
-        center = loop[:-1].mean()
-        for a, expected in ((center + 0.002 - 0.001j, k), (center + 0.5, 0)):
-            func = Counted(lambda z: (z - a) ** k)
-            assert E._winding(func, loop) == expected
-            assert func.sizes == [4 * 64 + 1]
+        # f = (z - a)^k: the moments are k ((a - c)/rho)^j inside, 0 outside
+        centre = loop[:-1].mean()
+        rho = abs(loop[0] - centre)
+        for a, inside in ((centre + 0.002 - 0.001j, True), (centre + 0.5, False)):
+            value, error = E._loop_moments(lambda z: k / (z - a), loop, centre, rho, 4,
+                                           DEFAULT)
+            expected = inside * k * ((a - centre) / rho) ** np.arange(4)
+            assert np.abs(value - expected).max() <= 1e-10
+            assert error.max() <= 1e-10
 
     def test_loop_through_a_zero_raises(self):
-        with pytest.raises(ConsistencyError, match="zero or pole"):
-            E._winding(lambda z: z - SQUARE[1], SQUARE)
+        with pytest.raises(NumericDomainError, match="singular path"):
+            E._loop_moments(lambda z: 1.0 / (z - SQUARE[1]), SQUARE, 0.3 + 0.2j, 0.1, 1,
+                            DEFAULT)
 
     def test_zero_near_the_loop_is_refined(self):
-        # the zeros sit 1e-3 off the top edge, between two samples
+        # the zeros sit 1e-3 off the top edge: only the panels near them are
+        # halved until they resolve it
         x = -0.3137 / 64
         for a, expected in ((x + 0.501j, 0), (x + 0.499j, 1)):
-            func = Counted(lambda z: z - a)
-            assert E._winding(func, UNIT) == expected
-            # one call per level: the first samples, then only the new midpoints
-            assert len(func.sizes) > 1
-            assert func.sizes == [257] + [256 * 2 ** i for i in range(len(func.sizes) - 1)]
-
-    def test_unresolvable_zero_fails_to_converge(self):
-        a = -0.3137 / 64 + (0.5 + 1e-7) * 1j
-        func = Counted(lambda z: z - a)
-        with pytest.raises(ConsistencyError, match="failed to converge"):
-            E._winding(func, UNIT)
-        assert len(func.sizes) == 7
-
-    def test_count_calls_func_once_per_loop(self):
-        params = ThetaParams(tau=TAU, r=2)
-        origin = 0.013 * params.omega1 + 0.017 * params.omega2
-        a = origin + 0.4 * params.omega1 + 0.6 * params.omega2
-        poles = [origin + 0.7 * params.omega1 + 0.2 * params.omega2,
-                 origin + 0.2 * params.omega1 + 0.3 * params.omega2]
-        func = Counted(lambda z: (z - a) ** 2 / ((z - poles[0]) * (z - poles[1])))
-        assert E.count_zeros_in_domain(func, params, poles, origin) == 2
-        assert func.sizes == [4 * 64 + 1] * 3
+            func = Counted(lambda z: 1.0 / (z - a))
+            value, _ = E._loop_moments(func, UNIT, 0.0, 0.5, 1, DEFAULT)
+            assert abs(value[0] - expected) <= 1e-10
+            # one call per level, on whole panels of 12 nodes
+            assert func.sizes[:2] == [4 * 12, 8 * 12]
+            assert len(func.sizes) > 4
+            assert all(n % 24 == 0 and n <= 4 * 24 for n in func.sizes[2:])
 
     def test_extraction_samples_whole_loops(self, setup_r2_n1, monkeypatch):
-        # every counting function of the extraction is sampled on arrays:
-        # one call per loop and refinement level, never one per point
+        # every moment integrand of the extraction (B'/B and the
+        # discriminant's D'/D) is evaluated on arrays: one call per loop and
+        # quadrature level, on whole panels, never one per point
         _, _, _, lax = setup_r2_n1
         calls = []
-        winding = E._winding
+        integrate = E.integrate_path
 
-        def counted(func, loop):
-            calls.append(Counted(func))
-            return winding(calls[-1], loop)
+        def counted(f, path, tol):
+            calls.append((Counted(f), len(path.waypoints) - 1))
+            return integrate(calls[-1][0], path, tol)
 
-        monkeypatch.setattr(E, "_winding", counted)
+        monkeypatch.setattr(E, "integrate_path", counted)
         E.elliptic_divisor_coords(lax)
-        assert calls
-        for c in calls:
-            assert c.sizes[0] == 4 * 64 + 1
-            assert c.sizes[1:] == [256 * 2 ** i for i in range(len(c.sizes) - 1)]
+        assert len(calls) >= 3
+        for c, edges in calls:
+            assert c.sizes[0] == 12 * edges
+            assert all(n % 24 == 0 for n in c.sizes[1:])
+
+
+class TestCellZeros:
+    def test_rational_function_on_the_cell(self):
+        # f = (z - a)(z - b) / ((z - p)(z - q)): the moments round the cell
+        # plus the residues at the poles give both zeros from one box
+        params = ThetaParams(tau=TAU, r=2)
+        origin = 0.013 * params.omega1 + 0.017 * params.omega2
+        # (a, b), then (p, q), in cell coordinates
+        u, v = np.array([[0.4, 0.8], [0.7, 0.2]]), np.array([[0.6, 0.3], [0.2, 0.3]])
+        zeros, poles = origin + u * params.omega1 + v * params.omega2
+
+        def logderiv(z):
+            return (1.0 / (z - zeros[:, None]) - 1.0 / (z - poles[:, None])).sum(axis=0)
+
+        counts = []
+
+        def moments(loop, centre, rho, count):
+            counts.append(count)
+            return E._loop_moments(logderiv, loop, centre, rho, count, DEFAULT)
+
+        found = E._cell_zeros(moments, lambda zs: zs - 1.0 / logderiv(zs), params, origin,
+                              poles, np.array([1, 1]))
+        assert counts == [4]
+        assert np.abs(np.sort_complex(found) - np.sort_complex(zeros)).max() <= 1e-12
+
+
+class TestBranchPoints:
+    @pytest.mark.parametrize("r,seed", [(2, 35), (3, 1), (3, 4)])
+    def test_discriminant_zeros_are_branch_points(self, r, seed):
+        # D has as many zeros as poles, sum m r(r-1); two eigenvalues of phi
+        # meet at each (to about sqrt(eps): they split like sqrt(z - z_b))
+        lax = _sequential_draws(r, seed)[1]
+        params = lax.params
+        origin = 0.013 * params.omega1 + 0.017 * params.omega2
+        zs = E._branch_points(lax, origin, DEFAULT)
+        assert zs.size == r * (r - 1) * sum(lax.divisor.mults)
+        phi = lax(zs)
+        xi = np.linalg.eigvals(phi)
+        gaps = np.abs(xi[:, :, None] - xi[:, None, :]) + np.where(np.eye(r), np.inf, 0.0)
+        assert (gaps.min(axis=(1, 2)) <= 1e-6 * np.linalg.norm(phi, axis=(1, 2))).all()
+        assert kernel.min_gap(zs) > 1e-4
+
+    def test_branch_point_near_a_pole(self):
+        # a branch point 5e-3 from a divisor point
+        rep = E.elliptic_divisor_coords(_sequential_draws(2, 35)[1], full_report=True)
+        assert (rep.validated_count, rep.branch_count, rep.genus_prediction) == (3, 4, 3)
 
 
 class TestSlrReduce:

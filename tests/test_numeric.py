@@ -67,6 +67,15 @@ class TestIntegratePath:
         exact = [anti(1.0 + 1j, k) - anti(-1.0, k) + c ** k * log for k in range(4)]
         assert np.abs(value - exact).max() < 1e-11
 
+    def test_pole_close_to_the_path(self):
+        # each panel answers for its own share of the integral of |f|, so the
+        # panels far from the pole stop refining while those near it go on
+        a = 0.5 + 1e-6j
+        value, err = integrate_path(lambda z: 1.0 / (z - a), PathSpec((0.0, 1.0)))
+        # the path passes below a, clear of the cut of log(z - a)
+        assert abs(value - (np.log(1.0 - a) - np.log(-a))) < 1e-10
+        assert err < 1e-9
+
     def test_singular_path_raises(self):
         # pole strictly inside the segment, away from any symmetric cancellation
         with pytest.raises(NumericDomainError, match="singular path"):

@@ -98,6 +98,13 @@ class TestGenus:
         with pytest.raises(NonGenericError, match="non-generic"):
             R.genus(R.MatPoly(cm))  # diagonal: all branch points collide
 
+    def test_equal_leading_eigenvalues_raise(self):
+        # poly_roots merges the two equal eigenvalues of 0.7 I into one root
+        cm = R._random_disk_cm(2, 2, np.random.default_rng(0))
+        cm[-1] = 0.7 * np.eye(2)
+        with pytest.raises(NonGenericError, match="leading matrix eigenvalues collide"):
+            R.genus(R.MatPoly(cm))
+
 
 class TestStructureTensor:
     def test_r1_all_zero(self):
