@@ -168,9 +168,13 @@ def load_elliptic(source):
         a = _require(entry, "a")
         b = _require(entry, "b")
         values = _require(entry, "values")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (a, b)):
+            raise SchemaError(f'fields "coeffs[{i}].a" and "coeffs[{i}].b" must be integers')
+        if (a, b) in coeffs:
+            raise SchemaError(f'field "coeffs[{i}]" repeats the character ({a}, {b})')
         if not isinstance(values, list):
             raise SchemaError(f'field "coeffs[{i}].values" must be a list')
-        coeffs[(int(a), int(b))] = np.array(
+        coeffs[(a, b)] = np.array(
             [pair_to_complex(v, f"coeffs[{i}].values[{k}]")
              for k, v in enumerate(values)])
     z0 = pair_to_complex(obj.get("z0", [0.0, 0.0]), "z0")

@@ -20,7 +20,7 @@ from . import kernel
 from .errors import ConsistencyError, NonGenericError, NumericDomainError
 from .linearize import build_path
 from .numeric import PathSpec, integrate_path
-from .theta import SectionTracker, ThetaParams, ThetaQuotients, f_quotients, i_matrices
+from .theta import SectionTracker, ThetaParams, ThetaQuotients, i_matrices
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -311,16 +311,16 @@ class DivisorCountReport:
     genus_prediction: int
 
 
-def _krylov_det(lax, zs, s):
+def _krylov_det(lax, zs, s, ds):
     """``B = det K`` and ``B' = tr(adj(K) K')`` at ``zs`` (m,), for the section
-    ``s`` (m, r) there and ``K = [s, phi s, ..., phi^(r-1) s]``, both divided
-    by the column norms of ``K``: ``B'/B`` is unchanged, and the adjugate keeps
-    its accuracy near a pole of ``phi``."""
+    ``s`` (m, r) there, its derivative ``ds`` (m, r) and ``K = [s, phi s, ...,
+    phi^(r-1) s]``, both divided by the column norms of ``K``: ``B'/B`` is
+    unchanged, and the adjugate keeps its accuracy near a pole of ``phi``."""
     r = lax.params.r
     phi, dphi = lax.deriv(zs)
     K = kernel.krylov(phi, s)
     dK = np.empty(K.shape, dtype=complex)
-    dK[..., 0] = s * f_quotients(lax.params).logderivs(zs)[1] / r
+    dK[..., 0] = ds
     for k in range(1, r):
         dK[..., k] = (dphi @ K[..., k - 1, None] + phi @ dK[..., k - 1, None])[..., 0]
     norms = np.linalg.norm(K, axis=-2, keepdims=True)
@@ -364,8 +364,9 @@ class _SectionWalk:
             k * lax.params.omega1, k * lax.params.omega2).ravel()
 
     def section(self, z):
-        """Section values (r,) at ``z``: radially out from a puncture nearer
-        than 0.05, by ``build_path`` around the punctures, radially in."""
+        """Section values (r,) at ``z`` and their derivative: radially out
+        from a puncture nearer than 0.05, by ``build_path`` around the
+        punctures, radially in."""
         def clear(w):
             p = self.punctures[np.argmin(np.abs(self.punctures - w))]
             return p + 0.05 * (w - p) / abs(w - p) if abs(w - p) < 0.05 else w
@@ -373,7 +374,8 @@ class _SectionWalk:
         a, b = clear(self.here), clear(z)
         path = build_path(a, b, self.punctures, self.tol) if a != b else [a]
         self.here = complex(z)
-        return self.tracker.value_at(np.array(path + [z]))[:, -1]
+        s = self.tracker.value_at(np.array(path + [z]))[:, -1]
+        return s, s * self.tracker.logderiv[:, -1] / self.lax.params.r
 
     def moments(self, loop, centre, rho, count):
         """The moments of ``B'/B`` around ``loop`` (``_loop_moments``).  At
@@ -383,8 +385,10 @@ class _SectionWalk:
             # the corner ending each node's edge: the distances to its ends add up
             d = np.abs(zs[:, None] - loop)
             at = 1 + np.argmin(d[:, :-1] + d[:, 1:] - abs(np.diff(loop)), axis=1)
-            s = self.tracker.value_at(np.insert(loop, at, zs))[:, at + np.arange(zs.size)]
-            B, dB = _krylov_det(self.lax, zs, s.T)
+            where = at + np.arange(zs.size)
+            s = self.tracker.value_at(np.insert(loop, at, zs))[:, where]
+            ds = s * self.tracker.logderiv[:, where] / self.lax.params.r
+            B, dB = _krylov_det(self.lax, zs, s.T, ds.T)
             return dB / B
 
         self.section(loop[0])
@@ -393,7 +397,8 @@ class _SectionWalk:
     def polish(self, zs):
         """Three Newton steps on ``B``."""
         for _ in range(3):
-            B, dB = _krylov_det(self.lax, zs, np.array([self.section(z) for z in zs]))
+            s, ds = np.array([self.section(z) for z in zs]).transpose(1, 0, 2)
+            B, dB = _krylov_det(self.lax, zs, s, ds)
             zs = zs - np.divide(B, dB, out=np.zeros_like(B), where=dB != 0)
         return zs
 
@@ -518,7 +523,7 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
         raise ConsistencyError(f"B has poles of orders {measured}, not integers")
     zs = _cell_zeros(walk.moments, walk.polish, params, origin, singulars, orders)
     count = zs.size
-    svecs = np.array([walk.section(z) for z in zs]).reshape(-1, r)
+    svecs = np.array([walk.section(z)[0] for z in zs]).reshape(-1, r)
 
     phis = lax(zs)
     xis = kernel.krylov_eigvals(phis, svecs, np.ones(count, dtype=int))

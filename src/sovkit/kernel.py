@@ -19,9 +19,9 @@ from .errors import ConvergenceError, NonGenericError
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "poly_trim", "poly_eval", "poly_der", "poly_roots", "char_bipoly", "adjugate",
-    "matpoly_char_adj", "krylov", "krylov_eigvals", "bipoly_trim", "bipoly_eval",
-    "bipoly_dxi", "bipoly_dz", "resultant", "min_gap",
+    "poly_trim", "poly_eval", "poly_der", "companion_roots", "poly_roots", "char_bipoly",
+    "adjugate", "matpoly_char_adj", "krylov", "krylov_eigvals", "bipoly_trim",
+    "bipoly_eval", "bipoly_dxi", "bipoly_dz", "resultant", "min_gap",
 ]
 
 
@@ -75,42 +75,20 @@ def _eval_scale(c, x):
 
 
 # ---------------------------------------------------------------------------
-# roots: Aberth--Ehrlich simultaneous iteration with multiplicity detection
+# roots: companion eigenvalues, Newton-polished, with multiplicity detection
 # ---------------------------------------------------------------------------
 
-def _aberth(monic, tol: Tolerances, rng, max_iter=400):
-    deg = monic.size - 1
-    dmonic = poly_der(monic)
-    radius = 1.0 + np.abs(monic[:-1]).max()
-    best = None
-    best_res = np.inf
-    for attempt in range(4):
-        ang = 2.0 * np.pi * (np.arange(deg) + 0.37) / deg
-        jitter = 1.0 + 0.05 * attempt * rng.standard_normal(deg)
-        z = radius * jitter * np.exp(1j * (ang + 0.1 * attempt * rng.standard_normal(deg)))
-        for _ in range(max_iter):
-            pv = poly_eval(monic, z)
-            res = np.abs(pv) / _eval_scale(monic, z)
-            if np.all(res <= tol.root_residual):
-                return z
-            dv = poly_eval(dmonic, z)
-            dv = np.where(dv == 0, 1e-300, dv)
-            newton = pv / dv
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, 1.0)
-            srec = np.sum(1.0 / diff, axis=1) - 1.0  # subtract the diagonal 1/1
-            denom = 1.0 - newton * srec
-            denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-            step = newton / denom
-            bad = ~np.isfinite(step)
-            if bad.any():
-                step = np.where(bad, 0.0, step)
-                z = z + 1e-3 * radius * rng.standard_normal(deg) * bad
-            z = z - step
-        worst = np.max(np.abs(poly_eval(monic, z)) / _eval_scale(monic, z))
-        if worst < best_res:
-            best_res, best = worst, z.copy()
-    raise ConvergenceError("root iteration did not converge", best=best)
+def companion_roots(c):
+    """The roots of every row of a stack ``c`` (..., deg+1) of ascending
+    coefficients with a nonzero last entry, shape (..., deg): one stacked
+    ``eigvals`` of the companion matrices that ``np.roots`` builds, backward
+    stable (Edelman and Murakami, Math. Comp. 64 (1995))."""
+    c = np.asarray(c, dtype=complex)[..., ::-1]
+    deg = c.shape[-1] - 1
+    companion = np.zeros(c.shape[:-1] + (deg, deg), dtype=complex)
+    companion[..., 1:, :-1] = np.eye(deg - 1)
+    companion[..., 0, :] = -c[..., 1:] / c[..., :1]
+    return np.linalg.eigvals(companion)
 
 
 def _polish_on_derivative(monic, c0, order):
@@ -123,7 +101,7 @@ def _polish_on_derivative(monic, c0, order):
     for _ in range(60):
         pv = poly_eval(p, c)
         dv = poly_eval(dp, c)
-        if dv == 0:
+        if abs(dv) < np.finfo(float).tiny:  # a subnormal divisor overflows
             break
         step = pv / dv
         c = c - step
@@ -145,13 +123,16 @@ def _validate_cluster(monic, center, m, tol: Tolerances):
     return c
 
 
-def poly_roots(p, tol: Tolerances = DEFAULT, seed: int = 0):
+def poly_roots(p, tol: Tolerances = DEFAULT):
     """All roots of ``p`` with multiplicity tags.
 
-    Returns ``(roots, mults)`` with ``sum(mults) == deg(p)``. Raises
+    The companion eigenvalues (``companion_roots``), then two Newton steps,
+    each kept where it lowers ``|p|``; every root must satisfy
+    ``|p| <= root_residual`` times the evaluation scale, and roots that agree
+    to their spread are merged into validated multiple roots.  Returns
+    ``(roots, mults)`` with ``sum(mults) == deg(p)``.  Raises
     ``ValueError("undefined roots")`` for the zero polynomial and
-    ``ConvergenceError`` (carrying the best iterate) if the simultaneous
-    iteration stalls.
+    ``ConvergenceError`` (carrying the roots) if a residual stays above that.
     """
     c = poly_trim(p, tol)
     if c.size == 0:
@@ -160,20 +141,28 @@ def poly_roots(p, tol: Tolerances = DEFAULT, seed: int = 0):
     if deg == 0:
         return np.zeros(0, dtype=complex), np.zeros(0, dtype=int)
     monic = c / c[-1]
-    if deg == 1:
-        return np.array([-monic[0]]), np.array([1])
-
-    rng = np.random.default_rng(seed)
-    z = _aberth(monic, tol, rng)
+    dmonic = poly_der(monic)
+    z = companion_roots(monic)
+    pv = poly_eval(monic, z)
+    for _ in range(2):
+        # near a multiple root p is rounding noise and p' nearly 0, so a step
+        # is kept only where it lowers |p|; a subnormal p' would overflow
+        dv = poly_eval(dmonic, z)
+        zn = z - np.divide(pv, dv, out=np.zeros_like(z), where=np.abs(dv) >= np.finfo(float).tiny)
+        pn = poly_eval(monic, zn)
+        lower = np.abs(pn) < np.abs(pv)
+        z, pv = np.where(lower, zn, z), np.where(lower, pn, pv)
+    if np.any(np.abs(pv) > tol.root_residual * _eval_scale(monic, z)):
+        raise ConvergenceError("root residuals above tolerance", best=z)
     scale = max(1.0, np.abs(z).max())
 
     # agglomerative clustering with adaptive acceptance radius: a candidate
-    # m-cluster of double-precision iterates spreads like root_residual**(1/m),
+    # m-cluster of double-precision roots spreads like root_residual**(1/m),
     # and a pair inside a higher cluster spreads at the higher rate, hence the
     # m+1 exponent; false merges are rejected by the derivative validation.
-    # Aberth stops once |p| <= root_residual * S (S the evaluation scale), and
+    # Every root has |p| <= root_residual * S (S the evaluation scale), and
     # near an m-fold root x, p ~ t (z - x)**m with t = p^(m)(x) / m!, so the
-    # iterates may also spread up to (root_residual * S / |t|)**(1/m), which
+    # roots may also spread up to (root_residual * S / |t|)**(1/m), which
     # is large when other roots crowd x; the radius covers ten such spreads
     clusters = [[zi] for zi in z]
     centers = [zi for zi in z]

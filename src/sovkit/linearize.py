@@ -109,14 +109,8 @@ _FRAC = (_NODES + 1.0) / 2.0
 
 
 def _curve_roots(Pg_T, z):
-    """The xi-roots over every ``z``, shape ``z.shape + (r,)``: one stacked
-    ``eigvals`` of the companion matrices ``np.roots`` builds, bit for bit."""
-    c = np.moveaxis(kernel.poly_eval(Pg_T, z), 0, -1)[..., ::-1]  # descending in xi
-    deg = c.shape[-1] - 1
-    companion = np.zeros(c.shape[:-1] + (deg, deg), dtype=complex)
-    companion[..., 1:, :-1] = np.eye(deg - 1)
-    companion[..., 0, :] = -c[..., 1:] / c[..., :1]
-    return np.linalg.eigvals(companion)
+    """The xi-roots over every ``z``, shape ``z.shape + (r,)``."""
+    return kernel.companion_roots(np.moveaxis(kernel.poly_eval(Pg_T, z), 0, -1))
 
 
 def _match_order(ref, roots):

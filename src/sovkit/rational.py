@@ -199,8 +199,8 @@ def genus(phi: MatPoly, tol: Tolerances = DEFAULT) -> int:
     if r == 1:
         return 0
     lead = phi.coeff_mats[-1]
-    eigs, _ = kernel.poly_roots(kernel.char_bipoly(lead), tol)
-    if eigs.size < r or kernel.min_gap(eigs) < tol.disc_gap * max(1.0, np.abs(eigs).max()):
+    eigs = np.linalg.eigvals(lead)
+    if kernel.min_gap(eigs) < tol.disc_gap * max(1.0, np.abs(eigs).max()):
         raise NonGenericError("non-generic curve: leading matrix eigenvalues collide")
     roots, mults = branch_points(spectral_curve(phi), tol)
     scale = max(1.0, np.abs(roots).max()) if roots.size else 1.0
@@ -416,12 +416,12 @@ def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
     the roots of ``B(z) = det[s, phi s, ..., phi^(r-1) s]`` (Sklyanin's B),
     a polynomial of degree ``n r (r-1) / 2 = g + r - 1``.  At a root of
     multiplicity ``m`` the ``xi`` are the eigenvalues of ``phi(z)`` on the
-    ``m``-dimensional left null space of the Krylov matrix; simple roots get
-    3 Newton steps on ``B``, every ``xi`` 2 on ``P(z, .)``.  Only points where
-    the curve and every component of ``adj(phi(z) - xi I) s`` vanish to
-    ``tol.divisor`` are kept, and ``degenerate`` is set where ``B`` has a
-    multiple root or two points crowd.  ``s`` defaults to (1, 0, ..., 0) and
-    is re-drawn on the unit sphere when validation rejects everything.
+    ``m``-dimensional left null space of the Krylov matrix, and every ``xi``
+    gets 2 Newton steps on ``P(z, .)``.  Only points where the curve and
+    every component of ``adj(phi(z) - xi I) s`` vanish to ``tol.divisor`` are
+    kept, and ``degenerate`` is set where ``B`` has a multiple root or two
+    points crowd.  ``s`` defaults to (1, 0, ..., 0) and is re-drawn on the
+    unit sphere when validation rejects everything.
     """
     r, n = phi.r, phi.n
     rng = np.random.default_rng(seed)
@@ -462,11 +462,6 @@ def _divisor_for_section(phi, Pg, s, tol: Tolerances):
         zroots, mults = kernel.poly_roots(B, tol)
     except ConvergenceError:
         return None
-    simple = mults == 1
-    dB = kernel.poly_der(B)
-    for _ in range(3):
-        zroots[simple] -= (kernel.poly_eval(B, zroots[simple])
-                           / kernel.poly_eval(dB, zroots[simple]))
 
     # the Krylov space of s has codimension m at an m-fold root (at most r - 1)
     ms = np.minimum(mults, r - 1)

@@ -172,11 +172,11 @@ def puncture_distance(z, params: ThetaParams):
 
 def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
     """log func(node) - log func(nodes[0]) at every node of the polyline
-    ``nodes``, continued along it, and f'/f at the last node.
+    ``nodes``, continued along it, and f'/f at every node.
 
     ``func`` maps an ``(m,)`` array of points to ``(f, f'/f)``, two arrays of
-    shape ``(..., m)``; the logs have shape ``(..., len(nodes))``, the
-    continued log at every node, and f'/f shape ``(...)``.  Each segment is
+    shape ``(..., m)``; the continued logs and the f'/f at the nodes both have
+    shape ``(..., len(nodes))``.  Each segment is
     cut into at least 4 steps of at most 0.05, and the whole path is
     evaluated in one call.  A step is bisected (only those steps, only their
     midpoints evaluated) when its ratio f(z + h)/f(z) has |ratio - 1| > 0.5
@@ -205,7 +205,7 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
     pts[1:] = nodes[seg] + (np.arange(at[-1]) - at[seg] + 1) / steps[seg] * delta[seg]
     pts[at] = nodes
     vals, logd, slope = evaluate(pts)
-    last = logd[..., -1]
+    node_logd = logd[..., at]
     while True:
         ratio = vals[..., 1:] / vals[..., :-1]
         width = np.abs(np.diff(pts))
@@ -214,7 +214,7 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
         if bad.size == 0:
             logs = np.zeros(vals.shape, dtype=complex)
             logs[..., 1:] = np.log(ratio).cumsum(axis=-1)
-            return logs[..., at], last
+            return logs[..., at], node_logd
         mids = 0.5 * (pts[bad] + pts[bad + 1])
         if width[bad].min() < 1e-8:
             raise NumericDomainError(
@@ -342,7 +342,8 @@ class SectionTracker:
     ``value_at`` continues the whole vector from the last queried point
     through a point or a path of points: one ``_continued_log`` of all r
     components along the polyline, then values are multiplied by exp(L/r).
-    ``logderiv`` is f'/f at the current point, so ``ds/dz = s logderiv / r``.
+    ``logderiv`` is f'/f at the points of the last query, in the shape of
+    ``value_at``'s result, so ``ds/dz = s logderiv / r`` there.
     """
 
     def __init__(self, params: ThetaParams, anchor: Optional[complex] = None,
@@ -356,7 +357,7 @@ class SectionTracker:
         self.anchor = complex(default if anchor is None else anchor)
         self._f = lambda pts: tuple(a.T for a in f_quotients(params).logderivs(pts))
         f0 = f_vector(self.anchor, params, tol=tol)
-        self.logderiv = f_quotients(params).logderivs(self.anchor)[1]
+        self.logderiv = self._logd = f_quotients(params).logderivs(self.anchor)[1]
         across = np.exp(_continued_log(self._f, [self.anchor, self.anchor + params.omega2],
                                        params, tol)[0][:, -1] / r)
         s = np.zeros(r, dtype=complex)
@@ -380,10 +381,13 @@ class SectionTracker:
             raise NumericDomainError("continuation target is not finite")
         if (path == self._z).all():
             out = np.repeat(self._values[:, None], path.size, axis=1)
+            logd = np.repeat(self._logd[:, None], path.size, axis=1)
         else:
             nodes = np.append(self._z, path)
-            logs, self.logderiv = _continued_log(self._f, nodes, self.params, self.tol)
+            logs, logd = _continued_log(self._f, nodes, self.params, self.tol)
             out = self._values[:, None] * np.exp(logs[:, 1:] / self.params.r)
-            self._z, self._values = complex(nodes[-1]), out[:, -1].copy()
+            logd = logd[:, 1:]
+            self._z, self._values, self._logd = complex(nodes[-1]), out[:, -1].copy(), logd[:, -1]
+        self.logderiv = logd.reshape((-1,) + path.shape)
         return out.reshape((-1,) + path.shape)
 

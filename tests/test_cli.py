@@ -217,6 +217,16 @@ class TestElliptic:
         rep = json.loads((tmp_path / "elliptic_report.json").read_text())
         assert (rep["validated_count"], rep["branch_points"], rep["genus_prediction"]) == (3, 4, 3)
 
+    @pytest.mark.parametrize("a, b", [(0.5, 1.9), (True, 0), (0, 1)])
+    def test_bad_character_index_exits_2(self, tmp_path, a, b):
+        # a non-integer or bool index, or a repeat of the character (0, 1)
+        path = _write_elliptic_doc(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["coeffs"][0].update(a=a, b=b)
+        path.write_text(json.dumps(doc))
+        assert main(["elliptic", "--input", str(path), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "elliptic_report.json").exists()
+
     def test_seed_flag_rejected(self, tmp_path):
         # extraction draws no random numbers, so a seed would do nothing
         path = _write_elliptic_doc(tmp_path)

@@ -1,12 +1,15 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sovkit import kernel
-from sovkit.errors import NonGenericError
+from sovkit.errors import ConvergenceError, NonGenericError
+from sovkit.tolerances import Tolerances
 
 
 def random_poly(rng, deg):
@@ -47,6 +50,28 @@ class TestPolyRoots:
     def test_zero_polynomial(self):
         with pytest.raises(ValueError, match="undefined roots"):
             kernel.poly_roots(np.zeros(4))
+
+    @pytest.mark.parametrize("root", [5e-324j, 1e-160j])
+    def test_multiple_root_with_underflowing_coefficients(self, root):
+        # the companion matrix gives exact zeros and subnormal roots here
+        c = np.polynomial.polynomial.polyfromroots([root, root, root, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots, mults = kernel.poly_roots(c)
+        assert list(mults) == [3, 1] and np.abs(roots - [root, 0.5]).max() < 1e-12
+
+    def test_unreachable_residual_raises(self):
+        c = random_poly(np.random.default_rng(1), 6)
+        with pytest.raises(ConvergenceError, match="root residuals") as err:
+            kernel.poly_roots(c, Tolerances(root_residual=1e-24))
+        assert err.value.best.size == 6
+
+    def test_companion_roots_equal_np_roots(self):
+        rows = random_poly(np.random.default_rng(4), 5 * 12 - 1).reshape(12, 5)
+        stacked = kernel.companion_roots(rows.reshape(3, 4, 5))
+        assert stacked.shape == (3, 4, 4)
+        for c, roots in zip(rows, stacked.reshape(12, 4)):
+            assert np.array_equal(roots, np.roots(c[::-1]))
 
     def test_multiplicity_sum_property(self):
         rng = np.random.default_rng(3)
@@ -260,6 +285,9 @@ def eliminable_grids(draw):
 class TestPolyRootsAndResultantAgainstMpmath:
     @oracle_settings
     @given(planted=planted_roots())
+    # a plain Newton step from the companion roots leaves the triple root
+    # with a residual of 1e-12
+    @example(planted=([-0.9999999999 + 0.5j, 0.5 + 0.9749251844777421j, 0.4j], [3, 1, 2]))
     def test_poly_roots_planted_multiplicities(self, planted):
         roots, mults = planted
         c = np.polynomial.polynomial.polyfromroots(np.repeat(roots, mults))

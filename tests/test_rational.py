@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from sovkit import kernel
 from sovkit import rational as R
+from sovkit.acceptance import RN_COMBOS
 from sovkit.errors import ConsistencyError, NonGenericError
 from test_kernel import hadamard_scale, mp_det_adj
 
@@ -99,11 +101,26 @@ class TestGenus:
             R.genus(R.MatPoly(cm))  # diagonal: all branch points collide
 
     def test_equal_leading_eigenvalues_raise(self):
-        # poly_roots merges the two equal eigenvalues of 0.7 I into one root
+        # the two eigenvalues of 0.7 I are equal: their gap is 0
         cm = R._random_disk_cm(2, 2, np.random.default_rng(0))
         cm[-1] = 0.7 * np.eye(2)
         with pytest.raises(NonGenericError, match="leading matrix eigenvalues collide"):
             R.genus(R.MatPoly(cm))
+
+    @pytest.mark.parametrize("r, n", RN_COMBOS)
+    def test_branch_points_against_mpmath(self, r, n):
+        # the roots of the same discriminant coefficients, to 30 digits
+        rng = np.random.default_rng(0)
+        for _ in range(10):
+            curve = R.spectral_curve(R.random_instance(r, n, rng))
+            ours, mults = R.branch_points(curve)
+            disc = kernel.resultant(curve.grid, curve.dxi(), "xi")
+            with mpmath.workdps(30):
+                exact = np.array([complex(v) for v in mpmath.polyroots(
+                    [mpmath.mpc(complex(v)) for v in disc[::-1]], maxsteps=200, extraprec=60)])
+            assert mults.sum() == exact.size == ours.size
+            err = np.abs(exact[:, None] - ours).min(axis=1).max()
+            assert err <= 1e-13 * max(1.0, np.abs(exact).max())
 
 
 class TestStructureTensor:

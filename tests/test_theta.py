@@ -369,12 +369,12 @@ class TestContinuedLog:
         def func(w):
             return np.array([w - a, (w - b) ** 2]), np.array([1 / (w - a), 2 / (w - b)])
 
-        got, last = T._continued_log(func, nodes, self.PARAMS, DEFAULT)
+        got, logd = T._continued_log(func, nodes, self.PARAMS, DEFAULT)
         ref = np.array([np.log((nodes - a) / (nodes[0] - a)),
                         2 * np.log((nodes - b) / (nodes[0] - b))])
-        assert got.shape == (2, 3)
+        assert got.shape == logd.shape == (2, 3)
         assert np.abs(got - ref).max() < 1e-12
-        assert np.array_equal(last, func(nodes[-1:])[1][:, 0])
+        assert np.array_equal(logd, func(nodes)[1])
 
 
 class TestBasicSection:
@@ -470,9 +470,12 @@ class TestBasicSection:
     def test_logderiv_follows_the_current_point(self, r):
         params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
         trk = T.SectionTracker(params)
-        for z in (trk.anchor, trk.anchor + 0.13 - 0.04j, trk.anchor + np.array([0.05, 0.21j])):
-            trk.value_at(z)
-            ref = T.f_quotients(params).logderivs(np.atleast_1d(z)[-1])[1]
+        # f'/f at every point of the query, the last one queried again included
+        for z in (trk.anchor, trk.anchor + 0.13 - 0.04j, trk.anchor + np.array([0.05, 0.21j]),
+                  trk.anchor + 0.21j, trk.anchor + np.array([0.21j, 0.21j])):
+            vals = trk.value_at(z)
+            ref = np.moveaxis(T.f_quotients(params).logderivs(z)[1], -1, 0)
+            assert trk.logderiv.shape == vals.shape
             assert np.abs(trk.logderiv - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.inf)])
