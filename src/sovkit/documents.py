@@ -69,16 +69,20 @@ def _require(obj, field):
     return obj[field]
 
 
+def _integer(value, field, least):
+    """``value`` if it is an integer, not a bool, of at least ``least`` (0 or 1)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise SchemaError(f'field "{field}" must be a {kind} integer')
+    return value
+
+
 def load_lax(source) -> MatPoly:
     """Lax interchange document: fields r, n, coeffs[k][i][j] = [re, im]."""
     obj = load_document(source)
-    r = _require(obj, "r")
-    n = _require(obj, "n")
+    r = _integer(_require(obj, "r"), "r", 1)
+    n = _integer(_require(obj, "n"), "n", 0)
     coeffs = _require(obj, "coeffs")
-    if not isinstance(r, int) or r < 1:
-        raise SchemaError('field "r" must be a positive integer')
-    if not isinstance(n, int) or n < 0:
-        raise SchemaError('field "n" must be a nonnegative integer')
     if not isinstance(coeffs, list) or len(coeffs) != n + 1:
         raise SchemaError('field "coeffs" must list n + 1 coefficient matrices')
     cm = np.zeros((n + 1, r, r), dtype=complex)
@@ -141,9 +145,7 @@ def load_elliptic(source):
     """
     obj = load_document(source)
     tau = pair_to_complex(_require(obj, "tau"), "tau")
-    r = _require(obj, "r")
-    if not isinstance(r, int) or r < 1:
-        raise SchemaError('field "r" must be a positive integer')
+    r = _integer(_require(obj, "r"), "r", 1)
     div_list = _require(obj, "divisor")
     if not isinstance(div_list, list) or not div_list:
         raise SchemaError('field "divisor" must be a nonempty list')
@@ -154,10 +156,7 @@ def load_elliptic(source):
         if "nu" not in entry:
             raise SchemaError(f'missing field "divisor[{i}].nu"')
         points.append(pair_to_complex(entry["nu"], f"divisor[{i}].nu"))
-        mult = entry.get("mult", 1)
-        if not isinstance(mult, int) or mult < 1:
-            raise SchemaError(f'field "divisor[{i}].mult" must be a positive integer')
-        mults.append(mult)
+        mults.append(_integer(entry.get("mult", 1), f"divisor[{i}].mult", 1))
     coeffs_list = _require(obj, "coeffs")
     if not isinstance(coeffs_list, list):
         raise SchemaError('field "coeffs" must be a list')

@@ -503,11 +503,11 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     one r-th root of unity), and ``_cell_zeros`` finds its zeros on the cell
     from contour moments, with the pole order of ``B`` at each divisor point
     and at the puncture measured around a clockwise 8-gon of radius
-    ``2.5 tol.puncture_radius``.  Each ``xi`` comes from the left null space
-    of the Krylov matrix, and ``det(phi - xi I)`` and ``adj(phi - xi I) s``
-    must vanish to ``tol.divisor``.  The genus prediction is Riemann--Hurwitz
-    over the torus, ``1 + (branch points)/2``, the branch points located by
-    ``_branch_points``.  Output coordinates are (z_mu - z0, xi_mu).
+    ``2.5 tol.puncture_radius``.  Each ``xi`` and its residual, which must be
+    within ``tol.divisor``, come from ``kernel.divisor_points``.  The genus
+    prediction is Riemann--Hurwitz over the torus, ``1 + (branch points)/2``,
+    the branch points located by ``_branch_points``.  Output coordinates are
+    (z_mu - z0, xi_mu).
     """
     params = lax.params
     r = params.r
@@ -526,14 +526,8 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     svecs = np.array([walk.section(z)[0] for z in zs]).reshape(-1, r)
 
     phis = lax(zs)
-    xis = kernel.krylov_eigvals(phis, svecs, np.ones(count, dtype=int))
-    M = phis - xis[:, None, None] * np.eye(r)
-    adj = kernel.adjugate(M)
-    pres = np.abs(np.linalg.det(M)) / (np.abs(kernel.char_bipoly(phis)).max(axis=-1)
-                                       * np.maximum(1.0, np.abs(xis)) ** r)
-    vres = (np.abs(np.einsum("mij,mj->mi", adj, svecs)).max(axis=-1)
-            / (np.abs(adj).max(axis=(-2, -1)) * np.abs(svecs).max(axis=-1)))
-    validated = int(np.count_nonzero((pres <= tol.divisor) & (vres <= tol.divisor)))
+    xis, resid = kernel.divisor_points(phis, svecs, np.ones(count, dtype=int))
+    validated = int(np.count_nonzero(resid <= tol.divisor))
     if validated != count:
         raise ConsistencyError(f"{validated} of the {count} zeros of B are divisor points")
 

@@ -20,8 +20,8 @@ from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
     "poly_trim", "poly_eval", "poly_der", "companion_roots", "poly_roots", "char_bipoly",
-    "adjugate", "matpoly_char_adj", "krylov", "krylov_eigvals", "bipoly_trim",
-    "bipoly_eval", "bipoly_dxi", "bipoly_dz", "resultant", "min_gap",
+    "adjugate", "matpoly_char_adj", "krylov", "divisor_points", "bipoly_eval",
+    "bipoly_dxi", "resultant", "min_gap",
 ]
 
 
@@ -110,17 +110,24 @@ def _polish_on_derivative(monic, c0, order):
     return c
 
 
-def _validate_cluster(monic, center, m, tol: Tolerances):
-    """Accept ``center`` as an m-fold root if p and its first m-1 derivatives vanish."""
-    c = _polish_on_derivative(monic, center, m - 1)
+def _validate_cluster(monic, members, tol: Tolerances):
+    """The m-fold root ``c`` polished from the mean of the m ``members``, if p
+    and its first m-1 derivatives vanish at ``c`` and every member lies within
+    ten spreads ``(root_residual S(c) / |p^(q)(c) / q!|)^(1/q)`` of it, ``q >= m``
+    the order of the first derivative that does not vanish there; else None."""
+    m = len(members)
+    c = _polish_on_derivative(monic, np.mean(members), m - 1)
     p = monic
-    for j in range(m):
+    for q in range(monic.size):  # the deg-th derivative is a nonzero constant
         resid = abs(poly_eval(p, c)) / _eval_scale(p, c)
-        limit = 10.0 * tol.root_residual if j == 0 else tol.cluster_derivative
-        if resid > limit:
-            return None
+        if resid > (10.0 * tol.root_residual if q == 0 else tol.cluster_derivative):
+            break
         p = poly_der(p)
-    return c
+    if q < m:
+        return None
+    spread = (tol.root_residual * _eval_scale(monic, c) * math.factorial(q)
+              / abs(poly_eval(p, c))) ** (1.0 / q)
+    return c if np.abs(np.subtract(members, c)).max() <= 10.0 * spread else None
 
 
 def poly_roots(p, tol: Tolerances = DEFAULT):
@@ -159,11 +166,13 @@ def poly_roots(p, tol: Tolerances = DEFAULT):
     # agglomerative clustering with adaptive acceptance radius: a candidate
     # m-cluster of double-precision roots spreads like root_residual**(1/m),
     # and a pair inside a higher cluster spreads at the higher rate, hence the
-    # m+1 exponent; false merges are rejected by the derivative validation.
+    # m+1 exponent; false merges are rejected by _validate_cluster.
     # Every root has |p| <= root_residual * S (S the evaluation scale), and
     # near an m-fold root x, p ~ t (z - x)**m with t = p^(m)(x) / m!, so the
     # roots may also spread up to (root_residual * S / |t|)**(1/m), which
-    # is large when other roots crowd x; the radius covers ten such spreads
+    # is large when other roots crowd x; the radius covers ten such spreads.
+    # At the midpoint of two simple roots t can vanish (a triple root there),
+    # so the validation measures the spread again at the polished centre
     clusters = [[zi] for zi in z]
     centers = [zi for zi in z]
     merged = True
@@ -183,7 +192,7 @@ def poly_roots(p, tol: Tolerances = DEFAULT):
                                      + tol.root_cluster), 10.0 * spread)
         for k in np.flatnonzero(np.abs(cen[i] - cen[j]) <= radius):
             cand = clusters[i[k]] + clusters[j[k]]
-            ok = _validate_cluster(monic, np.mean(cand), m[k], tol)
+            ok = _validate_cluster(monic, cand, tol)
             if ok is not None:
                 clusters[i[k]] = cand
                 centers[i[k]] = ok
@@ -301,31 +310,43 @@ def krylov(M, s):
     return np.stack(cols, axis=-1)
 
 
-def krylov_eigvals(M, s, ms):
-    """The ``xi`` with ``adj(M - xi I) s = 0``: for each ``M`` (m, r, r), the
-    eigenvalues of ``M`` on the ``ms[i]``-dimensional left null space of its
-    Krylov matrix (``M``-invariant by Cayley--Hamilton), concatenated."""
-    r = M.shape[-1]
-    U = np.linalg.svd(krylov(M, s))[0]
-    return np.concatenate([np.zeros(0, dtype=complex)]
-                          + [np.linalg.eigvals(u[:, r - m:].conj().T @ p @ u[:, r - m:])
-                             for u, p, m in zip(U, M, ms)])
+def divisor_points(phis, s, ms):
+    """The separating points over the zeros of Sklyanin's ``B``: the ``xi``
+    with ``adj(phi - xi I) s = 0`` for each ``phi`` of a stack (m, r, r), ``s``
+    of shape (r,) or (m, r), and one residual per point.
+
+    Over ``phis[i]`` there are ``ms[i]`` points: the eigenvalues of ``phi`` on
+    the ``ms[i]``-dimensional left null space of its Krylov matrix
+    (``phi``-invariant by Cayley--Hamilton), each given 2 Newton steps on
+    ``det(phi - xi I)``.  The residual is the larger of
+    ``|det M| / (max |char coeff| max(1, |xi|)^r)`` and
+    ``|adj(M) s| / (|adj M| |s|)``, ``M = phi - xi I``.  Returns ``(xi,
+    residual)``, each of length ``sum(ms)``, the points of ``phis[i]`` in
+    order.
+    """
+    r = phis.shape[-1]
+    U = np.linalg.svd(krylov(phis, s))[0]
+    xi = np.concatenate([np.zeros(0, dtype=complex)]
+                        + [np.linalg.eigvals(u[:, r - m:].conj().T @ p @ u[:, r - m:])
+                           for u, p, m in zip(U, phis, ms)])
+    at = np.repeat(np.arange(len(phis)), ms)
+    phis, s = phis[at], np.broadcast_to(s, phis.shape[:-1])[at]
+    c = char_bipoly(phis).T                     # column i: the coefficients at phis[i]
+    for _ in range(2):
+        d = npoly.polyval(xi, npoly.polyder(c), tensor=False)
+        xi = xi - np.divide(npoly.polyval(xi, c, tensor=False), d,
+                            out=np.zeros_like(d), where=d != 0)
+    M = phis - xi[:, None, None] * np.eye(r)
+    adj = adjugate(M)
+    pres = np.abs(np.linalg.det(M)) / (np.abs(c).max(axis=0) * np.maximum(1.0, np.abs(xi)) ** r)
+    vres = (np.abs(np.einsum("mij,mj->mi", adj, s)).max(axis=-1)
+            / (np.abs(adj).max(axis=(-2, -1)) * np.abs(s).max(axis=-1)))
+    return xi, np.maximum(pres, vres)
 
 
 # ---------------------------------------------------------------------------
 # bivariate polynomials: grids c[k, l] ~ xi^k z^l
 # ---------------------------------------------------------------------------
-
-def bipoly_trim(c, tol: Tolerances = DEFAULT):
-    c = np.atleast_2d(np.asarray(c, dtype=complex))
-    top = np.abs(c).max() if c.size else 0.0
-    if top == 0.0:
-        return np.zeros((1, 1), dtype=complex)
-    thresh = tol.zero_trim * top
-    rows = np.where((np.abs(c) > thresh).any(axis=1))[0]
-    cols = np.where((np.abs(c) > thresh).any(axis=0))[0]
-    return c[: rows.max() + 1, : cols.max() + 1].copy()
-
 
 def bipoly_eval(c, z, xi):
     """Evaluate sum c[k, l] xi^k z^l (vectorized over broadcastable z, xi)."""
@@ -344,13 +365,6 @@ def bipoly_dxi(c):
     if c.shape[0] <= 1:
         return np.zeros((1, c.shape[1]), dtype=complex)
     return c[1:, :] * np.arange(1, c.shape[0])[:, None]
-
-
-def bipoly_dz(c):
-    c = np.asarray(c, dtype=complex)
-    if c.shape[1] <= 1:
-        return np.zeros((c.shape[0], 1), dtype=complex)
-    return c[:, 1:] * np.arange(1, c.shape[1])[None, :]
 
 
 def _xi_degree(c, tol: Tolerances):

@@ -392,21 +392,6 @@ def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT,
 # divisor coordinates
 # ---------------------------------------------------------------------------
 
-def _adjugate_section_grids(phi: MatPoly, s: np.ndarray, tol: Tolerances):
-    """Bivariate grids of v(z, xi) = adj(phi(z) - xi I) . s, one per component,
-    and the index of the component ``divisor_jacobian`` differentiates
-    (largest coefficient)."""
-    _, A = kernel.matpoly_char_adj(phi.coeff_mats)
-    vgrids = [kernel.bipoly_trim(grid, tol) for grid in np.einsum("kcjl,j->ckl", A, s)]
-    return vgrids, max(range(phi.r), key=lambda c: np.abs(vgrids[c]).max())
-
-
-def _bipoly_scale(grid, z, xi):
-    """Backward-error scale sum |c_kl| |xi|^k |z|^l, floored at max |c_kl|."""
-    return np.maximum(kernel.bipoly_eval(np.abs(grid), np.abs(z), np.abs(xi)).real,
-                      np.abs(grid).max())
-
-
 def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
                    seed: int = 0) -> DivisorCoords:
     """Separating divisor points: common zeros of the curve and adj(.)s.
@@ -414,19 +399,15 @@ def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
     ``adj(phi(z) - xi I) s`` vanishes on the curve exactly where the left
     eigenvector of ``phi(z)`` for ``xi`` is orthogonal to ``s``, that is over
     the roots of ``B(z) = det[s, phi s, ..., phi^(r-1) s]`` (Sklyanin's B),
-    a polynomial of degree ``n r (r-1) / 2 = g + r - 1``.  At a root of
-    multiplicity ``m`` the ``xi`` are the eigenvalues of ``phi(z)`` on the
-    ``m``-dimensional left null space of the Krylov matrix, and every ``xi``
-    gets 2 Newton steps on ``P(z, .)``.  Only points where the curve and
-    every component of ``adj(phi(z) - xi I) s`` vanish to ``tol.divisor`` are
-    kept, and ``degenerate`` is set where ``B`` has a multiple root or two
-    points crowd.  ``s`` defaults to (1, 0, ..., 0) and is re-drawn on the
-    unit sphere when validation rejects everything.
+    a polynomial of degree ``n r (r-1) / 2 = g + r - 1``.  Over a root of
+    multiplicity ``m`` there are ``m`` points, from ``kernel.divisor_points``;
+    only those whose residual is within ``tol.divisor`` are kept, and
+    ``degenerate`` is set where ``B`` has a multiple root or two points
+    crowd.  ``s`` defaults to (1, 0, ..., 0) and is re-drawn on the unit
+    sphere when validation rejects everything.
     """
-    r, n = phi.r, phi.n
+    r = phi.r
     rng = np.random.default_rng(seed)
-    curve = spectral_curve(phi)
-    Pg = curve.grid
 
     s_try = np.zeros(r, dtype=complex)
     s_try[0] = 1.0
@@ -434,7 +415,7 @@ def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
         s_try = np.asarray(s, dtype=complex)
 
     for attempt in range(3):
-        result = _divisor_for_section(phi, Pg, s_try, tol)
+        result = _divisor_for_section(phi, s_try, tol)
         if result is not None:
             zs, xis, degenerate = result
             order = np.lexsort((xis.imag, xis.real, zs.imag, zs.real))
@@ -450,7 +431,7 @@ def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
                          s=s_try, degenerate=False)
 
 
-def _divisor_for_section(phi, Pg, s, tol: Tolerances):
+def _divisor_for_section(phi, s, tol: Tolerances):
     r, n = phi.r, phi.n
     # B at the K = deg B + 1 roots of unity, then its coefficients by one FFT
     K = n * r * (r - 1) // 2 + 1
@@ -466,18 +447,8 @@ def _divisor_for_section(phi, Pg, s, tol: Tolerances):
     # the Krylov space of s has codimension m at an m-fold root (at most r - 1)
     ms = np.minimum(mults, r - 1)
     zs = np.repeat(zroots, ms)
-    xis = kernel.krylov_eigvals(phi(zroots), s, ms)
-    dPg = kernel.bipoly_dxi(Pg)
-    for _ in range(2):
-        d = kernel.bipoly_eval(dPg, zs, xis)
-        xis = xis - np.divide(kernel.bipoly_eval(Pg, zs, xis), d,
-                              out=np.zeros_like(d), where=d != 0)
-
-    vgrids, _ = _adjugate_section_grids(phi, s, tol)
-    pres = np.abs(kernel.bipoly_eval(Pg, zs, xis)) / _bipoly_scale(Pg, zs, xis)
-    vres = np.max([np.abs(kernel.bipoly_eval(g, zs, xis))
-                   / np.maximum(_bipoly_scale(g, zs, xis), 1e-30) for g in vgrids], axis=0)
-    keep = (pres <= tol.divisor) & (vres <= tol.divisor)
+    xis, resid = kernel.divisor_points(phi(zroots), s, ms)
+    keep = resid <= tol.divisor
     if not keep.any():
         return None
     if not keep.all():
@@ -510,43 +481,42 @@ def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT, seed: int 
     """d(z_mu)/dx and d(xi_mu)/dx by the implicit-function theorem, exact to rounding.
 
     Each point solves ``F = (P, v_c) = 0`` with ``P = det M``,
-    ``M = phi(z) - xi I`` and ``v_c = (adj(M) s)_c`` the component with the
-    largest coefficient, so ``d(z, xi)/dx = -J^{-1} dF/dx`` with
-    ``J = [[P_z, P_xi], [v_z, v_xi]]``.  For ``x = phi_p[i, j]``,
-    ``dP/dx = z^p adj(M)[j, i]`` and
-    ``dv_c/dx = z^p ((adj(M + t E_ij) - adj(M)) s)_c / t`` for any ``t``,
-    because each cofactor is linear in every row.  Returns
-    ``(points, dz, dxi)``, ``dz`` and ``dxi`` of shape ``(count, N)``; raises
-    ``NonGenericError`` where ``J`` is singular to within ``tol.divisor``.
+    ``M = phi(z) - xi I`` and ``v_c = (adj(M) s)_c``, at each point the
+    component with the largest ``|dv_c/dM|``.  For ``x = phi_p[i, j]``,
+    ``dF/dx = z^p dF/dM_ij`` with ``dP/dM_ij = adj(M)[j, i]`` and
+    ``dv_c/dM_ij = ((adj(M + t E_ij) - adj(M)) s)_c / t`` for any ``t``,
+    because each cofactor is linear in every row; so
+    ``J = d(P, v_c)/d(z, xi) = dF/dM . [vec phi'(z), -vec I]`` and
+    ``d(z, xi)/dx = -J^{-1} dF/dx``.  Returns ``(points, dz, dxi)``, ``dz``
+    and ``dxi`` of shape ``(count, N)``; raises ``NonGenericError`` where
+    ``det J`` is within ``tol.divisor`` of the Hadamard bounds of its rows,
+    ``max(1, |M|)^(r-1)`` and ``max(1, |M|)^(r-2) |s|``, each times
+    ``max(1, |phi'|)``.
     """
     base = divisor_coords(phi, s=s, tol=tol, seed=seed)
     if base.count == 0:
         raise NonGenericError("no divisor points to differentiate")
     r, n = phi.r, phi.n
     z, xi = base.z, base.xi
-    Pg = spectral_curve(phi).grid
-    vgrids, pick = _adjugate_section_grids(phi, base.s, tol)
-    partials = [[kernel.bipoly_dz(g), kernel.bipoly_dxi(g)] for g in (Pg, vgrids[pick])]
-    J = np.moveaxis([[kernel.bipoly_eval(d, z, xi) for d in row] for row in partials],
-                    -1, 0)                                              # (count, 2, 2)
-    row_scale = np.moveaxis([[_bipoly_scale(d, z, xi) for d in row] for row in partials],
-                            -1, 0).max(axis=-1)                         # (count, 2)
-    if np.any(np.abs(np.linalg.det(J)) <= tol.divisor * row_scale.prod(axis=-1)):
-        raise NonGenericError("divisor point where d(P, v)/d(z, xi) is singular")
-
     # adj(M + t E_ij) for every (i, j), then adj(M), in one batched recursion;
     # t of the size of M keeps the difference at full relative precision
     M = phi(z) - xi[:, None, None] * np.eye(r)
     t = np.maximum(1.0, np.abs(M).max(axis=(1, 2)))[:, None, None, None]
     E = np.eye(r * r).reshape(r * r, r, r)
-    stack = np.concatenate([M[:, None] + t * E, M[:, None]], axis=1)
-    _, Nfl = kernel._faddeev_leverrier(stack)
-    adj = (-1.0) ** (r - 1) * Nfl[:, :, r - 1]                          # (count, r*r+1, r, r)
+    adj = kernel.adjugate(np.concatenate([M[:, None] + t * E, M[:, None]], axis=1))
     dP = adj[:, -1].transpose(0, 2, 1).reshape(-1, r * r)
-    dv = ((adj[:, :-1] - adj[:, -1:]) / t) @ base.s
-    dF_dM = np.stack([dP, dv[:, :, pick]], axis=1)                      # (count, 2, r*r)
-    dF = (z[:, None, None, None] ** np.arange(n + 1)[:, None]
-          * dF_dM[:, :, None, :]).reshape(base.count, 2, -1)
+    dv = ((adj[:, :-1] - adj[:, -1:]) / t) @ base.s                    # (count, r*r, r)
+    pick = np.linalg.norm(dv, axis=1).argmax(axis=-1)
+    dF_dM = np.stack([dP, np.take_along_axis(dv, pick[:, None, None], 2)[..., 0]], axis=1)
+    zp = z[:, None] ** np.arange(n + 1)
+    dphi = (zp[:, :-1] * np.arange(1, n + 1)) @ phi.coeff_mats[1:].reshape(n, -1)
+    J = np.stack([np.einsum("mfk,mk->mf", dF_dM, dphi),
+                  -dF_dM @ np.eye(r).ravel()], axis=-1)                  # (count, 2, 2)
+    bound = t.ravel() ** (2 * r - 3) * np.linalg.norm(base.s) * np.maximum(
+        1.0, np.abs(dphi).max(axis=-1)) ** 2
+    if np.any(np.abs(np.linalg.det(J)) <= tol.divisor * bound):
+        raise NonGenericError("divisor point where d(P, v)/d(z, xi) is singular")
+    dF = (zp[:, None, :, None] * dF_dM[:, :, None, :]).reshape(base.count, 2, -1)
     dzxi = -np.linalg.solve(J, dF)
     return base, dzxi[:, 0], dzxi[:, 1]
 

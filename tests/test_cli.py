@@ -57,6 +57,14 @@ class TestSpectral:
         path.write_text("{this is not json")
         assert main(["spectral", "--input", str(path), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("field", ["r", "n"])
+    def test_bool_count_exits_2(self, tmp_path, capsys, field):
+        doc = {"r": 1, "n": 0, "coeffs": [[[[1.0, 0.0]]]], field: field == "r"}
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert main(["spectral", "--input", str(path), "--out", str(tmp_path)]) == 2
+        assert f'"{field}"' in capsys.readouterr().err
+
 
 class TestSov:
     def test_report_and_csv(self, generic_instance, tmp_path):
@@ -223,6 +231,15 @@ class TestElliptic:
         path = _write_elliptic_doc(tmp_path)
         doc = json.loads(path.read_text())
         doc["coeffs"][0].update(a=a, b=b)
+        path.write_text(json.dumps(doc))
+        assert main(["elliptic", "--input", str(path), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "elliptic_report.json").exists()
+
+    @pytest.mark.parametrize("field", ["r", "mult"])
+    def test_bool_count_exits_2(self, tmp_path, field):
+        path = _write_elliptic_doc(tmp_path)
+        doc = json.loads(path.read_text())
+        (doc if field == "r" else doc["divisor"][0])[field] = True
         path.write_text(json.dumps(doc))
         assert main(["elliptic", "--input", str(path), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "elliptic_report.json").exists()

@@ -171,6 +171,31 @@ class TestMatpolyCharAdj:
             assert np.allclose(adj_ours, adj_direct, atol=1e-8)
 
 
+class TestDivisorPoints:
+    def test_residual_small_at_zeros_of_b_only(self):
+        rng = np.random.default_rng(5)
+        r, n = 3, 2
+        cm = rng.standard_normal((n + 1, r, r)) + 1j * rng.standard_normal((n + 1, r, r))
+        s = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        phi = lambda z: np.tensordot(z[:, None] ** np.arange(n + 1), cm, 1)
+        # B(z) = det[s, phi s, phi^2 s] from its values at deg B + 1 roots of unity
+        K = n * r * (r - 1) // 2 + 1
+        zk = np.exp(2j * np.pi * np.arange(K) / K)
+        zs, ms = kernel.poly_roots(np.fft.fft(np.linalg.det(kernel.krylov(phi(zk), s))) / K)
+        xi, resid = kernel.divisor_points(phi(zs), s, ms)
+        assert xi.size == K - 1 and resid.max() <= 1e-12
+        _, resid = kernel.divisor_points(phi(0.5 * (zs[:1] + zs[1:2])), s, [1])
+        assert resid[0] > 1e-6
+
+    def test_two_points_over_one_z(self):
+        # the Krylov space of e1 under a diagonal matrix is one line, so both
+        # remaining eigenvalues are divisor points
+        phi0 = np.diag([0.3 + 0.1j, -0.5 + 0.2j, 0.7 - 0.4j])
+        xi, resid = kernel.divisor_points(phi0[None], np.array([1.0, 0.0, 0.0]), [2])
+        assert np.allclose(np.sort_complex(xi), [-0.5 + 0.2j, 0.7 - 0.4j], rtol=0, atol=1e-14)
+        assert resid.max() <= 1e-14
+
+
 def mp_det(rows):
     """Laplace expansion along the first row; the empty matrix has det 1."""
     if not rows:
@@ -288,6 +313,8 @@ class TestPolyRootsAndResultantAgainstMpmath:
     # a plain Newton step from the companion roots leaves the triple root
     # with a residual of 1e-12
     @example(planted=([-0.9999999999 + 0.5j, 0.5 + 0.9749251844777421j, 0.4j], [3, 1, 2]))
+    # two simple roots whose midpoint is a triple root are not one double root
+    @example(planted=([-1 - 1j, -0.5 - 1j, -1j], [1, 3, 1]))
     def test_poly_roots_planted_multiplicities(self, planted):
         roots, mults = planted
         c = np.polynomial.polynomial.polyfromroots(np.repeat(roots, mults))
@@ -404,9 +431,7 @@ class TestBiPoly:
         assert abs(kernel.bipoly_eval(c, z, xi) - direct) < 1e-12
         h = 1e-6
         dxi_fd = (kernel.bipoly_eval(c, z, xi + h) - kernel.bipoly_eval(c, z, xi - h)) / (2 * h)
-        dz_fd = (kernel.bipoly_eval(c, z + h, xi) - kernel.bipoly_eval(c, z - h, xi)) / (2 * h)
         assert abs(kernel.bipoly_eval(kernel.bipoly_dxi(c), z, xi) - dxi_fd) < 1e-7
-        assert abs(kernel.bipoly_eval(kernel.bipoly_dz(c), z, xi) - dz_fd) < 1e-7
 
 
 class TestMinGap:
