@@ -5,11 +5,9 @@ deterministic machine-readable report. Suites are independent and may run
 in parallel, one worker process each, up to a configured worker count.
 """
 
-import json
 import multiprocessing
 import platform
 import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -111,9 +109,7 @@ def suite_isospectral(config: ExperimentConfig):
             base = rational.spectral_curve(phi).grid
             scale = max(1.0, np.abs(base).max())
             for spec in brackets:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    hams, _ = rational.casimir_detect(phi, spec, seed=config.seed)
+                hams, _ = rational.casimir_detect(phi, spec)
                 for pos in hams:
                     traj = rational.flow(phi, pos, spec, np.linspace(0.0, 1.0, 5))
                     drift = max(np.abs(rational.spectral_curve(p).grid - base).max()
@@ -178,9 +174,7 @@ def suite_linearization(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed + 53)
     spec = rational.BracketSpec(a=(1.0,), b=0.0)
     phi, curve, bps, d = _linearization_instance(rng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hams, _ = rational.casimir_detect(phi, spec, seed=config.seed)
+    hams, _ = rational.casimir_detect(phi, spec)
     worst_fit = 0.0
     slope_dev = 0.0
     for j, flow_pos in enumerate(hams):
@@ -467,9 +461,6 @@ class Report:
                 for c in self.records
             ],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def summary_lines(self):
         lines = []

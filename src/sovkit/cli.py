@@ -59,9 +59,7 @@ def cmd_spectral(args) -> int:
     except NonGenericError as err:
         print(f"non-generic instance: {err}", file=sys.stderr)
         return EXIT_NON_GENERIC
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hams, cass = rational.casimir_detect(phi, spec, tol, seed=args.seed)
+    hams, cass = rational.casimir_detect(phi, spec, tol)
     out = _out_dir(args)
     _write_json(out / "curve.json", docs.dump_curve(curve, g, hams, cass))
     print(f"genus {g}; {len(hams)} Hamiltonians, {len(cass)} Casimirs; "
@@ -121,9 +119,7 @@ def cmd_flow(args) -> int:
     except ValueError:
         raise SchemaError('flag --hamiltonian must be "k,l"') from None
     tol = DEFAULT.scaled(args.tol_scale)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hams, cass = rational.casimir_detect(phi, spec, tol, seed=args.seed)
+    hams, cass = rational.casimir_detect(phi, spec, tol)
     times = np.linspace(0.0, args.t_max, args.samples)
     traj = rational.flow(phi, pos, spec, times, tol)
     base = rational.spectral_curve(traj[0]).grid
@@ -268,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated suite names (default: all)")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_accept)
-    # elliptic extraction draws no random numbers, so it takes no seed
-    for name in ("spectral", "sov", "flow", "theta", "accept"):
+    # only divisor extraction, the theta battery and the acceptance draws use
+    # random numbers; spectral, flow and elliptic take no seed
+    for name in ("sov", "theta", "accept"):
         sub.choices[name].add_argument("--seed", type=int, default=2024)
     return parser
 

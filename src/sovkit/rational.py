@@ -164,16 +164,16 @@ class StructureTensor:
 # spectral curve and genus
 # ---------------------------------------------------------------------------
 
-def spectral_curve(phi: MatPoly, probe_seed: int = 0) -> SpectralCurve:
+def spectral_curve(phi: MatPoly) -> SpectralCurve:
     """Coefficient grid of det(phi(z) - xi I).
 
     Built by evaluation at roots of unity plus FFT, exact to rounding; the
     grid is cross-checked against direct determinant evaluation at 20 random
-    probes.
+    probes drawn from seed 0.
     """
     r, n = phi.r, phi.n
     grid, _ = kernel.matpoly_char_adj(phi.coeff_mats)
-    rng = np.random.default_rng(probe_seed)
+    rng = np.random.default_rng(0)
     zs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     xis = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     direct = np.linalg.det(phi(zs) - xis[:, None, None] * np.eye(r))
@@ -352,39 +352,41 @@ def involution_max_residual(phi: MatPoly, spec: BracketSpec,
     return float(np.max(np.abs(B) / np.maximum(scale, 1e-30)))
 
 
-def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT,
-                   seed: int = 1234, n_probe: int = 5):
-    """Split the spectral coefficients into Hamiltonians and Casimirs.
+def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT):
+    """Split the spectral coefficients into Hamiltonians and Casimirs at ``phi``.
 
-    A coefficient is a Casimir when its Hamiltonian vector field vanishes
-    (below ``tol.casimir`` relative) at ``n_probe`` random phase points.
-    Warns when the Hamiltonian count differs from the genus.
+    Row ``idx`` of ``F = G . Pi`` is the Hamiltonian field of the coefficient
+    at ``positions[idx]`` (up to sign).  The fields span ``rank F`` dimensions,
+    counting singular values above ``tol.casimir`` times the largest; on the
+    generic stratum that is ``deg B = n r (r-1) / 2 = g + r - 1``, and any
+    other rank raises ``NonGenericError``.  The Hamiltonians are the ``rank F``
+    positions a greedy pivoted Gram--Schmidt on the rows of ``F`` picks (QR of
+    ``F^T`` with column pivoting); the Casimirs are the positions whose field
+    vanishes, below ``tol.casimir`` relative to ``|Pi| |grad C|``.  Both come
+    back in ``spectral_positions`` order.  Under a general bracket some
+    positions are neither: their fields are combinations of the Hamiltonians'
+    fields.
     """
     r, n = phi.r, phi.n
-    tensor = structure_tensor(r, n, spec, tol)
-    rng = np.random.default_rng(seed)
-    positions = spectral_positions(r, n)
-    is_casimir = np.ones(len(positions), dtype=bool)
-    for _ in range(n_probe):
-        probe = MatPoly(_random_disk_cm(r, n, rng))
-        _, G = spectral_gradient_matrix(probe)
-        pi = tensor.poisson_matrix(probe.flatten())
-        fields = G @ pi.T  # row idx: components {x_a, H_idx} = -(Pi grad H)_a up to sign
-        pnorm = max(np.linalg.norm(pi), 1e-30)
-        gnorm = np.maximum(np.linalg.norm(G, axis=1), 1e-30)
-        rel = np.linalg.norm(fields, axis=1) / (pnorm * gnorm)
-        is_casimir &= rel < tol.casimir
-    hams = tuple(p for p, c in zip(positions, is_casimir) if not c)
-    cass = tuple(p for p, c in zip(positions, is_casimir) if c)
-    try:
-        g = genus(phi, tol)
-    except NonGenericError:
-        g = None
-    if g is not None and len(hams) != g:
-        warnings.warn(
-            f"detected {len(hams)} Hamiltonians but genus is {g}",
-            RuntimeWarning, stacklevel=2,
-        )
+    positions, G = spectral_gradient_matrix(phi)
+    pi = structure_tensor(r, n, spec, tol).poisson_matrix(phi.flatten())
+    F = G @ pi
+    sv = np.linalg.svd(F, compute_uv=False)
+    deg_b = n * r * (r - 1) // 2
+    rank = int(np.count_nonzero(sv > tol.casimir * sv[0]))
+    if rank != deg_b:
+        raise NonGenericError(f"Hamiltonian fields span {rank} dimensions, not deg B = {deg_b}")
+    rest = F.copy()
+    picked = []
+    for _ in range(rank):
+        idx = int(np.linalg.norm(rest, axis=1).argmax())
+        q = rest[idx] / np.linalg.norm(rest[idx])
+        rest -= np.outer(rest @ q.conj(), q)
+        picked.append(idx)
+    rel = np.linalg.norm(F, axis=1) / np.maximum(
+        np.linalg.norm(pi) * np.linalg.norm(G, axis=1), 1e-30)
+    hams = tuple(positions[idx] for idx in sorted(picked))
+    cass = tuple(p for p, c in zip(positions, rel < tol.casimir) if c)
     return hams, cass
 
 
@@ -491,11 +493,17 @@ def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT, seed: int 
     and ``dxi`` of shape ``(count, N)``; raises ``NonGenericError`` where
     ``det J`` is within ``tol.divisor`` of the Hadamard bounds of its rows,
     ``max(1, |M|)^(r-1)`` and ``max(1, |M|)^(r-2) |s|``, each times
-    ``max(1, |phi'|)``.
+    ``max(1, |phi'|)``.  It raises as well, before forming ``J``, where the
+    divisor is ``degenerate`` (multiple or crowding roots of ``B``): a generic
+    perturbation splits a multiple root like a square root, so ``z_mu`` has no
+    derivative there.
     """
     base = divisor_coords(phi, s=s, tol=tol, seed=seed)
     if base.count == 0:
         raise NonGenericError("no divisor points to differentiate")
+    if base.degenerate:
+        raise NonGenericError("degenerate divisor: d(z_mu)/dx is singular at a "
+                              "multiple or crowding root of B")
     r, n = phi.r, phi.n
     z, xi = base.z, base.xi
     # adj(M + t E_ij) for every (i, j), then adj(M), in one batched recursion;

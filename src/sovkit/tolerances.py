@@ -22,7 +22,7 @@ class Tolerances:
     lax_periodicity: float = 1e-8  # assembled elliptic Lax quasi-periodicity, relative
     basis_multiplier: float = 1e-10  # elliptic basis character multipliers, relative
     basis_rank: float = 1e-8       # elliptic basis span: smallest/largest singular value
-    casimir: float = 1e-8          # Hamiltonian-field norm of a Casimir, relative
+    casimir: float = 1e-8          # Casimir field norm, relative; also the rank cut of G . Pi
     cluster_derivative: float = 1e-7  # derivative residual of a validated multiple root
 
     def scaled(self, factor: float) -> "Tolerances":

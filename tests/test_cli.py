@@ -31,6 +31,16 @@ class TestSpectral:
         assert doc["genus"] == 1
         assert doc["r"] == 2
 
+    def test_random_bracket_lists_g_plus_r_minus_1_hamiltonians(self, generic_instance,
+                                                                tmp_path):
+        bracket = tmp_path / "bracket.json"
+        spec = R.BracketSpec(a=(0.4 - 0.1j, 1.3, -0.7j), b=0.6 + 0.9j)
+        bracket.write_text(json.dumps(docs.dump_bracket(spec)))
+        assert main(["spectral", "--input", generic_instance, "--bracket", str(bracket),
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "curve.json").read_text())
+        assert len(doc["hamiltonian_index"]) == doc["genus"] + doc["r"] - 1
+
     def test_curve_round_trip_identical(self, generic_instance, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["spectral", "--input", generic_instance, "--out", str(out1)]) == 0
@@ -244,11 +254,18 @@ class TestElliptic:
         assert main(["elliptic", "--input", str(path), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "elliptic_report.json").exists()
 
-    def test_seed_flag_rejected(self, tmp_path):
-        # extraction draws no random numbers, so a seed would do nothing
+    def test_seed_flag_rejected(self, generic_instance, tmp_path):
+        # elliptic extraction, the spectral split and flows draw no random
+        # numbers, so a seed would do nothing
         path = _write_elliptic_doc(tmp_path)
         assert main(["elliptic", "--input", str(path), "--seed", "3",
                      "--out", str(tmp_path)]) == 2
+        assert main(["spectral", "--input", generic_instance, "--seed", "3",
+                     "--out", str(tmp_path)]) == 2
+        assert main(["flow", "--input", generic_instance, "--hamiltonian", "0,0",
+                     "--seed", "3", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "curve.json").exists()
+        assert not (tmp_path / "flow_report.json").exists()
 
     def test_tighter_tol_scale_is_reachable(self, tmp_path):
         # the divisor residuals (about 1e-15) meet 1e-11; the moment

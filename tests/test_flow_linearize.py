@@ -1,4 +1,3 @@
-import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +11,7 @@ def instance_r2_n2():
     rng = np.random.default_rng(5)
     phi = R.random_instance(2, 2, rng)
     spec = R.BracketSpec(a=(1.0,), b=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hams, cass = R.casimir_detect(phi, spec)
+    hams, cass = R.casimir_detect(phi, spec)
     return phi, spec, hams, cass
 
 
@@ -23,9 +20,7 @@ def instance_r2_n3():
     rng = np.random.default_rng(21)
     phi = R.random_instance(2, 3, rng)
     spec = R.BracketSpec(a=(1.0,), b=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        hams, _ = R.casimir_detect(phi, spec)
+    hams, _ = R.casimir_detect(phi, spec)
     return phi, spec, hams
 
 
@@ -162,9 +157,7 @@ class TestLinearize:
         rng = np.random.default_rng(33)
         phi = R.random_instance(2, 2, rng)
         spec = R.BracketSpec(a=(0.0,), b=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            hams, _ = R.casimir_detect(phi, spec)
+        hams, _ = R.casimir_detect(phi, spec)
         curve = R.spectral_curve(phi)
         disc = kernel.resultant(curve.grid, curve.dxi(), "xi")
         bps, _ = kernel.poly_roots(disc)

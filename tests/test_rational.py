@@ -292,25 +292,55 @@ class TestInvolutionAndCasimirs:
         # the z^0, z^1 det coefficients generate the flows
         rng = np.random.default_rng(9)
         phi = R.random_instance(2, 2, rng)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            hams, cass = R.casimir_detect(phi, R.BracketSpec(a=(1.0,), b=0.0))
+        hams, cass = R.casimir_detect(phi, R.BracketSpec(a=(1.0,), b=0.0))
         assert set(hams) == {(0, 0), (0, 1)}
         assert set(cass) == {(0, 2), (0, 3), (0, 4), (1, 0), (1, 1), (1, 2)}
 
     def test_r1_everything_casimir(self):
         phi = R.MatPoly(np.array([[[1.0]], [[0.5j]]]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            hams, cass = R.casimir_detect(phi, R.BracketSpec(a=(1.0,), b=0.0))
+        hams, cass = R.casimir_detect(phi, R.BracketSpec(a=(1.0,), b=0.0))
         assert hams == ()
         assert len(cass) == 2
 
-    def test_count_warning_emitted(self):
+    def test_diagonal_point_raises(self):
+        # at a diagonal phi every spectral field vanishes: rank F = 0 < deg B = 2
+        cm = np.zeros((3, 2, 2), dtype=complex)
+        cm[:, 0, 0] = [0.5, 1.0, 0.3]
+        cm[:, 1, 1] = [-0.2, 0.4, 1.0]
+        with pytest.raises(NonGenericError, match="span 0 dimensions"):
+            R.casimir_detect(R.MatPoly(cm), R.BracketSpec(a=(1.0,), b=0.0))
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rn=st.sampled_from(RN_COMBOS), seed=st.integers(0, 2 ** 32 - 1))
+    def test_split_is_a_basis_of_the_fields(self, rn, seed):
+        # the Hamiltonians' fields are a basis of all the spectral fields, and
+        # a Casimir's flow stays put
+        r, n = rn
+        rng = np.random.default_rng(seed)
+        phi = R.random_instance(r, n, rng)
+        deg = int(rng.integers(1, n + 3))
+        spec = R.BracketSpec(a=tuple(rng.standard_normal(deg) + 1j * rng.standard_normal(deg)),
+                             b=complex(rng.standard_normal(), rng.standard_normal()))
+        hams, cass = R.casimir_detect(phi, spec)
+        assert len(hams) == n * r * (r - 1) // 2
+        positions, G = R.spectral_gradient_matrix(phi)
+        F = G @ R.structure_tensor(r, n, spec).poisson_matrix(phi.flatten())
+        basis = F[[positions.index(p) for p in hams]]
+        assert np.linalg.matrix_rank(basis) == len(hams)
+        coef, *_ = np.linalg.lstsq(basis.T, F.T, rcond=None)
+        assert np.abs(basis.T @ coef - F.T).max() <= 1e-10 * np.abs(F).max()
+        traj = R.flow(phi, cass[0], spec, np.linspace(0.0, 1.0, 4))
+        assert max(np.abs(p.flatten() - phi.flatten()).max() for p in traj) < 1e-9
+
+    def test_generic_draws_do_not_warn(self):
         rng = np.random.default_rng(12)
-        phi = R.random_instance(2, 2, rng)
-        with pytest.warns(RuntimeWarning, match="genus"):
-            R.casimir_detect(phi, R.BracketSpec(a=(1.0,), b=0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for (r, n) in RN_COMBOS:
+                phi = R.random_instance(r, n, rng)
+                for spec in (R.BracketSpec(a=(1.0,), b=0.0), R.BracketSpec(a=(0.0,), b=1.0),
+                             R.BracketSpec(a=(0.3, -1.2j), b=0.8 + 0.5j)):
+                    R.casimir_detect(phi, spec)
 
     def test_detection_margin(self):
         # the classifier must separate sharply: Casimir fields orders of
@@ -319,9 +349,7 @@ class TestInvolutionAndCasimirs:
         phi = R.random_instance(2, 2, rng)
         spec = R.BracketSpec(a=(1.0,), b=0.0)
         tensor = R.structure_tensor(2, 2, spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            hams, cass = R.casimir_detect(phi, spec)
+        hams, cass = R.casimir_detect(phi, spec)
         positions, G = R.spectral_gradient_matrix(phi)
         pi = tensor.poisson_matrix(phi.flatten())
         for idx, pos in enumerate(positions):
