@@ -10,7 +10,6 @@ import datetime
 import json
 import os
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +44,21 @@ def _load_bracket_arg(value):
     return docs.load_bracket(value)
 
 
+def _number(kind, ok, what):
+    """An argparse ``type``: ``kind(text)`` if finite and ``ok``; otherwise the
+    parser exits 2 naming ``what``."""
+    def parse(text):
+        value = kind(text)
+        if not (np.isfinite(value) and ok(value)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it when kind(text) fails
+    return parse
+
+
+_positive = _number(float, lambda v: v > 0, "a finite number > 0")
+
+
 def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -70,27 +84,9 @@ def cmd_spectral(args) -> int:
 def cmd_sov(args) -> int:
     phi = docs.load_lax(args.input)
     spec = _load_bracket_arg(args.bracket)
-    tol = DEFAULT.scaled(args.tol_scale)
-    out = _out_dir(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        probe = rational.divisor_coords(phi, tol=tol, seed=args.seed)
-    if probe.count == 0:
-        # an empty divisor is the answer only when g + r - 1 points are expected
-        expected = rational.genus(phi, tol) + phi.r - 1
-        if expected > 0:
-            raise ConsistencyError(
-                f"divisor extraction validated no point; {expected} expected")
-        docs.write_csv(out / "divisor.csv",
-                       ["mu", "z_re", "z_im", "xi_re", "xi_im"], [])
-        _write_json(out / "sov_report.json",
-                    {"count": 0, "degenerate": False, "diag_target": [],
-                     "max_zxi_residual": 0.0, "max_zz_residual": 0.0,
-                     "max_xixi_residual": 0.0})
-        print("empty divisor; nothing to verify")
-        return EXIT_OK
-    report = rational.verify_canonical(phi, spec, tol=tol, seed=args.seed)
+    report = rational.verify_canonical(phi, spec, tol=DEFAULT.scaled(args.tol_scale))
     pts = report.points
+    out = _out_dir(args)
     rows = [(mu, pts.z[mu].real, pts.z[mu].imag, pts.xi[mu].real, pts.xi[mu].imag)
             for mu in range(pts.count)]
     docs.write_csv(out / "divisor.csv",
@@ -226,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("--input", required=True, help="instance document (JSON)")
-        p.add_argument("--tol-scale", type=float, default=1.0, dest="tol_scale")
+        p.add_argument("--tol-scale", type=_positive, default=1.0, dest="tol_scale")
         p.add_argument("--out", default=None, help=f"output dir (or ${OUT_ENV})")
 
     p = sub.add_parser("spectral", help="spectral curve, genus, coefficient split")
@@ -243,8 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--bracket", default=None)
     p.add_argument("--hamiltonian", required=True, help='grid position "k,l"')
-    p.add_argument("--t-max", type=float, default=0.3, dest="t_max")
-    p.add_argument("--samples", type=int, default=9)
+    p.add_argument("--t-max", type=_positive, default=0.3, dest="t_max")
+    p.add_argument("--samples", type=_number(int, lambda v: v >= 3, "an integer >= 3"),
+                   default=9)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("theta", help="theta relations battery")
@@ -262,11 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, needs_input=False)
     p.add_argument("--suites", default=None,
                    help="comma-separated suite names (default: all)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_number(int, lambda v: v >= 1, "an integer >= 1"),
+                   default=1)
     p.set_defaults(func=cmd_accept)
-    # only divisor extraction, the theta battery and the acceptance draws use
-    # random numbers; spectral, flow and elliptic take no seed
-    for name in ("sov", "theta", "accept"):
+    # only the theta battery and the acceptance draws use random numbers;
+    # spectral, sov, flow and elliptic take no seed
+    for name in ("theta", "accept"):
         sub.choices[name].add_argument("--seed", type=int, default=2024)
     return parser
 

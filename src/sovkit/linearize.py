@@ -328,17 +328,11 @@ def linearize(trajectory: Sequence[MatPoly], times, spec: BracketSpec,
     bps, _ = branch_points(curve, tol)
     z0 = pick_base_point(bps) if base_z0 is None else complex(base_z0)
 
-    divisors = []
-    prev = None
-    for state in trajectory:
+    divisors = [divisor_coords(trajectory[0], s=s, tol=tol)]
+    for state in trajectory[1:]:
         d = divisor_coords(state, s=s, tol=tol)
-        if prev is not None:
-            if d.count != prev.count:
-                raise MatchingError("divisor count changed along the trajectory")
-            idx = _nearest_permutation(prev, d)
-            d = DivisorCoords(z=d.z[idx], xi=d.xi[idx], s=d.s, degenerate=d.degenerate)
-        divisors.append(d)
-        prev = d
+        idx = _nearest_permutation(divisors[-1], d)
+        divisors.append(DivisorCoords(z=d.z[idx], xi=d.xi[idx], s=d.s, degenerate=d.degenerate))
 
     integrand = _conjugate_integrand(curve, spec, positions)
     q_table = np.zeros((len(positions), times.size), dtype=complex)

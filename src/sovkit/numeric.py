@@ -137,14 +137,16 @@ def ode_solve(field: Callable, x0, t_grid: Sequence[float],
               tol: Tolerances = DEFAULT):
     """Integrate ``dx/dt = field(t, x)`` and return the states at ``t_grid``.
 
-    ``t_grid`` must be increasing and starts at the initial time.  A step
-    clipped to an output time lands on it, and the next one resumes at the
-    larger of the step before the clip and the clipped step grown.  Raises
-    ``NumericDomainError("stiff or singular flow")`` on step underflow.
+    ``t_grid`` must be finite and increasing and starts at the initial
+    time.  A step clipped to an output time lands on it, and the next one
+    resumes at the larger of the step before the clip and the clipped step
+    grown.  Raises ``NumericDomainError("stiff or singular flow")`` on step
+    underflow.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
+    if (t_grid.ndim != 1 or t_grid.size < 1 or not np.all(np.isfinite(t_grid))
+            or np.any(np.diff(t_grid) <= 0)):
+        raise ValueError("t_grid must be finite and strictly increasing")
     y = np.asarray(x0, dtype=complex).copy()
     out = np.empty((t_grid.size, y.size), dtype=complex)
     out[0] = y

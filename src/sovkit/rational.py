@@ -7,7 +7,6 @@ size r and degree <= n; the flattened coordinate vector orders entries as
 ``x[k*r*r + i*r + j] = phi_k[i, j]``.
 """
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -394,72 +393,47 @@ def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT):
 # divisor coordinates
 # ---------------------------------------------------------------------------
 
-def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT,
-                   seed: int = 0) -> DivisorCoords:
+def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT) -> DivisorCoords:
     """Separating divisor points: common zeros of the curve and adj(.)s.
 
     ``adj(phi(z) - xi I) s`` vanishes on the curve exactly where the left
     eigenvector of ``phi(z)`` for ``xi`` is orthogonal to ``s``, that is over
     the roots of ``B(z) = det[s, phi s, ..., phi^(r-1) s]`` (Sklyanin's B),
-    a polynomial of degree ``n r (r-1) / 2 = g + r - 1``.  Over a root of
-    multiplicity ``m`` there are ``m`` points, from ``kernel.divisor_points``;
-    only those whose residual is within ``tol.divisor`` are kept, and
-    ``degenerate`` is set where ``B`` has a multiple root or two points
-    crowd.  ``s`` defaults to (1, 0, ..., 0) and is re-drawn on the unit
-    sphere when validation rejects everything.
+    of degree ``deg B = n r (r-1) / 2 = g + r - 1``.  Over a root of
+    multiplicity ``m`` there are ``m`` points, from ``kernel.divisor_points``.
+    ``s`` defaults to (1, 0, ..., 0).  Returns exactly ``deg B`` points, with
+    ``degenerate`` set where ``B`` has a multiple root or two points crowd;
+    raises ``NonGenericError`` where ``s`` is special for ``phi`` (``B`` of
+    lower degree, or a root of multiplicity ``r`` or more), and
+    ``ConsistencyError`` where a point's residual exceeds ``tol.divisor``.
     """
-    r = phi.r
-    rng = np.random.default_rng(seed)
-
-    s_try = np.zeros(r, dtype=complex)
-    s_try[0] = 1.0
-    if s is not None:
-        s_try = np.asarray(s, dtype=complex)
-
-    for attempt in range(3):
-        result = _divisor_for_section(phi, s_try, tol)
-        if result is not None:
-            zs, xis, degenerate = result
-            order = np.lexsort((xis.imag, xis.real, zs.imag, zs.real))
-            return DivisorCoords(z=zs[order], xi=xis[order], s=s_try,
-                                 degenerate=degenerate)
-        if s is not None:
-            break  # caller pinned the section; do not silently replace it
-        raw = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-        s_try = raw / np.linalg.norm(raw)
-    warnings.warn("divisor extraction found no validated points", RuntimeWarning,
-                  stacklevel=2)
-    return DivisorCoords(z=np.zeros(0, dtype=complex), xi=np.zeros(0, dtype=complex),
-                         s=s_try, degenerate=False)
-
-
-def _divisor_for_section(phi, s, tol: Tolerances):
     r, n = phi.r, phi.n
-    # B at the K = deg B + 1 roots of unity, then its coefficients by one FFT
-    K = n * r * (r - 1) // 2 + 1
-    zk = np.exp(2j * np.pi * np.arange(K) / K)
-    B = kernel.poly_trim(np.fft.fft(np.linalg.det(kernel.krylov(phi(zk), s))) / K, tol)
-    if B.size <= 1:
-        return None  # B constant: s is too special
-    try:
-        zroots, mults = kernel.poly_roots(B, tol)
-    except ConvergenceError:
-        return None
-
+    s = np.eye(r, dtype=complex)[0] if s is None else np.asarray(s, dtype=complex)
+    deg_b = n * r * (r - 1) // 2
+    if deg_b == 0:
+        return DivisorCoords(z=np.zeros(0, dtype=complex), xi=np.zeros(0, dtype=complex), s=s)
+    # B at the deg B + 1 roots of unity, then its coefficients by one FFT
+    zk = np.exp(2j * np.pi * np.arange(deg_b + 1) / (deg_b + 1))
+    B = kernel.poly_trim(np.fft.fft(np.linalg.det(kernel.krylov(phi(zk), s))) / zk.size, tol)
+    if B.size - 1 < deg_b:
+        raise NonGenericError(f"s = {s} is special for phi: B has degree {B.size - 1} < "
+                              f"deg B = {deg_b} (points over z = inf, or B = 0); pass another s")
+    zroots, mults = kernel.poly_roots(B, tol)
     # the Krylov space of s has codimension m at an m-fold root (at most r - 1)
     ms = np.minimum(mults, r - 1)
+    if ms.sum() < deg_b:
+        raise NonGenericError(f"s = {s} is special for phi: a root of B has multiplicity "
+                              "r or more; pass another s")
     zs = np.repeat(zroots, ms)
     xis, resid = kernel.divisor_points(phi(zroots), s, ms)
-    keep = resid <= tol.divisor
-    if not keep.any():
-        return None
-    if not keep.all():
-        warnings.warn(f"dropping {np.count_nonzero(~keep)} divisor points that fail "
-                      "validation", RuntimeWarning, stacklevel=3)
-    zs, xis = zs[keep], xis[keep]
+    validated = int(np.count_nonzero(resid <= tol.divisor))
+    if validated < deg_b:
+        raise ConsistencyError(f"{validated} of the {deg_b} zeros of B are divisor points")
     scale = max(1.0, np.abs(zs).max(), np.abs(xis).max())
     gap = kernel.min_gap(zs, xis)
-    return zs, xis, bool(gap < 100 * tol.cluster_merge * scale or np.any(mults > 1))
+    order = np.lexsort((xis.imag, xis.real, zs.imag, zs.real))
+    return DivisorCoords(z=zs[order], xi=xis[order], s=s, degenerate=bool(
+        gap < 100 * tol.cluster_merge * scale or np.any(mults > 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +453,7 @@ class CanonicalReport:
         return max(self.max_zxi_residual, self.max_zz_residual, self.max_xixi_residual)
 
 
-def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT, seed: int = 0):
+def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT):
     """d(z_mu)/dx and d(xi_mu)/dx by the implicit-function theorem, exact to rounding.
 
     Each point solves ``F = (P, v_c) = 0`` with ``P = det M``,
@@ -490,7 +464,8 @@ def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT, seed: int 
     because each cofactor is linear in every row; so
     ``J = d(P, v_c)/d(z, xi) = dF/dM . [vec phi'(z), -vec I]`` and
     ``d(z, xi)/dx = -J^{-1} dF/dx``.  Returns ``(points, dz, dxi)``, ``dz``
-    and ``dxi`` of shape ``(count, N)``; raises ``NonGenericError`` where
+    and ``dxi`` of shape ``(count, N)`` (``count`` 0 for the empty divisor of
+    ``deg B = 0``); raises ``NonGenericError`` where
     ``det J`` is within ``tol.divisor`` of the Hadamard bounds of its rows,
     ``max(1, |M|)^(r-1)`` and ``max(1, |M|)^(r-2) |s|``, each times
     ``max(1, |phi'|)``.  It raises as well, before forming ``J``, where the
@@ -498,9 +473,10 @@ def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT, seed: int 
     perturbation splits a multiple root like a square root, so ``z_mu`` has no
     derivative there.
     """
-    base = divisor_coords(phi, s=s, tol=tol, seed=seed)
+    base = divisor_coords(phi, s=s, tol=tol)
     if base.count == 0:
-        raise NonGenericError("no divisor points to differentiate")
+        empty = np.zeros((0, phi.coeff_mats.size), dtype=complex)
+        return base, empty, empty
     if base.degenerate:
         raise NonGenericError("degenerate divisor: d(z_mu)/dx is singular at a "
                               "multiple or crowding root of B")
@@ -530,12 +506,13 @@ def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT, seed: int 
 
 
 def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
-                     tol: Tolerances = DEFAULT, seed: int = 0) -> CanonicalReport:
+                     tol: Tolerances = DEFAULT) -> CanonicalReport:
     """Check {z_mu, xi_nu} = (a(z_mu) + b xi_mu) delta and the vanishing of
     {z, z} and {xi, xi} by the chain rule through ``divisor_jacobian``'s
     implicit-function derivatives.  Each residual entry is divided by
-    max(1, |row_mu| |Pi| |row_nu|) of its two chain-rule rows."""
-    base, dz, dxi = divisor_jacobian(phi, s=s, tol=tol, seed=seed)
+    max(1, |row_mu| |Pi| |row_nu|) of its two chain-rule rows; the empty
+    divisor has residuals 0."""
+    base, dz, dxi = divisor_jacobian(phi, s=s, tol=tol)
     tensor = structure_tensor(phi.r, phi.n, spec, tol)
     pi = tensor.poisson_matrix(phi.flatten())
     b_zxi = dz @ pi @ dxi.T
@@ -547,7 +524,7 @@ def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
 
     def relative(block, rows, cols):
         scale = np.outer(rows * np.linalg.norm(pi), cols)
-        return float((np.abs(block) / np.maximum(scale, 1.0)).max())
+        return float((np.abs(block) / np.maximum(scale, 1.0)).max(initial=0.0))
 
     return CanonicalReport(
         points=base,
@@ -597,14 +574,13 @@ def _random_disk_cm(r: int, n: int, rng) -> np.ndarray:
     return radius * np.exp(1j * angle)
 
 
-def random_instance(r: int, n: int, rng, tol: Tolerances = DEFAULT,
-                    max_tries: int = 60) -> MatPoly:
+def random_instance(r: int, n: int, rng, tol: Tolerances = DEFAULT) -> MatPoly:
     """Random phase point in the generic stratum.
 
     Entries are uniform in the unit disk; instances with clustered branch
-    points or colliding leading eigenvalues are rejected.
+    points or colliding leading eigenvalues are rejected, up to 60 draws.
     """
-    for _ in range(max_tries):
+    for _ in range(60):
         phi = MatPoly(_random_disk_cm(r, n, rng))
         try:
             genus(phi, tol)

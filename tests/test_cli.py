@@ -7,6 +7,7 @@ from sovkit import documents as docs
 from sovkit import rational as R
 from sovkit.cli import main
 from test_elliptic import _sequential_draws
+from test_rational import fail_first_divisor_point, special_section_matpoly
 
 
 def write_instance(tmp_path, phi, name="lax.json"):
@@ -95,6 +96,9 @@ class TestSov:
         assert code == 0
         _, rows = docs.read_csv(tmp_path / "divisor.csv")
         assert rows == []
+        assert json.loads((tmp_path / "sov_report.json").read_text()) == {
+            "count": 0, "degenerate": False, "diag_target": [], "max_zxi_residual": 0.0,
+            "max_zz_residual": 0.0, "max_xixi_residual": 0.0}
 
     def test_tight_tol_scale_does_not_pass_as_empty(self, generic_instance, tmp_path,
                                                     capsys):
@@ -107,16 +111,21 @@ class TestSov:
         assert not (tmp_path / "sov_report.json").exists()
         assert "empty divisor" not in capsys.readouterr().out
 
-    def test_unvalidated_divisor_exits_4(self, generic_instance, tmp_path,
-                                         monkeypatch, capsys):
-        empty = R.DivisorCoords(z=np.zeros(0, dtype=complex),
-                                xi=np.zeros(0, dtype=complex),
-                                s=np.array([1.0, 0.0], dtype=complex))
-        monkeypatch.setattr(R, "divisor_coords", lambda *args, **kwargs: empty)
-        code = main(["sov", "--input", generic_instance, "--out", str(tmp_path)])
+    def test_failed_divisor_point_exits_4(self, generic_instance, tmp_path,
+                                          monkeypatch, capsys):
+        fail_first_divisor_point(monkeypatch)
+        out = tmp_path / "out"
+        code = main(["sov", "--input", generic_instance, "--out", str(out)])
         assert code == 4
-        assert "validated no point; 2 expected" in capsys.readouterr().err
-        assert not (tmp_path / "divisor.csv").exists()
+        assert "1 of the 2 zeros of B are divisor points" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_special_section_exits_3(self, tmp_path, capsys):
+        path = write_instance(tmp_path, special_section_matpoly(), "special.json")
+        out = tmp_path / "out"
+        assert main(["sov", "--input", path, "--out", str(out)]) == 3
+        assert "pass another s" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_quadratic_targets_are_xi(self, generic_instance, tmp_path):
         bracket = tmp_path / "bracket.json"
@@ -173,6 +182,29 @@ class TestTolScale:
         assert main(["spectral", "--input", generic_instance, "--out", str(tmp_path)]) == 0
         assert main(["spectral", "--input", generic_instance, "--tol-scale", "1e-12",
                      "--out", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["accept", "--tol-scale", "inf"],
+    ["accept", "--tol-scale", "0"],
+    ["spectral", "--tol-scale", "nan"],
+    ["spectral", "--tol-scale", "-1"],
+    ["flow", "--hamiltonian", "0,0", "--t-max", "nan"],
+    ["flow", "--hamiltonian", "0,0", "--t-max", "inf"],
+    ["flow", "--hamiltonian", "0,0", "--t-max", "0"],
+    ["flow", "--hamiltonian", "0,0", "--samples", "1"],
+    ["flow", "--hamiltonian", "0,0", "--samples", "2"],
+    ["accept", "--workers", "-3"],
+    ["accept", "--workers", "0"],
+])
+def test_out_of_range_flag_exits_2(generic_instance, tmp_path, capsys, argv):
+    # checked at parse time: nothing runs and nothing is written
+    flag = argv[-2]
+    if argv[0] != "accept":
+        argv = argv + ["--input", generic_instance]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestThetaCmd:
@@ -264,8 +296,11 @@ class TestElliptic:
                      "--out", str(tmp_path)]) == 2
         assert main(["flow", "--input", generic_instance, "--hamiltonian", "0,0",
                      "--seed", "3", "--out", str(tmp_path)]) == 2
+        assert main(["sov", "--input", generic_instance, "--seed", "3",
+                     "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "curve.json").exists()
         assert not (tmp_path / "flow_report.json").exists()
+        assert not (tmp_path / "sov_report.json").exists()
 
     def test_tighter_tol_scale_is_reachable(self, tmp_path):
         # the divisor residuals (about 1e-15) meet 1e-11; the moment

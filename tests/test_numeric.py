@@ -182,6 +182,13 @@ class TestOdeSolve:
                         np.array([1.0, 0.5]), ts)
         assert np.allclose(out[:, 0], np.exp(1j * w * ts), atol=1e-9)
 
+    @pytest.mark.parametrize("t_grid", [[0.0, np.nan], [0.0, np.inf], [np.nan, 1.0],
+                                        [0.0, 0.5, np.nan]])
+    def test_non_finite_grid_rejected(self, t_grid):
+        # ``while t < nan`` never steps: every row would be x0
+        with pytest.raises(ValueError, match="finite"):
+            ode_solve(lambda t, y: -y, np.array([1.0]), t_grid)
+
     def test_stiff_guard(self):
         def field(t, y):
             return np.array([y[0] ** 2])  # blows up at t = 1

@@ -361,7 +361,55 @@ class TestInvolutionAndCasimirs:
                 assert rel < 1e-10
 
 
+def special_section_matpoly():
+    """r = 2, n = 2 (genus 1, deg B = 2) with a triangular leading matrix, so
+    e1 is its eigenvector and B = phi_10(z) has degree 1."""
+    rng = np.random.default_rng(9)
+    cm = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    cm[2, 1, 0] = 0
+    return R.MatPoly(cm)
+
+
+def fail_first_divisor_point(monkeypatch):
+    """Make ``kernel.divisor_points`` report the first point's residual as 1."""
+    points = kernel.divisor_points
+
+    def one_bad(*args):
+        xis, resid = points(*args)
+        return xis, np.where(np.arange(resid.size) == 0, 1.0, resid)
+
+    monkeypatch.setattr(kernel, "divisor_points", one_bad)
+
+
 class TestDivisor:
+    def test_special_section_raises(self):
+        phi = special_section_matpoly()
+        assert R.genus(phi) == 1
+        with pytest.raises(NonGenericError, match="pass another s"):
+            R.divisor_coords(phi)
+        assert R.divisor_coords(phi, s=np.array([0.0, 1.0])).count == 2
+
+    @pytest.mark.parametrize("cm", [
+        np.array([[[1.2]], [[0.4j]], [[0.7]]]),                 # r = 1
+        np.arange(9.0).reshape(1, 3, 3) + 1j,                   # n = 0
+    ])
+    def test_empty_divisor(self, cm):
+        phi = R.MatPoly(cm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = R.divisor_coords(phi)
+            rep = R.verify_canonical(phi, R.BracketSpec(a=(0.3, 1.0), b=0.5))
+        assert d.count == 0 and not d.degenerate
+        assert rep.points.count == 0 and rep.target_diag.size == 0
+        assert (rep.max_zxi_residual, rep.max_zz_residual, rep.max_xixi_residual) == (0, 0, 0)
+
+    def test_failed_point_raises(self, monkeypatch):
+        # one point whose residual exceeds tol.divisor: no silently short divisor
+        fail_first_divisor_point(monkeypatch)
+        phi = R.random_instance(2, 2, np.random.default_rng(17))
+        with pytest.raises(ConsistencyError, match="1 of the 2 zeros of B"):
+            R.divisor_coords(phi)
+
     def test_closed_form_offdiagonal(self):
         # phi = [[0, 1], [c(z), 0]] with s = e1: divisor = roots of c at xi = 0
         w1, w2 = 0.4 - 0.3j, -1.1 + 0.2j
