@@ -84,7 +84,10 @@ def cmd_spectral(args) -> int:
 def cmd_sov(args) -> int:
     phi = docs.load_lax(args.input)
     spec = _load_bracket_arg(args.bracket)
-    report = rational.verify_canonical(phi, spec, tol=DEFAULT.scaled(args.tol_scale))
+    if args.section is not None and not 0 <= args.section < phi.r:
+        raise SchemaError(f"flag --section must be in 0 .. {phi.r - 1} (r = {phi.r})")
+    s = None if args.section is None else np.eye(phi.r)[args.section]
+    report = rational.verify_canonical(phi, spec, s=s, tol=DEFAULT.scaled(args.tol_scale))
     pts = report.points
     out = _out_dir(args)
     rows = [(mu, pts.z[mu].real, pts.z[mu].imag, pts.xi[mu].real, pts.xi[mu].imag)
@@ -233,6 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sov", help="divisor coordinates and canonical residuals")
     common(p)
     p.add_argument("--bracket", default=None)
+    p.add_argument("--section", type=int, default=None, help="divisor section e_K, 0 <= K < r")
     p.set_defaults(func=cmd_sov)
 
     p = sub.add_parser("flow", help="Hamiltonian flow with linearizing coordinates")
@@ -246,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="theta relations battery")
     common(p, needs_input=False)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--tau-re", type=float, default=0.0, dest="tau_re")
-    p.add_argument("--tau-im", type=float, required=True, dest="tau_im")
+    p.add_argument("--rank", type=_number(int, lambda v: v >= 1, "an integer >= 1"), required=True)
+    p.add_argument("--tau-re", type=_number(float, lambda v: True, "a finite number"),
+                   default=0.0, dest="tau_re")
+    p.add_argument("--tau-im", type=_positive, required=True, dest="tau_im")
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("elliptic", help="elliptic instance pipeline")

@@ -11,6 +11,7 @@ Everything here is a pure function of its inputs.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
@@ -261,12 +262,20 @@ def adjugate(M):
     return (-1.0) ** (r - 1) * N[..., r - 1, :, :]
 
 
+@lru_cache(maxsize=None)
+def _char_adj_plan(r: int, n: int):
+    """Vandermonde matrix at the r n + 1 roots of unity; ``keep[k, l] = l <= (r-k) n``."""
+    zs = np.exp(2j * np.pi * np.arange(r * n + 1) / (r * n + 1))
+    return np.vander(zs, n + 1, increasing=True), np.arange(r * n + 1) <= (
+        r - np.arange(r + 1))[:, None] * n
+
+
 def matpoly_char_adj(coeff_mats):
     """Characteristic data of a matrix polynomial phi(z).
 
     Runs the Faddeev--LeVerrier recursion once on phi evaluated at the
-    ``K = r*n + 1`` roots of unity and recovers every coefficient in ``z``
-    with one FFT, exact to rounding.
+    ``K = r*n + 1`` roots of unity (one matmul with a plan cached per ``(r, n)``)
+    and recovers every coefficient in ``z`` with one FFT, exact to rounding.
 
     Parameters
     ----------
@@ -284,20 +293,17 @@ def matpoly_char_adj(coeff_mats):
     """
     cm = np.asarray(coeff_mats, dtype=complex)
     n1, r, _ = cm.shape
-    K = r * (n1 - 1) + 1
-    zs = np.exp(2j * np.pi * np.arange(K) / K)
-    phis = np.tensordot(np.vander(zs, n1, increasing=True), cm, 1)   # (K, r, r)
+    vander, keep = _char_adj_plan(r, n1 - 1)
+    K = vander.shape[0]
+    phis = (vander @ cm.reshape(n1, -1)).reshape(K, r, r)
     b, N = _faddeev_leverrier(phis)
     coeffs = np.fft.fft(np.concatenate([b, N.reshape(K, -1)], axis=1), axis=0) / K
     # det(phi - xi I) = (-1)^r det(xi I - phi) and
-    # adj(phi - xi I) = (-1)^(r-1) adj(xi I - phi)
-    C = (-1.0) ** r * coeffs[:, r::-1].T
-    A = (-1.0) ** (r - 1) * np.moveaxis(coeffs[:, r + 1:].reshape(K, r, r, r)[:, ::-1],
-                                        0, -1)
-    # deg_z C_k <= (r-k) n and deg_z A_k <= (r-1-k) n: zero the rounding noise above
-    above = np.arange(K) > (r - np.arange(r + 1))[:, None] * (n1 - 1)
-    C[above] = 0.0
-    A[np.broadcast_to(above[1:, None, None, :], A.shape)] = 0.0
+    # adj(phi - xi I) = (-1)^(r-1) adj(xi I - phi); deg_z C_k <= (r-k) n and
+    # deg_z A_k <= (r-1-k) n: where() sets the rounding noise above to +0
+    C = np.where(keep, (-1.0) ** r * coeffs[:, r::-1].T, 0.0)
+    A = np.where(keep[1:, None, None], (-1.0) ** (r - 1) * coeffs[:, r + 1:].reshape(
+        K, r, r, r)[:, ::-1].transpose(1, 2, 3, 0), 0.0)
     return C, A
 
 

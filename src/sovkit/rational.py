@@ -541,24 +541,43 @@ def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
 
 def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
          tol: Tolerances = DEFAULT):
-    """Integrate the Hamiltonian flow of one spectral coefficient.
-
-    ``h_position`` is the (k, l) grid position of the Hamiltonian. Returns
-    the list of MatPoly states at the requested times.
+    """Integrate the Hamiltonian flow of ``H = C_{k,l}``, ``h_position = (k, l)``,
+    and return the MatPoly states at the times ``t_grid``.  The field
+    ``Pi(phi) grad H`` is the Lax form ``[P, phi (x) S + S (x) phi] / (lambda - mu)``,
+    ``S = -a I - (b/2) phi``, with no ``N x N`` matrix: for ``G_t`` the ``z^(l-t)``
+    coefficient of the adjugate part ``A_k`` (``dH/dphi_t = G_t^T``) and ``Y_d``,
+    ``Yt_d``, ``alpha_d`` the sums over m of ``phi_m G_(m+d)``, ``G_(m+d) phi_m``,
+    ``a_m G_(m+d)``, its ``z^s`` coefficient is ``sum_(p>s) phi_p (alpha_d + b Yt_d)
+    - (alpha_d + b Y_d) phi_p - a_p (Y_d - Yt_d)``, ``d = p - 1 - s``.
     """
     r, n = phi0.r, phi0.n
-    positions = spectral_positions(r, n)
-    try:
-        h_idx = positions.index(tuple(h_position))
-    except ValueError:
+    if tuple(h_position) not in spectral_positions(r, n):
         raise ValueError(f"{h_position} is not a spectral coefficient position")
-    tensor = structure_tensor(r, n, spec, tol)
+    k, l = h_position
+    a = structure_tensor(r, n, spec, tol).a
+    # flat indices at [d, m, i, j] of G_(m+d)[i, j] in A_k (0 where m + d > n or l < m + d:
+    # z-slots above deg_z A_k) and of phi_(m+d+1)[i, j] in x padded by r*r zeros, as
+    # blocks [d, (m, i), j] and [d, i, (m, j)]: each sum over m or d is one matmul
+    d, m, i, j = np.indices((n + 1, n + 1, r, r))
+    g = (i * r + j) * (r * n + 1) + np.where(m + d <= n, l - m - d, -1) % (r * n + 1)
+    f = np.where(m + d < n, (m + d + 1) * r * r + i * r + j, (n + 1) * r * r)
+    g_col, f_col = g.reshape(n + 1, -1, r), f.reshape(n + 1, -1, r)
+    g_row, f_row = [v.transpose(0, 2, 1, 3).reshape(n + 1, r, -1) for v in (g, f)]
+    a_pad = np.concatenate([a, np.zeros(2 * n + 2 - a.size)])
+    a_shift = a_pad[np.add.outer(np.arange(n + 1), np.arange(1, n + 2))]  # a_(s+1+d)
 
     def field(t, x):
-        p = MatPoly.from_flat(x, r, n)
-        _, G = spectral_gradient_matrix(p)
-        pi = tensor.poisson_matrix(x)
-        return pi @ G[h_idx]
+        if not np.all(np.isfinite(x)):
+            raise ValueError("coefficients must be finite")
+        A_k = kernel.matpoly_char_adj(x.reshape(n + 1, r, r))[1][k]
+        G_col = A_k.take(g_col)
+        Y = x.reshape(n + 1, r, r).transpose(1, 0, 2).reshape(r, -1) @ G_col
+        Yt = A_k.take(g_row) @ x.reshape(-1, r)
+        alpha = (a_pad[: n + 1] @ G_col.reshape(n + 1, n + 1, r * r)).reshape(n + 1, r, r)
+        xp = np.concatenate([x, np.zeros(r * r)])
+        return (xp.take(f_row) @ (alpha + spec.b * Yt).reshape(-1, r)
+                - (alpha + spec.b * Y).transpose(1, 0, 2).reshape(r, -1) @ xp.take(f_col)
+                - (a_shift @ (Y - Yt).reshape(n + 1, r * r)).reshape(n + 1, r, r)).ravel()
 
     states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)
     return [MatPoly.from_flat(row, r, n) for row in states]

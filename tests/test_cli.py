@@ -127,6 +127,24 @@ class TestSov:
         assert "pass another s" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_section_flag_picks_the_divisor_section(self, tmp_path, capsys):
+        # e_0 is an eigenvector of the leading matrix: B drops a degree; e_1 is not
+        path = write_instance(tmp_path, special_section_matpoly(), "special.json")
+        assert main(["sov", "--input", path, "--out", str(tmp_path / "e0")]) == 3
+        out = tmp_path / "e1"
+        assert main(["sov", "--input", path, "--section", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "sov_report.json").read_text())["count"] == 2
+        assert capsys.readouterr().out.startswith("2 divisor points")
+
+    @pytest.mark.parametrize("section", ["2", "-1"])
+    def test_section_out_of_range_exits_2(self, generic_instance, tmp_path, capsys,
+                                          section):
+        out = tmp_path / "out"
+        assert main(["sov", "--input", generic_instance, "--section", section,
+                     "--out", str(out)]) == 2
+        assert "--section must be in 0 .. 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_quadratic_targets_are_xi(self, generic_instance, tmp_path):
         bracket = tmp_path / "bracket.json"
         bracket.write_text(json.dumps({"a": [[0.0, 0.0]], "b": [1.0, 0.0]}))
@@ -219,6 +237,22 @@ class TestThetaCmd:
     def test_degenerate_tau_exits_4(self, tmp_path):
         assert main(["theta", "--rank", "2", "--tau-im", "0.01",
                      "--out", str(tmp_path)]) == 4
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--tau-im", "-1"], "--tau-im"),
+        (["--tau-im", "0"], "--tau-im"),
+        (["--tau-im", "nan"], "--tau-im"),
+        (["--tau-im", "1", "--tau-re", "inf"], "--tau-re"),
+        (["--tau-im", "1", "--tau-re", "nan"], "--tau-re"),
+        (["--tau-im", "1", "--rank", "0"], "--rank"),
+        (["--tau-im", "1", "--rank", "1.5"], "--rank"),
+    ])
+    def test_out_of_range_flag_exits_2(self, tmp_path, capsys, flags, flag):
+        # checked at parse time: nothing runs and nothing is written
+        out = tmp_path / "out"
+        assert main(["theta", "--rank", "2"] + flags + ["--out", str(out)]) == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _write_elliptic_doc(tmp_path):

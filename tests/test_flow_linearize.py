@@ -1,9 +1,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sovkit import kernel, linearize
 from sovkit import rational as R
+from sovkit.acceptance import RN_COMBOS
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +54,50 @@ class TestFlow:
         phi, spec, _, _ = instance_r2_n2
         with pytest.raises(ValueError, match="spectral coefficient"):
             R.flow(phi, (5, 0), spec, [0.0, 1.0])
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(rn=st.sampled_from(RN_COMBOS + ((1, 2), (2, 0))),
+           bracket=st.sampled_from(("linear", "quadratic", "random")),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_field_is_pi_times_gradient(self, rn, bracket, seed):
+        # the matrix-free Lax-form field equals Pi(x) @ grad C_{k,l} at every
+        # spectral position; a Casimir's field vanishes
+        r, n = rn
+        rng = np.random.default_rng(seed)
+        phi = R.random_instance(r, n, rng)
+        deg = int(rng.integers(1, n + 3))
+        spec = {"linear": R.BracketSpec(a=(1.0,), b=0.0),
+                "quadratic": R.BracketSpec(a=(0.0,), b=1.0),
+                "random": R.BracketSpec(
+                    a=tuple(rng.standard_normal(deg) + 1j * rng.standard_normal(deg)),
+                    b=complex(rng.standard_normal(), rng.standard_normal()))}[bracket]
+        x0 = phi.flatten()
+        pi = R.structure_tensor(r, n, spec).poisson_matrix(x0)
+        positions, G = R.spectral_gradient_matrix(phi)
+        # deg B = 0 (r = 1 or n = 0): every spectral coefficient is a Casimir
+        cass = R.casimir_detect(phi, spec)[1] if r > 1 and n > 0 else positions
+        fields = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(R, "ode_solve", lambda field, x, t_grid, tol: fields.append(
+                field(0.0, x)) or [x])
+            for pos in positions:
+                R.flow(phi, pos, spec, [0.0, 1.0])
+        for idx, pos in enumerate(positions):
+            scale = max(np.linalg.norm(pi) * np.linalg.norm(G[idx]), 1e-300)
+            assert np.abs(fields[idx] - pi @ G[idx]).max() <= 1e-13 * scale
+            if pos in cass:
+                assert np.abs(fields[idx]).max() <= 1e-13 * scale
+
+    def test_non_finite_state_raises(self, instance_r2_n2, monkeypatch):
+        phi, spec, hams, _ = instance_r2_n2
+        x = phi.flatten()
+        x[3] = np.nan
+        fields = []
+        monkeypatch.setattr(R, "ode_solve", lambda field, x0, t_grid, tol: fields.append(
+            field) or [x0])
+        R.flow(phi, hams[0], spec, [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            fields[0](0.0, x)
 
 
 class TestPaths:
