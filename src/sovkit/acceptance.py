@@ -10,7 +10,6 @@ import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -45,8 +44,6 @@ class ExperimentConfig:
     suites: tuple = ()
     tol_scale: float = 1.0
     workers: int = 1
-    out_dir: Optional[str] = None
-    instance_path: Optional[str] = None
 
     def resolved_suites(self):
         return tuple(self.suites) if self.suites else tuple(SUITES)

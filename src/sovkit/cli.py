@@ -68,11 +68,7 @@ def cmd_spectral(args) -> int:
     spec = _load_bracket_arg(args.bracket)
     tol = DEFAULT.scaled(args.tol_scale)
     curve = rational.spectral_curve(phi)
-    try:
-        g = rational.genus(phi, tol)
-    except NonGenericError as err:
-        print(f"non-generic instance: {err}", file=sys.stderr)
-        return EXIT_NON_GENERIC
+    g = rational.genus(phi, tol)
     hams, cass = rational.casimir_detect(phi, spec, tol)
     out = _out_dir(args)
     _write_json(out / "curve.json", docs.dump_curve(curve, g, hams, cass))

@@ -125,11 +125,11 @@ class DivisorCoords:
 class StructureTensor:
     """One bracket of the family, evaluated matrix-free at phase points.
 
-    ``{x_a, x_b}(phi)`` is a part linear in ``phi`` (weighted by ``a``) plus a
-    part quadratic in ``phi`` (proportional to ``b``); ``poisson_matrix``
-    evaluates it from the commutator expansion at the point, so no structure
-    constants are stored. ``a`` is ``spec.a`` trimmed and checked against the
-    degree bound.
+    ``poisson_matrix`` evaluates ``Pi(x)`` with the Lax-form contraction
+    ``_lax_field`` at the ``N`` unit covectors: column ``c`` is the field of the
+    coordinate ``x_c``, so no structure constants are stored. ``a`` is ``spec.a``
+    trimmed, checked against the degree bound and padded with zeros to the
+    ``2n + 2`` coefficients that ``_lax_field`` reads.
     """
 
     r: int
@@ -142,8 +142,15 @@ class StructureTensor:
         return (self.n + 1) * self.r * self.r
 
     def poisson_matrix(self, x) -> np.ndarray:
-        cm = np.asarray(x, dtype=complex).reshape(self.n + 1, self.r, self.r)
-        return _bracket_values(cm, self.a, self.spec.b)
+        """``Pi`` at points ``x`` (..., N), shape (..., N, N).  Antisymmetry is
+        checked, then enforced exactly."""
+        x = np.asarray(x, dtype=complex)
+        shape = (self.n + 1, self.r, self.r)
+        cols = _lax_field(x.reshape(*x.shape[:-1], 1, *shape),
+                          np.eye(self.dim).reshape(-1, *shape), self.a, self.spec.b)
+        if np.abs(cols + cols.swapaxes(-1, -2)).max() > 1e-9 * max(1.0, np.abs(cols).max()):
+            raise ConsistencyError("Poisson matrix is not antisymmetric")
+        return 0.5 * (cols.swapaxes(-1, -2) - cols)
 
     def poisson_gradient(self, x) -> np.ndarray:
         """d Pi_{ab} / d x_c, shape (N, N, N).
@@ -151,11 +158,8 @@ class StructureTensor:
         A central difference with unit step is exact because ``Pi`` is
         quadratic in ``x``; all ``2N`` points go through one batched call.
         """
-        x = np.asarray(x, dtype=complex)
         E = np.eye(self.dim)
-        stack = np.concatenate([x + E, x - E]).reshape(2, self.dim, self.n + 1,
-                                                        self.r, self.r)
-        pis = _bracket_values(stack, self.a, self.spec.b)
+        pis = self.poisson_matrix([x + E, x - E])
         return np.moveaxis(0.5 * (pis[0] - pis[1]), 0, -1)
 
 
@@ -217,52 +221,52 @@ def genus(phi: MatPoly, tol: Tolerances = DEFAULT) -> int:
 # the bracket family
 # ---------------------------------------------------------------------------
 
-def _bracket_values(cm: np.ndarray, a_coeffs: np.ndarray, b: complex) -> np.ndarray:
-    """Poisson matrices ``{x_a, x_b}`` at a stack of phase points ``(..., n+1, r, r)``.
+@lru_cache(maxsize=None)
+def _lax_plan(r: int, n: int):
+    """``_lax_field``'s indices into a covector or a point padded by a 0 at ``N``:
+    ``G_(m+d)[i, j]`` and ``phi_(m+d+1)[i, j]`` at ``[d, (m, i), j]`` and
+    ``[d, i, (m, j)]`` (the pad where the index passes ``n``), ``phi_m[i, j]``
+    at ``[i, (m, j)]``, and the Hankel indices ``s + 1 + d`` of ``a``."""
+    N = (n + 1) * r * r
+    d, m, i, j = np.indices((n + 1, n + 1, r, r))
+    g = np.where(m + d <= n, (m + d) * r * r + j * r + i, N)
+    f = np.where(m + d < n, (m + d + 1) * r * r + i * r + j, N)
+    g_row, f_row, x_row = [v.transpose(0, 2, 1, 3).reshape(n + 1, r, -1)
+                           for v in (g, f, m * r * r + i * r + j)]
+    return (g.reshape(n + 1, -1, r), g_row, f.reshape(n + 1, -1, r), f_row, x_row[:1],
+            np.add.outer(np.arange(n + 1), np.arange(1, n + 2)))
 
-    Expands the commutator with the permutation kernel, divides exactly by
-    (lambda - mu) via synthetic division, and reads off the monomial grid.
-    The parameter orientation is fixed so that divisor coordinates come out
-    canonical: {z_mu, xi_nu} = (a(z_mu) + b xi_mu) delta_mu_nu. Antisymmetry
-    is checked, then enforced exactly. Returns shape ``(..., N, N)``.
+
+def _lax_field(cm, grad, a, b):
+    """``Pi(phi) . grad H`` for points ``cm`` and covectors ``grad = dH/dphi_t``,
+    both (..., n+1, r, r) with broadcasting leading axes; shape (..., N).
+
+    No ``N x N`` matrix is formed: in the Lax form ``[P, phi(lambda) (x) S(mu)
+    + S(lambda) (x) phi(mu)] / (lambda - mu)``, ``S = -a I - (b/2) phi``, the
+    division is a shift of indices.  With ``G_t = (dH/dphi_t)^T`` and ``Y_d``,
+    ``Yt_d``, ``alpha_d`` the sums over m of ``phi_m G_(m+d)``, ``G_(m+d) phi_m``,
+    ``a_m G_(m+d)``, the field's ``z^s`` coefficient is ``sum_(p>s) phi_p
+    (alpha_d + b Yt_d) - (alpha_d + b Y_d) phi_p - a_p (Y_d - Yt_d)``,
+    ``d = p - 1 - s``, each sum one matmul; ``a`` is padded to ``2n + 2``.  The
+    orientation makes divisor coordinates canonical: ``{z_mu, xi_nu} =
+    (a(z_mu) + b xi_mu) delta_mu_nu``.
     """
-    *batch, n1, r, _ = cm.shape
-    n = n1 - 1
+    *bx, n1, r, _ = cm.shape
+    bw = grad.shape[:-3]
+    g_col, g_row, f_col, f_row, x_row, shift = _lax_plan(r, n1 - 1)
     N = n1 * r * r
-    if r == 1:
-        return np.zeros((*batch, N, N), dtype=complex)
-    L = n + 3
-    aeff = np.zeros(L, dtype=complex)
-    aeff[: a_coeffs.size] = -a_coeffs
-    phi = np.zeros((*batch, L, r, r), dtype=complex)
-    phi[..., :n1, :, :] = cm
-    shifted_phi = aeff[:, None, None] * np.eye(r) - 0.5 * b * phi
-
-    # kron(X_p, Y_q)[i*r+u, j*r+v] = X_p[i, j] Y_q[u, v], axes (..., p, q, i, u, j, v);
-    # the permutation kernel P swaps (i, u) on the left and (j, v) on the right
-    M = (np.einsum("...pij,...quv->...pqiujv", phi, shifted_phi)
-         + np.einsum("...pij,...quv->...pqiujv", shifted_phi, phi))
-    W = (M.swapaxes(-4, -3) - M.swapaxes(-2, -1)).reshape(*batch, L, L, r ** 4)
-
-    # synthetic division of W(lambda, mu) by (lambda - mu) along the lambda axis:
-    # V[p] = W_p + mu V[p+1] from the top, so V[1:] is the quotient (V[p] the
-    # coefficient of lambda^(p-1)) and V[0] the remainder
-    V = np.zeros((*batch, L, 2 * L, r ** 4), dtype=complex)
-    V[..., :L, :] = W
-    for p in range(L - 2, -1, -1):
-        V[..., p, 1:, :] += V[..., p + 1, :-1, :]
-    rem, quo = V[..., 0, :, :], V[..., 1:, :, :]
-    bound = 1e-9 * max(1.0, np.abs(W).max())
-    if (np.abs(rem).max() > bound or np.abs(quo[..., n1:, :]).max() > bound
-            or np.abs(quo[..., n1:, :, :]).max() > bound):
-        raise ConsistencyError("expansion inconsistency")
-    Vt = quo[..., :n1, :n1, :].reshape(*batch, n1, n1, r, r, r, r)
-    pi = np.einsum("...pqiujv->...pijquv", Vt).reshape(*batch, N, N)
-
-    skew = np.abs(pi + pi.swapaxes(-1, -2)).max()
-    if skew > 1e-9 * max(1.0, np.abs(pi).max()):
-        raise ConsistencyError("expansion inconsistency")
-    return 0.5 * (pi - pi.swapaxes(-1, -2))
+    w, xp = np.zeros((*bw, N + 1), dtype=complex), np.zeros((*bx, N + 1), dtype=complex)
+    w[..., :N], xp[..., :N] = grad.reshape(*bw, N), cm.reshape(*bx, N)
+    G_col = w.take(g_col, axis=-1)
+    Y = xp.take(x_row, axis=-1) @ G_col
+    Yt = w.take(g_row, axis=-1) @ cm.reshape(*bx, 1, N // r, r)
+    alpha = (a[:n1] @ G_col.reshape(*bw, n1, n1, r * r)).reshape(*bw, n1, r, r)
+    lead = Y.shape[:-3]
+    return (xp.take(f_row, axis=-1) @ (alpha + b * Yt).reshape(*lead, 1, N // r, r)
+            - (alpha + b * Y).swapaxes(-3, -2).reshape(*lead, 1, r, N // r)
+            @ xp.take(f_col, axis=-1)
+            - (a[shift] @ (Y - Yt).reshape(*lead, n1, r * r)).reshape(*lead, n1, r, r)
+            ).reshape(*lead, N)
 
 
 @lru_cache(maxsize=64)
@@ -276,7 +280,7 @@ def structure_tensor(r: int, n: int, spec: BracketSpec,
     a = kernel.poly_trim(spec.a_array, tol)
     if a.size > n + 2:
         raise ValueError("deg(a) must be at most n + 1")
-    return StructureTensor(r=r, n=n, spec=spec, a=a)
+    return StructureTensor(r=r, n=n, spec=spec, a=np.pad(a, (0, 2 * n + 2 - a.size)))
 
 
 def bracket(grad_f, grad_g, phi: MatPoly, spec: BracketSpec,
@@ -292,7 +296,6 @@ def bracket(grad_f, grad_g, phi: MatPoly, spec: BracketSpec,
 
 def jacobi_max_residual(tensor: StructureTensor, x, triples) -> float:
     """Max cyclic-sum residual over coordinate triples, relative to scale."""
-    x = np.asarray(x, dtype=complex)
     pi = tensor.poisson_matrix(x)
     dpi = tensor.poisson_gradient(x)
     scale = max(np.abs(pi).max() * max(np.abs(dpi).max(), 1.0), 1e-30)
@@ -313,7 +316,8 @@ def jacobi_max_residual(tensor: StructureTensor, x, triples) -> float:
 
 @lru_cache(maxsize=None)
 def _gradient_gather(r: int, n: int):
-    """Index arrays into the adjugate array A for spectral_gradient_matrix.
+    """Flat indices into the adjugate array A of every spectral gradient,
+    shape ``(len(spectral_positions), n+1, r, r)``.
 
     d C_{k,l} / d phi_p[i, j] = A[k, j, i, l - p].  A negative ``l - p``
     wraps to one of the top n z-slots of A, which are exactly zero because
@@ -322,7 +326,7 @@ def _gradient_gather(r: int, n: int):
     k, l = np.array(spectral_positions(r, n)).T.reshape(2, -1, 1, 1, 1)
     p = np.arange(n + 1)[:, None, None]
     i, j = np.indices((r, r))
-    return k, j, i, l - p
+    return np.ravel_multi_index((k, j, i, l - p), (r, r, r, r * n + 1), mode="wrap")
 
 
 def spectral_gradient_matrix(phi: MatPoly):
@@ -335,7 +339,7 @@ def spectral_gradient_matrix(phi: MatPoly):
     r, n = phi.r, phi.n
     positions = spectral_positions(r, n)
     _, A = kernel.matpoly_char_adj(phi.coeff_mats)
-    G = A[_gradient_gather(r, n)].reshape(len(positions), -1)
+    G = A.take(_gradient_gather(r, n)).reshape(len(positions), -1)
     return positions, G
 
 
@@ -543,41 +547,21 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
          tol: Tolerances = DEFAULT):
     """Integrate the Hamiltonian flow of ``H = C_{k,l}``, ``h_position = (k, l)``,
     and return the MatPoly states at the times ``t_grid``.  The field
-    ``Pi(phi) grad H`` is the Lax form ``[P, phi (x) S + S (x) phi] / (lambda - mu)``,
-    ``S = -a I - (b/2) phi``, with no ``N x N`` matrix: for ``G_t`` the ``z^(l-t)``
-    coefficient of the adjugate part ``A_k`` (``dH/dphi_t = G_t^T``) and ``Y_d``,
-    ``Yt_d``, ``alpha_d`` the sums over m of ``phi_m G_(m+d)``, ``G_(m+d) phi_m``,
-    ``a_m G_(m+d)``, its ``z^s`` coefficient is ``sum_(p>s) phi_p (alpha_d + b Yt_d)
-    - (alpha_d + b Y_d) phi_p - a_p (Y_d - Yt_d)``, ``d = p - 1 - s``.
+    ``Pi(phi) grad H`` is ``_lax_field`` with no ``N x N`` matrix, its covector
+    read from the adjugate by ``_gradient_gather``.
     """
     r, n = phi0.r, phi0.n
-    if tuple(h_position) not in spectral_positions(r, n):
+    positions = spectral_positions(r, n)
+    if tuple(h_position) not in positions:
         raise ValueError(f"{h_position} is not a spectral coefficient position")
-    k, l = h_position
     a = structure_tensor(r, n, spec, tol).a
-    # flat indices at [d, m, i, j] of G_(m+d)[i, j] in A_k (0 where m + d > n or l < m + d:
-    # z-slots above deg_z A_k) and of phi_(m+d+1)[i, j] in x padded by r*r zeros, as
-    # blocks [d, (m, i), j] and [d, i, (m, j)]: each sum over m or d is one matmul
-    d, m, i, j = np.indices((n + 1, n + 1, r, r))
-    g = (i * r + j) * (r * n + 1) + np.where(m + d <= n, l - m - d, -1) % (r * n + 1)
-    f = np.where(m + d < n, (m + d + 1) * r * r + i * r + j, (n + 1) * r * r)
-    g_col, f_col = g.reshape(n + 1, -1, r), f.reshape(n + 1, -1, r)
-    g_row, f_row = [v.transpose(0, 2, 1, 3).reshape(n + 1, r, -1) for v in (g, f)]
-    a_pad = np.concatenate([a, np.zeros(2 * n + 2 - a.size)])
-    a_shift = a_pad[np.add.outer(np.arange(n + 1), np.arange(1, n + 2))]  # a_(s+1+d)
+    gather = _gradient_gather(r, n)[positions.index(tuple(h_position))]
 
     def field(t, x):
         if not np.all(np.isfinite(x)):
             raise ValueError("coefficients must be finite")
-        A_k = kernel.matpoly_char_adj(x.reshape(n + 1, r, r))[1][k]
-        G_col = A_k.take(g_col)
-        Y = x.reshape(n + 1, r, r).transpose(1, 0, 2).reshape(r, -1) @ G_col
-        Yt = A_k.take(g_row) @ x.reshape(-1, r)
-        alpha = (a_pad[: n + 1] @ G_col.reshape(n + 1, n + 1, r * r)).reshape(n + 1, r, r)
-        xp = np.concatenate([x, np.zeros(r * r)])
-        return (xp.take(f_row) @ (alpha + spec.b * Yt).reshape(-1, r)
-                - (alpha + spec.b * Y).transpose(1, 0, 2).reshape(r, -1) @ xp.take(f_col)
-                - (a_shift @ (Y - Yt).reshape(n + 1, r * r)).reshape(n + 1, r, r)).ravel()
+        cm = x.reshape(n + 1, r, r)
+        return _lax_field(cm, kernel.matpoly_char_adj(cm)[1].take(gather), a, spec.b)
 
     states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)
     return [MatPoly.from_flat(row, r, n) for row in states]

@@ -177,7 +177,7 @@ class TestStructureTensor:
             assert np.abs(pi + pi.T).max() == 0.0
             assert np.abs(dpi + dpi.transpose(1, 0, 2)).max() == 0.0
 
-    @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)])
+    @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (1, 2), (2, 0)])
     def test_direct_kron_oracle(self, r, n):
         # independent oracle: evaluate the defining commutator with plain
         # numpy kron at numeric (lambda, mu) and compare with the assembled
@@ -210,7 +210,19 @@ class TestStructureTensor:
                                     lam ** p * mu ** q
                                     * pi[p * r * r + i * r + j,
                                          q * r * r + u * r + v])
-        assert np.abs(W_impl - W_direct).max() < 1e-10 * max(1.0, np.abs(W_direct).max())
+        assert np.abs(W_impl - W_direct).max() < 1e-13 * max(1.0, np.abs(W_direct).max())
+
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 1), (1, 2), (2, 0)])
+    def test_stack_of_points_matches_per_point(self, r, n):
+        rng = np.random.default_rng(20 + r + n)
+        spec = R.BracketSpec(a=tuple(rng.standard_normal(n + 2)), b=0.4 - 0.3j)
+        tensor = R.structure_tensor(r, n, spec)
+        xs = np.stack([[unit_disk_matpoly(rng, r, n).flatten() for _ in range(2)]
+                       for _ in range(3)])
+        pis = tensor.poisson_matrix(xs)
+        assert pis.shape == (3, 2, tensor.dim, tensor.dim)
+        for idx in np.ndindex(3, 2):
+            assert np.abs(pis[idx] - tensor.poisson_matrix(xs[idx])).max() < 1e-15
 
     def test_family_is_affine(self):
         spec1 = R.BracketSpec(a=(0.5, -0.2j), b=0.3)
