@@ -208,7 +208,7 @@ def suite_linearization(config: ExperimentConfig):
     z0 = linearize.pick_base_point(bps)
     integrand = linearize._conjugate_integrand(curve, spec, hams)
     ze, xe = d.z[0], d.xi[0]
-    direct = linearize._integral_to_point(curve, integrand, z0, ze, xe, bps, DEFAULT)
+    direct = linearize._integrals_to_points(curve, integrand, [z0], [ze], [xe], bps, DEFAULT)[0]
     mid = None
     for offset in (0.3j, -0.3j, 0.15j, -0.15j, 0.08j, -0.08j):
         cand = 0.5 * (z0 + ze) + offset * (ze - z0)
@@ -220,9 +220,9 @@ def suite_linearization(config: ExperimentConfig):
     if mid is None:
         mid = 0.5 * (z0 + ze)
     path = linearize.build_path(z0, mid, bps) + linearize.build_path(mid, ze, bps)[1:]
-    total, xi_fin = linearize.sheet_integrals(curve, integrand, path)
-    sheet = int(np.argmin(np.abs(xi_fin - xe)))
-    detour = total[:, sheet]
+    total, xi_fin = linearize.sheet_integrals(curve, integrand, [path])
+    sheet = int(np.argmin(np.abs(xi_fin[0] - xe)))
+    detour = total[0, :, sheet]
     out.append(CheckResult.from_residual(
         "linearization_path_independence", float(np.abs(direct - detour).max()),
         tol_path))

@@ -64,9 +64,11 @@ def poly_der(c):
 
 def min_gap(*vals):
     """Smallest ``sum_v |v[i] - v[j]|`` over pairs ``i != j`` of points given
-    by equal-length 1-D coordinate arrays ``vals``; ``inf`` below two points."""
-    d = sum(np.abs(v[:, None] - v) for v in vals)
-    return float(np.where(np.eye(len(d), dtype=bool), np.inf, d).min(initial=np.inf))
+    by equal-length 1-D coordinate arrays ``vals``; ``inf`` below two points.
+    For stacks ``(..., points)`` it is one gap per leading index."""
+    d = sum(np.abs(v[..., :, None] - v[..., None, :]) for v in vals)
+    gap = np.where(np.eye(d.shape[-1], dtype=bool), np.inf, d).min(axis=(-2, -1), initial=np.inf)
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def _eval_scale(c, x):

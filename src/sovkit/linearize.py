@@ -8,11 +8,11 @@ linearizing coordinate attached to the spectral coefficient H_i is
     dp/dH_i = -(xi^k z^l) / ((a(z) + b xi) dP/dxi)   at H_i ~ position (k, l),
 
 integrated along the sheet of the curve that ends at (z_mu, xi_mu).  Straight
-z-paths are re-routed around branch points.  One stepper, ``_panels``, walks
-a path, tracks every sheet by continuity and yields Gauss-Legendre panels
-with each sheet's value at the nodes; ``sheet_integrals`` is the quadrature
-sum over those panels, and the b != 0 generating value continues its
-logarithm across the same panels' ordered nodes.
+z-paths are re-routed around branch points.  One stepper, ``_walk``, steps a
+stack of paths in lockstep, tracks every sheet by continuity and yields each
+round's Gauss-Legendre panels; ``sheet_integrals`` is the quadrature sum over
+them, and the b != 0 generating value continues its logarithm across the same
+panels' ordered nodes.  A ``linearize`` call walks all its paths in one stack.
 """
 
 from dataclasses import dataclass
@@ -114,131 +114,160 @@ def _curve_roots(Pg_T, z):
 
 
 def _match_order(ref, roots):
-    """Order ``roots`` to follow ``ref`` by greedy nearest matching."""
-    roots = list(roots)
-    out = np.empty(len(ref), dtype=complex)
-    for i, rv in enumerate(ref):
-        j = int(np.argmin([abs(rv - w) for w in roots]))
-        out[i] = roots.pop(j)
+    """Order each row of ``roots`` to follow that of ``ref`` by greedy nearest matching."""
+    dist, rows, out = np.abs(ref[:, :, None] - roots[:, None, :]), np.arange(len(ref)), ref.copy()
+    for i in range(ref.shape[1]):
+        j = np.argmin(dist[:, i], axis=-1)
+        out[:, i], dist[rows, :, j] = roots[rows, j], np.inf
     return out
 
 
-def _panels(Pg_T, waypoints, xi):
-    """Sheet-tracked Gauss-Legendre panels along a path whose sheets start at ``xi``.
-
-    Per segment the step starts at an eighth of it, halves while a sheet moves
-    by more than a quarter of the sheet gap, and grows by 1.9 while below a
-    quarter of it.  A panel is ``(zs, half, xi_nodes, z_next, xi_next)``: the
-    12 nodes, the quadrature Jacobian, the sheet values ``(12, sheets)`` at the
-    nodes (the root nearest each sheet's linear interpolant) and at the end.
-    Sending ``False`` rejects a panel: the step halves and a shorter one follows.
-    """
-    gap = kernel.min_gap(xi)
-    for a, b in zip(waypoints, waypoints[1:]):
-        z_cur = a
-        seg = b - a
-        step = seg / 8.0
-        guard = 0
-        while abs(z_cur - b) > 1e-15 * max(1.0, abs(b)):
-            guard += 1
-            if guard > 100000:
+def _walk(Pg_T, paths, xi):
+    """Sheet-tracked Gauss-Legendre panels along paths whose sheets start at
+    ``xi`` (paths, sheets), all stepped in lockstep.  Per segment a path's step
+    (its own Python complex) starts at an eighth of it, halves while a sheet
+    moves more than a quarter of the sheet gap, grows by 1.9 while below a
+    quarter of it.  A round takes every active path's roots at 12 nodes and
+    the step end in one ``_curve_roots`` call and yields the panels passing
+    that test as stacks ``(idx, zs, half, xi_nodes, z_next, xi_next)``: paths,
+    nodes, Jacobians, sheet values at the nodes (nearest each sheet's linear
+    interpolant), step ends and their sheets.  Sending a mask over the panels
+    rejects those: their steps halve and shorter ones follow."""
+    xi, gap = xi.copy(), kernel.min_gap(xi)
+    segs = [[(a, b) for a, b in zip(path, path[1:]) if abs(a - b) > 1e-15 * max(1.0, abs(b))]
+            for path in paths]
+    # path -> [segment, z, step, attempts on the segment]
+    live = {p: [0, s[0][0], (s[0][1] - s[0][0]) / 8.0, 0] for p, s in enumerate(segs) if s}
+    while live:
+        idx, h, z_next, half = np.array(list(live)), [], [], []
+        z_cur = np.array([st[1] for st in live.values()])
+        for p, st in live.items():
+            (_, b), z, st[3] = segs[p][st[0]], st[1], st[3] + 1
+            if st[3] > 100000:
                 raise ConsistencyError("sheet tracking stalled")
-            step_dir = (b - z_cur) / abs(b - z_cur)
-            h = min(abs(step), abs(b - z_cur))
-            z_next = z_cur + h * step_dir
-            half = 0.5 * (z_next - z_cur)
-            zs = 0.5 * (z_cur + z_next) + half * _NODES
-            roots = _curve_roots(Pg_T, np.append(zs, z_next))
-            xi_next = _match_order(xi, roots[-1])
-            move = np.abs(xi_next - xi).max()
-            gap_next = kernel.min_gap(xi_next)
-            if move > 0.25 * min(gap, gap_next) and h > 1e-10:
-                step = step / 2.0
-                continue
-            pred = xi + (xi_next - xi) * _FRAC[:, None]
-            pick = np.argmin(np.abs(roots[:-1, None, :] - pred[:, :, None]), axis=-1)
-            xi_nodes = np.take_along_axis(roots[:-1], pick, axis=1)
-            if (yield zs, half, xi_nodes, z_next, xi_next) is False:
-                step = step / 2.0
-                continue
-            xi, gap = xi_next, gap_next
-            z_cur = z_next
-            if abs(step) < abs(seg) / 4:
-                step = step * 1.9
+            step_dir = (b - z) / abs(b - z)
+            h.append(min(abs(st[2]), abs(b - z)))
+            z_next.append(z + h[-1] * step_dir)
+            half.append(0.5 * (z_next[-1] - z))
+        half = np.array(half)
+        zs = (0.5 * (z_cur + z_next))[:, None] + half[:, None] * _NODES
+        roots = _curve_roots(Pg_T, np.column_stack([zs, z_next]))
+        xi_next = _match_order(xi[idx], roots[:, -1])
+        gap_next = kernel.min_gap(xi_next)
+        move = np.abs(xi_next - xi[idx]).max(axis=-1)
+        ok = (move <= 0.25 * np.minimum(gap[idx], gap_next)) | (np.array(h) <= 1e-10)
+        if ok.any():
+            pred = xi[idx[ok], None] + (xi_next - xi[idx])[ok, None] * _FRAC[:, None]
+            pick = np.argmin(np.abs(roots[ok, :-1, None, :] - pred[..., None]), axis=-1)
+            reject = yield (idx[ok], zs[ok], half[ok],
+                            np.take_along_axis(roots[ok, :-1], pick, axis=-1),
+                            np.array(z_next)[ok], xi_next[ok])
+            ok[ok] = True if reject is None else ~np.asarray(reject)
+        xi[idx[ok]], gap[idx[ok]] = xi_next[ok], gap_next[ok]
+        for p, zn, good in zip(idx, z_next, ok):
+            st, (a, b) = live[p], segs[p][live[p][0]]
+            if not good:
+                st[2] = st[2] / 2.0
+            elif abs(zn - b) > 1e-15 * max(1.0, abs(b)):
+                st[1], st[2] = zn, st[2] * 1.9 if abs(st[2]) < abs(b - a) / 4 else st[2]
+            elif st[0] + 1 < len(segs[p]):
+                a, b = segs[p][st[0] + 1]
+                live[p] = [st[0] + 1, a, (b - a) / 8.0, 0]
+            else:
+                del live[p]
 
 
-def sheet_integrals(curve: SpectralCurve, integrand, waypoints,
+def sheet_integrals(curve: SpectralCurve, integrand, paths,
                     tol: Tolerances = DEFAULT):
-    """Integrate a per-sheet integrand along a path, tracking all sheets.
-
-    ``integrand(z, xi)`` broadcasts: for ``z`` and ``xi`` of broadcast shape
-    ``S`` it returns the integrand components on a leading axis, shape
-    ``(components,) + S``.  Returns ``(I, sheets_end)`` where ``I[comp, sheet]``
-    accumulates the integral along each tracked sheet and ``sheets_end`` gives
-    the tracked xi-values at the path end.
+    """Integrate a per-sheet integrand along paths (waypoint lists), tracking
+    all sheets of every path in one walk.  ``integrand(z, xi)`` broadcasts: for
+    ``z`` and ``xi`` of broadcast shape ``S`` it returns the integrand
+    components on a leading axis, shape ``(components,) + S``.  Returns ``(I,
+    sheets_end)`` where ``I[path, comp, sheet]`` accumulates the integral along
+    each tracked sheet and ``sheets_end[path, sheet]`` gives the tracked
+    xi-values at the path end.
     """
     Pg_T = curve.grid.T.copy()
-    xi = np.sort_complex(_curve_roots(Pg_T, waypoints[0]))
-    total = np.zeros(np.shape(integrand(waypoints[0], xi)), dtype=complex)
-    for zs, half, xi_nodes, _, xi in _panels(Pg_T, waypoints, xi):
-        vals = integrand(zs[:, None], xi_nodes)
-        total += half * np.tensordot(_WEIGHTS, vals, axes=([0], [1]))
+    z = np.array([path[0] for path in paths], dtype=complex)
+    xi = np.sort_complex(_curve_roots(Pg_T, z))
+    total = np.zeros_like(integrand(z[:, None], xi).swapaxes(0, 1))
+    for idx, zs, half, xi_nodes, _, xi_next in _walk(Pg_T, paths, xi):
+        vals = integrand(zs[..., None], xi_nodes)
+        total[idx] += half[:, None, None] * np.tensordot(_WEIGHTS, vals, ([0], [2])).swapaxes(0, 1)
+        xi[idx] = xi_next
     return total, xi
 
 
-def _landing_sheet(xi_fin, xi_end, sheet=None):
-    """The tracked sheet (by default the nearest) checked to end at xi_end."""
+def _landing_sheets(xi_fin, xi_end, sheet=None):
+    """Per path the tracked sheet (by default the nearest) checked to end at xi_end."""
     if sheet is None:
-        sheet = int(np.argmin(np.abs(xi_fin - xi_end)))
-    if abs(xi_fin[sheet] - xi_end) > min(0.45 * kernel.min_gap(xi_fin),
-                                         1e-3 * max(1.0, abs(xi_end))):
+        sheet = np.argmin(np.abs(xi_fin - xi_end[:, None]), axis=-1)
+    miss = np.abs(xi_fin[np.arange(len(xi_end)), sheet] - xi_end)
+    if np.any(miss > np.minimum(0.45 * kernel.min_gap(xi_fin),
+                                1e-3 * np.maximum(1.0, np.abs(xi_end)))):
         raise ConsistencyError("sheet tracking did not land on the divisor point")
     return sheet
 
 
-def _integral_to_point(curve, integrand, z0, z_end, xi_end, branch_pts, tol,
-                       xi0=None):
-    """Integral along the curve from z0 to (z_end, xi_end), on the sheet that
-    lands there or, given ``xi0``, on the one that starts at (z0, xi0)."""
-    if xi0 is not None and abs(z_end - z0) < 1e-14 * max(1.0, abs(z0)):
-        return 0.0
-    waypoints = build_path(z0, z_end, branch_pts, tol)
-    sheet = None
-    if xi0 is not None:
-        start = np.sort_complex(_curve_roots(curve.grid.T, waypoints[0]))
-        sheet = int(np.argmin(np.abs(start - xi0)))
-        if abs(start[sheet] - xi0) > 1e-3 * max(1.0, abs(xi0)):
-            raise ConsistencyError("sheet tracking did not start on the divisor point")
-    total, xi_fin = sheet_integrals(curve, integrand, waypoints, tol)
-    return total[:, _landing_sheet(xi_fin, xi_end, sheet)]
+def _integrals_to_points(curve, integrand, z_start, z_end, xi_end, branch_pts, tol,
+                         xi_start=np.nan):
+    """Integrals (points, components) along the curve from each ``z_start`` to
+    ``(z_end, xi_end)`` by one ``sheet_integrals`` call, on the sheet landing
+    there or, for a hop (``xi_start`` given, not nan), the one starting at
+    ``xi_start``; a hop of zero length is 0, one past 0.75 of its branch
+    clearance (and 1e-3) raises before any step."""
+    z_start, z_end, xi_end, xi_start = np.broadcast_arrays(
+        *(np.asarray(v, dtype=complex) for v in (z_start, z_end, xi_end, xi_start)))
+    hop, dz = ~np.isnan(xi_start), np.abs(z_end - z_start)
+    clear = np.abs(np.stack([z_start, z_end])[..., None] - branch_pts).min(
+        axis=(0, 2), initial=np.inf)
+    if np.any(hop & (dz > 0.75 * clear) & (dz > 1e-3)):
+        raise MatchingError("divisor hop exceeds branch clearance; sample the "
+                            "trajectory more densely")
+    walk = ~hop | (dz >= 1e-14 * np.maximum(1.0, np.abs(z_start)))
+    z_start, z_end, xi_end, xi_start, hop = (
+        v[walk] for v in (z_start, z_end, xi_end, xi_start, hop))
+    start = np.sort_complex(_curve_roots(curve.grid.T, z_start[hop]))
+    first = np.argmin(np.abs(start - xi_start[hop, None]), axis=-1)
+    if np.any(np.abs(start[np.arange(first.size), first] - xi_start[hop])
+              > 1e-3 * np.maximum(1.0, np.abs(xi_start[hop]))):
+        raise ConsistencyError("sheet tracking did not start on the divisor point")
+    total, xi_fin = sheet_integrals(curve, integrand, [build_path(a, b, branch_pts, tol)
+                                                       for a, b in zip(z_start, z_end)], tol)
+    sheet = np.argmin(np.abs(xi_fin - xi_end[:, None]), axis=-1)
+    sheet[hop] = first
+    out = np.zeros((walk.size, total.shape[1]), dtype=complex)
+    out[walk] = total[np.arange(sheet.size), :, _landing_sheets(xi_fin, xi_end, sheet)]
+    return out
 
 
-def _log_integrals(curve, a_arr, b, waypoints):
-    """int log(a(z) + b xi) dz along every tracked sheet, the log principal at
-    the start and continued across each panel's ordered start, nodes and end.
-    A panel with a consecutive ratio |ratio - 1| > 0.5 is rejected, so no
+def _log_integrals(curve, a_arr, b, paths):
+    """int log(a(z) + b xi) dz along every tracked sheet of every path, shape
+    (paths, sheets), and the sheets at the path ends; the log principal at the
+    start and continued across each panel's ordered start, nodes and end.  A
+    panel with a consecutive ratio |ratio - 1| > 0.5 is rejected, so no
     principal log is ever taken of a ratio far from 1."""
     Pg_T = curve.grid.T.copy()
-    xi = np.sort_complex(_curve_roots(Pg_T, waypoints[0]))
-    v = kernel.poly_eval(a_arr, waypoints[0]) + b * xi
+    z = np.array([path[0] for path in paths], dtype=complex)
+    xi = np.sort_complex(_curve_roots(Pg_T, z))
+    v = kernel.poly_eval(a_arr, z)[:, None] + b * xi
     log_v = np.log(v)
     total = np.zeros_like(log_v)
-
-    def chain(panel):
-        zs, _, xi_nodes, z_next, xi_next = panel
-        return np.vstack([v, kernel.poly_eval(a_arr, zs)[:, None] + b * xi_nodes,
-                          kernel.poly_eval(a_arr, z_next) + b * xi_next])
-
-    panels = _panels(Pg_T, waypoints, xi)
-    for panel in panels:
-        vals = chain(panel)
-        while np.abs(vals[1:] / vals[:-1] - 1.0).max() > 0.5:
-            panel = panels.send(False)
-            vals = chain(panel)
-        steps = np.cumsum(np.log(vals[1:] / vals[:-1]), axis=0)
-        total += panel[1] * np.tensordot(_WEIGHTS, log_v + steps[:-1], axes=1)
-        log_v, v, xi = log_v + steps[-1], vals[-1], panel[4]
-    return total, xi
+    rounds, reject = _walk(Pg_T, paths, xi), None
+    while True:
+        try:
+            idx, zs, half, xi_nodes, z_next, xi_next = rounds.send(reject)
+        except StopIteration:
+            return total, xi
+        w = kernel.poly_eval(a_arr, np.column_stack([zs, z_next]))[..., None]
+        vals = np.hstack([v[idx, None], w + b * np.hstack([xi_nodes, xi_next[:, None]])])
+        reject = np.abs(vals[:, 1:] / vals[:, :-1] - 1.0).max(axis=(1, 2)) > 0.5
+        xi[idx[~reject]] = xi_next[~reject]
+        idx, half, vals = idx[~reject], half[~reject], vals[~reject]
+        steps = np.cumsum(np.log(vals[:, 1:] / vals[:, :-1]), axis=1)
+        total[idx] += half[:, None] * np.tensordot(_WEIGHTS, log_v[idx, None] + steps[:, :-1],
+                                                   axes=([0], [1]))
+        log_v[idx], v[idx] = log_v[idx] + steps[:, -1], vals[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +294,8 @@ def abel_sums(curve: SpectralCurve, spec: BracketSpec, points: DivisorCoords,
               positions, z0, branch_pts, tol: Tolerances = DEFAULT):
     """Q vector: sums over divisor points of the conjugate Abelian integrals."""
     integrand = _conjugate_integrand(curve, spec, positions)
-    q = np.zeros(len(positions), dtype=complex)
-    for z_end, xi_end in zip(points.z, points.xi):
-        q += _integral_to_point(curve, integrand, z0, z_end, xi_end, branch_pts, tol)
-    return q
+    q = _integrals_to_points(curve, integrand, z0, points.z, points.xi, branch_pts, tol)
+    return sum(q, np.zeros(len(positions), dtype=complex))
 
 
 def generating_value(curve: SpectralCurve, spec: BracketSpec, points: DivisorCoords,
@@ -284,16 +311,14 @@ def generating_value(curve: SpectralCurve, spec: BracketSpec, points: DivisorCoo
     def integrand(z, xi):
         return (xi / kernel.poly_eval(a_arr, z))[None]
 
-    total = 0.0 + 0.0j
-    for z_end, xi_end in zip(points.z, points.xi):
-        if b == 0:
-            total += _integral_to_point(curve, integrand, z0, z_end, xi_end,
-                                        branch_pts, tol)[0]
-        else:
-            logs, xi_fin = _log_integrals(curve, a_arr, b,
-                                          build_path(z0, z_end, branch_pts, tol))
-            total += logs[_landing_sheet(xi_fin, xi_end)] / b
-    return total
+    if b == 0:
+        terms = _integrals_to_points(curve, integrand, z0, points.z, points.xi,
+                                     branch_pts, tol)[:, 0]
+    else:
+        logs, xi_fin = _log_integrals(curve, a_arr, b, [build_path(z0, z, branch_pts, tol)
+                                                        for z in points.z])
+        terms = logs[np.arange(points.count), _landing_sheets(xi_fin, points.xi)] / b
+    return sum(terms, 0.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -334,24 +359,16 @@ def linearize(trajectory: Sequence[MatPoly], times, spec: BracketSpec,
         idx = _nearest_permutation(divisors[-1], d)
         divisors.append(DivisorCoords(z=d.z[idx], xi=d.xi[idx], s=d.s, degenerate=d.degenerate))
 
-    integrand = _conjugate_integrand(curve, spec, positions)
+    # one walk: base-point paths give column 0, each hop adds to its later column
+    m = divisors[0].count
+    terms = _integrals_to_points(
+        curve, _conjugate_integrand(curve, spec, positions),
+        np.concatenate([np.full(m, z0)] + [d.z for d in divisors[:-1]]),
+        np.concatenate([d.z for d in divisors]), np.concatenate([d.xi for d in divisors]),
+        bps, tol, np.concatenate([np.full(m, np.nan)] + [d.xi for d in divisors[:-1]]))
     q_table = np.zeros((len(positions), times.size), dtype=complex)
-    q_table[:, 0] = abel_sums(curve, spec, divisors[0], positions, z0, bps, tol)
-    for col in range(1, times.size):
-        prev_d, cur_d = divisors[col - 1], divisors[col]
-        inc = np.zeros(len(positions), dtype=complex)
-        for mu in range(cur_d.count):
-            hop = abs(cur_d.z[mu] - prev_d.z[mu])
-            if bps.size:
-                clearance = min(np.min(np.abs(prev_d.z[mu] - bps)),
-                                np.min(np.abs(cur_d.z[mu] - bps)))
-                if hop > 0.75 * clearance and hop > 1e-3:
-                    raise MatchingError(
-                        "divisor hop exceeds branch clearance; sample the "
-                        "trajectory more densely")
-            inc += _integral_to_point(curve, integrand, prev_d.z[mu], cur_d.z[mu],
-                                      cur_d.xi[mu], bps, tol, xi0=prev_d.xi[mu])
-        q_table[:, col] = q_table[:, col - 1] + inc
+    np.add.at(q_table.T, np.repeat(np.arange(times.size), m), terms)
+    q_table = np.cumsum(q_table, axis=1)
 
     slopes = np.zeros(len(positions), dtype=complex)
     intercepts = np.zeros(len(positions), dtype=complex)

@@ -145,12 +145,11 @@ class StructureTensor:
         """``Pi`` at points ``x`` (..., N), shape (..., N, N).  Antisymmetry is
         checked, then enforced exactly."""
         x = np.asarray(x, dtype=complex)
-        shape = (self.n + 1, self.r, self.r)
-        cols = _lax_field(x.reshape(*x.shape[:-1], 1, *shape),
-                          np.eye(self.dim).reshape(-1, *shape), self.a, self.spec.b)
-        if np.abs(cols + cols.swapaxes(-1, -2)).max() > 1e-9 * max(1.0, np.abs(cols).max()):
+        pi = _lax_field(x.reshape(-1, self.dim), _lax_plan(self.r, self.n)[1], self.a,
+                        self.spec.b).reshape(x.shape + (self.dim,))
+        if np.abs(pi + pi.swapaxes(-1, -2)).max() > 1e-9 * max(1.0, np.abs(pi).max()):
             raise ConsistencyError("Poisson matrix is not antisymmetric")
-        return 0.5 * (cols.swapaxes(-1, -2) - cols)
+        return 0.5 * (pi - pi.swapaxes(-1, -2))
 
     def poisson_gradient(self, x) -> np.ndarray:
         """d Pi_{ab} / d x_c, shape (N, N, N).
@@ -221,52 +220,59 @@ def genus(phi: MatPoly, tol: Tolerances = DEFAULT) -> int:
 # the bracket family
 # ---------------------------------------------------------------------------
 
+def _covector_blocks(grad):
+    """``_lax_field``'s blocks of covectors ``grad`` (C, n+1, r, r): ``G_t[k, j]``
+    and ``G_t[j, k]`` at ``[(t, k), (c, j)]``, ``G_t = (dH/dphi_t)^T``."""
+    _, n1, r, _ = grad.shape
+    return np.array([grad.transpose(1, 3, 0, 2),
+                     grad.transpose(1, 2, 0, 3)]).reshape(2, n1 * r, -1)
+
+
 @lru_cache(maxsize=None)
 def _lax_plan(r: int, n: int):
-    """``_lax_field``'s indices into a covector or a point padded by a 0 at ``N``:
-    ``G_(m+d)[i, j]`` and ``phi_(m+d+1)[i, j]`` at ``[d, (m, i), j]`` and
-    ``[d, i, (m, j)]`` (the pad where the index passes ``n``), ``phi_m[i, j]``
-    at ``[i, (m, j)]``, and the Hankel indices ``s + 1 + d`` of ``a``."""
+    """``_lax_field``'s blocks ``[(A, u), (B, v)]`` of indices into the point, a 0
+    and ``a``: ``phi_(B-A)[u, v]``, ``phi_(B-A)[v, u]``, twice ``a_(B-A) delta_uv``,
+    ``phi_(A+1+B)[u, v]``, ``phi_(A+1+B)[v, u]``, ``a_(A+1+B) delta_uv`` (the 0 where
+    a subscript leaves its range); and the blocks of the ``N`` unit covectors."""
     N = (n + 1) * r * r
-    d, m, i, j = np.indices((n + 1, n + 1, r, r))
-    g = np.where(m + d <= n, (m + d) * r * r + j * r + i, N)
-    f = np.where(m + d < n, (m + d + 1) * r * r + i * r + j, N)
-    g_row, f_row, x_row = [v.transpose(0, 2, 1, 3).reshape(n + 1, r, -1)
-                           for v in (g, f, m * r * r + i * r + j)]
-    return (g.reshape(n + 1, -1, r), g_row, f.reshape(n + 1, -1, r), f_row, x_row[:1],
-            np.add.outer(np.arange(n + 1), np.arange(1, n + 2)))
+    A, u, B, v = np.indices((n + 1, r, n + 1, r))
+    phi = [np.where((0 <= p) & (p <= n), p * r * r + flat, N)
+           for p in (B - A, A + 1 + B) for flat in (u * r + v, v * r + u)]
+    a_toe = np.where((B >= A) & (u == v), N + 1 + B - A, N)
+    index = [*phi[:2], a_toe, a_toe, *phi[2:], np.where(u == v, N + 2 + A + B, N)]
+    return (np.array(index).reshape(7, N // r, N // r),
+            _covector_blocks(np.eye(N, dtype=complex).reshape(N, n + 1, r, r)))
 
 
-def _lax_field(cm, grad, a, b):
-    """``Pi(phi) . grad H`` for points ``cm`` and covectors ``grad = dH/dphi_t``,
-    both (..., n+1, r, r) with broadcasting leading axes; shape (..., N).
+def _lax_field(x, g, a, b):
+    """``Pi(phi) . grad H`` at points ``x`` (B, N) for ``C`` covectors ``grad =
+    dH/dphi_t`` given as ``_covector_blocks`` ``g``; shape (B, N, C).
 
     No ``N x N`` matrix is formed: in the Lax form ``[P, phi(lambda) (x) S(mu)
     + S(lambda) (x) phi(mu)] / (lambda - mu)``, ``S = -a I - (b/2) phi``, the
     division is a shift of indices.  With ``G_t = (dH/dphi_t)^T`` and ``Y_d``,
-    ``Yt_d``, ``alpha_d`` the sums over m of ``phi_m G_(m+d)``, ``G_(m+d) phi_m``,
-    ``a_m G_(m+d)``, the field's ``z^s`` coefficient is ``sum_(p>s) phi_p
-    (alpha_d + b Yt_d) - (alpha_d + b Y_d) phi_p - a_p (Y_d - Yt_d)``,
-    ``d = p - 1 - s``, each sum one matmul; ``a`` is padded to ``2n + 2``.  The
-    orientation makes divisor coordinates canonical: ``{z_mu, xi_nu} =
-    (a(z_mu) + b xi_mu) delta_mu_nu``.
+    ``Yt_d``, ``alpha_d`` the sums over t of ``phi_(t-d) G_t``, ``G_t
+    phi_(t-d)``, ``a_(t-d) G_t``, the field's ``z^s`` coefficient is
+    ``sum_(p>s) phi_p (alpha_d + b Yt_d) - (alpha_d + b Y_d) phi_p - a_p (Y_d -
+    Yt_d)``, ``d = p - 1 - s``: two batched matmuls of the point's blocks (all
+    shifts are there) by blocks with the covectors on the columns.  A product
+    with ``phi`` on its right is formed transposed, so at ``r = 1`` the terms
+    cancel exactly.  ``a`` is padded to ``2n + 2``.  The orientation makes
+    divisor coordinates canonical: ``{z_mu, xi_nu} = (a(z_mu) + b xi_mu) delta_mu_nu``.
     """
-    *bx, n1, r, _ = cm.shape
-    bw = grad.shape[:-3]
-    g_col, g_row, f_col, f_row, x_row, shift = _lax_plan(r, n1 - 1)
-    N = n1 * r * r
-    w, xp = np.zeros((*bw, N + 1), dtype=complex), np.zeros((*bx, N + 1), dtype=complex)
-    w[..., :N], xp[..., :N] = grad.reshape(*bw, N), cm.reshape(*bx, N)
-    G_col = w.take(g_col, axis=-1)
-    Y = xp.take(x_row, axis=-1) @ G_col
-    Yt = w.take(g_row, axis=-1) @ cm.reshape(*bx, 1, N // r, r)
-    alpha = (a[:n1] @ G_col.reshape(*bw, n1, n1, r * r)).reshape(*bw, n1, r, r)
-    lead = Y.shape[:-3]
-    return (xp.take(f_row, axis=-1) @ (alpha + b * Yt).reshape(*lead, 1, N // r, r)
-            - (alpha + b * Y).swapaxes(-3, -2).reshape(*lead, 1, r, N // r)
-            @ xp.take(f_col, axis=-1)
-            - (a[shift] @ (Y - Yt).reshape(*lead, n1, r * r)).reshape(*lead, n1, r, r)
-            ).reshape(*lead, N)
+    B, N = x.shape
+    n1, r = g.shape[1] ** 2 // N, N // g.shape[1]
+    src = np.empty((B, N + 1 + a.size), dtype=complex)
+    src[:, :N], src[:, N], src[:, N + 1:] = x, 0.0, a
+    X = src.take(_lax_plan(r, n1 - 1)[0], axis=1)
+    # [d, i, c, j] blocks of Y_d and Yt_d^T, then of alpha_d and alpha_d^T
+    Y = (X[:, :4].reshape(B, 2, 2, n1 * r, n1 * r) @ g).reshape(B, 2, 2, n1, r, -1, r)
+    rhs = np.concatenate([(Y[:, 1] + b * Y[:, 0]).swapaxes(-3, -1)[:, ::-1],
+                          (Y[:, 0, 0] - Y[:, 0, 1].swapaxes(-3, -1))[:, None]], axis=1)
+    # [s, i, c, j] blocks of phi (alpha + b Yt), ((alpha + b Y) phi)^T, a (Y - Yt)
+    F = (X[:, 4:] @ rhs.reshape(B, 3, n1 * r, -1)).reshape(rhs.shape)
+    out = F[:, 0] - F[:, 1].swapaxes(-3, -1) - F[:, 2]
+    return out.swapaxes(-2, -1).reshape(B, N, -1)
 
 
 @lru_cache(maxsize=64)
@@ -555,13 +561,13 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
     if tuple(h_position) not in positions:
         raise ValueError(f"{h_position} is not a spectral coefficient position")
     a = structure_tensor(r, n, spec, tol).a
-    gather = _gradient_gather(r, n)[positions.index(tuple(h_position))]
+    g = _covector_blocks(_gradient_gather(r, n)[[positions.index(tuple(h_position))]])
 
     def field(t, x):
         if not np.all(np.isfinite(x)):
             raise ValueError("coefficients must be finite")
-        cm = x.reshape(n + 1, r, r)
-        return _lax_field(cm, kernel.matpoly_char_adj(cm)[1].take(gather), a, spec.b)
+        A = kernel.matpoly_char_adj(x.reshape(n + 1, r, r))[1]
+        return _lax_field(x[None], A.take(g), a, spec.b).ravel()
 
     states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)
     return [MatPoly.from_flat(row, r, n) for row in states]

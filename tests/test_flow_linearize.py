@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sovkit import kernel, linearize
 from sovkit import rational as R
 from sovkit.acceptance import RN_COMBOS
+from sovkit.errors import ConsistencyError, MatchingError
 
 
 @pytest.fixture(scope="module")
@@ -156,15 +157,15 @@ class TestLinearize:
         z0 = linearize.pick_base_point(bps)
         integrand = linearize._conjugate_integrand(curve, spec, hams)
         ze, xe = d.z[0], d.xi[0]
-        direct = linearize._integral_to_point(
-            curve, integrand, z0, ze, xe, bps, linearize.DEFAULT)
+        direct = linearize._integrals_to_points(
+            curve, integrand, [z0], [ze], [xe], bps, linearize.DEFAULT)[0]
         mid = 0.5 * (z0 + ze) + 0.35j * (ze - z0)
         assert np.min(np.abs(mid - bps)) > 0.15
         path = (linearize.build_path(z0, mid, bps)
                 + linearize.build_path(mid, ze, bps)[1:])
-        total, xi_fin = linearize.sheet_integrals(curve, integrand, path)
-        sheet = int(np.argmin(np.abs(xi_fin - xe)))
-        assert np.abs(direct - total[:, sheet]).max() < 1e-8
+        total, xi_fin = linearize.sheet_integrals(curve, integrand, [path])
+        sheet = int(np.argmin(np.abs(xi_fin[0] - xe)))
+        assert np.abs(direct - total[0, :, sheet]).max() < 1e-8
 
     def test_affine_in_time_with_identity_slopes(self, instance_r2_n3):
         phi, spec, hams = instance_r2_n3
@@ -264,7 +265,7 @@ class TestSheetTracking:
         for i, bp in enumerate(bps):
             loop = _loop(bp, 0.25 * sep[i].min())
             start = _start_sheets(curve, loop[0])
-            _, end = linearize.sheet_integrals(curve, integrand, loop)
+            end = linearize.sheet_integrals(curve, integrand, [loop])[1][0]
             dist = np.abs(end[:, None] - start[None, :])
             perm = np.argmin(dist, axis=1)
             assert dist[np.arange(3), perm].max() < 1e-10
@@ -276,7 +277,7 @@ class TestSheetTracking:
         centre = 3.0 + 3.0j
         loop = _loop(centre, 0.5 * np.abs(centre - bps).min())
         start = _start_sheets(curve, loop[0])
-        total, end = linearize.sheet_integrals(curve, integrand, loop)
+        total, end = (v[0] for v in linearize.sheet_integrals(curve, integrand, [loop]))
         assert np.abs(end - start).max() < 1e-10
         assert np.abs(integrand(centre, start)).max() > 1.0
         assert np.abs(total).max() < 1e-10
@@ -288,10 +289,10 @@ class TestSheetTracking:
         curve = R.SpectralCurve(grid=np.array([[0, 0, 1], [-1, 0, 0]], dtype=complex),
                                 r=1, n=2)
         path = [1.0 + 0j, -1.0 + 0.01j, -1.0 - 0.5j, 1.0 - 0.5j]
-        total, _ = linearize._log_integrals(curve, np.array([0.0 + 0j]), 1.0, path)
+        total, _ = linearize._log_integrals(curve, np.array([0.0 + 0j]), 1.0, [path])
         ze = path[-1]
         exact = 2 * (ze * (np.log(ze) + 2j * np.pi - 1) + 1)  # int 2 log z dz, continued
-        assert abs(total[0] - exact) < 1e-9
+        assert abs(total[0, 0] - exact) < 1e-9
 
     def test_sheet_integrals_reference(self):
         # the integrals over a path of 29 panels and 27 rejected attempts, bit
@@ -303,10 +304,104 @@ class TestSheetTracking:
         integrand = linearize._conjugate_integrand(
             curve, R.BracketSpec(a=(1.0,), b=0.0), [(1, 0), (1, 1), (0, 2)])
         path = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
-        total, end = linearize.sheet_integrals(curve, integrand, path)
+        total, end = (v[0] for v in linearize.sheet_integrals(curve, integrand, [path]))
         assert np.array_equal(total.ravel(), [
             3.9840044270770285 + 1.0299161544859052j, 2.2463955502248716 + 1.8185556215621947j,
             3.7341255774091864 + 7.748899142880272j, 3.937610471263028 + 5.218288821684655j,
             1.4297183672249008 - 0.05793742531465232j, -1.4297183672249008 + 0.05793742531465228j])
         assert np.array_equal(end, [2.53207131929456 + 1.057501336559314j,
                                     0.8774556052321555 - 2.3422934648823763j])
+
+
+@pytest.fixture(scope="module")
+def reference_r2_n3():
+    # the draw of test_sheet_integrals_reference
+    phi = R.random_instance(2, 3, np.random.default_rng(7))
+    curve = R.spectral_curve(phi)
+    bps, _ = R.branch_points(curve)
+    integrand = linearize._conjugate_integrand(
+        curve, R.BracketSpec(a=(1.0,), b=0.0), [(1, 0), (1, 1), (0, 2)])
+    return curve, bps, R.divisor_coords(phi), integrand
+
+
+class _Counting:
+    """Wraps ``linearize.sheet_integrals`` and records the paths of each call."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self._inner = [], linearize.sheet_integrals
+        monkeypatch.setattr(linearize, "sheet_integrals", self)
+
+    def __call__(self, curve, integrand, paths, *args):
+        self.calls.append(len(paths))
+        return self._inner(curve, integrand, paths, *args)
+
+
+class TestBatchedWalk:
+    def test_stack_matches_one_path_calls(self, reference_r2_n3):
+        curve, bps, d, integrand = reference_r2_n3
+        z0 = linearize.pick_base_point(bps)
+        sep = np.abs(bps[:, None] - bps[None, :]) + np.diag(np.full(bps.size, np.inf))
+        arm = 0.4 * sep[0].min() * np.exp(0.3j)
+        detour = linearize.build_path(bps[0] + arm, bps[0] - arm, bps)
+        hop = linearize.build_path(d.z[0], d.z[0] + 1e-3, bps)
+        reference = linearize.build_path(z0, d.z[0], bps)
+        assert len(detour) >= 3 and len(hop) == 2
+        paths = [detour, hop, reference]
+        total, end = linearize.sheet_integrals(curve, integrand, paths)
+        assert total.shape == (3, 3, 2) and end.shape == (3, 2)
+        for p, path in enumerate(paths):
+            one, one_end = linearize.sheet_integrals(curve, integrand, [path])
+            assert np.all(np.abs(total[p] - one[0]) <= 1e-15 * np.maximum(1.0, np.abs(one[0])))
+            assert np.array_equal(end[p], one_end[0])
+
+    def test_one_sheet_integrals_call_per_linearize(self, instance_r2_n3, monkeypatch):
+        phi, spec, hams = instance_r2_n3
+        times = np.linspace(0.0, 0.05, 5)
+        traj = R.flow(phi, hams[0], spec, times)
+        counting = _Counting(monkeypatch)
+        linearize.linearize(traj, times, spec, hams)
+        m = R.divisor_coords(phi).count
+        assert len(counting.calls) == 1 and 0 < counting.calls[0] <= m * times.size
+
+    def test_start_off_the_divisor_raises_before_stepping(self, reference_r2_n3, monkeypatch):
+        curve, bps, d, integrand = reference_r2_n3
+        counting = _Counting(monkeypatch)
+        z1 = d.z[0] + 1e-3
+        with pytest.raises(ConsistencyError, match="did not start"):
+            linearize._integrals_to_points(curve, integrand, [d.z[0], d.z[0]], [z1, z1],
+                                           [0j, 0j], bps, linearize.DEFAULT,
+                                           [d.xi[0], d.xi[0] + 10.0])
+        assert counting.calls == []
+
+    def test_landing_off_the_divisor_raises(self, reference_r2_n3):
+        curve, bps, d, integrand = reference_r2_n3
+        z0 = linearize.pick_base_point(bps)
+        with pytest.raises(ConsistencyError, match="did not land"):
+            linearize._integrals_to_points(curve, integrand, z0, d.z[:2],
+                                           [d.xi[0], d.xi[1] + 10.0], bps, linearize.DEFAULT)
+
+    def test_hop_past_clearance_raises_before_stepping(self, reference_r2_n3, monkeypatch):
+        curve, bps, d, integrand = reference_r2_n3
+        counting = _Counting(monkeypatch)
+        with pytest.raises(MatchingError, match="branch clearance"):
+            linearize._integrals_to_points(curve, integrand, [d.z[0], bps[0] + 1e-2],
+                                           [d.z[0] + 1e-4, bps[0] + 0.5], [0j, 0j], bps,
+                                           linearize.DEFAULT, [d.xi[0], 0j])
+        assert counting.calls == []
+
+    def test_zero_length_hop_is_zero_and_not_walked(self, reference_r2_n3, monkeypatch):
+        curve, bps, d, integrand = reference_r2_n3
+        z0 = linearize.pick_base_point(bps)
+        counting = _Counting(monkeypatch)
+        out = linearize._integrals_to_points(curve, integrand, [d.z[0], z0], d.z[:2], d.xi[:2],
+                                             bps, linearize.DEFAULT, [d.xi[0] + 10.0, np.nan])
+        alone = linearize._integrals_to_points(curve, integrand, z0, d.z[1:2], d.xi[1:2], bps,
+                                               linearize.DEFAULT)
+        assert counting.calls == [1, 1]
+        assert not out[0].any() and np.array_equal(out[1], alone[0])
+
+    def test_match_order_takes_each_root_once(self):
+        ref = np.array([[0.0, 0.1, 3.0], [1.0, 2.0, 3.0]], dtype=complex)
+        roots = np.array([[0.05, 5.0, 2.9], [3.1, 1.1, 1.9]], dtype=complex)
+        assert np.array_equal(linearize._match_order(ref, roots),
+                              [[0.05, 2.9, 5.0], [1.1, 1.9, 3.1]])

@@ -447,6 +447,14 @@ class TestMinGap:
             d = d + np.abs(xi[:, None] - xi)
             assert kernel.min_gap(z, xi) == d[pairs].min()
 
+    def test_stack_is_one_gap_per_row(self):
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((4, 3, 5)) + 1j * rng.standard_normal((4, 3, 5))
+        gaps = kernel.min_gap(z)
+        assert gaps.shape == (4, 3)
+        assert all(gaps[i, j] == kernel.min_gap(z[i, j]) for i in range(4) for j in range(3))
+        assert np.array_equal(kernel.min_gap(z[:, :, :1]), np.full((4, 3), np.inf))
+
     def test_below_two_points_is_inf(self):
         assert kernel.min_gap(np.zeros(0, dtype=complex)) == np.inf
         assert kernel.min_gap(np.array([1.0 + 1j]), np.array([2.0])) == np.inf
