@@ -177,19 +177,19 @@ def _walk(Pg_T, paths, xi):
                 del live[p]
 
 
-def sheet_integrals(curve: SpectralCurve, integrand, paths,
-                    tol: Tolerances = DEFAULT):
+def sheet_integrals(curve: SpectralCurve, integrand, paths, xi=None):
     """Integrate a per-sheet integrand along paths (waypoint lists), tracking
     all sheets of every path in one walk.  ``integrand(z, xi)`` broadcasts: for
     ``z`` and ``xi`` of broadcast shape ``S`` it returns the integrand
-    components on a leading axis, shape ``(components,) + S``.  Returns ``(I,
+    components on a leading axis, shape ``(components,) + S``; ``xi``, the
+    sorted sheets at the path starts, is taken here unless given.  Returns ``(I,
     sheets_end)`` where ``I[path, comp, sheet]`` accumulates the integral along
     each tracked sheet and ``sheets_end[path, sheet]`` gives the tracked
     xi-values at the path end.
     """
     Pg_T = curve.grid.T.copy()
     z = np.array([path[0] for path in paths], dtype=complex)
-    xi = np.sort_complex(_curve_roots(Pg_T, z))
+    xi = np.sort_complex(_curve_roots(Pg_T, z)) if xi is None else xi.copy()
     total = np.zeros_like(integrand(z[:, None], xi).swapaxes(0, 1))
     for idx, zs, half, xi_nodes, _, xi_next in _walk(Pg_T, paths, xi):
         vals = integrand(zs[..., None], xi_nodes)
@@ -215,7 +215,8 @@ def _integrals_to_points(curve, integrand, z_start, z_end, xi_end, branch_pts, t
     ``(z_end, xi_end)`` by one ``sheet_integrals`` call, on the sheet landing
     there or, for a hop (``xi_start`` given, not nan), the one starting at
     ``xi_start``; a hop of zero length is 0, one past 0.75 of its branch
-    clearance (and 1e-3) raises before any step."""
+    clearance (and 1e-3) raises before any step.  The roots at the starts are
+    taken once, for the hops' start check and the walk."""
     z_start, z_end, xi_end, xi_start = np.broadcast_arrays(
         *(np.asarray(v, dtype=complex) for v in (z_start, z_end, xi_end, xi_start)))
     hop, dz = ~np.isnan(xi_start), np.abs(z_end - z_start)
@@ -227,13 +228,13 @@ def _integrals_to_points(curve, integrand, z_start, z_end, xi_end, branch_pts, t
     walk = ~hop | (dz >= 1e-14 * np.maximum(1.0, np.abs(z_start)))
     z_start, z_end, xi_end, xi_start, hop = (
         v[walk] for v in (z_start, z_end, xi_end, xi_start, hop))
-    start = np.sort_complex(_curve_roots(curve.grid.T, z_start[hop]))
-    first = np.argmin(np.abs(start - xi_start[hop, None]), axis=-1)
-    if np.any(np.abs(start[np.arange(first.size), first] - xi_start[hop])
+    start = np.sort_complex(_curve_roots(curve.grid.T, z_start))
+    first = np.argmin(np.abs(start[hop] - xi_start[hop, None]), axis=-1)
+    if np.any(np.abs(start[hop][np.arange(first.size), first] - xi_start[hop])
               > 1e-3 * np.maximum(1.0, np.abs(xi_start[hop]))):
         raise ConsistencyError("sheet tracking did not start on the divisor point")
     total, xi_fin = sheet_integrals(curve, integrand, [build_path(a, b, branch_pts, tol)
-                                                       for a, b in zip(z_start, z_end)], tol)
+                                                       for a, b in zip(z_start, z_end)], start)
     sheet = np.argmin(np.abs(xi_fin - xi_end[:, None]), axis=-1)
     sheet[hop] = first
     out = np.zeros((walk.size, total.shape[1]), dtype=complex)

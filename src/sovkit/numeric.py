@@ -31,9 +31,6 @@ class PathSpec:
                 raise ValueError("consecutive waypoints must be distinct")
         object.__setattr__(self, "waypoints", pts)
 
-    def reversed(self):
-        return PathSpec(self.waypoints[::-1])
-
 
 class QuadResult(NamedTuple):
     value: complex
@@ -91,30 +88,31 @@ def integrate_path(f: Callable, path: PathSpec, tol: Tolerances = DEFAULT) -> Qu
 # ---------------------------------------------------------------------------
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_A = np.array([
+    [0.0] * 7,
+    [1 / 5] + [0.0] * 6,
+    [3 / 40, 9 / 40] + [0.0] * 5,
+    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+# the fifth-order weights (the last row of _DP_A) minus the fourth-order ones
+_DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                             -92097 / 339200, 187 / 2100, 1 / 40])
 
 
 def _dp_step(field, t, y, h, k1):
     """One step from ``(t, y)`` given ``k1 = field(t, y)``: ``(y5, err, k7)``.
-    The seventh stage is evaluated at ``(t + h, y5)``, so ``k7`` is the next
-    step's ``k1`` ("first same as last")."""
-    k = [k1]
+    The stages are the rows of one (7, N) array, so each stage state and the
+    error are one matmul by a tableau row.  The seventh stage is evaluated at
+    ``(t + h, y5)``, so ``k7`` is the next step's ``k1`` ("first same as last")."""
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = k1
     for i in range(1, 7):
-        y_i = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
-        k.append(np.asarray(field(t + _DP_C[i] * h, y_i), dtype=complex))
-    err = h * np.tensordot(_DP_B5 - _DP_B4, np.array(k), axes=1)
-    return y_i, err, k[6]
+        y_i = y + (h * _DP_A[i, :i]) @ k[:i]
+        k[i] = field(t + _DP_C[i] * h, y_i)
+    return y_i, (h * _DP_E) @ k, k[6]
 
 
 def _rms(v, scale):

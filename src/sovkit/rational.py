@@ -321,18 +321,26 @@ def jacobi_max_residual(tensor: StructureTensor, x, triples) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _gradient_gather(r: int, n: int):
-    """Flat indices into the adjugate array A of every spectral gradient,
-    shape ``(len(spectral_positions), n+1, r, r)``.
+def _covector_plan(r: int, n: int, positions: tuple):
+    """The Vandermonde matrix at the ``K = r n + 1`` roots of unity ``w^s``, and per
+    position ``(k, l)`` its level ``r - 1 - k`` of the Faddeev--LeVerrier ``N``
+    and its DFT rows (n+1, K).  ``dC_{k,l}/dphi_t[i, j] = A_k[j, i]`` at
+    ``z^(l-t)`` and ``A_k = (-1)^(r-1) N_(r-1-k)``, so row ``t`` is ``(-1)^(r-1)
+    w^(-(l-t) s) / K``, 0 where ``l - t`` leaves the z-degrees ``0 .. (r-1-k) n``."""
+    K = r * n + 1
+    k, l = np.array(positions).T[..., None]
+    deg = l - np.arange(n + 1)
+    dft = (-1.0) ** (r - 1) / K * np.exp(-2j * np.pi * (deg[..., None] * np.arange(K) % K) / K)
+    rows = np.where(((deg >= 0) & (deg <= (r - 1 - k) * n))[..., None], dft, 0.0)
+    return kernel._char_adj_plan(r, n)[0], r - 1 - k.ravel(), rows
 
-    d C_{k,l} / d phi_p[i, j] = A[k, j, i, l - p].  A negative ``l - p``
-    wraps to one of the top n z-slots of A, which are exactly zero because
-    deg_z A_k <= (r-1) n.
-    """
-    k, l = np.array(spectral_positions(r, n)).T.reshape(2, -1, 1, 1, 1)
-    p = np.arange(n + 1)[:, None, None]
-    i, j = np.indices((r, r))
-    return np.ravel_multi_index((k, j, i, l - p), (r, r, r, r * n + 1), mode="wrap")
+
+def _spectral_gradients(N, level, rows):
+    """``dC_{k,l}/dphi_t`` (..., positions, n+1, r, r) from the Faddeev--LeVerrier
+    values ``N`` (..., K, r, r, r) by ``_covector_plan``'s levels and rows."""
+    r = N.shape[-1]
+    G = rows @ N[..., level, :, :].reshape(N.shape[:-3] + (len(level), r * r)).swapaxes(-3, -2)
+    return G.reshape(G.shape[:-1] + (r, r)).swapaxes(-1, -2)
 
 
 def spectral_gradient_matrix(phi: MatPoly):
@@ -344,9 +352,9 @@ def spectral_gradient_matrix(phi: MatPoly):
     """
     r, n = phi.r, phi.n
     positions = spectral_positions(r, n)
-    _, A = kernel.matpoly_char_adj(phi.coeff_mats)
-    G = A.take(_gradient_gather(r, n)).reshape(len(positions), -1)
-    return positions, G
+    vander, level, rows = _covector_plan(r, n, tuple(positions))
+    _, N = kernel._faddeev_leverrier((vander @ phi.coeff_mats.reshape(n + 1, -1)).reshape(-1, r, r))
+    return positions, _spectral_gradients(N, level, rows).reshape(len(positions), -1)
 
 
 def involution_max_residual(phi: MatPoly, spec: BracketSpec,
@@ -553,21 +561,25 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
          tol: Tolerances = DEFAULT):
     """Integrate the Hamiltonian flow of ``H = C_{k,l}``, ``h_position = (k, l)``,
     and return the MatPoly states at the times ``t_grid``.  The field
-    ``Pi(phi) grad H`` is ``_lax_field`` with no ``N x N`` matrix, its covector
-    read from the adjugate by ``_gradient_gather``.
+    ``Pi(phi) grad H`` is ``_lax_field`` with no ``N x N`` matrix; its covector
+    blocks are one matmul of the Faddeev--LeVerrier level ``r - 1 - k`` by the
+    blocks of that level's unit values' ``_spectral_gradients``.
     """
     r, n = phi0.r, phi0.n
-    positions = spectral_positions(r, n)
-    if tuple(h_position) not in positions:
+    if tuple(h_position) not in spectral_positions(r, n):
         raise ValueError(f"{h_position} is not a spectral coefficient position")
     a = structure_tensor(r, n, spec, tol).a
-    g = _covector_blocks(_gradient_gather(r, n)[[positions.index(tuple(h_position))]])
+    vander, level, rows = _covector_plan(r, n, (tuple(h_position),))
+    E = len(vander) * r * r
+    unit = _spectral_gradients(np.eye(E).reshape(E, -1, 1, r, r), [0], rows)[:, 0]
+    blocks = _covector_blocks(unit).reshape(2, (n + 1) * r, E, r).swapaxes(-2, -1).reshape(-1, E)
 
     def field(t, x):
         if not np.all(np.isfinite(x)):
             raise ValueError("coefficients must be finite")
-        A = kernel.matpoly_char_adj(x.reshape(n + 1, r, r))[1]
-        return _lax_field(x[None], A.take(g), a, spec.b).ravel()
+        _, N = kernel._faddeev_leverrier((vander @ x.reshape(n + 1, -1)).reshape(-1, r, r))
+        g = (blocks @ N[:, level[0]].reshape(-1)).reshape(2, (n + 1) * r, r)
+        return _lax_field(x[None], g, a, spec.b).ravel()
 
     states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)
     return [MatPoly.from_flat(row, r, n) for row in states]

@@ -290,6 +290,83 @@ class TestBracketOp:
             assert np.abs(dpi[:, :, c] - fd).max() < 1e-7
 
 
+def adjugate_gradient_oracle(phi):
+    """Every spectral gradient read from ``matpoly_char_adj``'s ``A``:
+    ``dC_{k,l}/dphi_p[i, j] = A[k, j, i, l - p]``, 0 for ``l < p``."""
+    r, n = phi.r, phi.n
+    _, A = kernel.matpoly_char_adj(phi.coeff_mats)
+    positions = R.spectral_positions(r, n)
+    G = np.zeros((len(positions), n + 1, r, r), dtype=complex)
+    for c, (k, l) in enumerate(positions):
+        for p in range(min(l, n) + 1):
+            G[c, p] = A[k, :, :, l - p].T
+    return positions, G.reshape(len(positions), -1), np.abs(A).max()
+
+
+def captured_flow_field(phi, pos, spec, monkeypatch):
+    """The field ``flow`` hands to the ODE solver, captured without stepping."""
+    fields = []
+    with monkeypatch.context() as m:
+        m.setattr(R, "ode_solve", lambda field, x0, *args, **kw: fields.append(field)
+                  or np.array([x0]))
+        R.flow(phi, pos, spec, [0.0, 1.0])
+    return fields[0]
+
+
+COVECTOR_SHAPES = [(1, 2), (2, 0), (2, 2), (2, 3), (3, 1), (4, 1)]
+
+
+class TestCovectorPlan:
+    @pytest.mark.parametrize("r,n", COVECTOR_SHAPES)
+    def test_gradient_matrix_matches_adjugate(self, r, n):
+        rng = np.random.default_rng(40 + 10 * r + n)
+        phi = unit_disk_matpoly(rng, r, n)
+        positions, G = R.spectral_gradient_matrix(phi)
+        oracle_positions, oracle, scale = adjugate_gradient_oracle(phi)
+        assert positions == oracle_positions
+        assert np.abs(G - oracle).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("r,n", COVECTOR_SHAPES)
+    def test_flow_field_matches_adjugate(self, r, n, monkeypatch):
+        rng = np.random.default_rng(50 + 10 * r + n)
+        phi = unit_disk_matpoly(rng, r, n)
+        x = phi.flatten()
+        a = rng.standard_normal(n + 2) + 1j * rng.standard_normal(n + 2)
+        random = R.BracketSpec(a=tuple(a), b=complex(rng.standard_normal(), rng.standard_normal()))
+        positions, oracle, _ = adjugate_gradient_oracle(phi)
+        for spec in (R.BracketSpec(a=(1.0,), b=0.0), R.BracketSpec(a=(0.0,), b=1.0), random):
+            pi = R.structure_tensor(r, n, spec).poisson_matrix(x)
+            for pos, grad in zip(positions, oracle):
+                field = captured_flow_field(phi, pos, spec, monkeypatch)(0.0, x)
+                scale = max(np.linalg.norm(pi) * np.linalg.norm(grad), 1e-300)
+                assert np.abs(field - pi @ grad).max() <= 1e-13 * scale, (spec, pos)
+
+    def test_flow_stage_makes_no_char_adj_call(self, monkeypatch):
+        # each stage reads its covector through the plan: one Faddeev--LeVerrier
+        # recursion, no matpoly_char_adj (no FFT over every adjugate column)
+        rng = np.random.default_rng(61)
+        phi = R.random_instance(2, 2, rng)
+        spec = R.BracketSpec(a=(1.0,), b=0.0)
+        hams, _ = R.casimir_detect(phi, spec)
+        R.flow(phi, hams[0], spec, [0.0, 1e-3])      # plans and tensor cached
+        counts = {"char_adj": 0, "recursion": 0, "field": 0}
+
+        def counted(name, fn):
+            return lambda *a, **kw: counts.__setitem__(name, counts[name] + 1) or fn(*a, **kw)
+
+        monkeypatch.setattr(kernel, "matpoly_char_adj",
+                            counted("char_adj", kernel.matpoly_char_adj))
+        monkeypatch.setattr(kernel, "_faddeev_leverrier",
+                            counted("recursion", kernel._faddeev_leverrier))
+        solve = R.ode_solve
+        monkeypatch.setattr(R, "ode_solve", lambda field, *a, **kw: solve(
+            counted("field", field), *a, **kw))
+        R.flow(phi, hams[0], spec, np.linspace(0.0, 0.2, 3))
+        assert counts["field"] > 2
+        assert counts["char_adj"] == 0
+        assert counts["recursion"] == counts["field"]
+
+
 class TestInvolutionAndCasimirs:
     def test_involution_random_bracket(self):
         rng = np.random.default_rng(8)
