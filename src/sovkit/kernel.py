@@ -62,6 +62,13 @@ def poly_der(c):
     return npoly.polyder(c)
 
 
+def frozen(*arrays):
+    """The arrays, read-only: a cache or module table shares them with every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def min_gap(*vals):
     """Smallest ``sum_v |v[i] - v[j]|`` over pairs ``i != j`` of points given
     by equal-length 1-D coordinate arrays ``vals``; ``inf`` below two points.
@@ -268,8 +275,8 @@ def adjugate(M):
 def _char_adj_plan(r: int, n: int):
     """Vandermonde matrix at the r n + 1 roots of unity; ``keep[k, l] = l <= (r-k) n``."""
     zs = np.exp(2j * np.pi * np.arange(r * n + 1) / (r * n + 1))
-    return np.vander(zs, n + 1, increasing=True), np.arange(r * n + 1) <= (
-        r - np.arange(r + 1))[:, None] * n
+    return frozen(np.vander(zs, n + 1, increasing=True), np.arange(r * n + 1) <= (
+        r - np.arange(r + 1))[:, None] * n)
 
 
 def matpoly_char_adj(coeff_mats):

@@ -10,9 +10,11 @@ linearizing coordinate attached to the spectral coefficient H_i is
 integrated along the sheet of the curve that ends at (z_mu, xi_mu).  Straight
 z-paths are re-routed around branch points.  One stepper, ``_walk``, steps a
 stack of paths in lockstep, tracks every sheet by continuity and yields each
-round's Gauss-Legendre panels; ``sheet_integrals`` is the quadrature sum over
-them, and the b != 0 generating value continues its logarithm across the same
-panels' ordered nodes.  A ``linearize`` call walks all its paths in one stack.
+round's Gauss-Legendre panels.  ``sheet_integrals`` cuts long segments into
+pieces, walks every piece of every path in one stack, sums the quadrature
+over the panels and joins the pieces' sheets at their junctions; the b != 0
+generating value continues its logarithm across the panels' ordered nodes
+along whole paths.  A ``linearize`` call walks all its paths in one stack.
 """
 
 from dataclasses import dataclass
@@ -105,7 +107,7 @@ def pick_base_point(branch_pts, endpoint_hint=0.0):
 # ---------------------------------------------------------------------------
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
-_FRAC = (_NODES + 1.0) / 2.0
+_NODES, _WEIGHTS, _FRAC = kernel.frozen(_NODES, _WEIGHTS, (_NODES + 1.0) / 2.0)
 
 
 def _curve_roots(Pg_T, z):
@@ -124,20 +126,23 @@ def _match_order(ref, roots):
 
 def _walk(Pg_T, paths, xi):
     """Sheet-tracked Gauss-Legendre panels along paths whose sheets start at
-    ``xi`` (paths, sheets), all stepped in lockstep.  Per segment a path's step
-    (its own Python complex) starts at an eighth of it, halves while a sheet
-    moves more than a quarter of the sheet gap, grows by 1.9 while below a
-    quarter of it.  A round takes every active path's roots at 12 nodes and
-    the step end in one ``_curve_roots`` call and yields the panels passing
-    that test as stacks ``(idx, zs, half, xi_nodes, z_next, xi_next)``: paths,
+    ``xi`` (paths, sheets), all stepped in lockstep.  A round takes every
+    active path's roots at 12 nodes and the step end in one ``_curve_roots``
+    call; a panel passes when ``rho``, the largest sheet move over a quarter
+    of the sheet gap, is at most 1.  Per segment a path's step starts at an
+    eighth of it; the next is ``h clip(0.8 / rho, 0.1, 0.5)`` after a failed
+    panel (one failing at ``h <= 1e-10`` raises) and ``h clip(0.8 / rho, 1,
+    1.9)`` after a passing one while ``h`` is below a quarter of the segment
+    (Hairer, Norsett and Wanner, Solving ODEs I, II.4).  Passing panels are
+    yielded as stacks ``(idx, zs, half, xi_nodes, z_next, xi_next)``: paths,
     nodes, Jacobians, sheet values at the nodes (nearest each sheet's linear
     interpolant), step ends and their sheets.  Sending a mask over the panels
-    rejects those: their steps halve and shorter ones follow."""
+    rejects those: their steps halve."""
     xi, gap = xi.copy(), kernel.min_gap(xi)
     segs = [[(a, b) for a, b in zip(path, path[1:]) if abs(a - b) > 1e-15 * max(1.0, abs(b))]
             for path in paths]
     # path -> [segment, z, step, attempts on the segment]
-    live = {p: [0, s[0][0], (s[0][1] - s[0][0]) / 8.0, 0] for p, s in enumerate(segs) if s}
+    live = {p: [0, s[0][0], abs(s[0][1] - s[0][0]) / 8.0, 0] for p, s in enumerate(segs) if s}
     while live:
         idx, h, z_next, half = np.array(list(live)), [], [], []
         z_cur = np.array([st[1] for st in live.values()])
@@ -146,16 +151,20 @@ def _walk(Pg_T, paths, xi):
             if st[3] > 100000:
                 raise ConsistencyError("sheet tracking stalled")
             step_dir = (b - z) / abs(b - z)
-            h.append(min(abs(st[2]), abs(b - z)))
+            h.append(min(st[2], abs(b - z)))
             z_next.append(z + h[-1] * step_dir)
             half.append(0.5 * (z_next[-1] - z))
-        half = np.array(half)
+        h, half = np.array(h), np.array(half)
         zs = (0.5 * (z_cur + z_next))[:, None] + half[:, None] * _NODES
         roots = _curve_roots(Pg_T, np.column_stack([zs, z_next]))
         xi_next = _match_order(xi[idx], roots[:, -1])
         gap_next = kernel.min_gap(xi_next)
-        move = np.abs(xi_next - xi[idx]).max(axis=-1)
-        ok = (move <= 0.25 * np.minimum(gap[idx], gap_next)) | (np.array(h) <= 1e-10)
+        move, bound = np.abs(xi_next - xi[idx]).max(axis=-1), 0.25 * np.minimum(gap[idx], gap_next)
+        ok = move <= bound
+        if np.any(~ok & (h <= 1e-10)):
+            raise ConsistencyError("sheet tracking step fell below 1e-10")
+        factor = np.divide(0.8 * bound, move, out=np.full(move.shape, np.inf), where=move > 0)
+        factor = np.where(ok, np.clip(factor, 1.0, 1.9), np.clip(factor, 0.1, 0.5))
         if ok.any():
             pred = xi[idx[ok], None] + (xi_next - xi[idx])[ok, None] * _FRAC[:, None]
             pick = np.argmin(np.abs(roots[ok, :-1, None, :] - pred[..., None]), axis=-1)
@@ -164,17 +173,28 @@ def _walk(Pg_T, paths, xi):
                             np.array(z_next)[ok], xi_next[ok])
             ok[ok] = True if reject is None else ~np.asarray(reject)
         xi[idx[ok]], gap[idx[ok]] = xi_next[ok], gap_next[ok]
-        for p, zn, good in zip(idx, z_next, ok):
+        for p, zn, good, hp, g in zip(idx, z_next, ok, h, factor):
             st, (a, b) = live[p], segs[p][live[p][0]]
-            if not good:
-                st[2] = st[2] / 2.0
+            if not good:  # a panel the caller rejected passed the gap test, g >= 1
+                st[2] = hp * min(g, 0.5)
             elif abs(zn - b) > 1e-15 * max(1.0, abs(b)):
-                st[1], st[2] = zn, st[2] * 1.9 if abs(st[2]) < abs(b - a) / 4 else st[2]
+                st[1], st[2] = zn, st[2] * g if st[2] < abs(b - a) / 4 else st[2]
             elif st[0] + 1 < len(segs[p]):
                 a, b = segs[p][st[0] + 1]
-                live[p] = [st[0] + 1, a, (b - a) / 8.0, 0]
+                live[p] = [st[0] + 1, a, abs(b - a) / 8.0, 0]
             else:
                 del live[p]
+
+
+def _pieces(path):
+    """The path's segments as (start, end) pieces, each segment longer than
+    5% of ``max(1, |a|, |b|)`` cut into 4 equal ones."""
+    out = []
+    for a, b in zip(path, path[1:]):
+        n = 4 if abs(b - a) > 0.05 * max(1.0, abs(a), abs(b)) else 1
+        ends = [a + (b - a) * (k / n) for k in range(n)] + [b]
+        out += zip(ends, ends[1:])
+    return out
 
 
 def sheet_integrals(curve: SpectralCurve, integrand, paths, xi=None):
@@ -186,26 +206,50 @@ def sheet_integrals(curve: SpectralCurve, integrand, paths, xi=None):
     sheets_end)`` where ``I[path, comp, sheet]`` accumulates the integral along
     each tracked sheet and ``sheets_end[path, sheet]`` gives the tracked
     xi-values at the path end.
+
+    The ``_pieces`` of every path are one-segment items of one ``_walk``
+    stack, each from the sorted roots at its start.  At each junction the
+    previous piece's end sheets are matched to the next piece's start roots
+    within the ``_landing_sheets`` bound, or ``ConsistencyError`` is raised
+    (sheet continuation of Deconinck and van Hoeij, Physica D 152-153, 2001).
     """
     Pg_T = curve.grid.T.copy()
-    z = np.array([path[0] for path in paths], dtype=complex)
-    xi = np.sort_complex(_curve_roots(Pg_T, z)) if xi is None else xi.copy()
-    total = np.zeros_like(integrand(z[:, None], xi).swapaxes(0, 1))
-    for idx, zs, half, xi_nodes, _, xi_next in _walk(Pg_T, paths, xi):
+    per_path = [_pieces(path) for path in paths]
+    count = np.array([len(p) for p in per_path], dtype=int)
+    first = np.cumsum(count) - count
+    pieces = [piece for p in per_path for piece in p]
+    z = np.array([a for a, _ in pieces], dtype=complex)
+    start = np.sort_complex(_curve_roots(Pg_T, z))
+    if xi is not None:
+        start[first] = xi
+    total, end = np.zeros_like(integrand(z[:, None], start).swapaxes(0, 1)), start.copy()
+    for idx, zs, half, xi_nodes, _, xi_next in _walk(Pg_T, pieces, start):
         vals = integrand(zs[..., None], xi_nodes)
         total[idx] += half[:, None, None] * np.tensordot(_WEIGHTS, vals, ([0], [2])).swapaxes(0, 1)
-        xi[idx] = xi_next
-    return total, xi
+        end[idx] = xi_next
+    # sheet[k, j]: the sorted start sheet of piece k that path start sheet j runs along
+    r, pos = start.shape[1], np.arange(len(pieces)) - np.repeat(first, count)
+    sheet = np.tile(np.arange(r), (len(pieces), 1))
+    for k in range(1, pos.max(initial=0) + 1):
+        nxt = np.flatnonzero(pos == k)
+        lands = _landing_sheets(np.repeat(end[nxt - 1], r, axis=0), start[nxt].ravel(),
+                                what="the next piece's start").reshape(-1, r)
+        if np.any(np.sort(lands, axis=1) != np.arange(r)):
+            raise ConsistencyError("sheet tracking junction is not a bijection")
+        sheet[nxt] = np.take_along_axis(np.argsort(lands, axis=1), sheet[nxt - 1], axis=1)
+    last = first + count - 1
+    return (np.add.reduceat(np.take_along_axis(total, sheet[:, None, :], axis=2), first),
+            np.take_along_axis(end[last], sheet[last], axis=1))
 
 
-def _landing_sheets(xi_fin, xi_end, sheet=None):
+def _landing_sheets(xi_fin, xi_end, sheet=None, what="the divisor point"):
     """Per path the tracked sheet (by default the nearest) checked to end at xi_end."""
     if sheet is None:
         sheet = np.argmin(np.abs(xi_fin - xi_end[:, None]), axis=-1)
     miss = np.abs(xi_fin[np.arange(len(xi_end)), sheet] - xi_end)
     if np.any(miss > np.minimum(0.45 * kernel.min_gap(xi_fin),
                                 1e-3 * np.maximum(1.0, np.abs(xi_end)))):
-        raise ConsistencyError("sheet tracking did not land on the divisor point")
+        raise ConsistencyError("sheet tracking did not land on " + what)
     return sheet
 
 

@@ -11,6 +11,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import NumericDomainError
+from .kernel import frozen
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = ["PathSpec", "QuadResult", "integrate_path", "ode_solve"]
@@ -100,6 +101,7 @@ _DP_A = np.array([
 # the fifth-order weights (the last row of _DP_A) minus the fourth-order ones
 _DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                              -92097 / 339200, 187 / 2100, 1 / 40])
+frozen(_DP_C, _DP_A, _DP_E)
 
 
 def _dp_step(field, t, y, h, k1):

@@ -240,8 +240,8 @@ def _lax_plan(r: int, n: int):
            for p in (B - A, A + 1 + B) for flat in (u * r + v, v * r + u)]
     a_toe = np.where((B >= A) & (u == v), N + 1 + B - A, N)
     index = [*phi[:2], a_toe, a_toe, *phi[2:], np.where(u == v, N + 2 + A + B, N)]
-    return (np.array(index).reshape(7, N // r, N // r),
-            _covector_blocks(np.eye(N, dtype=complex).reshape(N, n + 1, r, r)))
+    return kernel.frozen(np.array(index).reshape(7, N // r, N // r),
+                         _covector_blocks(np.eye(N, dtype=complex).reshape(N, n + 1, r, r)))
 
 
 def _lax_field(x, g, a, b):
@@ -286,7 +286,8 @@ def structure_tensor(r: int, n: int, spec: BracketSpec,
     a = kernel.poly_trim(spec.a_array, tol)
     if a.size > n + 2:
         raise ValueError("deg(a) must be at most n + 1")
-    return StructureTensor(r=r, n=n, spec=spec, a=np.pad(a, (0, 2 * n + 2 - a.size)))
+    a, = kernel.frozen(np.pad(a, (0, 2 * n + 2 - a.size)))
+    return StructureTensor(r=r, n=n, spec=spec, a=a)
 
 
 def bracket(grad_f, grad_g, phi: MatPoly, spec: BracketSpec,
@@ -332,7 +333,7 @@ def _covector_plan(r: int, n: int, positions: tuple):
     deg = l - np.arange(n + 1)
     dft = (-1.0) ** (r - 1) / K * np.exp(-2j * np.pi * (deg[..., None] * np.arange(K) % K) / K)
     rows = np.where(((deg >= 0) & (deg <= (r - 1 - k) * n))[..., None], dft, 0.0)
-    return kernel._char_adj_plan(r, n)[0], r - 1 - k.ravel(), rows
+    return (kernel._char_adj_plan(r, n)[0],) + kernel.frozen(r - 1 - k.ravel(), rows)
 
 
 def _spectral_gradients(N, level, rows):

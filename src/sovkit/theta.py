@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConsistencyError, NumericDomainError
+from .kernel import frozen
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -111,12 +112,13 @@ class ThetaQuotients:
     """
 
     def __init__(self, params: ThetaParams, shifts, powers, gamma, coef, scale):
-        self.params, self.coef, self.scale = params, coef, scale
+        self.params, self.coef, self.scale = params, np.asarray(coef), scale
         self.shifts, inverse = np.unique(np.asarray(shifts, dtype=complex), return_inverse=True)
         # complex, so that the power and the matmul below need no cast
         self.powers = np.asarray(powers, dtype=complex) @ (
             inverse[:, None] == np.arange(self.shifts.size))
         self.phase = 2j * np.pi * np.asarray(gamma, dtype=complex)
+        frozen(self.shifts, self.powers, self.phase, self.coef)
 
     def _quotients(self, u, th):
         return (self.coef * np.exp(self.phase * u[..., None])

@@ -295,8 +295,9 @@ class TestSheetTracking:
         assert abs(total[0, 0] - exact) < 1e-9
 
     def test_sheet_integrals_reference(self):
-        # the integrals over a path of 29 panels and 27 rejected attempts, bit
-        # for bit; the path ends come from branch_points and divisor_coords
+        # the integrals over a one-segment path cut into 4 pieces, walked in
+        # 27 panels and 4 rejected attempts, bit for bit; the path ends come
+        # from branch_points and divisor_coords
         phi = R.random_instance(2, 3, np.random.default_rng(7))
         curve = R.spectral_curve(phi)
         bps, _ = R.branch_points(curve)
@@ -306,11 +307,17 @@ class TestSheetTracking:
         path = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
         total, end = (v[0] for v in linearize.sheet_integrals(curve, integrand, [path]))
         assert np.array_equal(total.ravel(), [
-            3.9840044270770285 + 1.0299161544859052j, 2.2463955502248716 + 1.8185556215621947j,
-            3.7341255774091864 + 7.748899142880272j, 3.937610471263028 + 5.218288821684655j,
-            1.4297183672249008 - 0.05793742531465232j, -1.4297183672249008 + 0.05793742531465228j])
+            3.9840044270770285 + 1.0299161544859055j, 2.2463955502248716 + 1.8185556215621947j,
+            3.734125577409187 + 7.7488991428802745j, 3.937610471263029 + 5.218288821684654j,
+            1.4297183672249005 - 0.05793742531465218j, -1.4297183672249008 + 0.05793742531465222j])
         assert np.array_equal(end, [2.53207131929456 + 1.057501336559314j,
                                     0.8774556052321555 - 2.3422934648823763j])
+        # oracle: the same straight path as 33 waypoints, 32 uncut pieces
+        assert len(path) == 2
+        fine, fine_end = (v[0] for v in linearize.sheet_integrals(
+            curve, integrand, [list(np.linspace(path[0], path[1], 33))]))
+        assert np.all(np.abs(total - fine) <= 1e-13 * np.maximum(1.0, np.abs(fine)))
+        assert np.array_equal(end, fine_end)
 
 
 @pytest.fixture(scope="module")
@@ -399,6 +406,51 @@ class TestBatchedWalk:
                                                linearize.DEFAULT)
         assert counting.calls == [1, 1]
         assert not out[0].any() and np.array_equal(out[1], alone[0])
+
+    def test_step_floor_raises(self):
+        # a straight path through a branch point: the sheets meet there, so
+        # no step passes the gap test and the walk must not accept one
+        phi = R.random_instance(2, 2, np.random.default_rng(3))
+        curve = R.spectral_curve(phi)
+        bps, _ = R.branch_points(curve)
+        integrand = linearize._conjugate_integrand(
+            curve, R.BracketSpec(a=(1.0,), b=0.0), [(1, 0)])
+        with pytest.raises(ConsistencyError, match="below 1e-10"):
+            linearize.sheet_integrals(curve, integrand,
+                                      [[bps[0] - (0.3 + 0.2j), bps[0] + (0.3 + 0.2j)]])
+
+    def test_junction_off_the_next_start_raises(self, reference_r2_n3, monkeypatch):
+        curve, bps, d, integrand = reference_r2_n3
+        path = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
+        start = _start_sheets(curve, path[0])[None]
+        inner = linearize._curve_roots
+
+        def shifted_starts(Pg_T, z):
+            # the piece starts come in one 1-D call, the walk's nodes in 2-D ones
+            return inner(Pg_T, z) + (0.05 if np.ndim(z) == 1 else 0.0)
+
+        monkeypatch.setattr(linearize, "_curve_roots", shifted_starts)
+        with pytest.raises(ConsistencyError, match="did not land on the next piece"):
+            linearize.sheet_integrals(curve, integrand, [path], start)
+
+    def test_split_path_matches_whole(self, reference_r2_n3):
+        curve, bps, d, integrand = reference_r2_n3
+        a, b = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
+        whole, whole_end = linearize.sheet_integrals(curve, integrand, [[a, b]])
+        split, split_end = linearize.sheet_integrals(curve, integrand,
+                                                     [[a, a + 0.37 * (b - a), b]])
+        assert np.all(np.abs(split - whole) <= 1e-14 * np.maximum(1.0, np.abs(whole)))
+        assert np.all(np.abs(split_end - whole_end) <= 1e-14 * np.abs(whole_end))
+
+    def test_reference_path_round_count(self, reference_r2_n3, monkeypatch):
+        # one call for the roots at the 4 piece starts, then 13 lockstep rounds
+        curve, bps, d, integrand = reference_r2_n3
+        path = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
+        calls, inner = [], linearize._curve_roots
+        monkeypatch.setattr(linearize, "_curve_roots",
+                            lambda Pg_T, z: calls.append(np.shape(z)) or inner(Pg_T, z))
+        linearize.sheet_integrals(curve, integrand, [path])
+        assert len(calls) == 14 and calls[0] == (4,)
 
     def test_match_order_takes_each_root_once(self):
         ref = np.array([[0.0, 0.1, 3.0], [1.0, 2.0, 3.0]], dtype=complex)

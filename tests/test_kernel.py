@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sovkit import kernel
+from sovkit import kernel, linearize, numeric, rational, theta
 from sovkit.errors import ConvergenceError, NonGenericError
 from sovkit.tolerances import Tolerances
 
@@ -458,3 +458,17 @@ class TestMinGap:
     def test_below_two_points_is_inf(self):
         assert kernel.min_gap(np.zeros(0, dtype=complex)) == np.inf
         assert kernel.min_gap(np.array([1.0 + 1j]), np.array([2.0])) == np.inf
+
+
+def test_cached_plans_and_tables_are_read_only():
+    # lru_cache and module tables hand one array to every caller
+    quotients = [theta.f_quotients(theta.ThetaParams(tau=0.3 + 1.1j, r=r)) for r in (2, 3)]
+    for arr in [*kernel._char_adj_plan(2, 3), *rational._lax_plan(2, 2),
+                *rational._covector_plan(2, 2, ((1, 0), (0, 3))),
+                rational.structure_tensor(2, 2, rational.BracketSpec(a=(1.0,), b=0.0)).a,
+                *(getattr(q, name) for q in quotients
+                  for name in ("shifts", "powers", "phase", "coef")),
+                linearize._NODES, linearize._WEIGHTS, linearize._FRAC,
+                numeric._DP_C, numeric._DP_A, numeric._DP_E]:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
