@@ -22,6 +22,8 @@ __all__ = ["CheckResult", "ExperimentConfig", "Report", "SUITES", "run_acceptanc
            "theta_cell"]
 
 RN_COMBOS = ((2, 2), (2, 3), (3, 1), (4, 1))
+BRACKETS = {"linear": rational.BracketSpec(a=(1.0,), b=0.0),
+            "quadratic": rational.BracketSpec(a=(0.0,), b=1.0)}
 
 
 @dataclass
@@ -95,8 +97,6 @@ def suite_jacobi(config: ExperimentConfig):
 def suite_isospectral(config: ExperimentConfig):
     out = []
     tol = 1e-8 * config.tol_scale
-    brackets = (rational.BracketSpec(a=(1.0,), b=0.0),
-                rational.BracketSpec(a=(0.0,), b=1.0))
     for (r, n) in RN_COMBOS:
         rng = np.random.default_rng(config.seed + 37)
         worst = 0.0
@@ -105,7 +105,7 @@ def suite_isospectral(config: ExperimentConfig):
             phi = rational.random_instance(r, n, rng)
             base = rational.spectral_curve(phi).grid
             scale = max(1.0, np.abs(base).max())
-            for spec in brackets:
+            for spec in BRACKETS.values():
                 hams, _ = rational.casimir_detect(phi, spec)
                 for pos in hams:
                     traj = rational.flow(phi, pos, spec, np.linspace(0.0, 1.0, 5))
@@ -124,11 +124,7 @@ def suite_canonical(config: ExperimentConfig):
     rng = np.random.default_rng(config.seed + 41)
     a_rand = tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     b_rand = complex(rng.standard_normal() + 1j * rng.standard_normal())
-    brackets = {
-        "linear": rational.BracketSpec(a=(1.0,), b=0.0),
-        "quadratic": rational.BracketSpec(a=(0.0,), b=1.0),
-        "mixed": rational.BracketSpec(a=a_rand, b=b_rand),
-    }
+    brackets = {**BRACKETS, "mixed": rational.BracketSpec(a=a_rand, b=b_rand)}
     for n in (2, 3):
         phi = rational.random_instance(2, n, rng)
         for label, spec in brackets.items():
@@ -167,10 +163,25 @@ def suite_linearization(config: ExperimentConfig):
     out = []
     tol_fit = 1e-5 * config.tol_scale
     tol_path = 1e-8 * config.tol_scale
+    tol_slopes = 1e-6 * config.tol_scale
+    tol_identity = 1e-9 * config.tol_scale
+    # the slope identity dQ_i/dt_j = delta_ij in closed form, on every shape
+    for (r, n) in RN_COMBOS:
+        rng = np.random.default_rng(config.seed + 59)
+        phis = [rational.random_instance(r, n, rng) for _ in range(5)]
+        for label, spec in BRACKETS.items():
+            worst = 0.0
+            for phi in phis:
+                hams, S = linearize.slope_matrix(phi, spec)
+                worst = max(worst, float(np.abs(S - np.eye(len(hams))).max()))
+            out.append(CheckResult.from_residual(
+                f"slopes_r{r}_n{n}_{label}", worst, tol_identity,
+                instances=len(phis), hamiltonians=len(hams)))
+
     rng = np.random.default_rng(config.seed + 53)
-    spec = rational.BracketSpec(a=(1.0,), b=0.0)
+    spec = BRACKETS["linear"]
     phi, curve, bps, d = _linearization_instance(rng)
-    hams, _ = rational.casimir_detect(phi, spec)
+    hams, S = linearize.slope_matrix(phi, spec)
     worst_fit = 0.0
     slope_dev = 0.0
     for j, flow_pos in enumerate(hams):
@@ -195,12 +206,13 @@ def suite_linearization(config: ExperimentConfig):
         if res is None:
             raise MatchingError("linearization window could not be stabilized")
         worst_fit = max(worst_fit, float(res.fit_residuals.max()))
-        expected = np.zeros(len(hams))
-        expected[j] = 1.0
-        slope_dev = max(slope_dev, float(np.abs(res.slopes - expected).max()))
+        slope_dev = max(slope_dev, float(np.abs(res.slopes - S[:, j]).max()))
     out.append(CheckResult.from_residual(
-        "linearization_fit_r2_n3", worst_fit, tol_fit,
-        hamiltonians=len(hams), slope_identity_deviation=slope_dev))
+        "linearization_fit_r2_n3", worst_fit, tol_fit, hamiltonians=len(hams)))
+    # the path-integral slopes against S at t = 0: a sheet error in the Abel
+    # sums fails here instead of fitting a wrong line
+    out.append(CheckResult.from_residual(
+        "linearization_slopes_r2_n3", slope_dev, tol_slopes, hamiltonians=len(hams)))
 
     # path independence within a branch-free homotopy class: the detour
     # midpoint is chosen so the triangle (z0, mid, ze) contains no branch

@@ -12,9 +12,12 @@ z-paths are re-routed around branch points.  One stepper, ``_walk``, steps a
 stack of paths in lockstep, tracks every sheet by continuity and yields each
 round's Gauss-Legendre panels.  ``sheet_integrals`` cuts long segments into
 pieces, walks every piece of every path in one stack, sums the quadrature
-over the panels and joins the pieces' sheets at their junctions; the b != 0
-generating value continues its logarithm across the panels' ordered nodes
-along whole paths.  A ``linearize`` call walks all its paths in one stack.
+over the panels and joins the pieces' sheets at their junctions.  A
+``linearize`` call walks all its paths in one stack.
+
+The infinitesimal form needs no path: along the flow of H_j the Abel map
+moves by ``S = Omega V``, the integrand at the divisor points times the
+divisor's velocities, and ``S`` is the identity (``slope_matrix``).
 """
 
 from dataclasses import dataclass
@@ -23,13 +26,15 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .errors import ConsistencyError, MatchingError, NumericDomainError
+from .errors import ConsistencyError, MatchingError, NonGenericError, NumericDomainError
+from .numeric import _GL_NODES as _NODES, _GL_WEIGHTS as _WEIGHTS
 from .rational import (BracketSpec, DivisorCoords, MatPoly, SpectralCurve,
-                       branch_points, divisor_coords, spectral_curve)
+                       branch_points, casimir_detect, divisor_coords, divisor_jacobian,
+                       spectral_curve, spectral_gradient_matrix, structure_tensor)
 from .tolerances import DEFAULT, Tolerances
 
-__all__ = ["LinearizeResult", "build_path", "sheet_integrals", "abel_sums",
-           "generating_value", "linearize", "pick_base_point"]
+__all__ = ["LinearizeResult", "build_path", "sheet_integrals", "slope_matrix",
+           "linearize", "pick_base_point"]
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +111,7 @@ def pick_base_point(branch_pts, endpoint_hint=0.0):
 # sheet-tracked panels
 # ---------------------------------------------------------------------------
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
-_NODES, _WEIGHTS, _FRAC = kernel.frozen(_NODES, _WEIGHTS, (_NODES + 1.0) / 2.0)
+_FRAC, = kernel.frozen((_NODES + 1.0) / 2.0)
 
 
 def _curve_roots(Pg_T, z):
@@ -134,10 +138,9 @@ def _walk(Pg_T, paths, xi):
     panel (one failing at ``h <= 1e-10`` raises) and ``h clip(0.8 / rho, 1,
     1.9)`` after a passing one while ``h`` is below a quarter of the segment
     (Hairer, Norsett and Wanner, Solving ODEs I, II.4).  Passing panels are
-    yielded as stacks ``(idx, zs, half, xi_nodes, z_next, xi_next)``: paths,
-    nodes, Jacobians, sheet values at the nodes (nearest each sheet's linear
-    interpolant), step ends and their sheets.  Sending a mask over the panels
-    rejects those: their steps halve."""
+    yielded as stacks ``(idx, zs, half, xi_nodes, xi_next)``: paths, nodes,
+    Jacobians, sheet values at the nodes (nearest each sheet's linear
+    interpolant) and the sheets at the step ends."""
     xi, gap = xi.copy(), kernel.min_gap(xi)
     segs = [[(a, b) for a, b in zip(path, path[1:]) if abs(a - b) > 1e-15 * max(1.0, abs(b))]
             for path in paths]
@@ -168,15 +171,13 @@ def _walk(Pg_T, paths, xi):
         if ok.any():
             pred = xi[idx[ok], None] + (xi_next - xi[idx])[ok, None] * _FRAC[:, None]
             pick = np.argmin(np.abs(roots[ok, :-1, None, :] - pred[..., None]), axis=-1)
-            reject = yield (idx[ok], zs[ok], half[ok],
-                            np.take_along_axis(roots[ok, :-1], pick, axis=-1),
-                            np.array(z_next)[ok], xi_next[ok])
-            ok[ok] = True if reject is None else ~np.asarray(reject)
+            yield (idx[ok], zs[ok], half[ok],
+                   np.take_along_axis(roots[ok, :-1], pick, axis=-1), xi_next[ok])
         xi[idx[ok]], gap[idx[ok]] = xi_next[ok], gap_next[ok]
         for p, zn, good, hp, g in zip(idx, z_next, ok, h, factor):
             st, (a, b) = live[p], segs[p][live[p][0]]
-            if not good:  # a panel the caller rejected passed the gap test, g >= 1
-                st[2] = hp * min(g, 0.5)
+            if not good:
+                st[2] = hp * g
             elif abs(zn - b) > 1e-15 * max(1.0, abs(b)):
                 st[1], st[2] = zn, st[2] * g if st[2] < abs(b - a) / 4 else st[2]
             elif st[0] + 1 < len(segs[p]):
@@ -202,7 +203,8 @@ def sheet_integrals(curve: SpectralCurve, integrand, paths, xi=None):
     all sheets of every path in one walk.  ``integrand(z, xi)`` broadcasts: for
     ``z`` and ``xi`` of broadcast shape ``S`` it returns the integrand
     components on a leading axis, shape ``(components,) + S``; ``xi``, the
-    sorted sheets at the path starts, is taken here unless given.  Returns ``(I,
+    sorted sheets at the path starts, is taken here unless given, and the
+    roots are taken only at the starts it does not give.  Returns ``(I,
     sheets_end)`` where ``I[path, comp, sheet]`` accumulates the integral along
     each tracked sheet and ``sheets_end[path, sheet]`` gives the tracked
     xi-values at the path end.
@@ -213,22 +215,24 @@ def sheet_integrals(curve: SpectralCurve, integrand, paths, xi=None):
     within the ``_landing_sheets`` bound, or ``ConsistencyError`` is raised
     (sheet continuation of Deconinck and van Hoeij, Physica D 152-153, 2001).
     """
-    Pg_T = curve.grid.T.copy()
+    Pg_T, r = curve.grid.T.copy(), curve.grid.shape[0] - 1
     per_path = [_pieces(path) for path in paths]
     count = np.array([len(p) for p in per_path], dtype=int)
     first = np.cumsum(count) - count
     pieces = [piece for p in per_path for piece in p]
     z = np.array([a for a, _ in pieces], dtype=complex)
-    start = np.sort_complex(_curve_roots(Pg_T, z))
+    pos = np.arange(z.size) - np.repeat(first, count)
+    own = np.ones(z.size, dtype=bool) if xi is None else pos > 0
+    start = np.empty((z.size, r), dtype=complex)
+    start[own] = np.sort_complex(_curve_roots(Pg_T, z[own]))
     if xi is not None:
         start[first] = xi
     total, end = np.zeros_like(integrand(z[:, None], start).swapaxes(0, 1)), start.copy()
-    for idx, zs, half, xi_nodes, _, xi_next in _walk(Pg_T, pieces, start):
+    for idx, zs, half, xi_nodes, xi_next in _walk(Pg_T, pieces, start):
         vals = integrand(zs[..., None], xi_nodes)
         total[idx] += half[:, None, None] * np.tensordot(_WEIGHTS, vals, ([0], [2])).swapaxes(0, 1)
         end[idx] = xi_next
     # sheet[k, j]: the sorted start sheet of piece k that path start sheet j runs along
-    r, pos = start.shape[1], np.arange(len(pieces)) - np.repeat(first, count)
     sheet = np.tile(np.arange(r), (len(pieces), 1))
     for k in range(1, pos.max(initial=0) + 1):
         nxt = np.flatnonzero(pos == k)
@@ -286,37 +290,8 @@ def _integrals_to_points(curve, integrand, z_start, z_end, xi_end, branch_pts, t
     return out
 
 
-def _log_integrals(curve, a_arr, b, paths):
-    """int log(a(z) + b xi) dz along every tracked sheet of every path, shape
-    (paths, sheets), and the sheets at the path ends; the log principal at the
-    start and continued across each panel's ordered start, nodes and end.  A
-    panel with a consecutive ratio |ratio - 1| > 0.5 is rejected, so no
-    principal log is ever taken of a ratio far from 1."""
-    Pg_T = curve.grid.T.copy()
-    z = np.array([path[0] for path in paths], dtype=complex)
-    xi = np.sort_complex(_curve_roots(Pg_T, z))
-    v = kernel.poly_eval(a_arr, z)[:, None] + b * xi
-    log_v = np.log(v)
-    total = np.zeros_like(log_v)
-    rounds, reject = _walk(Pg_T, paths, xi), None
-    while True:
-        try:
-            idx, zs, half, xi_nodes, z_next, xi_next = rounds.send(reject)
-        except StopIteration:
-            return total, xi
-        w = kernel.poly_eval(a_arr, np.column_stack([zs, z_next]))[..., None]
-        vals = np.hstack([v[idx, None], w + b * np.hstack([xi_nodes, xi_next[:, None]])])
-        reject = np.abs(vals[:, 1:] / vals[:, :-1] - 1.0).max(axis=(1, 2)) > 0.5
-        xi[idx[~reject]] = xi_next[~reject]
-        idx, half, vals = idx[~reject], half[~reject], vals[~reject]
-        steps = np.cumsum(np.log(vals[:, 1:] / vals[:, :-1]), axis=1)
-        total[idx] += half[:, None] * np.tensordot(_WEIGHTS, log_v[idx, None] + steps[:, :-1],
-                                                   axes=([0], [1]))
-        log_v[idx], v[idx] = log_v[idx] + steps[:, -1], vals[:, -1]
-
-
 # ---------------------------------------------------------------------------
-# the Abelian sums and the generating function
+# the conjugate integrand and the slope identity
 # ---------------------------------------------------------------------------
 
 def _conjugate_integrand(curve: SpectralCurve, spec: BracketSpec, positions):
@@ -335,35 +310,27 @@ def _conjugate_integrand(curve: SpectralCurve, spec: BracketSpec, positions):
     return integrand
 
 
-def abel_sums(curve: SpectralCurve, spec: BracketSpec, points: DivisorCoords,
-              positions, z0, branch_pts, tol: Tolerances = DEFAULT):
-    """Q vector: sums over divisor points of the conjugate Abelian integrals."""
-    integrand = _conjugate_integrand(curve, spec, positions)
-    q = _integrals_to_points(curve, integrand, z0, points.z, points.xi, branch_pts, tol)
-    return sum(q, np.zeros(len(positions), dtype=complex))
+def slope_matrix(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT):
+    """The Hamiltonian positions and ``S[i, j] = dQ_i/dt_j`` at ``phi``, with no path.
 
-
-def generating_value(curve: SpectralCurve, spec: BracketSpec, points: DivisorCoords,
-                     z0, branch_pts, tol: Tolerances = DEFAULT) -> complex:
-    """The generating sum F = sum_mu int_{z0}^{z_mu} p(z, xi(z)) dz.
-
-    For b = 0 the primitive is xi/a(z); for b != 0 it is log(a(z)+b xi)/b with
-    the logarithm continued along the path.
+    ``S = Omega V``: ``Omega[i, mu]`` is the conjugate integrand of ``H_i`` at
+    divisor point ``mu`` and ``V[mu, j] = dz_mu/dt_j = dz . Pi . grad H_j``
+    from ``divisor_jacobian``.  The Abel map moves along the flow of ``H_j``
+    by ``e_j``, so ``S = I`` (Adams, Harnad and Hurtubise, Commun. Math. Phys.
+    155, 1993; Sklyanin, Prog. Theor. Phys. Suppl. 118, 1995).  Raises
+    ``NonGenericError`` where the Hamiltonians and Casimirs do not cover every
+    spectral position: ``dQ_i/dH_j`` at fixed other coefficients is undefined.
     """
-    a_arr = spec.a_array
-    b = spec.b
-
-    def integrand(z, xi):
-        return (xi / kernel.poly_eval(a_arr, z))[None]
-
-    if b == 0:
-        terms = _integrals_to_points(curve, integrand, z0, points.z, points.xi,
-                                     branch_pts, tol)[:, 0]
-    else:
-        logs, xi_fin = _log_integrals(curve, a_arr, b, [build_path(z0, z, branch_pts, tol)
-                                                        for z in points.z])
-        terms = logs[np.arange(points.count), _landing_sheets(xi_fin, points.xi)] / b
-    return sum(terms, 0.0 + 0.0j)
+    hams, cass = casimir_detect(phi, spec, tol)
+    positions, G = spectral_gradient_matrix(phi)
+    if len(hams) + len(cass) < len(positions):
+        raise NonGenericError(f"{len(hams)} Hamiltonians and {len(cass)} Casimirs do not "
+                              f"cover the {len(positions)} spectral positions")
+    points, dz, _ = divisor_jacobian(phi, tol=tol)
+    pi = structure_tensor(phi.r, phi.n, spec, tol).poisson_matrix(phi.flatten())
+    V = dz @ pi @ G[[positions.index(p) for p in hams]].T
+    omega = _conjugate_integrand(spectral_curve(phi), spec, hams)(points.z, points.xi)
+    return hams, omega @ V
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ class QuadResult(NamedTuple):
     error: float
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_GL_NODES, _GL_WEIGHTS = frozen(*np.polynomial.legendre.leggauss(12))
 
 
 def integrate_path(f: Callable, path: PathSpec, tol: Tolerances = DEFAULT) -> QuadResult:

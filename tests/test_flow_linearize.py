@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from sovkit import kernel, linearize
 from sovkit import rational as R
-from sovkit.acceptance import RN_COMBOS
-from sovkit.errors import ConsistencyError, MatchingError
+from sovkit.acceptance import BRACKETS, RN_COMBOS
+from sovkit.errors import ConsistencyError, MatchingError, NonGenericError
 
 
 @pytest.fixture(scope="module")
@@ -177,55 +177,6 @@ class TestLinearize:
         expected[0] = 1.0
         assert np.abs(res.slopes - expected).max() < 1e-6
 
-    def test_generating_function_gradient(self, instance_r2_n3):
-        phi, spec, hams = instance_r2_n3
-        curve = R.spectral_curve(phi)
-        disc = kernel.resultant(curve.grid, curve.dxi(), "xi")
-        bps, _ = kernel.poly_roots(disc)
-        d = R.divisor_coords(phi)
-        z0 = linearize.pick_base_point(bps)
-        qs = linearize.abel_sums(curve, spec, d, hams, z0, bps)
-
-        def f_of(grid):
-            c2 = R.SpectralCurve(grid=grid, r=2, n=3)
-            return linearize.generating_value(c2, spec, d, z0, bps)
-
-        delta = 1e-6
-        for idx, (k, l) in enumerate(hams):
-            gp = curve.grid.copy()
-            gm = curve.grid.copy()
-            gp[k, l] += delta
-            gm[k, l] -= delta
-            fd = (f_of(gp) - f_of(gm)) / (2 * delta)
-            assert abs(fd - qs[idx]) < 1e-6
-
-    def test_generating_function_quadratic_bracket(self):
-        # b != 0 route: the log-tracked primitive must agree with the
-        # quadrature formula as well
-        rng = np.random.default_rng(33)
-        phi = R.random_instance(2, 2, rng)
-        spec = R.BracketSpec(a=(0.0,), b=1.0)
-        hams, _ = R.casimir_detect(phi, spec)
-        curve = R.spectral_curve(phi)
-        disc = kernel.resultant(curve.grid, curve.dxi(), "xi")
-        bps, _ = kernel.poly_roots(disc)
-        d = R.divisor_coords(phi)
-        z0 = linearize.pick_base_point(bps)
-        qs = linearize.abel_sums(curve, spec, d, hams, z0, bps)
-
-        def f_of(grid):
-            c2 = R.SpectralCurve(grid=grid, r=2, n=2)
-            return linearize.generating_value(c2, spec, d, z0, bps)
-
-        delta = 1e-6
-        for idx, (k, l) in enumerate(hams):
-            gp = curve.grid.copy()
-            gm = curve.grid.copy()
-            gp[k, l] += delta
-            gm[k, l] -= delta
-            fd = (f_of(gp) - f_of(gm)) / (2 * delta)
-            assert abs(fd - qs[idx]) < 1e-6
-
     def test_shrinking_time_window_shrinks_residual(self, instance_r2_n3):
         phi, spec, hams = instance_r2_n3
         resids = []
@@ -235,6 +186,44 @@ class TestLinearize:
             res = linearize.linearize(traj, times, spec, hams)
             resids.append(res.fit_residuals.max())
         assert resids[1] <= resids[0] * 1.5 + 1e-12
+
+
+class TestSlopeMatrix:
+    @pytest.mark.parametrize("label", sorted(BRACKETS))
+    @pytest.mark.parametrize("rn", RN_COMBOS)
+    def test_slopes_are_the_identity(self, rn, label):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            phi = R.random_instance(*rn, rng)
+            hams, S = linearize.slope_matrix(phi, BRACKETS[label])
+            assert hams == R.casimir_detect(phi, BRACKETS[label])[0]
+            assert S.shape == (len(hams), len(hams))
+            assert np.abs(S - np.eye(len(hams))).max() < 1e-11
+
+    def test_random_bracket_raises(self):
+        # here casimir_detect leaves 4 of the 8 positions in neither set
+        phi = R.random_instance(2, 2, np.random.default_rng(2))
+        spec = R.BracketSpec(a=(0.3 + 0.2j, -0.5 + 1j, 0.7), b=0.4 - 0.9j)
+        hams, cass = R.casimir_detect(phi, spec)
+        assert len(hams) + len(cass) < len(R.spectral_positions(2, 2))
+        with pytest.raises(NonGenericError, match="do not cover"):
+            linearize.slope_matrix(phi, spec)
+
+    @pytest.mark.parametrize("label", sorted(BRACKETS))
+    def test_swapped_sheets_are_caught(self, label, monkeypatch):
+        # Omega on the wrong sheets, as a sheet error in the Abel sums would take it
+        inner = linearize.divisor_jacobian
+
+        def swapped(*args, **kwargs):
+            points, dz, dxi = inner(*args, **kwargs)
+            points.xi[[0, 1]] = points.xi[[1, 0]]
+            return points, dz, dxi
+
+        monkeypatch.setattr(linearize, "divisor_jacobian", swapped)
+        for rn in RN_COMBOS:
+            phi = R.random_instance(*rn, np.random.default_rng(17))
+            hams, S = linearize.slope_matrix(phi, BRACKETS[label])
+            assert np.abs(S - np.eye(len(hams))).max() > 1e-2
 
 
 @pytest.fixture(scope="module")
@@ -281,18 +270,6 @@ class TestSheetTracking:
         assert np.abs(end - start).max() < 1e-10
         assert np.abs(integrand(centre, start)).max() > 1.0
         assert np.abs(total).max() < 1e-10
-
-    def test_log_continued_around_a_zero(self):
-        # one sheet xi = z^2 of P = z^2 - xi: the path passes 0.005 from the
-        # double zero of xi, where whole panels would turn arg(xi) by more
-        # than pi, then winds once around it
-        curve = R.SpectralCurve(grid=np.array([[0, 0, 1], [-1, 0, 0]], dtype=complex),
-                                r=1, n=2)
-        path = [1.0 + 0j, -1.0 + 0.01j, -1.0 - 0.5j, 1.0 - 0.5j]
-        total, _ = linearize._log_integrals(curve, np.array([0.0 + 0j]), 1.0, [path])
-        ze = path[-1]
-        exact = 2 * (ze * (np.log(ze) + 2j * np.pi - 1) + 1)  # int 2 log z dz, continued
-        assert abs(total[0, 0] - exact) < 1e-9
 
     def test_sheet_integrals_reference(self):
         # the integrals over a one-segment path cut into 4 pieces, walked in

@@ -468,7 +468,7 @@ def test_cached_plans_and_tables_are_read_only():
                 rational.structure_tensor(2, 2, rational.BracketSpec(a=(1.0,), b=0.0)).a,
                 *(getattr(q, name) for q in quotients
                   for name in ("shifts", "powers", "phase", "coef")),
-                linearize._NODES, linearize._WEIGHTS, linearize._FRAC,
+                linearize._FRAC, numeric._GL_NODES, numeric._GL_WEIGHTS,
                 numeric._DP_C, numeric._DP_A, numeric._DP_E]:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
