@@ -234,7 +234,7 @@ def _faddeev_leverrier(M):
     b[..., 0] = 1.0
     N[..., 0, :, :] = eye
     for k in range(1, r):
-        Mk = M @ N[..., k - 1, :, :]
+        Mk = M @ N[..., k - 1, :, :] if k > 1 else M  # N_0 = I
         b[..., k] = -np.einsum("...ii->...", Mk) / k
         N[..., k, :, :] = Mk + b[..., k, None, None] * eye
     # the last step needs only the trace of M @ N[r-1], not the product

@@ -9,11 +9,11 @@ linearizing coordinate attached to the spectral coefficient H_i is
 
 integrated along the sheet of the curve that ends at (z_mu, xi_mu).  Straight
 z-paths are re-routed around branch points.  One stepper, ``_walk``, steps a
-stack of paths in lockstep, tracks every sheet by continuity and yields each
-round's Gauss-Legendre panels.  ``sheet_integrals`` cuts long segments into
-pieces, walks every piece of every path in one stack, sums the quadrature
-over the panels and joins the pieces' sheets at their junctions.  A
-``linearize`` call walks all its paths in one stack.
+stack of paths in lockstep, tracks every sheet and yields each round's
+Gauss-Legendre panels (roots at the step ends, Newton-polished at the nodes).
+``sheet_integrals`` cuts long segments into pieces, walks all pieces of all
+paths in one stack, sums the quadrature over the panels and joins the
+pieces' sheets at their junctions; ``linearize`` walks all its paths at once.
 
 The infinitesimal form needs no path: along the flow of H_j the Abel map
 moves by ``S = Omega V``, the integrand at the divisor points times the
@@ -128,19 +128,33 @@ def _match_order(ref, roots):
     return out
 
 
+def _polish(c, x):
+    """Three Newton steps from ``x`` (..., sheets) on ascending coefficients ``c``
+    (deg+1, ..., 1), ``P`` and ``dP`` by one Horner pass: the values, the last step."""
+    for _ in range(3):
+        p, dp = c[-1], 0.0
+        for ck in c[-2::-1]:
+            p, dp = p * x + ck, dp * x + p
+        x = x - (step := p / dp)
+    return x, np.abs(step)
+
+
 def _walk(Pg_T, paths, xi):
     """Sheet-tracked Gauss-Legendre panels along paths whose sheets start at
-    ``xi`` (paths, sheets), all stepped in lockstep.  A round takes every
-    active path's roots at 12 nodes and the step end in one ``_curve_roots``
-    call; a panel passes when ``rho``, the largest sheet move over a quarter
-    of the sheet gap, is at most 1.  Per segment a path's step starts at an
-    eighth of it; the next is ``h clip(0.8 / rho, 0.1, 0.5)`` after a failed
+    ``xi`` (paths, sheets), all stepped in lockstep.  A round takes the roots at
+    every active path's step end in one companion-matrix call and ``_polish``es
+    each sheet's linear interpolant at the 12 nodes.  With ``g`` the smaller
+    sheet gap at the step's ends, a panel passes when ``rho``, the largest sheet
+    move over ``g/4``, is at most 1, each node's last Newton step is at most
+    ``1e-6 g`` and each value lies within ``g/8`` of its interpolant; these are
+    ``g/2`` apart, so the values are all the roots (Allgower and Georg,
+    Numerical Continuation Methods, 1990).  Per segment a path's step starts at
+    an eighth of it; the next is ``h clip(0.8 / rho, 0.1, 0.5)`` after a failed
     panel (one failing at ``h <= 1e-10`` raises) and ``h clip(0.8 / rho, 1,
     1.9)`` after a passing one while ``h`` is below a quarter of the segment
     (Hairer, Norsett and Wanner, Solving ODEs I, II.4).  Passing panels are
     yielded as stacks ``(idx, zs, half, xi_nodes, xi_next)``: paths, nodes,
-    Jacobians, sheet values at the nodes (nearest each sheet's linear
-    interpolant) and the sheets at the step ends."""
+    Jacobians, sheet values at the nodes and the sheets at the step ends."""
     xi, gap = xi.copy(), kernel.min_gap(xi)
     segs = [[(a, b) for a, b in zip(path, path[1:]) if abs(a - b) > 1e-15 * max(1.0, abs(b))]
             for path in paths]
@@ -159,20 +173,21 @@ def _walk(Pg_T, paths, xi):
             half.append(0.5 * (z_next[-1] - z))
         h, half = np.array(h), np.array(half)
         zs = (0.5 * (z_cur + z_next))[:, None] + half[:, None] * _NODES
-        roots = _curve_roots(Pg_T, np.column_stack([zs, z_next]))
-        xi_next = _match_order(xi[idx], roots[:, -1])
+        coef = kernel.poly_eval(Pg_T, np.column_stack([zs, z_next]))
+        xi_next = _match_order(xi[idx], kernel.companion_roots(coef[:, :, -1].T))
         gap_next = kernel.min_gap(xi_next)
-        move, bound = np.abs(xi_next - xi[idx]).max(axis=-1), 0.25 * np.minimum(gap[idx], gap_next)
-        ok = move <= bound
+        move, g_min = np.abs(xi_next - xi[idx]).max(axis=-1), np.minimum(gap[idx], gap_next)
+        ok = move <= g_min / 4
+        pred = xi[idx[ok], None] + (xi_next - xi[idx])[ok, None] * _FRAC[:, None]
+        xi_nodes, last = _polish(coef[:, ok, :-1, None], pred)
+        ok[ok] = converged = ((last.max(axis=(1, 2)) <= 1e-6 * g_min[ok])
+                              & (np.abs(xi_nodes - pred).max(axis=(1, 2)) <= g_min[ok] / 8))
         if np.any(~ok & (h <= 1e-10)):
             raise ConsistencyError("sheet tracking step fell below 1e-10")
-        factor = np.divide(0.8 * bound, move, out=np.full(move.shape, np.inf), where=move > 0)
+        factor = np.divide(0.2 * g_min, move, out=np.full(move.shape, np.inf), where=move > 0)
         factor = np.where(ok, np.clip(factor, 1.0, 1.9), np.clip(factor, 0.1, 0.5))
         if ok.any():
-            pred = xi[idx[ok], None] + (xi_next - xi[idx])[ok, None] * _FRAC[:, None]
-            pick = np.argmin(np.abs(roots[ok, :-1, None, :] - pred[..., None]), axis=-1)
-            yield (idx[ok], zs[ok], half[ok],
-                   np.take_along_axis(roots[ok, :-1], pick, axis=-1), xi_next[ok])
+            yield idx[ok], zs[ok], half[ok], xi_nodes[converged], xi_next[ok]
         xi[idx[ok]], gap[idx[ok]] = xi_next[ok], gap_next[ok]
         for p, zn, good, hp, g in zip(idx, z_next, ok, h, factor):
             st, (a, b) = live[p], segs[p][live[p][0]]

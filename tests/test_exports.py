@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -14,3 +16,22 @@ MODULES = ["sovkit"] + [f"sovkit.{m.name}" for m in pkgutil.iter_modules(sovkit.
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _traced_targets():
+    """``perfbench/tracing.py``'s ``TARGETS`` as ``(prefix, owner, attribute)``
+    source strings, read without importing the benchmark."""
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text())
+    value = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["TARGETS"])
+    return [(e.elts[0].value, ast.unparse(e.elts[1]), e.elts[2].value) for e in value.elts]
+
+
+@pytest.mark.parametrize("prefix,owner,attribute", _traced_targets())
+def test_every_traced_target_resolves(prefix, owner, attribute):
+    # the benchmark's traced run wraps these; a rename in src/ must fail here
+    module, *rest = owner.split(".")
+    obj = importlib.import_module(f"sovkit.{module}")
+    for name in rest:
+        obj = getattr(obj, name)
+    assert callable(getattr(obj, attribute))

@@ -284,9 +284,9 @@ class TestSheetTracking:
         path = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
         total, end = (v[0] for v in linearize.sheet_integrals(curve, integrand, [path]))
         assert np.array_equal(total.ravel(), [
-            3.9840044270770285 + 1.0299161544859055j, 2.2463955502248716 + 1.8185556215621947j,
-            3.734125577409187 + 7.7488991428802745j, 3.937610471263029 + 5.218288821684654j,
-            1.4297183672249005 - 0.05793742531465218j, -1.4297183672249008 + 0.05793742531465222j])
+            3.9840044270770285 + 1.029916154485905j, 2.2463955502248716 + 1.8185556215621947j,
+            3.734125577409187 + 7.748899142880275j, 3.937610471263028 + 5.218288821684654j,
+            1.4297183672249008 - 0.05793742531465236j, -1.4297183672249008 + 0.05793742531465229j])
         assert np.array_equal(end, [2.53207131929456 + 1.057501336559314j,
                                     0.8774556052321555 - 2.3422934648823763j])
         # oracle: the same straight path as 33 waypoints, 32 uncut pieces
@@ -306,6 +306,15 @@ def reference_r2_n3():
     integrand = linearize._conjugate_integrand(
         curve, R.BracketSpec(a=(1.0,), b=0.0), [(1, 0), (1, 1), (0, 2)])
     return curve, bps, R.divisor_coords(phi), integrand
+
+
+def _reference_walk(reference):
+    """``_walk``'s inputs for the pieces of the reference path."""
+    curve, bps, d, _ = reference
+    pieces = linearize._pieces(linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps))
+    Pg_T = curve.grid.T.copy()
+    return Pg_T, pieces, np.sort_complex(linearize._curve_roots(
+        Pg_T, np.array([a for a, _ in pieces])))
 
 
 class _Counting:
@@ -400,15 +409,17 @@ class TestBatchedWalk:
         curve, bps, d, integrand = reference_r2_n3
         path = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
         start = _start_sheets(curve, path[0])[None]
-        inner = linearize._curve_roots
+        calls, inner = [], linearize._curve_roots
 
         def shifted_starts(Pg_T, z):
-            # the piece starts come in one 1-D call, the walk's nodes in 2-D ones
-            return inner(Pg_T, z) + (0.05 if np.ndim(z) == 1 else 0.0)
+            # only the piece starts: the walk takes its step ends' roots itself
+            calls.append(np.shape(z))
+            return inner(Pg_T, z) + 0.01
 
         monkeypatch.setattr(linearize, "_curve_roots", shifted_starts)
         with pytest.raises(ConsistencyError, match="did not land on the next piece"):
             linearize.sheet_integrals(curve, integrand, [path], start)
+        assert calls == [(3,)]
 
     def test_split_path_matches_whole(self, reference_r2_n3):
         curve, bps, d, integrand = reference_r2_n3
@@ -420,14 +431,70 @@ class TestBatchedWalk:
         assert np.all(np.abs(split_end - whole_end) <= 1e-14 * np.abs(whole_end))
 
     def test_reference_path_round_count(self, reference_r2_n3, monkeypatch):
-        # one call for the roots at the 4 piece starts, then 13 lockstep rounds
+        # one companion call for the roots at the 4 piece starts, then one
+        # for the step ends of each of 13 lockstep rounds
         curve, bps, d, integrand = reference_r2_n3
         path = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
-        calls, inner = [], linearize._curve_roots
-        monkeypatch.setattr(linearize, "_curve_roots",
-                            lambda Pg_T, z: calls.append(np.shape(z)) or inner(Pg_T, z))
+        calls, inner = [], kernel.companion_roots
+        monkeypatch.setattr(kernel, "companion_roots",
+                            lambda c: calls.append(np.shape(c)) or inner(c))
         linearize.sheet_integrals(curve, integrand, [path])
-        assert len(calls) == 14 and calls[0] == (4,)
+        assert len(calls) == 14 and calls[0] == (4, 3)
+
+    def test_node_values_are_the_curve_roots(self, reference_r2_n3):
+        # oracle: the Newton-polished node values are the companion roots there
+        Pg_T, pieces, start = _reference_walk(reference_r2_n3)
+        panels = 0
+        for idx, zs, _, xi_nodes, _ in linearize._walk(Pg_T, pieces, start):
+            roots = linearize._curve_roots(Pg_T, zs)
+            dist = np.abs(xi_nodes[..., :, None] - roots[..., None, :])
+            assert np.all(dist.min(axis=-1) <= 1e-13 * np.maximum(1.0, np.abs(xi_nodes)))
+            assert np.all(np.sort(dist.argmin(axis=-1), axis=-1) == np.arange(roots.shape[-1]))
+            panels += idx.size
+        assert panels == 27
+
+    def test_unconverged_polish_is_retried_smaller(self, reference_r2_n3, monkeypatch):
+        # the first round's polish reports a last Newton step of 1: none of its
+        # panels is yielded, and every piece retries at half its first step
+        Pg_T, pieces, start = _reference_walk(reference_r2_n3)
+        calls, inner = [], linearize._polish
+
+        def failing_first(c, x):
+            calls.append(len(x))
+            xi_nodes, last = inner(c, x)
+            return xi_nodes, last + (1.0 if len(calls) == 1 else 0.0)
+
+        monkeypatch.setattr(linearize, "_polish", failing_first)
+        idx, _, half, _, _ = next(linearize._walk(Pg_T, pieces, start))
+        assert len(calls) == 2 and calls[0] == len(pieces)
+        for p, hp in zip(idx, half):
+            a, b = pieces[p]
+            assert abs(2 * hp) <= abs(b - a) / 16 * (1 + 1e-12)
+
+    def test_polish_that_never_converges_hits_the_floor(self, reference_r2_n3, monkeypatch):
+        Pg_T, pieces, start = _reference_walk(reference_r2_n3)
+        inner = linearize._polish
+        monkeypatch.setattr(linearize, "_polish",
+                            lambda c, x: (inner(c, x)[0], np.ones(x.shape)))
+        with pytest.raises(ConsistencyError, match="below 1e-10"):
+            for _ in linearize._walk(Pg_T, pieces, start):
+                pytest.fail("a panel whose polish did not converge was yielded")
+
+    def test_one_companion_matrix_per_active_path_a_round(self, reference_r2_n3, monkeypatch):
+        curve, bps, d, integrand = reference_r2_n3
+        z0 = linearize.pick_base_point(bps)
+        paths = [linearize.build_path(z0, z, bps) for z in d.z]
+        shapes, active = [], []
+        companion, match = kernel.companion_roots, linearize._match_order
+        monkeypatch.setattr(kernel, "companion_roots",
+                            lambda c: shapes.append(np.shape(c)) or companion(c))
+        monkeypatch.setattr(linearize, "_match_order",
+                            lambda ref, roots: active.append(len(ref)) or match(ref, roots))
+        linearize.sheet_integrals(curve, integrand, paths)
+        r = curve.grid.shape[0] - 1
+        # the first call takes the roots at the piece starts
+        assert shapes[0] == (sum(len(linearize._pieces(p)) for p in paths), r + 1)
+        assert len(active) > 1 and shapes[1:] == [(p, r + 1) for p in active]
 
     def test_match_order_takes_each_root_once(self):
         ref = np.array([[0.0, 0.1, 3.0], [1.0, 2.0, 3.0]], dtype=complex)

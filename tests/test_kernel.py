@@ -83,7 +83,35 @@ class TestPolyRoots:
             assert np.all(np.abs(kernel.poly_eval(c, roots)) < 1e-9)
 
 
+def textbook_faddeev_leverrier(M):
+    """The recursion as written in textbooks: every product ``M N_(k-1)`` is
+    formed, ``M N_0 = M I`` included; the last level needs only a trace."""
+    r = M.shape[-1]
+    eye = np.eye(r)
+    b = np.zeros(M.shape[:-2] + (r + 1,), dtype=complex)
+    N = np.zeros(M.shape[:-2] + (r, r, r), dtype=complex)
+    b[..., 0] = 1.0
+    N[..., 0, :, :] = eye
+    for k in range(1, r):
+        Mk = M @ N[..., k - 1, :, :]
+        b[..., k] = -np.einsum("...ii->...", Mk) / k
+        N[..., k, :, :] = Mk + b[..., k, None, None] * eye
+    b[..., r] = -np.einsum("...ij,...ji->...", M, N[..., r - 1, :, :]) / r
+    return b, N
+
+
 class TestCharAdj:
+    @pytest.mark.parametrize("stack", [(), (6,), (2, 3)])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_recursion_matches_textbook_bit_for_bit(self, r, stack):
+        # the product with N_0 = I is skipped: M @ I == M exactly
+        rng = np.random.default_rng(10 * r + len(stack))
+        M = rng.standard_normal(stack + (r, r)) + 1j * rng.standard_normal(stack + (r, r))
+        b, N = kernel._faddeev_leverrier(M)
+        ref_b, ref_N = textbook_faddeev_leverrier(M)
+        assert b.shape == ref_b.shape and N.shape == ref_N.shape
+        assert b.tobytes() == ref_b.tobytes() and N.tobytes() == ref_N.tobytes()
+
     def test_identity_3x3(self):
         c = kernel.char_bipoly(np.eye(3))
         # (1 - xi)^3

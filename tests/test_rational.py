@@ -367,6 +367,33 @@ class TestCovectorPlan:
         assert counts["recursion"] == counts["field"]
 
 
+class TestLenardMagri:
+    @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+    def test_linear_field_of_c_kl_is_quadratic_field_of_c_k1l(self, r, n):
+        # the b terms of _lax_field against its a terms: the linear bracket
+        # (a = 1, b = 0) flows C_{k,l} as the quadratic one (a = 0, b = 1)
+        # flows C_{k+1,l}; C_{0,l} is quadratic-Casimir, and a linear field
+        # with no such partner vanishes
+        phi = unit_disk_matpoly(np.random.default_rng(70 + 10 * r + n), r, n)
+        x = phi.flatten()
+        positions, G = R.spectral_gradient_matrix(phi)
+        linear, quadratic = (R.structure_tensor(r, n, spec).poisson_matrix(x) @ G.T
+                             for spec in (R.BracketSpec(a=(1.0,), b=0.0),
+                                          R.BracketSpec(a=(0.0,), b=1.0)))
+        scale = max(np.abs(linear).max(), np.abs(quadratic).max())
+        pairs = 0
+        for i, (k, l) in enumerate(positions):
+            if (k + 1, l) in positions:
+                partner = quadratic[:, positions.index((k + 1, l))]
+                assert np.abs(linear[:, i] - partner).max() <= 1e-13 * scale, (k, l)
+                pairs += np.abs(partner).max() > 0.01 * scale
+            else:
+                assert np.abs(linear[:, i]).max() <= 1e-13 * scale, (k, l)
+            if k == 0:
+                assert np.abs(quadratic[:, i]).max() <= 1e-13 * scale, (k, l)
+        assert pairs > 0
+
+
 class TestInvolutionAndCasimirs:
     def test_involution_random_bracket(self):
         rng = np.random.default_rng(8)
