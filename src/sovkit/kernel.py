@@ -7,14 +7,14 @@ Conventions used across the package:
 * a bivariate polynomial is a 2-D grid ``c[k, l]`` multiplying ``xi**k z**l``;
 * matrices are small (r <= 8) dense ``complex128`` arrays.
 
-Everything here is a pure function of its inputs.
+Polynomials are evaluated by Horner's rule, bit-identical to numpy.polynomial,
+the tests' oracle.  Everything here is a pure function of its inputs.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from .errors import ConvergenceError, NonGenericError
 from .tolerances import DEFAULT, Tolerances
@@ -48,18 +48,33 @@ def poly_trim(c, tol: Tolerances = DEFAULT):
     return c[: k + 1].copy()
 
 
-def poly_eval(c, x):
-    c = np.asarray(c, dtype=complex)
+def poly_eval(c, x, tensor=True):
+    """``sum_k c[k] x**k`` for ``c`` of shape (deg+1, *s) by Horner's rule, in
+    ``numpy.polynomial.polynomial.polyval``'s order and with its semantics: a
+    scalar ``x`` gives shape ``s``, an array ``s + x.shape`` (``s`` and ``x.shape``
+    broadcast if not ``tensor``).  The empty ``c`` is the zero polynomial."""
+    c = np.array(c, dtype=complex, ndmin=1, copy=None)
     if c.size == 0:
         return np.zeros(np.shape(x), dtype=complex) if np.ndim(x) else 0.0 + 0.0j
-    return npoly.polyval(x, c)
+    x = np.asarray(x) if isinstance(x, (tuple, list)) else x
+    if tensor and isinstance(x, np.ndarray):
+        c = c.reshape(c.shape + (1,) * x.ndim)
+    out = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        out = ck + out * x
+    return out
 
 
-def poly_der(c):
-    c = np.asarray(c, dtype=complex)
-    if c.size <= 1:
-        return np.zeros(0, dtype=complex)
-    return npoly.polyder(c)
+def poly_der(c, m=1):
+    """The ``m``-th derivative (deg+1-m, *s) of ``c`` (deg+1, *s): ``polyder``'s
+    products ``k c[k]``, but the zero polynomial (empty) where ``deg < m``."""
+    c = np.array(c, dtype=complex, ndmin=1, copy=None)
+    for _ in range(m):
+        if len(c) <= 1:
+            return np.zeros((0,) + c.shape[1:], dtype=complex)
+        # times 1 first, as polyder scales by ``scl``: the same signed zeros
+        c = c[1:] * 1 * np.arange(1, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+    return c
 
 
 def frozen(*arrays):
@@ -74,13 +89,14 @@ def min_gap(*vals):
     by equal-length 1-D coordinate arrays ``vals``; ``inf`` below two points.
     For stacks ``(..., points)`` it is one gap per leading index."""
     d = sum(np.abs(v[..., :, None] - v[..., None, :]) for v in vals)
-    gap = np.where(np.eye(d.shape[-1], dtype=bool), np.inf, d).min(axis=(-2, -1), initial=np.inf)
+    np.einsum("...ii->...i", d)[...] = np.inf  # d is a fresh array
+    gap = d.min(axis=(-2, -1), initial=np.inf)
     return float(gap) if gap.ndim == 0 else gap
 
 
 def _eval_scale(c, x):
     """Backward-error scale sum |c_k| |x|^k, floored at the max coefficient."""
-    mags = npoly.polyval(np.abs(x), np.abs(np.asarray(c, dtype=complex)))
+    mags = poly_eval(np.abs(c), np.abs(x)).real
     return np.maximum(mags, np.abs(c).max())
 
 
@@ -103,9 +119,7 @@ def companion_roots(c):
 
 def _polish_on_derivative(monic, c0, order):
     """Newton-polish ``c0`` on the ``order``-th derivative (simple root there)."""
-    p = monic
-    for _ in range(order):
-        p = poly_der(p)
+    p = poly_der(monic, order)
     dp = poly_der(p)
     c = c0
     for _ in range(60):
@@ -195,7 +209,7 @@ def poly_roots(p, tol: Tolerances = DEFAULT):
         mid = 0.5 * (cen[i] + cen[j])
         taylor = np.empty(m.shape)
         for mv in set(m.tolist()):
-            t = poly_eval(npoly.polyder(monic, mv), mid[m == mv]) / math.factorial(mv)
+            t = poly_eval(poly_der(monic, mv), mid[m == mv]) / math.factorial(mv)
             taylor[m == mv] = np.maximum(np.abs(t), 1e-300)
         spread = (tol.root_residual * _eval_scale(monic, mid) / taylor) ** (1.0 / m)
         radius = np.maximum(scale * (10.0 * tol.root_residual ** (1.0 / np.minimum(m + 1, deg))
@@ -220,25 +234,33 @@ def poly_roots(p, tol: Tolerances = DEFAULT):
 # characteristic polynomial and adjugate (Faddeev--LeVerrier, division-free)
 # ---------------------------------------------------------------------------
 
-def _faddeev_leverrier(M):
+@lru_cache(maxsize=None)
+def _identity(r: int):
+    return frozen(np.eye(r))[0]
+
+
+def _faddeev_leverrier(M, top=None):
     """Batched Faddeev--LeVerrier recursion on a stack ``M`` of shape (..., r, r).
 
     Returns ``(b, N)`` with ``det(xi I - M) = sum_k b[..., k] xi**(r-k)``
     (``b[..., 0] == 1`` exactly) and
     ``adj(xi I - M) = sum_k N[..., k, :, :] xi**(r-1-k)`` for k = 0 .. r-1.
+    Given a level ``top < r``, the recursion stops there and returns only
+    ``b[..., :top+1]`` and ``N[..., :top+1, :, :]``: no determinant trace.
     """
     r = M.shape[-1]
-    eye = np.eye(r)
-    b = np.zeros(M.shape[:-2] + (r + 1,), dtype=complex)
-    N = np.zeros(M.shape[:-2] + (r, r, r), dtype=complex)
+    last = r - 1 if top is None else top
+    eye = _identity(r)
+    b = np.empty(M.shape[:-2] + (r + 1 if top is None else top + 1,), dtype=complex)
+    N = np.empty(M.shape[:-2] + (last + 1, r, r), dtype=complex)
     b[..., 0] = 1.0
     N[..., 0, :, :] = eye
-    for k in range(1, r):
+    for k in range(1, last + 1):
         Mk = M @ N[..., k - 1, :, :] if k > 1 else M  # N_0 = I
         b[..., k] = -np.einsum("...ii->...", Mk) / k
         N[..., k, :, :] = Mk + b[..., k, None, None] * eye
-    # the last step needs only the trace of M @ N[r-1], not the product
-    b[..., r] = -np.einsum("...ij,...ji->...", M, N[..., r - 1, :, :]) / r
+    if top is None:  # the determinant needs only the trace of M @ N[r-1]
+        b[..., r] = -np.einsum("...ij,...ji->...", M, N[..., r - 1, :, :]) / r
     return b, N
 
 
@@ -267,7 +289,7 @@ def adjugate(M):
     """
     M = _square(M)
     r = M.shape[-1]
-    _, N = _faddeev_leverrier(M)
+    _, N = _faddeev_leverrier(M, r - 1)
     return (-1.0) ** (r - 1) * N[..., r - 1, :, :]
 
 
@@ -347,11 +369,12 @@ def divisor_points(phis, s, ms):
     at = np.repeat(np.arange(len(phis)), ms)
     phis, s = phis[at], np.broadcast_to(s, phis.shape[:-1])[at]
     c = char_bipoly(phis).T                     # column i: the coefficients at phis[i]
+    dc = poly_der(c)
     for _ in range(2):
-        d = npoly.polyval(xi, npoly.polyder(c), tensor=False)
-        xi = xi - np.divide(npoly.polyval(xi, c, tensor=False), d,
+        d = poly_eval(dc, xi, tensor=False)
+        xi = xi - np.divide(poly_eval(c, xi, tensor=False), d,
                             out=np.zeros_like(d), where=d != 0)
-    M = phis - xi[:, None, None] * np.eye(r)
+    M = phis - xi[:, None, None] * _identity(r)
     adj = adjugate(M)
     pres = np.abs(np.linalg.det(M)) / (np.abs(c).max(axis=0) * np.maximum(1.0, np.abs(xi)) ** r)
     vres = (np.abs(np.einsum("mij,mj->mi", adj, s)).max(axis=-1)
@@ -365,21 +388,13 @@ def divisor_points(phis, s, ms):
 
 def bipoly_eval(c, z, xi):
     """Evaluate sum c[k, l] xi^k z^l (vectorized over broadcastable z, xi)."""
-    c = np.asarray(c, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    xi = np.asarray(xi, dtype=complex)
-    inner = npoly.polyval(z, c.T)        # inner[k, ...] = sum_l c[k,l] z^l
-    out = np.zeros(np.broadcast(z, xi).shape, dtype=complex)
-    for k in range(c.shape[0] - 1, -1, -1):
-        out = out * xi + inner[k]
-    return out
+    inner = poly_eval(np.asarray(c).T, np.asarray(z, dtype=complex))  # sum_l c[k,l] z^l
+    return poly_eval(inner, np.asarray(xi, dtype=complex), tensor=False)
 
 
 def bipoly_dxi(c):
-    c = np.asarray(c, dtype=complex)
-    if c.shape[0] <= 1:
-        return np.zeros((1, c.shape[1]), dtype=complex)
-    return c[1:, :] * np.arange(1, c.shape[0])[:, None]
+    d = poly_der(c)
+    return d if len(d) else np.zeros((1, d.shape[1]), dtype=complex)
 
 
 def _xi_degree(c, tol: Tolerances):
@@ -416,8 +431,8 @@ def resultant(p, q, eliminate="xi", tol: Tolerances = DEFAULT):
     vals = np.empty(K, dtype=complex)
     n = dp + dq
     for s, zval in enumerate(zs):
-        pc = npoly.polyval(zval, p.T)    # coefficients in xi at z = zval
-        qc = npoly.polyval(zval, q.T)
+        pc = poly_eval(p.T, zval)        # coefficients in xi at z = zval
+        qc = poly_eval(q.T, zval)
         S = np.zeros((n, n), dtype=complex)
         for row in range(dq):
             S[row, row: row + dp + 1] = pc[::-1]

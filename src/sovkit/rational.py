@@ -54,11 +54,8 @@ class MatPoly:
 
     def __call__(self, z):
         """phi at ``z`` of shape (...): shape (..., r, r)."""
-        z = np.asarray(z, dtype=complex)[..., None, None]
-        out = np.zeros(z.shape[:-2] + (self.r, self.r), dtype=complex)
-        for k in range(self.n, -1, -1):
-            out = out * z + self.coeff_mats[k]
-        return out
+        return kernel.poly_eval(self.coeff_mats, np.asarray(z, dtype=complex)[..., None, None],
+                                tensor=False)
 
     def flatten(self) -> np.ndarray:
         return self.coeff_mats.reshape(-1).copy()
@@ -354,7 +351,8 @@ def spectral_gradient_matrix(phi: MatPoly):
     r, n = phi.r, phi.n
     positions = spectral_positions(r, n)
     vander, level, rows = _covector_plan(r, n, tuple(positions))
-    _, N = kernel._faddeev_leverrier((vander @ phi.coeff_mats.reshape(n + 1, -1)).reshape(-1, r, r))
+    phis = (vander @ phi.coeff_mats.reshape(n + 1, -1)).reshape(-1, r, r)
+    _, N = kernel._faddeev_leverrier(phis, r - 1)
     return positions, _spectral_gradients(N, level, rows).reshape(len(positions), -1)
 
 
@@ -563,23 +561,23 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
     """Integrate the Hamiltonian flow of ``H = C_{k,l}``, ``h_position = (k, l)``,
     and return the MatPoly states at the times ``t_grid``.  The field
     ``Pi(phi) grad H`` is ``_lax_field`` with no ``N x N`` matrix; its covector
-    blocks are one matmul of the Faddeev--LeVerrier level ``r - 1 - k`` by the
-    blocks of that level's unit values' ``_spectral_gradients``.
+    blocks are one matmul of the Faddeev--LeVerrier level ``r - 1 - k``, where
+    the recursion stops, by the blocks of its unit values' ``_spectral_gradients``.
     """
     r, n = phi0.r, phi0.n
     if tuple(h_position) not in spectral_positions(r, n):
         raise ValueError(f"{h_position} is not a spectral coefficient position")
     a = structure_tensor(r, n, spec, tol).a
     vander, level, rows = _covector_plan(r, n, (tuple(h_position),))
-    E = len(vander) * r * r
+    top, E = int(level[0]), len(vander) * r * r
     unit = _spectral_gradients(np.eye(E).reshape(E, -1, 1, r, r), [0], rows)[:, 0]
     blocks = _covector_blocks(unit).reshape(2, (n + 1) * r, E, r).swapaxes(-2, -1).reshape(-1, E)
 
     def field(t, x):
         if not np.all(np.isfinite(x)):
             raise ValueError("coefficients must be finite")
-        _, N = kernel._faddeev_leverrier((vander @ x.reshape(n + 1, -1)).reshape(-1, r, r))
-        g = (blocks @ N[:, level[0]].reshape(-1)).reshape(2, (n + 1) * r, r)
+        _, N = kernel._faddeev_leverrier((vander @ x.reshape(n + 1, -1)).reshape(-1, r, r), top)
+        g = (blocks @ N[:, top].reshape(-1)).reshape(2, (n + 1) * r, r)
         return _lax_field(x[None], g, a, spec.b).ravel()
 
     states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)

@@ -78,16 +78,23 @@ def _reduce(z, tau):
     return z2, z1, m
 
 
+@lru_cache(maxsize=64)
+def _series_table(tau: complex, trunc: int):
+    """``n``, ``(i pi tau) n^2`` and ``2 pi i n`` for ``|n| <= trunc``."""
+    n = np.arange(-trunc, trunc + 1)
+    return frozen(n, (1j * np.pi * tau) * n ** 2, 2j * np.pi * n)
+
+
 def _series(z, params: ThetaParams, deriv: bool):
     """theta(z), or (theta(z), theta'(z)) from one pass of the series."""
     tau = params.tau
     z2, z1, m = _reduce(z, tau)
-    n = np.arange(-params.trunc, params.trunc + 1)
-    terms = np.exp((1j * np.pi * tau) * n ** 2 + (2j * np.pi) * np.multiply.outer(z2, n))
+    n, quadratic, linear = _series_table(tau, params.trunc)
+    terms = np.exp(quadratic + (2j * np.pi) * np.multiply.outer(z2, n))
     factor = np.exp(-1j * np.pi * m ** 2 * tau - 2j * np.pi * m * z1)
     value = factor * terms.sum(axis=-1)
     if deriv:
-        return value, factor * (terms @ (2j * np.pi * n)) - 2j * np.pi * m * value
+        return value, factor * (terms @ linear) - 2j * np.pi * m * value
     return value
 
 

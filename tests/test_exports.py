@@ -35,3 +35,29 @@ def test_every_traced_target_resolves(prefix, owner, attribute):
     for name in rest:
         obj = getattr(obj, name)
     assert callable(getattr(obj, attribute))
+
+
+def _numpy_polynomial_uses(path):
+    """The ``numpy.polynomial`` names a module imports, and those it reads as
+    ``np.polynomial...`` attributes (every prefix of a chain), as dotted names."""
+    imports, reads = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imports |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imports |= {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            reads.add(ast.unparse(node).replace("np.", "numpy.", 1))
+    return ({n for n in imports if n.startswith("numpy.polynomial")},
+            {n for n in reads if n.startswith("numpy.polynomial")})
+
+
+@pytest.mark.parametrize("path", sorted(Path(sovkit.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_numpy_polynomial_stays_out_of_the_package(path):
+    # the kernel's Horner poly_eval and poly_der replace numpy.polynomial's
+    # per-call wrappers; numeric's Gauss-Legendre table is the one use left
+    leggauss = {"numpy.polynomial", "numpy.polynomial.legendre",
+                "numpy.polynomial.legendre.leggauss"}
+    assert _numpy_polynomial_uses(path) == (set(), leggauss if path.name == "numeric.py"
+                                            else set())

@@ -2,6 +2,7 @@ import warnings
 
 import mpmath
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -111,6 +112,12 @@ class TestCharAdj:
         ref_b, ref_N = textbook_faddeev_leverrier(M)
         assert b.shape == ref_b.shape and N.shape == ref_N.shape
         assert b.tobytes() == ref_b.tobytes() and N.tobytes() == ref_N.tobytes()
+        for top in range(r):
+            # stopped at a level: the leading levels, without the closing trace
+            b, N = kernel._faddeev_leverrier(M, top)
+            assert b.shape == stack + (top + 1,) and N.shape == stack + (top + 1, r, r)
+            assert b.tobytes() == ref_b[..., : top + 1].tobytes()
+            assert N.tobytes() == ref_N[..., : top + 1, :, :].tobytes()
 
     def test_identity_3x3(self):
         c = kernel.char_bipoly(np.eye(3))
@@ -462,6 +469,48 @@ class TestBiPoly:
         assert abs(kernel.bipoly_eval(kernel.bipoly_dxi(c), z, xi) - dxi_fd) < 1e-7
 
 
+# finite coefficients and points, signed zeros included: the products and sums
+# must agree with numpy.polynomial's to the last bit, zeros' signs too
+finite = (st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]))
+coefficients = arrays(complex, st.tuples(st.integers(1, 13))
+                      | st.tuples(st.integers(1, 13), st.integers(1, 3)), elements=finite)
+points = finite | arrays(complex, st.tuples(st.integers(0, 4))
+                         | st.tuples(st.integers(1, 3), st.integers(1, 4)), elements=finite)
+
+
+class TestHorner:
+    @settings(max_examples=150, deadline=None)
+    @given(c=coefficients, x=points, data=st.data())
+    def test_poly_eval_is_polyval_bit_for_bit(self, c, x, data):
+        ours, ref = kernel.poly_eval(c, x), npoly.polyval(x, c)
+        assert type(ours) is type(ref) and np.shape(ours) == np.shape(ref)
+        assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+        # tensor=False: one point per trailing coefficient column
+        x = data.draw(arrays(complex, c.shape[1:], elements=finite))
+        ours, ref = kernel.poly_eval(c, x, tensor=False), npoly.polyval(x, c, tensor=False)
+        assert np.shape(ours) == np.shape(ref)
+        assert np.asarray(ours).tobytes() == np.asarray(ref).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(c=coefficients, m=st.integers(1, 3))
+    def test_poly_der_is_polyder_bit_for_bit(self, c, m):
+        ours, ref = kernel.poly_der(c, m), npoly.polyder(c, m)
+        if len(c) <= m:
+            # numpy returns the constant 0; the kernel's zero polynomial is empty
+            assert ref.shape == (1,) + c.shape[1:] and not ref.any()
+            assert ours.shape == (0,) + c.shape[1:] and ours.dtype == complex
+        else:
+            assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+
+    def test_empty_coefficients_are_the_zero_polynomial(self):
+        x = np.array([[1.0 + 2j, -3.0], [0.5j, 4.0]])
+        assert kernel.poly_eval(np.zeros(0), 2.0 + 1j) == 0j
+        assert np.array_equal(kernel.poly_eval([], x), np.zeros((2, 2), dtype=complex))
+        assert kernel.poly_der(np.zeros(0)).shape == (0,)
+        assert kernel.poly_der(np.ones((1, 3))).shape == (0, 3)
+
+
 class TestMinGap:
     def test_equals_upper_triangle_minimum(self):
         # the diagonal mask gives the minimum over i < j bit for bit, for one
@@ -491,7 +540,8 @@ class TestMinGap:
 def test_cached_plans_and_tables_are_read_only():
     # lru_cache and module tables hand one array to every caller
     quotients = [theta.f_quotients(theta.ThetaParams(tau=0.3 + 1.1j, r=r)) for r in (2, 3)]
-    for arr in [*kernel._char_adj_plan(2, 3), *rational._lax_plan(2, 2),
+    for arr in [*kernel._char_adj_plan(2, 3), kernel._identity(3), *rational._lax_plan(2, 2),
+                *theta._series_table(0.3 + 1.1j, 8),
                 *rational._covector_plan(2, 2, ((1, 0), (0, 3))),
                 rational.structure_tensor(2, 2, rational.BracketSpec(a=(1.0,), b=0.0)).a,
                 *(getattr(q, name) for q in quotients

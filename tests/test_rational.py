@@ -366,6 +366,26 @@ class TestCovectorPlan:
         assert counts["char_adj"] == 0
         assert counts["recursion"] == counts["field"]
 
+    @pytest.mark.parametrize("position", [(1, 2), (0, 3)])
+    def test_flow_stage_stops_at_its_level(self, position, monkeypatch):
+        # H = C_{k,l} reads level r - 1 - k of the recursion and nothing above
+        # it: level 0 is N_0 = I alone, level 1 one trace and no product
+        rng = np.random.default_rng(62)
+        phi = R.random_instance(2, 2, rng)
+        level = phi.r - 1 - position[0]
+        shapes, recursion = [], kernel._faddeev_leverrier
+
+        def recorded(*args):
+            b, N = recursion(*args)
+            shapes.append((b.shape, N.shape))
+            return b, N
+
+        monkeypatch.setattr(kernel, "_faddeev_leverrier", recorded)
+        R.flow(phi, position, R.BracketSpec(a=(1.0,), b=0.0), np.linspace(0.0, 0.2, 3))
+        K = phi.r * phi.n + 1
+        assert len(shapes) > 2
+        assert set(shapes) == {((K, level + 1), (K, level + 1, phi.r, phi.r))}
+
 
 class TestLenardMagri:
     @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])

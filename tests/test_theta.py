@@ -107,6 +107,33 @@ class TestRiemannTheta:
                     for n in range(-40, 41)))
                 assert abs(ours[idx] - ref) < 1e-12 * max(1.0, abs(ref), terms)
 
+    def test_cached_tables_match_the_inline_series_bit_for_bit(self):
+        def series(z, params, deriv):
+            # the series with its n, (i pi tau) n^2 and 2 pi i n formed inline
+            z2, z1, m = T._reduce(z, params.tau)
+            n = np.arange(-params.trunc, params.trunc + 1)
+            terms = np.exp((1j * np.pi * params.tau) * n ** 2
+                           + (2j * np.pi) * np.multiply.outer(z2, n))
+            factor = np.exp(-1j * np.pi * m ** 2 * params.tau - 2j * np.pi * m * z1)
+            value = factor * terms.sum(axis=-1)
+            if deriv:
+                return factor * (terms @ (2j * np.pi * n)) - 2j * np.pi * m * value
+            return value
+
+        rng = np.random.default_rng(7)
+        u, v = rng.uniform(-2.5, 2.5, (2, 3, 5))
+        T._series_table.cache_clear()
+        for _ in range(2):  # each table's first use, then cached ones
+            for tau in TAUS:
+                # points across several lattice cells, so the reduction's m and k vary
+                z = u + tau * v
+                for params in (T.ThetaParams(tau=tau, r=2), T.ThetaParams(tau=tau, r=3, trunc=6)):
+                    for zz in (z, z[1, 2]):
+                        for ours, deriv in ((T.riemann_theta(zz, params), False),
+                                            (T.theta_deriv(zz, params), True)):
+                            assert (np.asarray(ours).tobytes()
+                                    == series(zz, params, deriv).tobytes())
+
     def test_tau_guard(self):
         with pytest.raises(NumericDomainError, match="tau too degenerate"):
             T.ThetaParams(tau=0.5 + 0.01j, r=2)
