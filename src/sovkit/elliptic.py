@@ -1,6 +1,6 @@
 """Elliptic phase space: quasi-periodic Lax matrices on the (1/r, tau/r)
 torus, their spectral invariants, and divisor extraction with the basic
-section.
+section in closed form (``theta.section_quotients``), evaluated pointwise.
 
 A phase point is phi(lambda) = sum c_{ab,m} w_{ab,m}(lambda) T_ab where
 T_ab = I1^a I2^b and the w's carry the character multipliers
@@ -12,15 +12,15 @@ with poles bounded by the lifted divisor.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import kernel
 from .errors import ConsistencyError, NonGenericError, NumericDomainError
-from .linearize import build_path
 from .numeric import PathSpec, integrate_path
-from .theta import SectionTracker, ThetaParams, ThetaQuotients, i_matrices
+from .theta import ThetaParams, ThetaQuotients, i_matrices, section_quotients
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -315,7 +315,8 @@ def _krylov_det(lax, zs, s, ds):
     """``B = det K`` and ``B' = tr(adj(K) K')`` at ``zs`` (m,), for the section
     ``s`` (m, r) there, its derivative ``ds`` (m, r) and ``K = [s, phi s, ...,
     phi^(r-1) s]``, both divided by the column norms of ``K``: ``B'/B`` is
-    unchanged, and the adjugate keeps its accuracy near a pole of ``phi``."""
+    unchanged, as it is by a constant factor of ``s``, and the adjugate keeps
+    its accuracy near a pole of ``phi``."""
     r = lax.params.r
     phi, dphi = lax.deriv(zs)
     K = kernel.krylov(phi, s)
@@ -351,74 +352,22 @@ def _loop_moments(logderiv, loop, centre, rho, count, tol):
     return value / (2j * np.pi), error / (2 * np.pi)
 
 
-class _SectionWalk:
-    """The basic section, continued around the punctures (the branch points
-    of its components) from point to point and along loops."""
-
-    def __init__(self, lax: EllipticLax, tol: Tolerances):
-        k = np.arange(-1, 2)
-        self.lax, self.tol = lax, tol
-        self.tracker = SectionTracker(lax.params, tol=tol)
-        self.here = self.tracker.anchor
-        self.punctures = lax.params.puncture + np.add.outer(
-            k * lax.params.omega1, k * lax.params.omega2).ravel()
-
-    def section(self, z):
-        """Section values (r,) at ``z`` and their derivative: radially out
-        from a puncture nearer than 0.05, by ``build_path`` around the
-        punctures, radially in."""
-        def clear(w):
-            p = self.punctures[np.argmin(np.abs(self.punctures - w))]
-            return p + 0.05 * (w - p) / abs(w - p) if abs(w - p) < 0.05 else w
-
-        a, b = clear(self.here), clear(z)
-        path = build_path(a, b, self.punctures, self.tol) if a != b else [a]
-        self.here = complex(z)
-        s = self.tracker.value_at(np.array(path + [z]))[:, -1]
-        return s, s * self.tracker.logderiv[:, -1] / self.lax.params.r
-
-    def moments(self, loop, centre, rho, count):
-        """The moments of ``B'/B`` around ``loop`` (``_loop_moments``).  At
-        every quadrature level the section goes once round ``loop``, corners
-        and nodes in order, so it never cuts across."""
-        def logderiv(zs):
-            # the corner ending each node's edge: the distances to its ends add up
-            d = np.abs(zs[:, None] - loop)
-            at = 1 + np.argmin(d[:, :-1] + d[:, 1:] - abs(np.diff(loop)), axis=1)
-            where = at + np.arange(zs.size)
-            s = self.tracker.value_at(np.insert(loop, at, zs))[:, where]
-            ds = s * self.tracker.logderiv[:, where] / self.lax.params.r
-            B, dB = _krylov_det(self.lax, zs, s.T, ds.T)
-            return dB / B
-
-        self.section(loop[0])
-        return _loop_moments(logderiv, loop, centre, rho, count, self.tol)
-
-    def polish(self, zs):
-        """Three Newton steps on ``B``."""
-        for _ in range(3):
-            s, ds = np.array([self.section(z) for z in zs]).transpose(1, 0, 2)
-            B, dB = _krylov_det(self.lax, zs, s, ds)
-            zs = zs - np.divide(B, dB, out=np.zeros_like(B), where=dB != 0)
-        return zs
-
-
-def _cell_zeros(moments, polish, params, origin, poles, orders,
+def _cell_zeros(logderiv, params, origin, poles, orders, tol,
                 box=((0.0, 1.0), (0.0, 1.0)), depth=0):
     """The zeros of ``f`` in the parallelogram ``box = ((a0, a1), (b0, b1))``,
-    that is ``origin + [a0, a1) omega1 + [b0, b1) omega2``, polished.
+    that is ``origin + [a0, a1) omega1 + [b0, b1) omega2``, from ``logderiv``,
+    which maps an array of points to ``f'/f`` there.
 
     ``f'/f`` is elliptic on the cell, and ``f`` has poles of the integer
     ``orders`` at ``poles`` (an order 0 marks a point to keep the cuts clear
     of), so it has ``sum(orders)`` zeros in the cell; the whole cell must
-    count that many.  ``moments(loop, c, rho,
-    count)`` gives ``(1/2 pi i) int ((z - c)/rho)^k f'/f dz``, k < ``count``,
-    around the closed polygon ``loop`` and its error estimate; ``polish(zs)``
-    gives Newton steps on ``f``.  The moments around the box, plus ``order
-    ((p - c)/rho)^k`` for every pole ``p`` inside it (the residue theorem),
-    give the zero count (within 1e-8 of an integer) and the zeros as the
-    eigenvalues of a Hankel pencil (Delves and Lyness, Math. Comp. 21 (1967);
-    Kravanja and Van Barel, LNM 1727 (2000)), then polished.  Where that
+    count that many.  The moments of ``f'/f`` round the box
+    (``_loop_moments``), plus ``order ((p - c)/rho)^k`` for every pole ``p``
+    inside it (the residue theorem), give the zero count (within 1e-8 of an
+    integer) and the zeros as the eigenvalues of a Hankel pencil (Delves and
+    Lyness, Math. Comp. 21 (1967); Kravanja and Van Barel, LNM 1727 (2000)).
+    Each takes up to 3 Newton steps ``z - 1/(f'/f)``, and none once its step
+    is below rounding or ``f'/f`` is not finite (at an exact zero).  Where that
     fails (the Hankel matrix is singular to the moments' error, an eigenvalue
     lies far from the box, or the polished zeros do not give back the
     moments) the box is cut in two across its longer side, clear of the
@@ -434,7 +383,7 @@ def _cell_zeros(moments, polish, params, origin, poles, orders,
     most = int(orders.sum())
     pa, pb = _lattice(poles, params, origin)
     inside = (a0 <= pa) & (pa < a1) & (b0 <= pb) & (pb < b1)
-    value, error = moments(corners, centre, rho, 2 * most)
+    value, error = _loop_moments(logderiv, corners, centre, rho, 2 * most, tol)
     value = value + orders[inside] @ (
         ((poles[inside] - centre) / rho)[:, None] ** np.arange(2 * most))
     count = int(np.rint(value[0].real))
@@ -449,7 +398,13 @@ def _cell_zeros(moments, polish, params, origin, poles, orders,
         zs = centre + rho * np.linalg.eigvals(np.linalg.solve(value[hankel],
                                                               value[hankel + 1]))
         if np.all(np.abs(zs - centre) < 1.2 * rho):
-            zs = polish(zs)
+            moving = np.ones(count, dtype=bool)
+            for _ in range(3):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    step = 1.0 / logderiv(zs[moving])
+                step[~np.isfinite(step)] = 0.0
+                zs[moving] -= step
+                moving[moving] = np.abs(step) > np.finfo(float).eps * np.abs(zs[moving])
             # a zero found twice in place of another would not give back the moments
             sums = (((zs - centre) / rho)[:, None] ** np.arange(2 * count)).sum(axis=0)
             if np.all(np.abs(sums - value[:2 * count]) <= error[:2 * count]):
@@ -467,7 +422,7 @@ def _cell_zeros(moments, polish, params, origin, poles, orders,
     cut = cuts[np.argmax(np.minimum(gaps, 0.1 * (hi - lo)))]
     halves = [list(box), list(box)]
     halves[0][side], halves[1][side] = (lo, cut), (cut, hi)
-    zs = np.concatenate([_cell_zeros(moments, polish, params, origin, poles, orders,
+    zs = np.concatenate([_cell_zeros(logderiv, params, origin, poles, orders, tol,
                                      tuple(half), depth + 1) for half in halves])
     if zs.size != count:
         raise ConsistencyError(f"the halves of a box with {count} zeros hold {zs.size}")
@@ -480,18 +435,9 @@ def _branch_points(lax, origin, tol):
     elliptic, with a pole of order ``m r(r-1)`` at a divisor point of
     multiplicity ``m`` and no other pole."""
     params, r = lax.params, lax.params.r
-
-    def moments(loop, centre, rho, count):
-        return _loop_moments(lambda zs: _disc_logderiv(lax, zs), loop, centre, rho, count, tol)
-
-    def polish(zs):
-        for _ in range(3):
-            zs = zs - 1.0 / _disc_logderiv(lax, zs)
-        return zs
-
     poles = reduce_to_domain(np.array(lax.divisor.points), params, origin)
-    return _cell_zeros(moments, polish, params, origin, poles,
-                       r * (r - 1) * np.array(lax.divisor.mults))
+    return _cell_zeros(partial(_disc_logderiv, lax), params, origin, poles,
+                       r * (r - 1) * np.array(lax.divisor.mults), tol)
 
 
 def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
@@ -499,34 +445,39 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     """Separating points in the fundamental domain, over the zeros of
     Sklyanin's ``B = det[s, phi s, ..., phi^(r-1) s]``, ``s`` the section.
 
-    ``B'/B`` is elliptic (around a puncture every component of ``s`` gains
-    one r-th root of unity), and ``_cell_zeros`` finds its zeros on the cell
-    from contour moments, with the pole order of ``B`` at each divisor point
-    and at the puncture measured around a clockwise 8-gon of radius
-    ``2.5 tol.puncture_radius``.  Each ``xi`` and its residual, which must be
-    within ``tol.divisor``, come from ``kernel.divisor_points``.  The genus
-    prediction is Riemann--Hurwitz over the torus, ``1 + (branch points)/2``,
-    the branch points located by ``_branch_points``.  Output coordinates are
-    (z_mu - z0, xi_mu).
+    ``s`` is the closed form ``theta.section_quotients``: the continued
+    section times a root of unity common to its components, which ``B``,
+    of degree ``r`` in ``s``, does not see.  So ``B'/B`` is elliptic, and
+    ``_cell_zeros`` finds its zeros on the cell from its values at points,
+    with the pole order of ``B`` at each divisor point and at the puncture
+    measured around a clockwise 8-gon of radius ``2.5 tol.puncture_radius``.
+    Each ``xi`` and its residual, which must be within ``tol.divisor``, come
+    from ``kernel.divisor_points``.  The genus prediction is Riemann--Hurwitz
+    over the torus, ``1 + (branch points)/2``, the branch points located by
+    ``_branch_points``.  Output coordinates are (z_mu - z0, xi_mu).
     """
     params = lax.params
-    r = params.r
     origin = 0.013 * params.omega1 + 0.017 * params.omega2
+    section = section_quotients(params)
 
-    walk = _SectionWalk(lax, tol)
+    def logderiv(zs):
+        s, logd = section.logderivs(zs)
+        B, dB = _krylov_det(lax, zs, s, s * logd)
+        return dB / B
+
     singulars = reduce_to_domain(np.array(lax.divisor.points + (params.puncture,)),
                                  params, origin)
     ring = 2.5 * tol.puncture_radius * np.exp(-2j * np.pi * np.arange(9) / 8)
-    measured = np.array([walk.moments(p + ring, p, 1.0, 1)[0][0] for p in singulars])
+    measured = np.array([_loop_moments(logderiv, p + ring, p, 1.0, 1, tol)[0][0]
+                         for p in singulars])
     orders = np.rint(measured.real).astype(int)
     if np.abs(measured - orders).max() > 1e-8:
         raise ConsistencyError(f"B has poles of orders {measured}, not integers")
-    zs = _cell_zeros(walk.moments, walk.polish, params, origin, singulars, orders)
+    zs = _cell_zeros(logderiv, params, origin, singulars, orders, tol)
     count = zs.size
-    svecs = np.array([walk.section(z)[0] for z in zs]).reshape(-1, r)
 
     phis = lax(zs)
-    xis, resid = kernel.divisor_points(phis, svecs, np.ones(count, dtype=int))
+    xis, resid = kernel.divisor_points(phis, section(zs), np.ones(count, dtype=int))
     validated = int(np.count_nonzero(resid <= tol.divisor))
     if validated != count:
         raise ConsistencyError(f"{validated} of the {count} zeros of B are divisor points")

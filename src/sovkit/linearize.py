@@ -95,11 +95,10 @@ def build_path(z0, z1, branch_pts, tol: Tolerances = DEFAULT):
     raise NumericDomainError("path could not be routed around branch points")
 
 
-def pick_base_point(branch_pts, endpoint_hint=0.0):
+def pick_base_point(branch_pts):
     """Deterministic base point well away from every branch point."""
     branch_pts = np.asarray(branch_pts, dtype=complex)
-    radius = 1.6 * max(1.0, np.abs(branch_pts).max() if branch_pts.size else 1.0,
-                       abs(endpoint_hint))
+    radius = 1.6 * max(1.0, np.abs(branch_pts).max() if branch_pts.size else 1.0)
     candidates = radius * np.exp(2j * np.pi * (np.arange(16) + 0.27) / 16)
     if not branch_pts.size:
         return complex(candidates[0])
@@ -363,8 +362,7 @@ class LinearizeResult:
 
 
 def linearize(trajectory: Sequence[MatPoly], times, spec: BracketSpec,
-              positions, base_z0=None, s=None,
-              tol: Tolerances = DEFAULT) -> LinearizeResult:
+              positions, tol: Tolerances = DEFAULT) -> LinearizeResult:
     """Q_i(t) along a flow trajectory, with per-coordinate linear fits.
 
     ``positions`` lists the Hamiltonian grid positions to integrate. Divisor
@@ -378,11 +376,11 @@ def linearize(trajectory: Sequence[MatPoly], times, spec: BracketSpec,
         raise ValueError("trajectory and times must have equal length")
     curve = spectral_curve(trajectory[0])
     bps, _ = branch_points(curve, tol)
-    z0 = pick_base_point(bps) if base_z0 is None else complex(base_z0)
+    z0 = pick_base_point(bps)
 
-    divisors = [divisor_coords(trajectory[0], s=s, tol=tol)]
+    divisors = [divisor_coords(trajectory[0], tol=tol)]
     for state in trajectory[1:]:
-        d = divisor_coords(state, s=s, tol=tol)
+        d = divisor_coords(state, tol=tol)
         idx = _nearest_permutation(divisors[-1], d)
         divisors.append(DivisorCoords(z=d.z[idx], xi=d.xi[idx], s=d.s, degenerate=d.degenerate))
 

@@ -2,10 +2,10 @@
 
 Provides the standard theta series, the shifted families used for odd and
 even rank, the quasi-periodic products f_j, the automorphy matrices, and the
-branch-tracked basic section s with s_i**r = f_i.
+basic section s with s_i**r = f_i, branch-tracked and in closed form.
 
 Everything is array-valued.  ``ThetaQuotients`` evaluates theta quotients
-(the f_j of both parities, the elliptic Lax basis) and their exact
+(the f_j, the basic section, the elliptic Lax basis) and their exact
 log-derivatives from one series pass.  ``_continued_log`` is the one
 continuation stepper: it evaluates a whole polyline per call, bisects only
 the failing steps, and serves the section tracker and the even-rank
@@ -26,7 +26,7 @@ from .tolerances import DEFAULT, Tolerances
 __all__ = [
     "ThetaParams", "ThetaQuotients", "SectionTracker", "riemann_theta", "theta_deriv",
     "theta_kj", "xi_kj", "rho_shift", "f_component", "f_vector", "f_quotients",
-    "puncture_distance", "i_matrices",
+    "puncture_distance", "i_matrices", "section_quotients",
 ]
 
 
@@ -181,13 +181,12 @@ def puncture_distance(z, params: ThetaParams):
 
 def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
     """log func(node) - log func(nodes[0]) at every node of the polyline
-    ``nodes``, continued along it, and f'/f at every node.
+    ``nodes``, continued along it.
 
     ``func`` maps an ``(m,)`` array of points to ``(f, f'/f)``, two arrays of
-    shape ``(..., m)``; the continued logs and the f'/f at the nodes both have
-    shape ``(..., len(nodes))``.  Each segment is
-    cut into at least 4 steps of at most 0.05, and the whole path is
-    evaluated in one call.  A step is bisected (only those steps, only their
+    shape ``(..., m)``; the continued logs have shape ``(..., len(nodes))``.
+    Each segment is cut into at least 4 steps of at most 0.05, and the whole
+    path is evaluated in one call.  A step is bisected (only those steps, only their
     midpoints evaluated) when its ratio f(z + h)/f(z) has |ratio - 1| > 0.5
     in any entry, so no principal log is taken of a ratio far from 1, or when
     |h| |f'/f| > 1 at one of its ends in any entry, so no step straddles a
@@ -202,7 +201,7 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
             raise NumericDomainError(f"branch obstruction near z={pts[near][0]:.6f}")
         vals, logd = func(pts)
         # the steepest entry at every point
-        return vals, logd, np.abs(logd).reshape(-1, pts.size).max(axis=0)
+        return vals, np.abs(logd).reshape(-1, pts.size).max(axis=0)
 
     nodes = np.asarray(nodes, dtype=complex)
     delta = nodes[1:] - nodes[:-1]
@@ -213,8 +212,7 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
     pts = np.empty(at[-1] + 1, dtype=complex)
     pts[1:] = nodes[seg] + (np.arange(at[-1]) - at[seg] + 1) / steps[seg] * delta[seg]
     pts[at] = nodes
-    vals, logd, slope = evaluate(pts)
-    node_logd = logd[..., at]
+    vals, slope = evaluate(pts)
     while True:
         ratio = vals[..., 1:] / vals[..., :-1]
         width = np.abs(np.diff(pts))
@@ -223,12 +221,12 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
         if bad.size == 0:
             logs = np.zeros(vals.shape, dtype=complex)
             logs[..., 1:] = np.log(ratio).cumsum(axis=-1)
-            return logs[..., at], node_logd
+            return logs[..., at]
         mids = 0.5 * (pts[bad] + pts[bad + 1])
         if width[bad].min() < 1e-8:
             raise NumericDomainError(
                 f"branch obstruction near z={mids[width[bad].argmin()]:.6f}")
-        new_vals, _, new_slope = evaluate(mids)
+        new_vals, new_slope = evaluate(mids)
         pts = np.insert(pts, bad + 1, mids)
         vals = np.insert(vals, bad + 1, new_vals, axis=-1)
         slope = np.insert(slope, bad + 1, new_slope)
@@ -239,17 +237,20 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
 #
 # For odd r, with theta_kl = theta(z + (k + l tau)/r),
 #
-#     f_j = c_j prod_k theta_kj^(r-2) theta_kj(. + rho_j tau) / prod_{l != j} theta_kl
+#     f_j = c_j prod_k theta_kj^(r-2) theta_kj(. + rho_j tau) / prod_{l != j} theta_kl;
+#
+# rho_j is an integer, so theta_kj(. + rho_j tau) is theta_kj exp(-2 pi i rho_j z) times
+# a constant, and f_j = c'_j exp(-2 pi i r rho_j z) prod_{k,l} theta_kl^(r [l = j] - 1).
 
 @lru_cache(maxsize=32)
 def _odd_family(params: ThetaParams):
     r, tau, ks = params.r, params.tau, np.arange(params.r)
+    rho = rho_shift(ks, r)
     grid = (ks[:, None] + ks * tau) / r  # (k, l)
-    own = np.broadcast_to(np.eye(r)[:, None, :], (r, r, r))  # (j, k, l): l == j
-    powers = np.stack([(r - 1) * own - 1, own], axis=1).reshape(r, -1)
-    coef = np.exp(2j * np.pi * tau * ((r - 1) * ks * (ks + 1 - r) / 2.0))
-    return ThetaQuotients(params, np.stack([grid, grid + rho_shift(ks, r) * tau]).ravel(),
-                          powers, np.zeros(r), coef, 1.0)
+    powers = np.broadcast_to(r * np.eye(r)[:, None, :] - 1, (r, r, r))  # (j, k, l)
+    # c_j prod_k exp(-pi i rho_j (rho_j tau + 2 (k + j tau)/r)); sum_k k/r is an integer
+    coef = np.exp(1j * np.pi * tau * ((r - 1) * ks * (ks + 1 - r) - r * rho ** 2 - 2 * rho * ks))
+    return ThetaQuotients(params, grid.ravel(), powers.reshape(r, -1), -r * rho, coef, 1.0)
 
 
 # For even r the puncture-stack zero placement is obstructed (the Abel class
@@ -288,7 +289,7 @@ def _even_family(params: ThetaParams):
     # horizontal tracked-root factors fix the component labelling
     za = (0.0917 + 0.3379 * tau) / r
     fac = np.exp(_continued_log(lambda pts: tuple(a.T for a in raw.logderivs(pts)),
-                                [za, za + 1.0 / r], params, DEFAULT)[0][:, -1] / r)
+                                [za, za + 1.0 / r], params, DEFAULT)[:, -1] / r)
     powers = np.round(np.angle(fac) / (2 * np.pi / r)).astype(int) % r
     if np.any(np.abs(fac - params.q_root ** powers) > 1e-8):
         raise ConsistencyError("even-rank root factor is not a root of unity")
@@ -351,8 +352,6 @@ class SectionTracker:
     ``value_at`` continues the whole vector from the last queried point
     through a point or a path of points: one ``_continued_log`` of all r
     components along the polyline, then values are multiplied by exp(L/r).
-    ``logderiv`` is f'/f at the points of the last query, in the shape of
-    ``value_at``'s result, so ``ds/dz = s logderiv / r`` there.
     """
 
     def __init__(self, params: ThetaParams, anchor: Optional[complex] = None,
@@ -366,9 +365,8 @@ class SectionTracker:
         self.anchor = complex(default if anchor is None else anchor)
         self._f = lambda pts: tuple(a.T for a in f_quotients(params).logderivs(pts))
         f0 = f_vector(self.anchor, params, tol=tol)
-        self.logderiv = self._logd = f_quotients(params).logderivs(self.anchor)[1]
         across = np.exp(_continued_log(self._f, [self.anchor, self.anchor + params.omega2],
-                                       params, tol)[0][:, -1] / r)
+                                       params, tol)[:, -1] / r)
         s = np.zeros(r, dtype=complex)
         s[0] = abs(f0[0]) ** (1.0 / r) * np.exp(1j * np.angle(f0[0]) / r)
         for i in range(1, r):
@@ -390,13 +388,31 @@ class SectionTracker:
             raise NumericDomainError("continuation target is not finite")
         if (path == self._z).all():
             out = np.repeat(self._values[:, None], path.size, axis=1)
-            logd = np.repeat(self._logd[:, None], path.size, axis=1)
         else:
             nodes = np.append(self._z, path)
-            logs, logd = _continued_log(self._f, nodes, self.params, self.tol)
+            logs = _continued_log(self._f, nodes, self.params, self.tol)
             out = self._values[:, None] * np.exp(logs[:, 1:] / self.params.r)
-            logd = logd[:, 1:]
-            self._z, self._values, self._logd = complex(nodes[-1]), out[:, -1].copy(), logd[:, -1]
-        self.logderiv = logd.reshape((-1,) + path.shape)
+            self._z, self._values = complex(nodes[-1]), out[:, -1].copy()
         return out.reshape((-1,) + path.shape)
 
+
+@lru_cache(maxsize=32)
+def section_quotients(params: ThetaParams) -> ThetaQuotients:
+    """The basic section in closed form, one evaluator (elements j = 0..r-1).
+
+    Both families are ``f_j = c_j exp(2 pi i gamma_j u) g_j^r / h``, ``g_j``
+    a product of thetas and ``h`` one for every ``j``, so ``s_j = d_j exp(2 pi
+    i gamma_j u / r) g_j h^(-1/r)``: ``f_quotients`` with its powers and
+    ``gamma`` over ``r``.  Principal powers give every component the same
+    branch of ``h^(-1/r)``: this is the continued section times an r-th root
+    of unity common to the components.  ``d`` is read from a
+    ``SectionTracker`` at its anchor, where the two agree.
+    """
+    f, r = f_quotients(params), params.r
+
+    def quotients(coef):
+        return ThetaQuotients(f.params, f.shifts, f.powers / r, f.phase / (2j * np.pi * r),
+                              coef, f.scale)
+
+    tracker = SectionTracker(params)
+    return quotients(tracker.value_at(tracker.anchor) / quotients(1.0)(tracker.anchor))

@@ -61,3 +61,25 @@ def test_numpy_polynomial_stays_out_of_the_package(path):
                 "numpy.polynomial.legendre.leggauss"}
     assert _numpy_polynomial_uses(path) == (set(), leggauss if path.name == "numeric.py"
                                             else set())
+
+
+def _imported_modules(path):
+    """The ``sovkit`` modules a module of the package imports, or imports
+    names from, as dotted names."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["sovkit", node.module])) if node.level else node.module
+            out.add(base)
+            out |= {f"{base}.{a.name}" for a in node.names}
+    return {n for n in out if n.startswith("sovkit.")}
+
+
+def test_elliptic_walks_no_rational_paths():
+    # the elliptic divisor is located pointwise from the closed-form section:
+    # no path routing or rational-base code may creep back into it
+    names = _imported_modules(Path(sovkit.__file__).parent / "elliptic.py")
+    assert "sovkit.kernel" in names
+    assert not {n for n in names if n.startswith(("sovkit.linearize", "sovkit.rational"))}

@@ -294,6 +294,29 @@ class TestProducts:
             ref = ref[:, match[0]]
         assert np.abs(logd - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
 
+    @pytest.mark.parametrize("r", [3, 5, 7])
+    def test_merged_odd_family_matches_the_shifted_product(self, r):
+        # the oracle: f_j = c_j prod_k theta_kj^(r-2) theta_kj(. + rho_j tau) /
+        # prod_{l != j} theta_kl with the rho_j tau shift kept as its own factor
+        tau = 0.2 + 1.1j
+        params = T.ThetaParams(tau=tau, r=r)
+        ks = np.arange(r)
+        grid = (ks[:, None] + ks * tau) / r
+        own = np.broadcast_to(np.eye(r)[:, None, :], (r, r, r))
+        oracle = T.ThetaQuotients(
+            params, np.stack([grid, grid + T.rho_shift(ks, r) * tau]).ravel(),
+            np.stack([(r - 1) * own - 1, own], axis=1).reshape(r, -1), np.zeros(r),
+            np.exp(2j * np.pi * tau * ((r - 1) * ks * (ks + 1 - r) / 2.0)), 1.0)
+        rng = np.random.default_rng(r)
+        z = (rng.uniform(0.0, 1.0, 40) + rng.uniform(-1.0, 2.0, 40) * tau) / r
+        z = z[T.puncture_distance(z, params) > 1e-2]
+        vals, logd = T.f_quotients(params).logderivs(z)
+        ref_vals, ref_logd = oracle.logderivs(z)
+        assert len(T.f_quotients(params).shifts) == r * r
+        assert np.abs(vals / ref_vals - 1.0).max() < 1e-13
+        assert (np.abs(logd - ref_logd).max(axis=-1)
+                < 1e-13 * np.abs(ref_logd).max(axis=-1)).all()
+
     def test_component_index_range(self):
         params = T.ThetaParams(tau=1j, r=3)
         with pytest.raises(IndexError, match="index out of range"):
@@ -342,7 +365,7 @@ class TestContinuedLog:
             return np.array([w - a, (w - b) ** 2]), np.array([1 / (w - a), 2 / (w - b)])
 
         corners = [a + 0.05 * c for c in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j)]
-        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[0][:, -1]
+        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[:, -1]
         assert total.shape == (2,)
         assert np.abs(total - [2j * np.pi, 0.0]).max() < 1e-12
 
@@ -355,7 +378,7 @@ class TestContinuedLog:
             seen.append(w.size)
             return (w - a)[None], (1 / (w - a))[None]
 
-        got = T._continued_log(func, [z_from, z_to], self.PARAMS, DEFAULT)[0][:, -1]
+        got = T._continued_log(func, [z_from, z_to], self.PARAMS, DEFAULT)[:, -1]
         ref = np.log((z_to - a) / (z_from - a))
         assert abs(ref.imag) > 3.0  # the argument turns by nearly pi
         assert abs(got[0] - ref) < 1e-12
@@ -374,7 +397,7 @@ class TestContinuedLog:
             return ((w - a) ** 2)[None], (2 / (w - a))[None]
 
         corners = z0 + np.array([0.0, 0.16, 0.16 + 0.16j, 0.16j, 0.0])
-        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[0][0, -1]
+        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[0, -1]
         assert abs(total - 4j * np.pi) < 1e-12
 
     def test_segment_through_a_zero_raises(self):
@@ -396,12 +419,11 @@ class TestContinuedLog:
         def func(w):
             return np.array([w - a, (w - b) ** 2]), np.array([1 / (w - a), 2 / (w - b)])
 
-        got, logd = T._continued_log(func, nodes, self.PARAMS, DEFAULT)
+        got = T._continued_log(func, nodes, self.PARAMS, DEFAULT)
         ref = np.array([np.log((nodes - a) / (nodes[0] - a)),
                         2 * np.log((nodes - b) / (nodes[0] - b))])
-        assert got.shape == logd.shape == (2, 3)
+        assert got.shape == (2, 3)
         assert np.abs(got - ref).max() < 1e-12
-        assert np.array_equal(logd, func(nodes)[1])
 
 
 class TestBasicSection:
@@ -493,17 +515,30 @@ class TestBasicSection:
         assert np.abs(trk.value_at(trk.anchor + 0.05) - trk2.value_at(trk.anchor + 0.05)
                       ).max() < 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("r", [2, 3])
-    def test_logderiv_follows_the_current_point(self, r):
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_closed_form_matches_the_continued_section(self, r):
+        # along a path from the anchor, round the cell and round the puncture,
+        # the continued section is the closed form times one r-th root of
+        # unity common to every component (which B, of degree r, does not see)
         params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
+        section = T.section_quotients(params)
         trk = T.SectionTracker(params)
-        # f'/f at every point of the query, the last one queried again included
-        for z in (trk.anchor, trk.anchor + 0.13 - 0.04j, trk.anchor + np.array([0.05, 0.21j]),
-                  trk.anchor + 0.21j, trk.anchor + np.array([0.21j, 0.21j])):
-            vals = trk.value_at(z)
-            ref = np.moveaxis(T.f_quotients(params).logderivs(z)[1], -1, 0)
-            assert trk.logderiv.shape == vals.shape
-            assert np.abs(trk.logderiv - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(section(trk.anchor) - trk.value_at(trk.anchor)).max() <= (
+            1e-14 * np.abs(trk.value_at(trk.anchor)).max())
+        origin = 0.013 * params.omega1 + 0.017 * params.omega2
+        cell = origin + np.array([0.0, params.omega1, params.omega1 + params.omega2,
+                                  params.omega2, 0.0])
+        rad = 0.45 / r
+        near = params.puncture + rad * np.exp(2j * np.pi * np.arange(65) / 64)
+        lead, out = np.linspace(trk.anchor, origin, 9), np.linspace(origin, near[0], 9)
+        path = np.concatenate([lead, cell, out, near])
+        ratio = trk.value_at(path).T / section(path)
+        assert np.abs(ratio / ratio[:, :1] - 1.0).max() < 1e-13
+        assert np.abs(ratio[:, 0] ** r - 1.0).max() < 1e-13
+        # round either loop the continued section gains exp(-2 pi i/r)
+        for start, loop in ((lead.size, cell), (lead.size + cell.size + out.size, near)):
+            turn = ratio[start + loop.size - 1, 0] / ratio[start, 0]
+            assert abs(turn - np.exp(-2j * np.pi / r)) < 1e-13
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.inf)])
     def test_non_finite_path_point_raises(self, bad):
