@@ -28,9 +28,9 @@ import numpy as np
 from . import kernel
 from .errors import ConsistencyError, MatchingError, NonGenericError, NumericDomainError
 from .numeric import _GL_NODES as _NODES, _GL_WEIGHTS as _WEIGHTS
-from .rational import (BracketSpec, DivisorCoords, MatPoly, SpectralCurve,
+from .rational import (BracketSpec, DivisorCoords, MatPoly, SpectralCurve, _poisson,
                        branch_points, casimir_detect, divisor_coords, divisor_jacobian,
-                       spectral_curve, spectral_gradient_matrix, structure_tensor)
+                       spectral_curve, spectral_gradient_matrix)
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = ["LinearizeResult", "build_path", "sheet_integrals", "slope_matrix",
@@ -341,8 +341,7 @@ def slope_matrix(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT):
         raise NonGenericError(f"{len(hams)} Hamiltonians and {len(cass)} Casimirs do not "
                               f"cover the {len(positions)} spectral positions")
     points, dz, _ = divisor_jacobian(phi, tol=tol)
-    pi = structure_tensor(phi.r, phi.n, spec, tol).poisson_matrix(phi.flatten())
-    V = dz @ pi @ G[[positions.index(p) for p in hams]].T
+    V = dz @ _poisson(phi, spec, tol) @ G[[positions.index(p) for p in hams]].T
     omega = _conjugate_integrand(spectral_curve(phi), spec, hams)(points.z, points.xi)
     return hams, omega @ V
 

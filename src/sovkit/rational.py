@@ -7,8 +7,9 @@ size r and degree <= n; the flattened coordinate vector orders entries as
 ``x[k*r*r + i*r + j] = phi_k[i, j]``.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+import inspect
+from dataclasses import dataclass, field
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -32,17 +33,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MatPoly:
-    """Matrix-valued polynomial phi(z) of size r, degree <= n."""
+    """Matrix-valued polynomial phi(z) of size r, degree <= n, immutable: it keeps a
+    read-only copy of ``coeff_mats``, so what ``_memoized`` keeps in ``_memo`` holds."""
 
     coeff_mats: np.ndarray  # (n+1, r, r)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cm = np.asarray(self.coeff_mats, dtype=complex)
+        cm = np.array(self.coeff_mats, dtype=complex)
         if cm.ndim != 3 or cm.shape[1] != cm.shape[2] or cm.shape[1] < 1:
             raise ValueError("coeff_mats must have shape (n+1, r, r)")
         if not np.all(np.isfinite(cm)):
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeff_mats", cm)
+        object.__setattr__(self, "coeff_mats", kernel.frozen(cm)[0])
+
+    def __reduce__(self):  # a copy re-freezes its coefficients and starts an empty memo
+        return MatPoly, (self.coeff_mats,)
 
     @property
     def r(self) -> int:
@@ -84,12 +90,36 @@ class BracketSpec:
         return kernel.poly_eval(self.a_array, z)
 
 
+def _memoized(fn):
+    """``fn(phi, ...)`` computed once per point and arguments, kept in ``phi._memo``
+    under ``fn``'s name and the arguments with defaults applied (a wrong call's key
+    is never stored: ``fn`` raises).  An unhashable argument (an array ``s``)
+    computes afresh; an exception is not kept.  ``fn`` returns immutable values."""
+    params = list(inspect.signature(fn).parameters.values())[1:]
+
+    @wraps(fn)
+    def memo(phi, *args, **kwargs):
+        key = (fn.__name__, *args, *(kwargs.get(p.name, p.default) for p in params[len(args):]))
+        try:
+            known = key in phi._memo
+        except TypeError:
+            known = None
+        if known:
+            return phi._memo[key]
+        value = fn(phi, *args, **kwargs)
+        if known is False:
+            phi._memo[key] = value
+        return value
+
+    return memo
+
+
 def spectral_positions(r: int, n: int):
     """Grid positions (k, l) of the nontrivial spectral coefficients."""
     return [(k, l) for k in range(r) for l in range((r - k) * n + 1)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralCurve:
     """Bivariate polynomial det(phi(z) - xi I) with its coefficient grid."""
 
@@ -104,7 +134,7 @@ class SpectralCurve:
         return kernel.bipoly_dxi(self.grid)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DivisorCoords:
     """Separating points (z_mu, xi_mu) extracted from a phase-space point."""
 
@@ -163,8 +193,9 @@ class StructureTensor:
 # spectral curve and genus
 # ---------------------------------------------------------------------------
 
+@_memoized
 def spectral_curve(phi: MatPoly) -> SpectralCurve:
-    """Coefficient grid of det(phi(z) - xi I).
+    """Coefficient grid of det(phi(z) - xi I), computed once per point, read-only.
 
     Built by evaluation at roots of unity plus FFT, exact to rounding; the
     grid is cross-checked against direct determinant evaluation at 20 random
@@ -179,7 +210,7 @@ def spectral_curve(phi: MatPoly) -> SpectralCurve:
     ours = kernel.bipoly_eval(grid, zs, xis)
     if np.any(np.abs(ours - direct) > 1e-10 * np.maximum(1.0, np.abs(direct))):
         raise ConsistencyError("spectral curve grid disagrees with determinant probe")
-    return SpectralCurve(grid=grid, r=r, n=n)
+    return SpectralCurve(grid=kernel.frozen(grid)[0], r=r, n=n)
 
 
 def branch_points(curve: SpectralCurve, tol: Tolerances = DEFAULT):
@@ -291,11 +322,9 @@ def bracket(grad_f, grad_g, phi: MatPoly, spec: BracketSpec,
             tol: Tolerances = DEFAULT) -> complex:
     """Poisson bracket {F, G}(phi) = grad(F) . Pi(phi) . grad(G) of two
     observables, given their gradients in the flattened coefficient vector."""
-    x = phi.flatten()
-    tensor = structure_tensor(phi.r, phi.n, spec, tol)
     gf = np.asarray(grad_f, dtype=complex)
     gg = np.asarray(grad_g, dtype=complex)
-    return complex(gf @ tensor.poisson_matrix(x) @ gg)
+    return complex(gf @ _poisson(phi, spec, tol) @ gg)
 
 
 def jacobi_max_residual(tensor: StructureTensor, x, triples) -> float:
@@ -341,33 +370,44 @@ def _spectral_gradients(N, level, rows):
     return G.reshape(G.shape[:-1] + (r, r)).swapaxes(-1, -2)
 
 
+@_memoized
+def _gradients(phi: MatPoly) -> np.ndarray:
+    """``spectral_gradient_matrix``'s ``G``, computed once per point; read-only."""
+    r, n = phi.r, phi.n
+    vander, level, rows = _covector_plan(r, n, tuple(spectral_positions(r, n)))
+    phis = (vander @ phi.coeff_mats.reshape(n + 1, -1)).reshape(-1, r, r)
+    _, N = kernel._faddeev_leverrier(phis, r - 1)
+    return kernel.frozen(_spectral_gradients(N, level, rows).reshape(len(level), -1))[0]
+
+
 def spectral_gradient_matrix(phi: MatPoly):
     """Gradients of every spectral coefficient, via the adjugate.
 
     Returns ``(positions, G)`` where ``G[idx]`` is the gradient of the
     coefficient at ``positions[idx]`` with respect to the flattened phase
-    coordinates.
+    coordinates.  ``G`` is computed once per point, read-only; ``positions`` is new.
     """
-    r, n = phi.r, phi.n
-    positions = spectral_positions(r, n)
-    vander, level, rows = _covector_plan(r, n, tuple(positions))
-    phis = (vander @ phi.coeff_mats.reshape(n + 1, -1)).reshape(-1, r, r)
-    _, N = kernel._faddeev_leverrier(phis, r - 1)
-    return positions, _spectral_gradients(N, level, rows).reshape(len(positions), -1)
+    return spectral_positions(phi.r, phi.n), _gradients(phi)
+
+
+@_memoized
+def _poisson(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT) -> np.ndarray:
+    """``Pi`` at ``phi`` under ``spec``, once per point, bracket and ``tol``; read-only."""
+    return kernel.frozen(structure_tensor(phi.r, phi.n, spec, tol).poisson_matrix(phi.flatten()))[0]
 
 
 def involution_max_residual(phi: MatPoly, spec: BracketSpec,
                             tol: Tolerances = DEFAULT) -> float:
     """max |{H_i, H_j}| over all spectral-coefficient pairs, relative."""
     _, G = spectral_gradient_matrix(phi)
-    tensor = structure_tensor(phi.r, phi.n, spec, tol)
-    pi = tensor.poisson_matrix(phi.flatten())
+    pi = _poisson(phi, spec, tol)
     B = G @ pi @ G.T
     norms = np.linalg.norm(G, axis=1)
     scale = norms[:, None] * norms[None, :] * max(np.linalg.norm(pi), 1e-30)
     return float(np.max(np.abs(B) / np.maximum(scale, 1e-30)))
 
 
+@_memoized
 def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT):
     """Split the spectral coefficients into Hamiltonians and Casimirs at ``phi``.
 
@@ -381,11 +421,11 @@ def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT):
     vanishes, below ``tol.casimir`` relative to ``|Pi| |grad C|``.  Both come
     back in ``spectral_positions`` order.  Under a general bracket some
     positions are neither: their fields are combinations of the Hamiltonians'
-    fields.
+    fields.  Computed once per point, bracket and ``tol``.
     """
     r, n = phi.r, phi.n
     positions, G = spectral_gradient_matrix(phi)
-    pi = structure_tensor(r, n, spec, tol).poisson_matrix(phi.flatten())
+    pi = _poisson(phi, spec, tol)
     F = G @ pi
     sv = np.linalg.svd(F, compute_uv=False)
     deg_b = n * r * (r - 1) // 2
@@ -410,6 +450,7 @@ def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT):
 # divisor coordinates
 # ---------------------------------------------------------------------------
 
+@_memoized
 def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT) -> DivisorCoords:
     """Separating divisor points: common zeros of the curve and adj(.)s.
 
@@ -423,12 +464,13 @@ def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT) -> DivisorCo
     raises ``NonGenericError`` where ``s`` is special for ``phi`` (``B`` of
     lower degree, or a root of multiplicity ``r`` or more), and
     ``ConsistencyError`` where a point's residual exceeds ``tol.divisor``.
+    Computed once per point, hashable ``s`` and ``tol``; the arrays are read-only.
     """
     r, n = phi.r, phi.n
-    s = np.eye(r, dtype=complex)[0] if s is None else np.asarray(s, dtype=complex)
+    s, = kernel.frozen(np.eye(r, dtype=complex)[0] if s is None else np.array(s, dtype=complex))
     deg_b = n * r * (r - 1) // 2
     if deg_b == 0:
-        return DivisorCoords(z=np.zeros(0, dtype=complex), xi=np.zeros(0, dtype=complex), s=s)
+        return DivisorCoords(*kernel.frozen(np.zeros(0, complex), np.zeros(0, complex)), s)
     # B at the deg B + 1 roots of unity, then its coefficients by one FFT
     zk = np.exp(2j * np.pi * np.arange(deg_b + 1) / (deg_b + 1))
     B = kernel.poly_trim(np.fft.fft(np.linalg.det(kernel.krylov(phi(zk), s))) / zk.size, tol)
@@ -449,7 +491,7 @@ def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT) -> DivisorCo
     scale = max(1.0, np.abs(zs).max(), np.abs(xis).max())
     gap = kernel.min_gap(zs, xis)
     order = np.lexsort((xis.imag, xis.real, zs.imag, zs.real))
-    return DivisorCoords(z=zs[order], xi=xis[order], s=s, degenerate=bool(
+    return DivisorCoords(*kernel.frozen(zs[order], xis[order]), s, degenerate=bool(
         gap < 100 * tol.cluster_merge * scale or np.any(mults > 1)))
 
 
@@ -530,8 +572,7 @@ def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
     max(1, |row_mu| |Pi| |row_nu|) of its two chain-rule rows; the empty
     divisor has residuals 0."""
     base, dz, dxi = divisor_jacobian(phi, s=s, tol=tol)
-    tensor = structure_tensor(phi.r, phi.n, spec, tol)
-    pi = tensor.poisson_matrix(phi.flatten())
+    pi = _poisson(phi, spec, tol)
     b_zxi = dz @ pi @ dxi.T
     b_zz = dz @ pi @ dz.T
     b_xx = dxi @ pi @ dxi.T
@@ -559,7 +600,7 @@ def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
 def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
          tol: Tolerances = DEFAULT):
     """Integrate the Hamiltonian flow of ``H = C_{k,l}``, ``h_position = (k, l)``,
-    and return the MatPoly states at the times ``t_grid``.  The field
+    and return the MatPoly states at the times ``t_grid``, ``phi0`` itself first.  The field
     ``Pi(phi) grad H`` is ``_lax_field`` with no ``N x N`` matrix; its covector
     blocks are one matmul of the Faddeev--LeVerrier level ``r - 1 - k``, where
     the recursion stops, by the blocks of its unit values' ``_spectral_gradients``.
@@ -581,7 +622,7 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
         return _lax_field(x[None], g, a, spec.b).ravel()
 
     states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)
-    return [MatPoly.from_flat(row, r, n) for row in states]
+    return [phi0] + [MatPoly.from_flat(row, r, n) for row in states[1:]]
 
 
 # ---------------------------------------------------------------------------

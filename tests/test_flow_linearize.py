@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -216,8 +218,9 @@ class TestSlopeMatrix:
 
         def swapped(*args, **kwargs):
             points, dz, dxi = inner(*args, **kwargs)
-            points.xi[[0, 1]] = points.xi[[1, 0]]
-            return points, dz, dxi
+            xi = points.xi.copy()  # the divisor is read-only: swap in a copy
+            xi[[0, 1]] = xi[[1, 0]]
+            return dataclasses.replace(points, xi=xi), dz, dxi
 
         monkeypatch.setattr(linearize, "divisor_jacobian", swapped)
         for rn in RN_COMBOS:

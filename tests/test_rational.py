@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import mpmath
@@ -10,6 +11,7 @@ from sovkit import kernel
 from sovkit import rational as R
 from sovkit.acceptance import RN_COMBOS
 from sovkit.errors import ConsistencyError, NonGenericError
+from sovkit.tolerances import DEFAULT
 from test_kernel import hadamard_scale, mp_det_adj
 
 
@@ -730,3 +732,106 @@ class TestDivisorJacobian:
         monkeypatch.setattr(R, "divisor_coords", lambda *args, **kwargs: node)
         with pytest.raises(NonGenericError, match="singular"):
             R.divisor_jacobian(phi)
+
+
+def counted(monkeypatch, owner, name, fail=False):
+    """Replace ``owner.name`` by a wrapper that counts its calls (and raises
+    ``ConsistencyError`` on each when ``fail``); returns the call list."""
+    inner, calls = getattr(owner, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if fail:
+            raise ConsistencyError("injected")
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestMemo:
+    LINEAR = R.BracketSpec(a=(1.0,), b=0.0)
+    QUADRATIC = R.BracketSpec(a=(0.0,), b=1.0)
+
+    @pytest.fixture
+    def phi(self):
+        return R.random_instance(2, 2, np.random.default_rng(5))
+
+    def test_coefficients_are_a_frozen_copy(self, phi):
+        cm = np.array(phi.coeff_mats)
+        fresh = R.MatPoly(cm)
+        grid = R.spectral_curve(fresh).grid.copy()
+        cm[0, 0, 0] += 1.0
+        assert not np.shares_memory(fresh.coeff_mats, cm)
+        assert np.array_equal(fresh.coeff_mats, phi.coeff_mats)
+        assert np.array_equal(R.spectral_curve(fresh).grid, grid)
+        with pytest.raises(ValueError):
+            fresh.coeff_mats[0, 0, 0] = 1
+
+    def test_memoized_values_are_read_only(self, phi):
+        d = R.divisor_coords(phi)
+        for arr in (R.spectral_curve(phi).grid, d.z, d.xi, d.s,
+                    R.spectral_gradient_matrix(phi)[1], R._poisson(phi, self.LINEAR)):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        with pytest.raises(AttributeError):
+            d.z = d.xi
+
+    def test_a_copy_starts_afresh(self, phi):
+        R.spectral_curve(phi)
+        twin = pickle.loads(pickle.dumps(phi))
+        assert twin._memo == {} and not twin.coeff_mats.flags.writeable
+        assert np.array_equal(twin.coeff_mats, phi.coeff_mats)
+
+    def test_curve_then_genus_builds_one_grid(self, phi, monkeypatch):
+        fresh = R.MatPoly(phi.coeff_mats)
+        calls = counted(monkeypatch, kernel, "matpoly_char_adj")
+        R.spectral_curve(fresh)
+        assert R.genus(fresh) == 1
+        assert len(calls) == 1
+
+    def test_divisor_then_verify_extracts_once(self, phi, monkeypatch):
+        calls = counted(monkeypatch, kernel, "divisor_points")
+        d = R.divisor_coords(phi)
+        rep = R.verify_canonical(phi, self.LINEAR)
+        assert rep.points is d and len(calls) == 1
+
+    def test_default_spellings_share_an_entry(self, phi):
+        d = R.divisor_coords(phi)
+        assert R.divisor_coords(phi, None) is d
+        assert R.divisor_coords(phi, s=None, tol=DEFAULT) is d
+        assert R.casimir_detect(phi, self.LINEAR) is R.casimir_detect(phi, self.LINEAR, DEFAULT)
+
+    def test_other_arguments_compute_afresh(self, phi, monkeypatch):
+        calls = counted(monkeypatch, kernel, "divisor_points")
+        d = R.divisor_coords(phi)
+        tight = R.divisor_coords(phi, tol=DEFAULT.scaled(0.5))
+        s = np.array([1.0, 0.0])
+        by_array = [R.divisor_coords(phi, s=s) for _ in range(2)]
+        assert len(calls) == 4 and tight is not d and by_array[0] is not by_array[1]
+        assert np.array_equal(by_array[0].z, d.z) and np.array_equal(tight.xi, d.xi)
+
+    def test_a_raising_call_is_not_kept(self, phi, monkeypatch):
+        calls = counted(monkeypatch, kernel, "divisor_points", fail=True)
+        for _ in range(2):
+            with pytest.raises(ConsistencyError, match="injected"):
+                R.divisor_coords(phi)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                R.divisor_coords(phi, bogus=1)
+        assert R.divisor_coords(phi).count == 2
+
+    def test_two_brackets_share_one_gradient_matrix(self, phi, monkeypatch):
+        fresh = R.MatPoly(phi.coeff_mats)
+        calls = counted(monkeypatch, kernel, "_faddeev_leverrier")
+        R.casimir_detect(fresh, self.LINEAR)
+        R.casimir_detect(fresh, self.QUADRATIC)
+        (p1, g1), (p2, g2) = (R.spectral_gradient_matrix(fresh) for _ in range(2))
+        assert len(calls) == 1 and g1 is g2 and p1 == p2 and p1 is not p2
+
+    def test_flow_starts_at_the_point_itself(self, phi):
+        hams, _ = R.casimir_detect(phi, self.LINEAR)
+        traj = R.flow(phi, hams[0], self.LINEAR, [0.0, 1e-3])
+        assert traj[0] is phi and traj[1] is not phi
