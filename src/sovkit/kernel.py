@@ -409,9 +409,9 @@ def _xi_degree(c, tol: Tolerances):
 def resultant(p, q, eliminate="xi", tol: Tolerances = DEFAULT):
     """Sylvester resultant of two bivariate polynomials.
 
-    Eliminates ``xi`` (grid axis 0) or ``z`` (axis 1) and returns a 1-D
-    polynomial in the surviving variable.  Uses evaluation at scaled roots of
-    unity plus FFT interpolation, which keeps the Vandermonde system unitary.
+    Eliminates ``xi`` (grid axis 0) or ``z`` (axis 1) and returns a 1-D polynomial
+    in the surviving variable: one stacked determinant of its Sylvester matrices at
+    ``K`` roots of unity, then an FFT, which keeps the Vandermonde system unitary.
     """
     p = np.atleast_2d(np.asarray(p, dtype=complex))
     q = np.atleast_2d(np.asarray(q, dtype=complex))
@@ -425,19 +425,14 @@ def resultant(p, q, eliminate="xi", tol: Tolerances = DEFAULT):
     p = p[: dp + 1]
     q = q[: dq + 1]
     degz = (p.shape[1] - 1, q.shape[1] - 1)
-    bound = dp * degz[1] + dq * degz[0]
-    K = bound + 1
+    K = dp * degz[1] + dq * degz[0] + 1  # one more than the degree bound
     zs = np.exp(2j * np.pi * np.arange(K) / K)
-    vals = np.empty(K, dtype=complex)
-    n = dp + dq
-    for s, zval in enumerate(zs):
-        pc = poly_eval(p.T, zval)        # coefficients in xi at z = zval
-        qc = poly_eval(q.T, zval)
-        S = np.zeros((n, n), dtype=complex)
-        for row in range(dq):
-            S[row, row: row + dp + 1] = pc[::-1]
-        for row in range(dp):
-            S[dq + row, row: row + dq + 1] = qc[::-1]
-        vals[s] = np.linalg.det(S)
-    coeffs = np.fft.fft(vals) / K
+    pc = poly_eval(p.T, zs)[::-1].T        # (K, dp+1): descending xi at each node
+    qc = poly_eval(q.T, zs)[::-1].T
+    S = np.zeros((K, dp + dq, dp + dq), dtype=complex)
+    for row in range(dq):
+        S[:, row, row: row + dp + 1] = pc
+    for row in range(dp):
+        S[:, dq + row, row: row + dq + 1] = qc
+    coeffs = np.fft.fft(np.linalg.det(S)) / K
     return poly_trim(coeffs, tol)

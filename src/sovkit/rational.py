@@ -31,7 +31,7 @@ __all__ = [
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatPoly:
     """Matrix-valued polynomial phi(z) of size r, degree <= n, immutable: it keeps a
     read-only copy of ``coeff_mats``, so what ``_memoized`` keeps in ``_memo`` holds."""
@@ -119,7 +119,7 @@ def spectral_positions(r: int, n: int):
     return [(k, l) for k in range(r) for l in range((r - k) * n + 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralCurve:
     """Bivariate polynomial det(phi(z) - xi I) with its coefficient grid."""
 
@@ -134,7 +134,7 @@ class SpectralCurve:
         return kernel.bipoly_dxi(self.grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DivisorCoords:
     """Separating points (z_mu, xi_mu) extracted from a phase-space point."""
 
@@ -148,7 +148,7 @@ class DivisorCoords:
         return self.z.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructureTensor:
     """One bracket of the family, evaluated matrix-free at phase points.
 
@@ -614,12 +614,15 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
     unit = _spectral_gradients(np.eye(E).reshape(E, -1, 1, r, r), [0], rows)[:, 0]
     blocks = _covector_blocks(unit).reshape(2, (n + 1) * r, E, r).swapaxes(-2, -1).reshape(-1, E)
 
+    def covectors(x):
+        _, N = kernel._faddeev_leverrier((vander @ x.reshape(n + 1, -1)).reshape(-1, r, r), top)
+        return (blocks @ N[:, top].reshape(-1)).reshape(2, (n + 1) * r, r)
+    g0 = covectors(phi0.flatten()) if top == 0 else None  # level 0: N_0 = I at every x
+
     def field(t, x):
         if not np.all(np.isfinite(x)):
             raise ValueError("coefficients must be finite")
-        _, N = kernel._faddeev_leverrier((vander @ x.reshape(n + 1, -1)).reshape(-1, r, r), top)
-        g = (blocks @ N[:, top].reshape(-1)).reshape(2, (n + 1) * r, r)
-        return _lax_field(x[None], g, a, spec.b).ravel()
+        return _lax_field(x[None], covectors(x) if g0 is None else g0, a, spec.b).ravel()
 
     states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)
     return [phi0] + [MatPoly.from_flat(row, r, n) for row in states[1:]]

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from sovkit import kernel, linearize, numeric, rational, theta
 from sovkit.errors import ConvergenceError, NonGenericError
-from sovkit.tolerances import Tolerances
+from sovkit.tolerances import DEFAULT, Tolerances
 
 
 def random_poly(rng, deg):
@@ -455,6 +455,53 @@ class TestResultant:
         p[0] = [1.0, 2.0, 3.0]
         with pytest.raises(NonGenericError, match="resultant degenerate"):
             kernel.resultant(p, p, "xi")
+
+    @staticmethod
+    def node_loop_resultant(p, q, eliminate):
+        """The reference: one Sylvester matrix and one ``det`` per node."""
+        p = np.atleast_2d(np.asarray(p, dtype=complex))
+        q = np.atleast_2d(np.asarray(q, dtype=complex))
+        if eliminate == "z":
+            p, q = p.T, q.T
+        dp, dq = kernel._xi_degree(p, DEFAULT), kernel._xi_degree(q, DEFAULT)
+        p, q = p[: dp + 1], q[: dq + 1]
+        K = dp * (q.shape[1] - 1) + dq * (p.shape[1] - 1) + 1
+        vals = np.empty(K, dtype=complex)
+        for s, zval in enumerate(np.exp(2j * np.pi * np.arange(K) / K)):
+            pc, qc = kernel.poly_eval(p.T, zval), kernel.poly_eval(q.T, zval)
+            S = np.zeros((dp + dq, dp + dq), dtype=complex)
+            for row in range(dq):
+                S[row, row: row + dp + 1] = pc[::-1]
+            for row in range(dp):
+                S[dq + row, row: row + dq + 1] = qc[::-1]
+            vals[s] = np.linalg.det(S)
+        return kernel.poly_trim(np.fft.fft(vals) / K)
+
+    @pytest.mark.parametrize("eliminate", ["xi", "z"])
+    @pytest.mark.parametrize("dp,dq", [(1, 1), (1, 3), (2, 2), (3, 1), (4, 3), (5, 4)])
+    def test_stacked_determinant_matches_node_loop(self, dp, dq, eliminate):
+        # the same LU per matrix and the same Horner per node: equal bit for bit
+        rng = np.random.default_rng(100 + 10 * dp + dq)
+        for _ in range(5):
+            p, q = (rng.standard_normal((d + 1, e + 1, 2)) @ [1, 1j]
+                    for d, e in zip((dp, dq), rng.integers(0, 5, 2)))
+            p *= 10.0 ** rng.uniform(-3, 3)
+            if eliminate == "z":
+                p, q = p.T, q.T
+            ours = kernel.resultant(p, q, eliminate)
+            ref = self.node_loop_resultant(p, q, eliminate)
+            assert ours.shape == ref.shape
+            assert np.array_equal(ours.view(float), ref.view(float))
+
+    def test_one_determinant_call(self, monkeypatch):
+        calls = []
+        det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(np.shape(a)) or det(a))
+        rng = np.random.default_rng(3)
+        grid = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+        kernel.resultant(grid, kernel.bipoly_dxi(grid), "xi")
+        # degree bound 3 * 6 + 2 * 6, so 31 nodes of 5 x 5 Sylvester matrices
+        assert calls == [(31, 5, 5)]
 
 
 class TestBiPoly:

@@ -21,6 +21,25 @@ def unit_disk_matpoly(rng, r, n):
     return R.MatPoly(radius * np.exp(1j * angle))
 
 
+def mp_discriminant(grid):
+    """``Res_xi(P, dP/dxi)`` of the grid ``P[k, l]`` (``xi^k z^l``) at the working
+    precision, ascending in ``z``: Sylvester determinants at ``kernel.resultant``'s
+    ``K`` roots of unity, interpolated by an exact DFT."""
+    P = [[mpmath.mpc(complex(v)) for v in row] for row in grid]
+    Q = [[k * v for v in row] for k, row in enumerate(P)][1:]
+    dp, dq = len(P) - 1, len(Q) - 1
+    K = (dp + dq) * (len(P[0]) - 1) + 1
+    vals = []
+    for s in range(K):
+        w = mpmath.expjpi(mpmath.mpf(2 * s) / K)
+        pc, qc = ([mpmath.polyval(row[::-1], w) for row in X][::-1] for X in (P, Q))
+        vals.append(mpmath.det(mpmath.matrix(
+            [[0] * k + pc + [0] * (dq - 1 - k) for k in range(dq)]
+            + [[0] * k + qc + [0] * (dp - 1 - k) for k in range(dp)])))
+    return [mpmath.fsum(v * mpmath.expjpi(mpmath.mpf(-2 * s * j) / K) for s, v in enumerate(vals)) / K
+            for j in range(K)]
+
+
 class TestSpectralCurve:
     def test_scalar_case(self):
         phi = R.MatPoly(np.array([[[2.0]], [[1.0j]]]))  # phi(z) = 2 + i z
@@ -123,6 +142,31 @@ class TestGenus:
             assert mults.sum() == exact.size == ours.size
             err = np.abs(exact[:, None] - ours).min(axis=1).max()
             assert err <= 1e-13 * max(1.0, np.abs(exact).max())
+
+    @pytest.mark.parametrize("r, n", RN_COMBOS)
+    def test_discriminant_against_50_digit_sylvester(self, r, n):
+        # the grid's discriminant has degree n r (r - 1) (a_k = grid[k] has
+        # z-degree (r - k) n); each branch point lies within 1e-12 times its
+        # condition number sum |D_k| |z|^k / |D'(z)| of an exact root
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            curve = R.spectral_curve(R.random_instance(r, n, rng))
+            disc = kernel.resultant(curve.grid, curve.dxi(), "xi")
+            with mpmath.workdps(50):
+                exact = mp_discriminant(curve.grid)
+                assert max(abs(c) for c in exact[n * r * (r - 1) + 1:]) <= 1e-40
+                exact = exact[: n * r * (r - 1) + 1]
+                roots = mpmath.polyroots(exact[::-1], maxsteps=200, extraprec=100)
+                slope = [k * c for k, c in enumerate(exact)][1:]
+                cond = np.array([float(sum(abs(c) * abs(z) ** k for k, c in enumerate(exact))
+                                       / abs(mpmath.polyval(slope[::-1], z))) for z in roots])
+                roots = np.array([complex(z) for z in roots])
+                exact = np.array([complex(c) for c in exact])
+            assert disc.size == exact.size
+            assert np.abs(disc - exact).max() <= 1e-13 * np.abs(exact).max()
+            ours, mults = R.branch_points(curve)
+            assert mults.sum() == ours.size == roots.size
+            assert np.all(np.abs(roots[:, None] - ours).min(axis=1) <= 1e-12 * cond)
 
 
 class TestStructureTensor:
@@ -345,33 +389,36 @@ class TestCovectorPlan:
 
     def test_flow_stage_makes_no_char_adj_call(self, monkeypatch):
         # each stage reads its covector through the plan: one Faddeev--LeVerrier
-        # recursion, no matpoly_char_adj (no FFT over every adjugate column)
+        # recursion, no matpoly_char_adj (no FFT over every adjugate column); a
+        # level-0 Hamiltonian reads N_0 = I, the same at every point: one per flow
         rng = np.random.default_rng(61)
         phi = R.random_instance(2, 2, rng)
-        spec = R.BracketSpec(a=(1.0,), b=0.0)
-        hams, _ = R.casimir_detect(phi, spec)
-        R.flow(phi, hams[0], spec, [0.0, 1e-3])      # plans and tensor cached
-        counts = {"char_adj": 0, "recursion": 0, "field": 0}
+        for spec, level in ((R.BracketSpec(a=(1.0,), b=0.0), 1),
+                            (R.BracketSpec(a=(0.0,), b=1.0), 0)):
+            hams, _ = R.casimir_detect(phi, spec)
+            assert phi.r - 1 - hams[0][0] == level
+            R.flow(phi, hams[0], spec, [0.0, 1e-3])      # plans and tensor cached
+            counts = {"char_adj": 0, "recursion": 0, "field": 0}
 
-        def counted(name, fn):
-            return lambda *a, **kw: counts.__setitem__(name, counts[name] + 1) or fn(*a, **kw)
+            def counted(name, fn):
+                return lambda *a, **kw: counts.__setitem__(name, counts[name] + 1) or fn(*a, **kw)
 
-        monkeypatch.setattr(kernel, "matpoly_char_adj",
-                            counted("char_adj", kernel.matpoly_char_adj))
-        monkeypatch.setattr(kernel, "_faddeev_leverrier",
-                            counted("recursion", kernel._faddeev_leverrier))
-        solve = R.ode_solve
-        monkeypatch.setattr(R, "ode_solve", lambda field, *a, **kw: solve(
-            counted("field", field), *a, **kw))
-        R.flow(phi, hams[0], spec, np.linspace(0.0, 0.2, 3))
-        assert counts["field"] > 2
-        assert counts["char_adj"] == 0
-        assert counts["recursion"] == counts["field"]
+            with monkeypatch.context() as m:
+                m.setattr(kernel, "matpoly_char_adj", counted("char_adj", kernel.matpoly_char_adj))
+                m.setattr(kernel, "_faddeev_leverrier",
+                          counted("recursion", kernel._faddeev_leverrier))
+                solve = R.ode_solve
+                m.setattr(R, "ode_solve", lambda field, *a, **kw: solve(
+                    counted("field", field), *a, **kw))
+                R.flow(phi, hams[0], spec, np.linspace(0.0, 0.2, 3))
+            assert counts["field"] > 2
+            assert counts["char_adj"] == 0
+            assert counts["recursion"] == (counts["field"] if level else 1)
 
     @pytest.mark.parametrize("position", [(1, 2), (0, 3)])
     def test_flow_stage_stops_at_its_level(self, position, monkeypatch):
         # H = C_{k,l} reads level r - 1 - k of the recursion and nothing above
-        # it: level 0 is N_0 = I alone, level 1 one trace and no product
+        # it: level 0 is N_0 = I alone (once per flow), level 1 one trace and no product
         rng = np.random.default_rng(62)
         phi = R.random_instance(2, 2, rng)
         level = phi.r - 1 - position[0]
@@ -385,7 +432,7 @@ class TestCovectorPlan:
         monkeypatch.setattr(kernel, "_faddeev_leverrier", recorded)
         R.flow(phi, position, R.BracketSpec(a=(1.0,), b=0.0), np.linspace(0.0, 0.2, 3))
         K = phi.r * phi.n + 1
-        assert len(shapes) > 2
+        assert len(shapes) > 2 if level else len(shapes) == 1
         assert set(shapes) == {((K, level + 1), (K, level + 1, phi.r, phi.r))}
 
 
@@ -782,6 +829,17 @@ class TestMemo:
         twin = pickle.loads(pickle.dumps(phi))
         assert twin._memo == {} and not twin.coeff_mats.flags.writeable
         assert np.array_equal(twin.coeff_mats, phi.coeff_mats)
+
+    def test_equality_is_identity_and_points_hash(self, phi):
+        # array fields: a field-wise == would ask numpy for one truth value
+        twin = R.MatPoly(phi.coeff_mats.copy())
+        tensor = R.structure_tensor(2, 2, self.LINEAR)
+        for obj, other in ((phi, twin),
+                           (R.spectral_curve(phi), R.spectral_curve(twin)),
+                           (R.divisor_coords(phi), R.divisor_coords(twin)),
+                           (tensor, R.StructureTensor(2, 2, self.LINEAR, tensor.a.copy()))):
+            assert obj == obj and obj != other and hash(obj) == hash(obj)
+            assert len({obj, other, obj}) == 2 and {obj: 1, other: 2}[obj] == 1
 
     def test_curve_then_genus_builds_one_grid(self, phi, monkeypatch):
         fresh = R.MatPoly(phi.coeff_mats)
