@@ -1,6 +1,6 @@
 """Elliptic phase space: quasi-periodic Lax matrices on the (1/r, tau/r)
 torus, their spectral invariants, and divisor extraction with the basic
-section in closed form (``theta.section_quotients``), evaluated pointwise.
+section's factors (``theta.section_quotients``) evaluated pointwise.
 
 A phase point is phi(lambda) = sum c_{ab,m} w_{ab,m}(lambda) T_ab where
 T_ab = I1^a I2^b and the w's carry the character multipliers
@@ -20,7 +20,7 @@ import numpy as np
 from . import kernel
 from .errors import ConsistencyError, NonGenericError, NumericDomainError
 from .numeric import PathSpec, integrate_path
-from .theta import ThetaParams, ThetaQuotients, i_matrices, section_quotients
+from .theta import ThetaParams, ThetaQuotients, i_matrices, lattice_coords, section_quotients
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
@@ -30,18 +30,10 @@ __all__ = [
 ]
 
 
-def _lattice(z, params: ThetaParams, origin=0.0):
-    """Real coordinates (a, b) of z (a point or an array) = origin + a omega1
-    + b omega2."""
-    w = np.asarray(z, dtype=complex) - complex(origin)
-    b = w.imag / params.omega2.imag
-    return (w.real - b * params.omega2.real) / params.omega1, b
-
-
 def reduce_to_domain(z, params: ThetaParams, origin=0.0):
     """Representative of z (a point or an array) in origin + [0,1) omega1 +
     [0,1) omega2."""
-    a, b = _lattice(z, params, origin)
+    a, b = lattice_coords(z, params, origin)
     return (complex(origin) + (a - np.floor(a)) * params.omega1
             + (b - np.floor(b)) * params.omega2)
 
@@ -311,23 +303,27 @@ class DivisorCountReport:
     genus_prediction: int
 
 
-def _krylov_det(lax, zs, s, ds):
-    """``B = det K`` and ``B' = tr(adj(K) K')`` at ``zs`` (m,), for the section
-    ``s`` (m, r) there, its derivative ``ds`` (m, r) and ``K = [s, phi s, ...,
-    phi^(r-1) s]``, both divided by the column norms of ``K``: ``B'/B`` is
-    unchanged, as it is by a constant factor of ``s``, and the adjugate keeps
-    its accuracy near a pole of ``phi``."""
-    r = lax.params.r
+def _b_logderiv(lax, zs):
+    """``B'/B`` at ``zs`` (m,) for Sklyanin's ``B = det[s, phi s, ...,
+    phi^(r-1) s]``, ``s = A (1/h)^(1/r)`` the section.  ``B`` is of degree
+    ``r`` in ``s``, so ``B = det K / h`` with ``K = [A, phi A, ...]``, and
+    ``B'/B = tr(adj(K) K') / det K + (1/h)'/(1/h)``, ``K' = [A', phi' A +
+    phi A', ...]``.  ``K`` and ``K'`` are divided by the column norms of
+    ``K`` first: ``B'/B`` is unchanged, and the adjugate keeps its accuracy
+    near a pole of ``phi``."""
+    A, inv_h = section_quotients(lax.params)
+    a, logd = A.logderivs(zs)
     phi, dphi = lax.deriv(zs)
-    K = kernel.krylov(phi, s)
+    K = kernel.krylov(phi, a)
     dK = np.empty(K.shape, dtype=complex)
-    dK[..., 0] = ds
-    for k in range(1, r):
+    dK[..., 0] = a * logd
+    for k in range(1, lax.params.r):
         dK[..., k] = (dphi @ K[..., k - 1, None] + phi @ dK[..., k - 1, None])[..., 0]
     norms = np.linalg.norm(K, axis=-2, keepdims=True)
     K, dK = K / norms, dK / norms
     adj = kernel.adjugate(K)
-    return np.einsum("...ij,...ji->...", adj, K) / r, np.einsum("...ij,...ji->...", adj, dK)
+    det = np.einsum("...ij,...ji->...", adj, K) / lax.params.r
+    return np.einsum("...ij,...ji->...", adj, dK) / det + inv_h(zs)[1]
 
 
 def _disc_logderiv(lax, zs):
@@ -381,11 +377,12 @@ def _cell_zeros(logderiv, params, origin, poles, orders, tol,
     centre = corners[:4].mean()
     rho = 0.5 * max(abs(corners[2] - corners[0]), abs(corners[3] - corners[1]))
     most = int(orders.sum())
-    pa, pb = _lattice(poles, params, origin)
+    pa, pb = lattice_coords(poles, params, origin)
     inside = (a0 <= pa) & (pa < a1) & (b0 <= pb) & (pb < b1)
-    value, error = _loop_moments(logderiv, corners, centre, rho, 2 * most, tol)
+    # the zeroth moment, the count, even where the cell holds no zero
+    value, error = _loop_moments(logderiv, corners, centre, rho, max(1, 2 * most), tol)
     value = value + orders[inside] @ (
-        ((poles[inside] - centre) / rho)[:, None] ** np.arange(2 * most))
+        ((poles[inside] - centre) / rho)[:, None] ** np.arange(value.size))
     count = int(np.rint(value[0].real))
     if abs(value[0] - count) > 1e-8 or not 0 <= count <= most or (depth == 0 and count < most):
         raise ConsistencyError(f"a box of the cell holds {value[0]:.6g} zeros, "
@@ -445,26 +442,21 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     """Separating points in the fundamental domain, over the zeros of
     Sklyanin's ``B = det[s, phi s, ..., phi^(r-1) s]``, ``s`` the section.
 
-    ``s`` is the closed form ``theta.section_quotients``: the continued
-    section times a root of unity common to its components, which ``B``,
-    of degree ``r`` in ``s``, does not see.  So ``B'/B`` is elliptic, and
-    ``_cell_zeros`` finds its zeros on the cell from its values at points,
-    with the pole order of ``B`` at each divisor point and at the puncture
-    measured around a clockwise 8-gon of radius ``2.5 tol.puncture_radius``.
-    Each ``xi`` and its residual, which must be within ``tol.divisor``, come
-    from ``kernel.divisor_points``.  The genus prediction is Riemann--Hurwitz
-    over the torus, ``1 + (branch points)/2``, the branch points located by
-    ``_branch_points``.  Output coordinates are (z_mu - z0, xi_mu).
+    ``s = A (1/h)^(1/r)`` (``theta.section_quotients``), and ``B``, of
+    degree ``r`` in ``s``, is ``B(A) / h``: single-valued and elliptic.  So
+    ``_cell_zeros`` finds its zeros on the cell from ``B'/B`` at points
+    (``_b_logderiv``), with the pole order of ``B`` at each divisor point
+    and at the puncture measured around a clockwise 8-gon of radius
+    ``2.5 tol.puncture_radius``.  Each ``xi`` and its residual, which must
+    be within ``tol.divisor``, come from ``kernel.divisor_points`` with ``A``
+    for ``s``, whose scalar factor the points do not see.  The genus
+    prediction is Riemann--Hurwitz over the torus, ``1 + (branch
+    points)/2``, the branch points located by ``_branch_points``.  Output
+    coordinates are (z_mu - z0, xi_mu).
     """
     params = lax.params
     origin = 0.013 * params.omega1 + 0.017 * params.omega2
-    section = section_quotients(params)
-
-    def logderiv(zs):
-        s, logd = section.logderivs(zs)
-        B, dB = _krylov_det(lax, zs, s, s * logd)
-        return dB / B
-
+    logderiv = partial(_b_logderiv, lax)
     singulars = reduce_to_domain(np.array(lax.divisor.points + (params.puncture,)),
                                  params, origin)
     ring = 2.5 * tol.puncture_radius * np.exp(-2j * np.pi * np.arange(9) / 8)
@@ -477,7 +469,8 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     count = zs.size
 
     phis = lax(zs)
-    xis, resid = kernel.divisor_points(phis, section(zs), np.ones(count, dtype=int))
+    A = section_quotients(params)[0]
+    xis, resid = kernel.divisor_points(phis, A(zs), np.ones(count, dtype=int))
     validated = int(np.count_nonzero(resid <= tol.divisor))
     if validated != count:
         raise ConsistencyError(f"{validated} of the {count} zeros of B are divisor points")

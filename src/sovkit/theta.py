@@ -2,20 +2,19 @@
 
 Provides the standard theta series, the shifted families used for odd and
 even rank, the quasi-periodic products f_j, the automorphy matrices, and the
-basic section s with s_i**r = f_i, branch-tracked and in closed form.
+basic section s = A (1/h)^(1/r) with s_i**r = f_i.
 
 Everything is array-valued.  ``ThetaQuotients`` evaluates theta quotients
 (the f_j, the basic section, the elliptic Lax basis) and their exact
 log-derivatives from one series pass.  ``_continued_log`` is the one
 continuation stepper: it evaluates a whole polyline per call, bisects only
-the failing steps, and serves the section tracker and the even-rank
-calibration.
+the failing steps, and continues the one scalar with branches, 1/h.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .tolerances import DEFAULT, Tolerances
 __all__ = [
     "ThetaParams", "ThetaQuotients", "SectionTracker", "riemann_theta", "theta_deriv",
     "theta_kj", "xi_kj", "rho_shift", "f_component", "f_vector", "f_quotients",
-    "puncture_distance", "i_matrices", "section_quotients",
+    "lattice_coords", "puncture_distance", "i_matrices", "section_quotients",
 ]
 
 
@@ -41,10 +40,17 @@ class ThetaParams:
     def __post_init__(self):
         tau = complex(self.tau)
         object.__setattr__(self, "tau", tau)
+        if not np.isfinite(tau):
+            raise ValueError("tau must be finite")
         if tau.imag < 0.05:
             raise NumericDomainError("tau too degenerate")
+        if isinstance(self.r, bool) or not hasattr(self.r, "__index__"):
+            raise ValueError(f"rank must be an integer, not {self.r!r}")
+        object.__setattr__(self, "r", operator.index(self.r))
         if self.r < 1:
             raise ValueError("rank must be positive")
+        if self.trunc < 0:
+            raise ValueError("series truncation must be >= 0")
         if self.trunc == 0:
             # exp(-pi Im(tau) (N^2 - N)) < 1e-16 with one term of margin
             target = 16.0 * math.log(10.0) / (math.pi * tau.imag)
@@ -168,31 +174,33 @@ def rho_shift(j: int, r: int) -> float:
     return r / 2.0 - j
 
 
+def lattice_coords(z, params: ThetaParams, origin=0.0):
+    """Real coordinates (a, b) of z (a point or an array) = origin + a omega1
+    + b omega2."""
+    w = np.asarray(z, dtype=complex) - complex(origin)
+    b = w.imag / params.omega2.imag
+    return (w.real - b * params.omega2.real) / params.omega1, b
+
+
 def puncture_distance(z, params: ThetaParams):
     """Distance from z to the puncture lattice (1+tau)/(2r) + (1/r)Z + (tau/r)Z."""
-    w = np.asarray(z, dtype=complex) - params.puncture
-    w1, w2 = params.omega1, params.omega2
-    bcoef = w.imag / w2.imag
-    acoef = (w.real - bcoef * w2.real) / w1
-    a = acoef - np.rint(acoef)
-    b = bcoef - np.rint(bcoef)
-    return np.abs(a * w1 + b * w2)
+    a, b = lattice_coords(z, params, params.puncture)
+    return np.abs((a - np.rint(a)) * params.omega1 + (b - np.rint(b)) * params.omega2)
 
 
 def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
-    """log func(node) - log func(nodes[0]) at every node of the polyline
-    ``nodes``, continued along it.
+    """log f(node) - log f(nodes[0]) at every node of the polyline ``nodes``,
+    continued along it, for one scalar function ``f``.
 
     ``func`` maps an ``(m,)`` array of points to ``(f, f'/f)``, two arrays of
-    shape ``(..., m)``; the continued logs have shape ``(..., len(nodes))``.
-    Each segment is cut into at least 4 steps of at most 0.05, and the whole
-    path is evaluated in one call.  A step is bisected (only those steps, only their
-    midpoints evaluated) when its ratio f(z + h)/f(z) has |ratio - 1| > 0.5
-    in any entry, so no principal log is taken of a ratio far from 1, or when
-    |h| |f'/f| > 1 at one of its ends in any entry, so no step straddles a
-    zero: across a zero of even order the ratio comes back close to 1 after
-    the argument has turned by a multiple of 2 pi.  A failing step below
-    1e-8, or a point inside the puncture radius, raises
+    shape ``(m,)``.  Each segment is cut into at least 4 steps of at most
+    0.05, and the whole path is evaluated in one call.  A step is bisected
+    (only those steps, only their midpoints evaluated) when its ratio
+    f(z + h)/f(z) has |ratio - 1| > 0.5, so no principal log is taken of a
+    ratio far from 1, or when |h| |f'/f| > 1 at one of its ends, so no step
+    straddles a zero: across a zero of even order the ratio comes back close
+    to 1 after the argument has turned by a multiple of 2 pi.  A failing
+    step below 1e-8, or a point inside the puncture radius, raises
     ``NumericDomainError``.
     """
     def evaluate(pts):
@@ -200,8 +208,7 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
         if np.any(near):
             raise NumericDomainError(f"branch obstruction near z={pts[near][0]:.6f}")
         vals, logd = func(pts)
-        # the steepest entry at every point
-        return vals, np.abs(logd).reshape(-1, pts.size).max(axis=0)
+        return vals, np.abs(logd)
 
     nodes = np.asarray(nodes, dtype=complex)
     delta = nodes[1:] - nodes[:-1]
@@ -214,21 +221,21 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
     pts[at] = nodes
     vals, slope = evaluate(pts)
     while True:
-        ratio = vals[..., 1:] / vals[..., :-1]
+        ratio = vals[1:] / vals[:-1]
         width = np.abs(np.diff(pts))
-        far = (np.abs(ratio - 1.0) > 0.5).reshape(-1, width.size).any(axis=0)
-        bad = np.flatnonzero(far | (width * np.maximum(slope[:-1], slope[1:]) > 1.0))
+        bad = np.flatnonzero((np.abs(ratio - 1.0) > 0.5)
+                             | (width * np.maximum(slope[:-1], slope[1:]) > 1.0))
         if bad.size == 0:
-            logs = np.zeros(vals.shape, dtype=complex)
-            logs[..., 1:] = np.log(ratio).cumsum(axis=-1)
-            return logs[..., at]
+            logs = np.zeros(vals.size, dtype=complex)
+            logs[1:] = np.log(ratio).cumsum()
+            return logs[at]
         mids = 0.5 * (pts[bad] + pts[bad + 1])
         if width[bad].min() < 1e-8:
             raise NumericDomainError(
                 f"branch obstruction near z={mids[width[bad].argmin()]:.6f}")
         new_vals, new_slope = evaluate(mids)
         pts = np.insert(pts, bad + 1, mids)
-        vals = np.insert(vals, bad + 1, new_vals, axis=-1)
+        vals = np.insert(vals, bad + 1, new_vals)
         slope = np.insert(slope, bad + 1, new_slope)
         at += np.searchsorted(bad, at)
 
@@ -261,8 +268,7 @@ def _odd_family(params: ThetaParams):
 #
 # with Z a theta of modulus r tau (zero at 0), u_m the puncture stack, and
 # V_j the zero position mandated by the multiplier equations.  Connection
-# constants and the component labelling are calibrated once per (r, tau) from
-# the measured shift ratios and tracked root factors.
+# constants are calibrated once per (r, tau) from the measured shift ratios.
 
 @lru_cache(maxsize=32)
 def _even_family(params: ThetaParams):
@@ -286,23 +292,16 @@ def _even_family(params: ThetaParams):
     if abs(kappa[-1] * a1[-1] / b1[0] - 1.0) > 1e-8:
         raise ConsistencyError("even-rank family does not close")
 
-    # horizontal tracked-root factors fix the component labelling
-    za = (0.0917 + 0.3379 * tau) / r
-    fac = np.exp(_continued_log(lambda pts: tuple(a.T for a in raw.logderivs(pts)),
-                                [za, za + 1.0 / r], params, DEFAULT)[:, -1] / r)
-    powers = np.round(np.angle(fac) / (2 * np.pi / r)).astype(int) % r
-    if np.any(np.abs(fac - params.q_root ** powers) > 1e-8):
-        raise ConsistencyError("even-rank root factor is not a root of unity")
-    offset = powers[0]
-    if np.any((powers - np.arange(r) - offset) % r != 0):
-        raise ConsistencyError("even-rank root factors are not consecutive")
-    order = (np.arange(r) - offset) % r
-    return ThetaQuotients(base, shifts, exps[order], order, kappa[order], r)
+    # over a horizontal period H_j^(1/r) = exp(2 pi i j u/r) Z(u - V_j) h^(-1/r)
+    # gains q^j, so j is the label: Z is 1-periodic, and between two puncture
+    # rows every factor theta(u - u_m + half | r tau) of h has its argument
+    # between the zero rows next to the real axis, where theta does not wind
+    return ThetaQuotients(base, shifts, exps, np.arange(r), kappa, r)
 
 
 def f_quotients(params: ThetaParams) -> ThetaQuotients:
     """The components f_j as one evaluator (elements j = 0..r-1), from which
-    ``f_component`` takes its values and the section its log-derivatives."""
+    ``f_component`` takes its values and ``section_quotients`` its factors."""
     return _odd_family(params) if params.r % 2 else _even_family(params)
 
 
@@ -339,41 +338,65 @@ def i_matrices(r: int):
 
 
 # ---------------------------------------------------------------------------
-# branch-tracked r-th roots
+# the basic section s = A (1/h)^(1/r)
 # ---------------------------------------------------------------------------
+
+def _anchor(params: ThetaParams) -> complex:
+    """A generic interior point of the cell, in the band bordering the real
+    axis (even ranks have a zero row on the axis itself)."""
+    return complex((0.1377 + 0.3711 * params.tau) / params.r)
+
+
+@lru_cache(maxsize=32)
+def section_quotients(params: ThetaParams):
+    """The basic section ``s = A (1/h)^(1/r)`` as ``(A, inv_h)``: the
+    evaluator ``A`` (elements j = 0..r-1, single-valued) and ``inv_h``,
+    which maps points of any shape to ``1/h`` and ``(1/h)'/(1/h)`` there.
+
+    ``f_j = c_j A_j^r / h``: each theta factor's least power over the
+    components (-1 or 0) goes to ``1/h``, the rest (``r`` or 0) over ``r``
+    to ``A_j``, with ``gamma_j / r`` and ``d_j``, an r-th root of ``c_j``:
+    ``d_0`` the principal one, and ``d_(j+1)`` the one that makes ``s(z +
+    tau/r) = I2 s(z)`` with ``(1/h)^(1/r)`` continued across ``tau/r`` from
+    the anchor.
+    """
+    f, r = f_quotients(params), params.r
+    low = f.powers.real.min(axis=0)
+    ones = (f.powers.real - low) / r
+    lead, tail = ones.any(axis=0), low != 0  # leave out factors of power 0
+
+    def quotients(coef):
+        return ThetaQuotients(f.params, f.shifts[lead], ones[:, lead], f.phase / (2j * np.pi * r),
+                              coef, f.scale)
+
+    reciprocal = ThetaQuotients(f.params, f.shifts[tail], low[None, tail], 0.0, 1.0, f.scale)
+
+    def inv_h(z):
+        return tuple(v[..., 0] for v in reciprocal.logderivs(z))
+
+    a, unit = _anchor(params), quotients(1.0)
+    turn = np.exp(_continued_log(inv_h, [a, a + params.omega2], params, DEFAULT)[-1] / r)
+    carry = unit(a + params.omega2)[:-1] * turn / unit(a)[1:]  # d_(j+1) / d_j
+    return quotients(f.coef[0] ** (1.0 / r) * np.cumprod(np.append(1.0, carry))), inv_h
+
 
 class SectionTracker:
     """Continuation state for the basic section s_i = f_i^(1/r).
 
-    The anchor branch fixes s_0 as the principal r-th root (argument in
-    (-pi/r, pi/r]) at a real reference point; the remaining components are
-    anchored by continuing the whole vector once across the tau/r shift and
-    chaining, which realizes the index relations the section must satisfy.
-    ``value_at`` continues the whole vector from the last queried point
-    through a point or a path of points: one ``_continued_log`` of all r
-    components along the polyline, then values are multiplied by exp(L/r).
+    ``s = A (1/h)^(1/r)`` (``section_quotients``).  ``value_at`` continues
+    the scalar ``log(1/h)`` from the last queried point along a point or a
+    path (one ``_continued_log`` call) and evaluates ``A`` at its points.
+    At the anchor s_0 is the principal r-th root (argument in (-pi/r,
+    pi/r]); ``A``'s constants chain the rest by ``s(z + tau/r) = I2 s(z)``.
     """
 
-    def __init__(self, params: ThetaParams, anchor: Optional[complex] = None,
-                 tol: Tolerances = DEFAULT):
-        self.params = params
-        self.tol = tol
-        r = params.r
-        # generic interior point of the cell, inside the band bordering the
-        # real axis (even ranks have a zero row on the axis itself)
-        default = (0.1377 + 0.3711 * params.tau) / r
-        self.anchor = complex(default if anchor is None else anchor)
-        self._f = lambda pts: tuple(a.T for a in f_quotients(params).logderivs(pts))
-        f0 = f_vector(self.anchor, params, tol=tol)
-        across = np.exp(_continued_log(self._f, [self.anchor, self.anchor + params.omega2],
-                                       params, tol)[:, -1] / r)
-        s = np.zeros(r, dtype=complex)
-        s[0] = abs(f0[0]) ** (1.0 / r) * np.exp(1j * np.angle(f0[0]) / r)
-        for i in range(1, r):
-            carried = s[i - 1] * across[i - 1]
-            s[i] = carried * np.exp(np.log(f0[i] / carried ** r) / r)
-        self._z = self.anchor
-        self._values = s
+    def __init__(self, params: ThetaParams, tol: Tolerances = DEFAULT):
+        self.params, self.tol, self.anchor = params, tol, _anchor(params)
+        self._a, self._inv_h = section_quotients(params)
+        f0, a0 = f_vector(self.anchor, params, tol=tol)[0], self._a(self.anchor)
+        s0 = abs(f0) ** (1.0 / params.r) * np.exp(1j * np.angle(f0) / params.r)
+        self._z, self._root = self.anchor, s0 / a0[0]  # (1/h)^(1/r) at _z
+        self._values = a0 * self._root
 
     def value_at(self, z):
         """Section values at ``z``, continued from the last queried point.
@@ -390,29 +413,8 @@ class SectionTracker:
             out = np.repeat(self._values[:, None], path.size, axis=1)
         else:
             nodes = np.append(self._z, path)
-            logs = _continued_log(self._f, nodes, self.params, self.tol)
-            out = self._values[:, None] * np.exp(logs[:, 1:] / self.params.r)
-            self._z, self._values = complex(nodes[-1]), out[:, -1].copy()
+            logs = _continued_log(self._inv_h, nodes, self.params, self.tol)
+            roots = self._root * np.exp(logs[1:] / self.params.r)
+            out = (self._a(nodes[1:]) * roots[:, None]).T
+            self._z, self._root, self._values = complex(nodes[-1]), roots[-1], out[:, -1].copy()
         return out.reshape((-1,) + path.shape)
-
-
-@lru_cache(maxsize=32)
-def section_quotients(params: ThetaParams) -> ThetaQuotients:
-    """The basic section in closed form, one evaluator (elements j = 0..r-1).
-
-    Both families are ``f_j = c_j exp(2 pi i gamma_j u) g_j^r / h``, ``g_j``
-    a product of thetas and ``h`` one for every ``j``, so ``s_j = d_j exp(2 pi
-    i gamma_j u / r) g_j h^(-1/r)``: ``f_quotients`` with its powers and
-    ``gamma`` over ``r``.  Principal powers give every component the same
-    branch of ``h^(-1/r)``: this is the continued section times an r-th root
-    of unity common to the components.  ``d`` is read from a
-    ``SectionTracker`` at its anchor, where the two agree.
-    """
-    f, r = f_quotients(params), params.r
-
-    def quotients(coef):
-        return ThetaQuotients(f.params, f.shifts, f.powers / r, f.phase / (2j * np.pi * r),
-                              coef, f.scale)
-
-    tracker = SectionTracker(params)
-    return quotients(tracker.value_at(tracker.anchor) / quotients(1.0)(tracker.anchor))

@@ -301,6 +301,18 @@ class TestElliptic:
         rep = json.loads((tmp_path / "elliptic_report.json").read_text())
         assert (rep["validated_count"], rep["branch_points"], rep["genus_prediction"]) == (3, 4, 3)
 
+    def test_rank_one_has_no_points(self, tmp_path):
+        # r = 1: B = s has no zero and the discriminant none, so the cells
+        # are searched with the zeroth moment alone
+        doc = {"tau": [0.1, 1.0], "r": 1, "divisor": [{"nu": [0.3, 0.4]}],
+               "coeffs": [{"a": 0, "b": 0, "values": [[1.0, 0.5]]}]}
+        path = tmp_path / "elliptic.json"
+        path.write_text(json.dumps(doc))
+        assert main(["elliptic", "--input", str(path), "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "elliptic_report.json").read_text())
+        assert (rep["validated_count"], rep["branch_points"], rep["genus_prediction"]) == (0, 0, 1)
+        assert docs.read_csv(tmp_path / "elliptic_divisor.csv")[1] == []
+
     @pytest.mark.parametrize("a, b", [(0.5, 1.9), (True, 0), (0, 1)])
     def test_bad_character_index_exits_2(self, tmp_path, a, b):
         # a non-integer or bool index, or a repeat of the character (0, 1)

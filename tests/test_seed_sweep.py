@@ -26,6 +26,16 @@ def test_one_seed_of_canonical(sweep, capsys):
     assert 0.0 < float(worst) < 1e-9
 
 
+def test_one_seed_of_theta_and_elliptic(sweep, capsys):
+    assert sweep.main(["--seeds", "1", "--suites", "theta,elliptic"]) == 0
+    header, *rows, last = capsys.readouterr().out.splitlines()
+    assert last == "failing seeds: none"
+    families = {row.split()[0]: row.split()[1:] for row in rows}
+    assert {"theta_roots", "elliptic_count", "elliptic_quasiperiodicity"} <= set(families)
+    for worst, gate, failing in families.values():
+        assert failing == "-" and float(worst) <= float(gate)
+
+
 @pytest.mark.parametrize("check,family", [
     ("isospectral_r4_n1", "isospectral"), ("canonical_n2_mixed", "canonical"),
     ("theta_period_r2_tauc", "theta_period"), ("slopes_r3_n1_quadratic", "slopes"),

@@ -138,6 +138,30 @@ class TestRiemannTheta:
         with pytest.raises(NumericDomainError, match="tau too degenerate"):
             T.ThetaParams(tau=0.5 + 0.01j, r=2)
 
+    @pytest.mark.parametrize("tau", [complex(np.nan, 1.0), complex(0.0, np.inf),
+                                     complex(np.inf, 1.0)])
+    def test_non_finite_tau_raises(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            T.ThetaParams(tau=tau, r=2)
+
+    @pytest.mark.parametrize("r", [2.5, 2.0, True, "2"])
+    def test_non_integer_rank_raises(self, r):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            T.ThetaParams(tau=1j, r=r)
+
+    def test_rank_below_one_raises(self):
+        with pytest.raises(ValueError, match="rank must be positive"):
+            T.ThetaParams(tau=1j, r=0)
+
+    def test_numpy_integer_rank_is_an_int(self):
+        params = T.ThetaParams(tau=1j, r=np.int64(3))
+        assert type(params.r) is int and params == T.ThetaParams(tau=1j, r=3)
+
+    def test_negative_truncation_raises(self):
+        # it would give an empty series, and theta = 0 everywhere
+        with pytest.raises(ValueError, match="truncation"):
+            T.ThetaParams(tau=1j, r=2, trunc=-3)
+
 
 class TestShiftedFamilies:
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -359,15 +383,16 @@ class TestContinuedLog:
     PARAMS = T.ThetaParams(tau=1j, r=3)
 
     def test_loop_winds_only_around_the_enclosed_zero(self):
+        # f = (w - a) (w - b)^2: the loop encloses a, not the double zero b
         a, b = 0.02 + 0.03j, 0.3 + 0.01j
 
         def func(w):
-            return np.array([w - a, (w - b) ** 2]), np.array([1 / (w - a), 2 / (w - b)])
+            return (w - a) * (w - b) ** 2, 1 / (w - a) + 2 / (w - b)
 
         corners = [a + 0.05 * c for c in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j)]
-        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[:, -1]
-        assert total.shape == (2,)
-        assert np.abs(total - [2j * np.pi, 0.0]).max() < 1e-12
+        logs = T._continued_log(func, corners, self.PARAMS, DEFAULT)
+        assert logs.shape == (5,)
+        assert abs(logs[-1] - 2j * np.pi) < 1e-12
 
     def test_near_miss_is_bisected_and_matches_closed_form(self):
         z_from, z_to = 0.02 + 0.05j, 0.22 + 0.05j
@@ -376,12 +401,12 @@ class TestContinuedLog:
 
         def func(w):
             seen.append(w.size)
-            return (w - a)[None], (1 / (w - a))[None]
+            return w - a, 1 / (w - a)
 
-        got = T._continued_log(func, [z_from, z_to], self.PARAMS, DEFAULT)[:, -1]
+        got = T._continued_log(func, [z_from, z_to], self.PARAMS, DEFAULT)[-1]
         ref = np.log((z_to - a) / (z_from - a))
         assert abs(ref.imag) > 3.0  # the argument turns by nearly pi
-        assert abs(got[0] - ref) < 1e-12
+        assert abs(got - ref) < 1e-12
         # the grid of 5 steps is evaluated once, then only the midpoints of
         # the few steps next to the zero
         assert seen[0] == 6 and len(seen) > 1 and max(seen[1:]) < 6
@@ -394,22 +419,22 @@ class TestContinuedLog:
         a = z0 + 0.02 + 1e-4j
 
         def func(w):
-            return ((w - a) ** 2)[None], (2 / (w - a))[None]
+            return (w - a) ** 2, 2 / (w - a)
 
         corners = z0 + np.array([0.0, 0.16, 0.16 + 0.16j, 0.16j, 0.0])
-        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[0, -1]
+        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[-1]
         assert abs(total - 4j * np.pi) < 1e-12
 
     def test_segment_through_a_zero_raises(self):
         a = 0.0731 + 0.05j
         with pytest.raises(NumericDomainError, match="branch obstruction"):
-            T._continued_log(lambda w: ((w - a)[None], (1 / (w - a))[None]),
+            T._continued_log(lambda w: (w - a, 1 / (w - a)),
                              [0.02 + 0.05j, 0.22 + 0.05j], self.PARAMS, DEFAULT)
 
     def test_segment_into_a_puncture_raises(self):
         p = self.PARAMS.puncture
         with pytest.raises(NumericDomainError, match="branch obstruction"):
-            T._continued_log(lambda w: (np.ones((1, w.size)), np.zeros((1, w.size))),
+            T._continued_log(lambda w: (np.ones(w.size), np.zeros(w.size)),
                              [p - 0.1, p], self.PARAMS, DEFAULT)
 
     def test_node_logs_match_closed_form(self):
@@ -417,13 +442,24 @@ class TestContinuedLog:
         nodes = np.array([0.02 + 0.05j, 0.17 + 0.02j, 0.11 + 0.19j])
 
         def func(w):
-            return np.array([w - a, (w - b) ** 2]), np.array([1 / (w - a), 2 / (w - b)])
+            return (w - a) * (w - b) ** 2, 1 / (w - a) + 2 / (w - b)
 
         got = T._continued_log(func, nodes, self.PARAMS, DEFAULT)
-        ref = np.array([np.log((nodes - a) / (nodes[0] - a)),
-                        2 * np.log((nodes - b) / (nodes[0] - b))])
-        assert got.shape == (2, 3)
+        ref = np.log((nodes - a) / (nodes[0] - a)) + 2 * np.log((nodes - b) / (nodes[0] - b))
+        assert got.shape == (3,)
         assert np.abs(got - ref).max() < 1e-12
+
+
+def _cell_and_puncture_path(params, anchor):
+    """From the anchor, round the cell at the extraction's origin, then out
+    to a circle round the puncture and round it."""
+    r = params.r
+    origin = 0.013 * params.omega1 + 0.017 * params.omega2
+    cell = origin + np.array([0.0, params.omega1, params.omega1 + params.omega2,
+                              params.omega2, 0.0])
+    near = params.puncture + 0.45 / r * np.exp(2j * np.pi * np.arange(65) / 64)
+    lead, out = np.linspace(anchor, origin, 9), np.linspace(origin, near[0], 9)
+    return np.concatenate([lead, cell, out, near])
 
 
 class TestBasicSection:
@@ -515,30 +551,94 @@ class TestBasicSection:
         assert np.abs(trk.value_at(trk.anchor + 0.05) - trk2.value_at(trk.anchor + 0.05)
                       ).max() < 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("r", [2, 3, 4, 5])
-    def test_closed_form_matches_the_continued_section(self, r):
-        # along a path from the anchor, round the cell and round the puncture,
-        # the continued section is the closed form times one r-th root of
-        # unity common to every component (which B, of degree r, does not see)
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_values_are_roots_of_f_along_a_path(self, r):
         params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
-        section = T.section_quotients(params)
         trk = T.SectionTracker(params)
-        assert np.abs(section(trk.anchor) - trk.value_at(trk.anchor)).max() <= (
-            1e-14 * np.abs(trk.value_at(trk.anchor)).max())
-        origin = 0.013 * params.omega1 + 0.017 * params.omega2
-        cell = origin + np.array([0.0, params.omega1, params.omega1 + params.omega2,
-                                  params.omega2, 0.0])
-        rad = 0.45 / r
-        near = params.puncture + rad * np.exp(2j * np.pi * np.arange(65) / 64)
-        lead, out = np.linspace(trk.anchor, origin, 9), np.linspace(origin, near[0], 9)
-        path = np.concatenate([lead, cell, out, near])
-        ratio = trk.value_at(path).T / section(path)
-        assert np.abs(ratio / ratio[:, :1] - 1.0).max() < 1e-13
-        assert np.abs(ratio[:, 0] ** r - 1.0).max() < 1e-13
-        # round either loop the continued section gains exp(-2 pi i/r)
-        for start, loop in ((lead.size, cell), (lead.size + cell.size + out.size, near)):
-            turn = ratio[start + loop.size - 1, 0] / ratio[start, 0]
-            assert abs(turn - np.exp(-2j * np.pi / r)) < 1e-13
+        path = _cell_and_puncture_path(params, trk.anchor)
+        f = T.f_vector(path, params)
+        assert np.abs(trk.value_at(path) ** r / f - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+    def test_matches_every_component_continued(self, r):
+        # the oracle continues the log of every f_j from the anchor, the
+        # anchor rules applied to the values there (s_0 the principal root,
+        # s_(j+1) = s_j continued across tau/r): s = A (1/h)^(1/r) with only
+        # log(1/h) continued must give the same values along the path
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
+        trk = T.SectionTracker(params)
+        a = trk.anchor
+        f = T.f_quotients(params)
+
+        def logs(j, nodes):
+            return T._continued_log(lambda w: tuple(v[..., j] for v in f.logderivs(w)),
+                                    nodes, params, DEFAULT)
+
+        f0 = T.f_vector(a, params)
+        s = np.empty(r, dtype=complex)
+        s[0] = abs(f0[0]) ** (1.0 / r) * np.exp(1j * np.angle(f0[0]) / r)
+        for j in range(1, r):
+            carried = s[j - 1] * np.exp(logs(j - 1, [a, a + params.omega2])[-1] / r)
+            s[j] = carried * np.exp(np.log(f0[j] / carried ** r) / r)
+        path = _cell_and_puncture_path(params, a)
+        ref = s[:, None] * np.exp(np.array([logs(j, np.append(a, path))[1:]
+                                            for j in range(r)]) / r)
+        assert np.abs(trk.value_at(path) / ref - 1.0).max() < 1e-13
+
+    def test_one_value_at_continues_one_scalar(self, monkeypatch):
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=4)
+        trk = T.SectionTracker(params)
+        continued, calls, shapes = T._continued_log, [], []
+
+        def counted(func, *args):
+            def checked(w):
+                vals, logd = func(w)
+                shapes.append((vals.shape, logd.shape, w.shape))
+                return vals, logd
+            calls.append(args)
+            return continued(checked, *args)
+
+        monkeypatch.setattr(T, "_continued_log", counted)
+        trk.value_at(trk.anchor + np.array([0.05, 0.1 + 0.2j, 0.3]))
+        assert len(calls) == 1 and shapes
+        assert all(v == d == w and len(w) == 1 for v, d, w in shapes)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_circuits_turn_every_component_alike(self, r):
+        # round the cell and round the puncture, s gains exp(-2 pi i/r),
+        # common to its components (which B, of degree r, does not see)
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
+        trk = T.SectionTracker(params)
+        vals = trk.value_at(_cell_and_puncture_path(params, trk.anchor))
+        for start, end in ((9, 13), (23, 87)):  # the cell's corners, the circle's ends
+            turn = vals[:, end] / vals[:, start]
+            assert np.abs(turn - np.exp(-2j * np.pi / r)).max() < 1e-13
+
+    @pytest.mark.parametrize("r", [2, 4, 6])
+    @pytest.mark.parametrize("tau", [1j, 0.2 + 1.1j, 0.15 + 1.05j, -0.3 + 0.9j])
+    def test_even_labelling_matches_the_per_component_calibration(self, r, tau):
+        # the oracle continues the r-th root of every raw H_j over a
+        # horizontal period at a row between two puncture rows: the roots of
+        # unity they gain are consecutive powers of q, and the first one's
+        # power is the labelling's offset
+        params = T.ThetaParams(tau=tau, r=r)
+        base = T.ThetaParams(tau=r * tau, r=r)
+        stacks = (1.0 + tau) / 2.0 + np.arange(r) * tau
+        vs = stacks.sum() / r - np.arange(r) * tau
+        half = (1.0 + r * tau) / 2.0
+        raw = T.ThetaQuotients(base, np.concatenate([half - vs, half - stacks]),
+                               np.hstack([r * np.eye(r), -np.ones((r, r))]), np.arange(r),
+                               1.0, r)
+        za = (0.0917 + 0.3379 * tau) / r
+        fac = np.exp([T._continued_log(lambda w: tuple(v[..., j] for v in raw.logderivs(w)),
+                                       [za, za + 1.0 / r], params, DEFAULT)[-1] / r
+                      for j in range(r)])
+        powers = np.round(np.angle(fac) / (2 * np.pi / r)).astype(int) % r
+        assert np.abs(fac - params.q_root ** powers).max() < 1e-8
+        assert ((powers - np.arange(r) - powers[0]) % r == 0).all()
+        order = (np.arange(r) - powers[0]) % r
+        got = np.rint(T.f_quotients(params).phase.imag / (2 * np.pi)).astype(int)
+        assert (got == order).all()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.1, np.inf)])
     def test_non_finite_path_point_raises(self, bad):
