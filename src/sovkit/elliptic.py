@@ -12,7 +12,7 @@ with poles bounded by the lifted divisor.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -90,11 +90,13 @@ class BasisFunction:
         self.zeros = tuple(complex(w) for w in zeros)
         self.poles = tuple(complex(w) for w in poles)
 
+    _evaluator = cached_property(lambda self: _quotients(self.params, [self]))
+
     def __call__(self, lam):
-        return _quotients(self.params, [self])(lam)[..., 0]
+        return self._evaluator(lam)[..., 0]
 
     def deriv(self, lam):
-        return np.multiply(*_quotients(self.params, [self]).logderivs(lam))[..., 0]
+        return np.multiply(*self._evaluator.logderivs(lam))[..., 0]
 
 
 def build_basis(divisor: EllipticDivisor, params: ThetaParams,

@@ -5,10 +5,12 @@ even rank, the quasi-periodic products f_j, the automorphy matrices, and the
 basic section s = A (1/h)^(1/r) with s_i**r = f_i.
 
 Everything is array-valued.  ``ThetaQuotients`` evaluates theta quotients
-(the f_j, the basic section, the elliptic Lax basis) and their exact
-log-derivatives from one series pass.  ``_continued_log`` is the one
-continuation stepper: it evaluates a whole polyline per call, bisects only
-the failing steps, and continues the one scalar with branches, 1/h.
+(theta itself, the f_j, the basic section, the elliptic Lax basis) and their
+exact log-derivatives from one series table built per evaluator: a point is
+reduced once, and one matmul sums the series of every factor.
+``_continued_log`` is the one continuation stepper: it evaluates a whole
+polyline per call, bisects only the failing steps, and continues the one
+scalar with branches, 1/h.
 """
 
 import math
@@ -75,53 +77,34 @@ class ThetaParams:
 
 
 def _reduce(z, tau):
-    """Split z = z2 + k + m*tau with z2 in the centered fundamental strip."""
-    z = np.asarray(z, dtype=complex)
+    """Split z = v + k + m tau with v in the centred strip: ``(v, m)``."""
     m = np.rint(z.imag / tau.imag)
-    z1 = z - m * tau
-    k = np.rint(z1.real)
-    z2 = z1 - k
-    return z2, z1, m
-
-
-@lru_cache(maxsize=64)
-def _series_table(tau: complex, trunc: int):
-    """``n``, ``(i pi tau) n^2`` and ``2 pi i n`` for ``|n| <= trunc``."""
-    n = np.arange(-trunc, trunc + 1)
-    return frozen(n, (1j * np.pi * tau) * n ** 2, 2j * np.pi * n)
-
-
-def _series(z, params: ThetaParams, deriv: bool):
-    """theta(z), or (theta(z), theta'(z)) from one pass of the series."""
-    tau = params.tau
-    z2, z1, m = _reduce(z, tau)
-    n, quadratic, linear = _series_table(tau, params.trunc)
-    terms = np.exp(quadratic + (2j * np.pi) * np.multiply.outer(z2, n))
-    factor = np.exp(-1j * np.pi * m ** 2 * tau - 2j * np.pi * m * z1)
-    value = factor * terms.sum(axis=-1)
-    if deriv:
-        return value, factor * (terms @ linear) - 2j * np.pi * m * value
-    return value
+    v = z - m * tau
+    return v - np.rint(v.real), m
 
 
 def riemann_theta(z, params: ThetaParams):
     """theta(z) = sum_n exp(pi i n^2 tau + 2 pi i n z), lattice-reduced."""
-    out = _series(z, params, False)
+    out = _plain(params)._thetas(z, False)[1][..., 0]
     return out if out.shape else complex(out)
 
 
 def theta_deriv(z, params: ThetaParams):
     """d theta / dz with the same lattice reduction."""
-    out = _series(z, params, True)[1]
+    out = _plain(params)._thetas(z, True)[2][..., 0]
     return out if out.shape else complex(out)
 
 
 class ThetaQuotients:
     """Theta quotients ``c_e exp(2 pi i gamma_e u) prod_f theta(u + s_f)**p_ef``
-    in ``u = scale * z`` (theta of ``params``), every factor of every element
-    from one series pass; elements go on the last axis of every result.
-    ``shifts`` (F,) may repeat: equal shifts merge, adding their ``powers``
-    (E, F) columns, so each distinct theta factor is evaluated once.
+    in ``u = scale * z`` (theta of ``params``); elements go on the last axis
+    of every result.  ``shifts`` (F,) may repeat: equal shifts merge, adding
+    their ``powers`` (E, F) columns.  The table ``C[n, f] = exp(pi i tau n^2
+    + 2 pi i n sig_f)``, ``|n| <= trunc + 1``, is built once, for the shifts
+    reduced to ``s_f = sig_f + k_f + m_f tau`` in the centred strip; a point,
+    reduced once to ``u = v + k + m tau``, takes one row ``exp(2 pi i n v)``,
+    and ``theta(u + s_f) = exp(-pi i tau M^2 - 2 pi i M (v + sig_f)) (row @
+    C)[f]``, ``M = m + m_f``: the closed-form quasi-periodicity factor.
     """
 
     def __init__(self, params: ThetaParams, shifts, powers, gamma, coef, scale):
@@ -131,7 +114,27 @@ class ThetaQuotients:
         self.powers = np.asarray(powers, dtype=complex) @ (
             inverse[:, None] == np.arange(self.shifts.size))
         self.phase = 2j * np.pi * np.asarray(gamma, dtype=complex)
-        frozen(self.shifts, self.powers, self.phase, self.coef)
+        # one term more, as |Im(v + sig_f)| reaches Im tau, twice the strip's; C
+        # keeps half its Gaussian and the row takes the rest, so neither overflows
+        n = np.arange(-params.trunc - 1, params.trunc + 2)
+        self._sig, self._m = _reduce(self.shifts, params.tau)
+        self._gauss, self._n = (0.5j * np.pi * params.tau) * n ** 2, 2j * np.pi * n
+        self._table = np.exp(self._gauss[:, None] + np.multiply.outer(self._n, self._sig))
+        frozen(self.shifts, self.powers, self.phase, self.coef, self._sig, self._m,
+               self._gauss, self._n, self._table)
+
+    def _thetas(self, z, deriv):
+        """``u = scale z``, theta(u + s_f) (..., F) and, with ``deriv``, theta'."""
+        u = self.scale * np.asarray(z, dtype=complex)
+        v, m = _reduce(u, self.params.tau)
+        row = np.exp(self._gauss + np.multiply.outer(v, self._n))
+        M = np.add.outer(m, self._m)
+        factor = np.exp(M * ((-1j * np.pi * self.params.tau) * M
+                             - 2j * np.pi * np.add.outer(v, self._sig)))
+        th = factor * (row @ self._table)
+        if deriv:
+            return u, th, factor * ((row * self._n) @ self._table) - (2j * np.pi) * M * th
+        return u, th, None
 
     def _quotients(self, u, th):
         return (self.coef * np.exp(self.phase * u[..., None])
@@ -139,15 +142,19 @@ class ThetaQuotients:
 
     def __call__(self, z):
         """Every element at ``z`` of shape (...): shape (..., E)."""
-        u = self.scale * np.asarray(z, dtype=complex)
-        return self._quotients(u, riemann_theta(u[..., None] + self.shifts, self.params))
+        return self._quotients(*self._thetas(z, False)[:2])
 
     def logderivs(self, z):
         """Values and log-derivatives ``d/dz log q_e`` at ``z``, both (..., E)."""
-        u = self.scale * np.asarray(z, dtype=complex)
-        th, dth = _series(u[..., None] + self.shifts, self.params, True)
+        u, th, dth = self._thetas(z, True)
         return (self._quotients(u, th),
                 self.scale * (self.phase + (dth / th) @ self.powers.T))
+
+
+@lru_cache(maxsize=64)
+def _plain(params: ThetaParams) -> ThetaQuotients:
+    """theta itself: the one-shift evaluator (shift 0, power 1)."""
+    return ThetaQuotients(params, [0.0], [[1.0]], [0.0], 1.0, 1.0)
 
 
 def theta_kj(z, k: int, j: int, params: ThetaParams):

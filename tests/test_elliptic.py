@@ -101,6 +101,19 @@ class TestBasis:
         fd = (complex(w(lam + h)) - complex(w(lam - h))) / (2 * h)
         assert abs(complex(w.deriv(lam)) - fd) < 1e-5 * max(1.0, abs(fd))
 
+    def test_element_builds_its_evaluator_once(self, monkeypatch):
+        params = ThetaParams(tau=TAU, r=2)
+        div = E.EllipticDivisor(points=(0.2 + 0.3 * TAU,), mults=(1,))
+        w = E.build_basis(div, params)[(1, 1)][0]
+        built = []
+        monkeypatch.setattr(E, "ThetaQuotients",
+                            lambda *args: built.append(args) or theta.ThetaQuotients(*args))
+        lam = np.array([0.31 + 0.12 * TAU, 0.17 + 0.4 * TAU])
+        first = w(lam)
+        assert np.array_equal(w.deriv(lam), w.deriv(lam))
+        assert np.array_equal(w(lam), first)
+        assert len(built) == 1
+
 
 class TestAssembly:
     def test_zero_coefficients_are_valid(self, setup_r2_n1):

@@ -586,13 +586,13 @@ class TestMinGap:
 
 def test_cached_plans_and_tables_are_read_only():
     # lru_cache and module tables hand one array to every caller
-    quotients = [theta.f_quotients(theta.ThetaParams(tau=0.3 + 1.1j, r=r)) for r in (2, 3)]
+    params = [theta.ThetaParams(tau=0.3 + 1.1j, r=r) for r in (2, 3)]
+    quotients = [theta.f_quotients(p) for p in params] + [theta._plain(params[0])]
     for arr in [*kernel._char_adj_plan(2, 3), kernel._identity(3), *rational._lax_plan(2, 2),
-                *theta._series_table(0.3 + 1.1j, 8),
                 *rational._covector_plan(2, 2, ((1, 0), (0, 3))),
                 rational.structure_tensor(2, 2, rational.BracketSpec(a=(1.0,), b=0.0)).a,
                 *(getattr(q, name) for q in quotients
-                  for name in ("shifts", "powers", "phase", "coef")),
+                  for name in ("shifts", "powers", "phase", "coef", "_table")),
                 linearize._FRAC, numeric._GL_NODES, numeric._GL_WEIGHTS,
                 numeric._DP_C, numeric._DP_A, numeric._DP_E]:
         with pytest.raises(ValueError, match="read-only"):

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sovkit import elliptic as E
 from sovkit import theta as T
 from sovkit.errors import NumericDomainError
 from sovkit.tolerances import DEFAULT
@@ -107,32 +108,84 @@ class TestRiemannTheta:
                     for n in range(-40, 41)))
                 assert abs(ours[idx] - ref) < 1e-12 * max(1.0, abs(ref), terms)
 
-    def test_cached_tables_match_the_inline_series_bit_for_bit(self):
-        def series(z, params, deriv):
-            # the series with its n, (i pi tau) n^2 and 2 pi i n formed inline
-            z2, z1, m = T._reduce(z, params.tau)
-            n = np.arange(-params.trunc, params.trunc + 1)
-            terms = np.exp((1j * np.pi * params.tau) * n ** 2
-                           + (2j * np.pi) * np.multiply.outer(z2, n))
-            factor = np.exp(-1j * np.pi * m ** 2 * params.tau - 2j * np.pi * m * z1)
-            value = factor * terms.sum(axis=-1)
-            if deriv:
-                return factor * (terms @ (2j * np.pi * n)) - 2j * np.pi * m * value
-            return value
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["odd", "even", "lax"]),
+           tau=st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.7, 1.5)),
+           cells=arrays(float, (2, 2), elements=st.floats(-2.0, 2.0)),
+           seed=st.integers(0, 2 ** 16))
+    def test_quotients_against_mpmath_products(self, kind, tau, cells, seed):
+        # c_e exp(2 pi i gamma_e u) prod_f theta(u + s_f)^p_ef and its
+        # log-derivative against 30-digit products, at points u and shifts s_f
+        # spread over +-2 cells of the evaluator's lattice: the power
+        # structure of the odd family (r = 3), the even family (base r tau,
+        # scale r, r = 2) and the elliptic Lax basis (r = 2, two poles)
+        if kind == "lax":
+            params = T.ThetaParams(tau=tau, r=2)
+            div = E.EllipticDivisor(points=((0.31 + 0.42 * tau) / 2, (0.67 + 0.18 * tau) / 2),
+                                    mults=(1, 1))
+            family = E._quotients(params, [w for els in E.build_basis(div, params).values()
+                                           for w in els])
+        else:
+            family = T.f_quotients(T.ThetaParams(tau=tau, r=3 if kind == "odd" else 2))
+        base = family.params.tau
+        k, ell = np.random.default_rng(seed).integers(-2, 3, (2, family.shifts.size))
+        shifts, powers = family.shifts + k + ell * base, family.powers.real.astype(int)
+        gamma = family.phase / (2j * np.pi)
+        coef = np.broadcast_to(family.coef, gamma.shape)
+        quotients = T.ThetaQuotients(family.params, shifts, powers, gamma, coef, family.scale)
+        # off the rational points, where factors of the families have exact zeros
+        u = (cells[0] + 0.0137) + (cells[1] + 0.0291) * base
+        vals, logd = quotients.logderivs(u / family.scale)
+        assert np.array_equal(vals, quotients(u / family.scale))
+        with mp.workdps(30):
+            tau_mp = mp.mpc(base)
+            q = mp.exp(1j * mp.pi * tau_mp)
+            for i, ui in enumerate(u):
+                # per factor: theta, theta'/theta, and the rounding scale of
+                # each relative to theta (the sums of the moduli of the series
+                # terms, as in test_batched_against_mpmath, over |theta|)
+                th, ld, cond, dcond = [], [], [], []
+                for s in shifts:
+                    w = mp.mpc(ui) + mp.mpc(s)
+                    t = mp.jtheta(3, mp.pi * w, q)
+                    dt = mp.pi * mp.jtheta(3, mp.pi * w, q, 1)
+                    moduli = [abs(mp.exp(1j * mp.pi * n ** 2 * tau_mp + 2j * mp.pi * n * w))
+                              for n in range(-40, 41)]
+                    terms = float(mp.fsum(moduli))
+                    dterms = float(mp.fsum(2 * mp.pi * abs(n) * m
+                                           for n, m in zip(range(-40, 41), moduli)))
+                    th.append(t)
+                    ld.append(complex(dt / t))
+                    cond.append(max(1.0, abs(t), terms) / abs(t))
+                    dcond.append(max(1.0, abs(dt), dterms) / abs(t) + abs(ld[-1]) * cond[-1])
+                cond, dcond, ld = np.array(cond), np.array(dcond), np.array(ld)
+                for e in range(gamma.size):
+                    ref = mp.mpc(coef[e]) * mp.exp(2j * mp.pi * mp.mpc(gamma[e]) * mp.mpc(ui))
+                    for f, t in enumerate(th):
+                        ref *= t ** int(powers[e, f])
+                    ref_logd = family.scale * (2j * np.pi * gamma[e] + powers[e] @ ld)
+                    assert (abs(vals[i, e] - complex(ref))
+                            < 1e-12 * abs(complex(ref)) * (1 + np.abs(powers[e]) @ cond))
+                    assert (abs(logd[i, e] - ref_logd)
+                            < 1e-12 * family.scale * (1 + abs(2 * np.pi * gamma[e])
+                                                      + np.abs(powers[e]) @ dcond))
 
-        rng = np.random.default_rng(7)
-        u, v = rng.uniform(-2.5, 2.5, (2, 3, 5))
-        T._series_table.cache_clear()
-        for _ in range(2):  # each table's first use, then cached ones
-            for tau in TAUS:
-                # points across several lattice cells, so the reduction's m and k vary
-                z = u + tau * v
-                for params in (T.ThetaParams(tau=tau, r=2), T.ThetaParams(tau=tau, r=3, trunc=6)):
-                    for zz in (z, z[1, 2]):
-                        for ours, deriv in ((T.riemann_theta(zz, params), False),
-                                            (T.theta_deriv(zz, params), True)):
-                            assert (np.asarray(ours).tobytes()
-                                    == series(zz, params, deriv).tobytes())
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_one_extra_term_covers_the_doubled_strip(self, tau):
+        # a point and a shift both at the edge of the centred strip put
+        # v + sig_f at Im(v + sig_f) = +-Im tau, twice the strip's reach: the
+        # table's trunc + 1 terms must still be converged there
+        edge = 0.5 * (1.0 - 1e-12)
+        shifts = np.array([0.3 + edge * tau, -0.2 - edge * tau])
+        z = np.array([0.1 + edge * tau, 0.4 - edge * tau])
+        assert (T._reduce(shifts, tau)[1] == 0).all() and (T._reduce(z, tau)[1] == 0).all()
+        p1 = T.ThetaParams(tau=tau, r=2)
+        p2 = T.ThetaParams(tau=tau, r=2, trunc=2 * p1.trunc)
+        v1, d1 = T.ThetaQuotients(p1, shifts, np.eye(2), np.zeros(2), 1.0, 1.0).logderivs(z)
+        v2, d2 = T.ThetaQuotients(p2, shifts, np.eye(2), np.zeros(2), 1.0, 1.0).logderivs(z)
+        assert abs(abs((z + shifts).imag) - tau.imag).max() < 1e-11
+        assert (np.abs(v1 - v2) < 1e-15 * np.abs(v2)).all()
+        assert (np.abs(d1 - d2) < 1e-15 * np.abs(d2)).all()
 
     def test_tau_guard(self):
         with pytest.raises(NumericDomainError, match="tau too degenerate"):
