@@ -109,10 +109,10 @@ def _dp_step(field, t, y, h, k1):
     The stages are the rows of one (7, N) array, so each stage state and the
     error are one matmul by a tableau row.  The seventh stage is evaluated at
     ``(t + h, y5)``, so ``k7`` is the next step's ``k1`` ("first same as last")."""
-    k = np.empty((7, y.size), dtype=complex)
+    k, hA = np.empty((7, y.size), dtype=complex), h * _DP_A
     k[0] = k1
     for i in range(1, 7):
-        y_i = y + (h * _DP_A[i, :i]) @ k[:i]
+        y_i = y + hA[i, :i] @ k[:i]
         k[i] = field(t + _DP_C[i] * h, y_i)
     return y_i, (h * _DP_E) @ k, k[6]
 
@@ -133,6 +133,7 @@ def _initial_step(field, t, y, k1, atol, rtol, floor):
     return max(min(100.0 * h0, h1), floor)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ode_solve(field: Callable, x0, t_grid: Sequence[float],
               tol: Tolerances = DEFAULT):
     """Integrate ``dx/dt = field(t, x)`` and return the states at ``t_grid``.
@@ -140,14 +141,16 @@ def ode_solve(field: Callable, x0, t_grid: Sequence[float],
     ``t_grid`` must be finite and increasing and starts at the initial
     time.  A step clipped to an output time lands on it, and the next one
     resumes at the larger of the step before the clip and the clipped step
-    grown.  Raises ``NumericDomainError("stiff or singular flow")`` on step
-    underflow.
+    grown.  ``x0`` must be finite.  Raises ``NumericDomainError("stiff or singular
+    flow...")`` on step underflow or a state out of the finite range (no overflow warning).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if (t_grid.ndim != 1 or t_grid.size < 1 or not np.all(np.isfinite(t_grid))
             or np.any(np.diff(t_grid) <= 0)):
         raise ValueError("t_grid must be finite and strictly increasing")
     y = np.asarray(x0, dtype=complex).copy()
+    if not np.all(np.isfinite(y)):
+        raise ValueError("x0 must be finite")
     out = np.empty((t_grid.size, y.size), dtype=complex)
     out[0] = y
     if t_grid.size == 1:
@@ -169,6 +172,8 @@ def ode_solve(field: Callable, x0, t_grid: Sequence[float],
             clipped = h >= target - t
             step = target - t if clipped else h
             y_new, err, k7 = _dp_step(field, t, y, step, k1)
+            if not np.all(np.isfinite(y_new)):
+                raise NumericDomainError("stiff or singular flow: the state left the finite range")
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             enorm = _rms(err, scale)
             grown = step * (5.0 if enorm == 0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2)))

@@ -370,13 +370,18 @@ def _spectral_gradients(N, level, rows):
     return G.reshape(G.shape[:-1] + (r, r)).swapaxes(-1, -2)
 
 
+def _levels(x, r, top, vander):
+    """Faddeev--LeVerrier ``N`` (..., K, top + 1, r, r) at ``phi`` at the roots, ``x`` (..., N)."""
+    phis = vander @ x.reshape(x.shape[:-1] + (len(vander[0]), -1))
+    return kernel._faddeev_leverrier(phis.reshape(x.shape[:-1] + (-1, r, r)), top)[1]
+
+
 @_memoized
 def _gradients(phi: MatPoly) -> np.ndarray:
     """``spectral_gradient_matrix``'s ``G``, computed once per point; read-only."""
     r, n = phi.r, phi.n
     vander, level, rows = _covector_plan(r, n, tuple(spectral_positions(r, n)))
-    phis = (vander @ phi.coeff_mats.reshape(n + 1, -1)).reshape(-1, r, r)
-    _, N = kernel._faddeev_leverrier(phis, r - 1)
+    N = _levels(phi.coeff_mats.reshape(-1), r, r - 1, vander)
     return kernel.frozen(_spectral_gradients(N, level, rows).reshape(len(level), -1))[0]
 
 
@@ -597,32 +602,38 @@ def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
 # flows
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _flow_plan(r: int, n: int, position: tuple):
+    """``flow``'s covector blocks ``blocks @ N_top`` of ``H = C_position``, ``top = r - 1 - k``.
+    At ``top <= 1`` (``N_0 = I``, ``N_1 = M - tr(M) I``, affine in ``M = vander @ x``) they are
+    ``g0 + W x``, read off that route at ``x = 0, e_1, .., e_N`` in one call (``W = 0`` exactly
+    at level 0): ``(top, g0, W)``; above, ``(top, vander, blocks)``."""
+    vander, level, rows = _covector_plan(r, n, (position,))
+    top, E, N = int(level[0]), len(vander) * r * r, (n + 1) * r * r
+    unit = _spectral_gradients(np.eye(E).reshape(E, -1, 1, r, r), [0], rows)[:, 0]
+    blocks = _covector_blocks(unit).reshape(2, (n + 1) * r, E, r).swapaxes(-2, -1).reshape(-1, E)
+    if top >= 2:
+        return (top,) + kernel.frozen(vander, blocks)
+    L = _levels(np.eye(N + 1, N, -1), r, top, vander)[:, :, top].reshape(N + 1, -1)
+    return (top,) + kernel.frozen(blocks @ L[0], blocks @ (L[1:] - L[0]).T)
+
+
 def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
          tol: Tolerances = DEFAULT):
     """Integrate the Hamiltonian flow of ``H = C_{k,l}``, ``h_position = (k, l)``,
     and return the MatPoly states at the times ``t_grid``, ``phi0`` itself first.  The field
-    ``Pi(phi) grad H`` is ``_lax_field`` with no ``N x N`` matrix; its covector
-    blocks are one matmul of the Faddeev--LeVerrier level ``r - 1 - k``, where
-    the recursion stops, by the blocks of its unit values' ``_spectral_gradients``.
+    ``Pi(phi) grad H`` is ``_lax_field`` with no ``N x N`` matrix, its covector blocks those of
+    the cached ``_flow_plan``: ``g0 + W x`` at level ``r - 1 - k <= 1``, else ``blocks @ N_top``.
     """
     r, n = phi0.r, phi0.n
     if tuple(h_position) not in spectral_positions(r, n):
         raise ValueError(f"{h_position} is not a spectral coefficient position")
     a = structure_tensor(r, n, spec, tol).a
-    vander, level, rows = _covector_plan(r, n, (tuple(h_position),))
-    top, E = int(level[0]), len(vander) * r * r
-    unit = _spectral_gradients(np.eye(E).reshape(E, -1, 1, r, r), [0], rows)[:, 0]
-    blocks = _covector_blocks(unit).reshape(2, (n + 1) * r, E, r).swapaxes(-2, -1).reshape(-1, E)
-
-    def covectors(x):
-        _, N = kernel._faddeev_leverrier((vander @ x.reshape(n + 1, -1)).reshape(-1, r, r), top)
-        return (blocks @ N[:, top].reshape(-1)).reshape(2, (n + 1) * r, r)
-    g0 = covectors(phi0.flatten()) if top == 0 else None  # level 0: N_0 = I at every x
+    top, p, q = _flow_plan(r, n, tuple(h_position))
 
     def field(t, x):
-        if not np.all(np.isfinite(x)):
-            raise ValueError("coefficients must be finite")
-        return _lax_field(x[None], covectors(x) if g0 is None else g0, a, spec.b).ravel()
+        g = p + q @ x if top <= 1 else q @ _levels(x, r, top, p)[:, top].reshape(-1)
+        return _lax_field(x[None], g.reshape(2, -1, r), a, spec.b).ravel()
 
     states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)
     return [phi0] + [MatPoly.from_flat(row, r, n) for row in states[1:]]

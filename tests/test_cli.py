@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from sovkit import documents as docs
 from sovkit import rational as R
 from sovkit.cli import main
 from test_elliptic import _sequential_draws
+from test_flow_linearize import blowup_instance
 from test_rational import fail_first_divisor_point, special_section_matpoly
 
 
@@ -178,6 +180,17 @@ class TestFlow:
         header, rows = docs.read_csv(tmp_path / "flow.csv")
         assert header[:2] == ["t", "spectral_drift"]
         assert len(rows) == 5
+
+    def test_flow_leaving_the_finite_range_exits_4(self, tmp_path, capsys):
+        # a state that overflows mid-flow is the numeric guard, not a schema error
+        path = write_instance(tmp_path, blowup_instance())
+        bracket = tmp_path / "bracket.json"
+        bracket.write_text(json.dumps(docs.dump_bracket(R.BracketSpec(a=(0.0,), b=1.0))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["flow", "--input", path, "--bracket", str(bracket), "--hamiltonian",
+                         "1,0", "--t-max", "50", "--out", str(tmp_path)]) == 4
+        assert "numeric guard" in capsys.readouterr().err
 
     def test_bad_hamiltonian_flag(self, generic_instance, tmp_path):
         assert main(["flow", "--input", generic_instance, "--hamiltonian", "xx",

@@ -1,5 +1,6 @@
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,16 @@ from hypothesis import strategies as st
 from sovkit import kernel, linearize
 from sovkit import rational as R
 from sovkit.acceptance import BRACKETS, RN_COMBOS
-from sovkit.errors import ConsistencyError, MatchingError, NonGenericError
+from sovkit.errors import ConsistencyError, MatchingError, NonGenericError, NumericDomainError
+
+
+def blowup_instance():
+    """A (2, 1) point whose flow of C_{1,0} under the quadratic bracket leaves
+    the double range before t = 50: the 30th draw of seed 3."""
+    rng = np.random.default_rng(3)
+    for _ in range(30):
+        cm = rng.standard_normal((2, 2, 2)) * 3 + 1j * rng.standard_normal((2, 2, 2)) * 3
+    return R.MatPoly(cm)
 
 
 @pytest.fixture(scope="module")
@@ -91,16 +101,17 @@ class TestFlow:
             if pos in cass:
                 assert np.abs(fields[idx]).max() <= 1e-13 * scale
 
-    def test_non_finite_state_raises(self, instance_r2_n2, monkeypatch):
-        phi, spec, hams, _ = instance_r2_n2
-        x = phi.flatten()
-        x[3] = np.nan
-        fields = []
-        monkeypatch.setattr(R, "ode_solve", lambda field, x0, t_grid, tol: fields.append(
-            field) or [x0])
-        R.flow(phi, hams[0], spec, [0.0, 1.0])
+    def test_non_finite_state_raises(self):
+        # this quadratic-bracket flow grows like exp(14 t) and leaves the double
+        # range near t = 48: a typed numeric guard, no RuntimeWarning on the way
+        phi = blowup_instance()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError, match="finite range"):
+                R.flow(phi, (1, 0), R.BracketSpec(a=(0.0,), b=1.0), np.linspace(0.0, 50.0, 9))
+        # a non-finite start is an input error, before any step
         with pytest.raises(ValueError, match="finite"):
-            fields[0](0.0, x)
+            R.MatPoly(np.where(np.eye(2, dtype=bool), np.nan, phi.coeff_mats))
 
 
 class TestPaths:

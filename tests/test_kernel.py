@@ -590,6 +590,8 @@ def test_cached_plans_and_tables_are_read_only():
     quotients = [theta.f_quotients(p) for p in params] + [theta._plain(params[0])]
     for arr in [*kernel._char_adj_plan(2, 3), kernel._identity(3), *rational._lax_plan(2, 2),
                 *rational._covector_plan(2, 2, ((1, 0), (0, 3))),
+                *(arr for pos in ((1, 0), (0, 3)) for arr in rational._flow_plan(2, 2, pos)[1:]),
+                *rational._flow_plan(3, 1, (0, 1))[1:],
                 rational.structure_tensor(2, 2, rational.BracketSpec(a=(1.0,), b=0.0)).a,
                 *(getattr(q, name) for q in quotients
                   for name in ("shifts", "powers", "phase", "coef", "_table")),

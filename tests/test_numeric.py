@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,14 @@ class TestOdeSolve:
         with pytest.raises(NumericDomainError, match="stiff or singular"):
             ode_solve(field, np.array([1.0]), [0.0, 2.0])
 
+    def test_non_finite_start_rejected(self):
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            ode_solve(lambda t, y: -y, np.array([1.0, np.inf]), [0.0, 1.0])
+
+    def test_state_leaving_the_finite_range_raises(self):
+        # the stages overflow on the first step: the numeric guard, and the
+        # overflow and invalid-value warnings stay inside the solver
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericDomainError, match="finite range"):
+                ode_solve(lambda t, y: 1e300 * y, np.array([1.0 + 1.0j]), [0.0, 1.0])

@@ -388,37 +388,46 @@ class TestCovectorPlan:
                 assert np.abs(field - pi @ grad).max() <= 1e-13 * scale, (spec, pos)
 
     def test_flow_stage_makes_no_char_adj_call(self, monkeypatch):
-        # each stage reads its covector through the plan: one Faddeev--LeVerrier
-        # recursion, no matpoly_char_adj (no FFT over every adjugate column); a
-        # level-0 Hamiltonian reads N_0 = I, the same at every point: one per flow
+        # a stage reads its covector through the cached flow plan, never through
+        # matpoly_char_adj (no FFT over every adjugate column); at levels 0 and 1
+        # the covector is affine in the point, so a stage runs no recursion at
+        # all, and at level 2 (r = 3, k = 0) one, stopped at level 2
         rng = np.random.default_rng(61)
-        phi = R.random_instance(2, 2, rng)
-        for spec, level in ((R.BracketSpec(a=(1.0,), b=0.0), 1),
-                            (R.BracketSpec(a=(0.0,), b=1.0), 0)):
+        cases = [(R.random_instance(2, 2, rng), R.BracketSpec(a=(1.0,), b=0.0), 1),
+                 (R.random_instance(2, 2, rng), R.BracketSpec(a=(0.0,), b=1.0), 0),
+                 (R.random_instance(3, 1, rng), R.BracketSpec(a=(1.0,), b=0.0), 2)]
+        recursion = kernel._faddeev_leverrier
+        for phi, spec, level in cases:
             hams, _ = R.casimir_detect(phi, spec)
-            assert phi.r - 1 - hams[0][0] == level
-            R.flow(phi, hams[0], spec, [0.0, 1e-3])      # plans and tensor cached
-            counts = {"char_adj": 0, "recursion": 0, "field": 0}
+            pos = next(p for p in hams if phi.r - 1 - p[0] == level)
+            R.flow(phi, pos, spec, [0.0, 1e-3])      # plans and tensor cached
+            counts, shapes = {"char_adj": 0, "field": 0}, []
 
             def counted(name, fn):
                 return lambda *a, **kw: counts.__setitem__(name, counts[name] + 1) or fn(*a, **kw)
 
+            def recorded(*args):
+                b, N = recursion(*args)
+                shapes.append((b.shape, N.shape))
+                return b, N
+
             with monkeypatch.context() as m:
                 m.setattr(kernel, "matpoly_char_adj", counted("char_adj", kernel.matpoly_char_adj))
-                m.setattr(kernel, "_faddeev_leverrier",
-                          counted("recursion", kernel._faddeev_leverrier))
+                m.setattr(kernel, "_faddeev_leverrier", recorded)
                 solve = R.ode_solve
                 m.setattr(R, "ode_solve", lambda field, *a, **kw: solve(
                     counted("field", field), *a, **kw))
-                R.flow(phi, hams[0], spec, np.linspace(0.0, 0.2, 3))
+                R.flow(phi, pos, spec, np.linspace(0.0, 0.2, 3))
+            K, r = phi.r * phi.n + 1, phi.r
             assert counts["field"] > 2
             assert counts["char_adj"] == 0
-            assert counts["recursion"] == (counts["field"] if level else 1)
+            assert shapes == ([((K, 3), (K, 3, r, r))] * counts["field"] if level == 2 else [])
 
     @pytest.mark.parametrize("position", [(1, 2), (0, 3)])
     def test_flow_stage_stops_at_its_level(self, position, monkeypatch):
         # H = C_{k,l} reads level r - 1 - k of the recursion and nothing above
-        # it: level 0 is N_0 = I alone (once per flow), level 1 one trace and no product
+        # it.  Levels 0 and 1 run it once per plan, on the N + 1 points 0, e_1,
+        # ..., e_N at once, and never in a stage
         rng = np.random.default_rng(62)
         phi = R.random_instance(2, 2, rng)
         level = phi.r - 1 - position[0]
@@ -430,10 +439,28 @@ class TestCovectorPlan:
             return b, N
 
         monkeypatch.setattr(kernel, "_faddeev_leverrier", recorded)
+        R._flow_plan.cache_clear()
         R.flow(phi, position, R.BracketSpec(a=(1.0,), b=0.0), np.linspace(0.0, 0.2, 3))
-        K = phi.r * phi.n + 1
-        assert len(shapes) > 2 if level else len(shapes) == 1
-        assert set(shapes) == {((K, level + 1), (K, level + 1, phi.r, phi.r))}
+        K, dim = phi.r * phi.n + 1, phi.coeff_mats.size
+        assert shapes == [((dim + 1, K, level + 1), (dim + 1, K, level + 1, phi.r, phi.r))]
+
+    @pytest.mark.parametrize("r,n", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1)])
+    def test_affine_plan_matches_the_recursion(self, r, n):
+        # below level 2 the plan's g0 + W x is the covector blocks of the
+        # adjugate gradient at any x, not only on the unit disk; W = 0 at level 0
+        rng = np.random.default_rng(64 + 10 * r + n)
+        x = rng.standard_normal((n + 1) * r * r) + 1j * rng.standard_normal((n + 1) * r * r)
+        positions, G = R.spectral_gradient_matrix(R.MatPoly.from_flat(x, r, n))
+        checked = 0
+        for pos, grad in zip(positions, G):
+            top, g0, W = R._flow_plan(r, n, pos)
+            if top > 1:
+                continue
+            route = R._covector_blocks(grad.reshape(1, n + 1, r, r)).ravel()
+            assert np.abs(g0 + W @ x - route).max() <= 1e-13 * np.abs(route).max(), pos
+            assert top == 1 or not W.any(), pos
+            checked += 1
+        assert checked == sum(r - 1 - k <= 1 for k, _ in positions)
 
 
 class TestLenardMagri:
