@@ -269,7 +269,8 @@ def theta_cell(params, seed: int, tol_scale: float = 1.0):
     relations of ``f_vector`` and the roots-of-unity action on the section.
 
     Returns checks named ``theta_zero``, ``theta_relations``, ``theta_period``
-    and ``theta_roots``; points are drawn from ``default_rng(seed + 71)``.
+    and ``theta_roots`` (at the first 3 of ``theta_period``'s points); points
+    are drawn from ``default_rng(seed + 71)``.
     """
     r, tau = params.r, params.tau
     tol_zero = 1e-12 * tol_scale
@@ -318,9 +319,9 @@ def theta_cell(params, seed: int, tol_scale: float = 1.0):
 
     _, I2 = theta.i_matrices(r)
     worst_p = 0.0
-    used = 0
+    used = []
     attempts = 0
-    while used < 6 and attempts < 40:
+    while len(used) < 6 and attempts < 40:
         attempts += 1
         z = (rng.uniform(0.02, 0.44) + rng.uniform(0.08, 0.44) * tau) / r
         pts = (z, z + 1.0 / r, z + tau / r)
@@ -332,21 +333,17 @@ def theta_cell(params, seed: int, tol_scale: float = 1.0):
         scale = np.abs(F0).max()
         worst_p = max(worst_p, float(np.abs(F1 - F0).max() / scale))
         worst_p = max(worst_p, float(np.abs(F2 - I2 @ F0).max() / scale))
-        used += 1
+        used.append(z)
     out.append(CheckResult.from_residual("theta_period", worst_p, tol_period,
-                                         points=used))
+                                         points=len(used)))
 
-    q = params.q_root
-    trk = theta.SectionTracker(params)
-    z0 = trk.anchor
-    s0 = trk.value_at(z0)
-    s1 = trk.value_at(z0 + 1.0 / r)
-    hor = float(np.abs(s1 / s0 - q ** np.arange(r)).max())
-    trk2 = theta.SectionTracker(params)
-    s0b = trk2.value_at(z0)
-    s2 = trk2.value_at(z0 + tau / r)
-    ver = float(np.abs(s2 - I2 @ s0b).max() / np.abs(s0b).max())
-    out.append(CheckResult.from_residual("theta_roots", max(hor, ver), tol_roots))
+    q, trk, worst_s = params.q_root, theta.SectionTracker(params), 0.0
+    for z in used[:3]:  # away from the anchor, where d is calibrated to I2
+        s0, s1 = trk.value_at([z, z + 1.0 / r]).T
+        t0, s2 = trk.value_at([z, z + tau / r]).T
+        worst_s = max(worst_s, np.abs(s1 / s0 - q ** np.arange(r)).max(),
+                      np.abs(s2 - I2 @ t0).max() / np.abs(t0).max())
+    out.append(CheckResult.from_residual("theta_roots", worst_s, tol_roots))
     return out
 
 

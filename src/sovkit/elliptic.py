@@ -313,19 +313,19 @@ def _b_logderiv(lax, zs):
     phi A', ...]``.  ``K`` and ``K'`` are divided by the column norms of
     ``K`` first: ``B'/B`` is unchanged, and the adjugate keeps its accuracy
     near a pole of ``phi``."""
-    A, inv_h = section_quotients(lax.params)
-    a, logd = A.logderivs(zs)
+    r = lax.params.r
+    s, logd = section_quotients(lax.params).logderivs(zs)  # A, then 1/h
     phi, dphi = lax.deriv(zs)
-    K = kernel.krylov(phi, a)
+    K = kernel.krylov(phi, s[..., :r])
     dK = np.empty(K.shape, dtype=complex)
-    dK[..., 0] = a * logd
-    for k in range(1, lax.params.r):
+    dK[..., 0] = s[..., :r] * logd[..., :r]
+    for k in range(1, r):
         dK[..., k] = (dphi @ K[..., k - 1, None] + phi @ dK[..., k - 1, None])[..., 0]
     norms = np.linalg.norm(K, axis=-2, keepdims=True)
     K, dK = K / norms, dK / norms
     adj = kernel.adjugate(K)
-    det = np.einsum("...ij,...ji->...", adj, K) / lax.params.r
-    return np.einsum("...ij,...ji->...", adj, dK) / det + inv_h(zs)[1]
+    det = np.einsum("...ij,...ji->...", adj, K) / r
+    return np.einsum("...ij,...ji->...", adj, dK) / det + logd[..., r]
 
 
 def _disc_logderiv(lax, zs):
@@ -452,9 +452,11 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     ``2.5 tol.puncture_radius``.  Each ``xi`` and its residual, which must
     be within ``tol.divisor``, come from ``kernel.divisor_points`` with ``A``
     for ``s``, whose scalar factor the points do not see.  The genus
-    prediction is Riemann--Hurwitz over the torus, ``1 + (branch
-    points)/2``, the branch points located by ``_branch_points``.  Output
-    coordinates are (z_mu - z0, xi_mu).
+    prediction is Riemann--Hurwitz over the torus, ``1 + branch_count/2``,
+    and ``branch_count = r (r - 1) deg`` by construction: ``_branch_points``
+    raises unless the discriminant has that many zeros, and certifies that
+    they are simple and separated (else it raises).  Output coordinates are
+    (z_mu - z0, xi_mu).
     """
     params = lax.params
     origin = 0.013 * params.omega1 + 0.017 * params.omega2
@@ -471,8 +473,8 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     count = zs.size
 
     phis = lax(zs)
-    A = section_quotients(params)[0]
-    xis, resid = kernel.divisor_points(phis, A(zs), np.ones(count, dtype=int))
+    A = section_quotients(params)(zs)[:, :params.r]
+    xis, resid = kernel.divisor_points(phis, A, np.ones(count, dtype=int))
     validated = int(np.count_nonzero(resid <= tol.divisor))
     if validated != count:
         raise ConsistencyError(f"{validated} of the {count} zeros of B are divisor points")

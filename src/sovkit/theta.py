@@ -7,10 +7,11 @@ basic section s = A (1/h)^(1/r) with s_i**r = f_i.
 Everything is array-valued.  ``ThetaQuotients`` evaluates theta quotients
 (theta itself, the f_j, the basic section, the elliptic Lax basis) and their
 exact log-derivatives from one series table built per evaluator: a point is
-reduced once, and one matmul sums the series of every factor.
-``_continued_log`` is the one continuation stepper: it evaluates a whole
-polyline per call, bisects only the failing steps, and continues the one
-scalar with branches, 1/h.
+reduced once, and one matmul sums the series of every factor.  The basic
+section is one evaluator, the A_j and then 1/h.  ``_continued_log`` is the
+one continuation stepper: it evaluates a whole polyline per call, bisects
+only the failing steps, and continues the one scalar with branches, 1/h,
+always from the section's anchor.
 """
 
 import math
@@ -355,73 +356,65 @@ def _anchor(params: ThetaParams) -> complex:
 
 
 @lru_cache(maxsize=32)
-def section_quotients(params: ThetaParams):
-    """The basic section ``s = A (1/h)^(1/r)`` as ``(A, inv_h)``: the
-    evaluator ``A`` (elements j = 0..r-1, single-valued) and ``inv_h``,
-    which maps points of any shape to ``1/h`` and ``(1/h)'/(1/h)`` there.
+def section_quotients(params: ThetaParams) -> ThetaQuotients:
+    """The basic section ``s = A (1/h)^(1/r)`` as one evaluator of ``r + 1``
+    elements: ``A_j`` (elements j = 0..r-1, single-valued), then ``1/h``
+    (element r), all from one series table.
 
     ``f_j = c_j A_j^r / h``: each theta factor's least power over the
     components (-1 or 0) goes to ``1/h``, the rest (``r`` or 0) over ``r``
     to ``A_j``, with ``gamma_j / r`` and ``d_j``, an r-th root of ``c_j``:
     ``d_0`` the principal one, and ``d_(j+1)`` the one that makes ``s(z +
     tau/r) = I2 s(z)`` with ``(1/h)^(1/r)`` continued across ``tau/r`` from
-    the anchor.
+    the anchor.  ``1/h`` has ``gamma`` 0 and constant 1.
     """
     f, r = f_quotients(params), params.r
     low = f.powers.real.min(axis=0)
     ones = (f.powers.real - low) / r
-    lead, tail = ones.any(axis=0), low != 0  # leave out factors of power 0
+    keep = ones.any(axis=0) | (low != 0)  # leave out factors of power 0
+    powers, gamma = np.vstack([ones, low])[:, keep], np.append(f.phase / (2j * np.pi * r), 0.0)
 
-    def quotients(coef):
-        return ThetaQuotients(f.params, f.shifts[lead], ones[:, lead], f.phase / (2j * np.pi * r),
-                              coef, f.scale)
+    def quotients(d):
+        return ThetaQuotients(f.params, f.shifts[keep], powers, gamma, np.append(d, 1.0), f.scale)
 
-    reciprocal = ThetaQuotients(f.params, f.shifts[tail], low[None, tail], 0.0, 1.0, f.scale)
+    a, unit = _anchor(params), quotients(np.ones(r))
+    turn = np.exp(_continued_log(_last(unit), [a, a + params.omega2], params, DEFAULT)[-1] / r)
+    carry = unit(a + params.omega2)[:r - 1] * turn / unit(a)[1:r]  # d_(j+1) / d_j
+    return quotients(f.coef[0] ** (1.0 / r) * np.cumprod(np.append(1.0, carry)))
 
-    def inv_h(z):
-        return tuple(v[..., 0] for v in reciprocal.logderivs(z))
 
-    a, unit = _anchor(params), quotients(1.0)
-    turn = np.exp(_continued_log(inv_h, [a, a + params.omega2], params, DEFAULT)[-1] / r)
-    carry = unit(a + params.omega2)[:-1] * turn / unit(a)[1:]  # d_(j+1) / d_j
-    return quotients(f.coef[0] ** (1.0 / r) * np.cumprod(np.append(1.0, carry))), inv_h
+def _last(quotients: ThetaQuotients):
+    """``w -> (q, q'/q)`` of the last element, ``1/h`` of the section."""
+    return lambda w: tuple(v[..., -1] for v in quotients.logderivs(w))
 
 
 class SectionTracker:
-    """Continuation state for the basic section s_i = f_i^(1/r).
+    """The basic section s_i = f_i^(1/r), continued from the anchor.
 
     ``s = A (1/h)^(1/r)`` (``section_quotients``).  ``value_at`` continues
-    the scalar ``log(1/h)`` from the last queried point along a point or a
-    path (one ``_continued_log`` call) and evaluates ``A`` at its points.
-    At the anchor s_0 is the principal r-th root (argument in (-pi/r,
-    pi/r]); ``A``'s constants chain the rest by ``s(z + tau/r) = I2 s(z)``.
+    the scalar ``log(1/h)`` from the anchor along a point or a path (one
+    ``_continued_log`` call) and evaluates ``A`` at its points; no query
+    changes the tracker.  At the anchor s_0 is the principal r-th root of
+    ``f_0 = A_0^r (1/h)`` (argument in (-pi/r, pi/r]); ``A``'s constants
+    chain the rest by ``s(z + tau/r) = I2 s(z)``.
     """
 
     def __init__(self, params: ThetaParams, tol: Tolerances = DEFAULT):
         self.params, self.tol, self.anchor = params, tol, _anchor(params)
-        self._a, self._inv_h = section_quotients(params)
-        f0, a0 = f_vector(self.anchor, params, tol=tol)[0], self._a(self.anchor)
-        s0 = abs(f0) ** (1.0 / params.r) * np.exp(1j * np.angle(f0) / params.r)
-        self._z, self._root = self.anchor, s0 / a0[0]  # (1/h)^(1/r) at _z
-        self._values = a0 * self._root
+        self._s = section_quotients(params)
+        a0 = self._s(self.anchor)
+        self._root = (a0[0] ** params.r * a0[-1]) ** (1.0 / params.r) / a0[0]  # (1/h)^(1/r)
 
     def value_at(self, z):
-        """Section values at ``z``, continued from the last queried point.
+        """Section values at ``z``, continued from the anchor.
 
         A scalar ``z`` gives shape (r,).  A 1-D array is read as a path: the
-        section is continued through its points in order and the values at
-        every point are returned, shape (r, len(z)).  A query that stays at
-        the current point costs no evaluation.
+        section is continued from the anchor through its points in order and
+        the values at every point are returned, shape (r, len(z)).
         """
         path = np.asarray(z, dtype=complex)
         if not np.isfinite(path).all():
             raise NumericDomainError("continuation target is not finite")
-        if (path == self._z).all():
-            out = np.repeat(self._values[:, None], path.size, axis=1)
-        else:
-            nodes = np.append(self._z, path)
-            logs = _continued_log(self._inv_h, nodes, self.params, self.tol)
-            roots = self._root * np.exp(logs[1:] / self.params.r)
-            out = (self._a(nodes[1:]) * roots[:, None]).T
-            self._z, self._root, self._values = complex(nodes[-1]), roots[-1], out[:, -1].copy()
-        return out.reshape((-1,) + path.shape)
+        logs = _continued_log(_last(self._s), np.append(self.anchor, path), self.params, self.tol)
+        out = self._s(path.ravel())[:, :-1] * (self._root * np.exp(logs[1:, None] / self.params.r))
+        return out.T.reshape((-1,) + path.shape)

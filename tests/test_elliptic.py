@@ -285,8 +285,8 @@ def _sequential_draws(r, seed):
 
 def _section(params, z):
     """The basic section at ``z``, up to a factor of modulus 1: ``A |1/h|^(1/r)``."""
-    A, inv_h = section_quotients(params)
-    return A(z) * np.abs(inv_h(z)[0])[..., None] ** (1.0 / params.r)
+    s = section_quotients(params)(z)  # A, then 1/h
+    return s[..., :-1] * np.abs(s[..., -1:]) ** (1.0 / params.r)
 
 
 def _residuals(lax, points):
@@ -361,16 +361,31 @@ class TestDivisorExtraction:
         # B'/B for s = A (1/h)^(1/r): the Krylov log-derivative of A from its
         # exact log-derivatives, plus (1/h)'/(1/h), since B is of degree r in s
         lax, lams = _lax_and_probes(r, 2)
-        A, inv_h = section_quotients(lax.params)
+        S = section_quotients(lax.params)  # A, then 1/h
         zs = lams.ravel()[:4]
 
         def det(z):  # s with the principal (1/h)^(1/r), continuous near the probes
-            return _det_krylov(lax, z, A(z) * inv_h(z)[0] ** (1.0 / r))
+            s = S(z)
+            return _det_krylov(lax, z, s[:r] * s[r] ** (1.0 / r))
 
         h = 1e-6
         for z, ratio in zip(zs, E._b_logderiv(lax, zs)):
             fd = (det(z + h) - det(z - h)) / (2 * h * det(z))
             assert abs(ratio - fd) < 1e-6 * abs(fd)
+
+    def test_b_logderiv_sums_two_series(self, monkeypatch):
+        # one for the section (A and 1/h together), one for the Lax matrix
+        lax, lams = _lax_and_probes(3, 2)
+        E._b_logderiv(lax, lams.ravel()[:4])  # A's constants now cached
+        calls, thetas = [], theta.ThetaQuotients._thetas
+
+        def counted(self, *args):
+            calls.append(self)
+            return thetas(self, *args)
+
+        monkeypatch.setattr(theta.ThetaQuotients, "_thetas", counted)
+        E._b_logderiv(lax, lams.ravel()[:4])
+        assert len(calls) == 2 and calls[0] is section_quotients(lax.params)
 
     def test_extraction_continues_nothing(self, setup_r2_n1, report_r2_n1, monkeypatch):
         # the section's factors are evaluated pointwise; A's constants are
@@ -525,6 +540,15 @@ class TestBranchPoints:
         gaps = np.abs(xi[:, :, None] - xi[:, None, :]) + np.where(np.eye(r), np.inf, 0.0)
         assert (gaps.min(axis=(1, 2)) <= 1e-6 * np.linalg.norm(phi, axis=(1, 2))).all()
         assert kernel.min_gap(zs) > 1e-4
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_branch_count_is_the_pole_order(self, r):
+        # the search certifies that D's zeros are simple and separated; the
+        # count it reports is r (r - 1) deg by construction
+        for lax in _sequential_draws(r, 0):
+            rep = E.elliptic_divisor_coords(lax, full_report=True)
+            assert rep.branch_count == r * (r - 1) * sum(lax.divisor.mults)
+            assert rep.genus_prediction == 1 + rep.branch_count // 2
 
     def test_branch_point_near_a_pole(self):
         # a branch point 5e-3 from a divisor point

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sovkit import acceptance
 from sovkit import elliptic as E
 from sovkit import theta as T
 from sovkit.errors import NumericDomainError
@@ -541,39 +542,28 @@ class TestBasicSection:
         params = T.ThetaParams(tau=1j, r=3)
         r = params.r
         trk = T.SectionTracker(params)
-        z0 = trk.anchor
-        s0 = trk.value_at(z0)
         p = params.puncture
-        # square loop enclosing exactly one puncture
+        # square loop enclosing exactly one puncture, walked twice in one path
         rad = 0.45 / r
-        loop = [p + rad, p + rad * 1j, p - rad, p - rad * 1j, p + rad]
-        start = loop[0]
-        trk.value_at(start)
-        for w in loop[1:]:
-            trk.value_at(w)
-        s_back = trk.value_at(start)
-        trk_ref = T.SectionTracker(params)
-        s_ref = trk_ref.value_at(start)
+        loop = [p + rad * 1j, p - rad, p - rad * 1j, p + rad]
+        vals = trk.value_at(np.array([p + rad] + loop + loop))
+        s_ref, s_back, s_back2 = vals[:, 0], vals[:, 4], vals[:, 8]
         ratio = s_back / s_ref
         q = params.q_root
         powers = np.round(np.angle(ratio) / (2 * np.pi / r)).astype(int) % r
         assert np.abs(ratio - q ** powers.astype(float)).max() < 1e-8
         assert len(set(powers.tolist())) == 1  # one global root of unity
+        assert powers[0] != 0  # the loop does turn the section
         # repeating the same loop gives the same root (homotopy invariance)
-        for w in loop[1:]:
-            trk.value_at(w)
-        s_back2 = trk.value_at(start)
         ratio2 = s_back2 / s_back
         assert np.abs(ratio2 - ratio).max() < 1e-8
 
     def test_contractible_loop_is_trivial(self):
         params = T.ThetaParams(tau=1j, r=3)
         trk = T.SectionTracker(params)
-        z0 = trk.anchor
-        s0 = trk.value_at(z0)
-        for w in (z0 + 0.02, z0 + 0.02 + 0.02j, z0 + 0.02j, z0):
-            trk.value_at(w)
-        s1 = trk.value_at(z0)
+        z0 = trk.anchor + 0.01
+        vals = trk.value_at(np.array([z0, z0 + 0.02, z0 + 0.02 + 0.02j, z0 + 0.02j, z0]))
+        s0, s1 = vals[:, 0], vals[:, -1]
         assert np.abs(s1 - s0).max() < 1e-10 * np.abs(s0).max()
 
     def test_collinear_waypoints_match_one_segment(self):
@@ -588,6 +578,8 @@ class TestBasicSection:
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_path_matches_successive_points(self, r):
+        # every query continues from the anchor: the value at a path's k-th
+        # point is the last value of the path cut there
         params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
         trk = T.SectionTracker(params)
         # a repeated point, a loop around a puncture and back
@@ -597,12 +589,11 @@ class TestBasicSection:
                          p - rad, p - rad * 1j, p + rad, p + rad, trk.anchor])
         got = trk.value_at(path)
         assert got.shape == (r, path.size)
-        trk2 = T.SectionTracker(params)
-        ref = np.array([trk2.value_at(w) for w in path]).T
+        ref = np.array([trk.value_at(path[:k + 1])[:, -1] for k in range(path.size)]).T
         assert np.abs(got - ref).max() < 1e-13 * np.abs(ref).max()
-        # the tracker continues from the end of the path
-        assert np.abs(trk.value_at(trk.anchor + 0.05) - trk2.value_at(trk.anchor + 0.05)
-                      ).max() < 1e-13 * np.abs(ref).max()
+        # the loop turns the section, and a later query does not see it
+        assert np.abs(got[:, -1] - got[:, 0]).max() > 1e-3 * np.abs(ref).max()
+        assert np.abs(trk.value_at(path[0]) - got[:, 0]).max() < 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
     def test_values_are_roots_of_f_along_a_path(self, r):
@@ -702,6 +693,83 @@ class TestBasicSection:
             trk.value_at(path)
         with pytest.raises(NumericDomainError, match="not finite"):
             trk.value_at(bad)
+
+
+class TestSectionEvaluator:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_split_gives_f(self, r, tau):
+        # the elements are the A_j, then 1/h: f_j = A_j^r (1/h)
+        params = T.ThetaParams(tau=tau, r=r)
+        zs = T._anchor(params) + np.array([0.0, 0.05 + 0.02j, 0.3 / r + 0.2j / r, -0.1])
+        s = T.section_quotients(params)(zs)
+        assert s.shape == (zs.size, r + 1)
+        f = T.f_quotients(params)(zs)
+        assert np.abs(s[:, :r] ** r * s[:, r:] / f - 1.0).max() < 1e-12
+
+
+def _mutated_f_quotients(monkeypatch):
+    """Give every f_j the extra factor theta(u + c1)/theta(u + c2): it goes
+    wholly to 1/h, so the calibration and the tracker both see it."""
+    unmutated = T.f_quotients
+
+    def mutated(params):
+        f = unmutated(params)
+        extra = (np.array([0.21 + 0.13 * params.tau, 0.37 + 0.29 * params.tau])
+                 * f.scale / params.r)
+        powers = np.hstack([f.powers.real, np.tile([1.0, -1.0], (params.r, 1))])
+        return T.ThetaQuotients(f.params, np.append(f.shifts, extra), powers,
+                                f.phase / (2j * np.pi), f.coef, f.scale)
+
+    monkeypatch.setattr(T, "f_quotients", mutated)
+    T.section_quotients.cache_clear()
+
+
+class TestThetaRootsCheck:
+    @pytest.fixture(autouse=True)
+    def _fresh_sections(self):
+        T.section_quotients.cache_clear()
+        yield
+        T.section_quotients.cache_clear()
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_shared_factor_of_h_fails_it(self, r, tau, monkeypatch):
+        # at the anchor the calibration makes s(z + tau/r) = I2 s(z) hold in
+        # the components j <= r - 2 whatever 1/h is; at the sampled points
+        # the extra factor shows in them
+        params = T.ThetaParams(tau=tau, r=r)
+        pairs, value_at = [], T.SectionTracker.value_at
+
+        def recorded(self, z):
+            pairs.append((np.asarray(z), value_at(self, z)))
+            return pairs[-1][1]
+
+        _mutated_f_quotients(monkeypatch)
+        monkeypatch.setattr(T.SectionTracker, "value_at", recorded)
+        checks = {c.name: c for c in acceptance.theta_cell(params, 2024)}
+        assert not checks["theta_roots"].passed
+        assert len(pairs) == 6 and all(path[0] != T._anchor(params) for path, _ in pairs)
+        assert _shift_residuals(params, pairs)[:r - 1].max() > 1e-8
+        if r % 2 == 0:  # at the anchor only component r - 1 sees it
+            trk, a = T.SectionTracker(params), T._anchor(params)
+            at_anchor = _shift_residuals(params, [
+                (path, trk.value_at(path)) for path in ([a, a + params.omega1],
+                                                        [a, a + params.omega2])])
+            assert at_anchor[:r - 1].max() < 1e-12 < 1e-8 < at_anchor[r - 1]
+
+
+def _shift_residuals(params, pairs):
+    """Per component, the worst of ``theta_roots``' two relations over
+    ``(path, values)`` pairs, each path ``[z, z + omega]``."""
+    r, q, I2 = params.r, params.q_root, T.i_matrices(params.r)[1]
+    worst = np.zeros(r)
+    for path, (s0, s1) in ((path, vals.T) for path, vals in pairs):
+        if np.isclose(path[1] - path[0], params.omega1):
+            worst = np.maximum(worst, np.abs(s1 / s0 - q ** np.arange(r)))
+        else:
+            worst = np.maximum(worst, np.abs(s1 - I2 @ s0) / np.abs(s0).max())
+    return worst
 
 
 class TestIMatrices:
