@@ -602,37 +602,82 @@ def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
 # flows
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _flow_plan(r: int, n: int, position: tuple):
+def _flow_covectors(r: int, n: int, position: tuple):
     """``flow``'s covector blocks ``blocks @ N_top`` of ``H = C_position``, ``top = r - 1 - k``.
     At ``top <= 1`` (``N_0 = I``, ``N_1 = M - tr(M) I``, affine in ``M = vander @ x``) they are
     ``g0 + W x``, read off that route at ``x = 0, e_1, .., e_N`` in one call (``W = 0`` exactly
-    at level 0): ``(top, g0, W)``; above, ``(top, vander, blocks)``."""
+    at level 0, ``g0 = 0`` exactly at level 1): ``(top, g0, W)``; above, ``(top, vander,
+    blocks)``."""
     vander, level, rows = _covector_plan(r, n, (position,))
     top, E, N = int(level[0]), len(vander) * r * r, (n + 1) * r * r
     unit = _spectral_gradients(np.eye(E).reshape(E, -1, 1, r, r), [0], rows)[:, 0]
     blocks = _covector_blocks(unit).reshape(2, (n + 1) * r, E, r).swapaxes(-2, -1).reshape(-1, E)
     if top >= 2:
-        return (top,) + kernel.frozen(vander, blocks)
+        return top, vander, blocks
     L = _levels(np.eye(N + 1, N, -1), r, top, vander)[:, :, top].reshape(N + 1, -1)
-    return (top,) + kernel.frozen(blocks @ L[0], blocks @ (L[1:] - L[0]).T)
+    return top, blocks @ L[0], blocks @ (L[1:] - L[0]).T
+
+
+@lru_cache(maxsize=32)
+def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
+               tol: Tolerances = DEFAULT):
+    """``flow``'s field of ``H = C_position`` under ``spec``: ``(route, p, q)``, read-only.
+
+    The covector blocks are homogeneous of degree ``top = r - 1 - k`` in the point, and
+    ``_lax_field`` is linear in them, with an ``a`` part linear and a ``b`` part quadratic in
+    the point.  So the field is a quadratic polynomial at ``top = 0`` (its linear ``a`` part
+    is exactly 0) and at ``top = 1`` under ``b = 0``: route ``"monomials"``, ``p`` the pairs
+    ``(i, j)`` of its monomials ``x_i x_j`` and ``q`` their coefficient columns, the field
+    ``q @ (x[i] * x[j])``.  At ``top = 1`` they are read off ``_lax_field(I_N, columns of W,
+    a, 0)``, at ``top = 0`` by polarization of ``_lax_field(., g0, 0, b)`` at ``e_i + e_j``;
+    coefficients below 1e-14 of the largest are rounding residue and dropped.  A field of
+    degree 3 or more keeps the contraction, on ``_flow_covectors``' blocks: ``"affine"`` with
+    ``(g0, W)`` at ``top = 1``, ``"levels"`` with ``(vander, blocks)`` above.  At most 32
+    plans are kept: ``flow_linearize``'s benchmark builds 16 and ``suite_isospectral`` 28.
+    """
+    top, p, q = _flow_covectors(r, n, position)
+    if top >= 2 or top == 1 and spec.b != 0:
+        return ("affine" if top == 1 else "levels",) + kernel.frozen(p, q)
+    N = (n + 1) * r * r
+    eye, (i, j) = np.eye(N, dtype=complex), np.triu_indices(N)
+    if top == 1:
+        a = structure_tensor(r, n, spec, tol).a
+        T = _lax_field(eye, q.reshape(2, -1, r, N).swapaxes(-2, -1).reshape(2, -1, N * r), a, 0)
+        c = T[i, :, j] + np.where((i < j)[:, None], T[j, :, i], 0.0)
+    else:  # Q(e_i + e_j) for j >= i, one row of points at a time, in triu order
+        g0, zero = p.reshape(2, -1, r), np.zeros(2 * n + 2)
+        Q = np.concatenate([_lax_field(eye[k] + eye[k:], g0, zero, spec.b)[..., 0]
+                            for k in range(N)])
+        D = Q[i == j] / 4                                   # Q(2 e_i) = 4 Q(e_i)
+        c = np.where((i == j)[:, None], D[i], Q - D[i] - D[j])
+    keep = np.abs(c) > 1e-14 * np.abs(c).max(initial=0.0)
+    used = keep.any(axis=1)
+    return ("monomials",) + kernel.frozen(np.array([i[used], j[used]]),
+                                          np.where(keep, c, 0.0)[used].T)
 
 
 def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
          tol: Tolerances = DEFAULT):
     """Integrate the Hamiltonian flow of ``H = C_{k,l}``, ``h_position = (k, l)``,
-    and return the MatPoly states at the times ``t_grid``, ``phi0`` itself first.  The field
-    ``Pi(phi) grad H`` is ``_lax_field`` with no ``N x N`` matrix, its covector blocks those of
-    the cached ``_flow_plan``: ``g0 + W x`` at level ``r - 1 - k <= 1``, else ``blocks @ N_top``.
+    and return the MatPoly states at the times ``t_grid``, ``phi0`` itself first.
+
+    The field ``Pi(phi) grad H`` comes from the cached ``_flow_plan``.  Where it is a
+    quadratic polynomial in the point (level ``r - 1 - k = 0``, or 1 under ``b = 0``) a stage
+    is one product of the plan's monomial coefficients with ``x[i] * x[j]``.  A field of
+    degree 3 or more is ``_lax_field`` with no ``N x N`` matrix, its covector blocks ``g0 + W
+    x`` at level 1 (``b != 0``), else ``blocks @ N_top``.
     """
-    r, n = phi0.r, phi0.n
-    if tuple(h_position) not in spectral_positions(r, n):
+    r, n, position = phi0.r, phi0.n, tuple(h_position)
+    if position not in spectral_positions(r, n):
         raise ValueError(f"{h_position} is not a spectral coefficient position")
     a = structure_tensor(r, n, spec, tol).a
-    top, p, q = _flow_plan(r, n, tuple(h_position))
+    top = r - 1 - position[0]
+    route, p, q = _flow_plan(r, n, position, spec, tol)
 
     def field(t, x):
-        g = p + q @ x if top <= 1 else q @ _levels(x, r, top, p)[:, top].reshape(-1)
+        if route == "monomials":
+            return q @ (x[p[0]] * x[p[1]])
+        g = p + q @ x if route == "affine" else q @ _levels(x, r, top, p)[:, top].reshape(-1)
         return _lax_field(x[None], g.reshape(2, -1, r), a, spec.b).ravel()
 
     states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)

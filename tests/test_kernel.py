@@ -588,11 +588,15 @@ def test_cached_plans_and_tables_are_read_only():
     # lru_cache and module tables hand one array to every caller
     params = [theta.ThetaParams(tau=0.3 + 1.1j, r=r) for r in (2, 3)]
     quotients = [theta.f_quotients(p) for p in params] + [theta._plain(params[0])]
+    linear = rational.BracketSpec(a=(1.0,), b=0.0)
+    quadratic = rational.BracketSpec(a=(0.0,), b=1.0)
     for arr in [*kernel._char_adj_plan(2, 3), kernel._identity(3), *rational._lax_plan(2, 2),
                 *rational._covector_plan(2, 2, ((1, 0), (0, 3))),
-                *(arr for pos in ((1, 0), (0, 3)) for arr in rational._flow_plan(2, 2, pos)[1:]),
-                *rational._flow_plan(3, 1, (0, 1))[1:],
-                rational.structure_tensor(2, 2, rational.BracketSpec(a=(1.0,), b=0.0)).a,
+                *(arr for plan in (rational._flow_plan(2, 2, (1, 0), quadratic),
+                                   rational._flow_plan(2, 2, (0, 0), linear),
+                                   rational._flow_plan(3, 1, (1, 0), quadratic),
+                                   rational._flow_plan(3, 1, (0, 1), linear)) for arr in plan[1:]),
+                rational.structure_tensor(2, 2, linear).a,
                 *(getattr(q, name) for q in quotients
                   for name in ("shifts", "powers", "phase", "coef", "_table")),
                 linearize._FRAC, numeric._GL_NODES, numeric._GL_WEIGHTS,

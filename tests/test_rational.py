@@ -453,7 +453,7 @@ class TestCovectorPlan:
         positions, G = R.spectral_gradient_matrix(R.MatPoly.from_flat(x, r, n))
         checked = 0
         for pos, grad in zip(positions, G):
-            top, g0, W = R._flow_plan(r, n, pos)
+            top, g0, W = R._flow_covectors(r, n, pos)
             if top > 1:
                 continue
             route = R._covector_blocks(grad.reshape(1, n + 1, r, r)).ravel()
@@ -461,6 +461,149 @@ class TestCovectorPlan:
             assert top == 1 or not W.any(), pos
             checked += 1
         assert checked == sum(r - 1 - k <= 1 for k, _ in positions)
+
+
+MONOMIAL_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
+LINEAR, QUADRATIC = R.BracketSpec(a=(1.0,), b=0.0), R.BracketSpec(a=(0.0,), b=1.0)
+
+
+def flow_brackets(n, rng):
+    """The two fixed brackets, a general one (``deg a = n + 1``, ``b != 0``) and its
+    ``a`` under ``b = 0``."""
+    a = tuple(rng.standard_normal(n + 2) + 1j * rng.standard_normal(n + 2))
+    return [LINEAR, QUADRATIC,
+            R.BracketSpec(a=a, b=complex(rng.standard_normal(), rng.standard_normal())),
+            R.BracketSpec(a=a, b=0.0)]
+
+
+def quadratic_field(r, pos, spec):
+    """Whether the flow field of ``C_pos`` is a polynomial of degree <= 2 in the point."""
+    return r - 1 - pos[0] == 0 or r - 1 - pos[0] == 1 and spec.b == 0
+
+
+def contraction_field(r, n, pos, spec):
+    """``flow``'s field through ``_lax_field`` on the affine covectors ``g0 + W x``, the
+    route a level-0 or level-1 flow took before its monomials were read off."""
+    top, g0, W = R._flow_covectors(r, n, pos)
+    assert top <= 1
+    a = R.structure_tensor(r, n, spec).a
+    return lambda t, x: R._lax_field(x[None], (g0 + W @ x).reshape(2, -1, r), a, spec.b).ravel()
+
+
+class TestMonomialFlowField:
+    @pytest.mark.parametrize("r,n", MONOMIAL_SHAPES)
+    def test_monomials_match_the_contraction(self, r, n):
+        # every field of degree <= 2 is the plan's monomial list, and every other
+        # field keeps the contraction
+        rng = np.random.default_rng(90 + 10 * r + n)
+        positions, brackets = R.spectral_positions(r, n), flow_brackets(n, rng)
+        checked = 0
+        for spec in brackets:
+            for pos in positions:
+                route, ij, C = R._flow_plan(r, n, pos, spec)
+                if not quadratic_field(r, pos, spec):
+                    assert route == ("affine" if r - 1 - pos[0] == 1 else "levels"), (spec, pos)
+                    continue
+                assert route == "monomials" and ij.shape == (2, C.shape[1])
+                contraction = contraction_field(r, n, pos, spec)
+                for _ in range(3):
+                    x = rng.standard_normal(C.shape[0]) + 1j * rng.standard_normal(C.shape[0])
+                    pi = R.structure_tensor(r, n, spec).poisson_matrix(x)
+                    grad = R.spectral_gradient_matrix(R.MatPoly.from_flat(x, r, n))[1]
+                    scale = np.linalg.norm(pi) * np.linalg.norm(grad[positions.index(pos)])
+                    field = C @ (x[ij[0]] * x[ij[1]])
+                    assert np.abs(field - contraction(0.0, x)).max() <= 1e-13 * scale, (spec, pos)
+                checked += 1
+        assert checked == sum(quadratic_field(r, p, s) for s in brackets for p in positions)
+
+    @pytest.mark.parametrize("r,n", MONOMIAL_SHAPES)
+    def test_no_linear_part(self, r, n):
+        # the a part of a level-0 field, _lax_field(x, g0, a, 0), is linear in x and
+        # vanishes exactly at every x, and g0 = 0 exactly at level 1: the fields of
+        # degree <= 2 are quadratic forms, so the plan keeps only monomials x_i x_j
+        N = (n + 1) * r * r
+        for spec in flow_brackets(n, np.random.default_rng(95 + 10 * r + n)):
+            a = R.structure_tensor(r, n, spec).a
+            for pos in R.spectral_positions(r, n):
+                top, g0, _ = R._flow_covectors(r, n, pos)
+                if top == 0:
+                    linear = R._lax_field(np.eye(N, dtype=complex), g0.reshape(2, -1, r), a, 0)
+                    assert not linear.any(), (spec, pos)
+                elif top == 1:
+                    assert not g0.any(), pos
+
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 1)])
+    def test_level_zero_without_b_stays_put(self, r, n):
+        # under b = 0 a trace coefficient C_{r-1,l} is a Casimir by construction:
+        # its plan has no monomials and its flow never leaves phi0
+        rng = np.random.default_rng(97)
+        phi = R.random_instance(r, n, rng)
+        N = phi.coeff_mats.size
+        for spec in (LINEAR, R.BracketSpec(a=tuple(rng.standard_normal(n + 2)), b=0.0)):
+            for l in range(n + 1):
+                route, ij, C = R._flow_plan(r, n, (r - 1, l), spec)
+                assert route == "monomials" and ij.shape == (2, 0) and C.shape == (N, 0)
+                traj = R.flow(phi, (r - 1, l), spec, np.linspace(0.0, 0.5, 3))
+                assert all(np.array_equal(p.coeff_mats, phi.coeff_mats) for p in traj)
+
+    def test_monomial_stages_make_no_contraction(self, monkeypatch):
+        # a stage of a degree-2 flow is the monomial product alone; a degree-3 flow
+        # (level 1 under b != 0, or level 2) still contracts once per stage
+        rng = np.random.default_rng(98)
+        cases = [(R.random_instance(2, 2, rng), LINEAR, (0, 0), 0),
+                 (R.random_instance(2, 2, rng), QUADRATIC, (1, 0), 0),
+                 (R.random_instance(3, 1, rng), LINEAR, (1, 0), 0),
+                 (R.random_instance(2, 2, rng), QUADRATIC, (0, 1), 3),
+                 (R.random_instance(3, 1, rng), LINEAR, (0, 0), 3)]
+        for phi, spec, pos, degree in cases:
+            R.flow(phi, pos, spec, [0.0, 1e-3])      # the plan is built and cached
+            counts = {"field": 0, "lax": 0}
+            solve, lax = R.ode_solve, R._lax_field
+
+            def counted_field(field):
+                return lambda t, x: counts.__setitem__("field", counts["field"] + 1) or field(t, x)
+
+            def counted_lax(*args):
+                counts["lax"] += 1
+                return lax(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(R, "_lax_field", counted_lax)
+                m.setattr(R, "ode_solve", lambda field, *a, **kw: solve(counted_field(field),
+                                                                          *a, **kw))
+                R.flow(phi, pos, spec, np.linspace(0.0, 0.2, 3))
+            assert counts["field"] > 2
+            assert counts["lax"] == (counts["field"] if degree == 3 else 0), (spec, pos)
+
+    @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 1)])
+    @pytest.mark.parametrize("spec", [LINEAR, QUADRATIC], ids=["linear", "quadratic"])
+    def test_trajectory_matches_the_contraction(self, r, n, spec):
+        # on the benchmark's shapes and brackets a monomial flow follows the
+        # contraction's to 1e-11 at t = 0.25; a degree-3 flow is the contraction
+        phi = R.random_instance(r, n, np.random.default_rng(99 + 10 * r + n))
+        hams, _ = R.casimir_detect(phi, spec)
+        x0, times = phi.flatten(), [0.0, 0.25]
+        for pos in hams:
+            end = R.flow(phi, pos, spec, times)[-1].flatten()
+            if quadratic_field(r, pos, spec):
+                ref = R.ode_solve(contraction_field(r, n, pos, spec), x0, times)[-1]
+                assert np.abs(end - ref).max() <= 1e-11 * np.abs(ref).max(), pos
+            else:
+                assert R._flow_plan(r, n, pos, spec)[0] != "monomials"
+
+    def test_plan_cache_is_bounded(self):
+        # plans are kept per bracket and tolerance, so random brackets would grow an
+        # unbounded cache; 100 flows leave it at its bound
+        rng = np.random.default_rng(100)
+        phi = R.random_instance(2, 1, rng)
+        positions = R.spectral_positions(2, 1)
+        for k in range(100):
+            b = 0.0 if k % 2 else complex(rng.standard_normal(), rng.standard_normal())
+            spec = R.BracketSpec(a=tuple(rng.standard_normal(3)), b=b)
+            R.flow(phi, positions[k % len(positions)], spec, [0.0, 1e-3])
+        info = R._flow_plan.cache_info()
+        assert info.maxsize == 32
+        assert info.currsize == info.maxsize
 
 
 class TestLenardMagri:
