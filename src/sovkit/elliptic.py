@@ -271,7 +271,7 @@ def spectral_invariants(lax: EllipticLax):
     scalar point they were called at.
     """
     r = lax.params.r
-    last = [None, None]  # scalar lam, char_bipoly(lax(lam))
+    last = [None, None]  # scalar lam as a Python complex, char_bipoly(lax(lam)) as a list
 
     def maker(k):
         def t_k(lam):
@@ -279,8 +279,8 @@ def spectral_invariants(lax: EllipticLax):
                 return kernel.char_bipoly(lax(lam))[..., r - k]
             key = complex(lam)
             if last[0] != key:
-                last[:] = key, kernel.char_bipoly(lax(lam))
-            return complex(last[1][r - k])
+                last[:] = key, kernel.char_bipoly(lax(key)).tolist()
+            return last[1][r - k]
         return t_k
 
     return [maker(k) for k in range(1, r + 1)]

@@ -603,19 +603,31 @@ def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
 # ---------------------------------------------------------------------------
 
 def _flow_covectors(r: int, n: int, position: tuple):
-    """``flow``'s covector blocks ``blocks @ N_top`` of ``H = C_position``, ``top = r - 1 - k``.
-    At ``top <= 1`` (``N_0 = I``, ``N_1 = M - tr(M) I``, affine in ``M = vander @ x``) they are
-    ``g0 + W x``, read off that route at ``x = 0, e_1, .., e_N`` in one call (``W = 0`` exactly
-    at level 0, ``g0 = 0`` exactly at level 1): ``(top, g0, W)``; above, ``(top, vander,
-    blocks)``."""
+    """``flow``'s covector blocks ``blocks @ N_top`` of ``H = C_position``, ``N_top`` the
+    recursion's level ``top = r - 1 - k`` at ``vander @ x``, so homogeneous of degree ``top``:
+    ``(top, vander, blocks)``."""
     vander, level, rows = _covector_plan(r, n, (position,))
-    top, E, N = int(level[0]), len(vander) * r * r, (n + 1) * r * r
+    top, E = int(level[0]), len(vander) * r * r
     unit = _spectral_gradients(np.eye(E).reshape(E, -1, 1, r, r), [0], rows)[:, 0]
     blocks = _covector_blocks(unit).reshape(2, (n + 1) * r, E, r).swapaxes(-2, -1).reshape(-1, E)
-    if top >= 2:
-        return top, vander, blocks
-    L = _levels(np.eye(N + 1, N, -1), r, top, vander)[:, :, top].reshape(N + 1, -1)
-    return top, blocks @ L[0], blocks @ (L[1:] - L[0]).T
+    return top, vander, blocks
+
+
+def _monomials(form, N: int, degree: int):
+    """The monomials of ``form``, homogeneous of ``degree <= 2`` in ``N`` variables, a chunk at
+    a time: sorted index rows (P, degree) and coefficients (P, ...), from ``form``'s values
+    (P, ...) at points (P, N).  At 0; at each ``e_i``; by polarization, ``Q(2 e_i) / 4`` for
+    every ``i``, then ``Q(e_i + e_j) - Q(e_i) - Q(e_j)`` over ``j > i``, one ``i`` at a time."""
+    eye = np.eye(N, dtype=complex)
+    if degree < 2:
+        for i in range(N if degree else 1):
+            yield np.full((1, degree), i), form(eye[i:i + 1] * degree)
+        return
+    diag = form(2 * eye) / 4
+    yield np.arange(N)[:, None].repeat(2, axis=1), diag
+    for i in range(N - 1):
+        yield (np.column_stack([np.full(N - 1 - i, i), np.arange(i + 1, N)]),
+               form(eye[i] + eye[i + 1:]) - diag[i] - diag[i + 1:])
 
 
 @lru_cache(maxsize=32)
@@ -623,37 +635,46 @@ def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
                tol: Tolerances = DEFAULT):
     """``flow``'s field of ``H = C_position`` under ``spec``: ``(route, p, q)``, read-only.
 
-    The covector blocks are homogeneous of degree ``top = r - 1 - k`` in the point, and
+    The covector blocks ``g`` are homogeneous of degree ``top = r - 1 - k`` in the point, and
     ``_lax_field`` is linear in them, with an ``a`` part linear and a ``b`` part quadratic in
-    the point.  So the field is a quadratic polynomial at ``top = 0`` (its linear ``a`` part
-    is exactly 0) and at ``top = 1`` under ``b = 0``: route ``"monomials"``, ``p`` the pairs
-    ``(i, j)`` of its monomials ``x_i x_j`` and ``q`` their coefficient columns, the field
-    ``q @ (x[i] * x[j])``.  At ``top = 1`` they are read off ``_lax_field(I_N, columns of W,
-    a, 0)``, at ``top = 0`` by polarization of ``_lax_field(., g0, 0, b)`` at ``e_i + e_j``;
-    coefficients below 1e-14 of the largest are rounding residue and dropped.  A field of
-    degree 3 or more keeps the contraction, on ``_flow_covectors``' blocks: ``"affine"`` with
-    ``(g0, W)`` at ``top = 1``, ``"levels"`` with ``(vander, blocks)`` above.  At most 32
+    the point; so the field has degree ``top + 1``, or ``top + 2`` where ``b != 0``.  Up to
+    degree 3 (``top <= 1``, or 2 under ``b = 0``) the route is ``"monomials"``: ``p``
+    (degree, M) the sorted indices of the field's monomials into the point and a 1 (index
+    ``N``, padding the ``a`` part where both parts are there), ``q`` (N, M) their
+    coefficients.  ``_monomials`` reads ``g``'s monomials off the recursion, then each part's
+    off ``_lax_field`` at unit points against all of them, a chunk of points at a time.
+    Coefficients at most 1e-14 of the bracket's scale (``max(|a|, |b|)`` times ``g``'s
+    largest coefficient) are rounding residue, so a Casimir's plan is empty.  Above degree 3
+    the route is ``"levels"``, ``(vander, blocks)``, contracted in every stage.  At most 32
     plans are kept: ``flow_linearize``'s benchmark builds 16 and ``suite_isospectral`` 28.
     """
-    top, p, q = _flow_covectors(r, n, position)
-    if top >= 2 or top == 1 and spec.b != 0:
-        return ("affine" if top == 1 else "levels",) + kernel.frozen(p, q)
-    N = (n + 1) * r * r
-    eye, (i, j) = np.eye(N, dtype=complex), np.triu_indices(N)
-    if top == 1:
-        a = structure_tensor(r, n, spec, tol).a
-        T = _lax_field(eye, q.reshape(2, -1, r, N).swapaxes(-2, -1).reshape(2, -1, N * r), a, 0)
-        c = T[i, :, j] + np.where((i < j)[:, None], T[j, :, i], 0.0)
-    else:  # Q(e_i + e_j) for j >= i, one row of points at a time, in triu order
-        g0, zero = p.reshape(2, -1, r), np.zeros(2 * n + 2)
-        Q = np.concatenate([_lax_field(eye[k] + eye[k:], g0, zero, spec.b)[..., 0]
-                            for k in range(N)])
-        D = Q[i == j] / 4                                   # Q(2 e_i) = 4 Q(e_i)
-        c = np.where((i == j)[:, None], D[i], Q - D[i] - D[j])
-    keep = np.abs(c) > 1e-14 * np.abs(c).max(initial=0.0)
+    top, vander, blocks = _flow_covectors(r, n, position)
+    degree = top + (1 if spec.b == 0 else 2)
+    if degree > 3:
+        return ("levels",) + kernel.frozen(vander, blocks)
+    N, a = (n + 1) * r * r, structure_tensor(r, n, spec, tol).a
+    gidx, G = map(np.concatenate, zip(*_monomials(
+        lambda x: _levels(x, r, top, vander)[:, :, top].reshape(len(x), -1) @ blocks.T, N, top)))
+    size = np.abs(G).max(axis=1)
+    gidx, G = gidx[size > 1e-14 * size.max()], G[size > 1e-14 * size.max()]
+    g = G.T.reshape(2, -1, r, len(G)).swapaxes(-2, -1).reshape(2, (n + 1) * r, -1)
+    floor = 1e-14 * max(np.abs(a).max(), abs(spec.b)) * size.max()
+    terms, coefs = [np.zeros((0, degree), int)], [np.zeros((0, N), complex)]
+    for part, (ap, bp) in enumerate([(a, 0.0), (0 * a, spec.b)]):
+        if not (np.any(ap) or bp):
+            continue
+        for idx, c in _monomials(lambda x: _lax_field(x, g, ap, bp), N, part + 1):
+            c = c.swapaxes(1, 2).reshape(-1, N)
+            big = np.abs(c).max(axis=1) > floor
+            terms.append(np.hstack([idx.repeat(len(G), axis=0), np.tile(gidx, (len(idx), 1)),
+                                    np.full((len(c), degree - top - 1 - part), N)])[big])
+            coefs.append(c[big])
+    p, which = np.unique(np.sort(np.vstack(terms), axis=1), axis=0, return_inverse=True)
+    q = np.zeros((len(p), N), dtype=complex)
+    np.add.at(q, which.ravel(), np.vstack(coefs))
+    keep = np.abs(q) > floor
     used = keep.any(axis=1)
-    return ("monomials",) + kernel.frozen(np.array([i[used], j[used]]),
-                                          np.where(keep, c, 0.0)[used].T)
+    return ("monomials",) + kernel.frozen(p[used].T, np.where(keep, q, 0.0)[used].T)
 
 
 def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
@@ -661,24 +682,32 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
     """Integrate the Hamiltonian flow of ``H = C_{k,l}``, ``h_position = (k, l)``,
     and return the MatPoly states at the times ``t_grid``, ``phi0`` itself first.
 
-    The field ``Pi(phi) grad H`` comes from the cached ``_flow_plan``.  Where it is a
-    quadratic polynomial in the point (level ``r - 1 - k = 0``, or 1 under ``b = 0``) a stage
-    is one product of the plan's monomial coefficients with ``x[i] * x[j]``.  A field of
-    degree 3 or more is ``_lax_field`` with no ``N x N`` matrix, its covector blocks ``g0 + W
-    x`` at level 1 (``b != 0``), else ``blocks @ N_top``.
+    The field ``Pi(phi) grad H`` comes from the cached ``_flow_plan``.  Up to degree 3 in
+    the point (level ``r - 1 - k <= 1``, or 2 under ``b = 0``) a stage is the plan's
+    coefficients times its monomials ``x[i] x[j] x[k]``, no contraction; above, the
+    recursion through that level at ``phi`` at the roots, one matmul for the covector blocks
+    and ``_lax_field``, with no ``N x N`` matrix.
     """
     r, n, position = phi0.r, phi0.n, tuple(h_position)
     if position not in spectral_positions(r, n):
         raise ValueError(f"{h_position} is not a spectral coefficient position")
-    a = structure_tensor(r, n, spec, tol).a
-    top = r - 1 - position[0]
     route, p, q = _flow_plan(r, n, position, spec, tol)
+    if route == "monomials":
+        first, *rest = p
+        pad = bool((p == len(q)).any())  # the a part's monomials of a mixed field carry the 1
 
-    def field(t, x):
-        if route == "monomials":
-            return q @ (x[p[0]] * x[p[1]])
-        g = p + q @ x if route == "affine" else q @ _levels(x, r, top, p)[:, top].reshape(-1)
-        return _lax_field(x[None], g.reshape(2, -1, r), a, spec.b).ravel()
+        def field(t, x):
+            x = np.append(x, 1.0) if pad else x
+            m = x[first]
+            for k in rest:
+                m = m * x[k]
+            return q @ m
+    else:
+        a, top = structure_tensor(r, n, spec, tol).a, r - 1 - position[0]
+
+        def field(t, x):
+            g = q @ _levels(x, r, top, p)[:, top].reshape(-1)
+            return _lax_field(x[None], g.reshape(2, -1, r), a, spec.b).ravel()
 
     states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)
     return [phi0] + [MatPoly.from_flat(row, r, n) for row in states[1:]]

@@ -14,6 +14,7 @@ only the failing steps, and continues the one scalar with branches, 1/h,
 always from the section's anchor.
 """
 
+import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -125,20 +126,22 @@ class ThetaQuotients:
                self._gauss, self._n, self._table)
 
     def _thetas(self, z, deriv):
-        """``u = scale z``, theta(u + s_f) (..., F) and, with ``deriv``, theta'."""
-        u = self.scale * np.asarray(z, dtype=complex)
+        """``u = scale z``, theta(u + s_f) (..., F) and, with ``deriv``, theta'; a number
+        stays a number, not a 0-d array."""
+        number = np.isscalar(z)
+        u = self.scale * (complex(z) if number else np.asarray(z, dtype=complex))
         v, m = _reduce(u, self.params.tau)
-        row = np.exp(self._gauss + np.multiply.outer(v, self._n))
-        M = np.add.outer(m, self._m)
-        factor = np.exp(M * ((-1j * np.pi * self.params.tau) * M
-                             - 2j * np.pi * np.add.outer(v, self._sig)))
+        ve, me = (v, m) if number else (v[..., None], m[..., None])
+        row = np.exp(self._gauss + ve * self._n)
+        M = me + self._m
+        factor = np.exp(M * ((-1j * np.pi * self.params.tau) * M - 2j * np.pi * (ve + self._sig)))
         th = factor * (row @ self._table)
         if deriv:
             return u, th, factor * ((row * self._n) @ self._table) - (2j * np.pi) * M * th
         return u, th, None
 
     def _quotients(self, u, th):
-        return (self.coef * np.exp(self.phase * u[..., None])
+        return (self.coef * np.exp(self.phase * (u if np.isscalar(u) else u[..., None]))
                 * (th[..., None, :] ** self.powers).prod(axis=-1))
 
     def __call__(self, z):
@@ -384,8 +387,10 @@ def section_quotients(params: ThetaParams) -> ThetaQuotients:
 
 
 def _last(quotients: ThetaQuotients):
-    """``w -> (q, q'/q)`` of the last element, ``1/h`` of the section."""
-    return lambda w: tuple(v[..., -1] for v in quotients.logderivs(w))
+    """``w -> (q, q'/q)`` of the last element alone, ``1/h`` of the section (same table)."""
+    last = copy.copy(quotients)
+    last.powers, last.phase, last.coef = (v[-1:] for v in (last.powers, last.phase, last.coef))
+    return lambda w: tuple(v[..., 0] for v in last.logderivs(w))
 
 
 class SectionTracker:

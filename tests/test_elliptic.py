@@ -266,6 +266,23 @@ class TestArrayEvaluation:
             lam = lams[1, 2]
             assert abs(t(lam) - kernel.char_bipoly(lax(lam))[r - k]) == 0.0
 
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_number_path_is_the_zero_d_array_path(self, r, n):
+        # a number lam is evaluated with no 0-d array: lax, lax.deriv and the
+        # invariants' memoized scalar path give the 0-d array's values bit for bit
+        lax, lams = _lax_and_probes(r, n)
+        ts = E.spectral_invariants(lax)
+        for lam in lams.ravel()[:4]:
+            lam = complex(lam)
+            assert np.array_equal(lax(lam), lax(np.asarray(lam)))
+            for number, array in zip(lax.deriv(lam), lax.deriv(np.asarray(lam))):
+                assert np.array_equal(number, array)
+            char = kernel.char_bipoly(lax(np.asarray(lam)))
+            values = [t(lam) for t in ts]
+            assert all(type(v) is complex for v in values)
+            assert values == [complex(char[r - k]) for k in range(1, r + 1)]
+
 
 def _sequential_draws(r, seed):
     """The n = 1 and n = 2 Lax matrices drawn one after the other from one

@@ -594,8 +594,9 @@ def test_cached_plans_and_tables_are_read_only():
                 *rational._covector_plan(2, 2, ((1, 0), (0, 3))),
                 *(arr for plan in (rational._flow_plan(2, 2, (1, 0), quadratic),
                                    rational._flow_plan(2, 2, (0, 0), linear),
-                                   rational._flow_plan(3, 1, (1, 0), quadratic),
-                                   rational._flow_plan(3, 1, (0, 1), linear)) for arr in plan[1:]),
+                                   rational._flow_plan(3, 1, (0, 1), linear),
+                                   rational._flow_plan(3, 1, (0, 1), quadratic))
+                  for arr in plan[1:]),
                 rational.structure_tensor(2, 2, linear).a,
                 *(getattr(q, name) for q in quotients
                   for name in ("shifts", "powers", "phase", "coef", "_table")),

@@ -389,13 +389,15 @@ class TestCovectorPlan:
 
     def test_flow_stage_makes_no_char_adj_call(self, monkeypatch):
         # a stage reads its covector through the cached flow plan, never through
-        # matpoly_char_adj (no FFT over every adjugate column); at levels 0 and 1
-        # the covector is affine in the point, so a stage runs no recursion at
-        # all, and at level 2 (r = 3, k = 0) one, stopped at level 2
+        # matpoly_char_adj (no FFT over every adjugate column); where the field
+        # has degree <= 3 (levels 0 and 1, and level 2 under b = 0) it is a
+        # monomial list, so a stage runs no recursion at all, and at level 3
+        # (r = 4, k = 0) one, stopped at level 3
         rng = np.random.default_rng(61)
         cases = [(R.random_instance(2, 2, rng), R.BracketSpec(a=(1.0,), b=0.0), 1),
                  (R.random_instance(2, 2, rng), R.BracketSpec(a=(0.0,), b=1.0), 0),
-                 (R.random_instance(3, 1, rng), R.BracketSpec(a=(1.0,), b=0.0), 2)]
+                 (R.random_instance(3, 1, rng), R.BracketSpec(a=(1.0,), b=0.0), 2),
+                 (R.random_instance(4, 1, rng), R.BracketSpec(a=(1.0,), b=0.0), 3)]
         recursion = kernel._faddeev_leverrier
         for phi, spec, level in cases:
             hams, _ = R.casimir_detect(phi, spec)
@@ -421,13 +423,14 @@ class TestCovectorPlan:
             K, r = phi.r * phi.n + 1, phi.r
             assert counts["field"] > 2
             assert counts["char_adj"] == 0
-            assert shapes == ([((K, 3), (K, 3, r, r))] * counts["field"] if level == 2 else [])
+            assert shapes == ([((K, 4), (K, 4, r, r))] * counts["field"] if level == 3 else [])
 
     @pytest.mark.parametrize("position", [(1, 2), (0, 3)])
     def test_flow_stage_stops_at_its_level(self, position, monkeypatch):
         # H = C_{k,l} reads level r - 1 - k of the recursion and nothing above
-        # it.  Levels 0 and 1 run it once per plan, on the N + 1 points 0, e_1,
-        # ..., e_N at once, and never in a stage
+        # it.  Levels 0 and 1 run it only while the plan is built, at the points
+        # that read off the covectors' monomials (0 at level 0, each of e_1, ...,
+        # e_N at level 1), and never in a stage
         rng = np.random.default_rng(62)
         phi = R.random_instance(2, 2, rng)
         level = phi.r - 1 - position[0]
@@ -441,24 +444,28 @@ class TestCovectorPlan:
         monkeypatch.setattr(kernel, "_faddeev_leverrier", recorded)
         R._flow_plan.cache_clear()
         R.flow(phi, position, R.BracketSpec(a=(1.0,), b=0.0), np.linspace(0.0, 0.2, 3))
-        K, dim = phi.r * phi.n + 1, phi.coeff_mats.size
-        assert shapes == [((dim + 1, K, level + 1), (dim + 1, K, level + 1, phi.r, phi.r))]
+        K, points = phi.r * phi.n + 1, phi.coeff_mats.size if level else 1
+        assert shapes == [((1, K, level + 1), (1, K, level + 1, phi.r, phi.r))] * points
 
     @pytest.mark.parametrize("r,n", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1)])
     def test_affine_plan_matches_the_recursion(self, r, n):
-        # below level 2 the plan's g0 + W x is the covector blocks of the
-        # adjugate gradient at any x, not only on the unit disk; W = 0 at level 0
+        # below level 2 the covectors are affine in the point: their monomials,
+        # read off the recursion at 0 (level 0) or at the e_c (level 1), give the
+        # covector blocks of the adjugate gradient at any x, not only on the unit disk
         rng = np.random.default_rng(64 + 10 * r + n)
-        x = rng.standard_normal((n + 1) * r * r) + 1j * rng.standard_normal((n + 1) * r * r)
+        N = (n + 1) * r * r
+        x = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         positions, G = R.spectral_gradient_matrix(R.MatPoly.from_flat(x, r, n))
         checked = 0
         for pos, grad in zip(positions, G):
-            top, g0, W = R._flow_covectors(r, n, pos)
+            top, vander, blocks = R._flow_covectors(r, n, pos)
             if top > 1:
                 continue
+            idx, coef = map(np.concatenate, zip(*R._monomials(lambda y: R._levels(
+                y, r, top, vander)[:, :, top].reshape(len(y), -1) @ blocks.T, N, top)))
             route = R._covector_blocks(grad.reshape(1, n + 1, r, r)).ravel()
-            assert np.abs(g0 + W @ x - route).max() <= 1e-13 * np.abs(route).max(), pos
-            assert top == 1 or not W.any(), pos
+            plan = coef.T @ x[idx].prod(axis=1)
+            assert np.abs(plan - route).max() <= 1e-13 * np.abs(route).max(), pos
             checked += 1
         assert checked == sum(r - 1 - k <= 1 for k, _ in positions)
 
@@ -476,60 +483,88 @@ def flow_brackets(n, rng):
             R.BracketSpec(a=a, b=0.0)]
 
 
-def quadratic_field(r, pos, spec):
-    """Whether the flow field of ``C_pos`` is a polynomial of degree <= 2 in the point."""
-    return r - 1 - pos[0] == 0 or r - 1 - pos[0] == 1 and spec.b == 0
+def field_degree(r, pos, spec):
+    """The degree of the flow field of ``C_pos`` as a polynomial in the point."""
+    return r - 1 - pos[0] + (1 if spec.b == 0 else 2)
 
 
 def contraction_field(r, n, pos, spec):
-    """``flow``'s field through ``_lax_field`` on the affine covectors ``g0 + W x``, the
-    route a level-0 or level-1 flow took before its monomials were read off."""
-    top, g0, W = R._flow_covectors(r, n, pos)
-    assert top <= 1
+    """``flow``'s field through ``_lax_field`` on the covector blocks ``blocks @ N_top``: the
+    ``"levels"`` route, which every field of degree 4 or more takes."""
+    top, vander, blocks = R._flow_covectors(r, n, pos)
     a = R.structure_tensor(r, n, spec).a
-    return lambda t, x: R._lax_field(x[None], (g0 + W @ x).reshape(2, -1, r), a, spec.b).ravel()
+    def field(t, x):
+        g = blocks @ R._levels(x, r, top, vander)[:, top].reshape(-1)
+        return R._lax_field(x[None], g.reshape(2, -1, r), a, spec.b).ravel()
+    return field
+
+
+def monomial_field(p, q, x):
+    """A ``"monomials"`` plan's field at ``x``: ``q @ prod(x1[p])``, ``x1`` the point and a 1."""
+    return q @ np.append(x, 1.0)[p].prod(axis=0)
 
 
 class TestMonomialFlowField:
     @pytest.mark.parametrize("r,n", MONOMIAL_SHAPES)
     def test_monomials_match_the_contraction(self, r, n):
-        # every field of degree <= 2 is the plan's monomial list, and every other
-        # field keeps the contraction
+        # a field is the plan's monomial list exactly where its degree is <= 3,
+        # and that list equals the "levels" contraction at 5 seeded points
         rng = np.random.default_rng(90 + 10 * r + n)
         positions, brackets = R.spectral_positions(r, n), flow_brackets(n, rng)
         checked = 0
         for spec in brackets:
             for pos in positions:
-                route, ij, C = R._flow_plan(r, n, pos, spec)
-                if not quadratic_field(r, pos, spec):
-                    assert route == ("affine" if r - 1 - pos[0] == 1 else "levels"), (spec, pos)
+                route, p, C = R._flow_plan(r, n, pos, spec)
+                if field_degree(r, pos, spec) > 3:
+                    assert route == "levels", (spec, pos)
                     continue
-                assert route == "monomials" and ij.shape == (2, C.shape[1])
+                assert route == "monomials" and p.shape == (field_degree(r, pos, spec), C.shape[1])
                 contraction = contraction_field(r, n, pos, spec)
-                for _ in range(3):
+                for _ in range(5):
                     x = rng.standard_normal(C.shape[0]) + 1j * rng.standard_normal(C.shape[0])
                     pi = R.structure_tensor(r, n, spec).poisson_matrix(x)
                     grad = R.spectral_gradient_matrix(R.MatPoly.from_flat(x, r, n))[1]
                     scale = np.linalg.norm(pi) * np.linalg.norm(grad[positions.index(pos)])
-                    field = C @ (x[ij[0]] * x[ij[1]])
+                    field = monomial_field(p, C, x)
                     assert np.abs(field - contraction(0.0, x)).max() <= 1e-13 * scale, (spec, pos)
                 checked += 1
-        assert checked == sum(quadratic_field(r, p, s) for s in brackets for p in positions)
+        assert checked == sum(field_degree(r, p, s) <= 3 for s in brackets for p in positions)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_monomials_of_a_form(self, degree):
+        # the read-off on a form with every monomial, squares included (no flow
+        # field has a square x_i^2 in a polarized part): x^T S x, v . x or c
+        rng = np.random.default_rng(94)
+        N = 5
+        S = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        S, v, c = S + S.T, S[0], S[0, 0]
+        form = [lambda x: np.full((len(x), 1), c), lambda x: (x @ v)[:, None],
+                lambda x: np.einsum("pi,ij,pj->p", x, S, x)[:, None]][degree]
+        idx, coef = map(np.concatenate, zip(*R._monomials(form, N, degree)))
+        assert idx.shape == (N * (N + 1) // 2 if degree == 2 else N ** degree, degree)
+        assert (np.diff(idx, axis=1) >= 0).all()
+        expected = {0: lambda: c, 1: lambda: v[idx[:, 0]],
+                    2: lambda: np.where(idx[:, 0] == idx[:, 1], 1, 2) * S[idx[:, 0], idx[:, 1]]}
+        assert np.abs(coef[:, 0] - expected[degree]()).max() <= 1e-14 * np.abs(S).max()
 
     @pytest.mark.parametrize("r,n", MONOMIAL_SHAPES)
     def test_no_linear_part(self, r, n):
         # the a part of a level-0 field, _lax_field(x, g0, a, 0), is linear in x and
-        # vanishes exactly at every x, and g0 = 0 exactly at level 1: the fields of
-        # degree <= 2 are quadratic forms, so the plan keeps only monomials x_i x_j
+        # vanishes exactly at every x, so a level-0 plan has no monomial with the
+        # padded 1 even where b != 0; above level 0 the covectors vanish exactly at
+        # x = 0, so their read-off has no constant term
         N = (n + 1) * r * r
         for spec in flow_brackets(n, np.random.default_rng(95 + 10 * r + n)):
             a = R.structure_tensor(r, n, spec).a
             for pos in R.spectral_positions(r, n):
-                top, g0, _ = R._flow_covectors(r, n, pos)
+                top, vander, blocks = R._flow_covectors(r, n, pos)
+                zero = np.zeros(N, dtype=complex)
+                g0 = blocks @ R._levels(zero, r, top, vander)[:, top].reshape(-1)
                 if top == 0:
                     linear = R._lax_field(np.eye(N, dtype=complex), g0.reshape(2, -1, r), a, 0)
                     assert not linear.any(), (spec, pos)
-                elif top == 1:
+                    assert not (R._flow_plan(r, n, pos, spec)[1] == N).any(), (spec, pos)
+                else:
                     assert not g0.any(), pos
 
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 1)])
@@ -541,20 +576,39 @@ class TestMonomialFlowField:
         N = phi.coeff_mats.size
         for spec in (LINEAR, R.BracketSpec(a=tuple(rng.standard_normal(n + 2)), b=0.0)):
             for l in range(n + 1):
-                route, ij, C = R._flow_plan(r, n, (r - 1, l), spec)
-                assert route == "monomials" and ij.shape == (2, 0) and C.shape == (N, 0)
+                route, idx, C = R._flow_plan(r, n, (r - 1, l), spec)
+                assert route == "monomials" and idx.shape == (1, 0) and C.shape == (N, 0)
                 traj = R.flow(phi, (r - 1, l), spec, np.linspace(0.0, 0.5, 3))
                 assert all(np.array_equal(p.coeff_mats, phi.coeff_mats) for p in traj)
 
+    @pytest.mark.parametrize("r,n", [(2, 2), (3, 1)])
+    @pytest.mark.parametrize("spec", [LINEAR, QUADRATIC], ids=["linear", "quadratic"])
+    def test_casimir_plans_are_empty(self, r, n, spec):
+        # the field of a Casimir is identically 0, and its plan keeps no rounding
+        # residue of the read-off (the trim is against the bracket's scale, not
+        # the largest coefficient): its flow returns phi0's coefficients exactly
+        phi = R.random_instance(r, n, np.random.default_rng(96))
+        _, cass = R.casimir_detect(phi, spec)
+        monomial = [pos for pos in cass if field_degree(r, pos, spec) <= 3]
+        assert (r, n, spec) != (2, 2, LINEAR) or (0, 2) in monomial
+        for pos in monomial:
+            route, idx, C = R._flow_plan(r, n, pos, spec)
+            assert route == "monomials" and idx.shape[1] == 0
+            assert C.shape == (phi.coeff_mats.size, 0)
+            traj = R.flow(phi, pos, spec, np.linspace(0.0, 0.5, 3))
+            assert all(np.array_equal(p.coeff_mats, phi.coeff_mats) for p in traj), pos
+
     def test_monomial_stages_make_no_contraction(self, monkeypatch):
-        # a stage of a degree-2 flow is the monomial product alone; a degree-3 flow
-        # (level 1 under b != 0, or level 2) still contracts once per stage
+        # a stage of a flow of degree <= 3 is the monomial product alone; a degree-4
+        # flow (level 2 under b != 0, or level 3) still contracts once per stage
         rng = np.random.default_rng(98)
-        cases = [(R.random_instance(2, 2, rng), LINEAR, (0, 0), 0),
-                 (R.random_instance(2, 2, rng), QUADRATIC, (1, 0), 0),
-                 (R.random_instance(3, 1, rng), LINEAR, (1, 0), 0),
+        cases = [(R.random_instance(2, 2, rng), LINEAR, (0, 0), 2),
+                 (R.random_instance(2, 2, rng), QUADRATIC, (1, 0), 2),
+                 (R.random_instance(3, 1, rng), LINEAR, (1, 0), 2),
                  (R.random_instance(2, 2, rng), QUADRATIC, (0, 1), 3),
-                 (R.random_instance(3, 1, rng), LINEAR, (0, 0), 3)]
+                 (R.random_instance(3, 1, rng), LINEAR, (0, 0), 3),
+                 (R.random_instance(3, 1, rng), QUADRATIC, (0, 1), 4),
+                 (R.random_instance(4, 1, rng), LINEAR, (0, 0), 4)]
         for phi, spec, pos, degree in cases:
             R.flow(phi, pos, spec, [0.0, 1e-3])      # the plan is built and cached
             counts = {"field": 0, "lax": 0}
@@ -573,23 +627,23 @@ class TestMonomialFlowField:
                                                                           *a, **kw))
                 R.flow(phi, pos, spec, np.linspace(0.0, 0.2, 3))
             assert counts["field"] > 2
-            assert counts["lax"] == (counts["field"] if degree == 3 else 0), (spec, pos)
+            assert counts["lax"] == (counts["field"] if degree == 4 else 0), (spec, pos)
 
     @pytest.mark.parametrize("r,n", [(2, 2), (2, 3), (3, 1)])
     @pytest.mark.parametrize("spec", [LINEAR, QUADRATIC], ids=["linear", "quadratic"])
     def test_trajectory_matches_the_contraction(self, r, n, spec):
         # on the benchmark's shapes and brackets a monomial flow follows the
-        # contraction's to 1e-11 at t = 0.25; a degree-3 flow is the contraction
+        # contraction's to 1e-11 at t = 0.25; a degree-4 flow is the contraction
         phi = R.random_instance(r, n, np.random.default_rng(99 + 10 * r + n))
         hams, _ = R.casimir_detect(phi, spec)
         x0, times = phi.flatten(), [0.0, 0.25]
         for pos in hams:
             end = R.flow(phi, pos, spec, times)[-1].flatten()
-            if quadratic_field(r, pos, spec):
+            if field_degree(r, pos, spec) <= 3:
                 ref = R.ode_solve(contraction_field(r, n, pos, spec), x0, times)[-1]
                 assert np.abs(end - ref).max() <= 1e-11 * np.abs(ref).max(), pos
             else:
-                assert R._flow_plan(r, n, pos, spec)[0] != "monomials"
+                assert R._flow_plan(r, n, pos, spec)[0] == "levels"
 
     def test_plan_cache_is_bounded(self):
         # plans are kept per bracket and tolerance, so random brackets would grow an

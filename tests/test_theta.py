@@ -647,6 +647,26 @@ class TestBasicSection:
         assert len(calls) == 1 and shapes
         assert all(v == d == w and len(w) == 1 for v, d, w in shapes)
 
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_continuation_evaluates_only_one_over_h(self, r, monkeypatch):
+        # the continued scalar is element r of the section evaluator alone: its
+        # values and log-derivative are the full evaluator's to 1e-15 relative,
+        # and every quotient product along the path has one element; the r + 1
+        # elements are formed only at the path's points, for A
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
+        s = T.section_quotients(params)
+        zs = T._anchor(params) + np.array([0.0, 0.05 + 0.02j, 0.3 / r + 0.2j / r, -0.1])
+        for one, full in zip(T._last(s)(zs), s.logderivs(zs)):
+            assert np.abs(one - full[:, -1]).max() <= 1e-15 * np.abs(full[:, -1]).max()
+        quotients, widths = T.ThetaQuotients._quotients, []
+        monkeypatch.setattr(T.ThetaQuotients, "_quotients",
+                            lambda self, u, th: widths.append(self.powers.shape[0])
+                            or quotients(self, u, th))
+        trk = T.SectionTracker(params)
+        widths.clear()
+        trk.value_at(trk.anchor + np.array([0.05, 0.1 + 0.2j, 0.3]))
+        assert widths == [1] * (len(widths) - 1) + [r + 1] and len(widths) > 1
+
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_circuits_turn_every_component_alike(self, r):
         # round the cell and round the puncture, s gains exp(-2 pi i/r),
@@ -693,6 +713,21 @@ class TestBasicSection:
             trk.value_at(path)
         with pytest.raises(NumericDomainError, match="not finite"):
             trk.value_at(bad)
+
+
+class TestNumberPath:
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_number_and_zero_d_array_agree_bit_for_bit(self, r):
+        # a number z stays a number through ThetaQuotients (no 0-d arrays) and
+        # gives the values the 0-d array np.asarray(z) gives, bit for bit
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
+        for q in (T.f_quotients(params), T.section_quotients(params), T._plain(params)):
+            for z in (0.11 + 0.07j, -0.37 + 0.81j, 2.4 - 1.3j, 0.25, 1):
+                assert np.array_equal(q(z), q(np.asarray(z)))
+                for number, array in zip(q.logderivs(z), q.logderivs(np.asarray(z))):
+                    assert np.array_equal(number, array)
+        z = 0.3 + 0.1j
+        assert T.riemann_theta(z, params) == T.riemann_theta(np.asarray(z), params)
 
 
 class TestSectionEvaluator:
