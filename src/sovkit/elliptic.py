@@ -217,13 +217,13 @@ class EllipticLax:
                               dtype=complex).reshape(-1, r * r)
 
     def __call__(self, lam):
-        r = self.params.r
-        return (self._quotients(lam) @ self._mats).reshape(np.shape(lam) + (r, r))
+        phi = self._quotients(lam) @ self._mats
+        return phi.reshape(phi.shape[:-1] + (self.params.r,) * 2)
 
     def deriv(self, lam):
         """``(phi, phi')`` at ``lam`` from one pass of the theta series."""
         values, logd = self._quotients.logderivs(lam)
-        shape = np.shape(lam) + (self.params.r,) * 2
+        shape = values.shape[:-1] + (self.params.r,) * 2
         return (values @ self._mats).reshape(shape), ((values * logd) @ self._mats).reshape(shape)
 
 
@@ -275,12 +275,12 @@ def spectral_invariants(lax: EllipticLax):
 
     def maker(k):
         def t_k(lam):
-            if np.ndim(lam):
-                return kernel.char_bipoly(lax(lam))[..., r - k]
-            key = complex(lam)
-            if last[0] != key:
-                last[:] = key, kernel.char_bipoly(lax(key)).tolist()
-            return last[1][r - k]
+            if isinstance(lam, (int, float, complex)) or np.ndim(lam) == 0:
+                key = complex(lam)
+                if last[0] != key:
+                    last[:] = key, kernel.char_bipoly(lax(key)).tolist()
+                return last[1][r - k]
+            return kernel.char_bipoly(lax(lam))[..., r - k]
         return t_k
 
     return [maker(k) for k in range(1, r + 1)]

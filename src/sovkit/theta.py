@@ -7,11 +7,15 @@ basic section s = A (1/h)^(1/r) with s_i**r = f_i.
 Everything is array-valued.  ``ThetaQuotients`` evaluates theta quotients
 (theta itself, the f_j, the basic section, the elliptic Lax basis) and their
 exact log-derivatives from one series table built per evaluator: a point is
-reduced once, and one matmul sums the series of every factor.  The basic
-section is one evaluator, the A_j and then 1/h.  ``_continued_log`` is the
-one continuation stepper: it evaluates a whole polyline per call, bisects
-only the failing steps, and continues the one scalar with branches, 1/h,
-always from the section's anchor.
+reduced once, one exponent per element carries every factor's
+quasi-periodicity, and one matmul sums the series of every factor.  Arrays
+take their complex ``exp`` before that matmul: after an OpenBLAS complex
+matrix-matrix product (``zgemm``), numpy's complex ``exp`` and ``log`` run
+10-30 times slower on AVX-512 hosts until a vectorized numpy loop runs.
+The basic section is one evaluator, the A_j and then 1/h.
+``_continued_log`` is the one continuation stepper: it evaluates a whole
+polyline per call, bisects only the failing steps, and continues the one
+scalar with branches, 1/h, always from the section's anchor.
 """
 
 import copy
@@ -87,13 +91,15 @@ def _reduce(z, tau):
 
 def riemann_theta(z, params: ThetaParams):
     """theta(z) = sum_n exp(pi i n^2 tau + 2 pi i n z), lattice-reduced."""
-    out = _plain(params)._thetas(z, False)[1][..., 0]
+    out = _plain(params)(z)[..., 0]
     return out if out.shape else complex(out)
 
 
 def theta_deriv(z, params: ThetaParams):
-    """d theta / dz with the same lattice reduction."""
-    out = _plain(params)._thetas(z, True)[2][..., 0]
+    """d theta / dz with the same lattice reduction, as ``e (S' + slope S)``:
+    theta times its log-derivative would be 0/0 at theta's zeros."""
+    e, S, dS, slope = _plain(params)._series(z, True)
+    out = (e * (dS + slope * S))[..., 0]
     return out if out.shape else complex(out)
 
 
@@ -105,8 +111,17 @@ class ThetaQuotients:
     + 2 pi i n sig_f)``, ``|n| <= trunc + 1``, is built once, for the shifts
     reduced to ``s_f = sig_f + k_f + m_f tau`` in the centred strip; a point,
     reduced once to ``u = v + k + m tau``, takes one row ``exp(2 pi i n v)``,
-    and ``theta(u + s_f) = exp(-pi i tau M^2 - 2 pi i M (v + sig_f)) (row @
-    C)[f]``, ``M = m + m_f``: the closed-form quasi-periodicity factor.
+    and ``theta(u + s_f) = exp(-pi i tau M^2 - 2 pi i M (v + sig_f)) S_f``,
+    ``S = row @ C``, ``M = m + m_f``.  Over an element's factors these
+    exponents sum to one linear form in ``(1, m, m^2, v, m v, u)``, frozen as
+    ``K`` (6, E); with ``c = -i pi tau``, ``d = -2 pi i``, ``P`` the powers:
+
+        K0 = c P m_f^2 + d P (m_f sig_f),  K1 = 2c P m_f + d P sig,
+        K2 = c P.sum(1),  K3 = d P m_f,  K4 = d P.sum(1),  K5 = 2 pi i gamma.
+
+    An element is ``c_e exp(K0 + m (K1 + m K2) + v (K3 + m K4) + u K5) prod_f
+    S_f^p_ef``, one ``exp`` per element; its ``u``-log-derivative is ``K5 +
+    K3 + m K4 + (S'/S) @ P^T``.
     """
 
     def __init__(self, params: ThetaParams, shifts, powers, gamma, coef, scale):
@@ -119,40 +134,51 @@ class ThetaQuotients:
         # one term more, as |Im(v + sig_f)| reaches Im tau, twice the strip's; C
         # keeps half its Gaussian and the row takes the rest, so neither overflows
         n = np.arange(-params.trunc - 1, params.trunc + 2)
-        self._sig, self._m = _reduce(self.shifts, params.tau)
+        sig, m = _reduce(self.shifts, params.tau)
         self._gauss, self._n = (0.5j * np.pi * params.tau) * n ** 2, 2j * np.pi * n
-        self._table = np.exp(self._gauss[:, None] + np.multiply.outer(self._n, self._sig))
-        frozen(self.shifts, self.powers, self.phase, self.coef, self._sig, self._m,
-               self._gauss, self._n, self._table)
+        self._table = np.exp(self._gauss[:, None] + np.multiply.outer(self._n, sig))
+        c, d, P = -1j * np.pi * params.tau, -2j * np.pi, self.powers
+        Pe = P.sum(axis=1)
+        self._K = np.array([c * (P @ m ** 2) + d * (P @ (m * sig)), 2 * c * (P @ m) + d * (P @ sig),
+                            c * Pe, d * (P @ m), d * Pe, np.broadcast_to(self.phase, Pe.shape)])
+        frozen(self.shifts, self.powers, self.phase, self.coef, self._gauss, self._n,
+               self._table, self._K)
 
-    def _thetas(self, z, deriv):
-        """``u = scale z``, theta(u + s_f) (..., F) and, with ``deriv``, theta'; a number
-        stays a number, not a 0-d array."""
-        number = np.isscalar(z)
-        u = self.scale * (complex(z) if number else np.asarray(z, dtype=complex))
-        v, m = _reduce(u, self.params.tau)
-        ve, me = (v, m) if number else (v[..., None], m[..., None])
-        row = np.exp(self._gauss + ve * self._n)
-        M = me + self._m
-        factor = np.exp(M * ((-1j * np.pi * self.params.tau) * M - 2j * np.pi * (ve + self._sig)))
-        th = factor * (row @ self._table)
+    def _series(self, z, deriv):
+        """``exp`` of every element's exponent at ``u = scale z`` (..., E), the
+        sums ``S`` (..., F) and, with ``deriv``, ``S'`` and the exponent's
+        ``u``-derivative.  A number or any 0-d input is reduced with Python's
+        ``round`` and takes one vector-matrix product; an array broadcasts, so
+        that every complex ``exp`` runs before the series matmul."""
+        K, tau = self._K, self.params.tau
+        if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:
+            u = self.scale * complex(z)
+            m = round(u.imag / tau.imag)
+            v = u - m * tau
+            v -= round(v.real)
+            e = np.exp(np.array([1, m, m * m, v, m * v, u]) @ K)
+        else:
+            u = self.scale * np.asarray(z, dtype=complex)
+            v, m = _reduce(u, tau)
+            u, v, m = u[..., None], v[..., None], m[..., None]
+            e = np.exp(K[0] + m * (K[1] + m * K[2]) + v * (K[3] + m * K[4]) + u * K[5])
+        row = np.exp(self._gauss + v * self._n)
+        S = row @ self._table
         if deriv:
-            return u, th, factor * ((row * self._n) @ self._table) - (2j * np.pi) * M * th
-        return u, th, None
+            return e, S, (row * self._n) @ self._table, K[5] + K[3] + m * K[4]
+        return e, S, None, None
 
-    def _quotients(self, u, th):
-        return (self.coef * np.exp(self.phase * (u if np.isscalar(u) else u[..., None]))
-                * (th[..., None, :] ** self.powers).prod(axis=-1))
+    def _values(self, e, S):
+        return self.coef * e * (S[..., None, :] ** self.powers).prod(axis=-1)
 
     def __call__(self, z):
         """Every element at ``z`` of shape (...): shape (..., E)."""
-        return self._quotients(*self._thetas(z, False)[:2])
+        return self._values(*self._series(z, False)[:2])
 
     def logderivs(self, z):
         """Values and log-derivatives ``d/dz log q_e`` at ``z``, both (..., E)."""
-        u, th, dth = self._thetas(z, True)
-        return (self._quotients(u, th),
-                self.scale * (self.phase + (dth / th) @ self.powers.T))
+        e, S, dS, slope = self._series(z, True)
+        return self._values(e, S), self.scale * (slope + (dS / S) @ self.powers.T)
 
 
 @lru_cache(maxsize=64)
@@ -390,6 +416,7 @@ def _last(quotients: ThetaQuotients):
     """``w -> (q, q'/q)`` of the last element alone, ``1/h`` of the section (same table)."""
     last = copy.copy(quotients)
     last.powers, last.phase, last.coef = (v[-1:] for v in (last.powers, last.phase, last.coef))
+    last._K = last._K[:, -1:]
     return lambda w: tuple(v[..., 0] for v in last.logderivs(w))
 
 

@@ -283,6 +283,23 @@ class TestArrayEvaluation:
             assert all(type(v) is complex for v in values)
             assert values == [complex(char[r - k]) for k in range(1, r + 1)]
 
+    @pytest.mark.parametrize("r, n", [(2, 2), (3, 1)])
+    def test_number_takes_no_shape_query(self, r, n, monkeypatch):
+        # a Python number reaches the number path with no np.ndim or np.shape
+        # call (about 1 us each); a 0-d array and a numpy scalar still ask
+        lax, lams = _lax_and_probes(r, n)
+        ts = E.spectral_invariants(lax)
+        calls = []
+        for name in ("ndim", "shape"):
+            monkeypatch.setattr(np, name, lambda a, f=getattr(np, name): calls.append(a) or f(a))
+        for lam in lams.ravel()[:3]:
+            lax(complex(lam))
+            [t(complex(lam)) for t in ts]
+            [t(complex(lam) + 0.01) for t in ts]
+        assert calls == []
+        ts[0](np.asarray(lams[0, 0] + 0.02))
+        assert len(calls) == 1  # t_k's, which then passes lax a number
+
 
 def _sequential_draws(r, seed):
     """The n = 1 and n = 2 Lax matrices drawn one after the other from one
@@ -394,13 +411,13 @@ class TestDivisorExtraction:
         # one for the section (A and 1/h together), one for the Lax matrix
         lax, lams = _lax_and_probes(3, 2)
         E._b_logderiv(lax, lams.ravel()[:4])  # A's constants now cached
-        calls, thetas = [], theta.ThetaQuotients._thetas
+        calls, series = [], theta.ThetaQuotients._series
 
         def counted(self, *args):
             calls.append(self)
-            return thetas(self, *args)
+            return series(self, *args)
 
-        monkeypatch.setattr(theta.ThetaQuotients, "_thetas", counted)
+        monkeypatch.setattr(theta.ThetaQuotients, "_series", counted)
         E._b_logderiv(lax, lams.ravel()[:4])
         assert len(calls) == 2 and calls[0] is section_quotients(lax.params)
 

@@ -1,3 +1,5 @@
+import copy
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -658,10 +660,10 @@ class TestBasicSection:
         zs = T._anchor(params) + np.array([0.0, 0.05 + 0.02j, 0.3 / r + 0.2j / r, -0.1])
         for one, full in zip(T._last(s)(zs), s.logderivs(zs)):
             assert np.abs(one - full[:, -1]).max() <= 1e-15 * np.abs(full[:, -1]).max()
-        quotients, widths = T.ThetaQuotients._quotients, []
-        monkeypatch.setattr(T.ThetaQuotients, "_quotients",
-                            lambda self, u, th: widths.append(self.powers.shape[0])
-                            or quotients(self, u, th))
+        series, widths = T.ThetaQuotients._series, []
+        monkeypatch.setattr(T.ThetaQuotients, "_series",
+                            lambda self, z, deriv: widths.append(self.powers.shape[0])
+                            or series(self, z, deriv))
         trk = T.SectionTracker(params)
         widths.clear()
         trk.value_at(trk.anchor + np.array([0.05, 0.1 + 0.2j, 0.3]))
@@ -728,6 +730,77 @@ class TestNumberPath:
                     assert np.array_equal(number, array)
         z = 0.3 + 0.1j
         assert T.riemann_theta(z, params) == T.riemann_theta(np.asarray(z), params)
+
+
+def _per_factor(q, z):
+    """The elements of ``q`` and their log-derivatives at the points ``z`` (m,),
+    one quasi-periodicity factor per theta factor: ``c_e exp(2 pi i gamma_e
+    u) prod_f (exp(-pi i tau M_f^2 - 2 pi i M_f (v + sig_f)) S_f)^p_ef``."""
+    tau = q.params.tau
+    u = q.scale * np.asarray(z, dtype=complex)
+    v, m = T._reduce(u, tau)
+    sig, mf = T._reduce(q.shifts, tau)
+    M = m[:, None] + mf
+    factor = np.exp(-1j * np.pi * tau * M ** 2 - 2j * np.pi * M * (v[:, None] + sig))
+    row = np.exp(q._gauss + v[:, None] * q._n)
+    th, dth = factor * (row @ q._table), factor * ((row * q._n) @ q._table)
+    dth -= 2j * np.pi * M * th
+    vals = q.coef * np.exp(q.phase * u[:, None]) * (th[:, None, :] ** q.powers).prod(axis=-1)
+    return vals, q.scale * (q.phase + (dth / th) @ q.powers.T)
+
+
+def _fold_case(kind):
+    if kind == "lax":
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=2)
+        div = E.EllipticDivisor(points=((0.31 + 0.42 * params.tau) / 2,
+                                        (0.67 + 0.18 * params.tau) / 2), mults=(1, 1))
+        return E._quotients(params, [w for els in E.build_basis(div, params).values()
+                                     for w in els])
+    family, r = kind.split()
+    params = T.ThetaParams(tau=0.2 + 1.1j, r=int(r))
+    return T.f_quotients(params) if family == "f" else T.section_quotients(params)
+
+
+class TestFold:
+    @pytest.mark.parametrize("kind, cells", [("f 3", 3), ("f 2", 3), ("f 4", 2), ("lax", 3),
+                                             ("section 3", 3), ("section 4", 3)])
+    def test_matches_the_per_factor_product(self, kind, cells):
+        # the one exponent per element against one factor per theta factor,
+        # on arrays and on numbers, at points up to ``cells`` cells out of the
+        # evaluator's lattice: the odd family (r = 3), the even family (r = 2,
+        # 4), a Lax basis and the section, whose A_j (of nonzero total power)
+        # alone see K2 and K4.  Values to 1e-13 relative, log-derivatives to
+        # 1e-13 of the largest at the point (they cancel to near 0).  At r = 4
+        # the reference's fourth powers of single factors overflow three cells
+        # out, where the fold's one exponent does not
+        q = _fold_case(kind)
+        a, b = np.random.default_rng(5).uniform(-cells, cells, (2, 40))
+        z = (a + b * q.params.tau) / q.scale
+        ref_vals, ref_logd = _per_factor(q, z)
+        vals, logd = q.logderivs(z)
+        assert np.array_equal(vals, q(z))
+        numbers = [q.logderivs(complex(w)) for w in z]
+        for got_vals, got_logd in ((vals, logd), np.array(numbers).transpose(1, 0, 2)):
+            assert (np.abs(got_vals - ref_vals) <= 1e-13 * np.abs(ref_vals)).all()
+            scale = np.abs(ref_logd).max(axis=1, keepdims=True)
+            assert (np.abs(got_logd - ref_logd) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("kind", ["f 2", "lax", "section 3"])
+    def test_power_zero_elements_survive_an_exact_zero(self, kind):
+        # a factor's series sum exactly 0 (its table column zeroed) leaves the
+        # elements of power 0 on it unchanged, on arrays and on numbers
+        q = _fold_case(kind)
+        f = np.flatnonzero((q.powers == 0).any(axis=0))[0]
+        zeroed = copy.copy(q)
+        zeroed._table = q._table * (np.arange(q.shifts.size) != f)
+        z = (0.137 + 0.291 * q.params.tau) / q.scale + np.array([0.0, 1.3 + 0.4j, -2.1 - 1.7j])
+        keep = q.powers[:, f] == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for point in (z, complex(z[1])):
+                got, full = zeroed(point), q(point)
+                assert np.isfinite(got[..., keep]).all()
+                assert np.array_equal(got[..., keep], full[..., keep])
+                assert not np.array_equal(got[..., ~keep], full[..., ~keep])
 
 
 class TestSectionEvaluator:
