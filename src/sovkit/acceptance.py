@@ -150,13 +150,8 @@ def _linearization_instance(rng):
 
 
 def _triangle_contains(a, b, c, p):
-    def cross(u, v):
-        return u.real * v.imag - u.imag * v.real
-
-    s1 = cross(b - a, p - a)
-    s2 = cross(c - b, p - b)
-    s3 = cross(a - c, p - c)
-    return (s1 >= 0 and s2 >= 0 and s3 >= 0) or (s1 <= 0 and s2 <= 0 and s3 <= 0)
+    cross = [(np.conj(v - u) * (p - u)).imag for u, v in ((a, b), (b, c), (c, a))]
+    return all(s >= 0 for s in cross) or all(s <= 0 for s in cross)
 
 
 def suite_linearization(config: ExperimentConfig):
@@ -182,8 +177,7 @@ def suite_linearization(config: ExperimentConfig):
     spec = BRACKETS["linear"]
     phi, curve, bps, d = _linearization_instance(rng)
     hams, S = linearize.slope_matrix(phi, spec)
-    worst_fit = 0.0
-    slope_dev = 0.0
+    worst_fit = slope_dev = 0.0
     for j, flow_pos in enumerate(hams):
         # keep every divisor hop well inside one matching patch: scale the
         # time window by the measured divisor speed of this flow, backing off
@@ -194,7 +188,6 @@ def suite_linearization(config: ExperimentConfig):
         idx = linearize._nearest_permutation(d, d_probe)
         speed = float(np.abs(d_probe.z[idx] - d.z).max()) / probe_dt
         t_max = min(0.3, 0.2 / max(speed, 1.0))
-        res = None
         for _ in range(5):
             times = np.linspace(0.0, t_max, 9)
             traj = rational.flow(phi, flow_pos, spec, times)
@@ -203,7 +196,7 @@ def suite_linearization(config: ExperimentConfig):
                 break
             except MatchingError:
                 t_max /= 2.0
-        if res is None:
+        else:
             raise MatchingError("linearization window could not be stabilized")
         worst_fit = max(worst_fit, float(res.fit_residuals.max()))
         slope_dev = max(slope_dev, float(np.abs(res.slopes - S[:, j]).max()))
@@ -221,15 +214,12 @@ def suite_linearization(config: ExperimentConfig):
     integrand = linearize._conjugate_integrand(curve, spec, hams)
     ze, xe = d.z[0], d.xi[0]
     direct = linearize._integrals_to_points(curve, integrand, [z0], [ze], [xe], bps, DEFAULT)[0]
-    mid = None
     for offset in (0.3j, -0.3j, 0.15j, -0.15j, 0.08j, -0.08j):
-        cand = 0.5 * (z0 + ze) + offset * (ze - z0)
-        clear = np.min(np.abs(cand - bps)) > 0.12 if bps.size else True
-        inside = any(_triangle_contains(z0, cand, ze, bp) for bp in bps)
-        if clear and not inside:
-            mid = cand
+        mid = 0.5 * (z0 + ze) + offset * (ze - z0)
+        clear = np.min(np.abs(mid - bps)) > 0.12 if bps.size else True
+        if clear and not any(_triangle_contains(z0, mid, ze, bp) for bp in bps):
             break
-    if mid is None:
+    else:
         mid = 0.5 * (z0 + ze)
     path = linearize.build_path(z0, mid, bps) + linearize.build_path(mid, ze, bps)[1:]
     total, xi_fin = linearize.sheet_integrals(curve, integrand, [path])

@@ -132,13 +132,9 @@ def cmd_flow(args) -> int:
         header = ["t", "spectral_drift"]
         for (k, l) in hams:
             header += [f"q_{k}_{l}_re", f"q_{k}_{l}_im", f"fit_residual_{k}_{l}"]
-        rows = []
-        for col, (t, d) in enumerate(zip(times, drift)):
-            row = [t, d]
-            for i in range(len(hams)):
-                row += [res.q_table[i, col].real, res.q_table[i, col].imag,
-                        res.fit_residuals[i]]
-            rows.append(row)
+        rows = [[t, d, *(v for q, fit in zip(res.q_table[:, col], res.fit_residuals)
+                         for v in (q.real, q.imag, fit))]
+                for col, (t, d) in enumerate(zip(times, drift))]
         docs.write_csv(out / "flow.csv", header, rows)
         payload = {
             "hamiltonian": list(pos), "casimir": False,

@@ -361,11 +361,12 @@ def divisor_points(phis, s, ms):
     residual)``, each of length ``sum(ms)``, the points of ``phis[i]`` in
     order.
     """
-    r = phis.shape[-1]
-    U = np.linalg.svd(krylov(phis, s))[0]
-    xi = np.concatenate([np.zeros(0, dtype=complex)]
-                        + [np.linalg.eigvals(u[:, r - m:].conj().T @ p @ u[:, r - m:])
-                           for u, p, m in zip(U, phis, ms)])
+    r, ms = phis.shape[-1], np.asarray(ms, dtype=int)
+    U, xi = np.linalg.svd(krylov(phis, s))[0], np.empty(ms.sum(), dtype=complex)
+    for m in set(ms.tolist()):  # the phis of one multiplicity as one stack
+        k, V = ms == m, U[ms == m, :, r - m:]
+        xi[(np.cumsum(ms) - ms)[k, None] + np.arange(m)] = np.linalg.eigvals(
+            V.conj().swapaxes(-1, -2) @ phis[k] @ V)
     at = np.repeat(np.arange(len(phis)), ms)
     phis, s = phis[at], np.broadcast_to(s, phis.shape[:-1])[at]
     c = char_bipoly(phis).T                     # column i: the coefficients at phis[i]

@@ -8,12 +8,11 @@ linearizing coordinate attached to the spectral coefficient H_i is
     dp/dH_i = -(xi^k z^l) / ((a(z) + b xi) dP/dxi)   at H_i ~ position (k, l),
 
 integrated along the sheet of the curve that ends at (z_mu, xi_mu).  Straight
-z-paths are re-routed around branch points.  One stepper, ``_walk``, steps a
-stack of paths in lockstep, tracks every sheet and yields each round's
-Gauss-Legendre panels (roots at the step ends, Newton-polished at the nodes).
-``sheet_integrals`` cuts long segments into pieces, walks all pieces of all
-paths in one stack, sums the quadrature over the panels and joins the
-pieces' sheets at their junctions; ``linearize`` walks all its paths at once.
+z-paths are re-routed around branch points.  ``sheet_integrals`` cuts every
+segment into pieces sized by the predicted sheet move (``_cut``), steps all
+pieces of all paths in lockstep (``_walk``: Gauss-Legendre panels, roots at
+the step ends, Newton-polished at the nodes) and joins the pieces' sheets at
+their junctions; ``linearize`` walks all its paths at once.
 
 The infinitesimal form needs no path: along the flow of H_j the Abel map
 moves by ``S = Omega V``, the integrand at the divisor points times the
@@ -28,8 +27,8 @@ import numpy as np
 from . import kernel
 from .errors import ConsistencyError, MatchingError, NonGenericError, NumericDomainError
 from .numeric import _GL_NODES as _NODES, _GL_WEIGHTS as _WEIGHTS
-from .rational import (BracketSpec, DivisorCoords, MatPoly, SpectralCurve, _poisson,
-                       branch_points, casimir_detect, divisor_coords, divisor_jacobian,
+from .rational import (BracketSpec, DivisorCoords, MatPoly, SpectralCurve, _divisor_stack,
+                       _poisson, branch_points, casimir_detect, divisor_jacobian,
                        spectral_curve, spectral_gradient_matrix)
 from .tolerances import DEFAULT, Tolerances
 
@@ -42,10 +41,10 @@ __all__ = ["LinearizeResult", "build_path", "sheet_integrals", "slope_matrix",
 # ---------------------------------------------------------------------------
 
 def _segment_clearance(a, b, point):
-    """Distance from ``point`` to segment [a, b] and the closest-approach foot."""
+    """Distance from ``point`` (or each of an array) to segment [a, b], the
+    closest-approach foot and its parameter."""
     d = b - a
-    t = np.real(np.conj(d) * (point - a)) / abs(d) ** 2
-    t = min(1.0, max(0.0, t))
+    t = np.clip(np.real(np.conj(d) * (point - a)) / abs(d) ** 2, 0.0, 1.0)
     foot = a + t * d
     return abs(point - foot), foot, t
 
@@ -54,56 +53,45 @@ def build_path(z0, z1, branch_pts, tol: Tolerances = DEFAULT):
     """Piecewise-linear path z0 -> z1 avoiding branch points.
 
     A straight segment passing within a branch point's avoidance radius gets
-    a perpendicular detour waypoint at twice that radius.  The radius is
-    ``branch_avoid`` times the path scale, capped at a quarter of the distance
-    to the nearest other branch point and half the distance to the segment's
-    endpoints, so a detour never lands inside a neighbour's radius.  After
-    three re-routing rounds the path is declared unroutable.
+    a perpendicular detour waypoint at twice that radius, around the first
+    such branch point.  The radius is ``branch_avoid`` times the path scale,
+    capped at a quarter of the distance to the nearest other branch point and
+    half the distance to the segment's endpoints, so a detour never lands
+    inside a neighbour's radius.  After three re-routing rounds the path is
+    declared unroutable.
     """
     branch_pts = np.asarray(branch_pts, dtype=complex)
-    scale = max(1.0, abs(z0), abs(z1),
-                np.abs(branch_pts).max() if branch_pts.size else 1.0)
+    scale = max(abs(z0), abs(z1), np.abs(branch_pts).max(initial=1.0))
     sep = np.abs(branch_pts[:, None] - branch_pts) + np.diag(np.full(branch_pts.size, np.inf))
     radii = np.minimum(tol.branch_avoid * scale, 0.25 * sep.min(axis=1, initial=np.inf))
     waypoints = [complex(z0), complex(z1)]
     for _ in range(3):
-        clean = True
         out = [waypoints[0]]
         for a, b in zip(waypoints, waypoints[1:]):
-            insert = None
-            for bp, radius in zip(branch_pts, radii):
-                ends = min(abs(bp - a), abs(bp - b))
-                if ends < 1e-12:
-                    continue
-                r_avoid = min(radius, 0.5 * ends)
-                dist, foot, t = _segment_clearance(a, b, bp)
-                if dist < r_avoid and 0.0 < t < 1.0:
-                    if dist > 1e-12 * scale:
-                        normal = (foot - bp) / dist
-                    else:
-                        normal = 1j * (b - a) / abs(b - a)
-                    insert = bp + 2.0 * r_avoid * normal
-                    break
-            if insert is not None:
-                out.extend([insert, b])
-                clean = False
-            else:
-                out.append(b)
-        waypoints = out
-        if clean:
+            ends = np.minimum(np.abs(branch_pts - a), np.abs(branch_pts - b))
+            dist, _, t = _segment_clearance(a, b, branch_pts)
+            hit = np.flatnonzero((ends >= 1e-12) & (dist < np.minimum(radii, 0.5 * ends))
+                                 & (0.0 < t) & (t < 1.0))
+            if hit.size:  # the first one, in scalar arithmetic: vector loops round otherwise
+                bp = branch_pts[hit[0]]
+                r_avoid = min(radii[hit[0]], 0.5 * min(abs(bp - a), abs(bp - b)))
+                dist, foot, _ = _segment_clearance(a, b, bp)
+                normal = (foot - bp) / dist if dist > 1e-12 * scale else 1j * (b - a) / abs(b - a)
+                out.append(bp + 2.0 * r_avoid * normal)
+            out.append(b)
+        if len(out) == len(waypoints):
             return waypoints
+        waypoints = out
     raise NumericDomainError("path could not be routed around branch points")
 
 
 def pick_base_point(branch_pts):
     """Deterministic base point well away from every branch point."""
     branch_pts = np.asarray(branch_pts, dtype=complex)
-    radius = 1.6 * max(1.0, np.abs(branch_pts).max() if branch_pts.size else 1.0)
-    candidates = radius * np.exp(2j * np.pi * (np.arange(16) + 0.27) / 16)
-    if not branch_pts.size:
-        return complex(candidates[0])
-    dists = np.min(np.abs(candidates[:, None] - branch_pts[None, :]), axis=1)
-    return complex(candidates[int(np.argmax(dists))])
+    candidates = 1.6 * np.abs(branch_pts).max(initial=1.0) * np.exp(
+        2j * np.pi * (np.arange(16) + 0.27) / 16)
+    return complex(candidates[np.abs(candidates[:, None] - branch_pts).min(
+        axis=1, initial=np.inf).argmax()])
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +99,42 @@ def pick_base_point(branch_pts):
 # ---------------------------------------------------------------------------
 
 _FRAC, = kernel.frozen((_NODES + 1.0) / 2.0)
+_SAMPLES = np.linspace(0.0, 1.0, 9)  # where ``_cut`` reads the sheets along a segment
+_MOVE = 0.2                          # a piece moves the fastest sheet about _MOVE g
+_MAX_PIECES = 64                     # per segment
 
 
 def _curve_roots(Pg_T, z):
     """The xi-roots over every ``z``, shape ``z.shape + (r,)``."""
     return kernel.companion_roots(np.moveaxis(kernel.poly_eval(Pg_T, z), 0, -1))
+
+
+def _cut(grid, a, b):
+    """The segments ``a -> b`` cut into pieces sized by the predicted sheet
+    move: ``(seg, start, end)``, each piece's segment and ends, in order.  At
+    9 points of a segment (one stacked companion call) the fastest sheet
+    moves ``_MOVE g``, ``g`` the sheet gap, over ``|dz| = _MOVE g / max |P_z /
+    P_xi|``; the segment is cut at equal steps of the trapezoid integral of
+    ``1 / |dz|``, into ``ceil`` of its total (1 to ``_MAX_PIECES``) pieces
+    (step-length adaptation, Allgower and Georg, Numerical Continuation
+    Methods, 1990)."""
+    zs, segs = (a[:, None] + (b - a)[:, None] * _SAMPLES)[..., None], np.arange(a.size)[:, None]
+    xi = kernel.companion_roots(np.moveaxis(kernel.poly_eval(grid.T, zs[..., 0]), 0, -1))
+    fast = np.abs(b - a)[:, None, None] * np.abs(
+        kernel.bipoly_eval(kernel.poly_der(grid.T).T, zs, xi))  # |P_z| |b - a|
+    slow = _MOVE * kernel.min_gap(xi)[..., None] * np.abs(
+        kernel.bipoly_eval(kernel.bipoly_dxi(grid), zs, xi))   # _MOVE g |P_xi|
+    cap = _MAX_PIECES / _SAMPLES[1]
+    dens = np.divide(fast, slow, out=np.full(fast.shape, cap), where=slow * cap > fast).max(-1)
+    cum = np.cumsum(np.column_stack([np.zeros(a.size), dens[:, 1:] + dens[:, :-1]]), axis=1)
+    n = np.clip(np.ceil(cum[:, -1] * 0.5 * _SAMPLES[1]), 1, _MAX_PIECES).astype(int)
+    # each segment's cumulative scaled to [s, s + 1]: one interpolation for all cuts
+    up = segs + np.divide(cum, cum[:, -1:], out=np.tile(_SAMPLES, (a.size, 1)),
+                          where=cum[:, -1:] > 0)
+    seg = np.repeat(segs[:, 0], n)
+    at = seg + (np.arange(seg.size) - np.repeat(np.cumsum(n) - n, n)) / n[seg]
+    start = a[seg] + (np.interp(at, up.ravel(), (segs + _SAMPLES).ravel()) - seg) * (b - a)[seg]
+    return seg, start, np.where(np.append(seg[1:] != seg[:-1], True), b[seg], np.roll(start, -1))
 
 
 def _match_order(ref, roots):
@@ -138,78 +157,51 @@ def _polish(c, x):
     return x, np.abs(step)
 
 
-def _walk(Pg_T, paths, xi):
-    """Sheet-tracked Gauss-Legendre panels along paths whose sheets start at
-    ``xi`` (paths, sheets), all stepped in lockstep.  A round takes the roots at
-    every active path's step end in one companion-matrix call and ``_polish``es
-    each sheet's linear interpolant at the 12 nodes.  With ``g`` the smaller
-    sheet gap at the step's ends, a panel passes when ``rho``, the largest sheet
-    move over ``g/4``, is at most 1, each node's last Newton step is at most
-    ``1e-6 g`` and each value lies within ``g/8`` of its interpolant; these are
-    ``g/2`` apart, so the values are all the roots (Allgower and Georg,
-    Numerical Continuation Methods, 1990).  Per segment a path's step starts at
-    an eighth of it; the next is ``h clip(0.8 / rho, 0.1, 0.5)`` after a failed
-    panel (one failing at ``h <= 1e-10`` raises) and ``h clip(0.8 / rho, 1,
-    1.9)`` after a passing one while ``h`` is below a quarter of the segment
-    (Hairer, Norsett and Wanner, Solving ODEs I, II.4).  Passing panels are
-    yielded as stacks ``(idx, zs, half, xi_nodes, xi_next)``: paths, nodes,
-    Jacobians, sheet values at the nodes and the sheets at the step ends."""
-    xi, gap = xi.copy(), kernel.min_gap(xi)
-    segs = [[(a, b) for a, b in zip(path, path[1:]) if abs(a - b) > 1e-15 * max(1.0, abs(b))]
-            for path in paths]
-    # path -> [segment, z, step, attempts on the segment]
-    live = {p: [0, s[0][0], abs(s[0][1] - s[0][0]) / 8.0, 0] for p, s in enumerate(segs) if s}
-    while live:
-        idx, h, z_next, half = np.array(list(live)), [], [], []
-        z_cur = np.array([st[1] for st in live.values()])
-        for p, st in live.items():
-            (_, b), z, st[3] = segs[p][st[0]], st[1], st[3] + 1
-            if st[3] > 100000:
-                raise ConsistencyError("sheet tracking stalled")
-            step_dir = (b - z) / abs(b - z)
-            h.append(min(st[2], abs(b - z)))
-            z_next.append(z + h[-1] * step_dir)
-            half.append(0.5 * (z_next[-1] - z))
-        h, half = np.array(h), np.array(half)
-        zs = (0.5 * (z_cur + z_next))[:, None] + half[:, None] * _NODES
+def _walk(Pg_T, a, b, xi):
+    """Sheet-tracked Gauss-Legendre panels along the pieces ``a -> b`` whose
+    sheets start at ``xi`` (pieces, sheets), all stepped in lockstep.  A round
+    takes the roots at every active piece's step end in one companion-matrix
+    call and ``_polish``es each sheet's linear interpolant at the 12 nodes.
+    With ``g`` the smaller sheet gap at the step's ends, a panel passes when
+    ``rho``, the largest sheet move over ``g/4``, is at most 1, each node's
+    last Newton step is at most ``1e-6 g`` and each value lies within ``g/8``
+    of its interpolant; these are ``g/2`` apart, so the values are all the
+    roots (Allgower and Georg, 1990).  A piece's first step is all of it; the
+    next is ``h clip(0.8 / rho, 0.1, 0.5)`` after a failed panel (one failing
+    at ``h <= 1e-10`` raises) and ``h clip(0.8 / rho, 1, 1.9)`` after a
+    passing one (Hairer, Norsett and Wanner, Solving ODEs I, II.4).  Yields
+    stacks ``(idx, zs, half, xi_nodes, xi_next)`` of the passing panels:
+    pieces, nodes, Jacobians, sheet values there and at the step ends."""
+    z, xi, gap, h = a.copy(), xi.copy(), kernel.min_gap(xi), np.abs(b - a)
+    live = np.flatnonzero(h > 1e-15 * np.maximum(1.0, np.abs(b)))
+    for _ in range(100000):  # every live piece attempts a step in every round
+        if not live.size:
+            return
+        rest = b[live] - z[live]
+        whole = h[live] >= np.abs(rest)
+        frac = np.divide(h[live], np.abs(rest), out=np.ones(live.size), where=~whole)
+        z_next = np.where(whole, b[live], z[live] + frac * rest)
+        half = 0.5 * (z_next - z[live])
+        zs = (0.5 * (z[live] + z_next))[:, None] + half[:, None] * _NODES
         coef = kernel.poly_eval(Pg_T, np.column_stack([zs, z_next]))
-        xi_next = _match_order(xi[idx], kernel.companion_roots(coef[:, :, -1].T))
+        xi_next = _match_order(xi[live], kernel.companion_roots(coef[:, :, -1].T))
         gap_next = kernel.min_gap(xi_next)
-        move, g_min = np.abs(xi_next - xi[idx]).max(axis=-1), np.minimum(gap[idx], gap_next)
+        move, g_min = np.abs(xi_next - xi[live]).max(axis=-1), np.minimum(gap[live], gap_next)
         ok = move <= g_min / 4
-        pred = xi[idx[ok], None] + (xi_next - xi[idx])[ok, None] * _FRAC[:, None]
+        pred = xi[live[ok], None] + (xi_next - xi[live])[ok, None] * _FRAC[:, None]
         xi_nodes, last = _polish(coef[:, ok, :-1, None], pred)
         ok[ok] = converged = ((last.max(axis=(1, 2)) <= 1e-6 * g_min[ok])
                               & (np.abs(xi_nodes - pred).max(axis=(1, 2)) <= g_min[ok] / 8))
-        if np.any(~ok & (h <= 1e-10)):
+        step = 2.0 * np.abs(half)
+        if np.any(~ok & (step <= 1e-10)):
             raise ConsistencyError("sheet tracking step fell below 1e-10")
         factor = np.divide(0.2 * g_min, move, out=np.full(move.shape, np.inf), where=move > 0)
-        factor = np.where(ok, np.clip(factor, 1.0, 1.9), np.clip(factor, 0.1, 0.5))
+        h[live] = step * np.where(ok, np.clip(factor, 1.0, 1.9), np.clip(factor, 0.1, 0.5))
         if ok.any():
-            yield idx[ok], zs[ok], half[ok], xi_nodes[converged], xi_next[ok]
-        xi[idx[ok]], gap[idx[ok]] = xi_next[ok], gap_next[ok]
-        for p, zn, good, hp, g in zip(idx, z_next, ok, h, factor):
-            st, (a, b) = live[p], segs[p][live[p][0]]
-            if not good:
-                st[2] = hp * g
-            elif abs(zn - b) > 1e-15 * max(1.0, abs(b)):
-                st[1], st[2] = zn, st[2] * g if st[2] < abs(b - a) / 4 else st[2]
-            elif st[0] + 1 < len(segs[p]):
-                a, b = segs[p][st[0] + 1]
-                live[p] = [st[0] + 1, a, abs(b - a) / 8.0, 0]
-            else:
-                del live[p]
-
-
-def _pieces(path):
-    """The path's segments as (start, end) pieces, each segment longer than
-    5% of ``max(1, |a|, |b|)`` cut into 4 equal ones."""
-    out = []
-    for a, b in zip(path, path[1:]):
-        n = 4 if abs(b - a) > 0.05 * max(1.0, abs(a), abs(b)) else 1
-        ends = [a + (b - a) * (k / n) for k in range(n)] + [b]
-        out += zip(ends, ends[1:])
-    return out
+            yield live[ok], zs[ok], half[ok], xi_nodes[converged], xi_next[ok]
+        z[live[ok]], xi[live[ok]], gap[live[ok]] = z_next[ok], xi_next[ok], gap_next[ok]
+        live = live[~(ok & whole)]
+    raise ConsistencyError("sheet tracking stalled")
 
 
 def sheet_integrals(curve: SpectralCurve, integrand, paths, xi=None):
@@ -223,39 +215,41 @@ def sheet_integrals(curve: SpectralCurve, integrand, paths, xi=None):
     each tracked sheet and ``sheets_end[path, sheet]`` gives the tracked
     xi-values at the path end.
 
-    The ``_pieces`` of every path are one-segment items of one ``_walk``
-    stack, each from the sorted roots at its start.  At each junction the
-    previous piece's end sheets are matched to the next piece's start roots
-    within the ``_landing_sheets`` bound, or ``ConsistencyError`` is raised
-    (sheet continuation of Deconinck and van Hoeij, Physica D 152-153, 2001).
+    Every segment is ``_cut`` into pieces, all one ``_walk`` stack, each from
+    the sorted roots at its start.  At each junction the previous piece's end
+    sheets are matched to the next piece's start roots within the
+    ``_landing_sheets`` bound, or ``ConsistencyError`` is raised (Deconinck
+    and van Hoeij, Physica D 152-153, 2001); the junctions compose along each
+    path by pointer doubling, in ``log2`` of its pieces steps.
     """
     Pg_T, r = curve.grid.T.copy(), curve.grid.shape[0] - 1
-    per_path = [_pieces(path) for path in paths]
-    count = np.array([len(p) for p in per_path], dtype=int)
-    first = np.cumsum(count) - count
-    pieces = [piece for p in per_path for piece in p]
-    z = np.array([a for a, _ in pieces], dtype=complex)
-    pos = np.arange(z.size) - np.repeat(first, count)
+    ends = [np.asarray(path, dtype=complex) for path in paths]
+    seg, z, z_end = _cut(curve.grid, np.concatenate([e[:-1] for e in ends]),
+                         np.concatenate([e[1:] for e in ends]))
+    path_of = np.repeat(np.arange(len(ends)), [e.size - 1 for e in ends])[seg]
+    first = np.searchsorted(path_of, np.arange(len(ends)))
+    pos = np.arange(z.size) - first[path_of]
     own = np.ones(z.size, dtype=bool) if xi is None else pos > 0
     start = np.empty((z.size, r), dtype=complex)
     start[own] = np.sort_complex(_curve_roots(Pg_T, z[own]))
     if xi is not None:
         start[first] = xi
     total, end = np.zeros_like(integrand(z[:, None], start).swapaxes(0, 1)), start.copy()
-    for idx, zs, half, xi_nodes, xi_next in _walk(Pg_T, pieces, start):
+    for idx, zs, half, xi_nodes, xi_next in _walk(Pg_T, z, z_end, start):
         vals = integrand(zs[..., None], xi_nodes)
         total[idx] += half[:, None, None] * np.tensordot(_WEIGHTS, vals, ([0], [2])).swapaxes(0, 1)
         end[idx] = xi_next
     # sheet[k, j]: the sorted start sheet of piece k that path start sheet j runs along
-    sheet = np.tile(np.arange(r), (len(pieces), 1))
-    for k in range(1, pos.max(initial=0) + 1):
-        nxt = np.flatnonzero(pos == k)
-        lands = _landing_sheets(np.repeat(end[nxt - 1], r, axis=0), start[nxt].ravel(),
-                                what="the next piece's start").reshape(-1, r)
-        if np.any(np.sort(lands, axis=1) != np.arange(r)):
-            raise ConsistencyError("sheet tracking junction is not a bijection")
-        sheet[nxt] = np.take_along_axis(np.argsort(lands, axis=1), sheet[nxt - 1], axis=1)
-    last = first + count - 1
+    nxt, sheet = np.flatnonzero(pos > 0), np.tile(np.arange(r), (z.size, 1))
+    lands = _landing_sheets(np.repeat(end[nxt - 1], r, axis=0), start[nxt].ravel(),
+                            what="the next piece's start").reshape(-1, r)
+    if np.any(np.sort(lands, axis=1) != np.arange(r)):
+        raise ConsistencyError("sheet tracking junction is not a bijection")
+    sheet[nxt] = np.argsort(lands, axis=1)
+    for d in 2 ** np.arange(int(pos.max()).bit_length()):
+        at = np.flatnonzero(pos >= d)
+        sheet[at] = np.take_along_axis(sheet[at], sheet[at - d], axis=1)
+    last = np.append(first[1:], z.size) - 1
     return (np.add.reduceat(np.take_along_axis(total, sheet[:, None, :], axis=2), first),
             np.take_along_axis(end[last], sheet[last], axis=1))
 
@@ -309,11 +303,8 @@ def _integrals_to_points(curve, integrand, z_start, z_end, xi_end, branch_pts, t
 # ---------------------------------------------------------------------------
 
 def _conjugate_integrand(curve: SpectralCurve, spec: BracketSpec, positions):
-    dPxi = curve.dxi()
-    a_arr = spec.a_array
-    b = spec.b
-    ks = np.array([k for k, _ in positions])
-    ls = np.array([l for _, l in positions])
+    dPxi, a_arr, b = curve.dxi(), spec.a_array, spec.b
+    ks, ls = np.array(positions, dtype=int).reshape(-1, 2).T
 
     def integrand(z, xi):
         z, xi = np.asarray(z), np.asarray(xi)
@@ -364,11 +355,11 @@ def linearize(trajectory: Sequence[MatPoly], times, spec: BracketSpec,
               positions, tol: Tolerances = DEFAULT) -> LinearizeResult:
     """Q_i(t) along a flow trajectory, with per-coordinate linear fits.
 
-    ``positions`` lists the Hamiltonian grid positions to integrate. Divisor
-    points are matched between consecutive states (small-time patches), and
-    the integrals are accumulated incrementally along the short hops between
-    consecutive divisor positions so the path family deforms continuously;
-    the base-point integral only fixes the time-independent constant.
+    ``positions`` lists the Hamiltonian grid positions to integrate.  The
+    divisors of all states, from one ``_divisor_stack``, are matched between
+    consecutive states (small-time patches); the integrals accumulate along
+    the short hops between them, so the path family deforms continuously, and
+    the base-point integral fixes the constant.  One solve fits every line.
     """
     times = np.asarray(times, dtype=float)
     if len(trajectory) != times.size:
@@ -377,11 +368,10 @@ def linearize(trajectory: Sequence[MatPoly], times, spec: BracketSpec,
     bps, _ = branch_points(curve, tol)
     z0 = pick_base_point(bps)
 
-    divisors = [divisor_coords(trajectory[0], tol=tol)]
-    for state in trajectory[1:]:
-        d = divisor_coords(state, tol=tol)
-        idx = _nearest_permutation(divisors[-1], d)
-        divisors.append(DivisorCoords(z=d.z[idx], xi=d.xi[idx], s=d.s, degenerate=d.degenerate))
+    divisors = _divisor_stack(trajectory, tol=tol)
+    for k in range(1, len(divisors)):
+        d, idx = divisors[k], _nearest_permutation(divisors[k - 1], divisors[k])
+        divisors[k] = DivisorCoords(z=d.z[idx], xi=d.xi[idx], s=d.s, degenerate=d.degenerate)
 
     # one walk: base-point paths give column 0, each hop adds to its later column
     m = divisors[0].count
@@ -389,35 +379,25 @@ def linearize(trajectory: Sequence[MatPoly], times, spec: BracketSpec,
         curve, _conjugate_integrand(curve, spec, positions),
         np.concatenate([np.full(m, z0)] + [d.z for d in divisors[:-1]]),
         np.concatenate([d.z for d in divisors]), np.concatenate([d.xi for d in divisors]),
-        bps, tol, np.concatenate([np.full(m, np.nan)] + [d.xi for d in divisors[:-1]]))
-    q_table = np.zeros((len(positions), times.size), dtype=complex)
-    np.add.at(q_table.T, np.repeat(np.arange(times.size), m), terms)
-    q_table = np.cumsum(q_table, axis=1)
+        bps, tol, np.concatenate([np.full(m, np.nan)] + [d.xi for d in divisors[:-1]])
+    ) if m else np.zeros((0, len(positions)), dtype=complex)
+    q_table = np.cumsum(terms.reshape(times.size, m, len(positions)).sum(axis=1), axis=0).T
 
-    slopes = np.zeros(len(positions), dtype=complex)
-    intercepts = np.zeros(len(positions), dtype=complex)
-    resid = np.zeros(len(positions))
-    A = np.vstack([times, np.ones_like(times)]).T
-    for i in range(len(positions)):
-        coef, *_ = np.linalg.lstsq(A, q_table[i], rcond=None)
-        slopes[i], intercepts[i] = coef
-        fit = A @ coef
-        resid[i] = np.abs(q_table[i] - fit).max() / max(np.abs(q_table[i]).max(), 1.0)
+    A = np.column_stack([times, np.ones_like(times)])
+    (slopes, intercepts), *_ = np.linalg.lstsq(A, q_table.T, rcond=None)
+    resid = (np.abs(q_table - slopes[:, None] * times - intercepts[:, None]).max(axis=1)
+             / np.maximum(np.abs(q_table).max(axis=1), 1.0))
     return LinearizeResult(times=times, positions=tuple(positions), q_table=q_table,
                            slopes=slopes, intercepts=intercepts, fit_residuals=resid)
 
 
 def _nearest_permutation(prev: DivisorCoords, cur: DivisorCoords):
     """Greedy global assignment of current points to previous points."""
-    m = prev.count
-    d = np.abs(prev.z[:, None] - cur.z[None, :]) + np.abs(prev.xi[:, None] - cur.xi[None, :])
-    idx = np.full(m, -1, dtype=int)
-    cost = d.copy()
-    for _ in range(m):
+    cost = np.abs(prev.z[:, None] - cur.z[None, :]) + np.abs(prev.xi[:, None] - cur.xi[None, :])
+    idx = np.full(prev.count, -1, dtype=int)
+    for _ in range(prev.count):
         i, j = np.unravel_index(np.argmin(cost), cost.shape)
-        idx[i] = j
-        cost[i, :] = np.inf
-        cost[:, j] = np.inf
+        idx[i], cost[i, :], cost[:, j] = j, np.inf, np.inf
     if np.any(idx < 0):
         raise MatchingError("divisor matching along the trajectory is ambiguous")
     return idx

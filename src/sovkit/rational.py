@@ -233,15 +233,13 @@ def genus(phi: MatPoly, tol: Tolerances = DEFAULT) -> int:
     if kernel.min_gap(eigs) < tol.disc_gap * max(1.0, np.abs(eigs).max()):
         raise NonGenericError("non-generic curve: leading matrix eigenvalues collide")
     roots, mults = branch_points(spectral_curve(phi), tol)
-    scale = max(1.0, np.abs(roots).max()) if roots.size else 1.0
     if np.any(mults > 1):
         raise NonGenericError("non-generic curve: non-simple branch point")
-    if kernel.min_gap(roots) < tol.disc_gap * scale:
+    if kernel.min_gap(roots) < tol.disc_gap * np.abs(roots).max(initial=1.0):
         raise NonGenericError("non-generic curve: clustered branch points")
-    B = roots.size
-    if B % 2 != 0:
+    if roots.size % 2 != 0:
         raise NonGenericError("non-generic curve: odd branch count")
-    return B // 2 - r + 1
+    return roots.size // 2 - r + 1
 
 
 # ---------------------------------------------------------------------------
@@ -470,34 +468,56 @@ def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT) -> DivisorCo
     lower degree, or a root of multiplicity ``r`` or more), and
     ``ConsistencyError`` where a point's residual exceeds ``tol.divisor``.
     Computed once per point, hashable ``s`` and ``tol``; the arrays are read-only.
+    The one-state case of ``_divisor_stack``.
     """
-    r, n = phi.r, phi.n
+    return _divisor_stack([phi], s, tol)[0]
+
+
+def _divisor_stack(phis, s=None, tol: Tolerances = DEFAULT):
+    """``divisor_coords`` of every state of ``phis`` (one ``r`` and ``n``): ``B``
+    by one Krylov determinant and FFT over all states, ``poly_roots`` per state
+    and the points over all roots by one ``kernel.divisor_points`` call.  Raises
+    where a state raises alone: first the checks on ``B``, then on the points."""
+    r, n = phis[0].r, phis[0].n
     s, = kernel.frozen(np.eye(r, dtype=complex)[0] if s is None else np.array(s, dtype=complex))
     deg_b = n * r * (r - 1) // 2
     if deg_b == 0:
-        return DivisorCoords(*kernel.frozen(np.zeros(0, complex), np.zeros(0, complex)), s)
+        return [DivisorCoords(*kernel.frozen(*np.zeros((2, 0), complex)), s)] * len(phis)
     # B at the deg B + 1 roots of unity, then its coefficients by one FFT
+    cms = np.array([phi.coeff_mats for phi in phis]).swapaxes(0, 1)  # (n + 1, states, r, r)
     zk = np.exp(2j * np.pi * np.arange(deg_b + 1) / (deg_b + 1))
-    B = kernel.poly_trim(np.fft.fft(np.linalg.det(kernel.krylov(phi(zk), s))) / zk.size, tol)
-    if B.size - 1 < deg_b:
-        raise NonGenericError(f"s = {s} is special for phi: B has degree {B.size - 1} < "
-                              f"deg B = {deg_b} (points over z = inf, or B = 0); pass another s")
-    zroots, mults = kernel.poly_roots(B, tol)
-    # the Krylov space of s has codimension m at an m-fold root (at most r - 1)
-    ms = np.minimum(mults, r - 1)
-    if ms.sum() < deg_b:
-        raise NonGenericError(f"s = {s} is special for phi: a root of B has multiplicity "
-                              "r or more; pass another s")
-    zs = np.repeat(zroots, ms)
-    xis, resid = kernel.divisor_points(phi(zroots), s, ms)
-    validated = int(np.count_nonzero(resid <= tol.divisor))
-    if validated < deg_b:
-        raise ConsistencyError(f"{validated} of the {deg_b} zeros of B are divisor points")
-    scale = max(1.0, np.abs(zs).max(), np.abs(xis).max())
-    gap = kernel.min_gap(zs, xis)
-    order = np.lexsort((xis.imag, xis.real, zs.imag, zs.real))
-    return DivisorCoords(*kernel.frozen(zs[order], xis[order]), s, degenerate=bool(
-        gap < 100 * tol.cluster_merge * scale or np.any(mults > 1)))
+    Bs = np.fft.fft(np.linalg.det(kernel.krylov(kernel.poly_eval(
+        cms, zk[:, None, None, None], tensor=False), s)), axis=0) / zk.size
+    roots = []
+    for B in Bs.T:
+        B = kernel.poly_trim(B, tol)
+        if B.size - 1 < deg_b:
+            raise NonGenericError(f"s = {s} is special for phi: B has degree {B.size - 1} < deg B"
+                                  f" = {deg_b} (points over z = inf, or B = 0); pass another s")
+        zroots, mults = kernel.poly_roots(B, tol)
+        # the Krylov space of s has codimension m at an m-fold root (at most r - 1)
+        ms = np.minimum(mults, r - 1)
+        if ms.sum() < deg_b:
+            raise NonGenericError(f"s = {s} is special for phi: a root of B has "
+                                  "multiplicity r or more; pass another s")
+        roots.append((zroots, mults, ms))
+    # the deg B points of every state by one call
+    zroots, ms = (np.concatenate([v[k] for v in roots]) for k in (0, 2))
+    xis, resid = (v.reshape(len(roots), deg_b) for v in kernel.divisor_points(kernel.poly_eval(
+        cms[:, np.repeat(np.arange(len(roots)), [z.size for z, _, _ in roots])],
+        zroots[:, None, None], tensor=False), s, ms))
+    out = []
+    for (zroots, mults, ms), xi, res in zip(roots, xis, resid):
+        validated = int(np.count_nonzero(res <= tol.divisor))
+        if validated < deg_b:
+            raise ConsistencyError(f"{validated} of the {deg_b} zeros of B are divisor points")
+        zs = np.repeat(zroots, ms)
+        scale = max(1.0, np.abs(zs).max(), np.abs(xi).max())
+        gap = kernel.min_gap(zs, xi)
+        order = np.lexsort((xi.imag, xi.real, zs.imag, zs.real))
+        out.append(DivisorCoords(*kernel.frozen(zs[order], xi[order]), s, degenerate=bool(
+            gap < 100 * tol.cluster_merge * scale or np.any(mults > 1))))
+    return out
 
 
 # ---------------------------------------------------------------------------

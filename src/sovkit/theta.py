@@ -107,27 +107,29 @@ class ThetaQuotients:
     """Theta quotients ``c_e exp(2 pi i gamma_e u) prod_f theta(u + s_f)**p_ef``
     in ``u = scale * z`` (theta of ``params``); elements go on the last axis
     of every result.  ``shifts`` (F,) may repeat: equal shifts merge, adding
-    their ``powers`` (E, F) columns.  The table ``C[n, f] = exp(pi i tau n^2
-    + 2 pi i n sig_f)``, ``|n| <= trunc + 1``, is built once, for the shifts
-    reduced to ``s_f = sig_f + k_f + m_f tau`` in the centred strip; a point,
+    their integer ``powers`` (E, F) columns.  The table ``C[n, f] = exp(pi i
+    tau n^2 + 2 pi i n sig_f)``, ``|n| <= trunc + 1``, is built once, for the
+    shifts reduced to ``s_f = sig_f + k_f + m_f tau`` in the centred strip,
+    with a last column ``[n = 0]``, so that ``S_F = 1`` exactly; a point,
     reduced once to ``u = v + k + m tau``, takes one row ``exp(2 pi i n v)``,
     and ``theta(u + s_f) = exp(-pi i tau M^2 - 2 pi i M (v + sig_f)) S_f``,
     ``S = row @ C``, ``M = m + m_f``.  Over an element's factors these
     exponents sum to one linear form in ``(1, m, m^2, v, m v, u)``, frozen as
     ``K`` (6, E); with ``c = -i pi tau``, ``d = -2 pi i``, ``P`` the powers:
 
-        K0 = c P m_f^2 + d P (m_f sig_f),  K1 = 2c P m_f + d P sig,
+        K0 = log c_e + c P m_f^2 + d P (m_f sig_f),  K1 = 2c P m_f + d P sig,
         K2 = c P.sum(1),  K3 = d P m_f,  K4 = d P.sum(1),  K5 = 2 pi i gamma.
 
-    An element is ``c_e exp(K0 + m (K1 + m K2) + v (K3 + m K4) + u K5) prod_f
-    S_f^p_ef``, one ``exp`` per element; its ``u``-log-derivative is ``K5 +
-    K3 + m K4 + (S'/S) @ P^T``.
+    An element is ``exp(K0 + m (K1 + m K2) + v (K3 + m K4) + u K5) prod_f
+    S_f^p_ef``, one ``exp`` per element and the product of ``S`` at its
+    ``_factors`` (no complex power); its ``u``-log-derivative is ``K5 + K3 +
+    m K4 + (S'/S) @ P^T``.
     """
 
     def __init__(self, params: ThetaParams, shifts, powers, gamma, coef, scale):
         self.params, self.coef, self.scale = params, np.asarray(coef), scale
         self.shifts, inverse = np.unique(np.asarray(shifts, dtype=complex), return_inverse=True)
-        # complex, so that the power and the matmul below need no cast
+        # complex, so that the matmuls below need no cast
         self.powers = np.asarray(powers, dtype=complex) @ (
             inverse[:, None] == np.arange(self.shifts.size))
         self.phase = 2j * np.pi * np.asarray(gamma, dtype=complex)
@@ -136,17 +138,28 @@ class ThetaQuotients:
         n = np.arange(-params.trunc - 1, params.trunc + 2)
         sig, m = _reduce(self.shifts, params.tau)
         self._gauss, self._n = (0.5j * np.pi * params.tau) * n ** 2, 2j * np.pi * n
-        self._table = np.exp(self._gauss[:, None] + np.multiply.outer(self._n, sig))
+        self._table = np.column_stack([np.exp(self._gauss[:, None] + np.multiply.outer(
+            self._n, sig)), n == 0])
         c, d, P = -1j * np.pi * params.tau, -2j * np.pi, self.powers
         Pe = P.sum(axis=1)
-        self._K = np.array([c * (P @ m ** 2) + d * (P @ (m * sig)), 2 * c * (P @ m) + d * (P @ sig),
-                            c * Pe, d * (P @ m), d * Pe, np.broadcast_to(self.phase, Pe.shape)])
+        self._K = np.array([np.log(self.coef) + c * (P @ m ** 2) + d * (P @ (m * sig)),
+                            2 * c * (P @ m) + d * (P @ sig), c * Pe, d * (P @ m), d * Pe,
+                            np.broadcast_to(self.phase, Pe.shape)])
+        ints = P.real.astype(int)
+        if (ints != P).any():
+            raise ValueError("theta quotient powers must be integers")
+        # (E, 2, L): numerator and denominator factors by power, padded with F
+        counts = np.concatenate([ints, -ints], axis=1).clip(0).reshape(len(ints), 2, -1)
+        size = counts.sum(axis=-1, keepdims=True)
+        counts = np.concatenate([counts, size.max(initial=1) - size], axis=-1)
+        self._factors = np.repeat(np.arange(counts.size) % counts.shape[-1],
+                                  counts.ravel()).reshape(*size.shape[:2], -1)
         frozen(self.shifts, self.powers, self.phase, self.coef, self._gauss, self._n,
-               self._table, self._K)
+               self._table, self._K, self._factors)
 
     def _series(self, z, deriv):
         """``exp`` of every element's exponent at ``u = scale z`` (..., E), the
-        sums ``S`` (..., F) and, with ``deriv``, ``S'`` and the exponent's
+        sums ``S`` (..., F + 1) and, with ``deriv``, ``S'`` and the exponent's
         ``u``-derivative.  A number or any 0-d input is reduced with Python's
         ``round`` and takes one vector-matrix product; an array broadcasts, so
         that every complex ``exp`` runs before the series matmul."""
@@ -169,7 +182,8 @@ class ThetaQuotients:
         return e, S, None, None
 
     def _values(self, e, S):
-        return self.coef * e * (S[..., None, :] ** self.powers).prod(axis=-1)
+        quotient = np.multiply.reduce(S[..., self._factors], axis=-1)
+        return e * quotient[..., 0] / quotient[..., 1]
 
     def __call__(self, z):
         """Every element at ``z`` of shape (...): shape (..., E)."""
@@ -178,7 +192,7 @@ class ThetaQuotients:
     def logderivs(self, z):
         """Values and log-derivatives ``d/dz log q_e`` at ``z``, both (..., E)."""
         e, S, dS, slope = self._series(z, True)
-        return self._values(e, S), self.scale * (slope + (dS / S) @ self.powers.T)
+        return self._values(e, S), self.scale * (slope + (dS / S)[..., :-1] @ self.powers.T)
 
 
 @lru_cache(maxsize=64)
@@ -415,8 +429,7 @@ def section_quotients(params: ThetaParams) -> ThetaQuotients:
 def _last(quotients: ThetaQuotients):
     """``w -> (q, q'/q)`` of the last element alone, ``1/h`` of the section (same table)."""
     last = copy.copy(quotients)
-    last.powers, last.phase, last.coef = (v[-1:] for v in (last.powers, last.phase, last.coef))
-    last._K = last._K[:, -1:]
+    last.powers, last._K, last._factors = last.powers[-1:], last._K[:, -1:], last._factors[-1:]
     return lambda w: tuple(v[..., 0] for v in last.logderivs(w))
 
 

@@ -1,7 +1,10 @@
 
 import dataclasses
+import importlib.util
 import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -114,6 +117,44 @@ class TestFlow:
             R.MatPoly(np.where(np.eye(2, dtype=bool), np.nan, phi.coeff_mats))
 
 
+def _build_path_loop(z0, z1, branch_pts, tol=linearize.DEFAULT):
+    """``build_path`` in loop form, the reference for its array form: one
+    branch point at a time per segment, the first offending one detoured."""
+    branch_pts = np.asarray(branch_pts, dtype=complex)
+    scale = max(1.0, abs(z0), abs(z1), np.abs(branch_pts).max() if branch_pts.size else 1.0)
+    sep = np.abs(branch_pts[:, None] - branch_pts) + np.diag(np.full(branch_pts.size, np.inf))
+    radii = np.minimum(tol.branch_avoid * scale, 0.25 * sep.min(axis=1, initial=np.inf))
+    waypoints = [complex(z0), complex(z1)]
+    for _ in range(3):
+        clean, out = True, [waypoints[0]]
+        for a, b in zip(waypoints, waypoints[1:]):
+            insert = None
+            for bp, radius in zip(branch_pts, radii):
+                ends = min(abs(bp - a), abs(bp - b))
+                if ends < 1e-12:
+                    continue
+                r_avoid = min(radius, 0.5 * ends)
+                d = b - a
+                t = min(1.0, max(0.0, np.real(np.conj(d) * (bp - a)) / abs(d) ** 2))
+                foot = a + t * d
+                dist = abs(bp - foot)
+                if dist < r_avoid and 0.0 < t < 1.0:
+                    normal = (foot - bp) / dist if dist > 1e-12 * scale else 1j * d / abs(d)
+                    insert = bp + 2.0 * r_avoid * normal
+                    break
+            if insert is not None:
+                out.append(insert)
+                clean = False
+            out.append(b)
+        waypoints = out
+        if clean:
+            return waypoints
+    raise NumericDomainError("path could not be routed around branch points")
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
 class TestPaths:
     def test_straight_path_when_clear(self):
         pts = linearize.build_path(0.0, 1.0, np.array([2.0 + 2.0j]))
@@ -154,6 +195,38 @@ class TestPaths:
                         for a, b in zip(pts, pts[1:]) for bp in bps)
         assert clearance > 0.2
 
+    def test_waypoints_equal_the_loop_over_branch_points(self, monkeypatch):
+        # every path that linearize routes in the first 20 rounds of the
+        # flow_linearize benchmark pool (seed 1; 13 of them detour), the three
+        # routing cases above and an unroutable one, nine branch points in a
+        # row along the segment
+        spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        calls, inner = [], linearize.build_path
+        monkeypatch.setattr(linearize, "build_path",
+                            lambda *args: calls.append(args) or inner(*args))
+        pool = workloads.WORKLOADS["flow_linearize"]
+        for rnd in pool.rounds(1)[:20]:
+            for _, inst in rnd:
+                pool.run(inst, {"window_halvings": 0})
+        close = np.array([-0.3518716078411026 + 0.3652850651649875j,
+                          -0.2925587616564978 - 0.19471486157065818j,
+                          -0.10858692309773163 - 1.0383047058421757j,
+                          0.724958014910418 - 1.043338708929405j,
+                          13.937097158105225 - 3.9636558940395052j,
+                          16.82260118526929 + 2.043527008422964j])
+        calls += [(0.0, 1.0, np.array([0.5 + 0.0j])),
+                  (-30.0, 1.0, np.array([-0.5 + 0.1j, -0.5 - 0.45j])),
+                  (-26.96175823859072 - 2.8694826471154937j,
+                   -0.11954655036929754 + 0.1733822648114256j, close)]
+        assert len(calls) == 803 and sum(len(inner(*args)) > 2 for args in calls) == 15
+        for args in calls:
+            assert inner(*args) == _build_path_loop(*args)
+        for route in (inner, _build_path_loop):
+            with pytest.raises(NumericDomainError, match="could not be routed"):
+                route(0.0, 10.0, np.arange(1, 10) + 0.001j)
+
     def test_base_point_clear_of_branch_points(self):
         bps = np.array([1.0, -1.0, 1j, -1j])
         z0 = linearize.pick_base_point(bps)
@@ -190,6 +263,23 @@ class TestLinearize:
         expected[0] = 1.0
         assert np.abs(res.slopes - expected).max() < 1e-6
 
+    def test_one_solve_fits_as_one_solve_per_position(self):
+        # slopes, intercepts and fit residuals against a least-squares solve
+        # per position, on the draw of test_sheet_integrals_reference
+        phi = R.random_instance(2, 3, np.random.default_rng(7))
+        spec = R.BracketSpec(a=(1.0,), b=0.0)
+        hams, _ = R.casimir_detect(phi, spec)
+        times = np.linspace(0.0, 0.02, 5)
+        res = linearize.linearize(R.flow(phi, hams[1], spec, times), times, spec, hams)
+        A = np.vstack([times, np.ones_like(times)]).T
+        for q, slope, intercept, resid in zip(res.q_table, res.slopes, res.intercepts,
+                                              res.fit_residuals):
+            coef, *_ = np.linalg.lstsq(A, q, rcond=None)
+            scale = max(np.abs(q).max(), 1.0)
+            assert abs(slope - coef[0]) <= 1e-14 * max(abs(coef[0]), 1.0)
+            assert abs(intercept - coef[1]) <= 1e-15 * scale
+            assert abs(resid - np.abs(q - A @ coef).max() / scale) <= 1e-15
+
     def test_shrinking_time_window_shrinks_residual(self, instance_r2_n3):
         phi, spec, hams = instance_r2_n3
         resids = []
@@ -199,6 +289,76 @@ class TestLinearize:
             res = linearize.linearize(traj, times, spec, hams)
             resids.append(res.fit_residuals.max())
         assert resids[1] <= resids[0] * 1.5 + 1e-12
+
+
+def _mp_segment(grid, a, b, xi_known, at_end, positions, steps):
+    """``int_a^b -(xi^k z^l) / P_xi(z, xi) dz`` for every position ``(k, l)``,
+    the linear bracket's conjugate integrand, along the straight segment, by
+    ``mpmath.quad`` (Gauss-Legendre).  The sheet through ``xi_known`` at ``a``
+    (at ``b`` with ``at_end``) is continued by ``mpmath.polyroots`` over
+    ``steps`` equal steps; at a quadrature node it is the root nearest its
+    value at the closest step, which must be unambiguous."""
+    r = len(grid) - 1
+    P = [[mpmath.mpc(complex(v)) for v in row] for row in grid]
+    a, b = mpmath.mpc(a), mpmath.mpc(b)
+
+    def roots(s):
+        z = a + s * (b - a)
+        return mpmath.polyroots([mpmath.polyval(P[k][::-1], z) for k in range(r, -1, -1)])
+
+    grid_s = [mpmath.mpf(j) / steps for j in range(steps + 1)]
+    track, prev = {}, mpmath.mpc(xi_known)
+    for s in grid_s[::-1] if at_end else grid_s:
+        track[s] = prev = min(roots(s), key=lambda x: abs(x - prev))
+    sheets = {}
+
+    def sheet(s):
+        if s not in sheets:
+            near = track[min(grid_s, key=lambda g: abs(g - s))]
+            first, second = sorted(roots(s), key=lambda x: abs(x - near))[:2]
+            assert abs(first - near) < 0.5 * abs(second - near)
+            sheets[s] = first
+        return sheets[s]
+
+    def integrand(k, l):
+        def f(s):
+            xi, z = sheet(s), a + s * (b - a)
+            dP = mpmath.fsum(kk * P[kk][ll] * xi ** (kk - 1) * z ** ll
+                             for kk in range(1, r + 1) for ll in range(len(P[kk])))
+            return -(xi ** k) * z ** l / dP
+        return f
+
+    return np.array([complex(mpmath.quad(integrand(k, l), [0, 1], method="gauss-legendre")
+                             * (b - a)) for k, l in positions])
+
+
+class TestValueOracle:
+    def test_q_table_against_mpmath(self):
+        # Q_i(t) itself, not only its slopes: over each divisor point, the
+        # integral along the straight base-point path and then those along the
+        # hops between its positions at consecutive times, in mpmath
+        phi = R.random_instance(2, 2, np.random.default_rng(8))
+        spec = R.BracketSpec(a=(1.0,), b=0.0)
+        hams, _ = R.casimir_detect(phi, spec)
+        times = np.linspace(0.0, 0.02, 3)
+        traj = R.flow(phi, hams[0], spec, times)
+        res = linearize.linearize(traj, times, spec, hams)
+        curve = R.spectral_curve(phi)
+        bps, _ = R.branch_points(curve)
+        z0 = linearize.pick_base_point(bps)
+        divisors = [R.divisor_coords(p) for p in traj]
+        q = np.zeros_like(res.q_table)
+        with mpmath.workdps(15):
+            for z, xi in zip(divisors[0].z, divisors[0].xi):
+                assert len(linearize.build_path(z0, z, bps)) == 2
+                acc = _mp_segment(curve.grid, z0, z, xi, True, hams, 16)
+                q[:, 0] += acc
+                for k, d in enumerate(divisors[1:], 1):
+                    j = np.argmin(np.abs(d.z - z) + np.abs(d.xi - xi))
+                    acc = acc + _mp_segment(curve.grid, z, d.z[j], xi, False, hams, 1)
+                    z, xi = d.z[j], d.xi[j]
+                    q[:, k] += acc
+        assert np.abs(q - res.q_table).max() <= 1e-10 * np.abs(res.q_table).max()
 
 
 class TestSlopeMatrix:
@@ -286,7 +446,7 @@ class TestSheetTracking:
         assert np.abs(total).max() < 1e-10
 
     def test_sheet_integrals_reference(self):
-        # the integrals over a one-segment path cut into 4 pieces, walked in
+        # the integrals over a one-segment path cut into 23 pieces, walked in
         # 27 panels and 4 rejected attempts, bit for bit; the path ends come
         # from branch_points and divisor_coords
         phi = R.random_instance(2, 3, np.random.default_rng(7))
@@ -298,9 +458,9 @@ class TestSheetTracking:
         path = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
         total, end = (v[0] for v in linearize.sheet_integrals(curve, integrand, [path]))
         assert np.array_equal(total.ravel(), [
-            3.9840044270770285 + 1.029916154485905j, 2.2463955502248716 + 1.8185556215621947j,
-            3.734125577409187 + 7.748899142880275j, 3.937610471263028 + 5.218288821684654j,
-            1.4297183672249008 - 0.05793742531465236j, -1.4297183672249008 + 0.05793742531465229j])
+            3.9840044270770285 + 1.0299161544859055j, 2.246395550224871 + 1.8185556215621945j,
+            3.7341255774091873 + 7.748899142880276j, 3.937610471263028 + 5.218288821684654j,
+            1.429718367224901 - 0.05793742531465225j, -1.4297183672249008 + 0.057937425314652305j])
         assert np.array_equal(end, [2.53207131929456 + 1.057501336559314j,
                                     0.8774556052321555 - 2.3422934648823763j])
         # oracle: the same straight path as 33 waypoints, 32 uncut pieces
@@ -325,10 +485,10 @@ def reference_r2_n3():
 def _reference_walk(reference):
     """``_walk``'s inputs for the pieces of the reference path."""
     curve, bps, d, _ = reference
-    pieces = linearize._pieces(linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps))
+    path = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
     Pg_T = curve.grid.T.copy()
-    return Pg_T, pieces, np.sort_complex(linearize._curve_roots(
-        Pg_T, np.array([a for a, _ in pieces])))
+    _, a, b = linearize._cut(curve.grid, np.array(path[:-1]), np.array(path[1:]))
+    return Pg_T, a, b, np.sort_complex(linearize._curve_roots(Pg_T, a))
 
 
 class _Counting:
@@ -433,7 +593,7 @@ class TestBatchedWalk:
         monkeypatch.setattr(linearize, "_curve_roots", shifted_starts)
         with pytest.raises(ConsistencyError, match="did not land on the next piece"):
             linearize.sheet_integrals(curve, integrand, [path], start)
-        assert calls == [(3,)]
+        assert calls == [(22,)]
 
     def test_split_path_matches_whole(self, reference_r2_n3):
         curve, bps, d, integrand = reference_r2_n3
@@ -445,21 +605,23 @@ class TestBatchedWalk:
         assert np.all(np.abs(split_end - whole_end) <= 1e-14 * np.abs(whole_end))
 
     def test_reference_path_round_count(self, reference_r2_n3, monkeypatch):
-        # one companion call for the roots at the 4 piece starts, then one
-        # for the step ends of each of 13 lockstep rounds
+        # one companion call for the cut's 9 samples of the one segment, one
+        # for the roots at the 23 piece starts, then one for the step ends of
+        # each of 3 lockstep rounds; the walk must not take more than 4
         curve, bps, d, integrand = reference_r2_n3
         path = linearize.build_path(linearize.pick_base_point(bps), d.z[0], bps)
         calls, inner = [], kernel.companion_roots
         monkeypatch.setattr(kernel, "companion_roots",
                             lambda c: calls.append(np.shape(c)) or inner(c))
         linearize.sheet_integrals(curve, integrand, [path])
-        assert len(calls) == 14 and calls[0] == (4, 3)
+        assert calls[:2] == [(1, 9, 3), (23, 3)] and len(calls) - 2 <= 4
+        assert len(calls) == 5
 
     def test_node_values_are_the_curve_roots(self, reference_r2_n3):
         # oracle: the Newton-polished node values are the companion roots there
-        Pg_T, pieces, start = _reference_walk(reference_r2_n3)
+        Pg_T, a, b, start = _reference_walk(reference_r2_n3)
         panels = 0
-        for idx, zs, _, xi_nodes, _ in linearize._walk(Pg_T, pieces, start):
+        for idx, zs, _, xi_nodes, _ in linearize._walk(Pg_T, a, b, start):
             roots = linearize._curve_roots(Pg_T, zs)
             dist = np.abs(xi_nodes[..., :, None] - roots[..., None, :])
             assert np.all(dist.min(axis=-1) <= 1e-13 * np.maximum(1.0, np.abs(xi_nodes)))
@@ -469,8 +631,9 @@ class TestBatchedWalk:
 
     def test_unconverged_polish_is_retried_smaller(self, reference_r2_n3, monkeypatch):
         # the first round's polish reports a last Newton step of 1: none of its
-        # panels is yielded, and every piece retries at half its first step
-        Pg_T, pieces, start = _reference_walk(reference_r2_n3)
+        # panels is yielded, and every piece retries at most at half its first
+        # step, all of it; 4 of the 23 pieces move too far to be polished
+        Pg_T, a, b, start = _reference_walk(reference_r2_n3)
         calls, inner = [], linearize._polish
 
         def failing_first(c, x):
@@ -479,25 +642,26 @@ class TestBatchedWalk:
             return xi_nodes, last + (1.0 if len(calls) == 1 else 0.0)
 
         monkeypatch.setattr(linearize, "_polish", failing_first)
-        idx, _, half, _, _ = next(linearize._walk(Pg_T, pieces, start))
-        assert len(calls) == 2 and calls[0] == len(pieces)
+        idx, _, half, _, _ = next(linearize._walk(Pg_T, a, b, start))
+        assert len(calls) == 2 and calls[0] == a.size - 4
         for p, hp in zip(idx, half):
-            a, b = pieces[p]
-            assert abs(2 * hp) <= abs(b - a) / 16 * (1 + 1e-12)
+            assert abs(2 * hp) <= abs(b[p] - a[p]) / 2 * (1 + 1e-12)
 
     def test_polish_that_never_converges_hits_the_floor(self, reference_r2_n3, monkeypatch):
-        Pg_T, pieces, start = _reference_walk(reference_r2_n3)
+        Pg_T, a, b, start = _reference_walk(reference_r2_n3)
         inner = linearize._polish
         monkeypatch.setattr(linearize, "_polish",
                             lambda c, x: (inner(c, x)[0], np.ones(x.shape)))
         with pytest.raises(ConsistencyError, match="below 1e-10"):
-            for _ in linearize._walk(Pg_T, pieces, start):
+            for _ in linearize._walk(Pg_T, a, b, start):
                 pytest.fail("a panel whose polish did not converge was yielded")
 
     def test_one_companion_matrix_per_active_path_a_round(self, reference_r2_n3, monkeypatch):
         curve, bps, d, integrand = reference_r2_n3
         z0 = linearize.pick_base_point(bps)
         paths = [linearize.build_path(z0, z, bps) for z in d.z]
+        assert all(len(p) == 2 for p in paths)
+        pieces, _, _ = linearize._cut(curve.grid, *np.array(paths).T)
         shapes, active = [], []
         companion, match = kernel.companion_roots, linearize._match_order
         monkeypatch.setattr(kernel, "companion_roots",
@@ -506,9 +670,10 @@ class TestBatchedWalk:
                             lambda ref, roots: active.append(len(ref)) or match(ref, roots))
         linearize.sheet_integrals(curve, integrand, paths)
         r = curve.grid.shape[0] - 1
-        # the first call takes the roots at the piece starts
-        assert shapes[0] == (sum(len(linearize._pieces(p)) for p in paths), r + 1)
-        assert len(active) > 1 and shapes[1:] == [(p, r + 1) for p in active]
+        # the first call takes the roots at the cut's samples, the second
+        # those at the piece starts
+        assert shapes[:2] == [(len(paths), 9, r + 1), (pieces.size, r + 1)]
+        assert len(active) > 1 and shapes[2:] == [(p, r + 1) for p in active]
 
     def test_match_order_takes_each_root_once(self):
         ref = np.array([[0.0, 0.1, 3.0], [1.0, 2.0, 3.0]], dtype=complex)

@@ -791,6 +791,22 @@ def fail_first_divisor_point(monkeypatch):
 
 
 class TestDivisor:
+    def test_stack_is_each_state_alone(self, monkeypatch):
+        # the stack of a trajectory's states gives each state's divisor bit for
+        # bit, and raises where a state raises alone
+        phi = R.random_instance(2, 2, np.random.default_rng(11))
+        spec = R.BracketSpec(a=(1.0,), b=0.0)
+        traj = R.flow(phi, R.casimir_detect(phi, spec)[0][0], spec, np.linspace(0.0, 0.05, 5))
+        alone = [R.divisor_coords(R.MatPoly(p.coeff_mats)) for p in traj]
+        for one, stacked in zip(alone, R._divisor_stack(traj)):
+            assert np.array_equal(one.z, stacked.z) and np.array_equal(one.xi, stacked.xi)
+            assert one.degenerate == stacked.degenerate
+        with pytest.raises(NonGenericError, match="pass another s"):
+            R._divisor_stack([traj[0], special_section_matpoly(), traj[1]])
+        fail_first_divisor_point(monkeypatch)
+        with pytest.raises(ConsistencyError, match="zeros of B are divisor points"):
+            R._divisor_stack(traj)
+
     def test_special_section_raises(self):
         phi = special_section_matpoly()
         assert R.genus(phi) == 1

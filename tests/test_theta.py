@@ -743,7 +743,8 @@ def _per_factor(q, z):
     M = m[:, None] + mf
     factor = np.exp(-1j * np.pi * tau * M ** 2 - 2j * np.pi * M * (v[:, None] + sig))
     row = np.exp(q._gauss + v[:, None] * q._n)
-    th, dth = factor * (row @ q._table), factor * ((row * q._n) @ q._table)
+    table = q._table[:, :-1]  # the last column is the evaluator's exact 1
+    th, dth = factor * (row @ table), factor * ((row * q._n) @ table)
     dth -= 2j * np.pi * M * th
     vals = q.coef * np.exp(q.phase * u[:, None]) * (th[:, None, :] ** q.powers).prod(axis=-1)
     return vals, q.scale * (q.phase + (dth / th) @ q.powers.T)
@@ -792,7 +793,7 @@ class TestFold:
         q = _fold_case(kind)
         f = np.flatnonzero((q.powers == 0).any(axis=0))[0]
         zeroed = copy.copy(q)
-        zeroed._table = q._table * (np.arange(q.shifts.size) != f)
+        zeroed._table = q._table * (np.arange(q.shifts.size + 1) != f)
         z = (0.137 + 0.291 * q.params.tau) / q.scale + np.array([0.0, 1.3 + 0.4j, -2.1 - 1.7j])
         keep = q.powers[:, f] == 0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -801,6 +802,12 @@ class TestFold:
                 assert np.isfinite(got[..., keep]).all()
                 assert np.array_equal(got[..., keep], full[..., keep])
                 assert not np.array_equal(got[..., ~keep], full[..., ~keep])
+
+    def test_powers_must_be_integers(self):
+        # the elements are products of S by index: a fractional power has none
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=2)
+        with pytest.raises(ValueError, match="integers"):
+            T.ThetaQuotients(params, [0.0, 0.5], [[1.0, 0.5]], [0.0], 1.0, 1.0)
 
 
 class TestSectionEvaluator:
