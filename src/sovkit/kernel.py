@@ -20,8 +20,8 @@ from .errors import ConvergenceError, NonGenericError
 from .tolerances import DEFAULT, Tolerances
 
 __all__ = [
-    "poly_trim", "poly_eval", "poly_der", "companion_roots", "poly_roots", "char_bipoly",
-    "adjugate", "matpoly_char_adj", "krylov", "divisor_points", "bipoly_eval",
+    "poly_trim", "poly_degree", "poly_eval", "poly_der", "companion_roots", "poly_roots",
+    "char_bipoly", "adjugate", "matpoly_char_adj", "krylov", "divisor_points", "bipoly_eval",
     "bipoly_dxi", "resultant", "min_gap",
 ]
 
@@ -36,16 +36,14 @@ def poly_trim(c, tol: Tolerances = DEFAULT):
     The zero polynomial is canonically the empty array.
     """
     c = np.atleast_1d(np.asarray(c, dtype=complex))
-    if c.size == 0:
-        return c
-    top = np.abs(c).max()
-    if top == 0.0:
-        return c[:0]
-    thresh = tol.zero_trim * top
-    k = c.size - 1
-    while k >= 0 and abs(c[k]) <= thresh:
-        k -= 1
-    return c[: k + 1].copy()
+    return c[: poly_degree(c, tol) + 1].copy()
+
+
+def poly_degree(c, tol: Tolerances = DEFAULT):
+    """The degree of every row of ``c`` (..., k) after ``poly_trim``, -1 if zero."""
+    a = np.abs(c)
+    keep = ~(a <= tol.zero_trim * a.max(axis=-1, keepdims=True, initial=0.0))
+    return (keep * np.arange(1, a.shape[-1] + 1)).max(axis=-1, initial=0) - 1
 
 
 def poly_eval(c, x, tensor=True):
@@ -96,8 +94,8 @@ def min_gap(*vals):
 
 def _eval_scale(c, x):
     """Backward-error scale sum |c_k| |x|^k, floored at the max coefficient."""
-    mags = poly_eval(np.abs(c), np.abs(x)).real
-    return np.maximum(mags, np.abs(c).max())
+    a = np.abs(c)
+    return np.maximum(poly_eval(a, np.abs(x), tensor=False).real, a.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -164,29 +162,53 @@ def poly_roots(p, tol: Tolerances = DEFAULT):
     ``(roots, mults)`` with ``sum(mults) == deg(p)``.  Raises
     ``ValueError("undefined roots")`` for the zero polynomial and
     ``ConvergenceError`` (carrying the roots) if a residual stays above that.
+
+    A stack ``p`` (m, deg+1) of rows of one trimmed degree (else ``ValueError``)
+    gives a list of each row's own result, bit for bit (or the first failing
+    row's error), every step run on all rows at once, the merge loop's first
+    pair test too; only rows with a pair inside the radius run the loop.
     """
-    c = poly_trim(p, tol)
-    if c.size == 0:
-        raise ValueError("undefined roots")
-    deg = c.size - 1
+    p = np.atleast_1d(np.asarray(p, dtype=complex))
+    degs = set(poly_degree(p, tol).reshape(-1).tolist())
+    if min(degs) < 0 or len(degs) > 1:
+        raise ValueError("undefined roots" if min(degs) < 0 else "rows of different degrees")
+    deg = degs.pop()
+    c = p.reshape(-1, p.shape[-1])[:, : deg + 1]
     if deg == 0:
-        return np.zeros(0, dtype=complex), np.zeros(0, dtype=int)
-    monic = c / c[-1]
-    dmonic = poly_der(monic)
+        out = [(np.zeros(0, dtype=complex), np.zeros(0, dtype=int))] * len(c)
+        return out if p.ndim > 1 else out[0]
+    monic = c / c[:, -1:]
+    cols = monic.T[..., None]                   # (deg+1, m, 1): one column per row
+    dcols = poly_der(cols)
     z = companion_roots(monic)
-    pv = poly_eval(monic, z)
+    pv = poly_eval(cols, z, tensor=False)
     for _ in range(2):
         # near a multiple root p is rounding noise and p' nearly 0, so a step
         # is kept only where it lowers |p|; a subnormal p' would overflow
-        dv = poly_eval(dmonic, z)
+        dv = poly_eval(dcols, z, tensor=False)
         zn = z - np.divide(pv, dv, out=np.zeros_like(z), where=np.abs(dv) >= np.finfo(float).tiny)
-        pn = poly_eval(monic, zn)
+        pn = poly_eval(cols, zn, tensor=False)
         lower = np.abs(pn) < np.abs(pv)
         z, pv = np.where(lower, zn, z), np.where(lower, pn, pv)
-    if np.any(np.abs(pv) > tol.root_residual * _eval_scale(monic, z)):
-        raise ConvergenceError("root residuals above tolerance", best=z)
-    scale = max(1.0, np.abs(z).max())
+    bad = np.any(np.abs(pv) > tol.root_residual * _eval_scale(cols, z), axis=-1)
+    if bad.any():
+        raise ConvergenceError("root residuals above tolerance", best=z[bad.argmax()])
+    scale = np.abs(z).max(axis=-1, keepdims=True, initial=1.0)
+    close = _near_pairs(cols, z, np.ones(deg, dtype=int), scale, tol)[2].any(axis=-1)
+    out = [(roots[np.lexsort((roots.imag, roots.real))], np.ones(deg, dtype=int)) for roots in z]
+    for k in np.flatnonzero(close):
+        out[k] = _merge_roots(monic[k], z[k], scale[k], tol)
+    return out if p.ndim > 1 else out[0]
 
+
+@lru_cache(maxsize=None)
+def _pairs(k: int):
+    return frozen(*np.triu_indices(k, 1))
+
+
+def _near_pairs(cols, cen, sizes, scale, tol: Tolerances):
+    """The merge loop's pair test on rows of monic columns ``cols``: ``i, j`` and the
+    mask (rows, pairs) of clusters ``i < j`` (centres ``cen``, ``sizes`` roots) in the radius."""
     # agglomerative clustering with adaptive acceptance radius: a candidate
     # m-cluster of double-precision roots spreads like root_residual**(1/m),
     # and a pair inside a higher cluster spreads at the higher rate, hence the
@@ -197,24 +219,29 @@ def poly_roots(p, tol: Tolerances = DEFAULT):
     # is large when other roots crowd x; the radius covers ten such spreads.
     # At the midpoint of two simple roots t can vanish (a triple root there),
     # so the validation measures the spread again at the polished centre
+    i, j = _pairs(len(sizes))
+    m = sizes[i] + sizes[j]
+    mid = 0.5 * (cen[:, i] + cen[:, j])
+    taylor = np.empty(mid.shape)
+    for mv in set(m.tolist()):
+        t = poly_eval(poly_der(cols, mv), mid[:, m == mv], tensor=False) / math.factorial(mv)
+        taylor[:, m == mv] = np.maximum(np.abs(t), 1e-300)
+    spread = (tol.root_residual * _eval_scale(cols, mid) / taylor) ** (1.0 / m)
+    radius = np.maximum(scale * (10.0 * tol.root_residual ** (
+        1.0 / np.minimum(m + 1, len(cols) - 1)) + tol.root_cluster), 10.0 * spread)
+    return i, j, np.abs(cen[:, i] - cen[:, j]) <= radius
+
+
+def _merge_roots(monic, z, scale, tol: Tolerances):
+    """``poly_roots``' merge loop on the polished roots ``z`` of ``monic``."""
     clusters = [[zi] for zi in z]
     centers = [zi for zi in z]
     merged = True
     while merged and len(clusters) > 1:
         merged = False
-        i, j = np.triu_indices(len(clusters), 1)
-        cen = np.array(centers)
-        m = np.array([len(cl) for cl in clusters])
-        m = m[i] + m[j]
-        mid = 0.5 * (cen[i] + cen[j])
-        taylor = np.empty(m.shape)
-        for mv in set(m.tolist()):
-            t = poly_eval(poly_der(monic, mv), mid[m == mv]) / math.factorial(mv)
-            taylor[m == mv] = np.maximum(np.abs(t), 1e-300)
-        spread = (tol.root_residual * _eval_scale(monic, mid) / taylor) ** (1.0 / m)
-        radius = np.maximum(scale * (10.0 * tol.root_residual ** (1.0 / np.minimum(m + 1, deg))
-                                     + tol.root_cluster), 10.0 * spread)
-        for k in np.flatnonzero(np.abs(cen[i] - cen[j]) <= radius):
+        i, j, near = _near_pairs(monic[:, None, None], np.array(centers)[None],
+                                 np.array([len(cl) for cl in clusters]), scale, tol)
+        for k in np.flatnonzero(near[0]):
             cand = clusters[i[k]] + clusters[j[k]]
             ok = _validate_cluster(monic, cand, tol)
             if ok is not None:

@@ -193,21 +193,22 @@ class StructureTensor:
 # spectral curve and genus
 # ---------------------------------------------------------------------------
 
+_PROBE_Z, _PROBE_XI = kernel.frozen(*(
+    x + 1j * y for x, y in np.random.default_rng(0).standard_normal((2, 2, 20))))
+
+
 @_memoized
 def spectral_curve(phi: MatPoly) -> SpectralCurve:
     """Coefficient grid of det(phi(z) - xi I), computed once per point, read-only.
 
     Built by evaluation at roots of unity plus FFT, exact to rounding; the
     grid is cross-checked against direct determinant evaluation at 20 random
-    probes drawn from seed 0.
+    probes, drawn once from seed 0 (``_PROBE_Z``, ``_PROBE_XI``).
     """
     r, n = phi.r, phi.n
     grid, _ = kernel.matpoly_char_adj(phi.coeff_mats)
-    rng = np.random.default_rng(0)
-    zs = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    xis = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-    direct = np.linalg.det(phi(zs) - xis[:, None, None] * np.eye(r))
-    ours = kernel.bipoly_eval(grid, zs, xis)
+    direct = np.linalg.det(phi(_PROBE_Z) - _PROBE_XI[:, None, None] * np.eye(r))
+    ours = kernel.bipoly_eval(grid, _PROBE_Z, _PROBE_XI)
     if np.any(np.abs(ours - direct) > 1e-10 * np.maximum(1.0, np.abs(direct))):
         raise ConsistencyError("spectral curve grid disagrees with determinant probe")
     return SpectralCurve(grid=kernel.frozen(grid)[0], r=r, n=n)
@@ -474,10 +475,10 @@ def divisor_coords(phi: MatPoly, s=None, tol: Tolerances = DEFAULT) -> DivisorCo
 
 
 def _divisor_stack(phis, s=None, tol: Tolerances = DEFAULT):
-    """``divisor_coords`` of every state of ``phis`` (one ``r`` and ``n``): ``B``
-    by one Krylov determinant and FFT over all states, ``poly_roots`` per state
-    and the points over all roots by one ``kernel.divisor_points`` call.  Raises
-    where a state raises alone: first the checks on ``B``, then on the points."""
+    """``divisor_coords`` of every state of ``phis`` (one ``r`` and ``n``), each
+    step by one call over all states: ``B`` by a Krylov determinant and FFT, its
+    roots by ``kernel.poly_roots``, the points by ``kernel.divisor_points``.
+    Raises where a state raises alone: first the checks on ``B``, then on the points."""
     r, n = phis[0].r, phis[0].n
     s, = kernel.frozen(np.eye(r, dtype=complex)[0] if s is None else np.array(s, dtype=complex))
     deg_b = n * r * (r - 1) // 2
@@ -487,37 +488,32 @@ def _divisor_stack(phis, s=None, tol: Tolerances = DEFAULT):
     cms = np.array([phi.coeff_mats for phi in phis]).swapaxes(0, 1)  # (n + 1, states, r, r)
     zk = np.exp(2j * np.pi * np.arange(deg_b + 1) / (deg_b + 1))
     Bs = np.fft.fft(np.linalg.det(kernel.krylov(kernel.poly_eval(
-        cms, zk[:, None, None, None], tensor=False), s)), axis=0) / zk.size
-    roots = []
-    for B in Bs.T:
-        B = kernel.poly_trim(B, tol)
-        if B.size - 1 < deg_b:
-            raise NonGenericError(f"s = {s} is special for phi: B has degree {B.size - 1} < deg B"
-                                  f" = {deg_b} (points over z = inf, or B = 0); pass another s")
-        zroots, mults = kernel.poly_roots(B, tol)
-        # the Krylov space of s has codimension m at an m-fold root (at most r - 1)
-        ms = np.minimum(mults, r - 1)
-        if ms.sum() < deg_b:
-            raise NonGenericError(f"s = {s} is special for phi: a root of B has "
-                                  "multiplicity r or more; pass another s")
-        roots.append((zroots, mults, ms))
+        cms, zk[:, None, None, None], tensor=False), s)), axis=0).T / zk.size
+    low = kernel.poly_degree(Bs, tol).min()
+    if low < deg_b:
+        raise NonGenericError(f"s = {s} is special for phi: B has degree {low} < deg B"
+                              f" = {deg_b} (points over z = inf, or B = 0); pass another s")
+    zroots, mults = zip(*kernel.poly_roots(Bs, tol))
+    counts, mults = [len(m) for m in mults], np.concatenate(mults)
+    # the Krylov space of s has codimension m at an m-fold root (at most r - 1)
+    if mults.max() >= r:
+        raise NonGenericError(f"s = {s} is special for phi: a root of B has "
+                              "multiplicity r or more; pass another s")
+    zroots, ms = np.concatenate(zroots), np.minimum(mults, r - 1)
     # the deg B points of every state by one call
-    zroots, ms = (np.concatenate([v[k] for v in roots]) for k in (0, 2))
-    xis, resid = (v.reshape(len(roots), deg_b) for v in kernel.divisor_points(kernel.poly_eval(
-        cms[:, np.repeat(np.arange(len(roots)), [z.size for z, _, _ in roots])],
-        zroots[:, None, None], tensor=False), s, ms))
-    out = []
-    for (zroots, mults, ms), xi, res in zip(roots, xis, resid):
-        validated = int(np.count_nonzero(res <= tol.divisor))
-        if validated < deg_b:
-            raise ConsistencyError(f"{validated} of the {deg_b} zeros of B are divisor points")
-        zs = np.repeat(zroots, ms)
-        scale = max(1.0, np.abs(zs).max(), np.abs(xi).max())
-        gap = kernel.min_gap(zs, xi)
-        order = np.lexsort((xi.imag, xi.real, zs.imag, zs.real))
-        out.append(DivisorCoords(*kernel.frozen(zs[order], xi[order]), s, degenerate=bool(
-            gap < 100 * tol.cluster_merge * scale or np.any(mults > 1))))
-    return out
+    xi, resid = (v.reshape(len(phis), deg_b) for v in kernel.divisor_points(kernel.poly_eval(
+        cms[:, np.repeat(np.arange(len(phis)), counts)], zroots[:, None, None], tensor=False),
+        s, ms))
+    valid = resid <= tol.divisor
+    if not valid.all():
+        raise ConsistencyError(f"{valid.sum(1).min()} of the {deg_b} zeros of B are divisor points")
+    zs = np.repeat(zroots, ms).reshape(xi.shape)
+    scale = np.abs(np.concatenate([zs, xi], axis=1)).max(axis=1, initial=1.0)
+    degenerate = kernel.min_gap(zs, xi) < 100 * tol.cluster_merge * scale
+    order = np.lexsort((xi.imag, xi.real, zs.imag, zs.real))
+    # a state with fewer than deg B roots of B has a multiple one
+    return [DivisorCoords(*kernel.frozen(z[o], x[o]), s, degenerate=bool(d or k < deg_b))
+            for z, x, o, d, k in zip(zs, xi, order, degenerate, counts)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,28 @@ def random_poly(rng, deg):
     return c
 
 
+class TestTrim:
+    def test_degree_is_the_trim_loop(self):
+        def loop_degree(c, tol=DEFAULT):
+            # the trailing-coefficient loop poly_trim ran on one polynomial
+            top = max((abs(v) for v in c), default=0.0)
+            k = len(c) - 1
+            while k >= 0 and abs(c[k]) <= tol.zero_trim * top:
+                k -= 1
+            return k
+
+        rows = random_poly(np.random.default_rng(5), 6 * 5 - 1).reshape(5, 6)
+        rows[1, 4:] *= 1e-15                    # two trailing noise coefficients
+        rows[2, -1] = 0.0
+        rows[3] = 0.0                           # the zero polynomial
+        rows[4] = [1e-14, 0, 0, 0, 0, 0]
+        degrees = kernel.poly_degree(rows)
+        assert degrees.tolist() == [loop_degree(r) for r in rows] == [5, 3, 4, -1, 0]
+        for row, deg in zip(rows, degrees):
+            assert np.array_equal(kernel.poly_trim(row), row[: deg + 1])
+        assert kernel.poly_trim(np.zeros(0)).size == 0
+
+
 class TestPolyRoots:
     def test_quadratic_symmetry(self):
         roots, mults = kernel.poly_roots(np.array([1.0, 0.0, 1.0]))
@@ -66,6 +88,28 @@ class TestPolyRoots:
         with pytest.raises(ConvergenceError, match="root residuals") as err:
             kernel.poly_roots(c, Tolerances(root_residual=1e-24))
         assert err.value.best.size == 6
+
+    def test_stack_raises_where_a_row_raises(self):
+        # x^3 and (x-1)(x-2)(x-3) reach a zero residual, the random row does not
+        rows = np.array([[0.0, 0.0, 0.0, 1.0], npoly.polyfromroots([1.0, 2.0, 3.0]),
+                         random_poly(np.random.default_rng(1), 3)])
+        tight = Tolerances(root_residual=1e-24)
+        for row in rows[:2]:
+            kernel.poly_roots(row, tight)
+        with pytest.raises(ConvergenceError, match="root residuals") as alone:
+            kernel.poly_roots(rows[2], tight)
+        with pytest.raises(ConvergenceError, match="root residuals") as stacked:
+            kernel.poly_roots(rows, tight)
+        assert np.array_equal(stacked.value.best, alone.value.best)
+
+    def test_stack_with_a_zero_row(self):
+        with pytest.raises(ValueError, match="undefined roots"):
+            kernel.poly_roots(np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 0.0]]))
+
+    def test_stack_rows_of_unequal_degree(self):
+        # the second row trims to degree 1
+        with pytest.raises(ValueError, match="different degrees"):
+            kernel.poly_roots(np.array([[1.0, 2.0, 1.0], [1.0, 1.0, 1e-20]]))
 
     def test_companion_roots_equal_np_roots(self):
         rows = random_poly(np.random.default_rng(4), 5 * 12 - 1).reshape(12, 5)
@@ -319,6 +363,27 @@ def planted_roots(draw):
     return roots, mults
 
 
+@st.composite
+def planted_stacks(draw):
+    """1..5 rows of one degree 1..6, each the roots of ``planted_roots``'
+    lattice with multiplicities 1..3 summing to the degree, times a leading
+    coefficient of modulus 0.5..2: rows with clusters and rows without."""
+    deg, rows = draw(st.integers(1, 6)), []
+    for _ in range(draw(st.integers(1, 5))):
+        mults = []
+        while sum(mults) < deg:
+            mults.append(draw(st.integers(1, min(3, deg - sum(mults)))))
+        cells = draw(st.lists(st.integers(0, 24), min_size=len(mults), max_size=len(mults),
+                              unique=True))
+        offsets = draw(st.lists(st.complex_numbers(max_magnitude=0.1),
+                                min_size=len(mults), max_size=len(mults)))
+        lead = draw(st.complex_numbers(min_magnitude=0.5, max_magnitude=2.0))
+        roots = [complex(0.5 * (c % 5 - 2), 0.5 * (c // 5 - 2)) + w
+                 for c, w in zip(cells, offsets)]
+        rows.append(lead * np.polynomial.polynomial.polyfromroots(np.repeat(roots, mults)))
+    return np.array(rows)
+
+
 def mp_sylvester_det(pc, qc):
     """Resultant of two univariate polynomials (ascending mpc coefficients)
     as the determinant of their Sylvester matrix."""
@@ -369,6 +434,18 @@ class TestPolyRootsAndResultantAgainstMpmath:
             k = np.argmin(np.abs(ours - root))
             assert our_mults[k] == m
             assert abs(ours[k] - cluster.mean()) <= 1e-9
+
+    @oracle_settings
+    @given(rows=planted_stacks())
+    @example(rows=np.array([np.polynomial.polynomial.polyfromroots(r) for r in (
+        [0.5, 0.5, -1j], [1.0, 2.0, 3.0], [0.2j, 0.2j, 0.2j], [-1.0, 0.5j, 1.5])]))
+    def test_stack_rows_are_their_own_calls(self, rows):
+        stacked = kernel.poly_roots(rows)
+        assert len(stacked) == len(rows)
+        for row, (roots, mults) in zip(rows, stacked):
+            alone = kernel.poly_roots(row)
+            assert np.array_equal(roots, alone[0]) and np.array_equal(mults, alone[1])
+            assert mults.dtype == alone[1].dtype
 
     @oracle_settings
     @given(p=eliminable_grids(), q=eliminable_grids(),

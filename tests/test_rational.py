@@ -807,6 +807,15 @@ class TestDivisor:
         with pytest.raises(ConsistencyError, match="zeros of B are divisor points"):
             R._divisor_stack(traj)
 
+    def test_stack_roots_all_states_in_one_call(self, monkeypatch):
+        phi = R.random_instance(2, 2, np.random.default_rng(11))
+        spec = R.BracketSpec(a=(1.0,), b=0.0)
+        traj = R.flow(phi, R.casimir_detect(phi, spec)[0][0], spec, np.linspace(0.0, 0.05, 5))
+        calls, poly_roots = [], kernel.poly_roots
+        monkeypatch.setattr(kernel, "poly_roots", lambda *a: calls.append(a) or poly_roots(*a))
+        assert len(R._divisor_stack(traj)) == 5 and len(calls) == 1
+        assert calls[0][0].shape == (5, 3)
+
     def test_special_section_raises(self):
         phi = special_section_matpoly()
         assert R.genus(phi) == 1
