@@ -261,26 +261,65 @@ def assemble_lax(coeffs, divisor: EllipticDivisor, params: ThetaParams,
     return lax
 
 
+def _invariant_forms(lax: EllipticLax):
+    """``t_1`` and, at r = 2, ``t_2`` as forms in the basis values ``Q``
+    (E,): ``[lin | D]`` (E, 1) or (E, 1 + E), ``t_1 = Q @ lin`` and ``t_2 =
+    Q @ D @ Q`` with ``D`` symmetric, read off ``kernel.char_bipoly`` at the
+    unit and pair points (``kernel._monomials``)."""
+    r, mats = lax.params.r, lax._mats
+    E = len(mats)
+
+    def t(k):
+        return lambda x: kernel.char_bipoly((x @ mats).reshape(-1, r, r))[:, r - k]
+
+    lin = np.concatenate([c for _, c in kernel._monomials(t(1), E, 1)])  # e_0, e_1, ...
+    if r == 1:
+        return lin[:, None]
+    idx, c = map(np.concatenate, zip(*kernel._monomials(t(2), E, 2)))
+    i, j = idx.T
+    D = np.zeros((E, E), dtype=complex)
+    D[i, j] = D[j, i] = np.where(i == j, c, c / 2)
+    return np.column_stack([lin, D])
+
+
 def spectral_invariants(lax: EllipticLax):
     """The functions t_k(lambda), k = 1..r: coefficients of xi^{r-k} in
     det(phi(lambda) - xi I); each is genuinely elliptic.
 
     Each ``t_k`` takes a scalar or an array ``lam`` of shape (...) and
     returns a complex or an array of shape (...).  The ``r`` functions share
-    one evaluation of ``phi`` and its characteristic polynomial at the last
-    scalar point they were called at.
+    one evaluation at the last scalar point they were called at.
+
+    ``phi`` is linear in the basis values ``Q = lax._quotients(lam)``, so
+    ``t_k`` is a form of degree ``k`` in ``Q``.  At r <= 2 the forms are read
+    off the characteristic polynomial once (``_invariant_forms``), and a
+    point costs the ``Q`` and two products, ``v = Q @ [lin | D]``, ``t_1 =
+    v[0]``, ``t_2 = v[1:] @ Q``, with no ``phi`` and no recursion.  At r >= 3
+    a form of degree ``k`` has ``O(E^k)`` coefficients, so every point takes
+    ``kernel.char_bipoly(lax(lam))``.
     """
     r = lax.params.r
-    last = [None, None]  # scalar lam as a Python complex, char_bipoly(lax(lam)) as a list
+    forms = _invariant_forms(lax) if r <= 2 else None
+    last = [None, None]  # scalar lam as a Python complex, [t_1, ..., t_r] there
+
+    def at_number(lam):
+        if forms is None:
+            return kernel.char_bipoly(lax(lam)).tolist()[-2::-1]
+        Q = lax._quotients(lam)
+        v = Q @ forms
+        return [complex(v[0])] if r == 1 else [complex(v[0]), complex(v[1:] @ Q)]
 
     def maker(k):
         def t_k(lam):
             if isinstance(lam, (int, float, complex)) or np.ndim(lam) == 0:
                 key = complex(lam)
                 if last[0] != key:
-                    last[:] = key, kernel.char_bipoly(lax(key)).tolist()
-                return last[1][r - k]
-            return kernel.char_bipoly(lax(lam))[..., r - k]
+                    last[:] = key, at_number(key)
+                return last[1][k - 1]
+            if forms is None:
+                return kernel.char_bipoly(lax(lam))[..., r - k]
+            Q = lax._quotients(lam)
+            return Q @ forms[:, 0] if k == 1 else ((Q @ forms[:, 1:]) * Q).sum(axis=-1)
         return t_k
 
     return [maker(k) for k in range(1, r + 1)]

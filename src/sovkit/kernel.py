@@ -166,10 +166,13 @@ def poly_roots(p, tol: Tolerances = DEFAULT):
     A stack ``p`` (m, deg+1) of rows of one trimmed degree (else ``ValueError``)
     gives a list of each row's own result, bit for bit (or the first failing
     row's error), every step run on all rows at once, the merge loop's first
-    pair test too; only rows with a pair inside the radius run the loop.
+    pair test too; only rows with a pair inside the radius run the loop.  A
+    stack of no rows gives ``[]``.
     """
     p = np.atleast_1d(np.asarray(p, dtype=complex))
     degs = set(poly_degree(p, tol).reshape(-1).tolist())
+    if not degs:
+        return []
     if min(degs) < 0 or len(degs) > 1:
         raise ValueError("undefined roots" if min(degs) < 0 else "rows of different degrees")
     deg = degs.pop()
@@ -307,6 +310,25 @@ def char_bipoly(M):
     M = _square(M)
     b, _ = _faddeev_leverrier(M)
     return (-1.0) ** M.shape[-1] * b[..., ::-1]
+
+
+def _monomials(form, N: int, degree: int):
+    """The monomials of ``form``, homogeneous of ``degree <= 2`` in ``N`` variables, a chunk at
+    a time: sorted index rows (P, degree) and coefficients (P, ...), from ``form``'s values
+    (P, ...) at points (P, N).  At 0; at each ``e_i``; by polarization, ``Q(2 e_i) / 4`` for
+    every ``i``, then ``Q(e_i + e_j) - Q(e_i) - Q(e_j)`` over ``j > i``, one ``i`` at a time.
+    A form read off the recursion (a flow's covectors, an elliptic spectral invariant) is
+    then a polynomial in its point with no recursion left to run."""
+    eye = np.eye(N, dtype=complex)
+    if degree < 2:
+        for i in range(N if degree else 1):
+            yield np.full((1, degree), i), form(eye[i:i + 1] * degree)
+        return
+    diag = form(2 * eye) / 4
+    yield np.arange(N)[:, None].repeat(2, axis=1), diag
+    for i in range(N - 1):
+        yield (np.column_stack([np.full(N - 1 - i, i), np.arange(i + 1, N)]),
+               form(eye[i] + eye[i + 1:]) - diag[i] - diag[i + 1:])
 
 
 def adjugate(M):

@@ -629,23 +629,6 @@ def _flow_covectors(r: int, n: int, position: tuple):
     return top, vander, blocks
 
 
-def _monomials(form, N: int, degree: int):
-    """The monomials of ``form``, homogeneous of ``degree <= 2`` in ``N`` variables, a chunk at
-    a time: sorted index rows (P, degree) and coefficients (P, ...), from ``form``'s values
-    (P, ...) at points (P, N).  At 0; at each ``e_i``; by polarization, ``Q(2 e_i) / 4`` for
-    every ``i``, then ``Q(e_i + e_j) - Q(e_i) - Q(e_j)`` over ``j > i``, one ``i`` at a time."""
-    eye = np.eye(N, dtype=complex)
-    if degree < 2:
-        for i in range(N if degree else 1):
-            yield np.full((1, degree), i), form(eye[i:i + 1] * degree)
-        return
-    diag = form(2 * eye) / 4
-    yield np.arange(N)[:, None].repeat(2, axis=1), diag
-    for i in range(N - 1):
-        yield (np.column_stack([np.full(N - 1 - i, i), np.arange(i + 1, N)]),
-               form(eye[i] + eye[i + 1:]) - diag[i] - diag[i + 1:])
-
-
 @lru_cache(maxsize=32)
 def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
                tol: Tolerances = DEFAULT):
@@ -657,8 +640,8 @@ def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
     degree 3 (``top <= 1``, or 2 under ``b = 0``) the route is ``"monomials"``: ``p``
     (degree, M) the sorted indices of the field's monomials into the point and a 1 (index
     ``N``, padding the ``a`` part where both parts are there), ``q`` (N, M) their
-    coefficients.  ``_monomials`` reads ``g``'s monomials off the recursion, then each part's
-    off ``_lax_field`` at unit points against all of them, a chunk of points at a time.
+    coefficients.  ``kernel._monomials`` reads ``g``'s monomials off the recursion, then each
+    part's off ``_lax_field`` at unit points against all of them, a chunk of points at a time.
     Coefficients at most 1e-14 of the bracket's scale (``max(|a|, |b|)`` times ``g``'s
     largest coefficient) are rounding residue, so a Casimir's plan is empty.  Above degree 3
     the route is ``"levels"``, ``(vander, blocks)``, contracted in every stage.  At most 32
@@ -669,7 +652,7 @@ def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
     if degree > 3:
         return ("levels",) + kernel.frozen(vander, blocks)
     N, a = (n + 1) * r * r, structure_tensor(r, n, spec, tol).a
-    gidx, G = map(np.concatenate, zip(*_monomials(
+    gidx, G = map(np.concatenate, zip(*kernel._monomials(
         lambda x: _levels(x, r, top, vander)[:, :, top].reshape(len(x), -1) @ blocks.T, N, top)))
     size = np.abs(G).max(axis=1)
     gidx, G = gidx[size > 1e-14 * size.max()], G[size > 1e-14 * size.max()]
@@ -679,7 +662,7 @@ def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
     for part, (ap, bp) in enumerate([(a, 0.0), (0 * a, spec.b)]):
         if not (np.any(ap) or bp):
             continue
-        for idx, c in _monomials(lambda x: _lax_field(x, g, ap, bp), N, part + 1):
+        for idx, c in kernel._monomials(lambda x: _lax_field(x, g, ap, bp), N, part + 1):
             c = c.swapaxes(1, 2).reshape(-1, N)
             big = np.abs(c).max(axis=1) > floor
             terms.append(np.hstack([idx.repeat(len(G), axis=0), np.tile(gidx, (len(idx), 1)),

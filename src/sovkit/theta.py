@@ -148,14 +148,9 @@ class ThetaQuotients:
         ints = P.real.astype(int)
         if (ints != P).any():
             raise ValueError("theta quotient powers must be integers")
-        # (E, 2, L): numerator and denominator factors by power, padded with F
-        counts = np.concatenate([ints, -ints], axis=1).clip(0).reshape(len(ints), 2, -1)
-        size = counts.sum(axis=-1, keepdims=True)
-        counts = np.concatenate([counts, size.max(initial=1) - size], axis=-1)
-        self._factors = np.repeat(np.arange(counts.size) % counts.shape[-1],
-                                  counts.ravel()).reshape(*size.shape[:2], -1)
+        self._factors = _factor_lists(ints.shape, ints.tobytes())
         frozen(self.shifts, self.powers, self.phase, self.coef, self._gauss, self._n,
-               self._table, self._K, self._factors)
+               self._table, self._K)
 
     def _series(self, z, deriv):
         """``exp`` of every element's exponent at ``u = scale z`` (..., E), the
@@ -193,6 +188,20 @@ class ThetaQuotients:
         """Values and log-derivatives ``d/dz log q_e`` at ``z``, both (..., E)."""
         e, S, dS, slope = self._series(z, True)
         return self._values(e, S), self.scale * (slope + (dS / S)[..., :-1] @ self.powers.T)
+
+
+@lru_cache(maxsize=256)
+def _factor_lists(shape, ints):
+    """``ThetaQuotients._factors`` (E, 2, L), read-only, of the integer powers
+    (E, F) given as ``shape`` and bytes: the numerator and the denominator
+    factors of every element by power, padded with F.  They depend on the
+    powers alone, so evaluators with equal powers share one array."""
+    ints = np.frombuffer(ints, dtype=int).reshape(shape)
+    counts = np.concatenate([ints, -ints], axis=1).clip(0).reshape(len(ints), 2, -1)
+    size = counts.sum(axis=-1, keepdims=True)
+    counts = np.concatenate([counts, size.max(initial=1) - size], axis=-1)
+    return frozen(np.repeat(np.arange(counts.size) % counts.shape[-1],
+                            counts.ravel()).reshape(*size.shape[:2], -1))[0]
 
 
 @lru_cache(maxsize=64)

@@ -1,7 +1,8 @@
 """Central tolerance configuration.
 
-Every numeric routine takes an optional ``Tolerances`` record so that test
-suites can tighten or loosen all thresholds uniformly.
+Every numeric routine takes an optional ``Tolerances`` record, so that a
+caller can set any threshold on its own.  ``Tolerances.scaled`` tightens or
+loosens three of them together: ``root_residual``, ``ode`` and ``divisor``.
 """
 
 from dataclasses import dataclass, replace
@@ -26,7 +27,8 @@ class Tolerances:
     cluster_derivative: float = 1e-7  # derivative residual of a validated multiple root
 
     def scaled(self, factor: float) -> "Tolerances":
-        """Uniformly rescale the residual-type tolerances by ``factor``.
+        """A copy with ``root_residual``, ``ode`` and ``divisor`` times
+        ``factor``; the other twelve fields are unchanged.
 
         ``quad`` is left alone: the moment quadrature only seeds Newton, and
         below about 1e-12 it stalls on rounding."""

@@ -74,6 +74,10 @@ class TestPolyRoots:
         with pytest.raises(ValueError, match="undefined roots"):
             kernel.poly_roots(np.zeros(4))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 1), (2, 0, 3)])
+    def test_empty_stack(self, shape):
+        assert kernel.poly_roots(np.zeros(shape)) == []
+
     @pytest.mark.parametrize("root", [5e-324j, 1e-160j])
     def test_multiple_root_with_underflowing_coefficients(self, root):
         # the companion matrix gives exact zeros and subnormal roots here

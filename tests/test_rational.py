@@ -461,7 +461,7 @@ class TestCovectorPlan:
             top, vander, blocks = R._flow_covectors(r, n, pos)
             if top > 1:
                 continue
-            idx, coef = map(np.concatenate, zip(*R._monomials(lambda y: R._levels(
+            idx, coef = map(np.concatenate, zip(*kernel._monomials(lambda y: R._levels(
                 y, r, top, vander)[:, :, top].reshape(len(y), -1) @ blocks.T, N, top)))
             route = R._covector_blocks(grad.reshape(1, n + 1, r, r)).ravel()
             plan = coef.T @ x[idx].prod(axis=1)
@@ -540,7 +540,7 @@ class TestMonomialFlowField:
         S, v, c = S + S.T, S[0], S[0, 0]
         form = [lambda x: np.full((len(x), 1), c), lambda x: (x @ v)[:, None],
                 lambda x: np.einsum("pi,ij,pj->p", x, S, x)[:, None]][degree]
-        idx, coef = map(np.concatenate, zip(*R._monomials(form, N, degree)))
+        idx, coef = map(np.concatenate, zip(*kernel._monomials(form, N, degree)))
         assert idx.shape == (N * (N + 1) // 2 if degree == 2 else N ** degree, degree)
         assert (np.diff(idx, axis=1) >= 0).all()
         expected = {0: lambda: c, 1: lambda: v[idx[:, 0]],

@@ -803,6 +803,19 @@ class TestFold:
                 assert np.array_equal(got[..., keep], full[..., keep])
                 assert not np.array_equal(got[..., ~keep], full[..., ~keep])
 
+    def test_equal_powers_share_one_frozen_factor_list(self):
+        # the factor lists depend on the integer powers alone: evaluators with
+        # equal powers on other shifts and moduli share one read-only array
+        powers = [[1.0, -1.0, 0.0], [2.0, 0.0, -2.0]]
+        one, two, other = (T.ThetaQuotients(T.ThetaParams(tau=tau, r=r), shifts, p,
+                                            [0.0, 0.5], 1.0, r)
+                           for tau, r, shifts, p in (
+                               (0.2 + 1.1j, 2, [0.1, 0.3j, 0.5], powers),
+                               (-0.1 + 0.9j, 3, [0.2, 0.4j, 0.7], powers),
+                               (0.2 + 1.1j, 2, [0.1, 0.3j, 0.5], [[1.0, -1.0, 0.0]] * 2)))
+        assert one._factors is two._factors and not one._factors.flags.writeable
+        assert other._factors is not one._factors
+
     def test_powers_must_be_integers(self):
         # the elements are products of S by index: a fractional power has none
         params = T.ThetaParams(tau=0.2 + 1.1j, r=2)
