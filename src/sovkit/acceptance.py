@@ -364,6 +364,7 @@ def suite_elliptic(config: ExperimentConfig):
         coeffs = {(a, b): rng.standard_normal(n) + 1j * rng.standard_normal(n)
                   for a in range(r) for b in range(r)}
         lax = ell.assemble_lax(coeffs, div, params, z0=0.0)
+        invariants = ell.spectral_invariants(lax)
 
         worst_qp = 0.0
         checked = 0
@@ -376,7 +377,7 @@ def suite_elliptic(config: ExperimentConfig):
             r1 = np.abs(lax(lam + params.omega1) - I1 @ base @ np.linalg.inv(I1)).max()
             r2 = np.abs(lax(lam + params.omega2) - I2 @ base @ np.linalg.inv(I2)).max()
             worst_qp = max(worst_qp, float(max(r1, r2) / mag))
-            for t in ell.spectral_invariants(lax):
+            for t in invariants:
                 tv = t(lam)
                 sc = max(1.0, abs(tv))
                 worst_qp = max(worst_qp, abs(t(lam + params.omega1) - tv) / sc,

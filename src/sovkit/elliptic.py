@@ -171,8 +171,9 @@ def _validate_basis(basis, div, params, tol):
     shifted = probes + np.array([0.0, params.omega1, params.omega2])[:, None]
     n = div.degree
     bound = tol.basis_multiplier
-    for (a, b), elements in basis.items():
-        v0, v1, v2 = _quotients(params, elements)(shifted)
+    values = _quotients(params, [w for elements in basis.values() for w in elements])(shifted)
+    ends = np.cumsum([len(elements) for elements in basis.values()])[:-1]
+    for (a, b), (v0, v1, v2) in zip(basis, np.split(values, ends, axis=-1)):
         nz = v0 != 0
         r1 = v1[nz] / v0[nz]
         r2 = v2[nz] / v0[nz]
@@ -264,18 +265,18 @@ def assemble_lax(coeffs, divisor: EllipticDivisor, params: ThetaParams,
 def _invariant_forms(lax: EllipticLax):
     """``t_1`` and, at r = 2, ``t_2`` as forms in the basis values ``Q``
     (E,): ``[lin | D]`` (E, 1) or (E, 1 + E), ``t_1 = Q @ lin`` and ``t_2 =
-    Q @ D @ Q`` with ``D`` symmetric, read off ``kernel.char_bipoly`` at the
-    unit and pair points (``kernel._monomials``)."""
+    Q @ D @ Q`` with ``D`` symmetric, read off ``kernel._monomials``, one
+    ``kernel.char_bipoly`` call per degree at the unit (and pair) points."""
     r, mats = lax.params.r, lax._mats
     E = len(mats)
 
     def t(k):
         return lambda x: kernel.char_bipoly((x @ mats).reshape(-1, r, r))[:, r - k]
 
-    lin = np.concatenate([c for _, c in kernel._monomials(t(1), E, 1)])  # e_0, e_1, ...
+    lin = kernel._monomials(t(1), E, 1)[1]  # e_0, e_1, ...
     if r == 1:
         return lin[:, None]
-    idx, c = map(np.concatenate, zip(*kernel._monomials(t(2), E, 2)))
+    idx, c = kernel._monomials(t(2), E, 2)
     i, j = idx.T
     D = np.zeros((E, E), dtype=complex)
     D[i, j] = D[j, i] = np.where(i == j, c, c / 2)
@@ -305,7 +306,7 @@ def spectral_invariants(lax: EllipticLax):
     def at_number(lam):
         if forms is None:
             return kernel.char_bipoly(lax(lam)).tolist()[-2::-1]
-        Q = lax._quotients(lam)
+        Q = lax._quotients._evaluate(lam, False)
         v = Q @ forms
         return [complex(v[0])] if r == 1 else [complex(v[0]), complex(v[1:] @ Q)]
 

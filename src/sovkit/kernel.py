@@ -313,22 +313,21 @@ def char_bipoly(M):
 
 
 def _monomials(form, N: int, degree: int):
-    """The monomials of ``form``, homogeneous of ``degree <= 2`` in ``N`` variables, a chunk at
-    a time: sorted index rows (P, degree) and coefficients (P, ...), from ``form``'s values
-    (P, ...) at points (P, N).  At 0; at each ``e_i``; by polarization, ``Q(2 e_i) / 4`` for
-    every ``i``, then ``Q(e_i + e_j) - Q(e_i) - Q(e_j)`` over ``j > i``, one ``i`` at a time.
-    A form read off the recursion (a flow's covectors, an elliptic spectral invariant) is
-    then a polynomial in its point with no recursion left to run."""
+    """The monomials of ``form``, homogeneous of ``degree <= 2`` in ``N`` variables: sorted
+    index rows (P, degree) and coefficients (P, ...), from one call of ``form`` at points (P,
+    N): at 0; at every ``e_i``; by polarization, at every ``2 e_i``, then ``e_i + e_j``, ``i
+    < j``, for ``Q(2 e_i) / 4`` and ``Q(e_i + e_j) - Q(e_i) - Q(e_j)``.  A form read off the
+    recursion (a flow's covectors, an elliptic spectral invariant) is then a polynomial in
+    its point with no recursion left to run."""
     eye = np.eye(N, dtype=complex)
     if degree < 2:
-        for i in range(N if degree else 1):
-            yield np.full((1, degree), i), form(eye[i:i + 1] * degree)
-        return
-    diag = form(2 * eye) / 4
-    yield np.arange(N)[:, None].repeat(2, axis=1), diag
-    for i in range(N - 1):
-        yield (np.column_stack([np.full(N - 1 - i, i), np.arange(i + 1, N)]),
-               form(eye[i] + eye[i + 1:]) - diag[i] - diag[i + 1:])
+        count = N if degree else 1
+        return np.arange(count)[:, None][:, :degree], form(eye[:count] * degree)
+    i, j = np.triu_indices(N, 1)
+    values = form(np.vstack([2 * eye, eye[i] + eye[j]]))
+    diag = values[:N] / 4
+    return (np.vstack([np.arange(N)[:, None].repeat(2, axis=1), np.column_stack([i, j])]),
+            np.concatenate([diag, values[N:] - diag[i] - diag[j]]))
 
 
 def adjugate(M):

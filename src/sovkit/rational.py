@@ -641,7 +641,7 @@ def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
     (degree, M) the sorted indices of the field's monomials into the point and a 1 (index
     ``N``, padding the ``a`` part where both parts are there), ``q`` (N, M) their
     coefficients.  ``kernel._monomials`` reads ``g``'s monomials off the recursion, then each
-    part's off ``_lax_field`` at unit points against all of them, a chunk of points at a time.
+    part's off ``_lax_field`` at unit points against all of them, N points at a time.
     Coefficients at most 1e-14 of the bracket's scale (``max(|a|, |b|)`` times ``g``'s
     largest coefficient) are rounding residue, so a Casimir's plan is empty.  Above degree 3
     the route is ``"levels"``, ``(vander, blocks)``, contracted in every stage.  At most 32
@@ -652,8 +652,8 @@ def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
     if degree > 3:
         return ("levels",) + kernel.frozen(vander, blocks)
     N, a = (n + 1) * r * r, structure_tensor(r, n, spec, tol).a
-    gidx, G = map(np.concatenate, zip(*kernel._monomials(
-        lambda x: _levels(x, r, top, vander)[:, :, top].reshape(len(x), -1) @ blocks.T, N, top)))
+    gidx, G = kernel._monomials(
+        lambda x: _levels(x, r, top, vander)[:, :, top].reshape(len(x), -1) @ blocks.T, N, top)
     size = np.abs(G).max(axis=1)
     gidx, G = gidx[size > 1e-14 * size.max()], G[size > 1e-14 * size.max()]
     g = G.T.reshape(2, -1, r, len(G)).swapaxes(-2, -1).reshape(2, (n + 1) * r, -1)
@@ -662,12 +662,13 @@ def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
     for part, (ap, bp) in enumerate([(a, 0.0), (0 * a, spec.b)]):
         if not (np.any(ap) or bp):
             continue
-        for idx, c in kernel._monomials(lambda x: _lax_field(x, g, ap, bp), N, part + 1):
-            c = c.swapaxes(1, 2).reshape(-1, N)
-            big = np.abs(c).max(axis=1) > floor
-            terms.append(np.hstack([idx.repeat(len(G), axis=0), np.tile(gidx, (len(idx), 1)),
-                                    np.full((len(c), degree - top - 1 - part), N)])[big])
-            coefs.append(c[big])
+        idx, c = kernel._monomials(lambda x: np.concatenate(  # N points at a time: memory
+            [_lax_field(y, g, ap, bp) for y in np.split(x, range(N, len(x), N))]), N, part + 1)
+        c = c.swapaxes(1, 2).reshape(-1, N)
+        big = np.abs(c).max(axis=1) > floor
+        terms.append(np.hstack([idx.repeat(len(G), axis=0), np.tile(gidx, (len(idx), 1)),
+                                np.full((len(c), degree - top - 1 - part), N)])[big])
+        coefs.append(c[big])
     p, which = np.unique(np.sort(np.vstack(terms), axis=1), axis=0, return_inverse=True)
     q = np.zeros((len(p), N), dtype=complex)
     np.add.at(q, which.ravel(), np.vstack(coefs))

@@ -9,9 +9,10 @@ Everything is array-valued.  ``ThetaQuotients`` evaluates theta quotients
 exact log-derivatives from one series table built per evaluator: a point is
 reduced once, one exponent per element carries every factor's
 quasi-periodicity, and one matmul sums the series of every factor.  Arrays
-take their complex ``exp`` before that matmul: after an OpenBLAS complex
-matrix-matrix product (``zgemm``), numpy's complex ``exp`` and ``log`` run
-10-30 times slower on AVX-512 hosts until a vectorized numpy loop runs.
+broadcast their exponents and take every complex ``exp`` before that matmul:
+after an OpenBLAS complex matrix-matrix product (``zgemm``), numpy's complex
+``exp`` and ``log`` run 10-30 times slower on AVX-512 hosts until a
+vectorized numpy loop runs.
 The basic section is one evaluator, the A_j and then 1/h.
 ``_continued_log`` is the one continuation stepper: it evaluates a whole
 polyline per call, bisects only the failing steps, and continues the one
@@ -96,10 +97,14 @@ def riemann_theta(z, params: ThetaParams):
 
 
 def theta_deriv(z, params: ThetaParams):
-    """d theta / dz with the same lattice reduction, as ``e (S' + slope S)``:
-    theta times its log-derivative would be 0/0 at theta's zeros."""
-    e, S, dS, slope = _plain(params)._series(z, True)
-    out = (e * (dS + slope * S))[..., 0]
+    """d theta / dz with the same lattice reduction: ``theta(z) = e S`` at ``z
+    = v + k + m tau``, ``e = exp(-pi i m (m tau + 2 v))``, and theta' = ``e (S'
+    - 2 pi i m S)``; theta times its log-derivative would be 0/0 at its zeros."""
+    q, z = _plain(params), np.asarray(z, dtype=complex)
+    v, m = _reduce(z, params.tau)
+    row = np.exp(q._gauss + v[..., None] * q._n)
+    S, dS = row @ q._table[:, 0], (row * q._n) @ q._table[:, 0]
+    out = np.exp(-1j * np.pi * m * (m * params.tau + 2 * v)) * (dS - 2j * np.pi * m * S)
     return out if out.shape else complex(out)
 
 
@@ -114,8 +119,8 @@ class ThetaQuotients:
     reduced once to ``u = v + k + m tau``, takes one row ``exp(2 pi i n v)``,
     and ``theta(u + s_f) = exp(-pi i tau M^2 - 2 pi i M (v + sig_f)) S_f``,
     ``S = row @ C``, ``M = m + m_f``.  Over an element's factors these
-    exponents sum to one linear form in ``(1, m, m^2, v, m v, u)``, frozen as
-    ``K`` (6, E); with ``c = -i pi tau``, ``d = -2 pi i``, ``P`` the powers:
+    exponents sum to one linear form in ``(1, m, m^2, v, m v, u)``, ``K`` (6,
+    E); with ``c = -i pi tau``, ``d = -2 pi i``, ``P`` the powers:
 
         K0 = log c_e + c P m_f^2 + d P (m_f sig_f),  K1 = 2c P m_f + d P sig,
         K2 = c P.sum(1),  K3 = d P m_f,  K4 = d P.sum(1),  K5 = 2 pi i gamma.
@@ -123,7 +128,9 @@ class ThetaQuotients:
     An element is ``exp(K0 + m (K1 + m K2) + v (K3 + m K4) + u K5) prod_f
     S_f^p_ef``, one ``exp`` per element and the product of ``S`` at its
     ``_factors`` (no complex power); its ``u``-log-derivative is ``K5 + K3 +
-    m K4 + (S'/S) @ P^T``.
+    m K4 + (S'/S) @ P^T``.  The row's exponent ``pi i tau n^2 / 2 + 2 pi i n
+    v`` (C keeps the Gaussian's other half) is linear in ``(1, v)`` too, so
+    it is frozen with ``K`` as ``_KG = [K | G]`` (6, E + T), G's rows 0 and 3.
     """
 
     def __init__(self, params: ThetaParams, shifts, powers, gamma, coef, scale):
@@ -142,52 +149,52 @@ class ThetaQuotients:
             self._n, sig)), n == 0])
         c, d, P = -1j * np.pi * params.tau, -2j * np.pi, self.powers
         Pe = P.sum(axis=1)
-        self._K = np.array([np.log(self.coef) + c * (P @ m ** 2) + d * (P @ (m * sig)),
-                            2 * c * (P @ m) + d * (P @ sig), c * Pe, d * (P @ m), d * Pe,
-                            np.broadcast_to(self.phase, Pe.shape)])
+        self._KG = np.hstack([[np.log(self.coef) + c * (P @ m ** 2) + d * (P @ (m * sig)),
+                               2 * c * (P @ m) + d * (P @ sig), c * Pe, d * (P @ m), d * Pe,
+                               np.broadcast_to(self.phase, Pe.shape)], np.zeros((6, n.size))])
+        self._KG[[0, 3], len(P):] = self._gauss, self._n
         ints = P.real.astype(int)
         if (ints != P).any():
             raise ValueError("theta quotient powers must be integers")
         self._factors = _factor_lists(ints.shape, ints.tobytes())
         frozen(self.shifts, self.powers, self.phase, self.coef, self._gauss, self._n,
-               self._table, self._K)
+               self._table, self._KG)
 
-    def _series(self, z, deriv):
-        """``exp`` of every element's exponent at ``u = scale z`` (..., E), the
-        sums ``S`` (..., F + 1) and, with ``deriv``, ``S'`` and the exponent's
-        ``u``-derivative.  A number or any 0-d input is reduced with Python's
-        ``round`` and takes one vector-matrix product; an array broadcasts, so
-        that every complex ``exp`` runs before the series matmul."""
-        K, tau = self._K, self.params.tau
+    def _evaluate(self, z, deriv):
+        """Every element at ``z`` (...), shape (..., E), and with ``deriv``
+        their log-derivatives too.  A number (or 0-d ``z``) is reduced in
+        Python arithmetic, and one ``exp`` of ``(1, m, m^2, v, m v, u) @ _KG``
+        gives its exponents and series row; an array broadcasts its exponents,
+        so that every complex ``exp`` runs before the series matmul."""
+        E, tau = len(self.powers), self.params.tau
         if isinstance(z, (int, float, complex)) or np.ndim(z) == 0:
             u = self.scale * complex(z)
             m = round(u.imag / tau.imag)
             v = u - m * tau
             v -= round(v.real)
-            e = np.exp(np.array([1, m, m * m, v, m * v, u]) @ K)
+            y = np.exp(np.array([1, m, m * m, v, m * v, u]) @ self._KG)
+            e, row = y[:E], y[E:]
         else:
-            u = self.scale * np.asarray(z, dtype=complex)
+            K, u = self._KG[:, :E], self.scale * np.asarray(z, dtype=complex)
             v, m = _reduce(u, tau)
             u, v, m = u[..., None], v[..., None], m[..., None]
             e = np.exp(K[0] + m * (K[1] + m * K[2]) + v * (K[3] + m * K[4]) + u * K[5])
-        row = np.exp(self._gauss + v * self._n)
+            row = np.exp(self._gauss + v * self._n)
         S = row @ self._table
-        if deriv:
-            return e, S, (row * self._n) @ self._table, K[5] + K[3] + m * K[4]
-        return e, S, None, None
-
-    def _values(self, e, S):
         quotient = np.multiply.reduce(S[..., self._factors], axis=-1)
-        return e * quotient[..., 0] / quotient[..., 1]
+        values = e * quotient[..., 0] / quotient[..., 1]
+        if not deriv:
+            return values
+        K, dS = self._KG[:, :E], (row * self._n) @ self._table
+        return values, self.scale * (K[5] + K[3] + m * K[4] + (dS / S)[..., :-1] @ self.powers.T)
 
     def __call__(self, z):
         """Every element at ``z`` of shape (...): shape (..., E)."""
-        return self._values(*self._series(z, False)[:2])
+        return self._evaluate(z, False)
 
     def logderivs(self, z):
         """Values and log-derivatives ``d/dz log q_e`` at ``z``, both (..., E)."""
-        e, S, dS, slope = self._series(z, True)
-        return self._values(e, S), self.scale * (slope + (dS / S)[..., :-1] @ self.powers.T)
+        return self._evaluate(z, True)
 
 
 @lru_cache(maxsize=256)
@@ -254,14 +261,14 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
 
     ``func`` maps an ``(m,)`` array of points to ``(f, f'/f)``, two arrays of
     shape ``(m,)``.  Each segment is cut into at least 4 steps of at most
-    0.05, and the whole path is evaluated in one call.  A step is bisected
-    (only those steps, only their midpoints evaluated) when its ratio
-    f(z + h)/f(z) has |ratio - 1| > 0.5, so no principal log is taken of a
-    ratio far from 1, or when |h| |f'/f| > 1 at one of its ends, so no step
-    straddles a zero: across a zero of even order the ratio comes back close
-    to 1 after the argument has turned by a multiple of 2 pi.  A failing
-    step below 1e-8, or a point inside the puncture radius, raises
-    ``NumericDomainError``.
+    0.05 (one of length 0 into none), and the whole path is evaluated in one
+    call.  A step is bisected (only those steps, only their midpoints
+    evaluated) when its ratio f(z + h)/f(z) has |ratio - 1| > 0.5, so no
+    principal log is taken of a ratio far from 1, or when |h| |f'/f| > 1 at
+    one of its ends, so no step straddles a zero: across a zero of even
+    order the ratio comes back close to 1 after the argument has turned by a
+    multiple of 2 pi.  A failing step below 1e-8, or a point inside the
+    puncture radius, raises ``NumericDomainError``.
     """
     def evaluate(pts):
         near = puncture_distance(pts, params) < tol.puncture_radius
@@ -272,7 +279,7 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
 
     nodes = np.asarray(nodes, dtype=complex)
     delta = nodes[1:] - nodes[:-1]
-    steps = np.maximum(4, (np.abs(delta) / 0.05).astype(int) + 1)
+    steps = np.where(delta == 0, 0, np.maximum(4, (np.abs(delta) / 0.05).astype(int) + 1))
     at = np.zeros(nodes.size, dtype=int)  # grid index of every node
     at[1:] = steps.cumsum()
     seg = np.repeat(np.arange(steps.size), steps)
@@ -437,8 +444,8 @@ def section_quotients(params: ThetaParams) -> ThetaQuotients:
 
 def _last(quotients: ThetaQuotients):
     """``w -> (q, q'/q)`` of the last element alone, ``1/h`` of the section (same table)."""
-    last = copy.copy(quotients)
-    last.powers, last._K, last._factors = last.powers[-1:], last._K[:, -1:], last._factors[-1:]
+    last, E = copy.copy(quotients), len(quotients.powers)
+    last.powers, last._KG, last._factors = last.powers[-1:], last._KG[:, E - 1:], last._factors[-1:]
     return lambda w: tuple(v[..., 0] for v in last.logderivs(w))
 
 

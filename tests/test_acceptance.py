@@ -59,6 +59,14 @@ class TestAcceptanceCriteria:
             "elliptic_count_n2": {"validated": 3, "branch_points": 4,
                                   "genus_prediction": 3}}
 
+    def test_elliptic_builds_the_forms_once_per_lax_matrix(self, monkeypatch):
+        # the invariants are built before the probe loop: one form read-off
+        # for each of the suite's two Lax matrices, not one per probe
+        built, forms = [], ell._invariant_forms
+        monkeypatch.setattr(ell, "_invariant_forms", lambda lax: built.append(lax) or forms(lax))
+        SUITES["elliptic"](CONFIG)
+        assert len(built) == 2
+
     def test_elliptic_seed_5_points(self, monkeypatch):
         # the n=2 draw at seed 5 continues the section past double zeros of
         # f_j; a step that straddled one would flip a section component and

@@ -1,10 +1,12 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
 
 from sovkit import elliptic as E
 from sovkit import kernel, theta
-from sovkit.errors import NumericDomainError
+from sovkit.errors import ConsistencyError, NumericDomainError
 from sovkit.numeric import PathSpec, integrate_path
 from sovkit.theta import ThetaParams, i_matrices, section_quotients
 from sovkit.tolerances import DEFAULT
@@ -114,6 +116,42 @@ class TestBasis:
         assert np.array_equal(w.deriv(lam), w.deriv(lam))
         assert np.array_equal(w(lam), first)
         assert len(built) == 1
+
+    def test_validation_builds_one_evaluator(self, monkeypatch):
+        # every character's elements from one evaluator, not one per character
+        params = ThetaParams(tau=TAU, r=3)
+        div = E.EllipticDivisor(points=(0.2 + 0.3 * TAU, 0.5 + 0.6 * TAU), mults=(1, 1))
+        built = []
+        monkeypatch.setattr(E, "ThetaQuotients",
+                            lambda *args: built.append(args) or theta.ThetaQuotients(*args))
+        basis = E.build_basis(div, params)
+        assert len(built) == 1 and len(basis) == 9
+
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("key", [(1, 0), (-1, -1)])
+    def test_validation_names_the_faulty_character(self, r, key, monkeypatch):
+        # each character is checked on its own columns of the one evaluation:
+        # a gamma off by 1/(2r) in one character breaks its multipliers, and
+        # a repeated element its rank, and the error names that character
+        key = (key[0] % r, key[1] % r)
+        params = ThetaParams(tau=TAU, r=r)
+        div = E.EllipticDivisor(points=((0.2 + 0.3 * TAU) / r, (0.6 + 0.5 * TAU) / r),
+                                mults=(1, 1))
+        basis = E.build_basis(div, params)
+        repeated = {k: ([v[0], v[0]] if k == key else v) for k, v in basis.items()}
+        with pytest.raises(ConsistencyError,
+                           match=re.escape(f"character {key} span has deficient rank")):
+            E._validate_basis(repeated, div.reduced(params), params, DEFAULT)
+
+        class Shifted(E.BasisFunction):
+            def __init__(self, params, character, gamma, zeros, poles):
+                gamma += (tuple(character) == key) / (2 * params.r)
+                super().__init__(params, character, gamma, zeros, poles)
+
+        monkeypatch.setattr(E, "BasisFunction", Shifted)
+        with pytest.raises(ConsistencyError,
+                           match=re.escape(f"multiplier system violated for character {key};")):
+            E.build_basis(div, params)
 
 
 class TestAssembly:
@@ -226,6 +264,18 @@ class TestInvariantForms:
                     oracle = complex(char[r - k])
                     for value in (t(complex(lam)), t(np.array([lam]))[0]):
                         assert abs(value - oracle) <= 1e-14 * _form_scale(lax, lam, k), (k, lam)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_forms_take_one_char_bipoly_call_per_degree(self, r, monkeypatch):
+        # t_1 from the unit points in one call, t_2 from the doubled unit and
+        # the pair points in one more
+        lax, _ = _lax_and_probes(r, 2)
+        calls = []
+        monkeypatch.setattr(kernel, "char_bipoly", lambda M, f=kernel.char_bipoly:
+                            calls.append(M.shape) or f(M))
+        E._invariant_forms(lax)
+        size = len(lax._mats)
+        assert calls == [(size, r, r), (size * (size + 1) // 2, r, r)][:r]
 
     @pytest.mark.parametrize("r, n", [(1, 2), (2, 1), (2, 2), (3, 1)])
     def test_no_recursion_per_point_below_rank_3(self, r, n, monkeypatch):
@@ -473,13 +523,13 @@ class TestDivisorExtraction:
         # one for the section (A and 1/h together), one for the Lax matrix
         lax, lams = _lax_and_probes(3, 2)
         E._b_logderiv(lax, lams.ravel()[:4])  # A's constants now cached
-        calls, series = [], theta.ThetaQuotients._series
+        calls, series = [], theta.ThetaQuotients._evaluate
 
         def counted(self, *args):
             calls.append(self)
             return series(self, *args)
 
-        monkeypatch.setattr(theta.ThetaQuotients, "_series", counted)
+        monkeypatch.setattr(theta.ThetaQuotients, "_evaluate", counted)
         E._b_logderiv(lax, lams.ravel()[:4])
         assert len(calls) == 2 and calls[0] is section_quotients(lax.params)
 

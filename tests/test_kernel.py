@@ -680,7 +680,7 @@ def test_cached_plans_and_tables_are_read_only():
                   for arr in plan[1:]),
                 rational.structure_tensor(2, 2, linear).a,
                 *(getattr(q, name) for q in quotients
-                  for name in ("shifts", "powers", "phase", "coef", "_table", "_K", "_factors")),
+                  for name in ("shifts", "powers", "phase", "coef", "_table", "_KG", "_factors")),
                 linearize._FRAC, numeric._GL_NODES, numeric._GL_WEIGHTS,
                 numeric._DP_C, numeric._DP_A, numeric._DP_E]:
         with pytest.raises(ValueError, match="read-only"):

@@ -428,9 +428,9 @@ class TestCovectorPlan:
     @pytest.mark.parametrize("position", [(1, 2), (0, 3)])
     def test_flow_stage_stops_at_its_level(self, position, monkeypatch):
         # H = C_{k,l} reads level r - 1 - k of the recursion and nothing above
-        # it.  Levels 0 and 1 run it only while the plan is built, at the points
-        # that read off the covectors' monomials (0 at level 0, each of e_1, ...,
-        # e_N at level 1), and never in a stage
+        # it.  Levels 0 and 1 run it only while the plan is built, once, at the
+        # points that read off the covectors' monomials (0 at level 0, all of
+        # e_1, ..., e_N at level 1), and never in a stage
         rng = np.random.default_rng(62)
         phi = R.random_instance(2, 2, rng)
         level = phi.r - 1 - position[0]
@@ -445,7 +445,7 @@ class TestCovectorPlan:
         R._flow_plan.cache_clear()
         R.flow(phi, position, R.BracketSpec(a=(1.0,), b=0.0), np.linspace(0.0, 0.2, 3))
         K, points = phi.r * phi.n + 1, phi.coeff_mats.size if level else 1
-        assert shapes == [((1, K, level + 1), (1, K, level + 1, phi.r, phi.r))] * points
+        assert shapes == [((points, K, level + 1), (points, K, level + 1, phi.r, phi.r))]
 
     @pytest.mark.parametrize("r,n", [(2, 1), (2, 3), (3, 1), (3, 2), (4, 1)])
     def test_affine_plan_matches_the_recursion(self, r, n):
@@ -461,8 +461,8 @@ class TestCovectorPlan:
             top, vander, blocks = R._flow_covectors(r, n, pos)
             if top > 1:
                 continue
-            idx, coef = map(np.concatenate, zip(*kernel._monomials(lambda y: R._levels(
-                y, r, top, vander)[:, :, top].reshape(len(y), -1) @ blocks.T, N, top)))
+            idx, coef = kernel._monomials(lambda y: R._levels(
+                y, r, top, vander)[:, :, top].reshape(len(y), -1) @ blocks.T, N, top)
             route = R._covector_blocks(grad.reshape(1, n + 1, r, r)).ravel()
             plan = coef.T @ x[idx].prod(axis=1)
             assert np.abs(plan - route).max() <= 1e-13 * np.abs(route).max(), pos
@@ -540,7 +540,7 @@ class TestMonomialFlowField:
         S, v, c = S + S.T, S[0], S[0, 0]
         form = [lambda x: np.full((len(x), 1), c), lambda x: (x @ v)[:, None],
                 lambda x: np.einsum("pi,ij,pj->p", x, S, x)[:, None]][degree]
-        idx, coef = map(np.concatenate, zip(*kernel._monomials(form, N, degree)))
+        idx, coef = kernel._monomials(form, N, degree)
         assert idx.shape == (N * (N + 1) // 2 if degree == 2 else N ** degree, degree)
         assert (np.diff(idx, axis=1) >= 0).all()
         expected = {0: lambda: c, 1: lambda: v[idx[:, 0]],

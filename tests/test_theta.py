@@ -493,6 +493,25 @@ class TestContinuedLog:
             T._continued_log(lambda w: (np.ones(w.size), np.zeros(w.size)),
                              [p - 0.1, p], self.PARAMS, DEFAULT)
 
+    def test_zero_length_segment_takes_no_step(self):
+        # a segment of length 0 adds no point and an increment of exactly 0,
+        # but its node is still checked against the puncture radius
+        z0, z1 = 0.02 + 0.05j, 0.12 + 0.05j
+        seen = []
+
+        def func(w):
+            seen.append(w.size)
+            return w - 0.4, 1 / (w - 0.4)
+
+        logs = T._continued_log(func, [z0, z0, z1, z1], self.PARAMS, DEFAULT)
+        assert logs[1] == 0 and logs[3] == logs[2]
+        assert seen == [5]  # z0, then the 4 steps to z1
+        assert (T._continued_log(func, [z0, z0], self.PARAMS, DEFAULT) == 0).all()
+        assert seen == [5, 1]
+        p = self.PARAMS.puncture
+        with pytest.raises(NumericDomainError, match="branch obstruction"):
+            T._continued_log(func, [p, p], self.PARAMS, DEFAULT)
+
     def test_node_logs_match_closed_form(self):
         a, b = 0.4 + 0.3j, -0.2 - 0.25j
         nodes = np.array([0.02 + 0.05j, 0.17 + 0.02j, 0.11 + 0.19j])
@@ -660,8 +679,8 @@ class TestBasicSection:
         zs = T._anchor(params) + np.array([0.0, 0.05 + 0.02j, 0.3 / r + 0.2j / r, -0.1])
         for one, full in zip(T._last(s)(zs), s.logderivs(zs)):
             assert np.abs(one - full[:, -1]).max() <= 1e-15 * np.abs(full[:, -1]).max()
-        series, widths = T.ThetaQuotients._series, []
-        monkeypatch.setattr(T.ThetaQuotients, "_series",
+        series, widths = T.ThetaQuotients._evaluate, []
+        monkeypatch.setattr(T.ThetaQuotients, "_evaluate",
                             lambda self, z, deriv: widths.append(self.powers.shape[0])
                             or series(self, z, deriv))
         trk = T.SectionTracker(params)
@@ -731,6 +750,37 @@ class TestNumberPath:
         z = 0.3 + 0.1j
         assert T.riemann_theta(z, params) == T.riemann_theta(np.asarray(z), params)
 
+    @pytest.mark.parametrize("kind", ["lax 1", "lax 2", "lax 3", "f 2", "f 3", "f 4",
+                                      "section 2", "section 3"])
+    def test_number_path_matches_the_array_path(self, kind):
+        # a number takes its exponents and series row from one product with
+        # [K | G], an array from broadcast exponents and its own row: values
+        # and log-derivatives agree to 1e-14 relative (log-derivatives to the
+        # largest at the point, as they cancel to near 0) within half a cell
+        # of the origin; farther out an exponent's own rounding, |exponent|
+        # times eps, grows past that on either path
+        q = _fold_case(kind)
+        a, b = np.random.default_rng(6).uniform(-0.5, 0.5, (2, 30))
+        z = (a + b * q.params.tau) / q.scale
+        vals, logd = q.logderivs(z)
+        for w, ref_vals, ref_logd in zip(z, vals, logd):
+            got_vals, got_logd = q.logderivs(complex(w))
+            assert np.array_equal(got_vals, q(complex(w)))
+            assert (np.abs(got_vals - ref_vals) <= 1e-14 * np.abs(ref_vals)).all()
+            assert (np.abs(got_logd - ref_logd) <= 1e-14 * np.abs(ref_logd).max()).all()
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_last_element_alone(self, r):
+        # _last slices the folded [K | G] with the powers and the factor lists:
+        # at a number, a 0-d array and an array it gives the section's last
+        # element, 1/h, and its log-derivative
+        q = T.section_quotients(T.ThetaParams(tau=0.2 + 1.1j, r=r))
+        zs = T._anchor(q.params) + np.array([0.0, 0.05 + 0.02j, 0.3 / r + 0.2j / r, -0.1])
+        for z in (complex(zs[1]), np.asarray(zs[2]), zs):
+            for one, full in zip(T._last(q)(z), q.logderivs(z)):
+                assert np.shape(one) == np.shape(z)
+                assert np.all(np.abs(one - full[..., -1]) <= 1e-14 * np.abs(full[..., -1]))
+
 
 def _per_factor(q, z):
     """The elements of ``q`` and their log-derivatives at the points ``z`` (m,),
@@ -751,14 +801,13 @@ def _per_factor(q, z):
 
 
 def _fold_case(kind):
-    if kind == "lax":
-        params = T.ThetaParams(tau=0.2 + 1.1j, r=2)
-        div = E.EllipticDivisor(points=((0.31 + 0.42 * params.tau) / 2,
-                                        (0.67 + 0.18 * params.tau) / 2), mults=(1, 1))
+    family, r = (kind + " 2").split()[:2]
+    params = T.ThetaParams(tau=0.2 + 1.1j, r=int(r))
+    if family == "lax":
+        div = E.EllipticDivisor(points=((0.31 + 0.42 * params.tau) / params.r,
+                                        (0.67 + 0.18 * params.tau) / params.r), mults=(1, 1))
         return E._quotients(params, [w for els in E.build_basis(div, params).values()
                                      for w in els])
-    family, r = kind.split()
-    params = T.ThetaParams(tau=0.2 + 1.1j, r=int(r))
     return T.f_quotients(params) if family == "f" else T.section_quotients(params)
 
 
