@@ -641,7 +641,7 @@ def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
     (degree, M) the sorted indices of the field's monomials into the point and a 1 (index
     ``N``, padding the ``a`` part where both parts are there), ``q`` (N, M) their
     coefficients.  ``kernel._monomials`` reads ``g``'s monomials off the recursion, then each
-    part's off ``_lax_field`` at unit points against all of them, N points at a time.
+    part's off ``_lax_field`` at unit points against all of them, in chunks.
     Coefficients at most 1e-14 of the bracket's scale (``max(|a|, |b|)`` times ``g``'s
     largest coefficient) are rounding residue, so a Casimir's plan is empty.  Above degree 3
     the route is ``"levels"``, ``(vander, blocks)``, contracted in every stage.  At most 32
@@ -662,8 +662,9 @@ def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
     for part, (ap, bp) in enumerate([(a, 0.0), (0 * a, spec.b)]):
         if not (np.any(ap) or bp):
             continue
-        idx, c = kernel._monomials(lambda x: np.concatenate(  # N points at a time: memory
-            [_lax_field(y, g, ap, bp) for y in np.split(x, range(N, len(x), N))]), N, part + 1)
+        step = max(1, N * N // len(G))  # points per _lax_field call: its memory
+        idx, c = kernel._monomials(lambda x: np.concatenate(
+            [_lax_field(y, g, ap, bp) for y in np.split(x, range(step, len(x), step))]), N, part + 1)
         c = c.swapaxes(1, 2).reshape(-1, N)
         big = np.abs(c).max(axis=1) > floor
         terms.append(np.hstack([idx.repeat(len(G), axis=0), np.tile(gidx, (len(idx), 1)),
