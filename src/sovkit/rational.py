@@ -662,7 +662,7 @@ def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
     for part, (ap, bp) in enumerate([(a, 0.0), (0 * a, spec.b)]):
         if not (np.any(ap) or bp):
             continue
-        step = max(1, N * N // len(G))  # points per _lax_field call: its memory
+        step = max(1, N * N // max(1, len(G)))  # points per _lax_field call: its memory
         idx, c = kernel._monomials(lambda x: np.concatenate(
             [_lax_field(y, g, ap, bp) for y in np.split(x, range(step, len(x), step))]), N, part + 1)
         c = c.swapaxes(1, 2).reshape(-1, N)
