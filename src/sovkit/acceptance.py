@@ -7,6 +7,7 @@ in parallel, one worker process each, up to a configured worker count.
 
 import multiprocessing
 import platform
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -16,14 +17,26 @@ import numpy as np
 from . import elliptic as ell
 from . import linearize, rational, theta
 from .errors import MatchingError, NonGenericError
-from .tolerances import DEFAULT
 
-__all__ = ["CheckResult", "ExperimentConfig", "Report", "SUITES", "run_acceptance",
-           "theta_cell"]
+__all__ = ["COUNT_GATE", "CheckResult", "ExperimentConfig", "GATES", "Report", "SUITES",
+           "TAGS", "run_acceptance", "theta_cell"]
 
 RN_COMBOS = ((2, 2), (2, 3), (3, 1), (4, 1))
 BRACKETS = {"linear": rational.BracketSpec(a=(1.0,), b=0.0),
             "quadratic": rational.BracketSpec(a=(0.0,), b=1.0)}
+
+# A check's family is its name less its shape, tau and bracket tags
+TAGS = re.compile(r"(_(r\d+|n\d+|tau[a-z]|linear|quadratic|mixed))+$")
+# The gate of each family at tol_scale 1; a check's tolerance is GATES[family] * tol_scale
+GATES = {
+    "involution": 1e-6, "jacobi": 1e-10, "isospectral": 1e-8, "canonical": 1e-9,
+    "slopes": 1e-9, "linearization_fit": 1e-5, "linearization_slopes": 1e-6,
+    "linearization_path_independence": 1e-8,
+    "theta_zero": 1e-12, "theta_relations": 1e-12, "theta_period": 1e-10, "theta_roots": 1e-8,
+    "elliptic_quasiperiodicity": 1e-8, "elliptic_slr": 1e-12, "elliptic_translation_shift": 1e-8,
+}
+# The gate of a count check, whose residual is 0 (the count holds) or 1; not scaled
+COUNT_GATE = 0.5
 
 
 @dataclass
@@ -38,6 +51,11 @@ class CheckResult:
     def from_residual(cls, name, residual, tolerance, **details):
         return cls(name=name, residual=float(residual), tolerance=float(tolerance),
                    passed=bool(residual < tolerance), details=details)
+
+    @classmethod
+    def gated(cls, name, residual, tol_scale, **details):
+        """``from_residual`` at the gate of ``name``'s family times ``tol_scale``."""
+        return cls.from_residual(name, residual, GATES[TAGS.sub("", name)] * tol_scale, **details)
 
 
 @dataclass(frozen=True)
@@ -63,7 +81,6 @@ def _random_specs(rng, n, count=5):
 
 def suite_involution(config: ExperimentConfig):
     out = []
-    tol = 1e-6 * config.tol_scale
     for (r, n) in RN_COMBOS:
         rng = np.random.default_rng(config.seed + 11)
         specs = _random_specs(rng, n)
@@ -72,14 +89,13 @@ def suite_involution(config: ExperimentConfig):
             phi = rational.random_instance(r, n, rng)
             for spec in specs:
                 worst = max(worst, rational.involution_max_residual(phi, spec))
-        out.append(CheckResult.from_residual(
-            f"involution_r{r}_n{n}", worst, tol, instances=20, specs=len(specs)))
+        out.append(CheckResult.gated(
+            f"involution_r{r}_n{n}", worst, config.tol_scale, instances=20, specs=len(specs)))
     return out
 
 
 def suite_jacobi(config: ExperimentConfig):
     out = []
-    tol = 1e-10 * config.tol_scale
     for (r, n) in RN_COMBOS:
         rng = np.random.default_rng(config.seed + 23)
         specs = _random_specs(rng, n)
@@ -89,14 +105,13 @@ def suite_jacobi(config: ExperimentConfig):
             x = rational.MatPoly(rational._random_disk_cm(r, n, rng)).flatten()
             triples = [tuple(rng.integers(0, tensor.dim, 3)) for _ in range(10)]
             worst = max(worst, rational.jacobi_max_residual(tensor, x, triples))
-        out.append(CheckResult.from_residual(
-            f"jacobi_r{r}_n{n}", worst, tol, triples=10, specs=len(specs)))
+        out.append(CheckResult.gated(
+            f"jacobi_r{r}_n{n}", worst, config.tol_scale, triples=10, specs=len(specs)))
     return out
 
 
 def suite_isospectral(config: ExperimentConfig):
     out = []
-    tol = 1e-8 * config.tol_scale
     for (r, n) in RN_COMBOS:
         rng = np.random.default_rng(config.seed + 37)
         worst = 0.0
@@ -113,14 +128,13 @@ def suite_isospectral(config: ExperimentConfig):
                                 for p in traj)
                     worst = max(worst, drift / scale)
                     flows += 1
-        out.append(CheckResult.from_residual(
-            f"isospectral_r{r}_n{n}", worst, tol, flows=flows))
+        out.append(CheckResult.gated(
+            f"isospectral_r{r}_n{n}", worst, config.tol_scale, flows=flows))
     return out
 
 
 def suite_canonical(config: ExperimentConfig):
     out = []
-    tol = 1e-9 * config.tol_scale
     rng = np.random.default_rng(config.seed + 41)
     a_rand = tuple(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     b_rand = complex(rng.standard_normal() + 1j * rng.standard_normal())
@@ -129,8 +143,8 @@ def suite_canonical(config: ExperimentConfig):
         phi = rational.random_instance(2, n, rng)
         for label, spec in brackets.items():
             rep = rational.verify_canonical(phi, spec)
-            out.append(CheckResult.from_residual(
-                f"canonical_n{n}_{label}", rep.max_residual, tol, points=rep.points.count))
+            out.append(CheckResult.gated(f"canonical_n{n}_{label}", rep.max_residual,
+                                         config.tol_scale, points=rep.points.count))
     return out
 
 
@@ -156,10 +170,6 @@ def _triangle_contains(a, b, c, p):
 
 def suite_linearization(config: ExperimentConfig):
     out = []
-    tol_fit = 1e-5 * config.tol_scale
-    tol_path = 1e-8 * config.tol_scale
-    tol_slopes = 1e-6 * config.tol_scale
-    tol_identity = 1e-9 * config.tol_scale
     # the slope identity dQ_i/dt_j = delta_ij in closed form, on every shape
     for (r, n) in RN_COMBOS:
         rng = np.random.default_rng(config.seed + 59)
@@ -169,8 +179,8 @@ def suite_linearization(config: ExperimentConfig):
             for phi in phis:
                 hams, S = linearize.slope_matrix(phi, spec)
                 worst = max(worst, float(np.abs(S - np.eye(len(hams))).max()))
-            out.append(CheckResult.from_residual(
-                f"slopes_r{r}_n{n}_{label}", worst, tol_identity,
+            out.append(CheckResult.gated(
+                f"slopes_r{r}_n{n}_{label}", worst, config.tol_scale,
                 instances=len(phis), hamiltonians=len(hams)))
 
     rng = np.random.default_rng(config.seed + 53)
@@ -200,12 +210,12 @@ def suite_linearization(config: ExperimentConfig):
             raise MatchingError("linearization window could not be stabilized")
         worst_fit = max(worst_fit, float(res.fit_residuals.max()))
         slope_dev = max(slope_dev, float(np.abs(res.slopes - S[:, j]).max()))
-    out.append(CheckResult.from_residual(
-        "linearization_fit_r2_n3", worst_fit, tol_fit, hamiltonians=len(hams)))
+    out.append(CheckResult.gated(
+        "linearization_fit_r2_n3", worst_fit, config.tol_scale, hamiltonians=len(hams)))
     # the path-integral slopes against S at t = 0: a sheet error in the Abel
     # sums fails here instead of fitting a wrong line
-    out.append(CheckResult.from_residual(
-        "linearization_slopes_r2_n3", slope_dev, tol_slopes, hamiltonians=len(hams)))
+    out.append(CheckResult.gated(
+        "linearization_slopes_r2_n3", slope_dev, config.tol_scale, hamiltonians=len(hams)))
 
     # path independence within a branch-free homotopy class: the detour
     # midpoint is chosen so the triangle (z0, mid, ze) contains no branch
@@ -213,7 +223,7 @@ def suite_linearization(config: ExperimentConfig):
     z0 = linearize.pick_base_point(bps)
     integrand = linearize._conjugate_integrand(curve, spec, hams)
     ze, xe = d.z[0], d.xi[0]
-    direct = linearize._integrals_to_points(curve, integrand, [z0], [ze], [xe], bps, DEFAULT)[0]
+    direct = linearize._integrals_to_points(curve, integrand, [z0], [ze], [xe], bps)[0]
     for offset in (0.3j, -0.3j, 0.15j, -0.15j, 0.08j, -0.08j):
         mid = 0.5 * (z0 + ze) + offset * (ze - z0)
         clear = np.min(np.abs(mid - bps)) > 0.12 if bps.size else True
@@ -225,9 +235,9 @@ def suite_linearization(config: ExperimentConfig):
     total, xi_fin = linearize.sheet_integrals(curve, integrand, [path])
     sheet = int(np.argmin(np.abs(xi_fin[0] - xe)))
     detour = total[0, :, sheet]
-    out.append(CheckResult.from_residual(
+    out.append(CheckResult.gated(
         "linearization_path_independence", float(np.abs(direct - detour).max()),
-        tol_path))
+        config.tol_scale))
     return out
 
 
@@ -243,13 +253,9 @@ def suite_genus_counts(config: ExperimentConfig):
             genus_ok &= (rational.genus(phi) == expected_g)
             counts.append(rational.divisor_coords(phi).count)
         constant = len(set(counts)) == 1
-        out.append(CheckResult(
-            name=f"genus_count_r{r}_n{n}",
-            residual=0.0 if (genus_ok and constant) else 1.0,
-            tolerance=0.5,
-            passed=genus_ok and constant,
-            details={"expected_genus": expected_g, "divisor_count": counts[0],
-                     "instances": 20}))
+        out.append(CheckResult.from_residual(
+            f"genus_count_r{r}_n{n}", 0.0 if (genus_ok and constant) else 1.0, COUNT_GATE,
+            expected_genus=expected_g, divisor_count=counts[0], instances=20))
     return out
 
 
@@ -263,15 +269,11 @@ def theta_cell(params, seed: int, tol_scale: float = 1.0):
     are drawn from ``default_rng(seed + 71)``.
     """
     r, tau = params.r, params.tau
-    tol_zero = 1e-12 * tol_scale
-    tol_rel = 1e-12 * tol_scale
-    tol_period = 1e-10 * tol_scale
-    tol_roots = 1e-8 * tol_scale
     rng = np.random.default_rng(seed + 71)
     out = []
 
     zero = abs(theta.riemann_theta((1.0 + tau) / 2.0, params))
-    out.append(CheckResult.from_residual("theta_zero", zero, tol_zero))
+    out.append(CheckResult.gated("theta_zero", zero, tol_scale))
 
     worst = 0.0
     for _ in range(5):
@@ -305,7 +307,7 @@ def theta_cell(params, seed: int, tol_scale: float = 1.0):
                           - 2j * np.pi * (z + (2 * k - 1 - tau) / (2 * r)))
             w1 = theta.xi_kj(z + tau / r, k, r - 1, params)
             worst = max(worst, abs(w1 - facx * w0) / max(1.0, abs(w1)))
-    out.append(CheckResult.from_residual("theta_relations", worst, tol_rel))
+    out.append(CheckResult.gated("theta_relations", worst, tol_scale))
 
     _, I2 = theta.i_matrices(r)
     worst_p = 0.0
@@ -324,8 +326,7 @@ def theta_cell(params, seed: int, tol_scale: float = 1.0):
         worst_p = max(worst_p, float(np.abs(F1 - F0).max() / scale))
         worst_p = max(worst_p, float(np.abs(F2 - I2 @ F0).max() / scale))
         used.append(z)
-    out.append(CheckResult.from_residual("theta_period", worst_p, tol_period,
-                                         points=len(used)))
+    out.append(CheckResult.gated("theta_period", worst_p, tol_scale, points=len(used)))
 
     q, trk, worst_s = params.q_root, theta.SectionTracker(params), 0.0
     for z in used[:3]:  # away from the anchor, where d is calibrated to I2
@@ -333,7 +334,7 @@ def theta_cell(params, seed: int, tol_scale: float = 1.0):
         t0, s2 = trk.value_at([z, z + tau / r]).T
         worst_s = max(worst_s, np.abs(s1 / s0 - q ** np.arange(r)).max(),
                       np.abs(s2 - I2 @ t0).max() / np.abs(t0).max())
-    out.append(CheckResult.from_residual("theta_roots", worst_s, tol_roots))
+    out.append(CheckResult.gated("theta_roots", worst_s, tol_scale))
     return out
 
 
@@ -350,8 +351,6 @@ def suite_theta(config: ExperimentConfig):
 
 def suite_elliptic(config: ExperimentConfig):
     out = []
-    tol_qp = 1e-8 * config.tol_scale
-    tol_slr = 1e-12 * config.tol_scale
     tau = 0.15 + 1.05j
     r = 2
     params = theta.ThetaParams(tau=tau, r=r)
@@ -383,23 +382,20 @@ def suite_elliptic(config: ExperimentConfig):
                 worst_qp = max(worst_qp, abs(t(lam + params.omega1) - tv) / sc,
                                abs(t(lam + params.omega2) - tv) / sc)
             checked += 1
-        out.append(CheckResult.from_residual(
-            f"elliptic_quasiperiodicity_n{n}", worst_qp, tol_qp))
+        out.append(CheckResult.gated(
+            f"elliptic_quasiperiodicity_n{n}", worst_qp, config.tol_scale))
 
         rep = ell.elliptic_divisor_coords(lax, full_report=True)
         count_ok = rep.validated_count == rep.genus_prediction
-        out.append(CheckResult(
-            name=f"elliptic_count_n{n}",
-            residual=0.0 if count_ok else 1.0, tolerance=0.5, passed=count_ok,
-            details={"validated": rep.validated_count,
-                     "branch_points": rep.branch_count,
-                     "genus_prediction": rep.genus_prediction}))
+        out.append(CheckResult.from_residual(
+            f"elliptic_count_n{n}", 0.0 if count_ok else 1.0, COUNT_GATE,
+            validated=rep.validated_count, branch_points=rep.branch_count,
+            genus_prediction=rep.genus_prediction))
 
         red = ell.slr_reduce(rep.points)
         slr_resid = max(abs(sum(p.z for p in red)),
                         abs(np.prod([p.xi for p in red]) - 1.0))
-        out.append(CheckResult.from_residual(
-            f"elliptic_slr_n{n}", slr_resid, tol_slr))
+        out.append(CheckResult.gated(f"elliptic_slr_n{n}", slr_resid, config.tol_scale))
 
         if n == 1:
             z0 = 0.21 + 0.05j
@@ -410,8 +406,8 @@ def suite_elliptic(config: ExperimentConfig):
             zb = sorted((ell.reduce_to_domain(p.z, params) for p in rep.points),
                         key=lambda w: (round(w.real, 8), round(w.imag, 8)))
             shift_dev = max(abs(a - b) for a, b in zip(za, zb)) if za else 0.0
-            out.append(CheckResult.from_residual(
-                "elliptic_translation_shift", shift_dev, 1e-8 * config.tol_scale))
+            out.append(CheckResult.gated(
+                "elliptic_translation_shift", shift_dev, config.tol_scale))
     return out
 
 

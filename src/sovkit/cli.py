@@ -66,10 +66,9 @@ def _write_json(path: Path, payload: dict):
 def cmd_spectral(args) -> int:
     phi = docs.load_lax(args.input)
     spec = _load_bracket_arg(args.bracket)
-    tol = DEFAULT.scaled(args.tol_scale)
     curve = rational.spectral_curve(phi)
-    g = rational.genus(phi, tol)
-    hams, cass = rational.casimir_detect(phi, spec, tol)
+    g = rational.genus(phi, DEFAULT.scaled(args.tol_scale))
+    hams, cass = rational.casimir_detect(phi, spec)
     out = _out_dir(args)
     _write_json(out / "curve.json", docs.dump_curve(curve, g, hams, cass))
     print(f"genus {g}; {len(hams)} Hamiltonians, {len(cass)} Casimirs; "
@@ -114,7 +113,7 @@ def cmd_flow(args) -> int:
     except ValueError:
         raise SchemaError('flag --hamiltonian must be "k,l"') from None
     tol = DEFAULT.scaled(args.tol_scale)
-    hams, cass = rational.casimir_detect(phi, spec, tol)
+    hams, cass = rational.casimir_detect(phi, spec)
     times = np.linspace(0.0, args.t_max, args.samples)
     traj = rational.flow(phi, pos, spec, times, tol)
     base = rational.spectral_curve(traj[0]).grid
@@ -169,9 +168,9 @@ def cmd_theta(args) -> int:
 
 def cmd_elliptic(args) -> int:
     params, divisor, coeffs, z0 = docs.load_elliptic(args.input)
-    tol = DEFAULT.scaled(args.tol_scale)
-    lax = ell.assemble_lax(coeffs, divisor, params, z0=z0, tol=tol)
-    rep = ell.elliptic_divisor_coords(lax, tol=tol, full_report=True)
+    lax = ell.assemble_lax(coeffs, divisor, params, z0=z0)
+    rep = ell.elliptic_divisor_coords(lax, tol=DEFAULT.scaled(args.tol_scale),
+                                      full_report=True)
     out = _out_dir(args)
     rows = [(i, p.z.real, p.z.imag, p.xi.real, p.xi.imag, p.sheet)
             for i, p in enumerate(rep.points)]
@@ -213,26 +212,29 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sovkit",
         description="Separation-of-variables engine for spectral-curve systems")
     sub = parser.add_subparsers(dest="command", required=True)
+    tolerances = "every field of Tolerances: root_residual, ode and divisor"
+    gates = "every gate of acceptance.GATES; the count checks' COUNT_GATE stays"
 
-    def common(p, needs_input=True):
+    def common(p, scales, needs_input=True):
         if needs_input:
             p.add_argument("--input", required=True, help="instance document (JSON)")
-        p.add_argument("--tol-scale", type=_positive, default=1.0, dest="tol_scale")
+        p.add_argument("--tol-scale", type=_positive, default=1.0, dest="tol_scale",
+                       help=f"factor on {scales} (default 1)")
         p.add_argument("--out", default=None, help=f"output dir (or ${OUT_ENV})")
 
     p = sub.add_parser("spectral", help="spectral curve, genus, coefficient split")
-    common(p)
+    common(p, tolerances)
     p.add_argument("--bracket", default=None, help="bracket document (JSON)")
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("sov", help="divisor coordinates and canonical residuals")
-    common(p)
+    common(p, tolerances)
     p.add_argument("--bracket", default=None)
     p.add_argument("--section", type=int, default=None, help="divisor section e_K, 0 <= K < r")
     p.set_defaults(func=cmd_sov)
 
     p = sub.add_parser("flow", help="Hamiltonian flow with linearizing coordinates")
-    common(p)
+    common(p, tolerances)
     p.add_argument("--bracket", default=None)
     p.add_argument("--hamiltonian", required=True, help='grid position "k,l"')
     p.add_argument("--t-max", type=_positive, default=0.3, dest="t_max")
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("theta", help="theta relations battery")
-    common(p, needs_input=False)
+    common(p, gates, needs_input=False)
     p.add_argument("--rank", type=_number(int, lambda v: v >= 1, "an integer >= 1"), required=True)
     p.add_argument("--tau-re", type=_number(float, lambda v: True, "a finite number"),
                    default=0.0, dest="tau_re")
@@ -249,11 +251,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("elliptic", help="elliptic instance pipeline")
-    common(p)
+    common(p, tolerances)
     p.set_defaults(func=cmd_elliptic)
 
     p = sub.add_parser("accept", help="run the acceptance matrix")
-    common(p, needs_input=False)
+    common(p, gates, needs_input=False)
     p.add_argument("--suites", default=None,
                    help="comma-separated suite names (default: all)")
     p.add_argument("--workers", type=_number(int, lambda v: v >= 1, "an integer >= 1"),

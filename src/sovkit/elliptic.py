@@ -21,7 +21,8 @@ from . import kernel
 from .errors import ConsistencyError, NonGenericError, NumericDomainError
 from .numeric import PathSpec, integrate_path
 from .theta import ThetaParams, ThetaQuotients, i_matrices, lattice_coords, section_quotients
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import (BASIS_MULTIPLIER, BASIS_RANK, DEFAULT, LAX_PERIODICITY,
+                         PUNCTURE_RADIUS, Tolerances)
 
 __all__ = [
     "EllipticDivisor", "BasisFunction", "EllipticLax", "FundamentalDomainPoint",
@@ -99,8 +100,7 @@ class BasisFunction:
         return np.multiply(*self._evaluator.logderivs(lam))[..., 0]
 
 
-def build_basis(divisor: EllipticDivisor, params: ThetaParams,
-                tol: Tolerances = DEFAULT):
+def build_basis(divisor: EllipticDivisor, params: ThetaParams):
     """Basis functions per character (a, b), keyed by dict.
 
     Every character sector has dimension equal to the divisor degree; the
@@ -148,7 +148,7 @@ def build_basis(divisor: EllipticDivisor, params: ThetaParams,
                         params, (a, b), gamma, (zmain,) + zextra, poles))
             basis[(a, b)] = elements
 
-    _validate_basis(basis, div, params, tol)
+    _validate_basis(basis, div, params)
     return basis
 
 
@@ -164,26 +164,25 @@ def _cell_probes(params, points, count, seed, min_dist):
     return np.array(probes)
 
 
-def _validate_basis(basis, div, params, tol):
+def _validate_basis(basis, div, params):
     q = params.q_root
-    probes = _cell_probes(params, div.points, 10, 7, 5 * tol.puncture_radius)
+    probes = _cell_probes(params, div.points, 10, 7, 5 * PUNCTURE_RADIUS)
     # rows: the probes, then their omega1 and omega2 translates
     shifted = probes + np.array([0.0, params.omega1, params.omega2])[:, None]
     n = div.degree
-    bound = tol.basis_multiplier
     values = _quotients(params, [w for elements in basis.values() for w in elements])(shifted)
     ends = np.cumsum([len(elements) for elements in basis.values()])[:-1]
     for (a, b), (v0, v1, v2) in zip(basis, np.split(values, ends, axis=-1)):
         nz = v0 != 0
         r1 = v1[nz] / v0[nz]
         r2 = v2[nz] / v0[nz]
-        if np.any(np.abs(r1 - q ** (-b)) > bound * np.maximum(1.0, np.abs(r1))) or \
-                np.any(np.abs(r2 - q ** a) > bound * np.maximum(1.0, np.abs(r2))):
+        if np.any(np.abs(r1 - q ** (-b)) > BASIS_MULTIPLIER * np.maximum(1.0, np.abs(r1))) or \
+                np.any(np.abs(r2 - q ** a) > BASIS_MULTIPLIER * np.maximum(1.0, np.abs(r2))):
             raise ConsistencyError(
                 f"multiplier system violated for character {(a, b)}; "
                 f"degenerate divisor configuration")
         s = np.linalg.svd(v0, compute_uv=False)
-        if s.size < n or s[n - 1] < tol.basis_rank * s[0]:
+        if s.size < n or s[n - 1] < BASIS_RANK * s[0]:
             raise ConsistencyError(
                 f"character {(a, b)} span has deficient rank; "
                 f"degenerate divisor configuration")
@@ -229,16 +228,15 @@ class EllipticLax:
 
 
 def assemble_lax(coeffs, divisor: EllipticDivisor, params: ThetaParams,
-                 z0=0.0, tol: Tolerances = DEFAULT,
-                 basis: Optional[dict] = None) -> EllipticLax:
+                 z0=0.0, basis: Optional[dict] = None) -> EllipticLax:
     """Assemble phi(lambda) = sum c_{ab,m} w_{ab,m}(lambda) I1^a I2^b.
 
     The conjugation quasi-periodicity phi(lam + omega_i) = I_i phi I_i^{-1}
-    is re-verified at random probe points (``tol.lax_periodicity``) after
+    is re-verified at random probe points (``LAX_PERIODICITY``) after
     assembly.
     """
     if basis is None:
-        basis = build_basis(divisor, params, tol)
+        basis = build_basis(divisor, params)
     n = divisor.degree
     table = {}
     for key, cvec in coeffs.items():
@@ -251,13 +249,13 @@ def assemble_lax(coeffs, divisor: EllipticDivisor, params: ThetaParams,
                       coeffs=table, z0=complex(z0), basis=basis)
 
     I1, I2 = i_matrices(params.r)
-    probes = _cell_probes(params, lax.divisor.points, 6, 11, 10 * tol.puncture_radius)
+    probes = _cell_probes(params, lax.divisor.points, 6, 11, 10 * PUNCTURE_RADIUS)
     scale = max(1.0, *(np.abs(v).max() for v in table.values())) if table else 1.0
     base = lax(probes)
     mag = np.maximum(1.0, np.abs(base).max(axis=(1, 2))) * scale
     r1 = np.abs(lax(probes + params.omega1) - I1 @ base @ np.linalg.inv(I1)).max(axis=(1, 2))
     r2 = np.abs(lax(probes + params.omega2) - I2 @ base @ np.linalg.inv(I2)).max(axis=(1, 2))
-    if np.any(np.maximum(r1, r2) > tol.lax_periodicity * mag):
+    if np.any(np.maximum(r1, r2) > LAX_PERIODICITY * mag):
         raise ConsistencyError("assembled Lax matrix violates quasi-periodicity")
     return lax
 
@@ -379,18 +377,18 @@ def _disc_logderiv(lax, zs):
     return 2 * ((dxi[..., i] - dxi[..., j]) / (xi[..., i] - xi[..., j])).sum(axis=-1)
 
 
-def _loop_moments(logderiv, loop, centre, rho, count, tol):
+def _loop_moments(logderiv, loop, centre, rho, count):
     """``(1/2 pi i) int ((z - centre)/rho)^k f'/f dz``, k < ``count``, around the
     closed polygon ``loop``, and its error estimate; ``logderiv`` maps the
     quadrature nodes, in path order, to ``f'/f`` there."""
     def integrand(zs):
         return ((zs - centre) / rho)[:, None] ** np.arange(count) * logderiv(zs)[:, None]
 
-    value, error = integrate_path(integrand, PathSpec(tuple(loop)), tol)
+    value, error = integrate_path(integrand, PathSpec(tuple(loop)))
     return value / (2j * np.pi), error / (2 * np.pi)
 
 
-def _cell_zeros(logderiv, params, origin, poles, orders, tol,
+def _cell_zeros(logderiv, params, origin, poles, orders,
                 box=((0.0, 1.0), (0.0, 1.0)), depth=0):
     """The zeros of ``f`` in the parallelogram ``box = ((a0, a1), (b0, b1))``,
     that is ``origin + [a0, a1) omega1 + [b0, b1) omega2``, from ``logderiv``,
@@ -422,7 +420,7 @@ def _cell_zeros(logderiv, params, origin, poles, orders, tol,
     pa, pb = lattice_coords(poles, params, origin)
     inside = (a0 <= pa) & (pa < a1) & (b0 <= pb) & (pb < b1)
     # the zeroth moment, the count, even where the cell holds no zero
-    value, error = _loop_moments(logderiv, corners, centre, rho, max(1, 2 * most), tol)
+    value, error = _loop_moments(logderiv, corners, centre, rho, max(1, 2 * most))
     value = value + orders[inside] @ (
         ((poles[inside] - centre) / rho)[:, None] ** np.arange(value.size))
     count = int(np.rint(value[0].real))
@@ -461,14 +459,14 @@ def _cell_zeros(logderiv, params, origin, poles, orders, tol,
     cut = cuts[np.argmax(np.minimum(gaps, 0.1 * (hi - lo)))]
     halves = [list(box), list(box)]
     halves[0][side], halves[1][side] = (lo, cut), (cut, hi)
-    zs = np.concatenate([_cell_zeros(logderiv, params, origin, poles, orders, tol,
+    zs = np.concatenate([_cell_zeros(logderiv, params, origin, poles, orders,
                                      tuple(half), depth + 1) for half in halves])
     if zs.size != count:
         raise ConsistencyError(f"the halves of a box with {count} zeros hold {zs.size}")
     return zs
 
 
-def _branch_points(lax, origin, tol):
+def _branch_points(lax, origin):
     """The zeros of the discriminant ``D = prod_{i<j} (xi_i - xi_j)^2`` of
     ``det(phi - xi I)`` on the cell at ``origin``, by ``_cell_zeros``: ``D`` is
     elliptic, with a pole of order ``m r(r-1)`` at a divisor point of
@@ -476,7 +474,7 @@ def _branch_points(lax, origin, tol):
     params, r = lax.params, lax.params.r
     poles = reduce_to_domain(np.array(lax.divisor.points), params, origin)
     return _cell_zeros(partial(_disc_logderiv, lax), params, origin, poles,
-                       r * (r - 1) * np.array(lax.divisor.mults), tol)
+                       r * (r - 1) * np.array(lax.divisor.mults))
 
 
 def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
@@ -489,7 +487,7 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     ``_cell_zeros`` finds its zeros on the cell from ``B'/B`` at points
     (``_b_logderiv``), with the pole order of ``B`` at each divisor point
     and at the puncture measured around a clockwise 8-gon of radius
-    ``2.5 tol.puncture_radius``.  Each ``xi`` and its residual, which must
+    ``2.5 PUNCTURE_RADIUS``.  Each ``xi`` and its residual, which must
     be within ``tol.divisor``, come from ``kernel.divisor_points`` with ``A``
     for ``s``, whose scalar factor the points do not see.  The genus
     prediction is Riemann--Hurwitz over the torus, ``1 + branch_count/2``,
@@ -503,13 +501,13 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     logderiv = partial(_b_logderiv, lax)
     singulars = reduce_to_domain(np.array(lax.divisor.points + (params.puncture,)),
                                  params, origin)
-    ring = 2.5 * tol.puncture_radius * np.exp(-2j * np.pi * np.arange(9) / 8)
-    measured = np.array([_loop_moments(logderiv, p + ring, p, 1.0, 1, tol)[0][0]
+    ring = 2.5 * PUNCTURE_RADIUS * np.exp(-2j * np.pi * np.arange(9) / 8)
+    measured = np.array([_loop_moments(logderiv, p + ring, p, 1.0, 1)[0][0]
                          for p in singulars])
     orders = np.rint(measured.real).astype(int)
     if np.abs(measured - orders).max() > 1e-8:
         raise ConsistencyError(f"B has poles of orders {measured}, not integers")
-    zs = _cell_zeros(logderiv, params, origin, singulars, orders, tol)
+    zs = _cell_zeros(logderiv, params, origin, singulars, orders)
     count = zs.size
 
     phis = lax(zs)
@@ -519,7 +517,7 @@ def elliptic_divisor_coords(lax: EllipticLax, tol: Tolerances = DEFAULT,
     if validated != count:
         raise ConsistencyError(f"{validated} of the {count} zeros of B are divisor points")
 
-    branch_count = _branch_points(lax, origin, tol).size
+    branch_count = _branch_points(lax, origin).size
     genus_pred = 1 + branch_count // 2
 
     zred = reduce_to_domain(zs, params, origin)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, NonGenericError
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import CLUSTER_DERIVATIVE, DEFAULT, ROOT_CLUSTER, ZERO_TRIM, Tolerances
 
 __all__ = [
     "poly_trim", "poly_degree", "poly_eval", "poly_der", "companion_roots", "poly_roots",
@@ -30,19 +30,19 @@ __all__ = [
 # univariate polynomials
 # ---------------------------------------------------------------------------
 
-def poly_trim(c, tol: Tolerances = DEFAULT):
-    """Drop trailing coefficients below ``zero_trim * max|c|``.
+def poly_trim(c):
+    """Drop trailing coefficients below ``ZERO_TRIM * max|c|``.
 
     The zero polynomial is canonically the empty array.
     """
     c = np.atleast_1d(np.asarray(c, dtype=complex))
-    return c[: poly_degree(c, tol) + 1].copy()
+    return c[: poly_degree(c) + 1].copy()
 
 
-def poly_degree(c, tol: Tolerances = DEFAULT):
+def poly_degree(c):
     """The degree of every row of ``c`` (..., k) after ``poly_trim``, -1 if zero."""
     a = np.abs(c)
-    keep = ~(a <= tol.zero_trim * a.max(axis=-1, keepdims=True, initial=0.0))
+    keep = ~(a <= ZERO_TRIM * a.max(axis=-1, keepdims=True, initial=0.0))
     return (keep * np.arange(1, a.shape[-1] + 1)).max(axis=-1, initial=0) - 1
 
 
@@ -142,7 +142,7 @@ def _validate_cluster(monic, members, tol: Tolerances):
     p = monic
     for q in range(monic.size):  # the deg-th derivative is a nonzero constant
         resid = abs(poly_eval(p, c)) / _eval_scale(p, c)
-        if resid > (10.0 * tol.root_residual if q == 0 else tol.cluster_derivative):
+        if resid > (10.0 * tol.root_residual if q == 0 else CLUSTER_DERIVATIVE):
             break
         p = poly_der(p)
     if q < m:
@@ -170,7 +170,7 @@ def poly_roots(p, tol: Tolerances = DEFAULT):
     stack of no rows gives ``[]``.
     """
     p = np.atleast_1d(np.asarray(p, dtype=complex))
-    degs = set(poly_degree(p, tol).reshape(-1).tolist())
+    degs = set(poly_degree(p).reshape(-1).tolist())
     if not degs:
         return []
     if min(degs) < 0 or len(degs) > 1:
@@ -231,7 +231,7 @@ def _near_pairs(cols, cen, sizes, scale, tol: Tolerances):
         taylor[:, m == mv] = np.maximum(np.abs(t), 1e-300)
     spread = (tol.root_residual * _eval_scale(cols, mid) / taylor) ** (1.0 / m)
     radius = np.maximum(scale * (10.0 * tol.root_residual ** (
-        1.0 / np.minimum(m + 1, len(cols) - 1)) + tol.root_cluster), 10.0 * spread)
+        1.0 / np.minimum(m + 1, len(cols) - 1)) + ROOT_CLUSTER), 10.0 * spread)
     return i, j, np.abs(cen[:, i] - cen[:, j]) <= radius
 
 
@@ -446,16 +446,16 @@ def bipoly_dxi(c):
     return d if len(d) else np.zeros((1, d.shape[1]), dtype=complex)
 
 
-def _xi_degree(c, tol: Tolerances):
+def _xi_degree(c):
     c = np.asarray(c, dtype=complex)
     top = np.abs(c).max()
     if top == 0.0:
         return -1
-    rows = np.where((np.abs(c) > tol.zero_trim * top).any(axis=1))[0]
+    rows = np.where((np.abs(c) > ZERO_TRIM * top).any(axis=1))[0]
     return int(rows.max()) if rows.size else -1
 
 
-def resultant(p, q, eliminate="xi", tol: Tolerances = DEFAULT):
+def resultant(p, q, eliminate="xi"):
     """Sylvester resultant of two bivariate polynomials.
 
     Eliminates ``xi`` (grid axis 0) or ``z`` (axis 1) and returns a 1-D polynomial
@@ -468,7 +468,7 @@ def resultant(p, q, eliminate="xi", tol: Tolerances = DEFAULT):
         p, q = p.T, q.T
     elif eliminate != "xi":
         raise ValueError("eliminate must be 'xi' or 'z'")
-    dp, dq = _xi_degree(p, tol), _xi_degree(q, tol)
+    dp, dq = _xi_degree(p), _xi_degree(q)
     if dp < 1 or dq < 1:
         raise NonGenericError("resultant degenerate")
     p = p[: dp + 1]
@@ -484,4 +484,4 @@ def resultant(p, q, eliminate="xi", tol: Tolerances = DEFAULT):
     for row in range(dp):
         S[:, dq + row, row: row + dq + 1] = qc
     coeffs = np.fft.fft(np.linalg.det(S)) / K
-    return poly_trim(coeffs, tol)
+    return poly_trim(coeffs)

@@ -30,7 +30,7 @@ from .numeric import _GL_NODES as _NODES, _GL_WEIGHTS as _WEIGHTS
 from .rational import (BracketSpec, DivisorCoords, MatPoly, SpectralCurve, _divisor_stack,
                        _poisson, branch_points, casimir_detect, divisor_jacobian,
                        spectral_curve, spectral_gradient_matrix)
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import BRANCH_AVOID, DEFAULT, Tolerances
 
 __all__ = ["LinearizeResult", "build_path", "sheet_integrals", "slope_matrix",
            "linearize", "pick_base_point"]
@@ -49,12 +49,12 @@ def _segment_clearance(a, b, point):
     return abs(point - foot), foot, t
 
 
-def build_path(z0, z1, branch_pts, tol: Tolerances = DEFAULT):
+def build_path(z0, z1, branch_pts):
     """Piecewise-linear path z0 -> z1 avoiding branch points.
 
     A straight segment passing within a branch point's avoidance radius gets
     a perpendicular detour waypoint at twice that radius, around the first
-    such branch point.  The radius is ``branch_avoid`` times the path scale,
+    such branch point.  The radius is ``BRANCH_AVOID`` times the path scale,
     capped at a quarter of the distance to the nearest other branch point and
     half the distance to the segment's endpoints, so a detour never lands
     inside a neighbour's radius.  After three re-routing rounds the path is
@@ -63,7 +63,7 @@ def build_path(z0, z1, branch_pts, tol: Tolerances = DEFAULT):
     branch_pts = np.asarray(branch_pts, dtype=complex)
     scale = max(abs(z0), abs(z1), np.abs(branch_pts).max(initial=1.0))
     sep = np.abs(branch_pts[:, None] - branch_pts) + np.diag(np.full(branch_pts.size, np.inf))
-    radii = np.minimum(tol.branch_avoid * scale, 0.25 * sep.min(axis=1, initial=np.inf))
+    radii = np.minimum(BRANCH_AVOID * scale, 0.25 * sep.min(axis=1, initial=np.inf))
     waypoints = [complex(z0), complex(z1)]
     for _ in range(3):
         out = [waypoints[0]]
@@ -265,7 +265,7 @@ def _landing_sheets(xi_fin, xi_end, sheet=None, what="the divisor point"):
     return sheet
 
 
-def _integrals_to_points(curve, integrand, z_start, z_end, xi_end, branch_pts, tol,
+def _integrals_to_points(curve, integrand, z_start, z_end, xi_end, branch_pts,
                          xi_start=np.nan):
     """Integrals (points, components) along the curve from each ``z_start`` to
     ``(z_end, xi_end)`` by one ``sheet_integrals`` call, on the sheet landing
@@ -289,7 +289,7 @@ def _integrals_to_points(curve, integrand, z_start, z_end, xi_end, branch_pts, t
     if np.any(np.abs(start[hop][np.arange(first.size), first] - xi_start[hop])
               > 1e-3 * np.maximum(1.0, np.abs(xi_start[hop]))):
         raise ConsistencyError("sheet tracking did not start on the divisor point")
-    total, xi_fin = sheet_integrals(curve, integrand, [build_path(a, b, branch_pts, tol)
+    total, xi_fin = sheet_integrals(curve, integrand, [build_path(a, b, branch_pts)
                                                        for a, b in zip(z_start, z_end)], start)
     sheet = np.argmin(np.abs(xi_fin - xi_end[:, None]), axis=-1)
     sheet[hop] = first
@@ -326,13 +326,13 @@ def slope_matrix(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT):
     ``NonGenericError`` where the Hamiltonians and Casimirs do not cover every
     spectral position: ``dQ_i/dH_j`` at fixed other coefficients is undefined.
     """
-    hams, cass = casimir_detect(phi, spec, tol)
+    hams, cass = casimir_detect(phi, spec)
     positions, G = spectral_gradient_matrix(phi)
     if len(hams) + len(cass) < len(positions):
         raise NonGenericError(f"{len(hams)} Hamiltonians and {len(cass)} Casimirs do not "
                               f"cover the {len(positions)} spectral positions")
     points, dz, _ = divisor_jacobian(phi, tol=tol)
-    V = dz @ _poisson(phi, spec, tol) @ G[[positions.index(p) for p in hams]].T
+    V = dz @ _poisson(phi, spec) @ G[[positions.index(p) for p in hams]].T
     omega = _conjugate_integrand(spectral_curve(phi), spec, hams)(points.z, points.xi)
     return hams, omega @ V
 
@@ -379,7 +379,7 @@ def linearize(trajectory: Sequence[MatPoly], times, spec: BracketSpec,
         curve, _conjugate_integrand(curve, spec, positions),
         np.concatenate([np.full(m, z0)] + [d.z for d in divisors[:-1]]),
         np.concatenate([d.z for d in divisors]), np.concatenate([d.xi for d in divisors]),
-        bps, tol, np.concatenate([np.full(m, np.nan)] + [d.xi for d in divisors[:-1]])
+        bps, np.concatenate([np.full(m, np.nan)] + [d.xi for d in divisors[:-1]])
     ) if m else np.zeros((0, len(positions)), dtype=complex)
     q_table = np.cumsum(terms.reshape(times.size, m, len(positions)).sum(axis=1), axis=0).T
 

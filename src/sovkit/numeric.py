@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NumericDomainError
 from .kernel import frozen
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT, QUAD, Tolerances
 
 __all__ = ["PathSpec", "QuadResult", "integrate_path", "ode_solve"]
 
@@ -41,17 +41,17 @@ class QuadResult(NamedTuple):
 _GL_NODES, _GL_WEIGHTS = frozen(*np.polynomial.legendre.leggauss(12))
 
 
-def integrate_path(f: Callable, path: PathSpec, tol: Tolerances = DEFAULT) -> QuadResult:
+def integrate_path(f: Callable, path: PathSpec) -> QuadResult:
     """Adaptive Gauss--Legendre quadrature of ``f`` along ``path``.
 
     ``f`` maps a 1-D array of points to values (m,), or (m, k) for a vector
     integrand, and is called once per level on all new nodes in path order.
     Each segment starts as one 12-point panel; a level halves every panel
-    whose rule misses the sum over its halves by more than ``tol.quad`` times
-    the panel's own integral of ``|f|``, so the error stays below ``tol.quad``
+    whose rule misses the sum over its halves by more than ``QUAD`` times
+    the panel's own integral of ``|f|``, so the error stays below ``QUAD``
     times the integral of ``|f|`` over the path.  Raises
     ``NumericDomainError("singular path")`` after 48 levels or at a level of
-    over 512 panels (a singularity near the path, or noise above ``tol.quad``).
+    over 512 panels (a singularity near the path, or noise above ``QUAD``).
     """
     def rule(a, b):
         """The rule of ``f`` and of ``|f|`` on every panel (a, b)."""
@@ -74,7 +74,7 @@ def integrate_path(f: Callable, path: PathSpec, tol: Tolerances = DEFAULT) -> Qu
         halves, mags = rule(a, b)
         fine = halves[0::2] + halves[1::2]
         diff = np.abs(fine - whole)
-        bound = tol.quad * (mags[0::2] + mags[1::2])
+        bound = QUAD * (mags[0::2] + mags[1::2])
         ok = (diff <= bound).reshape(len(diff), -1).all(axis=1)
         total, err = total + fine[ok].sum(axis=0), err + diff[ok].sum(axis=0)
         keep = np.repeat(~ok, 2)

@@ -16,7 +16,7 @@ import numpy as np
 from . import kernel
 from .errors import ConsistencyError, ConvergenceError, NonGenericError
 from .numeric import ode_solve
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import CASIMIR, CLUSTER_MERGE, DEFAULT, DISC_GAP, Tolerances
 
 __all__ = [
     "MatPoly", "BracketSpec", "SpectralCurve", "StructureTensor", "DivisorCoords",
@@ -216,7 +216,7 @@ def spectral_curve(phi: MatPoly) -> SpectralCurve:
 
 def branch_points(curve: SpectralCurve, tol: Tolerances = DEFAULT):
     """Roots (with multiplicity tags) of the discriminant Disc_xi of the curve."""
-    disc = kernel.resultant(curve.grid, curve.dxi(), "xi", tol)
+    disc = kernel.resultant(curve.grid, curve.dxi(), "xi")
     return kernel.poly_roots(disc, tol)
 
 
@@ -231,12 +231,12 @@ def genus(phi: MatPoly, tol: Tolerances = DEFAULT) -> int:
         return 0
     lead = phi.coeff_mats[-1]
     eigs = np.linalg.eigvals(lead)
-    if kernel.min_gap(eigs) < tol.disc_gap * max(1.0, np.abs(eigs).max()):
+    if kernel.min_gap(eigs) < DISC_GAP * max(1.0, np.abs(eigs).max()):
         raise NonGenericError("non-generic curve: leading matrix eigenvalues collide")
     roots, mults = branch_points(spectral_curve(phi), tol)
     if np.any(mults > 1):
         raise NonGenericError("non-generic curve: non-simple branch point")
-    if kernel.min_gap(roots) < tol.disc_gap * np.abs(roots).max(initial=1.0):
+    if kernel.min_gap(roots) < DISC_GAP * np.abs(roots).max(initial=1.0):
         raise NonGenericError("non-generic curve: clustered branch points")
     if roots.size % 2 != 0:
         raise NonGenericError("non-generic curve: odd branch count")
@@ -303,27 +303,25 @@ def _lax_field(x, g, a, b):
 
 
 @lru_cache(maxsize=64)
-def structure_tensor(r: int, n: int, spec: BracketSpec,
-                     tol: Tolerances = DEFAULT) -> StructureTensor:
+def structure_tensor(r: int, n: int, spec: BracketSpec) -> StructureTensor:
     """One bracket of the family, ready to evaluate matrix-free.
 
-    Trims ``spec.a`` at ``tol`` and checks ``deg(a) <= n + 1`` once; the
+    Trims ``spec.a`` (``kernel.poly_trim``) and checks ``deg(a) <= n + 1`` once; the
     returned record stores no structure constants.
     """
-    a = kernel.poly_trim(spec.a_array, tol)
+    a = kernel.poly_trim(spec.a_array)
     if a.size > n + 2:
         raise ValueError("deg(a) must be at most n + 1")
     a, = kernel.frozen(np.pad(a, (0, 2 * n + 2 - a.size)))
     return StructureTensor(r=r, n=n, spec=spec, a=a)
 
 
-def bracket(grad_f, grad_g, phi: MatPoly, spec: BracketSpec,
-            tol: Tolerances = DEFAULT) -> complex:
+def bracket(grad_f, grad_g, phi: MatPoly, spec: BracketSpec) -> complex:
     """Poisson bracket {F, G}(phi) = grad(F) . Pi(phi) . grad(G) of two
     observables, given their gradients in the flattened coefficient vector."""
     gf = np.asarray(grad_f, dtype=complex)
     gg = np.asarray(grad_g, dtype=complex)
-    return complex(gf @ _poisson(phi, spec, tol) @ gg)
+    return complex(gf @ _poisson(phi, spec) @ gg)
 
 
 def jacobi_max_residual(tensor: StructureTensor, x, triples) -> float:
@@ -395,16 +393,15 @@ def spectral_gradient_matrix(phi: MatPoly):
 
 
 @_memoized
-def _poisson(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT) -> np.ndarray:
-    """``Pi`` at ``phi`` under ``spec``, once per point, bracket and ``tol``; read-only."""
-    return kernel.frozen(structure_tensor(phi.r, phi.n, spec, tol).poisson_matrix(phi.flatten()))[0]
+def _poisson(phi: MatPoly, spec: BracketSpec) -> np.ndarray:
+    """``Pi`` at ``phi`` under ``spec``, once per point and bracket; read-only."""
+    return kernel.frozen(structure_tensor(phi.r, phi.n, spec).poisson_matrix(phi.flatten()))[0]
 
 
-def involution_max_residual(phi: MatPoly, spec: BracketSpec,
-                            tol: Tolerances = DEFAULT) -> float:
+def involution_max_residual(phi: MatPoly, spec: BracketSpec) -> float:
     """max |{H_i, H_j}| over all spectral-coefficient pairs, relative."""
     _, G = spectral_gradient_matrix(phi)
-    pi = _poisson(phi, spec, tol)
+    pi = _poisson(phi, spec)
     B = G @ pi @ G.T
     norms = np.linalg.norm(G, axis=1)
     scale = norms[:, None] * norms[None, :] * max(np.linalg.norm(pi), 1e-30)
@@ -412,28 +409,28 @@ def involution_max_residual(phi: MatPoly, spec: BracketSpec,
 
 
 @_memoized
-def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT):
+def casimir_detect(phi: MatPoly, spec: BracketSpec):
     """Split the spectral coefficients into Hamiltonians and Casimirs at ``phi``.
 
     Row ``idx`` of ``F = G . Pi`` is the Hamiltonian field of the coefficient
     at ``positions[idx]`` (up to sign).  The fields span ``rank F`` dimensions,
-    counting singular values above ``tol.casimir`` times the largest; on the
+    counting singular values above ``CASIMIR`` times the largest; on the
     generic stratum that is ``deg B = n r (r-1) / 2 = g + r - 1``, and any
     other rank raises ``NonGenericError``.  The Hamiltonians are the ``rank F``
     positions a greedy pivoted Gram--Schmidt on the rows of ``F`` picks (QR of
     ``F^T`` with column pivoting); the Casimirs are the positions whose field
-    vanishes, below ``tol.casimir`` relative to ``|Pi| |grad C|``.  Both come
+    vanishes, below ``CASIMIR`` relative to ``|Pi| |grad C|``.  Both come
     back in ``spectral_positions`` order.  Under a general bracket some
     positions are neither: their fields are combinations of the Hamiltonians'
-    fields.  Computed once per point, bracket and ``tol``.
+    fields.  Computed once per point and bracket.
     """
     r, n = phi.r, phi.n
     positions, G = spectral_gradient_matrix(phi)
-    pi = _poisson(phi, spec, tol)
+    pi = _poisson(phi, spec)
     F = G @ pi
     sv = np.linalg.svd(F, compute_uv=False)
     deg_b = n * r * (r - 1) // 2
-    rank = int(np.count_nonzero(sv > tol.casimir * sv[0]))
+    rank = int(np.count_nonzero(sv > CASIMIR * sv[0]))
     if rank != deg_b:
         raise NonGenericError(f"Hamiltonian fields span {rank} dimensions, not deg B = {deg_b}")
     rest = F.copy()
@@ -446,7 +443,7 @@ def casimir_detect(phi: MatPoly, spec: BracketSpec, tol: Tolerances = DEFAULT):
     rel = np.linalg.norm(F, axis=1) / np.maximum(
         np.linalg.norm(pi) * np.linalg.norm(G, axis=1), 1e-30)
     hams = tuple(positions[idx] for idx in sorted(picked))
-    cass = tuple(p for p, c in zip(positions, rel < tol.casimir) if c)
+    cass = tuple(p for p, c in zip(positions, rel < CASIMIR) if c)
     return hams, cass
 
 
@@ -489,7 +486,7 @@ def _divisor_stack(phis, s=None, tol: Tolerances = DEFAULT):
     zk = np.exp(2j * np.pi * np.arange(deg_b + 1) / (deg_b + 1))
     Bs = np.fft.fft(np.linalg.det(kernel.krylov(kernel.poly_eval(
         cms, zk[:, None, None, None], tensor=False), s)), axis=0).T / zk.size
-    low = kernel.poly_degree(Bs, tol).min()
+    low = kernel.poly_degree(Bs).min()
     if low < deg_b:
         raise NonGenericError(f"s = {s} is special for phi: B has degree {low} < deg B"
                               f" = {deg_b} (points over z = inf, or B = 0); pass another s")
@@ -509,7 +506,7 @@ def _divisor_stack(phis, s=None, tol: Tolerances = DEFAULT):
         raise ConsistencyError(f"{valid.sum(1).min()} of the {deg_b} zeros of B are divisor points")
     zs = np.repeat(zroots, ms).reshape(xi.shape)
     scale = np.abs(np.concatenate([zs, xi], axis=1)).max(axis=1, initial=1.0)
-    degenerate = kernel.min_gap(zs, xi) < 100 * tol.cluster_merge * scale
+    degenerate = kernel.min_gap(zs, xi) < 100 * CLUSTER_MERGE * scale
     order = np.lexsort((xi.imag, xi.real, zs.imag, zs.real))
     # a state with fewer than deg B roots of B has a multiple one
     return [DivisorCoords(*kernel.frozen(z[o], x[o]), s, degenerate=bool(d or k < deg_b))
@@ -593,7 +590,7 @@ def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
     max(1, |row_mu| |Pi| |row_nu|) of its two chain-rule rows; the empty
     divisor has residuals 0."""
     base, dz, dxi = divisor_jacobian(phi, s=s, tol=tol)
-    pi = _poisson(phi, spec, tol)
+    pi = _poisson(phi, spec)
     b_zxi = dz @ pi @ dxi.T
     b_zz = dz @ pi @ dz.T
     b_xx = dxi @ pi @ dxi.T
@@ -630,8 +627,7 @@ def _flow_covectors(r: int, n: int, position: tuple):
 
 
 @lru_cache(maxsize=32)
-def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
-               tol: Tolerances = DEFAULT):
+def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec):
     """``flow``'s field of ``H = C_position`` under ``spec``: ``(route, p, q)``, read-only.
 
     The covector blocks ``g`` are homogeneous of degree ``top = r - 1 - k`` in the point, and
@@ -651,7 +647,7 @@ def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec,
     degree = top + (1 if spec.b == 0 else 2)
     if degree > 3:
         return ("levels",) + kernel.frozen(vander, blocks)
-    N, a = (n + 1) * r * r, structure_tensor(r, n, spec, tol).a
+    N, a = (n + 1) * r * r, structure_tensor(r, n, spec).a
     gidx, G = kernel._monomials(
         lambda x: _levels(x, r, top, vander)[:, :, top].reshape(len(x), -1) @ blocks.T, N, top)
     size = np.abs(G).max(axis=1)
@@ -692,7 +688,7 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
     r, n, position = phi0.r, phi0.n, tuple(h_position)
     if position not in spectral_positions(r, n):
         raise ValueError(f"{h_position} is not a spectral coefficient position")
-    route, p, q = _flow_plan(r, n, position, spec, tol)
+    route, p, q = _flow_plan(r, n, position, spec)
     if route == "monomials":
         first, *rest = p
         pad = bool((p == len(q)).any())  # the a part's monomials of a mixed field carry the 1
@@ -704,7 +700,7 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
                 m = m * x[k]
             return q @ m
     else:
-        a, top = structure_tensor(r, n, spec, tol).a, r - 1 - position[0]
+        a, top = structure_tensor(r, n, spec).a, r - 1 - position[0]
 
         def field(t, x):
             g = q @ _levels(x, r, top, p)[:, top].reshape(-1)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConsistencyError, NumericDomainError
 from .kernel import frozen
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import PUNCTURE_RADIUS
 
 __all__ = [
     "ThetaParams", "ThetaQuotients", "SectionTracker", "riemann_theta", "theta_deriv",
@@ -255,7 +255,7 @@ def puncture_distance(z, params: ThetaParams):
     return np.abs((a - np.rint(a)) * params.omega1 + (b - np.rint(b)) * params.omega2)
 
 
-def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
+def _continued_log(func, nodes, params: ThetaParams):
     """log f(node) - log f(nodes[0]) at every node of the polyline ``nodes``,
     continued along it, for one scalar function ``f``.
 
@@ -271,7 +271,7 @@ def _continued_log(func, nodes, params: ThetaParams, tol: Tolerances):
     puncture radius, raises ``NumericDomainError``.
     """
     def evaluate(pts):
-        near = puncture_distance(pts, params) < tol.puncture_radius
+        near = puncture_distance(pts, params) < PUNCTURE_RADIUS
         if np.any(near):
             raise NumericDomainError(f"branch obstruction near z={pts[near][0]:.6f}")
         vals, logd = func(pts)
@@ -372,7 +372,7 @@ def f_quotients(params: ThetaParams) -> ThetaQuotients:
     return _odd_family(params) if params.r % 2 else _even_family(params)
 
 
-def f_component(z, j, params: ThetaParams, tol: Tolerances = DEFAULT):
+def f_component(z, j, params: ThetaParams):
     """The quasi-periodic products f_j(z).
 
     ``j`` is an int or an integer array; for an array the components go on a
@@ -384,14 +384,14 @@ def f_component(z, j, params: ThetaParams, tol: Tolerances = DEFAULT):
     if np.any((j < 0) | (j >= params.r)):
         raise IndexError("index out of range")
     z = np.asarray(z, dtype=complex)
-    if np.any(puncture_distance(z, params) < tol.puncture_radius):
+    if np.any(puncture_distance(z, params) < PUNCTURE_RADIUS):
         raise NumericDomainError("pole")
     out = np.moveaxis(f_quotients(params)(z), -1, 0)[j]
     return out if out.shape else complex(out)
 
 
-def f_vector(z, params: ThetaParams, tol: Tolerances = DEFAULT):
-    return f_component(z, np.arange(params.r), params, tol=tol)
+def f_vector(z, params: ThetaParams):
+    return f_component(z, np.arange(params.r), params)
 
 
 def i_matrices(r: int):
@@ -437,7 +437,7 @@ def section_quotients(params: ThetaParams) -> ThetaQuotients:
         return ThetaQuotients(f.params, f.shifts[keep], powers, gamma, np.append(d, 1.0), f.scale)
 
     a, unit = _anchor(params), quotients(np.ones(r))
-    turn = np.exp(_continued_log(_last(unit), [a, a + params.omega2], params, DEFAULT)[-1] / r)
+    turn = np.exp(_continued_log(_last(unit), [a, a + params.omega2], params)[-1] / r)
     carry = unit(a + params.omega2)[:r - 1] * turn / unit(a)[1:r]  # d_(j+1) / d_j
     return quotients(f.coef[0] ** (1.0 / r) * np.cumprod(np.append(1.0, carry)))
 
@@ -460,8 +460,8 @@ class SectionTracker:
     chain the rest by ``s(z + tau/r) = I2 s(z)``.
     """
 
-    def __init__(self, params: ThetaParams, tol: Tolerances = DEFAULT):
-        self.params, self.tol, self.anchor = params, tol, _anchor(params)
+    def __init__(self, params: ThetaParams):
+        self.params, self.anchor = params, _anchor(params)
         self._s = section_quotients(params)
         a0 = self._s(self.anchor)
         self._root = (a0[0] ** params.r * a0[-1]) ** (1.0 / params.r) / a0[0]  # (1/h)^(1/r)
@@ -476,6 +476,6 @@ class SectionTracker:
         path = np.asarray(z, dtype=complex)
         if not np.isfinite(path).all():
             raise NumericDomainError("continuation target is not finite")
-        logs = _continued_log(_last(self._s), np.append(self.anchor, path), self.params, self.tol)
+        logs = _continued_log(_last(self._s), np.append(self.anchor, path), self.params)
         out = self._s(path.ravel())[:, :-1] * (self._root * np.exp(logs[1:, None] / self.params.r))
         return out.T.reshape((-1,) + path.shape)

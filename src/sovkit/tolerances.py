@@ -1,43 +1,39 @@
 """Central tolerance configuration.
 
-Every numeric routine takes an optional ``Tolerances`` record, so that a
-caller can set any threshold on its own.  ``Tolerances.scaled`` tightens or
-loosens three of them together: ``root_residual``, ``ode`` and ``divisor``.
+A ``Tolerances`` record carries the three thresholds that a caller may move:
+``root_residual``, ``ode`` and ``divisor``.  ``Tolerances.scaled`` multiplies
+all three.  The other thresholds hold one value on every code path and are
+module constants here.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
+
+ROOT_CLUSTER = 1e-7        # root clustering radius, relative to root scale
+ZERO_TRIM = 1e-13          # trailing-coefficient trim, relative to max |coeff|
+# Quadrature error per panel, relative to its integral of |f|.  Not scaled:
+# the moment quadrature only seeds Newton, and below about 1e-12 it stalls
+# on rounding.
+QUAD = 1e-10
+DISC_GAP = 1e-3            # minimum branch-point separation of a generic curve
+BRANCH_AVOID = 1e-2        # path avoidance radius around branch points
+PUNCTURE_RADIUS = 1e-3     # evaluation exclusion radius around theta punctures
+CLUSTER_MERGE = 1e-7       # duplicate-point merge radius
+LAX_PERIODICITY = 1e-8     # assembled elliptic Lax quasi-periodicity, relative
+BASIS_MULTIPLIER = 1e-10   # elliptic basis character multipliers, relative
+BASIS_RANK = 1e-8          # elliptic basis span: smallest/largest singular value
+CASIMIR = 1e-8             # Casimir field norm, relative; also the rank cut of G . Pi
+CLUSTER_DERIVATIVE = 1e-7  # derivative residual of a validated multiple root
 
 
 @dataclass(frozen=True)
 class Tolerances:
     root_residual: float = 1e-12   # |p(root)| <= root_residual * evaluation scale
-    root_cluster: float = 1e-7     # root clustering radius, relative to root scale
-    zero_trim: float = 1e-13       # trailing-coefficient trim, relative to max |coeff|
-    quad: float = 1e-10            # quadrature error per panel, relative to its integral of |f|
     ode: float = 1e-10             # ODE per-step relative tolerance
     divisor: float = 1e-9          # divisor-point residual bound, relative to scale
-    disc_gap: float = 1e-3         # minimum branch-point separation of a generic curve
-    branch_avoid: float = 1e-2     # path avoidance radius around branch points
-    puncture_radius: float = 1e-3  # evaluation exclusion radius around theta punctures
-    cluster_merge: float = 1e-7    # duplicate-point merge radius
-    lax_periodicity: float = 1e-8  # assembled elliptic Lax quasi-periodicity, relative
-    basis_multiplier: float = 1e-10  # elliptic basis character multipliers, relative
-    basis_rank: float = 1e-8       # elliptic basis span: smallest/largest singular value
-    casimir: float = 1e-8          # Casimir field norm, relative; also the rank cut of G . Pi
-    cluster_derivative: float = 1e-7  # derivative residual of a validated multiple root
 
     def scaled(self, factor: float) -> "Tolerances":
-        """A copy with ``root_residual``, ``ode`` and ``divisor`` times
-        ``factor``; the other twelve fields are unchanged.
-
-        ``quad`` is left alone: the moment quadrature only seeds Newton, and
-        below about 1e-12 it stalls on rounding."""
-        return replace(
-            self,
-            root_residual=self.root_residual * factor,
-            ode=self.ode * factor,
-            divisor=self.divisor * factor,
-        )
+        """A copy with every field times ``factor``."""
+        return Tolerances(*(getattr(self, f.name) * factor for f in fields(self)))
 
 
 DEFAULT = Tolerances()

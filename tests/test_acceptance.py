@@ -4,7 +4,7 @@ one pass/fail line."""
 import json
 
 from sovkit import elliptic as ell
-from sovkit.acceptance import SUITES, ExperimentConfig
+from sovkit.acceptance import GATES, SUITES, TAGS, ExperimentConfig, run_acceptance
 from sovkit.cli import main
 
 CONFIG = ExperimentConfig(seed=2024)
@@ -120,3 +120,11 @@ class TestAcceptanceCriteria:
         print(f"{status} criterion-9 determinism_and_robustness: "
               f"identical={identical} exits=({schema_code},{missing_code},{guard_code})")
         assert ok
+
+
+def test_tol_scale_multiplies_every_gate():
+    report = run_acceptance(ExperimentConfig(suites=("theta", "canonical"), tol_scale=2.0))
+    for check in report.records:
+        assert check.tolerance == 2 * GATES[TAGS.sub("", check.name)], check.name
+    assert {TAGS.sub("", check.name) for check in report.records} == {
+        "canonical", "theta_zero", "theta_relations", "theta_period", "theta_roots"}

@@ -141,7 +141,7 @@ class TestBasis:
         repeated = {k: ([v[0], v[0]] if k == key else v) for k, v in basis.items()}
         with pytest.raises(ConsistencyError,
                            match=re.escape(f"character {key} span has deficient rank")):
-            E._validate_basis(repeated, div.reduced(params), params, DEFAULT)
+            E._validate_basis(repeated, div.reduced(params), params)
 
         class Shifted(E.BasisFunction):
             def __init__(self, params, character, gamma, zeros, poles):
@@ -470,7 +470,8 @@ class TestDivisorExtraction:
             assert _residuals(lax, rep.points)[:, 1].max() <= 1e-8
 
     def test_scaled_tolerances_leave_the_quadrature(self):
-        # scaled with the rest to 1e-13, quad left this draw at "singular path"
+        # QUAD is no field of Tolerances: at 1e-13 the quadrature left this draw at
+        # "singular path"
         lax = _sequential_draws(3, 0)[1]
         rep = E.elliptic_divisor_coords(lax, tol=DEFAULT.scaled(1e-3), full_report=True)
         assert rep.validated_count == 7
@@ -583,16 +584,14 @@ class TestWinding:
         centre = loop[:-1].mean()
         rho = abs(loop[0] - centre)
         for a, inside in ((centre + 0.002 - 0.001j, True), (centre + 0.5, False)):
-            value, error = E._loop_moments(lambda z: k / (z - a), loop, centre, rho, 4,
-                                           DEFAULT)
+            value, error = E._loop_moments(lambda z: k / (z - a), loop, centre, rho, 4)
             expected = inside * k * ((a - centre) / rho) ** np.arange(4)
             assert np.abs(value - expected).max() <= 1e-10
             assert error.max() <= 1e-10
 
     def test_loop_through_a_zero_raises(self):
         with pytest.raises(NumericDomainError, match="singular path"):
-            E._loop_moments(lambda z: 1.0 / (z - SQUARE[1]), SQUARE, 0.3 + 0.2j, 0.1, 1,
-                            DEFAULT)
+            E._loop_moments(lambda z: 1.0 / (z - SQUARE[1]), SQUARE, 0.3 + 0.2j, 0.1, 1)
 
     def test_zero_near_the_loop_is_refined(self):
         # the zeros sit 1e-3 off the top edge: only the panels near them are
@@ -600,7 +599,7 @@ class TestWinding:
         x = -0.3137 / 64
         for a, expected in ((x + 0.501j, 0), (x + 0.499j, 1)):
             func = Counted(lambda z: 1.0 / (z - a))
-            value, _ = E._loop_moments(func, UNIT, 0.0, 0.5, 1, DEFAULT)
+            value, _ = E._loop_moments(func, UNIT, 0.0, 0.5, 1)
             assert abs(value[0] - expected) <= 1e-10
             # one call per level, on whole panels of 12 nodes
             assert func.sizes[:2] == [4 * 12, 8 * 12]
@@ -615,9 +614,9 @@ class TestWinding:
         calls = []
         integrate = E.integrate_path
 
-        def counted(f, path, tol):
+        def counted(f, path):
             calls.append((Counted(f), len(path.waypoints) - 1))
-            return integrate(calls[-1][0], path, tol)
+            return integrate(calls[-1][0], path)
 
         monkeypatch.setattr(E, "integrate_path", counted)
         E.elliptic_divisor_coords(lax)
@@ -647,7 +646,7 @@ class TestCellZeros:
 
         monkeypatch.setattr(E, "_cell_zeros", counted)
         found = E._cell_zeros(logderiv, self.PARAMS, self.ORIGIN, poles,
-                              np.ones(poles.size, dtype=int), DEFAULT)
+                              np.ones(poles.size, dtype=int))
         return found, boxes, any(at_zero)
 
     def test_rational_function_on_the_cell(self, monkeypatch):
@@ -679,7 +678,7 @@ class TestBranchPoints:
         lax = _sequential_draws(r, seed)[1]
         params = lax.params
         origin = 0.013 * params.omega1 + 0.017 * params.omega2
-        zs = E._branch_points(lax, origin, DEFAULT)
+        zs = E._branch_points(lax, origin)
         assert zs.size == r * (r - 1) * sum(lax.divisor.mults)
         phi = lax(zs)
         xi = np.linalg.eigvals(phi)

@@ -14,6 +14,7 @@ from sovkit import kernel, linearize
 from sovkit import rational as R
 from sovkit.acceptance import BRACKETS, RN_COMBOS
 from sovkit.errors import ConsistencyError, MatchingError, NonGenericError, NumericDomainError
+from sovkit.tolerances import BRANCH_AVOID
 
 
 def blowup_instance():
@@ -117,13 +118,13 @@ class TestFlow:
             R.MatPoly(np.where(np.eye(2, dtype=bool), np.nan, phi.coeff_mats))
 
 
-def _build_path_loop(z0, z1, branch_pts, tol=linearize.DEFAULT):
+def _build_path_loop(z0, z1, branch_pts):
     """``build_path`` in loop form, the reference for its array form: one
     branch point at a time per segment, the first offending one detoured."""
     branch_pts = np.asarray(branch_pts, dtype=complex)
     scale = max(1.0, abs(z0), abs(z1), np.abs(branch_pts).max() if branch_pts.size else 1.0)
     sep = np.abs(branch_pts[:, None] - branch_pts) + np.diag(np.full(branch_pts.size, np.inf))
-    radii = np.minimum(tol.branch_avoid * scale, 0.25 * sep.min(axis=1, initial=np.inf))
+    radii = np.minimum(BRANCH_AVOID * scale, 0.25 * sep.min(axis=1, initial=np.inf))
     waypoints = [complex(z0), complex(z1)]
     for _ in range(3):
         clean, out = True, [waypoints[0]]
@@ -244,7 +245,7 @@ class TestLinearize:
         integrand = linearize._conjugate_integrand(curve, spec, hams)
         ze, xe = d.z[0], d.xi[0]
         direct = linearize._integrals_to_points(
-            curve, integrand, [z0], [ze], [xe], bps, linearize.DEFAULT)[0]
+            curve, integrand, [z0], [ze], [xe], bps)[0]
         mid = 0.5 * (z0 + ze) + 0.35j * (ze - z0)
         assert np.min(np.abs(mid - bps)) > 0.15
         path = (linearize.build_path(z0, mid, bps)
@@ -536,7 +537,7 @@ class TestBatchedWalk:
         z1 = d.z[0] + 1e-3
         with pytest.raises(ConsistencyError, match="did not start"):
             linearize._integrals_to_points(curve, integrand, [d.z[0], d.z[0]], [z1, z1],
-                                           [0j, 0j], bps, linearize.DEFAULT,
+                                           [0j, 0j], bps,
                                            [d.xi[0], d.xi[0] + 10.0])
         assert counting.calls == []
 
@@ -545,15 +546,14 @@ class TestBatchedWalk:
         z0 = linearize.pick_base_point(bps)
         with pytest.raises(ConsistencyError, match="did not land"):
             linearize._integrals_to_points(curve, integrand, z0, d.z[:2],
-                                           [d.xi[0], d.xi[1] + 10.0], bps, linearize.DEFAULT)
+                                           [d.xi[0], d.xi[1] + 10.0], bps)
 
     def test_hop_past_clearance_raises_before_stepping(self, reference_r2_n3, monkeypatch):
         curve, bps, d, integrand = reference_r2_n3
         counting = _Counting(monkeypatch)
         with pytest.raises(MatchingError, match="branch clearance"):
             linearize._integrals_to_points(curve, integrand, [d.z[0], bps[0] + 1e-2],
-                                           [d.z[0] + 1e-4, bps[0] + 0.5], [0j, 0j], bps,
-                                           linearize.DEFAULT, [d.xi[0], 0j])
+                                           [d.z[0] + 1e-4, bps[0] + 0.5], [0j, 0j], bps, [d.xi[0], 0j])
         assert counting.calls == []
 
     def test_zero_length_hop_is_zero_and_not_walked(self, reference_r2_n3, monkeypatch):
@@ -561,9 +561,8 @@ class TestBatchedWalk:
         z0 = linearize.pick_base_point(bps)
         counting = _Counting(monkeypatch)
         out = linearize._integrals_to_points(curve, integrand, [d.z[0], z0], d.z[:2], d.xi[:2],
-                                             bps, linearize.DEFAULT, [d.xi[0] + 10.0, np.nan])
-        alone = linearize._integrals_to_points(curve, integrand, z0, d.z[1:2], d.xi[1:2], bps,
-                                               linearize.DEFAULT)
+                                             bps, [d.xi[0] + 10.0, np.nan])
+        alone = linearize._integrals_to_points(curve, integrand, z0, d.z[1:2], d.xi[1:2], bps)
         assert counting.calls == [1, 1]
         assert not out[0].any() and np.array_equal(out[1], alone[0])
 

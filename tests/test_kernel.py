@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from sovkit import kernel, linearize, numeric, rational, theta
 from sovkit.errors import ConvergenceError, NonGenericError
-from sovkit.tolerances import DEFAULT, Tolerances
+from sovkit.tolerances import ZERO_TRIM, Tolerances
 
 
 def random_poly(rng, deg):
@@ -21,11 +21,11 @@ def random_poly(rng, deg):
 
 class TestTrim:
     def test_degree_is_the_trim_loop(self):
-        def loop_degree(c, tol=DEFAULT):
+        def loop_degree(c):
             # the trailing-coefficient loop poly_trim ran on one polynomial
             top = max((abs(v) for v in c), default=0.0)
             k = len(c) - 1
-            while k >= 0 and abs(c[k]) <= tol.zero_trim * top:
+            while k >= 0 and abs(c[k]) <= ZERO_TRIM * top:
                 k -= 1
             return k
 
@@ -544,7 +544,7 @@ class TestResultant:
         q = np.atleast_2d(np.asarray(q, dtype=complex))
         if eliminate == "z":
             p, q = p.T, q.T
-        dp, dq = kernel._xi_degree(p, DEFAULT), kernel._xi_degree(q, DEFAULT)
+        dp, dq = kernel._xi_degree(p), kernel._xi_degree(q)
         p, q = p[: dp + 1], q[: dq + 1]
         K = dp * (q.shape[1] - 1) + dq * (p.shape[1] - 1) + 1
         vals = np.empty(K, dtype=complex)

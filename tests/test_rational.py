@@ -1107,7 +1107,7 @@ class TestMemo:
         d = R.divisor_coords(phi)
         assert R.divisor_coords(phi, None) is d
         assert R.divisor_coords(phi, s=None, tol=DEFAULT) is d
-        assert R.casimir_detect(phi, self.LINEAR) is R.casimir_detect(phi, self.LINEAR, DEFAULT)
+        assert R.casimir_detect(phi, self.LINEAR) is R.casimir_detect(phi, spec=self.LINEAR)
 
     def test_other_arguments_compute_afresh(self, phi, monkeypatch):
         calls = counted(monkeypatch, kernel, "divisor_points")

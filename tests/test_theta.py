@@ -11,7 +11,6 @@ from sovkit import acceptance
 from sovkit import elliptic as E
 from sovkit import theta as T
 from sovkit.errors import NumericDomainError
-from sovkit.tolerances import DEFAULT
 
 TAUS = (1j, 0.2 + 1.1j)
 
@@ -446,7 +445,7 @@ class TestContinuedLog:
             return (w - a) * (w - b) ** 2, 1 / (w - a) + 2 / (w - b)
 
         corners = [a + 0.05 * c for c in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j)]
-        logs = T._continued_log(func, corners, self.PARAMS, DEFAULT)
+        logs = T._continued_log(func, corners, self.PARAMS)
         assert logs.shape == (5,)
         assert abs(logs[-1] - 2j * np.pi) < 1e-12
 
@@ -459,7 +458,7 @@ class TestContinuedLog:
             seen.append(w.size)
             return w - a, 1 / (w - a)
 
-        got = T._continued_log(func, [z_from, z_to], self.PARAMS, DEFAULT)[-1]
+        got = T._continued_log(func, [z_from, z_to], self.PARAMS)[-1]
         ref = np.log((z_to - a) / (z_from - a))
         assert abs(ref.imag) > 3.0  # the argument turns by nearly pi
         assert abs(got - ref) < 1e-12
@@ -478,20 +477,20 @@ class TestContinuedLog:
             return (w - a) ** 2, 2 / (w - a)
 
         corners = z0 + np.array([0.0, 0.16, 0.16 + 0.16j, 0.16j, 0.0])
-        total = T._continued_log(func, corners, self.PARAMS, DEFAULT)[-1]
+        total = T._continued_log(func, corners, self.PARAMS)[-1]
         assert abs(total - 4j * np.pi) < 1e-12
 
     def test_segment_through_a_zero_raises(self):
         a = 0.0731 + 0.05j
         with pytest.raises(NumericDomainError, match="branch obstruction"):
             T._continued_log(lambda w: (w - a, 1 / (w - a)),
-                             [0.02 + 0.05j, 0.22 + 0.05j], self.PARAMS, DEFAULT)
+                             [0.02 + 0.05j, 0.22 + 0.05j], self.PARAMS)
 
     def test_segment_into_a_puncture_raises(self):
         p = self.PARAMS.puncture
         with pytest.raises(NumericDomainError, match="branch obstruction"):
             T._continued_log(lambda w: (np.ones(w.size), np.zeros(w.size)),
-                             [p - 0.1, p], self.PARAMS, DEFAULT)
+                             [p - 0.1, p], self.PARAMS)
 
     def test_zero_length_segment_takes_no_step(self):
         # a segment of length 0 adds no point and an increment of exactly 0,
@@ -503,14 +502,14 @@ class TestContinuedLog:
             seen.append(w.size)
             return w - 0.4, 1 / (w - 0.4)
 
-        logs = T._continued_log(func, [z0, z0, z1, z1], self.PARAMS, DEFAULT)
+        logs = T._continued_log(func, [z0, z0, z1, z1], self.PARAMS)
         assert logs[1] == 0 and logs[3] == logs[2]
         assert seen == [5]  # z0, then the 4 steps to z1
-        assert (T._continued_log(func, [z0, z0], self.PARAMS, DEFAULT) == 0).all()
+        assert (T._continued_log(func, [z0, z0], self.PARAMS) == 0).all()
         assert seen == [5, 1]
         p = self.PARAMS.puncture
         with pytest.raises(NumericDomainError, match="branch obstruction"):
-            T._continued_log(func, [p, p], self.PARAMS, DEFAULT)
+            T._continued_log(func, [p, p], self.PARAMS)
 
     def test_node_logs_match_closed_form(self):
         a, b = 0.4 + 0.3j, -0.2 - 0.25j
@@ -519,7 +518,7 @@ class TestContinuedLog:
         def func(w):
             return (w - a) * (w - b) ** 2, 1 / (w - a) + 2 / (w - b)
 
-        got = T._continued_log(func, nodes, self.PARAMS, DEFAULT)
+        got = T._continued_log(func, nodes, self.PARAMS)
         ref = np.log((nodes - a) / (nodes[0] - a)) + 2 * np.log((nodes - b) / (nodes[0] - b))
         assert got.shape == (3,)
         assert np.abs(got - ref).max() < 1e-12
@@ -637,7 +636,7 @@ class TestBasicSection:
 
         def logs(j, nodes):
             return T._continued_log(lambda w: tuple(v[..., j] for v in f.logderivs(w)),
-                                    nodes, params, DEFAULT)
+                                    nodes, params)
 
         f0 = T.f_vector(a, params)
         s = np.empty(r, dtype=complex)
@@ -716,7 +715,7 @@ class TestBasicSection:
                                1.0, r)
         za = (0.0917 + 0.3379 * tau) / r
         fac = np.exp([T._continued_log(lambda w: tuple(v[..., j] for v in raw.logderivs(w)),
-                                       [za, za + 1.0 / r], params, DEFAULT)[-1] / r
+                                       [za, za + 1.0 / r], params)[-1] / r
                       for j in range(r)])
         powers = np.round(np.angle(fac) / (2 * np.pi / r)).astype(int) % r
         assert np.abs(fac - params.q_root ** powers).max() < 1e-8

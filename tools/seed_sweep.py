@@ -14,16 +14,14 @@ aborts, else 0.
 """
 
 import argparse
-import re
 import sys
 from collections import defaultdict
 
 from sovkit import errors
-from sovkit.acceptance import SUITES, ExperimentConfig
+from sovkit.acceptance import SUITES, TAGS, ExperimentConfig
 
 TYPED = tuple(cls for cls in vars(errors).values()
               if isinstance(cls, type) and cls.__module__ == errors.__name__)
-TAGS = re.compile(r"(_(r\d+|n\d+|tau[a-z]|linear|quadratic|mixed))+$")
 
 
 def seed_range(text):
