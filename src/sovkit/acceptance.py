@@ -29,7 +29,7 @@ BRACKETS = {"linear": rational.BracketSpec(a=(1.0,), b=0.0),
 TAGS = re.compile(r"(_(r\d+|n\d+|tau[a-z]|linear|quadratic|mixed))+$")
 # The gate of each family at tol_scale 1; a check's tolerance is GATES[family] * tol_scale
 GATES = {
-    "involution": 1e-6, "jacobi": 1e-10, "isospectral": 1e-8, "canonical": 1e-9,
+    "involution": 1e-6, "jacobi": 1e-10, "isospectral": 1e-8, "lenard": 1e-12, "canonical": 1e-9,
     "slopes": 1e-9, "linearization_fit": 1e-5, "linearization_slopes": 1e-6,
     "linearization_path_independence": 1e-8,
     "theta_zero": 1e-12, "theta_relations": 1e-12, "theta_period": 1e-10, "theta_roots": 1e-8,
@@ -111,25 +111,28 @@ def suite_jacobi(config: ExperimentConfig):
 
 
 def suite_isospectral(config: ExperimentConfig):
-    out = []
+    # each distinct field flows once: a quadratic C_{k,l} flows the linear C_{k-1,l}'s field
+    # (Lenard); the lenard checks test that and Pi_z grad C_{k,l} = Pi_lin grad C_{k,l-1}
+    out, lenard_specs = [], (*BRACKETS.values(), rational.BracketSpec(a=(0.0, 1.0), b=0.0))
     for (r, n) in RN_COMBOS:
         rng = np.random.default_rng(config.seed + 37)
-        worst = 0.0
-        flows = 0
+        drifts, lenard = [], 0.0
         for _ in range(2):
             phi = rational.random_instance(r, n, rng)
             base = rational.spectral_curve(phi).grid
-            scale = max(1.0, np.abs(base).max())
-            for spec in BRACKETS.values():
-                hams, _ = rational.casimir_detect(phi, spec)
-                for pos in hams:
-                    traj = rational.flow(phi, pos, spec, np.linspace(0.0, 1.0, 5))
-                    drift = max(np.abs(rational.spectral_curve(p).grid - base).max()
-                                for p in traj)
-                    worst = max(worst, drift / scale)
-                    flows += 1
-        out.append(CheckResult.gated(
-            f"isospectral_r{r}_n{n}", worst, config.tol_scale, flows=flows))
+            for pos in rational.casimir_detect(phi, BRACKETS["linear"])[0]:
+                traj = rational.flow(phi, pos, BRACKETS["linear"], np.linspace(0.0, 1.0, 5))
+                drifts.append(max(np.abs(rational.spectral_curve(p).grid - base).max()
+                                  for p in traj) / max(1.0, np.abs(base).max()))
+            positions, G = rational.spectral_gradient_matrix(phi)
+            lin, quad, z = (G @ rational._poisson(phi, spec) for spec in lenard_specs)
+            rows = dict(zip(positions, lin))  # C_{k,l}'s linear field, 0 off the positions
+            lenard = max(lenard, *(np.abs(F[i] - rows.get((k - dk, l - dl), 0.0)).max()
+                                   / np.abs(lin).max() for F, dk, dl in ((quad, 1, 0), (z, 0, 1))
+                                   for i, (k, l) in enumerate(positions)))
+        out += [CheckResult.gated(f"isospectral_r{r}_n{n}", max(drifts), config.tol_scale,
+                                  flows=len(drifts)),
+                CheckResult.gated(f"lenard_r{r}_n{n}", lenard, config.tol_scale, instances=2)]
     return out
 
 

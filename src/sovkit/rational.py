@@ -615,6 +615,10 @@ def verify_canonical(phi: MatPoly, spec: BracketSpec, s=None,
 # flows
 # ---------------------------------------------------------------------------
 
+_PLAN_TRIM = 1e-14  # of g's largest coefficient: rounding residue, so a Casimir's plan is empty
+_LINEAR = BracketSpec(a=(1.0,), b=0.0)  # the bracket whose fields the flow plans keep
+
+
 def _flow_covectors(r: int, n: int, position: tuple):
     """``flow``'s covector blocks ``blocks @ N_top`` of ``H = C_position``, ``N_top`` the
     recursion's level ``top = r - 1 - k`` at ``vander @ x``, so homogeneous of degree ``top``:
@@ -626,52 +630,38 @@ def _flow_covectors(r: int, n: int, position: tuple):
     return top, vander, blocks
 
 
-@lru_cache(maxsize=32)
-def _flow_plan(r: int, n: int, position: tuple, spec: BracketSpec):
-    """``flow``'s field of ``H = C_position`` under ``spec``: ``(route, p, q)``, read-only.
+@lru_cache(maxsize=None)
+def _flow_plan(r: int, n: int, position: tuple):
+    """The linear bracket's field ``X_{k,l}`` of ``H = C_position``, ``position = (k, l)``:
+    ``(route, p, q)``, read-only, one per position.
 
-    The covector blocks ``g`` are homogeneous of degree ``top = r - 1 - k`` in the point, and
-    ``_lax_field`` is linear in them, with an ``a`` part linear and a ``b`` part quadratic in
-    the point; so the field has degree ``top + 1``, or ``top + 2`` where ``b != 0``.  Up to
-    degree 3 (``top <= 1``, or 2 under ``b = 0``) the route is ``"monomials"``: ``p``
-    (degree, M) the sorted indices of the field's monomials into the point and a 1 (index
-    ``N``, padding the ``a`` part where both parts are there), ``q`` (N, M) their
-    coefficients.  ``kernel._monomials`` reads ``g``'s monomials off the recursion, then each
-    part's off ``_lax_field`` at unit points against all of them, in chunks.
-    Coefficients at most 1e-14 of the bracket's scale (``max(|a|, |b|)`` times ``g``'s
-    largest coefficient) are rounding residue, so a Casimir's plan is empty.  Above degree 3
-    the route is ``"levels"``, ``(vander, blocks)``, contracted in every stage.  At most 32
-    plans are kept: ``flow_linearize``'s benchmark builds 16 and ``suite_isospectral`` 28.
+    ``X_{k,l}`` has degree ``top + 1``, ``top = r - 1 - k`` the degree of its covector blocks
+    ``g``.  Up to degree 3 the route is ``"monomials"``: ``p`` (degree, M) the sorted indices
+    of its monomials into the point, ``q`` (N, M) their coefficients, read off the recursion
+    for ``g`` (``kernel._monomials``), then off ``_lax_field`` at the unit points in chunks.
+    Above, the route is ``"levels"``, ``(vander, blocks)``, contracted in every stage.
+    ``flow_linearize``'s benchmark builds 8 plans and ``suite_isospectral`` 14.
     """
     top, vander, blocks = _flow_covectors(r, n, position)
-    degree = top + (1 if spec.b == 0 else 2)
-    if degree > 3:
+    if top > 2:
         return ("levels",) + kernel.frozen(vander, blocks)
-    N, a = (n + 1) * r * r, structure_tensor(r, n, spec).a
+    N, a = (n + 1) * r * r, structure_tensor(r, n, _LINEAR).a
     gidx, G = kernel._monomials(
         lambda x: _levels(x, r, top, vander)[:, :, top].reshape(len(x), -1) @ blocks.T, N, top)
     size = np.abs(G).max(axis=1)
-    gidx, G = gidx[size > 1e-14 * size.max()], G[size > 1e-14 * size.max()]
+    floor = _PLAN_TRIM * size.max()
+    gidx, G = gidx[size > floor], G[size > floor]
     g = G.T.reshape(2, -1, r, len(G)).swapaxes(-2, -1).reshape(2, (n + 1) * r, -1)
-    floor = 1e-14 * max(np.abs(a).max(), abs(spec.b)) * size.max()
-    terms, coefs = [np.zeros((0, degree), int)], [np.zeros((0, N), complex)]
-    for part, (ap, bp) in enumerate([(a, 0.0), (0 * a, spec.b)]):
-        if not (np.any(ap) or bp):
-            continue
-        step = max(1, N * N // max(1, len(G)))  # points per _lax_field call: its memory
-        idx, c = kernel._monomials(lambda x: np.concatenate(
-            [_lax_field(y, g, ap, bp) for y in np.split(x, range(step, len(x), step))]), N, part + 1)
-        c = c.swapaxes(1, 2).reshape(-1, N)
-        big = np.abs(c).max(axis=1) > floor
-        terms.append(np.hstack([idx.repeat(len(G), axis=0), np.tile(gidx, (len(idx), 1)),
-                                np.full((len(c), degree - top - 1 - part), N)])[big])
-        coefs.append(c[big])
-    p, which = np.unique(np.sort(np.vstack(terms), axis=1), axis=0, return_inverse=True)
+    step = max(1, N * N // max(1, len(G)))  # points per _lax_field call: its memory
+    c = np.concatenate([_lax_field(y, g, a, 0.0) for y in np.split(  # at the unit points
+        np.eye(N, dtype=complex), range(step, N, step))]).swapaxes(1, 2).reshape(-1, N)
+    big = np.abs(c).max(axis=1) > floor
+    terms = np.hstack([np.arange(N).repeat(len(G))[:, None], np.tile(gidx, (N, 1))])[big]
+    p, which = np.unique(np.sort(terms, axis=1), axis=0, return_inverse=True)
     q = np.zeros((len(p), N), dtype=complex)
-    np.add.at(q, which.ravel(), np.vstack(coefs))
-    keep = np.abs(q) > floor
-    used = keep.any(axis=1)
-    return ("monomials",) + kernel.frozen(p[used].T, np.where(keep, q, 0.0)[used].T)
+    np.add.at(q, which.ravel(), c[big])
+    q = np.where(np.abs(q) > floor, q, 0.0)
+    return ("monomials",) + kernel.frozen(p[q.any(axis=1)].T, q[q.any(axis=1)].T)
 
 
 def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
@@ -679,32 +669,39 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
     """Integrate the Hamiltonian flow of ``H = C_{k,l}``, ``h_position = (k, l)``,
     and return the MatPoly states at the times ``t_grid``, ``phi0`` itself first.
 
-    The field ``Pi(phi) grad H`` comes from the cached ``_flow_plan``.  Up to degree 3 in
-    the point (level ``r - 1 - k <= 1``, or 2 under ``b = 0``) a stage is the plan's
-    coefficients times its monomials ``x[i] x[j] x[k]``, no contraction; above, the
-    recursion through that level at ``phi`` at the roots, one matmul for the covector blocks
-    and ``_lax_field``, with no ``N x N`` matrix.
+    Under ``a(z) + b xi`` the field is ``sum_j a_j X_{k,l-j} + b X_{k-1,l}`` (Lenard), ``X``
+    the linear bracket's fields of ``_flow_plan``: the ``"monomials"`` plans merge into one,
+    lower degrees padded with a 1; the ``"levels"`` plans share one recursion and contraction.
     """
-    r, n, position = phi0.r, phi0.n, tuple(h_position)
-    if position not in spectral_positions(r, n):
+    r, n, (k, l) = phi0.r, phi0.n, tuple(h_position)
+    if (k, l) not in spectral_positions(r, n):
         raise ValueError(f"{h_position} is not a spectral coefficient position")
-    route, p, q = _flow_plan(r, n, position, spec)
-    if route == "monomials":
-        first, *rest = p
-        pad = bool((p == len(q)).any())  # the a part's monomials of a mixed field carry the 1
+    a, N = structure_tensor(r, n, spec).a, (n + 1) * r * r
+    terms = [(a[j], (k, l - j)) for j in np.flatnonzero(a[:l + 1])]
+    mono, levels = [], []
+    for c, pos in terms + [(spec.b, (k - 1, l))] * bool(spec.b and k):
+        route, p, q = _flow_plan(r, n, pos)
+        (mono if route == "monomials" else levels).append((c, r - 1 - pos[0], p, q))
+    if len(mono) == 1 and mono[0][0] == 1:  # the plan as stored: no copy per flow
+        p, q = mono[0][2:]
+    else:  # each plan padded to degree 3
+        p = np.hstack([np.zeros((3, 0), int)] + [np.pad(
+            p, ((0, 3 - len(p)), (0, 0)), constant_values=N) for *_, p, _ in mono])
+        q = np.hstack([np.zeros((N, 0))] + [c * q for c, _, _, q in mono])
+    (first, *rest), pad = p, bool((p == N).any())
+    lin_a = structure_tensor(r, n, _LINEAR).a if levels else None
 
-        def field(t, x):
-            x = np.append(x, 1.0) if pad else x
-            m = x[first]
-            for k in rest:
-                m = m * x[k]
+    def field(t, x):
+        x1 = np.append(x, 1.0) if pad else x
+        m = x1[first]
+        for i in rest:
+            m = m * x1[i]
+        if not levels:
             return q @ m
-    else:
-        a, top = structure_tensor(r, n, spec).a, r - 1 - position[0]
-
-        def field(t, x):
-            g = q @ _levels(x, r, top, p)[:, top].reshape(-1)
-            return _lax_field(x[None], g.reshape(2, -1, r), a, spec.b).ravel()
+        Ns = _levels(x, r, levels[-1][1], levels[0][2])  # the b term, last, has the top level
+        g = sum(c * (blocks @ Ns[:, lev].reshape(-1)) for c, lev, _, blocks in levels)
+        out = _lax_field(x[None], g.reshape(2, -1, r), lin_a, 0.0).ravel()
+        return out + q @ m if mono else out
 
     states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)
     return [phi0] + [MatPoly.from_flat(row, r, n) for row in states[1:]]

@@ -4,6 +4,7 @@ one pass/fail line."""
 import json
 
 from sovkit import elliptic as ell
+from sovkit import rational
 from sovkit.acceptance import GATES, SUITES, TAGS, ExperimentConfig, run_acceptance
 from sovkit.cli import main
 
@@ -128,3 +129,14 @@ def test_tol_scale_multiplies_every_gate():
         assert check.tolerance == 2 * GATES[TAGS.sub("", check.name)], check.name
     assert {TAGS.sub("", check.name) for check in report.records} == {
         "canonical", "theta_zero", "theta_relations", "theta_period", "theta_roots"}
+
+
+def test_lenard_catches_a_scaled_b_part(monkeypatch):
+    # a fault that leaves every bracket in the family: _lax_field's b part scaled by
+    # 1 + 1e-6.  Every lenard check fails; the isospectral checks, which flow the
+    # linear bracket's fields only, still pass
+    lax = rational._lax_field
+    monkeypatch.setattr(rational, "_lax_field", lambda x, g, a, b: lax(x, g, a, b * (1 + 1e-6)))
+    results = SUITES["isospectral"](CONFIG)
+    assert [c.passed for c in results] == [not c.name.startswith("lenard") for c in results]
+    assert min(c.residual for c in results if c.name.startswith("lenard")) > 1e-7

@@ -670,13 +670,12 @@ def test_cached_plans_and_tables_are_read_only():
     params = [theta.ThetaParams(tau=0.3 + 1.1j, r=r) for r in (2, 3)]
     quotients = [theta.f_quotients(p) for p in params] + [theta._plain(params[0])]
     linear = rational.BracketSpec(a=(1.0,), b=0.0)
-    quadratic = rational.BracketSpec(a=(0.0,), b=1.0)
     for arr in [*kernel._char_adj_plan(2, 3), kernel._identity(3), *rational._lax_plan(2, 2),
                 *rational._covector_plan(2, 2, ((1, 0), (0, 3))),
-                *(arr for plan in (rational._flow_plan(2, 2, (1, 0), quadratic),
-                                   rational._flow_plan(2, 2, (0, 0), linear),
-                                   rational._flow_plan(3, 1, (0, 1), linear),
-                                   rational._flow_plan(3, 1, (0, 1), quadratic))
+                *(arr for plan in (rational._flow_plan(2, 2, (0, 1)),
+                                   rational._flow_plan(2, 2, (0, 0)),
+                                   rational._flow_plan(3, 1, (0, 1)),
+                                   rational._flow_plan(4, 1, (0, 1)))
                   for arr in plan[1:]),
                 rational.structure_tensor(2, 2, linear).a,
                 *(getattr(q, name) for q in quotients

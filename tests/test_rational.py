@@ -499,6 +499,13 @@ def contraction_field(r, n, pos, spec):
     return field
 
 
+def plan_position(pos, spec):
+    """The position whose linear-bracket plan carries ``C_pos``'s field under ``LINEAR`` or
+    ``QUADRATIC`` (the Lenard shift ``(k - 1, l)``), None where that field is 0."""
+    k, l = pos
+    return pos if spec == LINEAR else (k - 1, l) if k else None
+
+
 def monomial_field(p, q, x):
     """A ``"monomials"`` plan's field at ``x``: ``q @ prod(x1[p])``, ``x1`` the point and a 1."""
     return q @ np.append(x, 1.0)[p].prod(axis=0)
@@ -507,28 +514,27 @@ def monomial_field(p, q, x):
 class TestMonomialFlowField:
     @pytest.mark.parametrize("r,n", MONOMIAL_SHAPES)
     def test_monomials_match_the_contraction(self, r, n):
-        # a field is the plan's monomial list exactly where its degree is <= 3,
-        # and that list equals the "levels" contraction at 5 seeded points
+        # a plan, the linear bracket's field, is a monomial list exactly where its
+        # degree is <= 3, and that list equals the "levels" contraction at 5 seeded points
         rng = np.random.default_rng(90 + 10 * r + n)
-        positions, brackets = R.spectral_positions(r, n), flow_brackets(n, rng)
+        positions = R.spectral_positions(r, n)
         checked = 0
-        for spec in brackets:
-            for pos in positions:
-                route, p, C = R._flow_plan(r, n, pos, spec)
-                if field_degree(r, pos, spec) > 3:
-                    assert route == "levels", (spec, pos)
-                    continue
-                assert route == "monomials" and p.shape == (field_degree(r, pos, spec), C.shape[1])
-                contraction = contraction_field(r, n, pos, spec)
-                for _ in range(5):
-                    x = rng.standard_normal(C.shape[0]) + 1j * rng.standard_normal(C.shape[0])
-                    pi = R.structure_tensor(r, n, spec).poisson_matrix(x)
-                    grad = R.spectral_gradient_matrix(R.MatPoly.from_flat(x, r, n))[1]
-                    scale = np.linalg.norm(pi) * np.linalg.norm(grad[positions.index(pos)])
-                    field = monomial_field(p, C, x)
-                    assert np.abs(field - contraction(0.0, x)).max() <= 1e-13 * scale, (spec, pos)
-                checked += 1
-        assert checked == sum(field_degree(r, p, s) <= 3 for s in brackets for p in positions)
+        for pos in positions:
+            route, p, C = R._flow_plan(r, n, pos)
+            if field_degree(r, pos, LINEAR) > 3:
+                assert route == "levels", pos
+                continue
+            assert route == "monomials" and p.shape == (field_degree(r, pos, LINEAR), C.shape[1])
+            contraction = contraction_field(r, n, pos, LINEAR)
+            for _ in range(5):
+                x = rng.standard_normal(C.shape[0]) + 1j * rng.standard_normal(C.shape[0])
+                pi = R.structure_tensor(r, n, LINEAR).poisson_matrix(x)
+                grad = R.spectral_gradient_matrix(R.MatPoly.from_flat(x, r, n))[1]
+                scale = np.linalg.norm(pi) * np.linalg.norm(grad[positions.index(pos)])
+                field = monomial_field(p, C, x)
+                assert np.abs(field - contraction(0.0, x)).max() <= 1e-13 * scale, pos
+            checked += 1
+        assert checked == sum(field_degree(r, p, LINEAR) <= 3 for p in positions)
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_monomials_of_a_form(self, degree):
@@ -550,9 +556,9 @@ class TestMonomialFlowField:
     @pytest.mark.parametrize("r,n", MONOMIAL_SHAPES)
     def test_no_linear_part(self, r, n):
         # the a part of a level-0 field, _lax_field(x, g0, a, 0), is linear in x and
-        # vanishes exactly at every x, so a level-0 plan has no monomial with the
-        # padded 1 even where b != 0; above level 0 the covectors vanish exactly at
-        # x = 0, so their read-off has no constant term
+        # vanishes exactly at every x; above level 0 the covectors vanish exactly at
+        # x = 0, so their read-off has no constant term.  No plan carries the padded
+        # 1, which only flow's merge of several plans adds
         N = (n + 1) * r * r
         for spec in flow_brackets(n, np.random.default_rng(95 + 10 * r + n)):
             a = R.structure_tensor(r, n, spec).a
@@ -563,9 +569,11 @@ class TestMonomialFlowField:
                 if top == 0:
                     linear = R._lax_field(np.eye(N, dtype=complex), g0.reshape(2, -1, r), a, 0)
                     assert not linear.any(), (spec, pos)
-                    assert not (R._flow_plan(r, n, pos, spec)[1] == N).any(), (spec, pos)
                 else:
                     assert not g0.any(), pos
+        for pos in R.spectral_positions(r, n):
+            route, p, _ = R._flow_plan(r, n, pos)
+            assert route == "levels" or not (p == N).any(), pos
 
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 1)])
     def test_level_zero_without_b_stays_put(self, r, n):
@@ -576,7 +584,7 @@ class TestMonomialFlowField:
         N = phi.coeff_mats.size
         for spec in (LINEAR, R.BracketSpec(a=tuple(rng.standard_normal(n + 2)), b=0.0)):
             for l in range(n + 1):
-                route, idx, C = R._flow_plan(r, n, (r - 1, l), spec)
+                route, idx, C = R._flow_plan(r, n, (r - 1, l))
                 assert route == "monomials" and idx.shape == (1, 0) and C.shape == (N, 0)
                 traj = R.flow(phi, (r - 1, l), spec, np.linspace(0.0, 0.5, 3))
                 assert all(np.array_equal(p.coeff_mats, phi.coeff_mats) for p in traj)
@@ -584,30 +592,35 @@ class TestMonomialFlowField:
     @pytest.mark.parametrize("r,n", [(2, 2), (3, 1)])
     @pytest.mark.parametrize("spec", [LINEAR, QUADRATIC], ids=["linear", "quadratic"])
     def test_casimir_plans_are_empty(self, r, n, spec):
-        # the field of a Casimir is identically 0, and its plan keeps no rounding
-        # residue of the read-off (the trim is against the bracket's scale, not
-        # the largest coefficient): its flow returns phi0's coefficients exactly
+        # the field of a Casimir is identically 0, and the plan its flow reads (its
+        # own under LINEAR, the Lenard shift's under QUADRATIC, none at k = 0) keeps
+        # no rounding residue of the read-off (the trim is against the largest
+        # covector coefficient, not the largest field coefficient): its flow
+        # returns phi0's coefficients exactly
         phi = R.random_instance(r, n, np.random.default_rng(96))
         _, cass = R.casimir_detect(phi, spec)
         monomial = [pos for pos in cass if field_degree(r, pos, spec) <= 3]
         assert (r, n, spec) != (2, 2, LINEAR) or (0, 2) in monomial
         for pos in monomial:
-            route, idx, C = R._flow_plan(r, n, pos, spec)
-            assert route == "monomials" and idx.shape[1] == 0
-            assert C.shape == (phi.coeff_mats.size, 0)
+            if plan_position(pos, spec) is not None:
+                route, idx, C = R._flow_plan(r, n, plan_position(pos, spec))
+                assert route == "monomials" and idx.shape[1] == 0
+                assert C.shape == (phi.coeff_mats.size, 0)
             traj = R.flow(phi, pos, spec, np.linspace(0.0, 0.5, 3))
             assert all(np.array_equal(p.coeff_mats, phi.coeff_mats) for p in traj), pos
 
     def test_monomial_stages_make_no_contraction(self, monkeypatch):
         # a stage of a flow of degree <= 3 is the monomial product alone; a degree-4
-        # flow (level 2 under b != 0, or level 3) still contracts once per stage
+        # flow (level 2 under b != 0, or level 3) still contracts once per stage.  A
+        # quadratic C_{k,l} flows the linear C_{k-1,l}'s field, so the quadratic cases
+        # are Hamiltonians with k >= 1 (a quadratic C_{0,l} is a Casimir)
         rng = np.random.default_rng(98)
         cases = [(R.random_instance(2, 2, rng), LINEAR, (0, 0), 2),
                  (R.random_instance(2, 2, rng), QUADRATIC, (1, 0), 2),
                  (R.random_instance(3, 1, rng), LINEAR, (1, 0), 2),
-                 (R.random_instance(2, 2, rng), QUADRATIC, (0, 1), 3),
+                 (R.random_instance(3, 1, rng), QUADRATIC, (1, 0), 3),
                  (R.random_instance(3, 1, rng), LINEAR, (0, 0), 3),
-                 (R.random_instance(3, 1, rng), QUADRATIC, (0, 1), 4),
+                 (R.random_instance(4, 1, rng), QUADRATIC, (1, 0), 4),
                  (R.random_instance(4, 1, rng), LINEAR, (0, 0), 4)]
         for phi, spec, pos, degree in cases:
             R.flow(phi, pos, spec, [0.0, 1e-3])      # the plan is built and cached
@@ -643,21 +656,21 @@ class TestMonomialFlowField:
                 ref = R.ode_solve(contraction_field(r, n, pos, spec), x0, times)[-1]
                 assert np.abs(end - ref).max() <= 1e-11 * np.abs(ref).max(), pos
             else:
-                assert R._flow_plan(r, n, pos, spec)[0] == "levels"
+                assert R._flow_plan(r, n, plan_position(pos, spec))[0] == "levels"
 
     def test_plan_cache_is_bounded(self):
-        # plans are kept per bracket and tolerance, so random brackets would grow an
-        # unbounded cache; 100 flows leave it at its bound
+        # plans are kept per position, not per bracket: 100 flows under random
+        # brackets build one plan per position of the shape, once
         rng = np.random.default_rng(100)
         phi = R.random_instance(2, 1, rng)
         positions = R.spectral_positions(2, 1)
+        R._flow_plan.cache_clear()
         for k in range(100):
             b = 0.0 if k % 2 else complex(rng.standard_normal(), rng.standard_normal())
             spec = R.BracketSpec(a=tuple(rng.standard_normal(3)), b=b)
             R.flow(phi, positions[k % len(positions)], spec, [0.0, 1e-3])
         info = R._flow_plan.cache_info()
-        assert info.maxsize == 32
-        assert info.currsize == info.maxsize
+        assert info.currsize == info.misses == len(positions)
 
 
 class TestLenardMagri:
@@ -685,6 +698,40 @@ class TestLenardMagri:
             if k == 0:
                 assert np.abs(quadratic[:, i]).max() <= 1e-13 * scale, (k, l)
         assert pairs > 0
+
+    @pytest.mark.parametrize("r,n", MONOMIAL_SHAPES)
+    def test_flow_field_is_the_brackets_field(self, r, n, monkeypatch):
+        # flow sums the linear bracket's plans by the recursion; under a random
+        # (a, b) with deg a = n + 1 (every shift up to j = n + 1) its stage field is
+        # Pi(x) grad C_{k,l}, the gradient read off matpoly_char_adj, at 5 seeded points
+        rng = np.random.default_rng(130 + 10 * r + n)
+        a = rng.standard_normal(n + 2) + 1j * rng.standard_normal(n + 2)
+        spec = R.BracketSpec(a=tuple(a), b=complex(rng.standard_normal(), rng.standard_normal()))
+        phi = R.random_instance(r, n, rng)
+        positions = R.spectral_positions(r, n)
+        fields = [captured_flow_field(phi, pos, spec, monkeypatch) for pos in positions]
+        for _ in range(5):
+            x = unit_disk_matpoly(rng, r, n).flatten()
+            pi = R.structure_tensor(r, n, spec).poisson_matrix(x)
+            _, oracle, _ = adjugate_gradient_oracle(R.MatPoly.from_flat(x, r, n))
+            for pos, field, grad in zip(positions, fields, oracle):
+                scale = np.linalg.norm(pi) * np.linalg.norm(grad)
+                assert np.abs(field(0.0, x) - pi @ grad).max() <= 1e-12 * scale, pos
+
+    @pytest.mark.parametrize("r,n", MONOMIAL_SHAPES)
+    def test_casimir_detect_follows_the_rule(self, r, n):
+        # the linear bracket's Hamiltonians are the positions with l <= (r - k) n -
+        # n - 1, its Casimirs the rest; the quadratic bracket's are their shifts
+        # (k + 1, l), its Casimirs the rest (every C_{0,l} among them)
+        positions = R.spectral_positions(r, n)
+        linear = tuple((k, l) for k, l in positions if l <= (r - k) * n - n - 1)
+        quadratic = tuple((k + 1, l) for k, l in linear)
+        rng = np.random.default_rng(140 + 10 * r + n)
+        for _ in range(3):
+            phi = R.random_instance(r, n, rng)
+            for spec, hams in ((LINEAR, linear), (QUADRATIC, quadratic)):
+                assert R.casimir_detect(phi, spec) == (
+                    hams, tuple(p for p in positions if p not in hams)), spec
 
 
 class TestInvolutionAndCasimirs:
