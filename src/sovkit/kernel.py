@@ -350,39 +350,31 @@ def _char_adj_plan(r: int, n: int):
 
 
 def matpoly_char_adj(coeff_mats):
-    """Characteristic data of a matrix polynomial phi(z).
+    """Characteristic data of ``phi(z) = sum_k coeff_mats[k] z**k``, ``coeff_mats``
+    (n+1, r, r), or of every matrix polynomial of a stack (..., n+1, r, r).
 
     Runs the Faddeev--LeVerrier recursion once on phi evaluated at the
     ``K = r*n + 1`` roots of unity (one matmul with a plan cached per ``(r, n)``)
-    and recovers every coefficient in ``z`` with one FFT, exact to rounding.
-
-    Parameters
-    ----------
-    coeff_mats : array (n+1, r, r)
-        Coefficient matrices of phi(z) = sum_k coeff_mats[k] z**k.
-
-    Returns
-    -------
-    C : array (r+1, r*n+1)
-        ``C[k, l]`` multiplies ``xi**k z**l`` in det(phi(z) - xi I); entries
-        with ``l > (r-k)*n`` are exactly 0.
-    A : array (r, r, r, r*n+1)
-        ``adj(phi(z) - xi I) = sum_{k,l} A[k, :, :, l] xi**k z**l``; entries
-        with ``l > (r-1-k)*n`` are exactly 0.
+    and recovers every coefficient in ``z`` with one FFT, exact to rounding; a
+    stack is one recursion and one FFT, each row bit for bit its own call.
+    Returns ``C`` (..., r+1, K), ``C[k, l]`` multiplying ``xi**k z**l`` in
+    det(phi(z) - xi I) and exactly 0 where ``l > (r-k)*n``, and ``A`` (..., r, r,
+    r, K) with ``adj(phi(z) - xi I) = sum_{k,l} A[k, :, :, l] xi**k z**l``,
+    exactly 0 where ``l > (r-1-k)*n``.
     """
     cm = np.asarray(coeff_mats, dtype=complex)
-    n1, r, _ = cm.shape
+    *lead, n1, r, _ = cm.shape
     vander, keep = _char_adj_plan(r, n1 - 1)
     K = vander.shape[0]
-    phis = (vander @ cm.reshape(n1, -1)).reshape(K, r, r)
+    phis = (vander @ cm.reshape(*lead, n1, -1)).reshape(*lead, K, r, r)
     b, N = _faddeev_leverrier(phis)
-    coeffs = np.fft.fft(np.concatenate([b, N.reshape(K, -1)], axis=1), axis=0) / K
+    coeffs = np.fft.fft(np.concatenate([b, N.reshape(*lead, K, -1)], axis=-1), axis=-2) / K
     # det(phi - xi I) = (-1)^r det(xi I - phi) and
     # adj(phi - xi I) = (-1)^(r-1) adj(xi I - phi); deg_z C_k <= (r-k) n and
     # deg_z A_k <= (r-1-k) n: where() sets the rounding noise above to +0
-    C = np.where(keep, (-1.0) ** r * coeffs[:, r::-1].T, 0.0)
-    A = np.where(keep[1:, None, None], (-1.0) ** (r - 1) * coeffs[:, r + 1:].reshape(
-        K, r, r, r)[:, ::-1].transpose(1, 2, 3, 0), 0.0)
+    C = np.where(keep, (-1.0) ** r * coeffs[..., r::-1].swapaxes(-1, -2), 0.0)
+    A = np.where(keep[1:, None, None], (-1.0) ** (r - 1) * coeffs[..., r + 1:].reshape(
+        *lead, K, r, r, r)[..., ::-1, :, :].transpose(*range(len(lead)), -3, -2, -1, -4), 0.0)
     return C, A
 
 

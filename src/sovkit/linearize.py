@@ -8,11 +8,11 @@ linearizing coordinate attached to the spectral coefficient H_i is
     dp/dH_i = -(xi^k z^l) / ((a(z) + b xi) dP/dxi)   at H_i ~ position (k, l),
 
 integrated along the sheet of the curve that ends at (z_mu, xi_mu).  Straight
-z-paths are re-routed around branch points.  ``sheet_integrals`` cuts every
-segment into pieces sized by the predicted sheet move (``_cut``), steps all
-pieces of all paths in lockstep (``_walk``: Gauss-Legendre panels, roots at
-the step ends, Newton-polished at the nodes) and joins the pieces' sheets at
-their junctions; ``linearize`` walks all its paths at once.
+z-paths are re-routed around branch points (``_routes``).  ``sheet_integrals``
+cuts every segment into pieces sized by the predicted sheet move (``_cut``),
+steps all pieces of all paths in lockstep (``_walk``: Gauss-Legendre panels,
+roots at the step ends, Newton-polished at the nodes) and joins the pieces'
+sheets at their junctions; ``linearize`` walks all its paths at once.
 
 The infinitesimal form needs no path: along the flow of H_j the Abel map
 moves by ``S = Omega V``, the integrand at the divisor points times the
@@ -41,12 +41,25 @@ __all__ = ["LinearizeResult", "build_path", "sheet_integrals", "slope_matrix",
 # ---------------------------------------------------------------------------
 
 def _segment_clearance(a, b, point):
-    """Distance from ``point`` (or each of an array) to segment [a, b], the
-    closest-approach foot and its parameter."""
+    """Distance from ``point`` (or each of an array) to segment [a, b] (or each of arrays),
+    the closest-approach foot and its parameter; ``hypot`` rounds ``|b - a|`` alike for both."""
     d = b - a
-    t = np.clip(np.real(np.conj(d) * (point - a)) / abs(d) ** 2, 0.0, 1.0)
+    t = np.clip(np.real(np.conj(d) * (point - a)) / np.hypot(d.real, d.imag) ** 2, 0.0, 1.0)
     foot = a + t * d
     return abs(point - foot), foot, t
+
+
+def _hits(z0, z1, a, b, branch_pts):
+    """On paths ``z0 -> z1`` (...): their scale (..., 1) ``max(|z0|, |z1|, |branch_pts|, 1)``,
+    the avoidance radii (..., points) and the mask of the branch points inside whose radius,
+    and within half the distance to the nearer end, the segments ``a -> b`` pass."""
+    z01, a, b = (np.asarray(v)[..., None] for v in ([z0, z1], a, b))
+    scale = np.maximum(np.hypot(z01.real, z01.imag).max(0), np.abs(branch_pts).max(initial=1.0))
+    sep = np.abs(branch_pts[:, None] - branch_pts) + np.diag(np.full(branch_pts.size, np.inf))
+    radii = np.minimum(BRANCH_AVOID * scale, 0.25 * sep.min(axis=1, initial=np.inf))
+    ends = np.minimum(np.abs(branch_pts - a), np.abs(branch_pts - b))
+    dist, _, t = _segment_clearance(a, b, branch_pts)
+    return scale, radii, (ends >= 1e-12) & (dist < np.minimum(radii, ends / 2)) & (0 < t) & (t < 1)
 
 
 def build_path(z0, z1, branch_pts):
@@ -61,17 +74,12 @@ def build_path(z0, z1, branch_pts):
     declared unroutable.
     """
     branch_pts = np.asarray(branch_pts, dtype=complex)
-    scale = max(abs(z0), abs(z1), np.abs(branch_pts).max(initial=1.0))
-    sep = np.abs(branch_pts[:, None] - branch_pts) + np.diag(np.full(branch_pts.size, np.inf))
-    radii = np.minimum(BRANCH_AVOID * scale, 0.25 * sep.min(axis=1, initial=np.inf))
     waypoints = [complex(z0), complex(z1)]
     for _ in range(3):
         out = [waypoints[0]]
         for a, b in zip(waypoints, waypoints[1:]):
-            ends = np.minimum(np.abs(branch_pts - a), np.abs(branch_pts - b))
-            dist, _, t = _segment_clearance(a, b, branch_pts)
-            hit = np.flatnonzero((ends >= 1e-12) & (dist < np.minimum(radii, 0.5 * ends))
-                                 & (0.0 < t) & (t < 1.0))
+            scale, radii, hit = _hits(z0, z1, a, b, branch_pts)
+            hit = np.flatnonzero(hit)
             if hit.size:  # the first one, in scalar arithmetic: vector loops round otherwise
                 bp = branch_pts[hit[0]]
                 r_avoid = min(radii[hit[0]], 0.5 * min(abs(bp - a), abs(bp - b)))
@@ -83,6 +91,14 @@ def build_path(z0, z1, branch_pts):
             return waypoints
         waypoints = out
     raise NumericDomainError("path could not be routed around branch points")
+
+
+def _routes(z_start, z_end, branch_pts):
+    """``build_path`` of every pair ``z_start -> z_end`` (arrays), bit for bit, by one
+    broadcast test: only a straight segment that enters a radius goes through its rounds."""
+    detour = _hits(z_start, z_end, z_start, z_end, branch_pts)[2].any(axis=-1)
+    return [build_path(a, b, branch_pts) if d else [complex(a), complex(b)]
+            for a, b, d in zip(z_start, z_end, detour)]
 
 
 def pick_base_point(branch_pts):
@@ -289,8 +305,7 @@ def _integrals_to_points(curve, integrand, z_start, z_end, xi_end, branch_pts,
     if np.any(np.abs(start[hop][np.arange(first.size), first] - xi_start[hop])
               > 1e-3 * np.maximum(1.0, np.abs(xi_start[hop]))):
         raise ConsistencyError("sheet tracking did not start on the divisor point")
-    total, xi_fin = sheet_integrals(curve, integrand, [build_path(a, b, branch_pts)
-                                                       for a, b in zip(z_start, z_end)], start)
+    total, xi_fin = sheet_integrals(curve, integrand, _routes(z_start, z_end, branch_pts), start)
     sheet = np.argmin(np.abs(xi_fin - xi_end[:, None]), axis=-1)
     sheet[hop] = first
     out = np.zeros((walk.size, total.shape[1]), dtype=complex)

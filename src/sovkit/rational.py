@@ -8,6 +8,7 @@ size r and degree <= n; the flattened coordinate vector orders entries as
 """
 
 import inspect
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 
@@ -38,6 +39,7 @@ class MatPoly:
 
     coeff_mats: np.ndarray  # (n+1, r, r)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _flow: tuple = field(default=(), init=False, repr=False, compare=False)  # flow's states, weakly
 
     def __post_init__(self):
         cm = np.array(self.coeff_mats, dtype=complex)
@@ -47,7 +49,7 @@ class MatPoly:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coeff_mats", kernel.frozen(cm)[0])
 
-    def __reduce__(self):  # a copy re-freezes its coefficients and starts an empty memo
+    def __reduce__(self):  # a copy re-freezes its coefficients, with an empty memo and no _flow
         return MatPoly, (self.coeff_mats,)
 
     @property
@@ -203,15 +205,31 @@ def spectral_curve(phi: MatPoly) -> SpectralCurve:
 
     Built by evaluation at roots of unity plus FFT, exact to rounding; the
     grid is cross-checked against direct determinant evaluation at 20 random
-    probes, drawn once from seed 0 (``_PROBE_Z``, ``_PROBE_XI``).
+    probes, drawn once from seed 0 (``_PROBE_Z``, ``_PROBE_XI``).  A state of a ``flow``
+    computes the curves of all its states not yet memoized in one ``_curve_stack`` and
+    memoizes each that passes its probe; one that fails raises when asked, as alone.
     """
-    r, n = phi.r, phi.n
-    grid, _ = kernel.matpoly_char_adj(phi.coeff_mats)
-    direct = np.linalg.det(phi(_PROBE_Z) - _PROBE_XI[:, None, None] * np.eye(r))
-    ours = kernel.bipoly_eval(grid, _PROBE_Z, _PROBE_XI)
-    if np.any(np.abs(ours - direct) > 1e-10 * np.maximum(1.0, np.abs(direct))):
+    key = ("spectral_curve",)  # _memoized's key: a flow's states are memoized together
+    stack = [s for ref in phi._flow if (s := ref()) is not None and key not in s._memo] or [phi]
+    for state, curve in _curve_stack(stack).items():
+        state._memo[key] = curve
+    if key not in phi._memo:
         raise ConsistencyError("spectral curve grid disagrees with determinant probe")
-    return SpectralCurve(grid=kernel.frozen(grid)[0], r=r, n=n)
+    return phi._memo[key]
+
+
+def _curve_stack(phis):
+    """``spectral_curve`` of each state of ``phis`` (one ``r`` and ``n``) that passes its probe,
+    by state, bit for bit: one ``matpoly_char_adj`` call and one stacked probe."""
+    cms = np.array([phi.coeff_mats for phi in phis]) if len(phis) > 1 else phis[0].coeff_mats
+    grids, _ = kernel.matpoly_char_adj(cms)
+    at = kernel.poly_eval(cms.swapaxes(0, -3)[..., None, :, :], _PROBE_Z[:, None, None],
+                          tensor=False)
+    direct = np.linalg.det(at - _PROBE_XI[:, None, None] * np.eye(phis[0].r))
+    ours = kernel.bipoly_eval(grids, _PROBE_Z, _PROBE_XI)
+    bad = np.any(np.abs(ours - direct) > 1e-10 * np.maximum(1.0, np.abs(direct)), axis=-1)
+    return {phi: SpectralCurve(kernel.frozen(g)[0], phi.r, phi.n) for phi, g, b in zip(
+        phis, grids.reshape(-1, *grids.shape[-2:]), bad.reshape(-1)) if not b}
 
 
 def branch_points(curve: SpectralCurve, tol: Tolerances = DEFAULT):
@@ -672,6 +690,7 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
     Under ``a(z) + b xi`` the field is ``sum_j a_j X_{k,l-j} + b X_{k-1,l}`` (Lenard), ``X``
     the linear bracket's fields of ``_flow_plan``: the ``"monomials"`` plans merge into one,
     lower degrees padded with a 1; the ``"levels"`` plans share one recursion and contraction.
+    The new states link each other weakly (``_flow``): ``spectral_curve`` stacks them.
     """
     r, n, (k, l) = phi0.r, phi0.n, tuple(h_position)
     if (k, l) not in spectral_positions(r, n):
@@ -703,8 +722,12 @@ def flow(phi0: MatPoly, h_position, spec: BracketSpec, t_grid,
         out = _lax_field(x[None], g.reshape(2, -1, r), lin_a, 0.0).ravel()
         return out + q @ m if mono else out
 
-    states = ode_solve(field, phi0.flatten(), t_grid, tol=tol)
-    return [phi0] + [MatPoly.from_flat(row, r, n) for row in states[1:]]
+    states = [MatPoly.from_flat(row, r, n) for row in ode_solve(field, phi0.flatten(), t_grid,
+                                                                tol=tol)[1:]]
+    link = tuple(map(weakref.ref, states))
+    for state in states:
+        object.__setattr__(state, "_flow", link)
+    return [phi0] + states
 
 
 # ---------------------------------------------------------------------------

@@ -200,17 +200,27 @@ class TestPaths:
         # every path that linearize routes in the first 20 rounds of the
         # flow_linearize benchmark pool (seed 1; 13 of them detour), the three
         # routing cases above and an unroutable one, nine branch points in a
-        # row along the segment
+        # row along the segment; the pool's pairs are taken where linearize
+        # routes them all at once, and that routing is build_path's, bit for bit
         spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
-        calls, inner = [], linearize.build_path
-        monkeypatch.setattr(linearize, "build_path",
-                            lambda *args: calls.append(args) or inner(*args))
+        calls, routed, inner, routes = [], [], linearize.build_path, linearize._routes
+
+        def captured(z_start, z_end, bps):
+            out = routes(z_start, z_end, bps)
+            calls.extend((a, b, bps) for a, b in zip(z_start, z_end))
+            routed.extend(out)
+            return out
+
+        monkeypatch.setattr(linearize, "_routes", captured)
         pool = workloads.WORKLOADS["flow_linearize"]
         for rnd in pool.rounds(1)[:20]:
             for _, inst in rnd:
                 pool.run(inst, {"window_halvings": 0})
+        for args, path in zip(calls, routed):
+            ref = inner(*args)
+            assert path == ref and list(map(type, path)) == list(map(type, ref))
         close = np.array([-0.3518716078411026 + 0.3652850651649875j,
                           -0.2925587616564978 - 0.19471486157065818j,
                           -0.10858692309773163 - 1.0383047058421757j,
@@ -224,7 +234,7 @@ class TestPaths:
         assert len(calls) == 803 and sum(len(inner(*args)) > 2 for args in calls) == 15
         for args in calls:
             assert inner(*args) == _build_path_loop(*args)
-        for route in (inner, _build_path_loop):
+        for route in (inner, _build_path_loop, lambda *args: routes(*map(np.atleast_1d, args))):
             with pytest.raises(NumericDomainError, match="could not be routed"):
                 route(0.0, 10.0, np.arange(1, 10) + 0.001j)
 

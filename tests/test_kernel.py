@@ -253,6 +253,21 @@ class TestMatpolyCharAdj:
                         adj_ours[i, j] += kernel.poly_eval(A[k][i][j], z) * xi ** k
             assert np.allclose(adj_ours, adj_direct, atol=1e-8)
 
+    @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)])
+    def test_stack_rows_are_their_own_calls(self, r, n):
+        # a stack of 5 (and the same as 1 x 5) is each row's lone call, bit for bit
+        rng = np.random.default_rng(r * 10 + n)
+        cms = (rng.standard_normal((5, n + 1, r, r)) + 1j * rng.standard_normal(
+            (5, n + 1, r, r))) * rng.uniform(0.1, 30.0, (5, 1, 1, 1))
+        C, A = kernel.matpoly_char_adj(cms)
+        C2, A2 = kernel.matpoly_char_adj(cms[None])
+        assert C.shape == (5, r + 1, r * n + 1) and A.shape == (5, r, r, r, r * n + 1)
+        for i, cm in enumerate(cms):
+            lone = kernel.matpoly_char_adj(cm)
+            for ours, theirs in ((C[i], lone[0]), (A[i], lone[1]), (C2[0, i], lone[0]),
+                                 (A2[0, i], lone[1])):
+                assert ours.tobytes() == theirs.tobytes()
+
 
 class TestDivisorPoints:
     def test_residual_small_at_zeros_of_b_only(self):

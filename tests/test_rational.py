@@ -1,5 +1,8 @@
+import copy
+import gc
 import pickle
 import warnings
+import weakref
 
 import mpmath
 import numpy as np
@@ -86,6 +89,76 @@ class TestSpectralCurve:
         monkeypatch.setattr(kernel, "matpoly_char_adj", perturbed)
         with pytest.raises(ConsistencyError, match="determinant probe"):
             R.spectral_curve(phi)
+
+
+STACK_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
+
+
+def flowed(r, n, seed=0):
+    """A linear-bracket flow's trajectory: the start and 4 new states."""
+    phi, linear = R.random_instance(r, n, np.random.default_rng(seed)), R.BracketSpec((1.0,), 0.0)
+    return R.flow(phi, R.casimir_detect(phi, linear)[0][-1], linear, np.linspace(0.0, 0.2, 5))
+
+
+class TestCurveStack:
+    @pytest.mark.parametrize("r,n", STACK_SHAPES)
+    def test_stacked_curves_are_the_lone_ones(self, r, n):
+        traj = flowed(r, n)
+        R.spectral_curve(traj[2])  # the curves of all four new states
+        assert all(("spectral_curve",) in p._memo for p in traj[1:])
+        for p in traj:
+            lone = R.spectral_curve(R.MatPoly(p.coeff_mats)).grid
+            assert R.spectral_curve(p).grid.tobytes() == lone.tobytes()
+
+    @pytest.mark.parametrize("r,n", STACK_SHAPES)
+    def test_only_the_perturbed_state_raises(self, r, n, monkeypatch):
+        # one row of the stack off by 1e-6: only that state fails its probe, and
+        # it is not memoized, so it raises whenever it is asked, as it would alone
+        # (then as a lone state, with no stack axis)
+        traj = flowed(r, n)
+        bad, char_adj, stacks = traj[3], kernel.matpoly_char_adj, []
+
+        def perturbed(cm):
+            stacks.append(cm.shape[:-3])
+            C, A = char_adj(cm)
+            C = C.copy()
+            C[(cm == bad.coeff_mats).all(axis=(-3, -2, -1)), 1, 2] += 1e-6
+            return C, A
+
+        monkeypatch.setattr(kernel, "matpoly_char_adj", perturbed)
+        for p in traj + [bad]:
+            if p is bad:
+                with pytest.raises(ConsistencyError, match="determinant probe"):
+                    R.spectral_curve(p)
+            else:
+                R.spectral_curve(p)
+        assert stacks == [(4,), (), ()]
+
+    def test_copies_carry_no_link(self):
+        traj = flowed(2, 2)
+        assert traj[0]._flow == () and [ref() for ref in traj[1]._flow] == traj[1:]
+        for twin in (pickle.loads(pickle.dumps(traj[1])), copy.copy(traj[1]),
+                     copy.deepcopy(traj[1])):
+            assert twin._flow == () and twin._memo == {}
+            assert np.array_equal(twin.coeff_mats, traj[1].coeff_mats)
+
+    def test_a_dropped_trajectory_is_freed_at_once(self):
+        # the states link each other by weak references only: no reference
+        # cycle, so they are freed with the list, curves computed or not
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for curves in (False, True):
+                traj = flowed(3, 1)
+                if curves:
+                    R.spectral_curve(traj[1])
+                    assert ("spectral_curve",) in traj[4]._memo
+                refs = [weakref.ref(p) for p in traj[1:]]
+                del traj
+                assert [ref() for ref in refs] == [None] * 4
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestGenus:
@@ -1184,6 +1257,17 @@ class TestMemo:
         R.casimir_detect(fresh, self.QUADRATIC)
         (p1, g1), (p2, g2) = (R.spectral_gradient_matrix(fresh) for _ in range(2))
         assert len(calls) == 1 and g1 is g2 and p1 == p2 and p1 is not p2
+
+    def test_drift_loop_makes_one_char_adj_call(self, phi, monkeypatch):
+        # suite_isospectral's and `sovkit flow`'s drift loop: the start's curve is
+        # memoized, and the new states' curves come from one stacked call
+        hams, _ = R.casimir_detect(phi, self.LINEAR)
+        traj = R.flow(phi, hams[0], self.LINEAR, np.linspace(0.0, 0.5, 5))
+        base = R.spectral_curve(phi).grid
+        calls = counted(monkeypatch, kernel, "matpoly_char_adj")
+        drift = max(np.abs(R.spectral_curve(p).grid - base).max() for p in traj)
+        assert len(calls) == 1 and calls[0][0].shape[0] == 4
+        assert drift <= 1e-8 * np.abs(base).max()
 
     def test_flow_starts_at_the_point_itself(self, phi):
         hams, _ = R.casimir_detect(phi, self.LINEAR)
