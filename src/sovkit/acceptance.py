@@ -88,7 +88,7 @@ def suite_involution(config: ExperimentConfig):
         for _ in range(20):
             phi = rational.random_instance(r, n, rng)
             for spec in specs:
-                worst = max(worst, rational.involution_max_residual(phi, spec))
+                worst = np.maximum(worst, rational.involution_max_residual(phi, spec))
         out.append(CheckResult.gated(
             f"involution_r{r}_n{n}", worst, config.tol_scale, instances=20, specs=len(specs)))
     return out
@@ -104,7 +104,7 @@ def suite_jacobi(config: ExperimentConfig):
             tensor = rational.structure_tensor(r, n, spec)
             x = rational.MatPoly(rational._random_disk_cm(r, n, rng)).flatten()
             triples = [tuple(rng.integers(0, tensor.dim, 3)) for _ in range(10)]
-            worst = max(worst, rational.jacobi_max_residual(tensor, x, triples))
+            worst = np.maximum(worst, rational.jacobi_max_residual(tensor, x, triples))
         out.append(CheckResult.gated(
             f"jacobi_r{r}_n{n}", worst, config.tol_scale, triples=10, specs=len(specs)))
     return out
@@ -122,15 +122,15 @@ def suite_isospectral(config: ExperimentConfig):
             base = rational.spectral_curve(phi).grid
             for pos in rational.casimir_detect(phi, BRACKETS["linear"])[0]:
                 traj = rational.flow(phi, pos, BRACKETS["linear"], np.linspace(0.0, 1.0, 5))
-                drifts.append(max(np.abs(rational.spectral_curve(p).grid - base).max()
-                                  for p in traj) / max(1.0, np.abs(base).max()))
+                drifts.append(np.max([np.abs(rational.spectral_curve(p).grid - base).max()
+                                      for p in traj]) / max(1.0, np.abs(base).max()))
             positions, G = rational.spectral_gradient_matrix(phi)
             lin, quad, z = (G @ rational._poisson(phi, spec) for spec in lenard_specs)
             rows = dict(zip(positions, lin))  # C_{k,l}'s linear field, 0 off the positions
-            lenard = max(lenard, *(np.abs(F[i] - rows.get((k - dk, l - dl), 0.0)).max()
-                                   / np.abs(lin).max() for F, dk, dl in ((quad, 1, 0), (z, 0, 1))
-                                   for i, (k, l) in enumerate(positions)))
-        out += [CheckResult.gated(f"isospectral_r{r}_n{n}", max(drifts), config.tol_scale,
+            lenard = np.max([lenard, *(
+                np.abs(F[i] - rows.get((k - dk, l - dl), 0.0)).max() / np.abs(lin).max()
+                for F, dk, dl in ((quad, 1, 0), (z, 0, 1)) for i, (k, l) in enumerate(positions))])
+        out += [CheckResult.gated(f"isospectral_r{r}_n{n}", np.max(drifts), config.tol_scale,
                                   flows=len(drifts)),
                 CheckResult.gated(f"lenard_r{r}_n{n}", lenard, config.tol_scale, instances=2)]
     return out
@@ -181,7 +181,7 @@ def suite_linearization(config: ExperimentConfig):
             worst = 0.0
             for phi in phis:
                 hams, S = linearize.slope_matrix(phi, spec)
-                worst = max(worst, float(np.abs(S - np.eye(len(hams))).max()))
+                worst = np.maximum(worst, np.abs(S - np.eye(len(hams))).max())
             out.append(CheckResult.gated(
                 f"slopes_r{r}_n{n}_{label}", worst, config.tol_scale,
                 instances=len(phis), hamiltonians=len(hams)))
@@ -211,8 +211,8 @@ def suite_linearization(config: ExperimentConfig):
                 t_max /= 2.0
         else:
             raise MatchingError("linearization window could not be stabilized")
-        worst_fit = max(worst_fit, float(res.fit_residuals.max()))
-        slope_dev = max(slope_dev, float(np.abs(res.slopes - S[:, j]).max()))
+        worst_fit = np.maximum(worst_fit, res.fit_residuals.max())
+        slope_dev = np.maximum(slope_dev, np.abs(res.slopes - S[:, j]).max())
     out.append(CheckResult.gated(
         "linearization_fit_r2_n3", worst_fit, config.tol_scale, hamiltonians=len(hams)))
     # the path-integral slopes against S at t = 0: a sheet error in the Abel
@@ -288,28 +288,26 @@ def theta_cell(params, seed: int, tol_scale: float = 1.0):
                         (theta.xi_kj, (2 * k - 1 + (2 * j - 1) * tau) / (2 * r))):
                     v0 = fam(z, k, j, params)
                     sc = max(1.0, abs(v0))
-                    worst = max(worst, abs(fam(z + 2.0, k, j, params) - v0) / sc)
+                    worst = np.maximum(worst, abs(fam(z + 2.0, k, j, params) - v0) / sc)
                     fac = np.exp(-1j * np.pi * tau - 2j * np.pi * (z + shift))
                     v1 = fam(z + tau, k, j, params)
-                    worst = max(worst, abs(v1 - fac * v0) / max(1.0, abs(v1)))
+                    worst = np.maximum(worst, abs(v1 - fac * v0) / max(1.0, abs(v1)))
                     if k < r - 1:
-                        worst = max(worst, abs(
-                            fam(z + 1.0 / r, k, j, params)
-                            - fam(z, k + 1, j, params)) / sc)
+                        worst = np.maximum(worst, abs(
+                            fam(z + 1.0 / r, k, j, params) - fam(z, k + 1, j, params)) / sc)
                     if j < r - 1:
-                        worst = max(worst, abs(
-                            fam(z + tau / r, k, j, params)
-                            - fam(z, k, j + 1, params)) / sc)
+                        worst = np.maximum(worst, abs(
+                            fam(z + tau / r, k, j, params) - fam(z, k, j + 1, params)) / sc)
         for k in range(r):
             v0 = theta.theta_kj(z, k, 0, params)
             fac = np.exp(-1j * np.pi * tau - 2j * np.pi * (z + k / r))
             v1 = theta.theta_kj(z + tau / r, k, r - 1, params)
-            worst = max(worst, abs(v1 - fac * v0) / max(1.0, abs(v1)))
+            worst = np.maximum(worst, abs(v1 - fac * v0) / max(1.0, abs(v1)))
             w0 = theta.xi_kj(z, k, 0, params)
             facx = np.exp(-1j * np.pi * tau
                           - 2j * np.pi * (z + (2 * k - 1 - tau) / (2 * r)))
             w1 = theta.xi_kj(z + tau / r, k, r - 1, params)
-            worst = max(worst, abs(w1 - facx * w0) / max(1.0, abs(w1)))
+            worst = np.maximum(worst, abs(w1 - facx * w0) / max(1.0, abs(w1)))
     out.append(CheckResult.gated("theta_relations", worst, tol_scale))
 
     _, I2 = theta.i_matrices(r)
@@ -326,17 +324,17 @@ def theta_cell(params, seed: int, tol_scale: float = 1.0):
         F1 = theta.f_vector(z + 1.0 / r, params)
         F2 = theta.f_vector(z + tau / r, params)
         scale = np.abs(F0).max()
-        worst_p = max(worst_p, float(np.abs(F1 - F0).max() / scale))
-        worst_p = max(worst_p, float(np.abs(F2 - I2 @ F0).max() / scale))
+        worst_p = np.maximum(worst_p, np.abs(F1 - F0).max() / scale)
+        worst_p = np.maximum(worst_p, np.abs(F2 - I2 @ F0).max() / scale)
         used.append(z)
     out.append(CheckResult.gated("theta_period", worst_p, tol_scale, points=len(used)))
 
     q, trk, worst_s = params.q_root, theta.SectionTracker(params), 0.0
-    for z in used[:3]:  # away from the anchor, where d is calibrated to I2
+    for z in used[:3]:
         s0, s1 = trk.value_at([z, z + 1.0 / r]).T
         t0, s2 = trk.value_at([z, z + tau / r]).T
-        worst_s = max(worst_s, np.abs(s1 / s0 - q ** np.arange(r)).max(),
-                      np.abs(s2 - I2 @ t0).max() / np.abs(t0).max())
+        worst_s = np.max([worst_s, np.abs(s1 / s0 - q ** np.arange(r)).max(),
+                          np.abs(s2 - I2 @ t0).max() / np.abs(t0).max()])
     out.append(CheckResult.gated("theta_roots", worst_s, tol_scale))
     return out
 
@@ -378,12 +376,12 @@ def suite_elliptic(config: ExperimentConfig):
             mag = max(1.0, float(np.abs(base).max()))
             r1 = np.abs(lax(lam + params.omega1) - I1 @ base @ np.linalg.inv(I1)).max()
             r2 = np.abs(lax(lam + params.omega2) - I2 @ base @ np.linalg.inv(I2)).max()
-            worst_qp = max(worst_qp, float(max(r1, r2) / mag))
+            worst_qp = np.max([worst_qp, r1 / mag, r2 / mag])
             for t in invariants:
                 tv = t(lam)
                 sc = max(1.0, abs(tv))
-                worst_qp = max(worst_qp, abs(t(lam + params.omega1) - tv) / sc,
-                               abs(t(lam + params.omega2) - tv) / sc)
+                worst_qp = np.max([worst_qp, abs(t(lam + params.omega1) - tv) / sc,
+                                   abs(t(lam + params.omega2) - tv) / sc])
             checked += 1
         out.append(CheckResult.gated(
             f"elliptic_quasiperiodicity_n{n}", worst_qp, config.tol_scale))
@@ -396,8 +394,8 @@ def suite_elliptic(config: ExperimentConfig):
             genus_prediction=rep.genus_prediction))
 
         red = ell.slr_reduce(rep.points)
-        slr_resid = max(abs(sum(p.z for p in red)),
-                        abs(np.prod([p.xi for p in red]) - 1.0))
+        slr_resid = np.maximum(abs(sum(p.z for p in red)),
+                               abs(np.prod([p.xi for p in red]) - 1.0))
         out.append(CheckResult.gated(f"elliptic_slr_n{n}", slr_resid, config.tol_scale))
 
         if n == 1:
@@ -408,7 +406,7 @@ def suite_elliptic(config: ExperimentConfig):
                         key=lambda w: (round(w.real, 8), round(w.imag, 8)))
             zb = sorted((ell.reduce_to_domain(p.z, params) for p in rep.points),
                         key=lambda w: (round(w.real, 8), round(w.imag, 8)))
-            shift_dev = max(abs(a - b) for a, b in zip(za, zb)) if za else 0.0
+            shift_dev = np.max([abs(a - b) for a, b in zip(za, zb)], initial=0.0)
             out.append(CheckResult.gated(
                 "elliptic_translation_shift", shift_dev, config.tol_scale))
     return out

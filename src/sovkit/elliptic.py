@@ -226,6 +226,28 @@ class EllipticLax:
         shape = values.shape[:-1] + (self.params.r,) * 2
         return (values @ self._mats).reshape(shape), ((values * logd) @ self._mats).reshape(shape)
 
+    @cached_property
+    def _invariant_forms(self):
+        """``t_1`` and, at r = 2, ``t_2`` as forms in the basis values ``Q``
+        (E,): ``[lin | D]`` (E, 1) or (E, 1 + E), ``t_1 = Q @ lin`` and ``t_2
+        = Q @ D @ Q`` with ``D`` symmetric, read off ``kernel._monomials``,
+        one ``kernel.char_bipoly`` call per degree at the unit (and pair)
+        points, once per matrix."""
+        r, mats = self.params.r, self._mats
+        E = len(mats)
+
+        def t(k):
+            return lambda x: kernel.char_bipoly((x @ mats).reshape(-1, r, r))[:, r - k]
+
+        lin = kernel._monomials(t(1), E, 1)[1]  # e_0, e_1, ...
+        if r == 1:
+            return lin[:, None]
+        idx, c = kernel._monomials(t(2), E, 2)
+        i, j = idx.T
+        D = np.zeros((E, E), dtype=complex)
+        D[i, j] = D[j, i] = np.where(i == j, c, c / 2)
+        return np.column_stack([lin, D])
+
 
 def assemble_lax(coeffs, divisor: EllipticDivisor, params: ThetaParams,
                  z0=0.0, basis: Optional[dict] = None) -> EllipticLax:
@@ -260,27 +282,6 @@ def assemble_lax(coeffs, divisor: EllipticDivisor, params: ThetaParams,
     return lax
 
 
-def _invariant_forms(lax: EllipticLax):
-    """``t_1`` and, at r = 2, ``t_2`` as forms in the basis values ``Q``
-    (E,): ``[lin | D]`` (E, 1) or (E, 1 + E), ``t_1 = Q @ lin`` and ``t_2 =
-    Q @ D @ Q`` with ``D`` symmetric, read off ``kernel._monomials``, one
-    ``kernel.char_bipoly`` call per degree at the unit (and pair) points."""
-    r, mats = lax.params.r, lax._mats
-    E = len(mats)
-
-    def t(k):
-        return lambda x: kernel.char_bipoly((x @ mats).reshape(-1, r, r))[:, r - k]
-
-    lin = kernel._monomials(t(1), E, 1)[1]  # e_0, e_1, ...
-    if r == 1:
-        return lin[:, None]
-    idx, c = kernel._monomials(t(2), E, 2)
-    i, j = idx.T
-    D = np.zeros((E, E), dtype=complex)
-    D[i, j] = D[j, i] = np.where(i == j, c, c / 2)
-    return np.column_stack([lin, D])
-
-
 def spectral_invariants(lax: EllipticLax):
     """The functions t_k(lambda), k = 1..r: coefficients of xi^{r-k} in
     det(phi(lambda) - xi I); each is genuinely elliptic.
@@ -291,14 +292,15 @@ def spectral_invariants(lax: EllipticLax):
 
     ``phi`` is linear in the basis values ``Q = lax._quotients(lam)``, so
     ``t_k`` is a form of degree ``k`` in ``Q``.  At r <= 2 the forms are read
-    off the characteristic polynomial once (``_invariant_forms``), and a
-    point costs the ``Q`` and two products, ``v = Q @ [lin | D]``, ``t_1 =
-    v[0]``, ``t_2 = v[1:] @ Q``, with no ``phi`` and no recursion.  At r >= 3
-    a form of degree ``k`` has ``O(E^k)`` coefficients, so every point takes
+    off the characteristic polynomial once per matrix (the cached
+    ``lax._invariant_forms``), and a point costs the ``Q`` and two products,
+    ``v = Q @ [lin | D]``, ``t_1 = v[0]``, ``t_2 = v[1:] @ Q``, with no
+    ``phi`` and no recursion.  At r >= 3 a form of degree ``k`` has
+    ``O(E^k)`` coefficients, so every point takes
     ``kernel.char_bipoly(lax(lam))``.
     """
     r = lax.params.r
-    forms = _invariant_forms(lax) if r <= 2 else None
+    forms = lax._invariant_forms if r <= 2 else None
     last = [None, None]  # scalar lam as a Python complex, [t_1, ..., t_r] there
 
     def at_number(lam):

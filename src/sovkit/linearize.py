@@ -135,7 +135,7 @@ def _cut(grid, a, b):
     (step-length adaptation, Allgower and Georg, Numerical Continuation
     Methods, 1990)."""
     zs, segs = (a[:, None] + (b - a)[:, None] * _SAMPLES)[..., None], np.arange(a.size)[:, None]
-    xi = kernel.companion_roots(np.moveaxis(kernel.poly_eval(grid.T, zs[..., 0]), 0, -1))
+    xi = _curve_roots(grid.T, zs[..., 0])
     fast = np.abs(b - a)[:, None, None] * np.abs(
         kernel.bipoly_eval(kernel.poly_der(grid.T).T, zs, xi))  # |P_z| |b - a|
     slow = _MOVE * kernel.min_gap(xi)[..., None] * np.abs(

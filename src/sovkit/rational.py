@@ -354,7 +354,7 @@ def jacobi_max_residual(tensor: StructureTensor, x, triples) -> float:
             + pi[be] @ dpi[ga, al]
             + pi[ga] @ dpi[al, be]
         )
-        worst = max(worst, abs(s) / scale)
+        worst = np.maximum(worst, abs(s) / scale)
     return worst
 
 
@@ -545,7 +545,7 @@ class CanonicalReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.max_zxi_residual, self.max_zz_residual, self.max_xixi_residual)
+        return float(np.max([self.max_zxi_residual, self.max_zz_residual, self.max_xixi_residual]))
 
 
 def divisor_jacobian(phi: MatPoly, s=None, tol: Tolerances = DEFAULT):

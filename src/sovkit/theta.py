@@ -1,8 +1,11 @@
 """Theta machinery on the elliptic curve with periods (1/r, tau/r).
 
-Provides the standard theta series, the shifted families used for odd and
-even rank, the quasi-periodic products f_j, the automorphy matrices, and the
-basic section s = A (1/h)^(1/r) with s_i**r = f_i.
+Provides the standard theta series, the shifted families theta_kj and xi_kj,
+the quasi-periodic family f_j, the automorphy matrices, and the basic section
+s = A (1/h)^(1/r) with s_i**r = f_i.  One construction gives f_j at every
+rank; its constants kappa_j = exp(i pi tau j^2) and A's d_j = exp(i pi tau
+j^2 / r) are closed forms, which tests/test_theta.py checks against the
+ratios of neighbouring f_j and against 1/h continued across tau/r.
 
 Everything is array-valued.  ``ThetaQuotients`` evaluates theta quotients
 (theta itself, the f_j, the basic section, the elliptic Lax basis) and their
@@ -33,7 +36,7 @@ from .tolerances import PUNCTURE_RADIUS
 
 __all__ = [
     "ThetaParams", "ThetaQuotients", "SectionTracker", "riemann_theta", "theta_deriv",
-    "theta_kj", "xi_kj", "rho_shift", "f_component", "f_vector", "f_quotients",
+    "theta_kj", "xi_kj", "f_component", "f_vector", "f_quotients",
     "lattice_coords", "puncture_distance", "i_matrices", "section_quotients",
 ]
 
@@ -218,7 +221,7 @@ def _plain(params: ThetaParams) -> ThetaQuotients:
 
 
 def theta_kj(z, k: int, j: int, params: ThetaParams):
-    """theta(z + (k + j tau)/r), the odd-rank family."""
+    """theta(z + (k + j tau)/r), theta shifted by an r-torsion point."""
     r = params.r
     if not (0 <= k < r and 0 <= j < r):
         raise IndexError("index out of range")
@@ -226,19 +229,13 @@ def theta_kj(z, k: int, j: int, params: ThetaParams):
 
 
 def xi_kj(z, k: int, j: int, params: ThetaParams):
-    """theta(z + (2k - 1 + 2j tau - tau)/(2r)), the even-rank family."""
+    """theta(z + (2k - 1 + 2j tau - tau)/(2r)), theta shifted by an r-torsion
+    point less (1 + tau)/(2r)."""
     r = params.r
     if not (0 <= k < r and 0 <= j < r):
         raise IndexError("index out of range")
     shift = (2 * k - 1 + (2 * j - 1) * params.tau) / (2 * r)
     return riemann_theta(np.asarray(z, dtype=complex) + shift, params)
-
-
-def rho_shift(j: int, r: int) -> float:
-    """The tau-multiple in the shifted numerator factor of f_j."""
-    if r % 2 == 1:
-        return (r - 1) / 2.0 - j
-    return r / 2.0 - j
 
 
 def lattice_coords(z, params: ThetaParams, origin=0.0):
@@ -307,69 +304,45 @@ def _continued_log(func, nodes, params: ThetaParams):
         at += np.searchsorted(bad, at)
 
 
-# --- the quasi-periodic families f_j: ThetaQuotients over the components ----
+# --- the quasi-periodic family f_j: one ThetaQuotients for every rank --------
 #
-# For odd r, with theta_kl = theta(z + (k + l tau)/r),
+# In u = r z, with theta of modulus r tau (zero at (1 + r tau)/2),
 #
-#     f_j = c_j prod_k theta_kj^(r-2) theta_kj(. + rho_j tau) / prod_{l != j} theta_kl;
+#     f_j(z) = A_j(u)^r / h(u),   h(u) = prod_m theta(u + ((r - 1)/2 - m) tau),
+#     A_j(u) = theta[j/r, 0](u | r tau) = d_j exp(2 pi i j u/r) theta(u + j tau),
 #
-# rho_j is an integer, so theta_kj(. + rho_j tau) is theta_kj exp(-2 pi i rho_j z) times
-# a constant, and f_j = c'_j exp(-2 pi i r rho_j z) prod_{k,l} theta_kl^(r [l = j] - 1).
-
-@lru_cache(maxsize=32)
-def _odd_family(params: ThetaParams):
-    r, tau, ks = params.r, params.tau, np.arange(params.r)
-    rho = rho_shift(ks, r)
-    grid = (ks[:, None] + ks * tau) / r  # (k, l)
-    powers = np.broadcast_to(r * np.eye(r)[:, None, :] - 1, (r, r, r))  # (j, k, l)
-    # c_j prod_k exp(-pi i rho_j (rho_j tau + 2 (k + j tau)/r)); sum_k k/r is an integer
-    coef = np.exp(1j * np.pi * tau * ((r - 1) * ks * (ks + 1 - r) - r * rho ** 2 - 2 * rho * ks))
-    return ThetaQuotients(params, grid.ravel(), powers.reshape(r, -1), -r * rho, coef, 1.0)
-
-
-# For even r the puncture-stack zero placement is obstructed (the Abel class
-# of stack-supported zeros is off by a half period), so the family is built
-# in u = r z coordinates on the (1, r tau) torus as
-#
-#     H_j(u) = exp(2 pi i j u) Z(u - V_j)^r / prod_m Z(u - u_m),
-#
-# with Z a theta of modulus r tau (zero at 0), u_m the puncture stack, and
-# V_j the zero position mandated by the multiplier equations.  Connection
-# constants are calibrated once per (r, tau) from the measured shift ratios.
+# theta[j/r, 0] the theta with characteristic j/r and d_j = exp(i pi tau j^2 / r); h
+# vanishes on the puncture stack z = (1 + tau)/(2r) + m tau/r.  As one quotient, f_j =
+# kappa_j exp(2 pi i j u) theta(u + j tau)^r / h with kappa_j = d_j^r = exp(i pi tau j^2).
+# Over u -> u + tau, A_j becomes exp(-i pi tau/r - 2 pi i u/r) A_(j+1), A_r = A_0, and h
+# becomes exp(-i pi tau - 2 pi i u) h: so f(z + tau/r) = I2 f(z), which the family
+# checks once at two points.  tests/test_theta.py measures kappa from the ratios of
+# neighbouring quotients without it, and at odd r checks f_j against the product over
+# theta_kj, which is exp(-2 pi i tau ((r - 1)/2)^3) f_j.
 
 @lru_cache(maxsize=32)
 def _even_family(params: ThetaParams):
-    r, tau = params.r, params.tau
-    base = ThetaParams(tau=r * tau, r=r)
-    stacks = (1.0 + tau) / 2.0 + np.arange(r) * tau
-    vs = stacks.sum() / r - np.arange(r) * tau
-    half = (1.0 + r * tau) / 2.0
-    # numerator shifts, then the puncture-stack shifts of the denominator
-    shifts = np.concatenate([half - vs, half - stacks])
+    r, tau, js = params.r, params.tau, np.arange(params.r)
+    # numerator shifts, then the puncture stack's; at odd r they meet, and merge
+    shifts = np.concatenate([js, (r - 1) / 2 - js]) * tau
     exps = np.hstack([r * np.eye(r), -np.ones((r, r))])
-    raw = ThetaQuotients(base, shifts, exps, np.arange(r), 1.0, r)  # all H_j
-
-    zr1 = (0.1529 + 0.2731 * tau) / r
-    zr2 = (0.3107 + 0.1381 * tau) / r
-    a1, a2, b1, b2 = raw(np.array([zr1 + tau / r, zr2 + tau / r, zr1, zr2]))
-    r1, r2 = a1[:-1] / b1[1:], a2[:-1] / b2[1:]
-    if np.any(np.abs(r1 - r2) > 1e-8 * np.abs(r1)):
-        raise ConsistencyError("even-rank family ratios are not constant")
-    kappa = np.concatenate([[1.0 + 0.0j], np.cumprod(r1)])
-    if abs(kappa[-1] * a1[-1] / b1[0] - 1.0) > 1e-8:
-        raise ConsistencyError("even-rank family does not close")
-
-    # over a horizontal period H_j^(1/r) = exp(2 pi i j u/r) Z(u - V_j) h^(-1/r)
-    # gains q^j, so j is the label: Z is 1-periodic, and between two puncture
-    # rows every factor theta(u - u_m + half | r tau) of h has its argument
-    # between the zero rows next to the real axis, where theta does not wind
-    return ThetaQuotients(base, shifts, exps, np.arange(r), kappa, r)
+    # over a horizontal period (u -> u + 1) f_j^(1/r) = A_j h^(-1/r) gains q^j, so j
+    # is the label: A_j gains q^j, and between two puncture rows every theta factor
+    # of h has its argument between the zero rows next to the real axis, where
+    # theta does not wind
+    family = ThetaQuotients(ThetaParams(tau=r * tau, r=r), shifts, exps, js,
+                            np.exp(1j * np.pi * tau * js ** 2), r)
+    zs = np.array([0.1529 + 0.2731 * tau, 0.3107 + 0.1381 * tau]) / r
+    up, f = np.split(family(np.concatenate([zs + tau / r, zs])), 2)
+    if np.any(np.abs(up - np.roll(f, -1, axis=-1)) > 1e-8 * np.abs(up)):
+        raise ConsistencyError("f_j family is not quasi-periodic: f(z + tau/r) != I2 f(z)")
+    return family
 
 
 def f_quotients(params: ThetaParams) -> ThetaQuotients:
     """The components f_j as one evaluator (elements j = 0..r-1), from which
     ``f_component`` takes its values and ``section_quotients`` its factors."""
-    return _odd_family(params) if params.r % 2 else _even_family(params)
+    return _even_family(params)
 
 
 def f_component(z, j, params: ThetaParams):
@@ -420,26 +393,21 @@ def section_quotients(params: ThetaParams) -> ThetaQuotients:
     elements: ``A_j`` (elements j = 0..r-1, single-valued), then ``1/h``
     (element r), all from one series table.
 
-    ``f_j = c_j A_j^r / h``: each theta factor's least power over the
-    components (-1 or 0) goes to ``1/h``, the rest (``r`` or 0) over ``r``
-    to ``A_j``, with ``gamma_j / r`` and ``d_j``, an r-th root of ``c_j``:
-    ``d_0`` the principal one, and ``d_(j+1)`` the one that makes ``s(z +
-    tau/r) = I2 s(z)`` with ``(1/h)^(1/r)`` continued across ``tau/r`` from
-    the anchor.  ``1/h`` has ``gamma`` 0 and constant 1.
+    ``f_j = A_j^r / h``: each theta factor's least power over the components
+    (-1 or 0) goes to ``1/h``, the rest (``r`` or 0) over ``r`` to ``A_j``,
+    with ``gamma_j / r`` and ``d_j = exp(i pi tau j^2 / r)``, so that ``A_j``
+    is the theta with characteristic ``j/r`` (above ``_even_family``).  That
+    ``d_j`` is the r-th root of ``kappa_j`` that makes ``s(z + tau/r) = I2
+    s(z)`` with ``(1/h)^(1/r)`` continued across ``tau/r`` from the anchor.
+    ``1/h`` has ``gamma`` 0 and constant 1.
     """
     f, r = f_quotients(params), params.r
     low = f.powers.real.min(axis=0)
     ones = (f.powers.real - low) / r
     keep = ones.any(axis=0) | (low != 0)  # leave out factors of power 0
     powers, gamma = np.vstack([ones, low])[:, keep], np.append(f.phase / (2j * np.pi * r), 0.0)
-
-    def quotients(d):
-        return ThetaQuotients(f.params, f.shifts[keep], powers, gamma, np.append(d, 1.0), f.scale)
-
-    a, unit = _anchor(params), quotients(np.ones(r))
-    turn = np.exp(_continued_log(_last(unit), [a, a + params.omega2], params)[-1] / r)
-    carry = unit(a + params.omega2)[:r - 1] * turn / unit(a)[1:r]  # d_(j+1) / d_j
-    return quotients(f.coef[0] ** (1.0 / r) * np.cumprod(np.append(1.0, carry)))
+    d = np.exp(1j * np.pi * params.tau * np.arange(r) ** 2 / r)
+    return ThetaQuotients(f.params, f.shifts[keep], powers, gamma, np.append(d, 1.0), f.scale)
 
 
 def _last(quotients: ThetaQuotients):

@@ -2,6 +2,7 @@
 one pass/fail line."""
 
 import json
+from functools import cached_property
 
 from sovkit import elliptic as ell
 from sovkit import rational
@@ -63,8 +64,10 @@ class TestAcceptanceCriteria:
     def test_elliptic_builds_the_forms_once_per_lax_matrix(self, monkeypatch):
         # the invariants are built before the probe loop: one form read-off
         # for each of the suite's two Lax matrices, not one per probe
-        built, forms = [], ell._invariant_forms
-        monkeypatch.setattr(ell, "_invariant_forms", lambda lax: built.append(lax) or forms(lax))
+        built, forms = [], ell.EllipticLax._invariant_forms.func
+        counted = cached_property(lambda lax: built.append(lax) or forms(lax))
+        counted.__set_name__(ell.EllipticLax, "_invariant_forms")
+        monkeypatch.setattr(ell.EllipticLax, "_invariant_forms", counted)
         SUITES["elliptic"](CONFIG)
         assert len(built) == 2
 

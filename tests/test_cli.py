@@ -6,6 +6,8 @@ import pytest
 
 from sovkit import documents as docs
 from sovkit import rational as R
+from sovkit import theta
+from sovkit.acceptance import theta_cell
 from sovkit.cli import main
 from test_elliptic import _sequential_draws
 from test_flow_linearize import blowup_instance
@@ -246,6 +248,16 @@ class TestThetaCmd:
         header, rows = docs.read_csv(tmp_path / "theta_report.csv")
         assert header == ["relation", "residual", "tolerance"]
         assert {r[0] for r in rows} >= {"theta_zero", "period_relations"}
+
+    def test_nan_period_residual_fails(self, tmp_path, monkeypatch, capsys):
+        # a NaN among the period residuals is not dropped by the running worst:
+        # theta_period fails, and so does the subcommand
+        monkeypatch.setattr(theta, "f_vector",
+                            lambda z, params: np.full(params.r, complex("nan+nanj")))
+        check = {c.name: c for c in theta_cell(theta.ThetaParams(tau=1j, r=2), 1)}["theta_period"]
+        assert np.isnan(check.residual) and not check.passed
+        assert main(["theta", "--rank", "2", "--tau-im", "1.0", "--out", str(tmp_path)]) == 1
+        assert "FAIL period_relations: nan" in capsys.readouterr().out
 
     def test_degenerate_tau_exits_4(self, tmp_path):
         assert main(["theta", "--rank", "2", "--tau-im", "0.01",

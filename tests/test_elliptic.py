@@ -273,9 +273,23 @@ class TestInvariantForms:
         calls = []
         monkeypatch.setattr(kernel, "char_bipoly", lambda M, f=kernel.char_bipoly:
                             calls.append(M.shape) or f(M))
-        E._invariant_forms(lax)
+        forms = lax._invariant_forms
         size = len(lax._mats)
         assert calls == [(size, r, r), (size * (size + 1) // 2, r, r)][:r]
+        assert lax._invariant_forms is forms and len(calls) == r
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_a_second_call_reads_the_cached_forms(self, r, monkeypatch):
+        # the forms belong to the matrix: a second spectral_invariants(lax)
+        # makes no char_bipoly call and gives the same values, bit for bit
+        lax, lams = _lax_and_probes(r, 2)
+        first = [t(lams) for t in E.spectral_invariants(lax)]
+        calls = []
+        monkeypatch.setattr(kernel, "char_bipoly", lambda M, f=kernel.char_bipoly:
+                            calls.append(M.shape) or f(M))
+        second = [t(lams) for t in E.spectral_invariants(lax)]
+        assert calls == []
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     @pytest.mark.parametrize("r, n", [(1, 2), (2, 1), (2, 2), (3, 1)])
     def test_no_recursion_per_point_below_rank_3(self, r, n, monkeypatch):

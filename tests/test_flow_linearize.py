@@ -595,14 +595,15 @@ class TestBatchedWalk:
         calls, inner = [], linearize._curve_roots
 
         def shifted_starts(Pg_T, z):
-            # only the piece starts: the walk takes its step ends' roots itself
+            # only the piece starts (1-D): the walk takes its step ends' roots
+            # itself, and _cut's read of its 9 samples per segment (2-D) stays
             calls.append(np.shape(z))
-            return inner(Pg_T, z) + 0.01
+            return inner(Pg_T, z) + (0.01 if np.ndim(z) == 1 else 0.0)
 
         monkeypatch.setattr(linearize, "_curve_roots", shifted_starts)
         with pytest.raises(ConsistencyError, match="did not land on the next piece"):
             linearize.sheet_integrals(curve, integrand, [path], start)
-        assert calls == [(22,)]
+        assert calls == [(1, 9), (22,)]
 
     def test_split_path_matches_whole(self, reference_r2_n3):
         curve, bps, d, integrand = reference_r2_n3

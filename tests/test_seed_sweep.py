@@ -59,3 +59,16 @@ def test_failures_and_aborts_are_listed(sweep, monkeypatch, capsys):
         "abort: seed 3 fake: ConsistencyError: injected",
         "failing seeds: 2, 3",
     ]
+
+
+def test_a_nan_residual_is_the_worst(sweep, monkeypatch, capsys):
+    def fake(config):  # NaN at seed 2, between finite residuals larger and smaller
+        residual = float("nan") if config.seed == 2 else 1e-9 * config.seed
+        return [CheckResult.from_residual("fake_r2_n1", residual, 1e-6)]
+
+    monkeypatch.setitem(acceptance.SUITES, "fake", fake)
+    assert sweep.main(["--seeds", "1-3", "--suites", "fake"]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        f"{'fake':<32} {'nan':>9} {1e-6:9.0e}  2",
+        "failing seeds: 2",
+    ]

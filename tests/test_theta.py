@@ -264,9 +264,6 @@ class TestShiftedFamilies:
         with pytest.raises(IndexError, match="index out of range"):
             T.xi_kj(0.1, 0, -1, params)
 
-    def test_rho_values_r3(self):
-        assert [T.rho_shift(j, 3) for j in range(3)] == [1.0, 0.0, -1.0]
-
 
 class TestProducts:
     @pytest.mark.parametrize("r", [2, 3, 4])
@@ -309,10 +306,11 @@ class TestProducts:
             worst = max(worst, abs(pair[(0, 1) + idx] - batch[(0,) + idx])
                         / abs(batch[(0,) + idx]))
             if r % 2 == 1:
-                # the definitional product over the odd-rank family
+                # the definitional product over theta_kj, with rho_j = (r - 1)/2 - j;
+                # f_j is exp(2 pi i tau ((r - 1)/2)^3) times it
                 for j in range(r):
-                    rho = T.rho_shift(j, r)
-                    val = np.exp(2j * np.pi * tau * (-j * r * (r - 1) / 2.0
+                    rho = (r - 1) / 2 - j
+                    val = np.exp(2j * np.pi * tau * (((r - 1) / 2) ** 3 - j * r * (r - 1) / 2.0
                                                      + (r - 1) * j * (j + 1) / 2.0))
                     for k in range(r):
                         val *= T.theta_kj(z[idx], k, j, params) ** (r - 2) \
@@ -327,9 +325,9 @@ class TestProducts:
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
     def test_log_derivatives_against_mpmath(self, r):
         # f_j'/f_j of the evaluator against mpmath's derivative of the
-        # definitional product: the odd-rank theta_kj product, or for even r
-        # H_j(u) = exp(2 pi i j u) Z(u - V_j)^r / prod_m Z(u - u_m) in u = r z,
-        # whose calibrated constants drop out of f'/f
+        # definitional product: for odd r the theta_kj product (rho_j = (r -
+        # 1)/2 - j), or for even r H_j(u) = exp(2 pi i j u) Z(u - V_j)^r /
+        # prod_m Z(u - u_m) in u = r z; the constants drop out of f'/f
         tau = 0.2 + 1.1j
         params = T.ThetaParams(tau=tau, r=r)
         zs = (np.array([0.23, 0.67]) + np.array([0.61, 0.18]) * tau) / r
@@ -346,7 +344,7 @@ class TestProducts:
                     val = mp.mpf(1)
                     for k in range(r):
                         val *= theta(z + (k + j * tau_mp) / r) ** (r - 2) * theta(
-                            z + (k + j * tau_mp) / r + T.rho_shift(j, r) * tau_mp)
+                            z + (k + j * tau_mp) / r + ((r - 1) / 2 - j) * tau_mp)
                         for ell in range(r):
                             if ell != j:
                                 val /= theta(z + (k + ell * tau_mp) / r)
@@ -366,7 +364,7 @@ class TestProducts:
             ref = np.array([[complex(mp.diff(lambda x: f(j, x), mp.mpc(z)) / f(j, mp.mpc(z)))
                              for j in range(r)] for z in zs])
         if r % 2 == 0:
-            # the components are the H_j in the calibrated labelling
+            # the components are the H_j in the family's labelling
             match = np.abs(logd[:, :, None] - ref[:, None, :]).argmin(axis=-1)
             assert (np.sort(match, axis=-1) == np.arange(r)).all()
             assert (match == match[0]).all()
@@ -376,22 +374,27 @@ class TestProducts:
     @pytest.mark.parametrize("r", [3, 5, 7])
     def test_merged_odd_family_matches_the_shifted_product(self, r):
         # the oracle: f_j = c_j prod_k theta_kj^(r-2) theta_kj(. + rho_j tau) /
-        # prod_{l != j} theta_kl with the rho_j tau shift kept as its own factor
+        # prod_{l != j} theta_kl with the rho_j tau shift, rho_j = (r - 1)/2 - j,
+        # kept as its own factor, and c_j with the factor exp(2 pi i tau ((r -
+        # 1)/2)^3) of the closed form kappa_j = exp(i pi tau j^2)
         tau = 0.2 + 1.1j
         params = T.ThetaParams(tau=tau, r=r)
         ks = np.arange(r)
         grid = (ks[:, None] + ks * tau) / r
         own = np.broadcast_to(np.eye(r)[:, None, :], (r, r, r))
         oracle = T.ThetaQuotients(
-            params, np.stack([grid, grid + T.rho_shift(ks, r) * tau]).ravel(),
+            params, np.stack([grid, grid + ((r - 1) / 2 - ks) * tau]).ravel(),
             np.stack([(r - 1) * own - 1, own], axis=1).reshape(r, -1), np.zeros(r),
-            np.exp(2j * np.pi * tau * ((r - 1) * ks * (ks + 1 - r) / 2.0)), 1.0)
+            np.exp(2j * np.pi * tau * (((r - 1) / 2) ** 3 + (r - 1) * ks * (ks + 1 - r) / 2.0)),
+            1.0)
         rng = np.random.default_rng(r)
         z = (rng.uniform(0.0, 1.0, 40) + rng.uniform(-1.0, 2.0, 40) * tau) / r
         z = z[T.puncture_distance(z, params) > 1e-2]
         vals, logd = T.f_quotients(params).logderivs(z)
         ref_vals, ref_logd = oracle.logderivs(z)
-        assert len(T.f_quotients(params).shifts) == r * r
+        # r numerator factors theta(u + j tau) and r puncture-stack factors, of
+        # which (r + 1)/2 share a shift with a numerator factor: (3r - 1)/2 in all
+        assert len(T.f_quotients(params).shifts) == (3 * r - 1) // 2
         assert np.abs(vals / ref_vals - 1.0).max() < 1e-13
         assert (np.abs(logd - ref_logd).max(axis=-1)
                 < 1e-13 * np.abs(ref_logd).max(axis=-1)).all()
@@ -884,9 +887,82 @@ class TestSectionEvaluator:
         assert np.abs(s[:, :r] ** r * s[:, r:] / f - 1.0).max() < 1e-12
 
 
+def _tau_sweep(r, count=5):
+    """``count`` moduli with Re tau in [-0.5, 0.5] and Im tau in [0.05, 3],
+    seeded by the rank."""
+    re, im = np.random.default_rng(100 + r).uniform([[-0.5], [0.05]], [[0.5], [3.0]], (2, count))
+    return re + 1j * im
+
+
+def _unit_constants(q):
+    """``q`` with every element's constant 1."""
+    return T.ThetaQuotients(q.params, q.shifts, q.powers.real, q.phase / (2j * np.pi), 1.0, q.scale)
+
+
+class TestClosedForms:
+    # the closed-form constants of f and of A against their measurements: the
+    # ratios of neighbouring f_j over tau/r, and 1/h's r-th root continued
+    # across tau/r from the anchor, over r = 1..8 and a seeded tau sweep
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_kappa_is_the_ratio_calibration(self, r):
+        # the elements with constant 1, H_j: f(z + tau/r) = I2 f(z) asks for
+        # kappa_(j+1) / kappa_j = H_j(z + tau/r) / H_(j+1)(z) from kappa_0 = 1,
+        # at every z, and closes with kappa_(r-1) H_(r-1)(z + tau/r) = H_0(z)
+        for tau in _tau_sweep(r):
+            params = T.ThetaParams(tau=tau, r=r)
+            f = T.f_quotients(params)
+            raw = _unit_constants(f)
+            zs = np.array([0.1529 + 0.2731 * tau, 0.3107 + 0.1381 * tau]) / r
+            up, at = raw(zs + tau / r), raw(zs)
+            kappa = np.cumprod(np.column_stack([np.ones(2), up[:, :-1] / at[:, 1:]]), axis=1)
+            assert np.abs(kappa / f.coef - 1.0).max() < 1e-12
+            assert np.abs(kappa[:, -1] * up[:, -1] / at[:, 0] - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_d_is_the_continuation_across_tau_over_r(self, r):
+        # the elements with constant 1, the A_j and 1/h: s(z + tau/r) = I2 s(z)
+        # at the anchor a, with (1/h)^(1/r) continued across tau/r, asks for
+        # d_(j+1) / d_j = A_j(a + tau/r) turn / A_(j+1)(a) from d_0 = 1
+        for tau in _tau_sweep(r):
+            params = T.ThetaParams(tau=tau, r=r)
+            s = T.section_quotients(params)
+            unit = _unit_constants(s)
+            a = T._anchor(params)
+            turn = np.exp(T._continued_log(T._last(unit), [a, a + params.omega2], params)[-1] / r)
+            carry = unit(a + params.omega2)[:r - 1] * turn / unit(a)[1:r]
+            d = np.cumprod(np.append(1.0, carry))
+            assert np.abs(d / s.coef[:r] - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_a_is_the_theta_with_characteristic_j_over_r(self, r, tau):
+        # with d_j, A_j(z) = theta[j/r, 0](u | r tau) = sum_n exp(i pi r tau (n +
+        # j/r)^2 + 2 pi i (n + j/r) u), u = r z, summed here over |n| <= 40 (at
+        # r = 1, f_0 = theta/theta = 1, and the section cancels it: A_0 = 1)
+        params = T.ThetaParams(tau=tau, r=r)
+        a, b = np.random.default_rng(r).uniform(-1.0, 2.0, (2, 12))
+        u = a + b * tau
+        A = T.section_quotients(params)(u / r)[:, :r]
+        n = np.arange(-40, 41)[:, None, None] + np.arange(r) / r
+        ref = np.exp(1j * np.pi * r * tau * n ** 2 + 2j * np.pi * n * u[:, None]).sum(axis=0)
+        assert np.abs(A / ref - 1.0).max() < 1e-12
+
+    def test_rank_9_stays_finite(self):
+        # exp(i pi tau j^2) at Im tau = 2.5 is small, not huge: f, the section
+        # and the theta battery stay finite, and the battery passes
+        params = T.ThetaParams(tau=2.5j, r=9)
+        trk = T.SectionTracker(params)
+        path = trk.anchor + np.array([0.0, 0.01 + 0.02j, 0.03])
+        assert np.isfinite(T.f_vector(path, params)).all()
+        assert np.isfinite(trk.value_at(path)).all()
+        checks = acceptance.theta_cell(params, 2024)
+        assert all(c.passed and np.isfinite(c.residual) for c in checks)
+
+
 def _mutated_f_quotients(monkeypatch):
     """Give every f_j the extra factor theta(u + c1)/theta(u + c2): it goes
-    wholly to 1/h, so the calibration and the tracker both see it."""
+    wholly to 1/h, which the tracker continues."""
     unmutated = T.f_quotients
 
     def mutated(params):
@@ -911,9 +987,8 @@ class TestThetaRootsCheck:
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     @pytest.mark.parametrize("tau", TAUS)
     def test_shared_factor_of_h_fails_it(self, r, tau, monkeypatch):
-        # at the anchor the calibration makes s(z + tau/r) = I2 s(z) hold in
-        # the components j <= r - 2 whatever 1/h is; at the sampled points
-        # the extra factor shows in them
+        # the constants d_j of A are closed forms, so the extra factor shows
+        # in every component, at the sampled points and at the anchor
         params = T.ThetaParams(tau=tau, r=r)
         pairs, value_at = [], T.SectionTracker.value_at
 
@@ -927,12 +1002,11 @@ class TestThetaRootsCheck:
         assert not checks["theta_roots"].passed
         assert len(pairs) == 6 and all(path[0] != T._anchor(params) for path, _ in pairs)
         assert _shift_residuals(params, pairs)[:r - 1].max() > 1e-8
-        if r % 2 == 0:  # at the anchor only component r - 1 sees it
-            trk, a = T.SectionTracker(params), T._anchor(params)
-            at_anchor = _shift_residuals(params, [
-                (path, trk.value_at(path)) for path in ([a, a + params.omega1],
-                                                        [a, a + params.omega2])])
-            assert at_anchor[:r - 1].max() < 1e-12 < 1e-8 < at_anchor[r - 1]
+        trk, a = T.SectionTracker(params), T._anchor(params)
+        at_anchor = _shift_residuals(params, [
+            (path, trk.value_at(path)) for path in ([a, a + params.omega1],
+                                                    [a, a + params.omega2])])
+        assert at_anchor.min() > 1e-8
 
 
 def _shift_residuals(params, pairs):

@@ -5,15 +5,16 @@
 
 For each check family (a check's name less its shape, tau and bracket tags,
 so ``isospectral_r4_n1`` is in ``isospectral``) it prints the worst residual
-over all seeds, relative to its gate, that residual's gate and every seed at
-which a check of the family fails.  A suite that raises one of
-``sovkit.errors``' exceptions at a seed reports no checks there; it is listed
-as an abort with the exception, and the sweep goes on.  The output depends on
-the code and the arguments alone.  Exit status 1 when a check fails or a suite
-aborts, else 0.
+over all seeds, relative to its gate (``nan`` if any check of the family read
+NaN), that residual's gate and every seed at which a check of the family
+fails.  A suite that raises one of ``sovkit.errors``' exceptions at a seed
+reports no checks there; it is listed as an abort with the exception, and the
+sweep goes on.  The output depends on the code and the arguments alone.  Exit
+status 1 when a check fails or a suite aborts, else 0.
 """
 
 import argparse
+import math
 import sys
 from collections import defaultdict
 
@@ -44,8 +45,9 @@ def sweep(seeds, suites):
                 continue
             for check in checks:
                 fam = families[TAGS.sub("", check.name)]
+                # a NaN ratio is the worst, and stays so
                 fam[0] = max(fam[0], (check.residual / check.tolerance, check.residual,
-                                      check.tolerance))
+                                      check.tolerance), key=lambda e: (math.isnan(e[0]), e))
                 if not check.passed and seed not in fam[1]:
                     fam[1].append(seed)
     return dict(families), aborts
