@@ -29,7 +29,7 @@ BRACKETS = {"linear": rational.BracketSpec(a=(1.0,), b=0.0),
 TAGS = re.compile(r"(_(r\d+|n\d+|tau[a-z]|linear|quadratic|mixed))+$")
 # The gate of each family at tol_scale 1; a check's tolerance is GATES[family] * tol_scale
 GATES = {
-    "involution": 1e-6, "jacobi": 1e-10, "isospectral": 1e-8, "lenard": 1e-12, "canonical": 1e-9,
+    "involution": 1e-12, "jacobi": 1e-10, "isospectral": 1e-8, "lenard": 1e-12, "canonical": 1e-9,
     "slopes": 1e-9, "linearization_fit": 1e-5, "linearization_slopes": 1e-6,
     "linearization_path_independence": 1e-8,
     "theta_zero": 1e-12, "theta_relations": 1e-12, "theta_period": 1e-10, "theta_roots": 1e-8,

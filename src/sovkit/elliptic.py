@@ -73,7 +73,7 @@ def _quotients(params: ThetaParams, elements) -> ThetaQuotients:
     owner = [e for e, el in enumerate(elements) for _ in el.zeros + el.poles]
     signs = [s for el in elements for s in (1.0,) * len(el.zeros) + (-1.0,) * len(el.poles)]
     powers = (np.arange(len(elements))[:, None] == owner) * np.array(signs)
-    return ThetaQuotients(params, shifts, powers, [el.gamma for el in elements], 1.0, params.r)
+    return ThetaQuotients(params, shifts, powers, [el.gamma for el in elements], 0.0, params.r)
 
 
 class BasisFunction:

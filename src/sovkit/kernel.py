@@ -350,32 +350,19 @@ def _char_adj_plan(r: int, n: int):
 
 
 def matpoly_char_adj(coeff_mats):
-    """Characteristic data of ``phi(z) = sum_k coeff_mats[k] z**k``, ``coeff_mats``
-    (n+1, r, r), or of every matrix polynomial of a stack (..., n+1, r, r).
-
-    Runs the Faddeev--LeVerrier recursion once on phi evaluated at the
-    ``K = r*n + 1`` roots of unity (one matmul with a plan cached per ``(r, n)``)
-    and recovers every coefficient in ``z`` with one FFT, exact to rounding; a
-    stack is one recursion and one FFT, each row bit for bit its own call.
-    Returns ``C`` (..., r+1, K), ``C[k, l]`` multiplying ``xi**k z**l`` in
-    det(phi(z) - xi I) and exactly 0 where ``l > (r-k)*n``, and ``A`` (..., r, r,
-    r, K) with ``adj(phi(z) - xi I) = sum_{k,l} A[k, :, :, l] xi**k z**l``,
-    exactly 0 where ``l > (r-1-k)*n``.
-    """
+    """The curve grid ``C`` (..., r+1, K) of ``phi(z) = sum_k coeff_mats[k] z**k``, ``coeff_mats``
+    (n+1, r, r), or of every matrix polynomial of a stack (..., n+1, r, r): ``C[k, l]``
+    multiplies ``xi**k z**l`` in det(phi(z) - xi I), exactly 0 where ``l > (r-k)*n``.
+    ``char_bipoly`` of phi at the ``K = r*n + 1`` roots of unity (one matmul with a plan
+    cached per ``(r, n)``), then one FFT over its ``r + 1`` columns, exact to rounding; a
+    stack is one recursion and one FFT, each row bit for bit its own call."""
     cm = np.asarray(coeff_mats, dtype=complex)
     *lead, n1, r, _ = cm.shape
     vander, keep = _char_adj_plan(r, n1 - 1)
     K = vander.shape[0]
     phis = (vander @ cm.reshape(*lead, n1, -1)).reshape(*lead, K, r, r)
-    b, N = _faddeev_leverrier(phis)
-    coeffs = np.fft.fft(np.concatenate([b, N.reshape(*lead, K, -1)], axis=-1), axis=-2) / K
-    # det(phi - xi I) = (-1)^r det(xi I - phi) and
-    # adj(phi - xi I) = (-1)^(r-1) adj(xi I - phi); deg_z C_k <= (r-k) n and
-    # deg_z A_k <= (r-1-k) n: where() sets the rounding noise above to +0
-    C = np.where(keep, (-1.0) ** r * coeffs[..., r::-1].swapaxes(-1, -2), 0.0)
-    A = np.where(keep[1:, None, None], (-1.0) ** (r - 1) * coeffs[..., r + 1:].reshape(
-        *lead, K, r, r, r)[..., ::-1, :, :].transpose(*range(len(lead)), -3, -2, -1, -4), 0.0)
-    return C, A
+    # deg_z C_k <= (r - k) n: where() sets the rounding noise above to +0
+    return np.where(keep, np.fft.fft(char_bipoly(phis), axis=-2).swapaxes(-1, -2) / K, 0.0)
 
 
 def krylov(M, s):
@@ -438,15 +425,6 @@ def bipoly_dxi(c):
     return d if len(d) else np.zeros((1, d.shape[1]), dtype=complex)
 
 
-def _xi_degree(c):
-    c = np.asarray(c, dtype=complex)
-    top = np.abs(c).max()
-    if top == 0.0:
-        return -1
-    rows = np.where((np.abs(c) > ZERO_TRIM * top).any(axis=1))[0]
-    return int(rows.max()) if rows.size else -1
-
-
 def resultant(p, q, eliminate="xi"):
     """Sylvester resultant of two bivariate polynomials.
 
@@ -460,7 +438,7 @@ def resultant(p, q, eliminate="xi"):
         p, q = p.T, q.T
     elif eliminate != "xi":
         raise ValueError("eliminate must be 'xi' or 'z'")
-    dp, dq = _xi_degree(p), _xi_degree(q)
+    dp, dq = (int(poly_degree(np.abs(c).max(axis=1))) for c in (p, q))
     if dp < 1 or dq < 1:
         raise NonGenericError("resultant degenerate")
     p = p[: dp + 1]

@@ -221,15 +221,15 @@ def spectral_curve(phi: MatPoly) -> SpectralCurve:
 def _curve_stack(phis):
     """``spectral_curve`` of each state of ``phis`` (one ``r`` and ``n``) that passes its probe,
     by state, bit for bit: one ``matpoly_char_adj`` call and one stacked probe."""
-    cms = np.array([phi.coeff_mats for phi in phis]) if len(phis) > 1 else phis[0].coeff_mats
-    grids, _ = kernel.matpoly_char_adj(cms)
-    at = kernel.poly_eval(cms.swapaxes(0, -3)[..., None, :, :], _PROBE_Z[:, None, None],
+    cms = np.array([phi.coeff_mats for phi in phis])
+    grids = kernel.matpoly_char_adj(cms)
+    at = kernel.poly_eval(cms.swapaxes(0, 1)[..., None, :, :], _PROBE_Z[:, None, None],
                           tensor=False)
     direct = np.linalg.det(at - _PROBE_XI[:, None, None] * np.eye(phis[0].r))
     ours = kernel.bipoly_eval(grids, _PROBE_Z, _PROBE_XI)
     bad = np.any(np.abs(ours - direct) > 1e-10 * np.maximum(1.0, np.abs(direct)), axis=-1)
-    return {phi: SpectralCurve(kernel.frozen(g)[0], phi.r, phi.n) for phi, g, b in zip(
-        phis, grids.reshape(-1, *grids.shape[-2:]), bad.reshape(-1)) if not b}
+    return {phi: SpectralCurve(kernel.frozen(g)[0], phi.r, phi.n)
+            for phi, g, b in zip(phis, grids, bad) if not b}
 
 
 def branch_points(curve: SpectralCurve, tol: Tolerances = DEFAULT):
@@ -366,9 +366,9 @@ def jacobi_max_residual(tensor: StructureTensor, x, triples) -> float:
 def _covector_plan(r: int, n: int, positions: tuple):
     """The Vandermonde matrix at the ``K = r n + 1`` roots of unity ``w^s``, and per
     position ``(k, l)`` its level ``r - 1 - k`` of the Faddeev--LeVerrier ``N``
-    and its DFT rows (n+1, K).  ``dC_{k,l}/dphi_t[i, j] = A_k[j, i]`` at
-    ``z^(l-t)`` and ``A_k = (-1)^(r-1) N_(r-1-k)``, so row ``t`` is ``(-1)^(r-1)
-    w^(-(l-t) s) / K``, 0 where ``l - t`` leaves the z-degrees ``0 .. (r-1-k) n``."""
+    and its DFT rows (n+1, K).  ``dC_{k,l}/dphi_t[i, j] = A_k[j, i]`` at ``z^(l-t)``, where
+    ``adj(phi(z) - xi I) = sum_k A_k xi^k`` and ``A_k = (-1)^(r-1) N_(r-1-k)``, so row ``t`` is
+    ``(-1)^(r-1) w^(-(l-t) s) / K``, 0 outside ``A_k``'s z-degrees ``0 .. (r-1-k) n``."""
     K = r * n + 1
     k, l = np.array(positions).T[..., None]
     deg = l - np.arange(n + 1)

@@ -112,7 +112,7 @@ def theta_deriv(z, params: ThetaParams):
 
 
 class ThetaQuotients:
-    """Theta quotients ``c_e exp(2 pi i gamma_e u) prod_f theta(u + s_f)**p_ef``
+    """Theta quotients ``exp(l_e + 2 pi i gamma_e u) prod_f theta(u + s_f)**p_ef``
     in ``u = scale * z`` (theta of ``params``); elements go on the last axis
     of every result.  ``shifts`` (F,) may repeat: equal shifts merge, adding
     their integer ``powers`` (E, F) columns.  The table ``C[n, f] = exp(pi i
@@ -125,7 +125,7 @@ class ThetaQuotients:
     exponents sum to one linear form in ``(1, m, m^2, v, m v, u)``, ``K`` (6,
     E); with ``c = -i pi tau``, ``d = -2 pi i``, ``P`` the powers:
 
-        K0 = log c_e + c P m_f^2 + d P (m_f sig_f),  K1 = 2c P m_f + d P sig,
+        K0 = l_e + c P m_f^2 + d P (m_f sig_f),  K1 = 2c P m_f + d P sig,
         K2 = c P.sum(1),  K3 = d P m_f,  K4 = d P.sum(1),  K5 = 2 pi i gamma.
 
     An element is ``exp(K0 + m (K1 + m K2) + v (K3 + m K4) + u K5) prod_f
@@ -134,10 +134,12 @@ class ThetaQuotients:
     m K4 + (S'/S) @ P^T``.  The row's exponent ``pi i tau n^2 / 2 + 2 pi i n
     v`` (C keeps the Gaussian's other half) is linear in ``(1, v)`` too, so
     it is frozen with ``K`` as ``_KG = [K | G]`` (6, E + T), G's rows 0 and 3.
+    The constants come as logs ``log_coef`` (``l_e``): ``exp(i pi tau j^2)``, say, is below
+    the float range at large ``j^2 Im tau``, but its log meets its factors in one exponent.
     """
 
-    def __init__(self, params: ThetaParams, shifts, powers, gamma, coef, scale):
-        self.params, self.coef, self.scale = params, np.asarray(coef), scale
+    def __init__(self, params: ThetaParams, shifts, powers, gamma, log_coef, scale):
+        self.params, self.log_coef, self.scale = params, np.asarray(log_coef), scale
         self.shifts, inverse = np.unique(np.asarray(shifts, dtype=complex), return_inverse=True)
         # complex, so that the matmuls below need no cast
         self.powers = np.asarray(powers, dtype=complex) @ (
@@ -152,7 +154,7 @@ class ThetaQuotients:
             self._n, sig)), n == 0])
         c, d, P = -1j * np.pi * params.tau, -2j * np.pi, self.powers
         Pe = P.sum(axis=1)
-        self._KG = np.hstack([[np.log(self.coef) + c * (P @ m ** 2) + d * (P @ (m * sig)),
+        self._KG = np.hstack([[self.log_coef + c * (P @ m ** 2) + d * (P @ (m * sig)),
                                2 * c * (P @ m) + d * (P @ sig), c * Pe, d * (P @ m), d * Pe,
                                np.broadcast_to(self.phase, Pe.shape)], np.zeros((6, n.size))])
         self._KG[[0, 3], len(P):] = self._gauss, self._n
@@ -160,7 +162,7 @@ class ThetaQuotients:
         if (ints != P).any():
             raise ValueError("theta quotient powers must be integers")
         self._factors = _factor_lists(ints.shape, ints.tobytes())
-        frozen(self.shifts, self.powers, self.phase, self.coef, self._gauss, self._n,
+        frozen(self.shifts, self.powers, self.phase, self.log_coef, self._gauss, self._n,
                self._table, self._KG)
 
     def _evaluate(self, z, deriv):
@@ -217,7 +219,7 @@ def _factor_lists(shape, ints):
 @lru_cache(maxsize=64)
 def _plain(params: ThetaParams) -> ThetaQuotients:
     """theta itself: the one-shift evaluator (shift 0, power 1)."""
-    return ThetaQuotients(params, [0.0], [[1.0]], [0.0], 1.0, 1.0)
+    return ThetaQuotients(params, [0.0], [[1.0]], [0.0], 0.0, 1.0)
 
 
 def theta_kj(z, k: int, j: int, params: ThetaParams):
@@ -331,7 +333,7 @@ def _even_family(params: ThetaParams):
     # of h has its argument between the zero rows next to the real axis, where
     # theta does not wind
     family = ThetaQuotients(ThetaParams(tau=r * tau, r=r), shifts, exps, js,
-                            np.exp(1j * np.pi * tau * js ** 2), r)
+                            1j * np.pi * tau * js ** 2, r)
     zs = np.array([0.1529 + 0.2731 * tau, 0.3107 + 0.1381 * tau]) / r
     up, f = np.split(family(np.concatenate([zs + tau / r, zs])), 2)
     if np.any(np.abs(up - np.roll(f, -1, axis=-1)) > 1e-8 * np.abs(up)):
@@ -406,8 +408,8 @@ def section_quotients(params: ThetaParams) -> ThetaQuotients:
     ones = (f.powers.real - low) / r
     keep = ones.any(axis=0) | (low != 0)  # leave out factors of power 0
     powers, gamma = np.vstack([ones, low])[:, keep], np.append(f.phase / (2j * np.pi * r), 0.0)
-    d = np.exp(1j * np.pi * params.tau * np.arange(r) ** 2 / r)
-    return ThetaQuotients(f.params, f.shifts[keep], powers, gamma, np.append(d, 1.0), f.scale)
+    log_d = 1j * np.pi * params.tau * np.arange(r) ** 2 / r
+    return ThetaQuotients(f.params, f.shifts[keep], powers, gamma, np.append(log_d, 0.0), f.scale)
 
 
 def _last(quotients: ThetaQuotients):

@@ -4,6 +4,8 @@ one pass/fail line."""
 import json
 from functools import cached_property
 
+import numpy as np
+
 from sovkit import elliptic as ell
 from sovkit import rational
 from sovkit.acceptance import GATES, SUITES, TAGS, ExperimentConfig, run_acceptance
@@ -143,3 +145,19 @@ def test_lenard_catches_a_scaled_b_part(monkeypatch):
     results = SUITES["isospectral"](CONFIG)
     assert [c.passed for c in results] == [not c.name.startswith("lenard") for c in results]
     assert min(c.residual for c in results if c.name.startswith("lenard")) > 1e-7
+
+
+def test_involution_catches_a_stray_term_in_pi(monkeypatch):
+    # Pi plus 1e-7 max|Pi| times a fixed antisymmetric matrix: still antisymmetric,
+    # but the spectral invariants no longer commute: every involution check fails,
+    # at readings of about 1e-7 that a gate of 1e-6 would pass
+    poisson = rational._poisson
+
+    def mutated(phi, spec):
+        pi = poisson(phi, spec)
+        W = np.random.default_rng(0).standard_normal(pi.shape)
+        return pi + 1e-7 * np.abs(pi).max() * (W - W.T)
+
+    monkeypatch.setattr(rational, "_poisson", mutated)
+    results = SUITES["involution"](CONFIG)
+    assert len(results) == 4 and not any(c.passed for c in results)

@@ -263,6 +263,14 @@ class TestThetaCmd:
         assert main(["theta", "--rank", "2", "--tau-im", "0.01",
                      "--out", str(tmp_path)]) == 4
 
+    @pytest.mark.parametrize("rank, tau_im", [("10", "3"), ("12", "2.5"), ("20", "1")])
+    def test_high_rank_passes(self, tmp_path, capsys, rank, tau_im):
+        # kappa_(r-1) = exp(i pi tau (r - 1)^2) lies below the float range here; as a
+        # log-constant it meets its theta factors in one exponent, so f stays finite,
+        # the family is quasi-periodic and no log of 0 warns
+        assert main(["theta", "--rank", rank, "--tau-im", tau_im, "--out", str(tmp_path)]) == 0
+        assert "PASS period_relations" in capsys.readouterr().out
+
     @pytest.mark.parametrize("flags, flag", [
         (["--tau-im", "-1"], "--tau-im"),
         (["--tau-im", "0"], "--tau-im"),

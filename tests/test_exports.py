@@ -1,6 +1,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,32 @@ def test_every_traced_target_resolves(prefix, owner, attribute):
     for name in rest:
         obj = getattr(obj, name)
     assert callable(getattr(obj, attribute))
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """``perfbench/tracing.py``, imported as the benchmark's run imports it (its
+    directory on the path, for ``workloads``); read, not edited."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    yield importlib.import_module("tracing")
+    for name in ("tracing", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_traced_run_wraps_and_restores_every_target(tracing):
+    # `run.py --trace 1` clears the caches, then wraps every target through
+    # owner.__dict__[attr]; a target deleted or renamed in src/ fails here
+    def bindings():
+        owners = [m for key, m in sys.modules.items() if key.split(".")[0] == "sovkit"]
+        owners += [owner for _, owner, _ in tracing.TARGETS if isinstance(owner, type)]
+        return {(id(o), key): val for o in owners for key, val in vars(o).items()}
+
+    tracing.clear_caches()
+    before = bindings()
+    with tracing.Tracer():
+        for _, owner, attr in tracing.TARGETS:
+            assert owner.__dict__[attr].__wrapped__ is before[id(owner), attr]
+    assert all(val is before[key] for key, val in bindings().items())
 
 
 def _numpy_polynomial_uses(path):

@@ -43,6 +43,23 @@ def mp_discriminant(grid):
             for j in range(K)]
 
 
+def mp_curve_grid(phi):
+    """``spectral_curve``'s grid at 40 digits: ``mpmath.det(phi(z) - xi I)`` at the integer
+    nodes ``z = 0 .. K - 1`` and ``xi = 0 .. r``, then the bivariate Vandermonde solve
+    ``C = X^-1 V Z^-T`` (``X``, ``Z`` the Vandermonde matrices of the nodes)."""
+    r, K = phi.r, phi.r * phi.n + 1
+    with mpmath.workdps(40):
+        cm = [mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in c])
+              for c in phi.coeff_mats]
+        V = mpmath.matrix([[mpmath.det(sum((c * z ** k for k, c in enumerate(cm)),
+                                            mpmath.zeros(r)) - xi * mpmath.eye(r))
+                            for z in range(K)] for xi in range(r + 1)])
+        X, Z = (mpmath.matrix([[mpmath.mpf(x) ** k for k in range(m)] for x in range(m)])
+                for m in (r + 1, K))
+        C = mpmath.inverse(X) * V * mpmath.inverse(Z).T
+        return np.array(C.tolist(), dtype=complex)
+
+
 class TestSpectralCurve:
     def test_scalar_case(self):
         phi = R.MatPoly(np.array([[[2.0]], [[1.0j]]]))  # phi(z) = 2 + i z
@@ -81,14 +98,21 @@ class TestSpectralCurve:
         char_adj = kernel.matpoly_char_adj
 
         def perturbed(cm):
-            C, A = char_adj(cm)
-            C = C.copy()
-            C[1, 2] += 1e-6
-            return C, A
+            C = char_adj(cm).copy()
+            C[..., 1, 2] += 1e-6
+            return C
 
         monkeypatch.setattr(kernel, "matpoly_char_adj", perturbed)
         with pytest.raises(ConsistencyError, match="determinant probe"):
             R.spectral_curve(phi)
+
+    @pytest.mark.parametrize("r,n", RN_COMBOS)
+    def test_grid_against_40_digit_determinants(self, r, n):
+        # an oracle with no roots of unity and no recursion: it sees an error of
+        # 1e-11 max|C| in one coefficient, which the 20 probes let pass
+        phi = R.random_instance(r, n, np.random.default_rng(70 + 10 * r + n))
+        grid = R.spectral_curve(phi).grid
+        assert np.abs(grid - mp_curve_grid(phi)).max() <= 1e-13 * np.abs(grid).max()
 
 
 STACK_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]
@@ -114,16 +138,15 @@ class TestCurveStack:
     def test_only_the_perturbed_state_raises(self, r, n, monkeypatch):
         # one row of the stack off by 1e-6: only that state fails its probe, and
         # it is not memoized, so it raises whenever it is asked, as it would alone
-        # (then as a lone state, with no stack axis)
+        # (then as a stack of one)
         traj = flowed(r, n)
         bad, char_adj, stacks = traj[3], kernel.matpoly_char_adj, []
 
         def perturbed(cm):
             stacks.append(cm.shape[:-3])
-            C, A = char_adj(cm)
-            C = C.copy()
+            C = char_adj(cm).copy()
             C[(cm == bad.coeff_mats).all(axis=(-3, -2, -1)), 1, 2] += 1e-6
-            return C, A
+            return C
 
         monkeypatch.setattr(kernel, "matpoly_char_adj", perturbed)
         for p in traj + [bad]:
@@ -132,7 +155,7 @@ class TestCurveStack:
                     R.spectral_curve(p)
             else:
                 R.spectral_curve(p)
-        assert stacks == [(4,), (), ()]
+        assert stacks == [(4,), (1,), (1,)]
 
     def test_copies_carry_no_link(self):
         traj = flowed(2, 2)
@@ -410,14 +433,25 @@ class TestBracketOp:
 
 
 def adjugate_gradient_oracle(phi):
-    """Every spectral gradient read from ``matpoly_char_adj``'s ``A``:
-    ``dC_{k,l}/dphi_p[i, j] = A[k, j, i, l - p]``, 0 for ``l < p``."""
+    """Every spectral gradient from cofactors, with no Faddeev--LeVerrier recursion:
+    ``adj(phi(z) - xi I)[i, j]`` is ``(-1)^(i+j)`` times the determinant of the minor
+    without row ``j`` and column ``i`` (``np.linalg.det``, LAPACK LU) at the ``r`` roots of
+    unity in ``xi`` and the ``(r - 1) n + 1`` in ``z``, its degrees in each; a 2-D FFT
+    gives ``A[k, i, j, l]`` at ``xi^k z^l``, and ``dC_{k,l}/dphi_p[i, j] = A[k, j, i, l -
+    p]``, 0 for ``l < p`` and above ``A``'s z-degree."""
     r, n = phi.r, phi.n
-    _, A = kernel.matpoly_char_adj(phi.coeff_mats)
+    xi, z = (np.exp(2j * np.pi * np.arange(K) / K) for K in (r, (r - 1) * n + 1))
+    M = (np.tensordot(z[:, None] ** np.arange(n + 1), phi.coeff_mats, 1)
+         - xi[:, None, None, None] * np.eye(r))
+    adj = np.empty(M.shape, dtype=complex)
+    for i, j in np.ndindex(r, r):
+        minor = np.delete(np.delete(M, j, axis=-2), i, axis=-1)
+        adj[..., i, j] = (-1) ** (i + j) * np.linalg.det(minor)
+    A = np.moveaxis(np.fft.fft2(adj, axes=(0, 1)) / adj[..., 0, 0].size, 1, -1)
     positions = R.spectral_positions(r, n)
     G = np.zeros((len(positions), n + 1, r, r), dtype=complex)
     for c, (k, l) in enumerate(positions):
-        for p in range(min(l, n) + 1):
+        for p in range(max(0, l - len(z) + 1), min(l, n) + 1):
             G[c, p] = A[k, :, :, l - p].T
     return positions, G.reshape(len(positions), -1), np.abs(A).max()
 
@@ -461,11 +495,11 @@ class TestCovectorPlan:
                 assert np.abs(field - pi @ grad).max() <= 1e-13 * scale, (spec, pos)
 
     def test_flow_stage_makes_no_char_adj_call(self, monkeypatch):
-        # a stage reads its covector through the cached flow plan, never through
-        # matpoly_char_adj (no FFT over every adjugate column); where the field
-        # has degree <= 3 (levels 0 and 1, and level 2 under b = 0) it is a
-        # monomial list, so a stage runs no recursion at all, and at level 3
-        # (r = 4, k = 0) one, stopped at level 3
+        # a stage reads its covector through the cached flow plan and builds no
+        # curve (no matpoly_char_adj call); where the field has degree <= 3
+        # (levels 0 and 1, and level 2 under b = 0) it is a monomial list, so a
+        # stage runs no recursion at all, and at level 3 (r = 4, k = 0) one,
+        # stopped at level 3
         rng = np.random.default_rng(61)
         cases = [(R.random_instance(2, 2, rng), R.BracketSpec(a=(1.0,), b=0.0), 1),
                  (R.random_instance(2, 2, rng), R.BracketSpec(a=(0.0,), b=1.0), 0),
@@ -776,7 +810,7 @@ class TestLenardMagri:
     def test_flow_field_is_the_brackets_field(self, r, n, monkeypatch):
         # flow sums the linear bracket's plans by the recursion; under a random
         # (a, b) with deg a = n + 1 (every shift up to j = n + 1) its stage field is
-        # Pi(x) grad C_{k,l}, the gradient read off matpoly_char_adj, at 5 seeded points
+        # Pi(x) grad C_{k,l}, the cofactor oracle's gradient, at 5 seeded points
         rng = np.random.default_rng(130 + 10 * r + n)
         a = rng.standard_normal(n + 2) + 1j * rng.standard_normal(n + 2)
         spec = R.BracketSpec(a=tuple(a), b=complex(rng.standard_normal(), rng.standard_normal()))

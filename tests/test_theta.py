@@ -133,8 +133,8 @@ class TestRiemannTheta:
         k, ell = np.random.default_rng(seed).integers(-2, 3, (2, family.shifts.size))
         shifts, powers = family.shifts + k + ell * base, family.powers.real.astype(int)
         gamma = family.phase / (2j * np.pi)
-        coef = np.broadcast_to(family.coef, gamma.shape)
-        quotients = T.ThetaQuotients(family.params, shifts, powers, gamma, coef, family.scale)
+        log_coef = np.broadcast_to(family.log_coef, gamma.shape)
+        quotients = T.ThetaQuotients(family.params, shifts, powers, gamma, log_coef, family.scale)
         # off the rational points, where factors of the families have exact zeros
         u = (cells[0] + 0.0137) + (cells[1] + 0.0291) * base
         vals, logd = quotients.logderivs(u / family.scale)
@@ -162,7 +162,7 @@ class TestRiemannTheta:
                     dcond.append(max(1.0, abs(dt), dterms) / abs(t) + abs(ld[-1]) * cond[-1])
                 cond, dcond, ld = np.array(cond), np.array(dcond), np.array(ld)
                 for e in range(gamma.size):
-                    ref = mp.mpc(coef[e]) * mp.exp(2j * mp.pi * mp.mpc(gamma[e]) * mp.mpc(ui))
+                    ref = mp.exp(mp.mpc(log_coef[e]) + 2j * mp.pi * mp.mpc(gamma[e]) * mp.mpc(ui))
                     for f, t in enumerate(th):
                         ref *= t ** int(powers[e, f])
                     ref_logd = family.scale * (2j * np.pi * gamma[e] + powers[e] @ ld)
@@ -183,8 +183,8 @@ class TestRiemannTheta:
         assert (T._reduce(shifts, tau)[1] == 0).all() and (T._reduce(z, tau)[1] == 0).all()
         p1 = T.ThetaParams(tau=tau, r=2)
         p2 = T.ThetaParams(tau=tau, r=2, trunc=2 * p1.trunc)
-        v1, d1 = T.ThetaQuotients(p1, shifts, np.eye(2), np.zeros(2), 1.0, 1.0).logderivs(z)
-        v2, d2 = T.ThetaQuotients(p2, shifts, np.eye(2), np.zeros(2), 1.0, 1.0).logderivs(z)
+        v1, d1 = T.ThetaQuotients(p1, shifts, np.eye(2), np.zeros(2), 0.0, 1.0).logderivs(z)
+        v2, d2 = T.ThetaQuotients(p2, shifts, np.eye(2), np.zeros(2), 0.0, 1.0).logderivs(z)
         assert abs(abs((z + shifts).imag) - tau.imag).max() < 1e-11
         assert (np.abs(v1 - v2) < 1e-15 * np.abs(v2)).all()
         assert (np.abs(d1 - d2) < 1e-15 * np.abs(d2)).all()
@@ -385,8 +385,7 @@ class TestProducts:
         oracle = T.ThetaQuotients(
             params, np.stack([grid, grid + ((r - 1) / 2 - ks) * tau]).ravel(),
             np.stack([(r - 1) * own - 1, own], axis=1).reshape(r, -1), np.zeros(r),
-            np.exp(2j * np.pi * tau * (((r - 1) / 2) ** 3 + (r - 1) * ks * (ks + 1 - r) / 2.0)),
-            1.0)
+            2j * np.pi * tau * (((r - 1) / 2) ** 3 + (r - 1) * ks * (ks + 1 - r) / 2.0), 1.0)
         rng = np.random.default_rng(r)
         z = (rng.uniform(0.0, 1.0, 40) + rng.uniform(-1.0, 2.0, 40) * tau) / r
         z = z[T.puncture_distance(z, params) > 1e-2]
@@ -715,7 +714,7 @@ class TestBasicSection:
         half = (1.0 + r * tau) / 2.0
         raw = T.ThetaQuotients(base, np.concatenate([half - vs, half - stacks]),
                                np.hstack([r * np.eye(r), -np.ones((r, r))]), np.arange(r),
-                               1.0, r)
+                               0.0, r)
         za = (0.0917 + 0.3379 * tau) / r
         fac = np.exp([T._continued_log(lambda w: tuple(v[..., j] for v in raw.logderivs(w)),
                                        [za, za + 1.0 / r], params)[-1] / r
@@ -798,7 +797,7 @@ def _per_factor(q, z):
     table = q._table[:, :-1]  # the last column is the evaluator's exact 1
     th, dth = factor * (row @ table), factor * ((row * q._n) @ table)
     dth -= 2j * np.pi * M * th
-    vals = q.coef * np.exp(q.phase * u[:, None]) * (th[:, None, :] ** q.powers).prod(axis=-1)
+    vals = np.exp(q.log_coef + q.phase * u[:, None]) * (th[:, None, :] ** q.powers).prod(axis=-1)
     return vals, q.scale * (q.phase + (dth / th) @ q.powers.T)
 
 
@@ -859,7 +858,7 @@ class TestFold:
         # equal powers on other shifts and moduli share one read-only array
         powers = [[1.0, -1.0, 0.0], [2.0, 0.0, -2.0]]
         one, two, other = (T.ThetaQuotients(T.ThetaParams(tau=tau, r=r), shifts, p,
-                                            [0.0, 0.5], 1.0, r)
+                                            [0.0, 0.5], 0.0, r)
                            for tau, r, shifts, p in (
                                (0.2 + 1.1j, 2, [0.1, 0.3j, 0.5], powers),
                                (-0.1 + 0.9j, 3, [0.2, 0.4j, 0.7], powers),
@@ -871,7 +870,7 @@ class TestFold:
         # the elements are products of S by index: a fractional power has none
         params = T.ThetaParams(tau=0.2 + 1.1j, r=2)
         with pytest.raises(ValueError, match="integers"):
-            T.ThetaQuotients(params, [0.0, 0.5], [[1.0, 0.5]], [0.0], 1.0, 1.0)
+            T.ThetaQuotients(params, [0.0, 0.5], [[1.0, 0.5]], [0.0], 0.0, 1.0)
 
 
 class TestSectionEvaluator:
@@ -896,7 +895,7 @@ def _tau_sweep(r, count=5):
 
 def _unit_constants(q):
     """``q`` with every element's constant 1."""
-    return T.ThetaQuotients(q.params, q.shifts, q.powers.real, q.phase / (2j * np.pi), 1.0, q.scale)
+    return T.ThetaQuotients(q.params, q.shifts, q.powers.real, q.phase / (2j * np.pi), 0.0, q.scale)
 
 
 class TestClosedForms:
@@ -916,7 +915,7 @@ class TestClosedForms:
             zs = np.array([0.1529 + 0.2731 * tau, 0.3107 + 0.1381 * tau]) / r
             up, at = raw(zs + tau / r), raw(zs)
             kappa = np.cumprod(np.column_stack([np.ones(2), up[:, :-1] / at[:, 1:]]), axis=1)
-            assert np.abs(kappa / f.coef - 1.0).max() < 1e-12
+            assert np.abs(kappa / np.exp(f.log_coef) - 1.0).max() < 1e-12
             assert np.abs(kappa[:, -1] * up[:, -1] / at[:, 0] - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("r", range(1, 9))
@@ -932,7 +931,7 @@ class TestClosedForms:
             turn = np.exp(T._continued_log(T._last(unit), [a, a + params.omega2], params)[-1] / r)
             carry = unit(a + params.omega2)[:r - 1] * turn / unit(a)[1:r]
             d = np.cumprod(np.append(1.0, carry))
-            assert np.abs(d / s.coef[:r] - 1.0).max() < 1e-12
+            assert np.abs(d / np.exp(s.log_coef[:r]) - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     @pytest.mark.parametrize("tau", TAUS)
@@ -971,7 +970,7 @@ def _mutated_f_quotients(monkeypatch):
                  * f.scale / params.r)
         powers = np.hstack([f.powers.real, np.tile([1.0, -1.0], (params.r, 1))])
         return T.ThetaQuotients(f.params, np.append(f.shifts, extra), powers,
-                                f.phase / (2j * np.pi), f.coef, f.scale)
+                                f.phase / (2j * np.pi), f.log_coef, f.scale)
 
     monkeypatch.setattr(T, "f_quotients", mutated)
     T.section_quotients.cache_clear()
