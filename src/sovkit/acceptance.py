@@ -32,7 +32,7 @@ GATES = {
     "involution": 1e-12, "jacobi": 1e-10, "isospectral": 1e-8, "lenard": 1e-12, "canonical": 1e-9,
     "slopes": 1e-9, "linearization_fit": 1e-5, "linearization_slopes": 1e-6,
     "linearization_path_independence": 1e-8,
-    "theta_zero": 1e-12, "theta_relations": 1e-12, "theta_period": 1e-10, "theta_roots": 1e-8,
+    "theta_zero": 1e-12, "theta_relations": 1e-12, "theta_period": 1e-10, "theta_roots": 1e-11,
     "elliptic_quasiperiodicity": 1e-8, "elliptic_slr": 1e-12, "elliptic_translation_shift": 1e-8,
 }
 # The gate of a count check, whose residual is 0 (the count holds) or 1; not scaled

@@ -16,13 +16,13 @@ broadcast their exponents and take every complex ``exp`` before that matmul:
 after an OpenBLAS complex matrix-matrix product (``zgemm``), numpy's complex
 ``exp`` and ``log`` run 10-30 times slower on AVX-512 hosts until a
 vectorized numpy loop runs.
-The basic section is one evaluator, the A_j and then 1/h.
-``_continued_log`` is the one continuation stepper: it evaluates a whole
-polyline per call, bisects only the failing steps, and continues the one
-scalar with branches, 1/h, always from the section's anchor.
+The basic section is one evaluator, the A_j and then 1/h.  Its one scalar
+with branches, log(1/h), is continued from the section's anchor in closed
+form (``_log_inverse_h``): the Jacobi triple product gives a branch of
+log theta on every horizontal strip of the lattice, and a path adds one
+branch difference per strip it passes through, with no steps.
 """
 
-import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -254,58 +254,6 @@ def puncture_distance(z, params: ThetaParams):
     return np.abs((a - np.rint(a)) * params.omega1 + (b - np.rint(b)) * params.omega2)
 
 
-def _continued_log(func, nodes, params: ThetaParams):
-    """log f(node) - log f(nodes[0]) at every node of the polyline ``nodes``,
-    continued along it, for one scalar function ``f``.
-
-    ``func`` maps an ``(m,)`` array of points to ``(f, f'/f)``, two arrays of
-    shape ``(m,)``.  Each segment is cut into at least 4 steps of at most
-    0.05 (one of length 0 into none), and the whole path is evaluated in one
-    call.  A step is bisected (only those steps, only their midpoints
-    evaluated) when its ratio f(z + h)/f(z) has |ratio - 1| > 0.5, so no
-    principal log is taken of a ratio far from 1, or when |h| |f'/f| > 1 at
-    one of its ends, so no step straddles a zero: across a zero of even
-    order the ratio comes back close to 1 after the argument has turned by a
-    multiple of 2 pi.  A failing step below 1e-8, or a point inside the
-    puncture radius, raises ``NumericDomainError``.
-    """
-    def evaluate(pts):
-        near = puncture_distance(pts, params) < PUNCTURE_RADIUS
-        if np.any(near):
-            raise NumericDomainError(f"branch obstruction near z={pts[near][0]:.6f}")
-        vals, logd = func(pts)
-        return vals, np.abs(logd)
-
-    nodes = np.asarray(nodes, dtype=complex)
-    delta = nodes[1:] - nodes[:-1]
-    steps = np.where(delta == 0, 0, np.maximum(4, (np.abs(delta) / 0.05).astype(int) + 1))
-    at = np.zeros(nodes.size, dtype=int)  # grid index of every node
-    at[1:] = steps.cumsum()
-    seg = np.repeat(np.arange(steps.size), steps)
-    pts = np.empty(at[-1] + 1, dtype=complex)
-    pts[1:] = nodes[seg] + (np.arange(at[-1]) - at[seg] + 1) / steps[seg] * delta[seg]
-    pts[at] = nodes
-    vals, slope = evaluate(pts)
-    while True:
-        ratio = vals[1:] / vals[:-1]
-        width = np.abs(np.diff(pts))
-        bad = np.flatnonzero((np.abs(ratio - 1.0) > 0.5)
-                             | (width * np.maximum(slope[:-1], slope[1:]) > 1.0))
-        if bad.size == 0:
-            logs = np.zeros(vals.size, dtype=complex)
-            logs[1:] = np.log(ratio).cumsum()
-            return logs[at]
-        mids = 0.5 * (pts[bad] + pts[bad + 1])
-        if width[bad].min() < 1e-8:
-            raise NumericDomainError(
-                f"branch obstruction near z={mids[width[bad].argmin()]:.6f}")
-        new_vals, new_slope = evaluate(mids)
-        pts = np.insert(pts, bad + 1, mids)
-        vals = np.insert(vals, bad + 1, new_vals)
-        slope = np.insert(slope, bad + 1, new_slope)
-        at += np.searchsorted(bad, at)
-
-
 # --- the quasi-periodic family f_j: one ThetaQuotients for every rank --------
 #
 # In u = r z, with theta of modulus r tau (zero at (1 + r tau)/2),
@@ -412,19 +360,56 @@ def section_quotients(params: ThetaParams) -> ThetaQuotients:
     return ThetaQuotients(f.params, f.shifts[keep], powers, gamma, np.append(log_d, 0.0), f.scale)
 
 
-def _last(quotients: ThetaQuotients):
-    """``w -> (q, q'/q)`` of the last element alone, ``1/h`` of the section (same table)."""
-    last, E = copy.copy(quotients), len(quotients.powers)
-    last.powers, last._KG, last._factors = last.powers[-1:], last._KG[:, E - 1:], last._factors[-1:]
-    return lambda w: tuple(v[..., 0] for v in last.logderivs(w))
+def _log_inverse_h(nodes, params: ThetaParams):
+    """log(1/h) at every node of the polyline ``nodes`` less its value at
+    ``nodes[0]``, continued along it: shape ``(len(nodes),)``.
+
+    ``1/h = prod_f theta(u + s_f | T)^p_f`` (the last row of
+    ``section_quotients``), ``u = r z``, ``T = r tau``.  On strip ``m``,
+    ``|Im v - m Im T| < Im T / 2``, the Jacobi triple product gives the branch
+    ``log theta(v) = sum_n [log1p(q^(2n-1) w) + log1p(q^(2n-1) / w)] - i pi m
+    (m T + 2 v0) + sum_n log(1 - q^(2n))``, ``v0 = v - m T``, ``w = exp(2 pi i
+    v0)``, ``q = exp(i pi T)``; every ``log1p`` argument is below 1 in modulus,
+    and the terms stop where the tail is below 1e-17.  The zeros of every
+    factor lie on the puncture rows ``Im z = (k + 1/2) Im tau / r``, which are
+    the strip edges, so each segment is cut where it crosses a row and each
+    piece adds its own strips' branches at its two ends.  A node or a crossing
+    inside the puncture radius raises ``NumericDomainError``.
+    """
+    s, r = section_quotients(params), params.r
+    T, p = s.params.tau, s.powers[-1].real
+    shifts, p = s.shifts[p != 0], p[p != 0]
+    decay = 2 * np.pi * T.imag  # |q^(2n-1) w| <= exp(-decay (n - 1)) on the strip
+    terms = math.ceil(-math.log(5e-18 * -math.expm1(-decay)) / decay)
+    odd = np.exp(1j * np.pi * T * (2 * np.arange(terms) + 1))
+    # cut every segment where it crosses a row, y = r Im z / Im tau - 1/2 an integer
+    nodes = np.asarray(nodes, dtype=complex)
+    y = nodes.imag / params.omega2.imag - 0.5
+    k = np.floor(y)
+    count = np.abs(np.diff(k)).astype(int)
+    seg = np.repeat(np.arange(count.size), count)
+    up = np.sign(np.diff(k))[seg]
+    rows = k[seg] + (up > 0) + up * (np.arange(seg.size) - (count.cumsum() - count)[seg])
+    pts = np.insert(nodes, seg + 1, nodes[seg] + (rows - y[seg]) / (y[seg + 1] - y[seg])
+                    * (nodes[seg + 1] - nodes[seg]))
+    near = puncture_distance(pts, params) < PUNCTURE_RADIUS
+    if near.any():
+        raise NumericDomainError(f"branch obstruction near z={pts[near][0]:.6f}")
+    u = r * pts
+    m = np.rint((((u[1:] + u[:-1]) / 2)[:, None] + shifts).imag / T.imag)
+    v = np.stack([u[:-1], u[1:]])[..., None] + shifts - m * T  # v0 at every piece's ends
+    w = np.exp(2j * np.pi * v)[..., None]
+    branch = (np.log1p(odd * w) + np.log1p(odd / w)).sum(axis=-1)
+    steps = (branch[1] - branch[0]) @ p - 2j * np.pi * (m @ p) * np.diff(u)
+    return np.append(0.0, steps.cumsum())[np.arange(nodes.size) + np.append(0, count.cumsum())]
 
 
 class SectionTracker:
     """The basic section s_i = f_i^(1/r), continued from the anchor.
 
     ``s = A (1/h)^(1/r)`` (``section_quotients``).  ``value_at`` continues
-    the scalar ``log(1/h)`` from the anchor along a point or a path (one
-    ``_continued_log`` call) and evaluates ``A`` at its points; no query
+    the scalar ``log(1/h)`` from the anchor along a point or a path in
+    closed form (``_log_inverse_h``) and evaluates ``A`` at its points; no query
     changes the tracker.  At the anchor s_0 is the principal r-th root of
     ``f_0 = A_0^r (1/h)`` (argument in (-pi/r, pi/r]); ``A``'s constants
     chain the rest by ``s(z + tau/r) = I2 s(z)``.
@@ -446,6 +431,6 @@ class SectionTracker:
         path = np.asarray(z, dtype=complex)
         if not np.isfinite(path).all():
             raise NumericDomainError("continuation target is not finite")
-        logs = _continued_log(_last(self._s), np.append(self.anchor, path), self.params)
+        logs = _log_inverse_h(np.append(self.anchor, path), self.params)
         out = self._s(path.ravel())[:, :-1] * (self._root * np.exp(logs[1:, None] / self.params.r))
         return out.T.reshape((-1,) + path.shape)

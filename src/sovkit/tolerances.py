@@ -16,7 +16,7 @@ ZERO_TRIM = 1e-13          # trailing-coefficient trim, relative to max |coeff|
 QUAD = 1e-10
 DISC_GAP = 1e-3            # minimum branch-point separation of a generic curve
 BRANCH_AVOID = 1e-2        # path avoidance radius around branch points
-PUNCTURE_RADIUS = 1e-3     # evaluation exclusion radius around theta punctures
+PUNCTURE_RADIUS = 1e-3     # no theta evaluation, path node or row crossing this near a puncture
 CLUSTER_MERGE = 1e-7       # duplicate-point merge radius
 LAX_PERIODICITY = 1e-8     # assembled elliptic Lax quasi-periodicity, relative
 BASIS_MULTIPLIER = 1e-10   # elliptic basis character multipliers, relative

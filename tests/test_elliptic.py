@@ -550,10 +550,12 @@ class TestDivisorExtraction:
 
     def test_extraction_continues_nothing(self, setup_r2_n1, report_r2_n1, monkeypatch):
         # the section's factors are evaluated pointwise; A's constants are
-        # cached per params, so a second extraction walks no path at all
+        # cached per params, so a second extraction continues no path at all
         _, _, _, lax = setup_r2_n1
         walks = []
-        monkeypatch.setattr(theta, "_continued_log", lambda *args: walks.append(args))
+        monkeypatch.setattr(theta, "_log_inverse_h", lambda *args: walks.append(args))
+        monkeypatch.setattr(theta.SectionTracker, "value_at",
+                            lambda *args: walks.append(args))
         rep = E.elliptic_divisor_coords(lax, full_report=True)
         assert walks == []
         assert [(p.z, p.xi) for p in rep.points] == [(p.z, p.xi) for p in report_r2_n1.points]
@@ -586,6 +588,59 @@ class Counted:
         assert np.ndim(z) == 1
         self.sizes.append(np.size(z))
         return self.func(z)
+
+
+def _mp_quotients(q, z):
+    """Every element of the ``ThetaQuotients`` ``q`` at the mpmath point ``z``,
+    from its own fields: ``exp(l_e + 2 pi i gamma_e u) prod_f theta(u +
+    s_f)^p_ef``, ``u = scale z``, with ``mpmath.jtheta``."""
+    u, gamma = q.scale * z, q.phase / (2j * np.pi)
+    nome = mpmath.exp(1j * mpmath.pi * mpmath.mpc(q.params.tau))
+    th = [mpmath.jtheta(3, mpmath.pi * (u + mpmath.mpc(s)), nome) for s in q.shifts]
+    out = []
+    for e, l_e in enumerate(np.broadcast_to(q.log_coef, gamma.shape)):
+        value = mpmath.exp(mpmath.mpc(l_e) + 2j * mpmath.pi * mpmath.mpc(gamma[e]) * u)
+        for t, p in zip(th, q.powers[e].real.astype(int)):
+            value *= t ** p
+        out.append(value)
+    return out
+
+
+class TestDivisorOracle:
+    @pytest.mark.parametrize("r, n", [(2, 1), (2, 2), (3, 1)])
+    def test_points_against_30_digit_krylov_roots(self, r, n):
+        # phi and A at 30 digits from the evaluators' fields; each z_mu is the
+        # root of det[A, phi A, ..., phi^(r-1) A] that findroot reaches from
+        # the float point, and xi_mu the eigenvalue of phi(z_mu) whose left
+        # eigenvector annihilates A
+        lax, _ = _lax_and_probes(r, n)
+        points = E.elliptic_divisor_coords(lax)
+        section = section_quotients(lax.params)
+        mats = [mpmath.matrix(mat.reshape(r, r).tolist()) for mat in lax._mats]
+
+        def phi_and_a(z):
+            phi = mpmath.matrix(r, r)
+            for q_e, mat in zip(_mp_quotients(lax._quotients, z), mats):
+                phi += q_e * mat
+            return phi, mpmath.matrix(_mp_quotients(section, z)[:r])
+
+        def det_krylov(z):
+            phi, col = phi_and_a(z)
+            cols = [col]
+            for _ in range(r - 1):
+                cols.append(phi * cols[-1])
+            return mpmath.det(mpmath.matrix([[c[i] for c in cols] for i in range(r)]))
+
+        with mpmath.workdps(30):
+            for p in points:
+                # from within 1e-16, the secant's third step is below 1e-20
+                z = mpmath.findroot(det_krylov, (p.z + lax.z0, p.z + lax.z0 + 1e-9), tol=1e-20)
+                phi, col = phi_and_a(z)
+                xis, left = mpmath.eig(phi, left=True, right=False)
+                k = min(range(r), key=lambda k: mpmath.norm(left[k, :] * col)
+                        / mpmath.norm(left[k, :]))
+                assert abs(complex(z) - (p.z + lax.z0)) < 1e-13
+                assert abs(complex(xis[k]) - p.xi) < 1e-12 * max(1.0, abs(p.xi))
 
 
 class TestWinding:

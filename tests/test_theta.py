@@ -436,94 +436,103 @@ class TestProducts:
                 assert mags.min() > 1e-10
 
 
-class TestContinuedLog:
-    PARAMS = T.ThetaParams(tau=1j, r=3)
+def _polyline(nodes, step):
+    """The polyline ``nodes`` cut into equal steps of at most ``step``: the
+    points and the index of every node among them."""
+    nodes = np.asarray(nodes, dtype=complex)
+    counts = np.maximum(1, np.ceil(np.abs(np.diff(nodes)) / step)).astype(int)
+    seg = np.repeat(np.arange(counts.size), counts)
+    frac = (np.arange(seg.size) - (counts.cumsum() - counts)[seg] + 1) / counts[seg]
+    pts = np.append(nodes[0], nodes[seg] + frac * (nodes[seg + 1] - nodes[seg]))
+    return pts, np.append(0, counts.cumsum())
 
-    def test_loop_winds_only_around_the_enclosed_zero(self):
-        # f = (w - a) (w - b)^2: the loop encloses a, not the double zero b
-        a, b = 0.02 + 0.03j, 0.3 + 0.01j
 
-        def func(w):
-            return (w - a) * (w - b) ** 2, 1 / (w - a) + 2 / (w - b)
+def _dense_log(func, nodes, step=1e-4):
+    """log f continued along the polyline ``nodes`` by fixed steps, less its
+    value at ``nodes[0]``, at every node; ``func`` maps points (m,) to values
+    of f (m,).  Every step's ratio is within 0.5 of 1, so that each principal
+    log is that step's increment."""
+    pts, at = _polyline(nodes, step)
+    vals = func(pts)
+    ratio = vals[1:] / vals[:-1]
+    assert np.abs(ratio - 1.0).max() < 0.5
+    return np.append(0.0, np.log(ratio).cumsum())[at]
 
-        corners = [a + 0.05 * c for c in (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j)]
-        logs = T._continued_log(func, corners, self.PARAMS)
-        assert logs.shape == (5,)
-        assert abs(logs[-1] - 2j * np.pi) < 1e-12
 
-    def test_near_miss_is_bisected_and_matches_closed_form(self):
-        z_from, z_to = 0.02 + 0.05j, 0.22 + 0.05j
-        a = 0.5 * (z_from + z_to) + 1e-4j
-        seen = []
+def _inverse_h(params):
+    """``w -> 1/h(w)``, the section's last element."""
+    return lambda w: T.section_quotients(params)(w)[:, -1]
 
-        def func(w):
-            seen.append(w.size)
-            return w - a, 1 / (w - a)
 
-        got = T._continued_log(func, [z_from, z_to], self.PARAMS)[-1]
-        ref = np.log((z_to - a) / (z_from - a))
-        assert abs(ref.imag) > 3.0  # the argument turns by nearly pi
-        assert abs(got - ref) < 1e-12
-        # the grid of 5 steps is evaluated once, then only the midpoints of
-        # the few steps next to the zero
-        assert seen[0] == 6 and len(seen) > 1 and max(seen[1:]) < 6
+class TestClosedFormContinuation:
+    @pytest.mark.parametrize("r", range(1, 9))
+    def test_matches_the_dense_continuation(self, r):
+        # seeded polylines of 2-5 legs over a few periods, Im tau in [0.1, 3]:
+        # a path that comes within the puncture radius (the near misses below)
+        # takes a finer step than this oracle's
+        rng = np.random.default_rng(300 + r)
+        for _ in range(4):
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.1, 3.0))
+            params = T.ThetaParams(tau=tau, r=r)
+            a, b = rng.uniform(-2.0, 2.0, (2, int(rng.integers(2, 6))))
+            nodes = T._anchor(params) + np.append(0.0, a + b * tau) / r
+            pts, _ = _polyline(nodes, 2.5e-4)
+            if T.puncture_distance(pts, params).min() < T.PUNCTURE_RADIUS:
+                continue
+            got = T._log_inverse_h(nodes, params)
+            ref = _dense_log(_inverse_h(params), nodes, 2.5e-4)
+            assert np.abs(got - ref).max() < 1e-12
 
-    def test_double_zero_beside_a_step_is_not_straddled(self):
-        # the first step passes 1e-4 from a double zero: its ratio comes back
-        # within 0.02 of 1 with the argument turned by about 2 pi, which only
-        # the log-derivative bound sees; the loop winds twice around the zero
-        z0 = 0.2 + 0.2j
-        a = z0 + 0.02 + 1e-4j
-
-        def func(w):
-            return (w - a) ** 2, 2 / (w - a)
-
-        corners = z0 + np.array([0.0, 0.16, 0.16 + 0.16j, 0.16j, 0.0])
-        total = T._continued_log(func, corners, self.PARAMS)[-1]
-        assert abs(total - 4j * np.pi) < 1e-12
-
-    def test_segment_through_a_zero_raises(self):
-        a = 0.0731 + 0.05j
-        with pytest.raises(NumericDomainError, match="branch obstruction"):
-            T._continued_log(lambda w: (w - a, 1 / (w - a)),
-                             [0.02 + 0.05j, 0.22 + 0.05j], self.PARAMS)
-
-    def test_segment_into_a_puncture_raises(self):
-        p = self.PARAMS.puncture
-        with pytest.raises(NumericDomainError, match="branch obstruction"):
-            T._continued_log(lambda w: (np.ones(w.size), np.zeros(w.size)),
-                             [p - 0.1, p], self.PARAMS)
-
-    def test_zero_length_segment_takes_no_step(self):
-        # a segment of length 0 adds no point and an increment of exactly 0,
-        # but its node is still checked against the puncture radius
-        z0, z1 = 0.02 + 0.05j, 0.12 + 0.05j
-        seen = []
-
-        def func(w):
-            seen.append(w.size)
-            return w - 0.4, 1 / (w - 0.4)
-
-        logs = T._continued_log(func, [z0, z0, z1, z1], self.PARAMS)
-        assert logs[1] == 0 and logs[3] == logs[2]
-        assert seen == [5]  # z0, then the 4 steps to z1
-        assert (T._continued_log(func, [z0, z0], self.PARAMS) == 0).all()
-        assert seen == [5, 1]
-        p = self.PARAMS.puncture
-        with pytest.raises(NumericDomainError, match="branch obstruction"):
-            T._continued_log(func, [p, p], self.PARAMS)
-
-    def test_node_logs_match_closed_form(self):
-        a, b = 0.4 + 0.3j, -0.2 - 0.25j
-        nodes = np.array([0.02 + 0.05j, 0.17 + 0.02j, 0.11 + 0.19j])
-
-        def func(w):
-            return (w - a) * (w - b) ** 2, 1 / (w - a) + 2 / (w - b)
-
-        got = T._continued_log(func, nodes, self.PARAMS)
-        ref = np.log((nodes - a) / (nodes[0] - a)) + 2 * np.log((nodes - b) / (nodes[0] - b))
-        assert got.shape == (3,)
+    def test_near_miss_continues(self):
+        # 2e-4 under a puncture, along its row, crossing no row near it: inside
+        # the radius but away from any crossing, so it continues, and matches a
+        # fine dense step
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=3)
+        p = params.puncture
+        nodes = [T._anchor(params), p - 0.3 - 2e-4j, p + 0.3 - 2e-4j, p + 0.3 + 0.1j]
+        assert T.puncture_distance(p - 2e-4j, params) < T.PUNCTURE_RADIUS
+        got = T._log_inverse_h(nodes, params)
+        ref = _dense_log(_inverse_h(params), nodes, 2e-5)
+        assert abs((got[2] - got[1]).imag) > 2.0  # the argument turns by most of pi
         assert np.abs(got - ref).max() < 1e-12
+
+    def test_crossing_inside_the_radius_raises(self):
+        # both nodes 0.05 from the puncture, the crossing of its row 5e-4 from it
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=3)
+        p = params.puncture + 5e-4
+        trk = T.SectionTracker(params)
+        with pytest.raises(NumericDomainError, match="branch obstruction"):
+            trk.value_at([p - 0.05j, p + 0.05j])
+        trk.value_at([p - 0.05j + 2e-3, p + 0.05j + 2e-3])
+
+    def test_node_inside_the_radius_raises(self):
+        params = T.ThetaParams(tau=1j, r=3)
+        trk = T.SectionTracker(params)
+        with pytest.raises(NumericDomainError, match="branch obstruction"):
+            trk.value_at(params.puncture + 5e-4)
+        with pytest.raises(NumericDomainError, match="branch obstruction"):
+            trk.value_at([params.puncture - 0.1, params.puncture + 5e-4j, params.puncture + 0.1])
+
+    def test_zero_length_segments_add_nothing(self):
+        params = T.ThetaParams(tau=1j, r=3)
+        z0, z1 = T._anchor(params), T._anchor(params) + 0.2 + 0.3j
+        logs = T._log_inverse_h([z0, z0, z1, z1], params)
+        assert logs[1] == 0 and logs[3] == logs[2]
+        assert (T._log_inverse_h([z0, z0], params) == 0).all()
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_one_section_evaluation_per_call(self, r, monkeypatch):
+        # the section's r + 1 elements are evaluated once, at the path's
+        # points, for A; log(1/h) takes no theta evaluation at all
+        params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
+        trk = T.SectionTracker(params)
+        series, calls = T.ThetaQuotients._evaluate, []
+        monkeypatch.setattr(T.ThetaQuotients, "_evaluate",
+                            lambda self, z, deriv: calls.append((self, z)) or series(self, z, deriv))
+        path = trk.anchor + np.array([0.05, 0.1 + 0.2j, 0.3, 1.7 - 0.9j])
+        trk.value_at(path)
+        assert len(calls) == 1 and calls[0][0] is T.section_quotients(params)
+        assert np.array_equal(calls[0][1], path)
 
 
 def _cell_and_puncture_path(params, anchor):
@@ -637,8 +646,7 @@ class TestBasicSection:
         f = T.f_quotients(params)
 
         def logs(j, nodes):
-            return T._continued_log(lambda w: tuple(v[..., j] for v in f.logderivs(w)),
-                                    nodes, params)
+            return _dense_log(lambda w: f(w)[:, j], nodes)
 
         f0 = T.f_vector(a, params)
         s = np.empty(r, dtype=complex)
@@ -650,44 +658,6 @@ class TestBasicSection:
         ref = s[:, None] * np.exp(np.array([logs(j, np.append(a, path))[1:]
                                             for j in range(r)]) / r)
         assert np.abs(trk.value_at(path) / ref - 1.0).max() < 1e-13
-
-    def test_one_value_at_continues_one_scalar(self, monkeypatch):
-        params = T.ThetaParams(tau=0.2 + 1.1j, r=4)
-        trk = T.SectionTracker(params)
-        continued, calls, shapes = T._continued_log, [], []
-
-        def counted(func, *args):
-            def checked(w):
-                vals, logd = func(w)
-                shapes.append((vals.shape, logd.shape, w.shape))
-                return vals, logd
-            calls.append(args)
-            return continued(checked, *args)
-
-        monkeypatch.setattr(T, "_continued_log", counted)
-        trk.value_at(trk.anchor + np.array([0.05, 0.1 + 0.2j, 0.3]))
-        assert len(calls) == 1 and shapes
-        assert all(v == d == w and len(w) == 1 for v, d, w in shapes)
-
-    @pytest.mark.parametrize("r", [2, 3, 5])
-    def test_continuation_evaluates_only_one_over_h(self, r, monkeypatch):
-        # the continued scalar is element r of the section evaluator alone: its
-        # values and log-derivative are the full evaluator's to 1e-15 relative,
-        # and every quotient product along the path has one element; the r + 1
-        # elements are formed only at the path's points, for A
-        params = T.ThetaParams(tau=0.2 + 1.1j, r=r)
-        s = T.section_quotients(params)
-        zs = T._anchor(params) + np.array([0.0, 0.05 + 0.02j, 0.3 / r + 0.2j / r, -0.1])
-        for one, full in zip(T._last(s)(zs), s.logderivs(zs)):
-            assert np.abs(one - full[:, -1]).max() <= 1e-15 * np.abs(full[:, -1]).max()
-        series, widths = T.ThetaQuotients._evaluate, []
-        monkeypatch.setattr(T.ThetaQuotients, "_evaluate",
-                            lambda self, z, deriv: widths.append(self.powers.shape[0])
-                            or series(self, z, deriv))
-        trk = T.SectionTracker(params)
-        widths.clear()
-        trk.value_at(trk.anchor + np.array([0.05, 0.1 + 0.2j, 0.3]))
-        assert widths == [1] * (len(widths) - 1) + [r + 1] and len(widths) > 1
 
     @pytest.mark.parametrize("r", [2, 3, 4, 5])
     def test_circuits_turn_every_component_alike(self, r):
@@ -716,8 +686,7 @@ class TestBasicSection:
                                np.hstack([r * np.eye(r), -np.ones((r, r))]), np.arange(r),
                                0.0, r)
         za = (0.0917 + 0.3379 * tau) / r
-        fac = np.exp([T._continued_log(lambda w: tuple(v[..., j] for v in raw.logderivs(w)),
-                                       [za, za + 1.0 / r], params)[-1] / r
+        fac = np.exp([_dense_log(lambda w: raw(w)[:, j], [za, za + 1.0 / r])[-1] / r
                       for j in range(r)])
         powers = np.round(np.angle(fac) / (2 * np.pi / r)).astype(int) % r
         assert np.abs(fac - params.q_root ** powers).max() < 1e-8
@@ -769,18 +738,6 @@ class TestNumberPath:
             assert np.array_equal(got_vals, q(complex(w)))
             assert (np.abs(got_vals - ref_vals) <= 1e-14 * np.abs(ref_vals)).all()
             assert (np.abs(got_logd - ref_logd) <= 1e-14 * np.abs(ref_logd).max()).all()
-
-    @pytest.mark.parametrize("r", [2, 3, 4, 5])
-    def test_last_element_alone(self, r):
-        # _last slices the folded [K | G] with the powers and the factor lists:
-        # at a number, a 0-d array and an array it gives the section's last
-        # element, 1/h, and its log-derivative
-        q = T.section_quotients(T.ThetaParams(tau=0.2 + 1.1j, r=r))
-        zs = T._anchor(q.params) + np.array([0.0, 0.05 + 0.02j, 0.3 / r + 0.2j / r, -0.1])
-        for z in (complex(zs[1]), np.asarray(zs[2]), zs):
-            for one, full in zip(T._last(q)(z), q.logderivs(z)):
-                assert np.shape(one) == np.shape(z)
-                assert np.all(np.abs(one - full[..., -1]) <= 1e-14 * np.abs(full[..., -1]))
 
 
 def _per_factor(q, z):
@@ -928,7 +885,7 @@ class TestClosedForms:
             s = T.section_quotients(params)
             unit = _unit_constants(s)
             a = T._anchor(params)
-            turn = np.exp(T._continued_log(T._last(unit), [a, a + params.omega2], params)[-1] / r)
+            turn = np.exp(_dense_log(lambda w: unit(w)[:, -1], [a, a + params.omega2])[-1] / r)
             carry = unit(a + params.omega2)[:r - 1] * turn / unit(a)[1:r]
             d = np.cumprod(np.append(1.0, carry))
             assert np.abs(d / np.exp(s.log_coef[:r]) - 1.0).max() < 1e-12
@@ -1006,6 +963,25 @@ class TestThetaRootsCheck:
             (path, trk.value_at(path)) for path in ([a, a + params.omega1],
                                                     [a, a + params.omega2])])
         assert at_anchor.min() > 1e-8
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_d1_off_by_1e_9_fails_it(self, r, tau, monkeypatch):
+        # A_1's constant d_1 times 1 + 1e-9 reads 2e-10 to 1e-9: a gate of 1e-8
+        # would pass it, the gate of 1e-11 (about 3e3 times the worst of seeds
+        # 1-40) fails it
+        unmutated = T.section_quotients
+
+        def mutated(params):
+            s = unmutated(params)
+            log_coef = s.log_coef.copy()
+            log_coef[1] += np.log1p(1e-9)
+            return T.ThetaQuotients(s.params, s.shifts, s.powers.real, s.phase / (2j * np.pi),
+                                    log_coef, s.scale)
+
+        monkeypatch.setattr(T, "section_quotients", mutated)
+        check = {c.name: c for c in acceptance.theta_cell(T.ThetaParams(tau=tau, r=r), 2024)}
+        assert not check["theta_roots"].passed and check["theta_roots"].residual < 1e-8
 
 
 def _shift_residuals(params, pairs):
